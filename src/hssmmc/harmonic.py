@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -135,9 +136,6 @@ class HarmonicVector:
     def harmonic_indices(self) -> np.ndarray:
         return np.arange(-self.order, self.order + 1)
 
-    def magnitude(self, k: int) -> float:
-        return abs(self[k])
-
     def conjugate_symmetry_defect(self) -> float:
         """Max |c[-k] - conj(c[k])| relative to the largest coefficient."""
         scale = float(np.max(np.abs(self.coeffs)))
@@ -201,15 +199,7 @@ def toeplitz(src: HarmonicVector) -> ToeplitzOperator:
     column gives the h-truncated Fourier coefficients of the time-domain
     product of the two signals.
     """
-    h = src.order
-    n = 2 * h + 1
-    mat = np.zeros((n, n), dtype=complex)
-    for d in range(-h, h + 1):
-        # d = i - j: the coefficient of harmonic d sits on diagonal -d of
-        # numpy's convention (offset j - i).
-        idx = np.arange(max(0, d), min(n, n + d))
-        mat[idx, idx - d] = src.coeffs[d + h]
-    return ToeplitzOperator(h, mat)
+    return ToeplitzOperator(src.order, _toeplitz_stack(src.coeffs))
 
 
 @dataclass(frozen=True)
@@ -293,15 +283,65 @@ def convolve(a: HarmonicVector, b: HarmonicVector) -> HarmonicVector:
     return HarmonicVector(h, a.base_frequency, full[h : 3 * h + 1])
 
 
+def _toeplitz_stack(coeffs: np.ndarray) -> np.ndarray:
+    """Toeplitz operators of a stack (..., 2h+1) of coefficient vectors.
+
+    Same layout as :func:`toeplitz`: entry (i, j) holds harmonic i - j.
+    The result is a read-only view: row i is a reversed window of the
+    zero-padded coefficients.
+    """
+    n = coeffs.shape[-1]
+    h = n // 2
+    padded = np.zeros(coeffs.shape[:-1] + (2 * n - 1,), dtype=complex)
+    padded[..., h : h + n] = coeffs
+    return sliding_window_view(padded[..., ::-1], n, axis=-1)[..., ::-1, :]
+
+
+def _lifted_blocks(tensor: np.ndarray) -> np.ndarray:
+    """(n, 2h+1, m, 2h+1) array with toeplitz(tensor[r, c]) as block (r, c)."""
+    n, m, k = tensor.shape
+    rows, cols = np.nonzero(np.any(tensor != 0, axis=2))
+    out = np.zeros((n, k, m, k), dtype=complex)
+    out[rows, :, cols, :] = _toeplitz_stack(tensor[rows, cols])
+    return out
+
+
+def block_toeplitz(tensor: np.ndarray) -> np.ndarray:
+    """Lift of an (n, m, 2h+1) coefficient tensor: block (r, c) is the
+    Toeplitz operator of ``tensor[r, c]``."""
+    n, m, k = tensor.shape
+    return _lifted_blocks(tensor).reshape(n * k, m * k)
+
+
+def lift(A0: np.ndarray, A1: np.ndarray, base_frequency: float) -> np.ndarray:
+    """Lifted state matrix of dx/dt = A0(t) x + A1(t) dx/dt.
+
+    Returns block-Toeplitz(A0) + block-Toeplitz(A1)(I kron Q) - I kron Q for
+    square (n, n, 2h+1) coefficient tensors, Q the frequency matrix. Only
+    the nonzero blocks are built.
+    """
+    n, _, k = A0.shape
+    q = frequency_matrix(k // 2, base_frequency).diagonal
+    out = _lifted_blocks(A0)
+    rows, cols = np.nonzero(np.any(A1 != 0, axis=2))
+    out[rows, :, cols, :] += _toeplitz_stack(A1[rows, cols]) * q
+    out = out.reshape(n * k, n * k)
+    out[np.diag_indices(n * k)] -= np.tile(q, n)
+    return out
+
+
 class HarmonicBlockMatrix:
     """Dense complex matrix organized as labeled (2h+1)-square blocks.
 
     Row and column block labels are fixed at construction; blocks are
     written with :meth:`set_block` and read back bit-identically with
-    :meth:`get_block`. ``dense`` is the assembled matrix.
+    :meth:`get_block`. ``dense`` is the assembled matrix; a matrix passed
+    as ``data`` is adopted as it is, without a copy.
     """
 
-    def __init__(self, block_rows: list[str], block_cols: list[str], order: int):
+    def __init__(
+        self, block_rows: list[str], block_cols: list[str], order: int, data: np.ndarray | None = None
+    ):
         self.block_rows = list(block_rows)
         self.block_cols = list(block_cols)
         self.order = order
@@ -310,9 +350,12 @@ class HarmonicBlockMatrix:
         self._col_index = {lbl: i for i, lbl in enumerate(self.block_cols)}
         if len(self._row_index) != len(self.block_rows) or len(self._col_index) != len(self.block_cols):
             raise DimensionMismatchError("duplicate block labels")
-        self._data = np.zeros(
-            (len(self.block_rows) * self._n, len(self.block_cols) * self._n), dtype=complex
-        )
+        shape = (len(self.block_rows) * self._n, len(self.block_cols) * self._n)
+        if data is None:
+            data = np.zeros(shape, dtype=complex)
+        elif data.shape != shape or data.dtype != complex:
+            raise DimensionMismatchError(f"expected a complex {shape} matrix, got {data.dtype} {data.shape}")
+        self._data = data
 
     def _slice(self, row: str, col: str):
         try:
@@ -332,10 +375,6 @@ class HarmonicBlockMatrix:
             )
         self._data[rs, cs] = blk
 
-    def add_to_block(self, row: str, col: str, block: np.ndarray):
-        rs, cs = self._slice(row, col)
-        self._data[rs, cs] += block
-
     def get_block(self, row: str, col: str) -> np.ndarray:
         rs, cs = self._slice(row, col)
         return self._data[rs, cs].copy()
@@ -351,7 +390,3 @@ class HarmonicBlockMatrix:
     def row_slice(self, row: str) -> slice:
         i = self._row_index[row]
         return slice(i * self._n, (i + 1) * self._n)
-
-    def col_slice(self, col: str) -> slice:
-        j = self._col_index[col]
-        return slice(j * self._n, (j + 1) * self._n)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_sweep_value
-from .errors import SchemaViolationError
+from .errors import HssError, SchemaViolationError
 from .harmonic import HarmonicVector, synthesize
 from .plant import PHASES, STATE_LABELS, STATE_VARIABLES, open_loop_insertion_indices
 from .reports import (
@@ -487,36 +487,17 @@ def run_sweep(cfg: RunConfig, out: Path, timestamp: bool) -> int:
                 _, model, _ = build_smallsignal_model(point)
                 metrics = [float(eigenvalues(model)[0].real)]
             rows.append([value, *metrics, ""])
-        except Exception as exc:  # recorded per value, sweep continues
+        except (HssError, ValueError) as exc:  # recorded per value, sweep continues
             failures += 1
             pad = len(columns) - 2
             rows.append([value, *([""] * pad), str(exc).replace(",", ";")])
 
-    path = out / "sweep.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_sweep_csv(path, columns, rows, timestamp)
+    write_csv(out / "sweep.csv", columns, rows, timestamp)
     checks = [
         ("sweep points", failures == 0, f"{len(sweep.values) - failures}/{len(sweep.values)} succeeded")
     ]
     ok = write_report(out / "report.txt", f"sweep over {sweep.key}", checks, timestamp)
     return 0 if ok else 1
-
-
-def _write_sweep_csv(path: Path, columns, rows, timestamp: bool):
-    from .reports import _fmt
-    import datetime
-
-    lines = []
-    if timestamp:
-        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        lines.append(f"# generated {now}")
-    lines.append(",".join(columns))
-    for row in rows:
-        parts = []
-        for v in row:
-            parts.append(v if isinstance(v, str) else _fmt(v))
-        lines.append(",".join(parts))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 SCENARIO_RUNNERS = {

@@ -1,6 +1,14 @@
 """Average-value model of the three-phase MMC: circuit parameters, open-loop
-insertion indices, and the time-periodic state-space right-hand side shared
-by the lifted models and the reference simulator.
+insertion indices, and the plant equations in two independent encodings.
+
+- ``plant_coefficients`` is the one periodic coefficient model of the
+  plant, dx/dt = A0(t) x + A1(t) dx/dt + B(t) u, with the Fourier
+  coefficients of every entry along the last axis. Both lifted models are
+  lifts of it (``harmonic.lift``), and ``time_domain_A`` / ``time_domain_B``
+  evaluate it at one instant.
+- ``plant_rhs`` is the direct-form right-hand side the reference simulator
+  integrates. It is kept separate from the coefficient model so that the
+  simulator checks the lifted models against an independent encoding.
 
 State ordering (fixed, identical to the lifted block ordering):
 
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModulationOutOfRangeError
-from .harmonic import HarmonicVector
+from .harmonic import HarmonicVector, block_toeplitz, lift
 
 PHASES = ("a", "b", "c")
 
@@ -111,13 +119,12 @@ class InsertionIndexSet:
     def base_frequency(self) -> float:
         return self.upper["a"].base_frequency
 
-    def evaluate(self, t):
-        """Index values at time(s) t: arrays n_u (3,...) and n_l (3,...)."""
-        from .harmonic import synthesize
-
-        n_u = np.array([synthesize(self.upper[p], t) for p in PHASES])
-        n_l = np.array([synthesize(self.lower[p], t) for p in PHASES])
-        return n_u, n_l
+    def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(3, 2h+1) coefficient arrays of the upper and lower indices, phases a, b, c."""
+        return (
+            np.array([self.upper[p].coeffs for p in PHASES]),
+            np.array([self.lower[p].coeffs for p in PHASES]),
+        )
 
 
 def open_loop_insertion_indices(m: float, h: int, omega1: float) -> InsertionIndexSet:
@@ -135,11 +142,6 @@ def open_loop_insertion_indices(m: float, h: int, omega1: float) -> InsertionInd
         upper[p] = HarmonicVector.cosine(0.5, -0.5 * m, phi, h, omega1)
         lower[p] = HarmonicVector.cosine(0.5, +0.5 * m, phi, h, omega1)
     return InsertionIndexSet(upper=upper, lower=lower)
-
-
-def modulation_for_voltage(v_g_peak: float, v_dc: float) -> float:
-    """No-load modulation index that targets a given ac phase-voltage peak."""
-    return 2.0 * v_g_peak / v_dc
 
 
 def plant_rhs(
@@ -165,47 +167,112 @@ def plant_rhs(
     C = params.C_arm
     R = params.R
 
+    # Inserted arm voltages and the arm-current share of i_g.
+    v_u = n_u * v_cu
+    v_l = n_l * v_cl
+    i_half = 0.5 * i_g
+
     d = np.empty(12)
-    d[0:3] = (-R * i_c - 0.5 * n_u * v_cu - 0.5 * n_l * v_cl + 0.5 * v_dc) / L
-    d[3:6] = n_u * (i_c + 0.5 * i_g) / C
-    d[6:9] = n_l * (i_c - 0.5 * i_g) / C
-    d[9:12] = (-n_u * v_cu + n_l * v_cl - (R + 2.0 * params.R_load) * i_g) / (
-        L + 2.0 * params.L_load
-    )
+    d[0:3] = (-R * i_c - 0.5 * v_u - 0.5 * v_l + 0.5 * v_dc) / L
+    d[3:6] = n_u * (i_c + i_half) / C
+    d[6:9] = n_l * (i_c - i_half) / C
+    d[9:12] = (-v_u + v_l - (R + 2.0 * params.R_load) * i_g) / (L + 2.0 * params.L_load)
     return d
+
+
+@dataclass(frozen=True)
+class PeriodicCoefficients:
+    """Linear time-periodic model dx/dt = A0(t) x + A1(t) dx/dt + B(t) u.
+
+    The last axis of each tensor holds the Fourier coefficients k = -h..h
+    of its entries: A0 and A1 are (n, n, 2h+1), B is (n, m, 2h+1). A1 is
+    the load-inductance term L_load di_g/dt and is nonzero only in the i_g
+    columns.
+    """
+
+    omega1: float
+    A0: np.ndarray
+    A1: np.ndarray
+    B: np.ndarray
+
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Real (A, B) at time t with the A1 term solved out:
+        dx/dt = (I - A1)^-1 (A0 x + B u)."""
+        h = self.A0.shape[2] // 2
+        phasor = np.exp(1j * np.arange(-h, h + 1) * self.omega1 * t)
+        A0, A1, B = ((T @ phasor).real for T in (self.A0, self.A1, self.B))
+        lhs = np.eye(A0.shape[0]) - A1
+        return np.linalg.solve(lhs, A0), np.linalg.solve(lhs, B)
+
+    def lifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense lifted (A, B) over harmonics -h..h; see :func:`lift`."""
+        return lift(self.A0, self.A1, self.omega1), block_toeplitz(self.B)
+
+
+def fold_terminal_voltage(A0: np.ndarray, A1: np.ndarray, g: np.ndarray, params: MmcParameters):
+    """Add each row's dependence on the ac terminal voltages in place.
+
+    ``g`` (n, 3, 2h+1) holds every row's coefficient of the phase voltages
+    v_g = R_load i_g + L_load di_g/dt; the resistive part enters A0 and the
+    inductive part A1, both in the i_g columns.
+    """
+    A0[:, 9:12] += params.R_load * g
+    A1[:, 9:12] += params.L_load * g
+
+
+def plant_coefficients(params: MmcParameters, n_u: np.ndarray, n_l: np.ndarray) -> PeriodicCoefficients:
+    """Coefficient model of the open-loop plant, input the dc-bus voltage.
+
+    ``n_u`` and ``n_l`` are (3, 2h+1) insertion-index coefficients per
+    phase; one column (h = 0) holds instantaneous index values. Per phase:
+
+        L di_c/dt  = -R i_c - (n_u v_cu + n_l v_cl)/2 + v_dc/2
+        C dv_cu/dt = n_u (i_c + i_g/2)
+        C dv_cl/dt = n_l (i_c - i_g/2)
+        L di_g/dt  = -n_u v_cu + n_l v_cl - R i_g - 2 v_g
+    """
+    k = n_u.shape[1]
+    one = np.zeros(k)
+    one[k // 2] = 1.0
+    L = params.L
+    C = params.C_arm
+    R = params.R
+    ph = np.arange(3)
+    i_c, v_cu, v_cl, i_g = ph, 3 + ph, 6 + ph, 9 + ph
+
+    A0 = np.zeros((12, 12, k), dtype=complex)
+    A0[i_c, i_c] = -R / L * one
+    A0[i_c, v_cu] = -n_u / (2.0 * L)
+    A0[i_c, v_cl] = -n_l / (2.0 * L)
+    A0[v_cu, i_c] = n_u / C
+    A0[v_cu, i_g] = n_u / (2.0 * C)
+    A0[v_cl, i_c] = n_l / C
+    A0[v_cl, i_g] = -n_l / (2.0 * C)
+    A0[i_g, v_cu] = -n_u / L
+    A0[i_g, v_cl] = n_l / L
+    A0[i_g, i_g] = -R / L * one
+
+    B = np.zeros((12, 1, k), dtype=complex)
+    B[i_c, 0] = one / (2.0 * L)
+
+    g = np.zeros((12, 3, k), dtype=complex)
+    g[i_g, ph] = -2.0 / L * one
+    A1 = np.zeros_like(A0)
+    fold_terminal_voltage(A0, A1, g, params)
+    return PeriodicCoefficients(params.omega1, A0, A1, B)
 
 
 def time_domain_A(n_u: np.ndarray, n_l: np.ndarray, params: MmcParameters) -> np.ndarray:
     """Instantaneous 12x12 state matrix for given index values.
 
     plant_rhs(x, ...) == time_domain_A(...) @ x + time_domain_B(params) * v_dc
-    holds identically.
+    holds to round-off.
     """
-    L = params.L
-    C = params.C_arm
-    R = params.R
-    L_eff = L + 2.0 * params.L_load
-
-    A = np.zeros((12, 12))
-    for i in range(3):
-        A[i, i] = -R / L
-        A[i, 3 + i] = -n_u[i] / (2.0 * L)
-        A[i, 6 + i] = -n_l[i] / (2.0 * L)
-
-        A[3 + i, i] = n_u[i] / C
-        A[3 + i, 9 + i] = n_u[i] / (2.0 * C)
-
-        A[6 + i, i] = n_l[i] / C
-        A[6 + i, 9 + i] = -n_l[i] / (2.0 * C)
-
-        A[9 + i, 3 + i] = -n_u[i] / L_eff
-        A[9 + i, 6 + i] = n_l[i] / L_eff
-        A[9 + i, 9 + i] = -(R + 2.0 * params.R_load) / L_eff
-    return A
+    model = plant_coefficients(params, np.asarray(n_u)[:, None], np.asarray(n_l)[:, None])
+    return model.at(0.0)[0]
 
 
 def time_domain_B(params: MmcParameters) -> np.ndarray:
     """Input column multiplying the dc-bus voltage."""
-    B = np.zeros(12)
-    B[0:3] = 1.0 / (2.0 * params.L)
-    return B
+    zero = np.zeros((3, 1))
+    return plant_coefficients(params, zero, zero).at(0.0)[1][:, 0]

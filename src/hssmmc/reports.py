@@ -20,6 +20,8 @@ WAVEFORM_COLUMNS = ("t", "value_hss", "value_sim", "abs_error")
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")

@@ -9,6 +9,7 @@ cross-check the lifted models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     OrderMismatchError,
 )
 from .harmonic import HarmonicVector, analyze
-from .plant import PHASES, PHASE_SHIFT, MmcParameters
+from .plant import PHASES, PHASE_SHIFT, MmcParameters, plant_rhs
 from .smallsignal import ControllerParams
 
 # A simulated state magnitude beyond this multiple of the dc-bus voltage
@@ -146,26 +147,11 @@ def simulate_open_loop(
 
     w1 = params.omega1
     phi = np.array([PHASE_SHIFT[p] for p in PHASES])
-    L = params.L
-    L_eff = params.L + 2.0 * params.L_load
-    C = params.C_arm
-    R = params.R
-    R_ac = params.R + 2.0 * params.R_load
     v_dc = params.V_dc
 
     def rhs(t, x):
         n_u = 0.5 - 0.5 * m * np.cos(w1 * t - phi)
-        n_l = 1.0 - n_u
-        d = np.empty(12)
-        i_c = x[0:3]
-        v_cu = x[3:6]
-        v_cl = x[6:9]
-        i_g = x[9:12]
-        d[0:3] = (-R * i_c - 0.5 * n_u * v_cu - 0.5 * n_l * v_cl + 0.5 * v_dc) / L
-        d[3:6] = n_u * (i_c + 0.5 * i_g) / C
-        d[6:9] = n_l * (i_c - 0.5 * i_g) / C
-        d[9:12] = (-n_u * v_cu + n_l * v_cl - R_ac * i_g) / L_eff
-        return d
+        return plant_rhs(x, n_u, 1.0 - n_u, v_dc, params)
 
     x_init = default_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
     states = _rk4(rhs, x_init, 0.0, cfg.n_steps(), cfg.dt, max(v_dc, 1.0))
@@ -176,60 +162,61 @@ def simulate_open_loop(
     return Trajectory(t=t, states=states, controller=None, n_upper=n_u, n_lower=n_l)
 
 
-def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps_of_t):
-    """Right-hand side of the 18-state closed-loop model.
+def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
+    """Closed-loop insertion indices and terminal voltage for states ``x``.
 
-    With an inductive load part the terminal voltage depends on di_g/dt,
-    which itself depends on the insertion indices; the resulting linear
-    relation is solved in closed form so no inner iteration is needed.
+    ``x`` is one 18-state vector or a run of them (n, 18), ``v_star`` the
+    matching voltage references. With an inductive load part the terminal
+    voltage depends on di_g/dt, which itself depends on the insertion
+    indices; that linear relation is solved in closed form, so no inner
+    iteration is needed.
     """
+    v_dc = params.V_dc
+    R_L = params.R_load
+    L_L = params.L_load
+    kd = ctrl.k_f - ctrl.K_p
+    v_cu = x[..., 3:6]
+    v_cl = x[..., 6:9]
+    i_g = x[..., 9:12]
+
+    # With v_g = R_load i_g + L_load di_g/dt, the modulation voltage
+    # v_mod = K_p (v* - v_g) + x1 + k_f v_g is w + kd L_load di_g/dt, and the
+    # plant's (L + 2 L_load) di_g/dt = -n_u v_cu + n_l v_cl - (R + 2 R_load) i_g
+    # becomes linear in di_g/dt.
+    sigma = (v_cu + v_cl) / v_dc
+    w = ctrl.K_p * v_star + x[..., 12:18:2] + (kd * R_L) * i_g
+    di_g = (sigma * w - 0.5 * (v_cu - v_cl) - (params.R + 2.0 * R_L) * i_g) / (
+        params.L + 2.0 * L_L - (kd * L_L) * sigma
+    )
+    v_mod = w + (kd * L_L) * di_g
+    v_g = R_L * i_g + L_L * di_g
+    return 0.5 - v_mod / v_dc, 0.5 + v_mod / v_dc, v_g
+
+
+def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps_of_t):
+    """Right-hand side of the 18-state closed-loop model."""
     w1 = params.omega1
     w1sq = ctrl.omega1 ** 2
-    L = params.L
-    L_L = params.L_load
-    C = params.C_arm
-    R = params.R
-    R_L = params.R_load
     v_dc = params.V_dc
-    K_p = ctrl.K_p
     K_r = ctrl.K_r
-    kd = ctrl.k_f - ctrl.K_p
 
     def rhs(t, x):
         amps = amps_of_t(t)
-        v_star = amps.real * np.cos(w1 * t) - amps.imag * np.sin(w1 * t)
-        i_c = x[0:3]
-        v_cu = x[3:6]
-        v_cl = x[6:9]
-        i_g = x[9:12]
-        x1 = x[12:18:2]
-        x2 = x[13:18:2]
-
-        sigma = (v_cu + v_cl) / v_dc
-        delta = v_cu - v_cl
-        numer = -0.5 * delta + sigma * (K_p * v_star + x1) + (sigma * kd * R_L - R - 2.0 * R_L) * i_g
-        denom = L + 2.0 * L_L - sigma * kd * L_L
-        di_g = numer / denom
-
-        v_g = R_L * i_g + L_L * di_g
-        v_mod = K_p * (v_star - v_g) + x1 + ctrl.k_f * v_g
-        n_u = 0.5 - v_mod / v_dc
-        n_l = 0.5 + v_mod / v_dc
-
+        # Scalar t: math.cos costs a fraction of np.cos per call.
+        v_star = amps.real * math.cos(w1 * t) - amps.imag * math.sin(w1 * t)
+        n_u, n_l, v_g = _index_law(params, ctrl, v_star, x)
         d = np.empty(18)
-        d[0:3] = (-R * i_c - 0.5 * n_u * v_cu - 0.5 * n_l * v_cl + 0.5 * v_dc) / L
-        d[3:6] = n_u * (i_c + 0.5 * i_g) / C
-        d[6:9] = n_l * (i_c - 0.5 * i_g) / C
-        d[9:12] = di_g
-        d[12:18:2] = -w1sq * x2 + K_r * (v_star - v_g)
-        d[13:18:2] = x1
+        d[0:12] = plant_rhs(x[0:12], n_u, n_l, v_dc, params)
+        d[12:18:2] = -w1sq * x[13:18:2] + K_r * (v_star - v_g)
+        d[13:18:2] = x[12:18:2]
         return d
 
     return rhs
 
 
 def _amplitude_schedule(refs: dict[str, complex], events, dt: float):
-    """Right-continuous per-phase reference phasors as a function of time.
+    """Right-continuous per-phase reference phasors as a function of time,
+    for one time or an array of times.
 
     Event times are snapped to the nearest integration grid point.
     """
@@ -246,11 +233,11 @@ def _amplitude_schedule(refs: dict[str, complex], events, dt: float):
         snapped.append(round(ev.time / dt) * dt)
         amps_list.append(current)
     times = np.array(snapped)
+    amps_arr = np.array(amps_list)
     eps = 0.25 * dt
 
-    def amps_of_t(t: float) -> np.ndarray:
-        i = np.searchsorted(times, t + eps)
-        return amps_list[i]
+    def amps_of_t(t):
+        return amps_arr[np.searchsorted(times, t + eps)]
 
     return amps_of_t, list(zip(times, amps_list[1:]))
 
@@ -296,30 +283,12 @@ def simulate_closed_loop(
 
 
 def _reconstruct_indices(params, ctrl, amps_of_t, t, states):
-    """Vectorized recomputation of the insertion indices along a run."""
-    amps = np.array([amps_of_t(ti) for ti in t])
-    v_star = amps.real * np.cos(params.omega1 * t)[:, None] - amps.imag * np.sin(
-        params.omega1 * t
-    )[:, None]
-    v_cu = states[:, 3:6]
-    v_cl = states[:, 6:9]
-    i_g = states[:, 9:12]
-    x1 = states[:, 12:18:2]
-    kd = ctrl.k_f - ctrl.K_p
-
-    sigma = (v_cu + v_cl) / params.V_dc
-    delta = v_cu - v_cl
-    numer = (
-        -0.5 * delta
-        + sigma * (ctrl.K_p * v_star + x1)
-        + (sigma * kd * params.R_load - params.R - 2.0 * params.R_load) * i_g
-    )
-    denom = params.L + 2.0 * params.L_load - sigma * kd * params.L_load
-    di_g = numer / denom
-    v_g = params.R_load * i_g + params.L_load * di_g
-    v_mod = ctrl.K_p * (v_star - v_g) + x1 + ctrl.k_f * v_g
-    n_u = 0.5 - v_mod / params.V_dc
-    return n_u, 1.0 - n_u
+    """Insertion indices along a run, from the same index law as the run."""
+    w1t = params.omega1 * t[:, None]
+    amps = amps_of_t(t)
+    v_star = amps.real * np.cos(w1t) - amps.imag * np.sin(w1t)
+    n_u, n_l, _ = _index_law(params, ctrl, v_star, states)
+    return n_u, n_l
 
 
 def steps_per_period(traj: Trajectory, omega1: float) -> int:

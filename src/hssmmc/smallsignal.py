@@ -11,10 +11,12 @@ with H_v(s) = K_p + K_r s / (s^2 + w1^2) realized per phase by two states:
 
     dx1/dt = -w1^2 x2 + K_r e,   dx2/dt = x1,   y = x1.
 
-Linearizing about a harmonic operating point gives periodic gain
-coefficients (the F vectors below); lifting everything to truncation order
-h yields an 18-block LTI model whose inputs are the dc-bus perturbation and
-the three per-phase voltage-reference perturbations.
+Linearizing about a harmonic operating point extends the plant's
+coefficient model with the controller rows and the periodic gain columns
+(the F vectors, ``compute_f_coefficients``). The same lift as the steady
+model (``harmonic.lift``) turns it into an 18-block LTI model whose inputs
+are the dc-bus perturbation and the three per-phase voltage-reference
+perturbations; ``time_domain_linearized_A`` evaluates it at one instant.
 """
 
 from __future__ import annotations
@@ -30,14 +32,16 @@ from .errors import (
     StepTooLargeError,
     UnknownVariableError,
 )
-from .harmonic import (
-    HarmonicBlockMatrix,
-    HarmonicVector,
-    frequency_matrix,
-    synthesize,
-    toeplitz,
+from .harmonic import HarmonicBlockMatrix, HarmonicVector
+from .plant import (
+    PHASES,
+    STATE_LABELS,
+    STATE_VARIABLES,
+    MmcParameters,
+    PeriodicCoefficients,
+    fold_terminal_voltage,
+    plant_coefficients,
 )
-from .plant import PHASES, STATE_LABELS, MmcParameters
 from .steady import OperatingPoint
 
 PR_LABELS = ("pr_a1", "pr_a2", "pr_b1", "pr_b2", "pr_c1", "pr_c2")
@@ -67,79 +71,91 @@ class ControllerParams:
 
 @dataclass(frozen=True)
 class FCoefficientSet:
-    """Periodic linearization gains built from operating-point spectra.
+    """Periodic linearization gains of the closed loop at an operating point.
 
-    Each entry is a per-phase HarmonicVector. Load-impedance factors are
-    folded in with their resistive part; with a nonzero load inductance the
-    per-harmonic reactive contribution is applied at assembly time instead.
+    ``coefficients`` is the closed-loop coefficient model; each named gain
+    is a per-phase entry of it. The prefix names the row (c circulating
+    current, vu / vl upper / lower capacitor, i phase current), the suffix
+    the column: 1 the phase current (resistive load part folded in), 2 the
+    first resonant-controller state, 3 the voltage reference input.
     """
 
-    c1: dict[str, HarmonicVector]
-    c2: dict[str, HarmonicVector]
-    c3: dict[str, HarmonicVector]
-    vu1: dict[str, HarmonicVector]
-    vu2: dict[str, HarmonicVector]
-    vu3: dict[str, HarmonicVector]
-    vl1: dict[str, HarmonicVector]
-    vl2: dict[str, HarmonicVector]
-    vl3: dict[str, HarmonicVector]
-    i1: dict[str, HarmonicVector]
-    i2: dict[str, HarmonicVector]
-    i3: dict[str, HarmonicVector]
+    coefficients: PeriodicCoefficients
 
+    def _gain(self, row: str, col: str) -> dict[str, HarmonicVector]:
+        c = self.coefficients
+        h = c.A0.shape[2] // 2
+        out = {}
+        for p in PHASES:
+            r = SMALLSIG_STATE_LABELS.index(f"{row}{p}")
+            if col == "ref":
+                coeffs = c.B[r, SMALLSIG_INPUT_LABELS.index(f"v_g{p}_ref")]
+            else:
+                coeffs = c.A0[r, SMALLSIG_STATE_LABELS.index(col.format(p=p))]
+            out[p] = HarmonicVector(h, c.omega1, coeffs)
+        return out
 
-def _operating_combinations(op: OperatingPoint, phase: str):
-    v_diff = op.v_cu[phase] - op.v_cl[phase]
-    v_sum = op.v_cu[phase] + op.v_cl[phase]
-    iu_eff = op.i_c[phase] + 0.5 * op.i_g[phase]
-    il_eff = op.i_c[phase] - 0.5 * op.i_g[phase]
-    return v_diff, v_sum, iu_eff, il_eff
+    c1 = property(lambda self: self._gain("i_c", "i_g{p}"))
+    c2 = property(lambda self: self._gain("i_c", "pr_{p}1"))
+    vu1 = property(lambda self: self._gain("v_cu", "i_g{p}"))
+    vl1 = property(lambda self: self._gain("v_cl", "i_g{p}"))
+    i2 = property(lambda self: self._gain("i_g", "pr_{p}1"))
+    i3 = property(lambda self: self._gain("i_g", "ref"))
 
 
 def compute_f_coefficients(
     op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams
 ) -> FCoefficientSet:
-    """Linearization gain vectors at the given operating point.
+    """Closed-loop coefficient model linearized about an operating point.
 
-    The lower-arm capacitor gain on the phase-current axis carries the
-    minus sign of the underlying arm-current split (the lower arm sees
-    i_c - i_g/2), so with all controller gains zero the set collapses to
-    the open-loop capacitor couplings.
+    The plant rows are the plant's coefficient model at the operating
+    indices. The controller acts through the modulation voltage v_mod,
+    which moves the indices as n_u = 1/2 - v_mod/V_dc and
+    n_l = 1/2 + v_mod/V_dc. With all controller gains zero the set
+    collapses to the open-loop couplings.
     """
-    kd = ctrl.k_f - ctrl.K_p
+    plant = plant_coefficients(params, *op.indices.coefficient_arrays())
+    k = 2 * op.h + 1
+    one = np.zeros(k)
+    one[op.h] = 1.0
+    i_c, v_cu, v_cl, i_g = (
+        np.array([getattr(op, var)[p].coeffs for p in PHASES]) for var in STATE_VARIABLES
+    )
     L = params.L
     C = params.C_arm
-    R_L = params.R_load
     v_dc = params.V_dc
-    h = op.h
 
-    sets: dict[str, dict[str, HarmonicVector]] = {
-        name: {} for name in ("c1", "c2", "c3", "vu1", "vu2", "vu3", "vl1", "vl2", "vl3", "i1", "i2", "i3")
-    }
-    for p in PHASES:
-        v_diff, v_sum, iu_eff, il_eff = _operating_combinations(op, p)
-        n_u0 = op.indices.upper[p]
-        n_l0 = op.indices.lower[p]
+    # Plant-row response to each phase's modulation voltage at the
+    # operating point (the F vectors); the lower-arm row carries the minus
+    # sign of its arm current i_c - i_g/2.
+    ph = np.arange(3)
+    dv_mod = np.zeros((12, 3, k), dtype=complex)
+    dv_mod[ph, ph] = (1.0 / (2.0 * L * v_dc)) * (v_cu - v_cl)
+    dv_mod[3 + ph, ph] = (-1.0 / (C * v_dc)) * (i_c + 0.5 * i_g)
+    dv_mod[6 + ph, ph] = (1.0 / (C * v_dc)) * (i_c - 0.5 * i_g)
+    dv_mod[9 + ph, ph] = (1.0 / (L * v_dc)) * (v_cu + v_cl)
 
-        sets["c1"][p] = (kd * R_L / (2.0 * L * v_dc)) * v_diff
-        sets["c2"][p] = (1.0 / (2.0 * L * v_dc)) * v_diff
-        sets["c3"][p] = (ctrl.K_p / (2.0 * L * v_dc)) * v_diff
+    x1, x2 = 12 + 2 * ph, 13 + 2 * ph
+    A0 = np.zeros((18, 18, k), dtype=complex)
+    A1 = np.zeros_like(A0)
+    B = np.zeros((18, len(SMALLSIG_INPUT_LABELS), k), dtype=complex)
+    A0[:12, :12], A1[:12, :12], B[:12, :1] = plant.A0, plant.A1, plant.B
 
-        sets["vu1"][p] = (1.0 / (2.0 * C)) * n_u0 - (kd * R_L / (C * v_dc)) * iu_eff
-        sets["vu2"][p] = (-1.0 / (C * v_dc)) * iu_eff
-        sets["vu3"][p] = (-ctrl.K_p / (C * v_dc)) * iu_eff
+    # Controller per phase, with the error e = v* - v_g:
+    #   v_mod = K_p e + x1 + k_f v_g,  dx1/dt = -w1^2 x2 + K_r e,  dx2/dt = x1.
+    error_gain = np.zeros((18, 3, k), dtype=complex)
+    error_gain[:12] = ctrl.K_p * dv_mod
+    error_gain[x1, ph] = ctrl.K_r * one
+    B[:, 1:] = error_gain
+    A0[:12, x1] = dv_mod
+    A0[x1, x2] = -ctrl.omega1**2 * one
+    A0[x2, x1] = one
+    # Every row's coefficient of v_g: through -e and the feed-forward term.
+    g = -error_gain
+    g[:12] += ctrl.k_f * dv_mod
 
-        sets["vl1"][p] = (-1.0 / (2.0 * C)) * n_l0 + (kd * R_L / (C * v_dc)) * il_eff
-        sets["vl2"][p] = (1.0 / (C * v_dc)) * il_eff
-        sets["vl3"][p] = (ctrl.K_p / (C * v_dc)) * il_eff
-
-        sets["i1"][p] = HarmonicVector.constant(
-            -(params.R + 2.0 * R_L) / L, h, op.omega1
-        ) + (kd * R_L / (L * v_dc)) * v_sum
-        sets["i2"][p] = (1.0 / (L * v_dc)) * v_sum
-        sets["i3"][p] = (ctrl.K_p / (L * v_dc)) * v_sum
-
-    return FCoefficientSet(**sets)
+    fold_terminal_voltage(A0, A1, g, params)
+    return FCoefficientSet(PeriodicCoefficients(params.omega1, A0, A1, B))
 
 
 @dataclass(frozen=True)
@@ -166,7 +182,11 @@ class HssSmallSignalModel:
 def assemble_smallsignal(
     op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams, h: int
 ) -> HssSmallSignalModel:
-    """Assemble the lifted closed-loop A and B about an operating point."""
+    """Lift the closed-loop coefficient model about an operating point.
+
+    The load-inductance term enters as T(A1) Q, the part of the lifted
+    derivative that the periodic orbit itself carries.
+    """
     if ctrl.omega1 != params.omega1:
         raise DimensionMismatchError("controller and plant disagree on omega1")
     if h != op.h:
@@ -174,86 +194,17 @@ def assemble_smallsignal(
             f"operating point solved at order {op.h}, model requested {h}"
         )
 
-    n = 2 * h + 1
-    eye = np.eye(n)
-    Q = frequency_matrix(h, params.omega1).matrix
-    k = np.arange(-h, h + 1)
-    Z_load = np.diag(params.load_impedance(k))
-
-    L = params.L
-    C = params.C_arm
-    R = params.R
-    v_dc = params.V_dc
-    kd = ctrl.k_f - ctrl.K_p
-    w1sq = params.omega1 ** 2
-
     fset = compute_f_coefficients(op, params, ctrl)
-
-    A = HarmonicBlockMatrix(list(SMALLSIG_STATE_LABELS), list(SMALLSIG_STATE_LABELS), h)
-    B = HarmonicBlockMatrix(list(SMALLSIG_STATE_LABELS), list(SMALLSIG_INPUT_LABELS), h)
-
-    gam = lambda hv: toeplitz(hv).matrix  # noqa: E731
-
-    for p in PHASES:
-        v_diff, v_sum, iu_eff, il_eff = _operating_combinations(op, p)
-        g_u = gam(op.indices.upper[p])
-        g_l = gam(op.indices.lower[p])
-        x1 = f"pr_{p}1"
-        x2 = f"pr_{p}2"
-        ref = f"v_g{p}_ref"
-
-        # Circulating-current rows.
-        A.set_block(f"i_c{p}", f"i_c{p}", -(R / L) * eye - Q)
-        A.set_block(f"i_c{p}", f"v_cu{p}", -g_u / (2.0 * L))
-        A.set_block(f"i_c{p}", f"v_cl{p}", -g_l / (2.0 * L))
-        A.set_block(f"i_c{p}", f"i_g{p}", gam((kd / (2.0 * L * v_dc)) * v_diff) @ Z_load)
-        A.set_block(f"i_c{p}", x1, gam(fset.c2[p]))
-
-        # Upper-arm capacitor rows.
-        A.set_block(f"v_cu{p}", f"i_c{p}", g_u / C)
-        A.set_block(f"v_cu{p}", f"v_cu{p}", -Q)
-        A.set_block(
-            f"v_cu{p}", f"i_g{p}",
-            g_u / (2.0 * C) - gam((kd / (C * v_dc)) * iu_eff) @ Z_load,
-        )
-        A.set_block(f"v_cu{p}", x1, gam(fset.vu2[p]))
-
-        # Lower-arm capacitor rows.
-        A.set_block(f"v_cl{p}", f"i_c{p}", g_l / C)
-        A.set_block(f"v_cl{p}", f"v_cl{p}", -Q)
-        A.set_block(
-            f"v_cl{p}", f"i_g{p}",
-            -g_l / (2.0 * C) + gam((kd / (C * v_dc)) * il_eff) @ Z_load,
-        )
-        A.set_block(f"v_cl{p}", x1, gam(fset.vl2[p]))
-
-        # AC phase-current rows.
-        A.set_block(f"i_g{p}", f"v_cu{p}", -g_u / L)
-        A.set_block(f"i_g{p}", f"v_cl{p}", g_l / L)
-        A.set_block(
-            f"i_g{p}", f"i_g{p}",
-            -(R * eye + 2.0 * Z_load) / L - Q
-            + gam((kd / (L * v_dc)) * v_sum) @ Z_load,
-        )
-        A.set_block(f"i_g{p}", x1, gam(fset.i2[p]))
-
-        # Resonant-controller rows.
-        A.set_block(x1, f"i_g{p}", -ctrl.K_r * Z_load)
-        A.set_block(x1, x1, -Q)
-        A.set_block(x1, x2, -w1sq * eye)
-        A.set_block(x2, x1, eye)
-        A.set_block(x2, x2, -Q)
-
-        # Input couplings.
-        B.set_block(f"i_c{p}", "v_dc", eye / (2.0 * L))
-        B.set_block(f"i_c{p}", ref, gam(fset.c3[p]))
-        B.set_block(f"v_cu{p}", ref, gam(fset.vu3[p]))
-        B.set_block(f"v_cl{p}", ref, gam(fset.vl3[p]))
-        B.set_block(f"i_g{p}", ref, gam(fset.i3[p]))
-        B.set_block(x1, ref, ctrl.K_r * eye)
-
+    A, B = fset.coefficients.lifted()
+    labels = list(SMALLSIG_STATE_LABELS)
     return HssSmallSignalModel(
-        h=h, omega1=params.omega1, A=A, B=B, params=params, ctrl=ctrl, f_coeffs=fset
+        h=h,
+        omega1=params.omega1,
+        A=HarmonicBlockMatrix(labels, labels, h, A),
+        B=HarmonicBlockMatrix(labels, list(SMALLSIG_INPUT_LABELS), h, B),
+        params=params,
+        ctrl=ctrl,
+        f_coeffs=fset,
     )
 
 
@@ -331,49 +282,14 @@ def time_domain_linearized_A(
 ) -> np.ndarray:
     """Instantaneous 18x18 closed-loop Jacobian at time t on the operating orbit.
 
-    Entries are the synthesized linearization-gain waveforms, so this matrix
-    is exactly what the lifted blocks represent in the time domain (the
+    This is the closed-loop coefficient model evaluated at one instant, so
+    it is exactly what the lifted blocks represent in the time domain (the
     frequency-translation diagonals excluded). Requires a purely resistive
     ac load.
     """
     if params.L_load != 0.0:
         raise ValueError("time-domain Jacobian is defined for a resistive ac load")
-
-    fset = compute_f_coefficients(op, params, ctrl)
-    L = params.L
-    C = params.C_arm
-    R = params.R
-
-    A = np.zeros((18, 18))
-    for i, p in enumerate(PHASES):
-        n_u = synthesize(op.indices.upper[p], t)
-        n_l = synthesize(op.indices.lower[p], t)
-        j1 = 12 + 2 * i      # first controller state of this phase
-        j2 = 13 + 2 * i
-
-        A[i, i] = -R / L
-        A[i, 3 + i] = -n_u / (2.0 * L)
-        A[i, 6 + i] = -n_l / (2.0 * L)
-        A[i, 9 + i] = synthesize(fset.c1[p], t)
-        A[i, j1] = synthesize(fset.c2[p], t)
-
-        A[3 + i, i] = n_u / C
-        A[3 + i, 9 + i] = synthesize(fset.vu1[p], t)
-        A[3 + i, j1] = synthesize(fset.vu2[p], t)
-
-        A[6 + i, i] = n_l / C
-        A[6 + i, 9 + i] = synthesize(fset.vl1[p], t)
-        A[6 + i, j1] = synthesize(fset.vl2[p], t)
-
-        A[9 + i, 3 + i] = -n_u / L
-        A[9 + i, 6 + i] = n_l / L
-        A[9 + i, 9 + i] = synthesize(fset.i1[p], t)
-        A[9 + i, j1] = synthesize(fset.i2[p], t)
-
-        A[j1, 9 + i] = -ctrl.K_r * params.R_load
-        A[j1, j2] = -ctrl.omega1 ** 2
-        A[j2, j1] = 1.0
-    return A
+    return compute_f_coefficients(op, params, ctrl).coefficients.at(t)[0]
 
 
 @dataclass(frozen=True)

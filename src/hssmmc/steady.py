@@ -1,11 +1,12 @@
 """Lifted steady-state model of the open-loop MMC and its harmonic
 operating-point solver.
 
-The 12 plant states are lifted to truncation order h, giving a
-12*(2h+1)-square complex matrix whose blocks are Toeplitz operators of the
-insertion indices plus the diagonal differentiation terms. Setting the
-lifted derivative to zero yields the periodic operating point directly from
-one linear solve.
+The plant's coefficient model at the open-loop insertion indices is lifted
+to truncation order h (``harmonic.lift``), giving a 12*(2h+1)-square
+complex matrix whose blocks are Toeplitz operators of the periodic
+coefficients plus the diagonal differentiation terms. Setting the lifted
+derivative to zero yields the periodic operating point directly from one
+linear solve.
 """
 
 from __future__ import annotations
@@ -21,14 +22,15 @@ from .errors import (
     SingularSystemError,
     UnknownVariableError,
 )
-from .harmonic import (
-    SYMMETRY_RTOL,
-    HarmonicBlockMatrix,
-    HarmonicVector,
-    frequency_matrix,
-    toeplitz,
+from .harmonic import SYMMETRY_RTOL, HarmonicBlockMatrix, HarmonicVector
+from .plant import (
+    PHASES,
+    STATE_LABELS,
+    STATE_VARIABLES,
+    InsertionIndexSet,
+    MmcParameters,
+    plant_coefficients,
 )
-from .plant import PHASES, STATE_LABELS, STATE_VARIABLES, InsertionIndexSet, MmcParameters
 
 # Condition-number estimate above which a lifted solve is rejected.
 CONDITION_LIMIT = 1e12
@@ -54,11 +56,10 @@ class HssSteadyModel:
 
 
 def assemble_steady(params: MmcParameters, indices: InsertionIndexSet, h: int) -> HssSteadyModel:
-    """Assemble the lifted open-loop state matrix and dc input matrix.
+    """Lift the plant's coefficient model at the given insertion indices.
 
-    The ac-load impedance in the phase-current diagonal blocks is evaluated
-    per harmonic row, which collapses to the plain load resistance for a
-    purely resistive load.
+    With a load inductance the phase-current diagonal blocks carry the
+    per-harmonic load impedance, through the A1 term of the lift.
     """
     if indices.order != h:
         raise DimensionMismatchError(
@@ -67,41 +68,16 @@ def assemble_steady(params: MmcParameters, indices: InsertionIndexSet, h: int) -
     if indices.base_frequency != params.omega1:
         raise DimensionMismatchError("insertion indices and parameters disagree on omega1")
 
-    n = 2 * h + 1
-    Q = frequency_matrix(h, params.omega1).matrix
-    eye = np.eye(n)
-    L = params.L
-    C = params.C_arm
-    R = params.R
-    k = np.arange(-h, h + 1)
-    Z_load = np.diag(params.load_impedance(k))
-
-    A = HarmonicBlockMatrix(list(STATE_LABELS), list(STATE_LABELS), h)
-    B = HarmonicBlockMatrix(list(STATE_LABELS), ["v_dc"], h)
-
-    for p in PHASES:
-        g_u = toeplitz(indices.upper[p]).matrix
-        g_l = toeplitz(indices.lower[p]).matrix
-
-        A.set_block(f"i_c{p}", f"i_c{p}", -(R / L) * eye - Q)
-        A.set_block(f"i_c{p}", f"v_cu{p}", -g_u / (2.0 * L))
-        A.set_block(f"i_c{p}", f"v_cl{p}", -g_l / (2.0 * L))
-
-        A.set_block(f"v_cu{p}", f"i_c{p}", g_u / C)
-        A.set_block(f"v_cu{p}", f"v_cu{p}", -Q)
-        A.set_block(f"v_cu{p}", f"i_g{p}", g_u / (2.0 * C))
-
-        A.set_block(f"v_cl{p}", f"i_c{p}", g_l / C)
-        A.set_block(f"v_cl{p}", f"v_cl{p}", -Q)
-        A.set_block(f"v_cl{p}", f"i_g{p}", -g_l / (2.0 * C))
-
-        A.set_block(f"i_g{p}", f"v_cu{p}", -g_u / L)
-        A.set_block(f"i_g{p}", f"v_cl{p}", g_l / L)
-        A.set_block(f"i_g{p}", f"i_g{p}", -(R * eye + 2.0 * Z_load) / L - Q)
-
-        B.set_block(f"i_c{p}", "v_dc", eye / (2.0 * L))
-
-    return HssSteadyModel(h=h, omega1=params.omega1, A=A, B=B, params=params, indices=indices)
+    A, B = plant_coefficients(params, *indices.coefficient_arrays()).lifted()
+    labels = list(STATE_LABELS)
+    return HssSteadyModel(
+        h=h,
+        omega1=params.omega1,
+        A=HarmonicBlockMatrix(labels, labels, h, A),
+        B=HarmonicBlockMatrix(labels, ["v_dc"], h, B),
+        params=params,
+        indices=indices,
+    )
 
 
 def dc_input_vector(v_dc: float, h: int) -> np.ndarray:

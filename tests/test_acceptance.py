@@ -159,7 +159,7 @@ def test_criterion_4_smallsignal_oracle_equivalence(smallsig_comparisons):
         "linearization's systematic (first-order) mismatch is small enough that "
         "the genuinely quadratic nonlinear response dominates the error at these "
         "step amplitudes. Halving the amplitude still at least halves the error. "
-        "See the decisions ledger."
+        "See README.md, section 'Expected failure'."
     ),
 )
 def test_criterion_5_linearization_first_order_convergence(smallsig_comparisons):

@@ -144,6 +144,17 @@ class TestSweepScenario:
         assert lines[1].endswith(",")            # first value succeeded
         assert "outside" in lines[2]             # second value recorded its error
 
+    def test_programming_errors_propagate(self, fast_config, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise TypeError("broken sweep point")
+
+        monkeypatch.setattr("hssmmc.pipelines.steady_sweep_row", broken)
+        with pytest.raises(TypeError, match="broken sweep point"):
+            main([
+                "sweep", "--config", fast_config, "--out", str(tmp_path / "out"),
+                "--no-timestamp", "--sweep-key", "m", "--sweep-values", "0.5",
+            ])
+
     def test_second_harmonic_grows_with_modulation(self, fast_config, tmp_path):
         out = tmp_path / "out"
         code = main([

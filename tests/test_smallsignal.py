@@ -5,6 +5,7 @@ import pytest
 
 from hssmmc import (
     ControllerParams,
+    analyze,
     MmcParameters,
     StepTooLargeError,
     assemble_smallsignal,
@@ -310,6 +311,34 @@ class TestLinearizationPoint:
             for i in range(18):
                 denom = np.linalg.norm(A_an[i]) or 1.0
                 assert np.linalg.norm(J[i] - A_an[i]) / denom <= 1e-5
+
+    @pytest.mark.parametrize("h", [3, 15])
+    def test_lift_of_sampled_jacobian_matches_assembly(self, sec3_cfg, h):
+        # Fourier coefficients of the instantaneous Jacobian, lifted block by
+        # block with toeplitz() and the frequency matrix, rebuild the
+        # assembled closed-loop A.
+        import dataclasses
+
+        from hssmmc.pipelines import solve_operating_point
+
+        cfg = dataclasses.replace(sec3_cfg, h=h)
+        params, ctrl = cfg.params, cfg.ctrl
+        op = solve_operating_point(cfg)
+        ref = assemble_smallsignal(op, params, ctrl, h).A.dense
+
+        n_samples = 4 * (2 * h + 1)
+        ts = np.arange(n_samples) * params.period / n_samples
+        samples = np.array([time_domain_linearized_A(op, params, ctrl, t) for t in ts])
+        n = 2 * h + 1
+        Q = frequency_matrix(h, W1).matrix
+        lifted = np.zeros_like(ref)
+        for r in range(18):
+            for c in range(18):
+                block = toeplitz(analyze(samples[:, r, c], h, W1)).matrix
+                if r == c:
+                    block = block - Q
+                lifted[r * n : (r + 1) * n, c * n : (c + 1) * n] = block
+        assert np.max(np.abs(lifted - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_jacobian_requires_resistive_load(self, sec3_op, sec3_cfg):
         import dataclasses
