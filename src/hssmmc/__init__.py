@@ -15,7 +15,6 @@ from .errors import (
     ResidualImaginaryError,
     SchemaViolationError,
     SingularSystemError,
-    StepTooLargeError,
     UnknownVariableError,
 )
 from .harmonic import (

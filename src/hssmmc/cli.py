@@ -26,7 +26,6 @@ from .errors import (
     ResidualImaginaryError,
     SchemaViolationError,
     SingularSystemError,
-    StepTooLargeError,
 )
 from .pipelines import SCENARIO_RUNNERS
 
@@ -38,7 +37,6 @@ EXIT_NUMERICAL = 3
 _NUMERICAL_ERRORS = (
     NumericalBlowupError,
     SingularSystemError,
-    StepTooLargeError,
     NotSettledError,
     ResidualImaginaryError,
 )

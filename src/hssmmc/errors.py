@@ -45,9 +45,5 @@ class NumericalBlowupError(HssError):
     """A simulated state left the physically plausible range."""
 
 
-class StepTooLargeError(HssError):
-    """Integration step violates the explicit-scheme stability bound."""
-
-
 class SchemaViolationError(HssError):
     """Configuration file is malformed, has unknown keys, or fails an invariant."""

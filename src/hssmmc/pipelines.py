@@ -39,6 +39,7 @@ from .simulate import (
     total_harmonic_distortion,
 )
 from .smallsignal import (
+    EnvelopeResponse,
     HssSmallSignalModel,
     assemble_smallsignal,
     eigenvalues,
@@ -280,6 +281,7 @@ class SmallsigComparison:
     peak_error: dict[str, float]
     pre_step_peak: dict[str, float]
     post_step_peak: dict[str, float]
+    envelope: EnvelopeResponse
 
 
 class SmallsigContext:
@@ -373,6 +375,7 @@ class SmallsigContext:
             peak_error=peak_error,
             pre_step_peak=pre_peak,
             post_step_peak=post_peak,
+            envelope=env,
         )
 
 
@@ -411,7 +414,13 @@ def run_verify_smallsig(cfg: RunConfig, out: Path, timestamp: bool) -> int:
             )
         )
 
-    _write_envelope_csv(out / f"envelope_i_c_{cfg.step.phase}.csv", ctx, cfg, timestamp)
+    _write_envelope_csv(
+        out / f"envelope_i_c_{cfg.step.phase}.csv",
+        comp.envelope,
+        f"i_c{cfg.step.phase}",
+        max(1, ctx.spp // 8),
+        timestamp,
+    )
 
     ok = write_report(
         out / "report.txt",
@@ -422,27 +431,19 @@ def run_verify_smallsig(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     return 0 if ok else 1
 
 
-def _write_envelope_csv(path: Path, ctx: SmallsigContext, cfg: RunConfig, timestamp: bool):
-    phase = cfg.step.phase
-    direction = np.exp(1j * np.angle(ctx.refs[phase]))
-    u_vec = lifted_reference_step(ctx.model, phase, cfg.step.amplitude * direction)
-    thin = max(1, ctx.spp // 8)
-    env = envelope_response(
-        ctx.model,
-        [(ctx.t_step, u_vec)],
-        t_end=ctx.t_step + ctx.window_steps * ctx.dt,
-        dt=ctx.dt,
-        t_start=ctx.t_step,
-        store_every=thin,
-    )
-    block = env.block(f"i_c{phase}")
+def _write_envelope_csv(
+    path: Path, env: EnvelopeResponse, label: str, thin: int, timestamp: bool
+):
+    """Envelopes of one state block at every ``thin``-th grid point."""
+    t = env.t[::thin]
+    block = env.block(label)[::thin]
     h = env.h
     columns = ["t"]
     for k in range(-h, h + 1):
         columns += [f"re_k{k}", f"im_k{k}"]
     rows = []
-    for i in range(env.t.size):
-        row = [env.t[i]]
+    for i in range(t.size):
+        row = [t[i]]
         for k in range(2 * h + 1):
             row += [block[i, k].real, block[i, k].imag]
         rows.append(row)

@@ -99,15 +99,23 @@ class Trajectory:
         return self.states[:, state_position(variable, phase)]
 
 
-def _check_blowup(x: np.ndarray, scale: float):
+def _check_blowup(x: np.ndarray, scale: float, step: int, t: float):
     if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_FACTOR * scale:
         raise NumericalBlowupError(
-            f"state magnitude {np.max(np.abs(x)):.3e} left the plausible range"
+            f"state magnitude {np.max(np.abs(x)):.3e} left the plausible range "
+            f"at step {step} (t = {t:.6g} s)"
         )
 
 
-def _rk4(rhs, x0: np.ndarray, t0: float, n_steps: int, dt: float, scale: float) -> np.ndarray:
-    """Fixed-step RK4; returns all n_steps+1 states including the initial one."""
+def _rk4(
+    rhs, x0: np.ndarray, t0: float, n_steps: int, dt: float, scale: float, period: float
+) -> np.ndarray:
+    """Fixed-step RK4; returns all n_steps+1 states including the initial one.
+
+    The state is checked for blow-up once per ``period`` of steps and at
+    the end; a failed check names the step index and its time.
+    """
+    check_every = max(1, int(round(period / dt)))
     x = np.asarray(x0, dtype=float).copy()
     out = np.empty((n_steps + 1, x.size))
     out[0] = x
@@ -115,15 +123,15 @@ def _rk4(rhs, x0: np.ndarray, t0: float, n_steps: int, dt: float, scale: float) 
     sixth = dt / 6.0
     for n in range(n_steps):
         t = t0 + n * dt
+        if n % check_every == 0:
+            _check_blowup(x, scale, n, t)
         k1 = rhs(t, x)
         k2 = rhs(t + half, x + half * k1)
         k3 = rhs(t + half, x + half * k2)
         k4 = rhs(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[n + 1] = x
-        if n % 2000 == 0:
-            _check_blowup(x, scale)
-    _check_blowup(x, scale)
+    _check_blowup(x, scale, n_steps, t0 + n_steps * dt)
     return out
 
 
@@ -154,7 +162,7 @@ def simulate_open_loop(
         return plant_rhs(x, n_u, 1.0 - n_u, v_dc, params)
 
     x_init = default_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
-    states = _rk4(rhs, x_init, 0.0, cfg.n_steps(), cfg.dt, max(v_dc, 1.0))
+    states = _rk4(rhs, x_init, 0.0, cfg.n_steps(), cfg.dt, max(v_dc, 1.0), params.period)
 
     t = np.arange(states.shape[0]) * cfg.dt
     n_u = 0.5 - 0.5 * m * np.cos(np.subtract.outer(w1 * t, phi))
@@ -269,7 +277,7 @@ def simulate_closed_loop(
 
     x_init = closed_loop_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
     n_steps = int(round((cfg.t_end - t_start) / cfg.dt))
-    states = _rk4(rhs, x_init, t_start, n_steps, cfg.dt, max(params.V_dc, 1.0))
+    states = _rk4(rhs, x_init, t_start, n_steps, cfg.dt, max(params.V_dc, 1.0), params.period)
 
     t = t_start + np.arange(states.shape[0]) * cfg.dt
     n_u, n_l = _reconstruct_indices(params, ctrl, amps_of_t, t, states)

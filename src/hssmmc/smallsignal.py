@@ -17,6 +17,10 @@ coefficient model with the controller rows and the periodic gain columns
 model (``harmonic.lift``) turns it into an 18-block LTI model whose inputs
 are the dc-bus perturbation and the three per-phase voltage-reference
 perturbations; ``time_domain_linearized_A`` evaluates it at one instant.
+
+Envelope responses of this LTI model to piecewise-constant reference
+steps are exact zero-order-hold propagations by its transition matrix,
+so they hold for any time step.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import scipy.linalg
 from .errors import (
     DimensionMismatchError,
     ResidualImaginaryError,
-    StepTooLargeError,
     UnknownVariableError,
 )
 from .harmonic import HarmonicBlockMatrix, HarmonicVector
@@ -42,15 +45,11 @@ from .plant import (
     fold_terminal_voltage,
     plant_coefficients,
 )
-from .steady import OperatingPoint
+from .steady import OperatingPoint, solve_lifted
 
 PR_LABELS = ("pr_a1", "pr_a2", "pr_b1", "pr_b2", "pr_c1", "pr_c2")
 SMALLSIG_STATE_LABELS = STATE_LABELS + PR_LABELS
 SMALLSIG_INPUT_LABELS = ("v_dc", "v_ga_ref", "v_gb_ref", "v_gc_ref")
-
-# Explicit-RK4 step acceptance bound: dt * max|eigenvalue| must stay below
-# this for the envelope integration to be accepted.
-ENVELOPE_STABILITY_LIMIT = 0.1
 
 
 @dataclass(frozen=True)
@@ -314,58 +313,47 @@ class EnvelopeResponse:
         return self.states[-1].copy()
 
 
-def _input_function(delta_u, dim: int, dt: float):
-    """Normalize a piecewise-constant event list or callable into f(t)."""
-    if callable(delta_u):
-        return delta_u
-    events = sorted(delta_u, key=lambda e: e[0])
-    times = np.array([e[0] for e in events])
-    vals = [np.asarray(e[1], dtype=complex) for e in events]
-    for v in vals:
-        if v.shape != (dim,):
-            raise DimensionMismatchError(f"input vector must have shape ({dim},)")
-    zero = np.zeros(dim, dtype=complex)
-    eps = 0.25 * dt
-
-    def u_of_t(t: float) -> np.ndarray:
-        i = np.searchsorted(times, t + eps) - 1
-        return vals[i] if i >= 0 else zero
-
-    return u_of_t
-
-
 def envelope_response(
     model: HssSmallSignalModel,
     delta_u,
     t_end: float,
     dt: float,
     t_start: float = 0.0,
-    x0: np.ndarray | None = None,
     store_every: int = 1,
 ) -> EnvelopeResponse:
-    """Integrate the lifted small-signal model with fixed-step RK4.
+    """Exact zero-order-hold response of the lifted small-signal model.
 
-    ``delta_u`` is either a callable t -> lifted input vector or a list of
-    (time, vector) pairs defining a piecewise-constant input (zero before
-    the first event). Event times are taken as right-continuous switch
-    points on the integration grid.
+    ``delta_u`` is a list of (time, vector) pairs defining a piecewise-
+    constant input, zero before the first event. Each event time is a
+    right-continuous switch point snapped to the nearest grid point; an
+    event at or before ``t_start`` is active from the first step. The
+    state starts at zero and steps as x <- Phi x + Gamma u, where Phi and
+    Gamma are the top blocks of expm([[A dt, B dt], [0, 0]]) (Van Loan
+    1978), so the grid values are exact for any ``dt``.
     """
     A = model.A.dense
     Bd = model.B.dense
-    dim = A.shape[0]
-
-    lam_max = float(np.max(np.abs(scipy.linalg.eigvals(A))))
-    if dt * lam_max >= ENVELOPE_STABILITY_LIMIT:
-        raise StepTooLargeError(
-            f"dt*max|eig| = {dt * lam_max:.3f} exceeds {ENVELOPE_STABILITY_LIMIT}"
-        )
-
-    u_of_t = _input_function(delta_u, Bd.shape[1], dt)
+    dim, n_in = Bd.shape
     n_steps = int(round((t_end - t_start) / dt))
     if n_steps < 1:
         raise ValueError("t_end must lie at least one step after t_start")
 
-    x = np.zeros(dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
+    augmented = np.zeros((dim + n_in, dim + n_in), dtype=complex)
+    augmented[:dim, :dim] = A * dt
+    augmented[:dim, dim:] = Bd * dt
+    top = scipy.linalg.expm(augmented)[:dim]
+    phi, gamma = top[:, :dim], top[:, dim:]
+
+    # Gamma u keyed by the first step it drives; a later event snapped to
+    # the same grid index replaces an earlier one.
+    drive = {0: np.zeros(dim, dtype=complex)}
+    for time, value in sorted(delta_u, key=lambda e: e[0]):
+        value = np.asarray(value, dtype=complex)
+        if value.shape != (n_in,):
+            raise DimensionMismatchError(f"input vector must have shape ({n_in},)")
+        drive[max(0, int(round((time - t_start) / dt)))] = gamma @ value
+
+    x = np.zeros(dim, dtype=complex)
     n_store = n_steps // store_every + 1
     out = np.empty((n_store, dim), dtype=complex)
     t_out = np.empty(n_store)
@@ -373,17 +361,10 @@ def envelope_response(
     t_out[0] = t_start
     j = 1
 
-    half = 0.5 * dt
+    gu = drive[0]
     for n in range(n_steps):
-        t = t_start + n * dt
-        bu0 = Bd @ u_of_t(t)
-        bu1 = Bd @ u_of_t(t + half)
-        bu2 = Bd @ u_of_t(t + dt)
-        k1 = A @ x + bu0
-        k2 = A @ (x + half * k1) + bu1
-        k3 = A @ (x + half * k2) + bu1
-        k4 = A @ (x + dt * k3) + bu2
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        gu = drive.get(n, gu)
+        x = phi @ x + gu
         if (n + 1) % store_every == 0:
             out[j] = x
             t_out[j] = t_start + (n + 1) * dt
@@ -417,8 +398,12 @@ def lifted_reference_step(
 
 
 def settled_envelope_state(model: HssSmallSignalModel, delta_u_final: np.ndarray) -> np.ndarray:
-    """Algebraic settled state -A^-1 B dU of the small-signal model."""
-    return scipy.linalg.solve(model.A.dense, -(model.B.dense @ delta_u_final))
+    """Algebraic settled state -A^-1 B dU of the small-signal model.
+
+    Raises SingularSystemError under the same condition and residual gates
+    as the steady solve.
+    """
+    return solve_lifted(model.A.dense, -(model.B.dense @ delta_u_final))[0]
 
 
 def reconstruct_perturbation(

@@ -122,15 +122,13 @@ class OperatingPoint:
         return np.array(series)
 
 
-def solve_steady_state(model: HssSteadyModel, u: np.ndarray) -> OperatingPoint:
-    """Periodic operating point from the algebraic solve of the lifted model.
+def solve_lifted(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Gated dense solve of A x = b; returns x, the condition estimate and
+    the residual ||A x - b||.
 
     Raises SingularSystemError when the condition estimate exceeds
-    CONDITION_LIMIT or the solve residual fails its acceptance bound.
+    CONDITION_LIMIT or the residual exceeds RESIDUAL_RTOL * ||b||.
     """
-    A = model.A.dense
-    rhs = model.B.dense @ np.asarray(u, dtype=complex)
-
     lu, piv = scipy.linalg.lu_factor(A)
     anorm = np.linalg.norm(A, 1)
     rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
@@ -141,15 +139,26 @@ def solve_steady_state(model: HssSteadyModel, u: np.ndarray) -> OperatingPoint:
             condition=condition,
         )
 
-    x_ss = scipy.linalg.lu_solve((lu, piv), -rhs)
+    x = scipy.linalg.lu_solve((lu, piv), b)
 
-    rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(A @ x_ss + rhs))
-    if rhs_norm > 0 and residual > RESIDUAL_RTOL * rhs_norm:
+    b_norm = np.linalg.norm(b)
+    residual = float(np.linalg.norm(A @ x - b))
+    if b_norm > 0 and residual > RESIDUAL_RTOL * b_norm:
         raise SingularSystemError(
             f"solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||B U||",
             condition=condition,
         )
+    return x, condition, residual
+
+
+def solve_steady_state(model: HssSteadyModel, u: np.ndarray) -> OperatingPoint:
+    """Periodic operating point from the algebraic solve of the lifted model.
+
+    Raises SingularSystemError when the gated solve (``solve_lifted``)
+    rejects the lifted matrix or its solution.
+    """
+    rhs = model.B.dense @ np.asarray(u, dtype=complex)
+    x_ss, condition, residual = solve_lifted(model.A.dense, -rhs)
 
     n = 2 * model.h + 1
     vectors: dict[str, dict[str, HarmonicVector]] = {var: {} for var in STATE_VARIABLES}

@@ -1,5 +1,7 @@
 """Nonlinear reference simulator: integration, settling, spectra, comparisons."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from hssmmc import (
     total_harmonic_distortion,
 )
 from hssmmc.simulate import (
+    _rk4,
     default_initial_state,
     power_balance,
     settling_profile,
@@ -139,6 +142,21 @@ class TestClosedLoop:
         x0[3:9] = 1e16
         with pytest.raises(NumericalBlowupError):
             simulate_closed_loop(fast_params, ctrl, refs, fast_cfg(fast_params), x0=x0)
+
+
+class TestBlowupCheck:
+    def test_reports_step_within_one_period_of_failure(self):
+        period = 0.02
+        dt = period / 100
+        t_nan = 3.37 * period
+
+        def rhs(t, x):
+            return np.full_like(x, np.nan) if t >= t_nan else -x
+
+        with pytest.raises(NumericalBlowupError) as info:
+            _rk4(rhs, np.ones(3), 0.0, 1000, dt, 1.0, period)
+        step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+        assert t_nan <= step * dt <= t_nan + period
 
 
 class TestSettledSpectrum:

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hssmmc import (
     ControllerParams,
+    HarmonicBlockMatrix,
     analyze,
     MmcParameters,
-    StepTooLargeError,
+    SingularSystemError,
     assemble_smallsignal,
     assemble_steady,
     compute_f_coefficients,
@@ -214,10 +217,28 @@ class TestEnvelope:
         env = envelope_response(model, [], t_end=0.01, dt=1e-5)
         assert np.max(np.abs(env.states)) == 0.0
 
-    def test_step_too_large(self, smallsig_ctx):
+    def test_coarse_step_is_exact(self, smallsig_ctx):
+        # dt * max|eig| is about 1.5 here; zero-order-hold propagation is
+        # exact on any grid, so a 10x finer grid lands on the same points.
         model = smallsig_ctx.model
-        with pytest.raises(StepTooLargeError):
-            envelope_response(model, [], t_end=0.1, dt=1e-3)
+        u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
+        coarse = envelope_response(model, [(0.0, u)], t_end=0.1, dt=1e-3)
+        fine = envelope_response(model, [(0.0, u)], t_end=0.1, dt=1e-4, store_every=10)
+        assert np.allclose(coarse.t, fine.t, rtol=0.0, atol=1e-12)
+        err = np.max(np.abs(coarse.states - fine.states)) / np.max(np.abs(fine.states))
+        assert err <= 1e-9
+
+    def test_matches_rk4_reference(self, smallsig_ctx, sec3_cfg):
+        # At the preset's step the two methods differ by RK4's truncation error.
+        model = smallsig_ctx.model
+        u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
+        dt = sec3_cfg.sim.dt
+        assert 0.01 <= dt * np.max(np.abs(smallsig_ctx.eig)) <= 0.02
+        t_end = 10 * sec3_cfg.params.period
+        env = envelope_response(model, [(0.0, u)], t_end=t_end, dt=dt)
+        ref = rk4_envelope(model.A.dense, model.B.dense @ u, int(round(t_end / dt)), dt)
+        err = np.max(np.abs(env.states - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-8
 
     def test_settled_state_matches_algebraic_solve(self, smallsig_ctx):
         model = smallsig_ctx.model
@@ -272,6 +293,81 @@ class TestEnvelope:
         env = envelope_response(smallsig_ctx.model, [], t_end=0.002, dt=1e-5)
         with pytest.raises(UnknownVariableError):
             reconstruct_perturbation(env, "i_q", "a")
+
+    def test_settled_state_rejects_singular_model(self, smallsig_ctx):
+        import dataclasses
+
+        model = smallsig_ctx.model
+        A = model.A.dense.copy()
+        A[model.A.row_slice("pr_a2")] = 0.0
+        singular = dataclasses.replace(
+            model, A=HarmonicBlockMatrix(model.A.block_rows, model.A.block_cols, model.h, A)
+        )
+        u = lifted_reference_step(model, "a", 10e3)
+        with pytest.raises(SingularSystemError):
+            settled_envelope_state(singular, u)
+
+
+def rk4_envelope(A, bu, n_steps, dt):
+    """Explicit RK4 of d(dX)/dt = A dX + B dU from rest under a constant
+    B dU, every grid point: the reference for the exact propagation."""
+    x = np.zeros(A.shape[0], dtype=complex)
+    out = [x]
+    half = 0.5 * dt
+    for _ in range(n_steps):
+        k1 = A @ x + bu
+        k2 = A @ (x + half * k1) + bu
+        k3 = A @ (x + half * k2) + bu
+        k4 = A @ (x + dt * k3) + bu
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    p = sec3_like()
+    return assemble_smallsignal(solve(p, 0.5, 1), p, ctrl_default(), 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dt=st.floats(1e-5, 2e-3),
+    n_steps=st.integers(4, 400),
+    step_frac=st.floats(0.0, 1.0),
+    magnitude=st.floats(1e2, 1e5),
+    angle=st.floats(-np.pi, np.pi),
+    scale=st.floats(-3.0, 3.0),
+)
+def test_envelope_properties(small_model, dt, n_steps, step_frac, magnitude, angle, scale):
+    model = small_model
+    t_end = n_steps * dt
+    t_step = int(step_frac * n_steps) * dt  # on the grid of dt and of dt/2
+
+    def response(phasor, step=dt, store_every=1):
+        u = lifted_reference_step(model, "b", phasor)
+        return envelope_response(
+            model, [(t_step, u)], t_end=t_end, dt=step, store_every=store_every
+        )
+
+    phasor = magnitude * np.exp(1j * angle)
+    env = response(phasor)
+    peak = np.max(np.abs(env.states))
+    assert peak > 0.0 or t_step == t_end
+
+    # Exact on any grid: a grid twice as fine lands on the same points.
+    halved = response(phasor, dt / 2, store_every=2)
+    assert np.max(np.abs(halved.states - env.states)) <= 1e-9 * peak
+
+    # Real-linear in the phasor (the step also fills the k = -1 slot).
+    other = 0.5 * magnitude * np.exp(1j * (angle + 1.0))
+    expected = scale * env.states + response(other).states
+    combined = response(scale * phasor + other).states
+    assert np.max(np.abs(combined - expected)) <= 1e-9 * np.max(np.abs(expected), initial=peak)
+
+    # The envelopes describe a real signal.
+    for var in ("i_c", "v_cu", "i_g", "pr1"):
+        reconstruct_perturbation(env, var, "b")
 
 
 class TestLinearizationPoint:
