@@ -64,6 +64,7 @@ from .simulate import (
     SimulationConfig,
     Trajectory,
     compare_spectra,
+    settled_open_loop,
     settled_spectrum,
     simulate_closed_loop,
     simulate_open_loop,

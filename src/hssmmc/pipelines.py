@@ -32,6 +32,7 @@ from .simulate import (
     compare_spectra,
     is_settled,
     power_balance,
+    settled_open_loop,
     settled_spectrum,
     simulate_closed_loop,
     simulate_open_loop,
@@ -168,7 +169,7 @@ def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
 
 def run_verify_steady(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     op = solve_operating_point(cfg)
-    traj = simulate_open_loop(cfg.params, cfg.m, cfg.sim)
+    traj = settled_open_loop(cfg.params, cfg.m, cfg.sim)
     w1 = cfg.params.omega1
     spp = steps_per_period(traj, w1)
     t_grid = traj.t[-spp - 1 : -1]

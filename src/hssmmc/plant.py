@@ -153,6 +153,10 @@ def plant_rhs(
 ) -> np.ndarray:
     """Time derivative of the 12 plant states for given insertion indices.
 
+    ``state`` is one 12-vector or a (12, k) block of k state columns; the
+    insertion indices broadcast against the (3,) or (3, k) state slices and
+    ``v_dc`` is a scalar or one value per column.
+
     The ac load enters with its resistive part algebraic
     (v_g = R_load * i_g) and its inductive part folded into the phase
     current equation as an effective series inductance L + 2*L_load.
@@ -172,7 +176,7 @@ def plant_rhs(
     v_l = n_l * v_cl
     i_half = 0.5 * i_g
 
-    d = np.empty(12)
+    d = np.empty(x.shape)
     d[0:3] = (-R * i_c - 0.5 * v_u - 0.5 * v_l + 0.5 * v_dc) / L
     d[3:6] = n_u * (i_c + i_half) / C
     d[6:9] = n_l * (i_c - i_half) / C

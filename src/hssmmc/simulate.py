@@ -5,6 +5,13 @@ Open-loop runs drive the plant with sinusoidal insertion indices;
 closed-loop runs add the per-phase proportional-resonant ac-voltage
 controller. Settled trajectories feed the spectral extraction used to
 cross-check the lifted models.
+
+The open-loop periodic steady state comes from shooting
+(``settled_open_loop``): the RK4 map over one period is affine, and its
+fixed point is the orbit that brute-force settling only approaches. A
+full transient run (``simulate_open_loop``) is kept for trajectory export,
+where ``settle_periods`` sets how long the run must be before its last
+two periods are checked for settling.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .errors import (
 from .harmonic import HarmonicVector, analyze
 from .plant import PHASES, PHASE_SHIFT, MmcParameters, plant_rhs
 from .smallsignal import ControllerParams
+from .steady import solve_lifted
 
 # A simulated state magnitude beyond this multiple of the dc-bus voltage
 # (or of unity for an unenergized bus) aborts the run.
@@ -31,6 +39,8 @@ BLOWUP_FACTOR = 1e9
 # Last-two-period RMS change below this fraction of the signal RMS counts
 # as settled.
 SETTLE_RTOL = 1e-3
+
+_PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,9 @@ class Trajectory:
                 raise ValueError(f"{name} length does not match time grid")
         if self.controller is not None and self.controller.shape[0] != n:
             raise ValueError("controller length does not match time grid")
-        self.dt = float(self.t[1] - self.t[0]) if n > 1 else 0.0
+        # Mean spacing: a grid that starts late, t = (n0 + arange(n)) * dt,
+        # has first differences that are off from dt by the rounding of t.
+        self.dt = float((self.t[-1] - self.t[0]) / (n - 1)) if n > 1 else 0.0
 
     def series(self, variable: str, phase: str) -> np.ndarray:
         from .plant import state_position
@@ -112,12 +124,15 @@ def _rk4(
 ) -> np.ndarray:
     """Fixed-step RK4; returns all n_steps+1 states including the initial one.
 
+    ``x0`` is one state vector or a block of state columns that ``rhs``
+    advances together.
+
     The state is checked for blow-up once per ``period`` of steps and at
     the end; a failed check names the step index and its time.
     """
     check_every = max(1, int(round(period / dt)))
     x = np.asarray(x0, dtype=float).copy()
-    out = np.empty((n_steps + 1, x.size))
+    out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -142,6 +157,33 @@ def default_initial_state(params: MmcParameters) -> np.ndarray:
     return x0
 
 
+def _open_loop_rhs(params: MmcParameters, m: float, v_dc):
+    """Open-loop right-hand side with sinusoidal insertion indices.
+
+    ``v_dc`` is a scalar for one 12-state vector, or one value per column
+    of a (12, k) state block.
+    """
+    w1 = params.omega1
+    phi = _PHASE_ANGLES.reshape((3,) + (1,) * np.ndim(v_dc))
+
+    def rhs(t, x):
+        n_u = 0.5 - 0.5 * m * np.cos(w1 * t - phi)
+        return plant_rhs(x, n_u, 1.0 - n_u, v_dc, params)
+
+    return rhs
+
+
+def _open_loop_trajectory(params: MmcParameters, m: float, t: np.ndarray, states: np.ndarray):
+    n_u = 0.5 - 0.5 * m * np.cos(np.subtract.outer(params.omega1 * t, _PHASE_ANGLES))
+    return Trajectory(t=t, states=states, controller=None, n_upper=n_u, n_lower=1.0 - n_u)
+
+
+def _check_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig):
+    if not 0.0 <= m <= 1.0:
+        raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
+    cfg.validate_against(params)
+
+
 def simulate_open_loop(
     params: MmcParameters,
     m: float,
@@ -149,25 +191,74 @@ def simulate_open_loop(
     x0: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the open-loop plant with sinusoidal insertion indices."""
-    if not 0.0 <= m <= 1.0:
-        raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
-    cfg.validate_against(params)
-
-    w1 = params.omega1
-    phi = np.array([PHASE_SHIFT[p] for p in PHASES])
+    _check_open_loop(params, m, cfg)
     v_dc = params.V_dc
-
-    def rhs(t, x):
-        n_u = 0.5 - 0.5 * m * np.cos(w1 * t - phi)
-        return plant_rhs(x, n_u, 1.0 - n_u, v_dc, params)
-
     x_init = default_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
-    states = _rk4(rhs, x_init, 0.0, cfg.n_steps(), cfg.dt, max(v_dc, 1.0), params.period)
+    states = _rk4(
+        _open_loop_rhs(params, m, v_dc), x_init, 0.0, cfg.n_steps(), cfg.dt,
+        max(v_dc, 1.0), params.period,
+    )
+    return _open_loop_trajectory(params, m, np.arange(states.shape[0]) * cfg.dt, states)
 
-    t = np.arange(states.shape[0]) * cfg.dt
-    n_u = 0.5 - 0.5 * m * np.cos(np.subtract.outer(w1 * t, phi))
-    n_l = 1.0 - n_u
-    return Trajectory(t=t, states=states, controller=None, n_upper=n_u, n_lower=n_l)
+
+def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) -> Trajectory:
+    """Periodic steady state of the open-loop plant by shooting, on the last
+    two fundamental periods of the configured grid.
+
+    At fixed insertion indices the plant is linear time-periodic, so the RK4
+    map over one period is affine, F(x) = Phi x + g. One RK4 pass over a
+    period advances 13 columns: column 0 from rest (``default_initial_state``)
+    with input v_dc gives F(x_rest), columns 1-12 from the identity with no
+    input give Phi. The fixed point x* = (I - Phi)^-1 g, the limit that
+    settling from any start approaches (periodic steady state by shooting,
+    Aprille & Trick 1972), is solved as its deviation from rest,
+    (I - Phi)(x* - x_rest) = F(x_rest) - x_rest; at m = 0 the right-hand
+    side is exactly zero, so the equilibrium comes out exact. The orbit is
+    integrated from x* over grid steps n0..n_end, the final two periods of
+    a ``simulate_open_loop`` run with the same configuration, so the time
+    grid matches that run and ``settling_profile`` measures the shooting
+    defect. Only the plant's direct form ``plant_rhs`` is integrated, never
+    the coefficient model the lifted solvers use.
+
+    Raises SingularSystemError when the gated solve rejects I - Phi, and
+    NotSettledError when the largest Floquet multiplier is not below one.
+    """
+    _check_open_loop(params, m, cfg)
+    dt = cfg.dt
+    spp = _grid_steps_per_period(dt, params.omega1)
+    n0 = cfg.n_steps() - 2 * spp
+    t0 = n0 * dt
+    v_dc = params.V_dc
+    scale = max(v_dc, 1.0)
+
+    x_rest = default_initial_state(params)
+    columns = np.hstack([x_rest[:, None], np.eye(12)])
+    v_dc_columns = np.zeros(13)
+    v_dc_columns[0] = v_dc
+    rhs = _open_loop_rhs(params, m, v_dc_columns)
+    end = _rk4(rhs, columns, t0, spp, dt, scale, params.period)[-1]
+    x_star = x_rest + _shooting_fixed_point(end[:, 1:], end[:, 0] - x_rest)
+
+    states = _rk4(_open_loop_rhs(params, m, v_dc), x_star, t0, 2 * spp, dt, scale, params.period)
+    return _open_loop_trajectory(params, m, (n0 + np.arange(states.shape[0])) * dt, states)
+
+
+def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Fixed point of the one-period map x -> phi x + g.
+
+    Raises SingularSystemError when the gated solve (``steady.solve_lifted``)
+    rejects I - phi, and NotSettledError when the largest Floquet multiplier
+    (eigenvalue magnitude of phi) is not below one: the fixed point then
+    exists but no transient settles onto it.
+    """
+    x, _, _ = solve_lifted(np.eye(g.size) - phi, g)
+    multiplier = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    if multiplier >= 1.0:
+        raise NotSettledError(
+            f"largest Floquet multiplier {multiplier:.6g} is not below 1: "
+            "the periodic orbit is not attracting"
+        )
+    return x
 
 
 def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
@@ -301,11 +392,15 @@ def _reconstruct_indices(params, ctrl, amps_of_t, t, states):
 
 def steps_per_period(traj: Trajectory, omega1: float) -> int:
     """Integration steps per fundamental period; requires an exact fit."""
+    return _grid_steps_per_period(traj.dt, omega1)
+
+
+def _grid_steps_per_period(dt: float, omega1: float) -> int:
     period = 2.0 * np.pi / omega1
-    spp = int(round(period / traj.dt))
-    if abs(spp * traj.dt - period) > 1e-9 * period:
+    spp = int(round(period / dt))
+    if abs(spp * dt - period) > 1e-9 * period:
         raise ValueError(
-            f"dt {traj.dt!r} does not divide the fundamental period {period!r}"
+            f"dt {dt!r} does not divide the fundamental period {period!r}"
         )
     return spp
 

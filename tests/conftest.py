@@ -1,6 +1,7 @@
 """Shared fixtures. The transmission-scale preset drives the expensive
-session-scoped artifacts (settled open-loop run, small-signal context) so
-the verification tests share one simulation each."""
+session-scoped artifacts (the shooting orbit, the brute-force settled
+open-loop run, the small-signal context) so the verification tests share
+one simulation each."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hssmmc import MmcParameters
 from hssmmc.config import load_config
 from hssmmc.pipelines import SmallsigContext, solve_operating_point
-from hssmmc.simulate import simulate_open_loop
+from hssmmc.simulate import settled_open_loop, simulate_open_loop
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +29,14 @@ def sec3_op(sec3_cfg):
 
 @pytest.fixture(scope="session")
 def sec3_traj(sec3_cfg):
+    """Brute-force settling: the full 122-period transient run."""
     return simulate_open_loop(sec3_cfg.params, sec3_cfg.m, sec3_cfg.sim)
+
+
+@pytest.fixture(scope="session")
+def sec3_orbit(sec3_cfg):
+    """Periodic orbit by shooting, on the last two periods of the same grid."""
+    return settled_open_loop(sec3_cfg.params, sec3_cfg.m, sec3_cfg.sim)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
-are produced. Heavy artifacts (the settled open-loop run and the
+are produced. Heavy artifacts (the open-loop shooting orbit and the
 closed-loop step comparisons) come from session fixtures and are shared
 across criteria.
 """
@@ -19,7 +19,7 @@ from hssmmc import (
     toeplitz,
 )
 from hssmmc.cli import main
-from hssmmc.config import apply_sweep_value
+from hssmmc.config import apply_sweep_value, load_config
 from hssmmc.pipelines import (
     DOMINANT_FRACTION,
     DOMINANT_REL_TOL,
@@ -32,8 +32,8 @@ from hssmmc.pipelines import (
 from hssmmc.plant import PHASES, STATE_VARIABLES
 from hssmmc.simulate import (
     _closed_loop_rhs,
+    settled_open_loop,
     settled_spectrum,
-    simulate_open_loop,
     steps_per_period,
     total_harmonic_distortion,
 )
@@ -82,22 +82,29 @@ def test_criterion_1_insertion_index_operator_fixtures():
     )
 
 
-def test_criterion_2_steady_state_oracle_equivalence(sec3_cfg, sec3_op, sec3_traj):
-    w1 = sec3_cfg.params.omega1
-    spp = steps_per_period(sec3_traj, w1)
-    t_grid = sec3_traj.t[-spp - 1 : -1]
+def steady_agreement(cfg, op, traj):
+    """Worst dominant-component error and worst one-period waveform NRMSE
+    of the lifted operating point against a settled trajectory."""
+    w1 = cfg.params.omega1
+    spp = steps_per_period(traj, w1)
+    t_grid = traj.t[-spp - 1 : -1]
     worst_dom = 0.0
     worst_wave = 0.0
     for var in STATE_VARIABLES:
         for p in PHASES:
-            hss_hv = sec3_op.spectrum(var, p)
-            sim_hv = settled_spectrum(sec3_traj, var, p, sec3_cfg.h, w1)
+            hss_hv = op.spectrum(var, p)
+            sim_hv = settled_spectrum(traj, var, p, cfg.h, w1)
             rep = compare_spectra(hss_hv, sim_hv, dominant_fraction=DOMINANT_FRACTION)
             mask = rep.dominant & (np.abs(rep.harmonic_indices) <= 3)
             worst_dom = max(worst_dom, float(np.max(rep.rel_error[mask])))
             wave_hss = synthesize(hss_hv, t_grid)
-            wave_sim = sec3_traj.series(var, p)[-spp - 1 : -1]
+            wave_sim = traj.series(var, p)[-spp - 1 : -1]
             worst_wave = max(worst_wave, nrmse(wave_sim, wave_hss))
+    return worst_dom, worst_wave
+
+
+def test_criterion_2_steady_state_oracle_equivalence(sec3_cfg, sec3_op, sec3_orbit):
+    worst_dom, worst_wave = steady_agreement(sec3_cfg, sec3_op, sec3_orbit)
     ok = worst_dom <= DOMINANT_REL_TOL and worst_wave <= WAVEFORM_NRMSE_TOL
     report_line(2, "steady-state oracle equivalence", ok,
                 f"dominant rel err {worst_dom:.3%} (tol 2%), waveform NRMSE {worst_wave:.3%} (tol 3%)")
@@ -105,11 +112,11 @@ def test_criterion_2_steady_state_oracle_equivalence(sec3_cfg, sec3_op, sec3_tra
     assert worst_wave <= WAVEFORM_NRMSE_TOL
 
 
-def test_criterion_3_spectral_content_claims(sec3_cfg, sec3_traj):
+def test_criterion_3_spectral_content_claims(sec3_cfg, sec3_orbit):
     w1 = sec3_cfg.params.omega1
     ratios = []
     for p in PHASES:
-        ic = settled_spectrum(sec3_traj, "i_c", p, 8, w1)
+        ic = settled_spectrum(sec3_orbit, "i_c", p, 8, w1)
         ratios.append(min(abs(ic[0]), abs(ic[2])) / max(abs(ic[1]), abs(ic[3])))
     even_over_odd = min(ratios)
 
@@ -117,7 +124,7 @@ def test_criterion_3_spectral_content_claims(sec3_cfg, sec3_traj):
     low_ok = True
     for var in ("v_cu", "v_cl"):
         for p in PHASES:
-            vc = settled_spectrum(sec3_traj, var, p, 8, w1)
+            vc = settled_spectrum(sec3_orbit, var, p, 8, w1)
             floor = 1e-6 * max(abs(vc[k]) for k in range(9))
             low_ok &= all(abs(vc[k]) > floor for k in (0, 1, 2, 3))
             high_fraction = max(
@@ -125,7 +132,7 @@ def test_criterion_3_spectral_content_claims(sec3_cfg, sec3_traj):
             )
 
     thd = max(
-        total_harmonic_distortion(settled_spectrum(sec3_traj, "i_g", p, 10, w1))
+        total_harmonic_distortion(settled_spectrum(sec3_orbit, "i_g", p, 10, w1))
         for p in PHASES
     )
     ok = even_over_odd >= 10.0 and low_ok and high_fraction < 0.2 and thd < 0.01
@@ -291,15 +298,15 @@ def test_criterion_8_invariant_suite(sec3_cfg, sec3_op, smallsig_ctx):
     assert env_err <= 1e-3
 
 
-def test_criterion_9_rk4_self_convergence(sec3_cfg, sec3_traj, sec3_op):
+def test_criterion_9_rk4_self_convergence(sec3_cfg, sec3_orbit, sec3_op):
     w1 = sec3_cfg.params.omega1
     fine_cfg = dataclasses.replace(sec3_cfg.sim, dt=sec3_cfg.sim.dt / 2)
-    fine = simulate_open_loop(sec3_cfg.params, sec3_cfg.m, fine_cfg)
+    fine = settled_open_loop(sec3_cfg.params, sec3_cfg.m, fine_cfg)
 
     worst = 0.0
     for var in STATE_VARIABLES:
         peak = np.max(np.abs(sec3_op.spectrum(var, "a").coeffs))
-        coarse_hv = settled_spectrum(sec3_traj, var, "a", 3, w1)
+        coarse_hv = settled_spectrum(sec3_orbit, var, "a", 3, w1)
         fine_hv = settled_spectrum(fine, var, "a", 3, w1)
         for k in range(0, 4):
             mag_f = abs(fine_hv[k])
@@ -329,3 +336,19 @@ def test_criterion_10_determinism(tmp_path):
     report_line(10, "determinism", identical,
                 f"{len(files1)} files byte-identical across two runs")
     assert identical
+
+
+@pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+def test_inductive_load_steady_agreement(preset):
+    """The lifted operating point matches the shooting orbit at X/R = 0.3."""
+    cfg = load_config(preset)
+    params = dataclasses.replace(
+        cfg.params, L_load=0.3 * cfg.params.R_load / cfg.params.omega1
+    )
+    cfg = dataclasses.replace(cfg, params=params)
+    worst_dom, worst_wave = steady_agreement(
+        cfg, solve_operating_point(cfg), settled_open_loop(params, cfg.m, cfg.sim)
+    )
+    print(f"{preset} X/R = 0.3: dominant rel err {worst_dom:.3%}, waveform NRMSE {worst_wave:.3%}")
+    assert worst_dom <= DOMINANT_REL_TOL
+    assert worst_wave <= WAVEFORM_NRMSE_TOL
