@@ -18,10 +18,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .harmonic import (
-    FrequencyMatrix,
-    HarmonicBlockMatrix,
     HarmonicVector,
-    ToeplitzOperator,
     analyze,
     convolve,
     frequency_matrix,
@@ -31,7 +28,7 @@ from .harmonic import (
 from .plant import (
     PHASES,
     STATE_LABELS,
-    InsertionIndexSet,
+    LiftedModel,
     MmcParameters,
     open_loop_insertion_indices,
     plant_rhs,
@@ -39,18 +36,14 @@ from .plant import (
     time_domain_B,
 )
 from .steady import (
-    HssSteadyModel,
     OperatingPoint,
     assemble_steady,
     dc_input_vector,
-    extract_spectrum,
     solve_steady_state,
 )
 from .smallsignal import (
     ControllerParams,
     EnvelopeResponse,
-    FCoefficientSet,
-    HssSmallSignalModel,
     assemble_smallsignal,
     compute_f_coefficients,
     eigenvalues,

@@ -20,7 +20,7 @@ Unknown sections or keys are rejected. Two presets ship with the package:
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -292,8 +292,6 @@ SWEEPABLE_KEYS = {
 
 def apply_sweep_value(cfg: RunConfig, key: str, value: float) -> RunConfig:
     """New RunConfig with one numeric field replaced."""
-    from dataclasses import replace
-
     if key == "m":
         if not 0.0 <= value <= 1.0:
             raise SchemaViolationError(f"swept m {value} outside [0, 1]")
@@ -310,29 +308,17 @@ def apply_sweep_value(cfg: RunConfig, key: str, value: float) -> RunConfig:
         else:
             kwargs = {key: float(value)}
         try:
-            return replace(cfg, params=_replace_params(cfg.params, **kwargs))
+            return replace(cfg, params=replace(cfg.params, **kwargs))
         except ValueError as exc:
             raise SchemaViolationError(str(exc)) from None
     if key in ("K_p", "K_r", "k_f"):
         if cfg.ctrl is None:
             raise SchemaViolationError("cannot sweep controller gains without [controller]")
         try:
-            return replace(cfg, ctrl=_replace_ctrl(cfg.ctrl, **{key: float(value)}))
+            return replace(cfg, ctrl=replace(cfg.ctrl, **{key: float(value)}))
         except ValueError as exc:
             raise SchemaViolationError(str(exc)) from None
     raise SchemaViolationError(f"unsweepable key {key!r}")
-
-
-def _replace_params(params: MmcParameters, **kwargs) -> MmcParameters:
-    from dataclasses import replace
-
-    return replace(params, **kwargs)
-
-
-def _replace_ctrl(ctrl: ControllerParams, **kwargs) -> ControllerParams:
-    from dataclasses import replace
-
-    return replace(ctrl, **kwargs)
 
 
 def preset_names() -> tuple[str, ...]:

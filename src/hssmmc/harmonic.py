@@ -1,21 +1,26 @@
 """Harmonic-domain algebra: truncated Fourier vectors, Toeplitz convolution
-operators, the frequency (differentiation) matrix, and time-domain
-synthesis/analysis.
+operators, the frequency (differentiation) matrix, time-domain
+synthesis/analysis, and the lift of periodic coefficient tensors.
 
 Coefficients are stored for harmonic indices k = -h..+h in ascending order,
 so ``coeffs[k + h]`` is the coefficient of ``exp(1j*k*w1*t)``. Every block
 matrix in the toolkit uses the same ordering.
+
+Coefficient arrays are the one internal format: ``toeplitz`` and
+``frequency_matrix`` return plain arrays, and ``block_toeplitz`` and
+``lift`` turn (n, m, 2h+1) coefficient tensors into dense lifted matrices.
+``HarmonicVector`` is the per-signal spectrum type of ``analyze``,
+``synthesize``, the spectrum comparisons and the CSV writers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    DimensionMismatchError,
     InsufficientSamplesError,
     OrderMismatchError,
     ResidualImaginaryError,
@@ -158,76 +163,35 @@ class HarmonicVector:
 
     def derivative(self) -> "HarmonicVector":
         """Coefficient vector of the time derivative (j*k*w1 scaling)."""
-        k = self.harmonic_indices
-        return HarmonicVector(
-            self.order, self.base_frequency, 1j * k * self.base_frequency * self.coeffs
-        )
+        q = frequency_matrix(self.order, self.base_frequency)
+        return HarmonicVector(self.order, self.base_frequency, q * self.coeffs)
 
 
-@dataclass(frozen=True)
-class ToeplitzOperator:
-    """Banded Toeplitz matrix realizing frequency-domain convolution."""
-
-    order: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = 2 * self.order + 1
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (n, n):
-            raise OrderMismatchError(f"expected {(n, n)} matrix, got {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, vec: HarmonicVector) -> HarmonicVector:
-        if vec.order != self.order:
-            raise OrderMismatchError(
-                f"operator order {self.order} does not match vector order {vec.order}"
-            )
-        return HarmonicVector(vec.order, vec.base_frequency, self.matrix @ vec.coeffs)
-
-    def __matmul__(self, vec: HarmonicVector) -> HarmonicVector:
-        return self.apply(vec)
-
-
-def toeplitz(src: HarmonicVector) -> ToeplitzOperator:
-    """Toeplitz convolution operator of ``src``.
+def toeplitz(src) -> np.ndarray:
+    """Toeplitz convolution operator of a HarmonicVector or of a stack
+    (..., 2h+1) of coefficient arrays.
 
     Entry (i, j) is the coefficient of harmonic i - j, zero beyond the
     retained band. Multiplying the result by another vector's coefficient
     column gives the h-truncated Fourier coefficients of the time-domain
-    product of the two signals.
+    product of the two signals. The result is a read-only view: row i is a
+    reversed window of the zero-padded coefficients.
     """
-    return ToeplitzOperator(src.order, _toeplitz_stack(src.coeffs))
+    coeffs = src.coeffs if isinstance(src, HarmonicVector) else np.asarray(src)
+    n = coeffs.shape[-1]
+    h = n // 2
+    padded = np.zeros(coeffs.shape[:-1] + (2 * n - 1,), dtype=complex)
+    padded[..., h : h + n] = coeffs
+    return sliding_window_view(padded[..., ::-1], n, axis=-1)[..., ::-1, :]
 
 
-@dataclass(frozen=True)
-class FrequencyMatrix:
-    """Diagonal of j*k*w1 terms: differentiation of each harmonic frame."""
-
-    order: int
-    base_frequency: float
-    diagonal: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        k = np.arange(-self.order, self.order + 1)
-        diag = 1j * k * self.base_frequency
-        diag.flags.writeable = False
-        object.__setattr__(self, "diagonal", diag)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-
-def frequency_matrix(h: int, base_frequency: float) -> FrequencyMatrix:
-    """Differentiation matrix diag(j*k*w1), k = -h..h."""
+def frequency_matrix(h: int, base_frequency: float) -> np.ndarray:
+    """Diagonal j*k*w1, k = -h..h, of the differentiation matrix Q."""
     if h < 0:
         raise ValueError("h must be >= 0")
     if base_frequency <= 0:
         raise ValueError("base_frequency must be > 0")
-    return FrequencyMatrix(h, base_frequency)
+    return 1j * np.arange(-h, h + 1) * base_frequency
 
 
 def synthesize(src: HarmonicVector, t, rtol: float = SYMMETRY_RTOL):
@@ -283,26 +247,12 @@ def convolve(a: HarmonicVector, b: HarmonicVector) -> HarmonicVector:
     return HarmonicVector(h, a.base_frequency, full[h : 3 * h + 1])
 
 
-def _toeplitz_stack(coeffs: np.ndarray) -> np.ndarray:
-    """Toeplitz operators of a stack (..., 2h+1) of coefficient vectors.
-
-    Same layout as :func:`toeplitz`: entry (i, j) holds harmonic i - j.
-    The result is a read-only view: row i is a reversed window of the
-    zero-padded coefficients.
-    """
-    n = coeffs.shape[-1]
-    h = n // 2
-    padded = np.zeros(coeffs.shape[:-1] + (2 * n - 1,), dtype=complex)
-    padded[..., h : h + n] = coeffs
-    return sliding_window_view(padded[..., ::-1], n, axis=-1)[..., ::-1, :]
-
-
 def _lifted_blocks(tensor: np.ndarray) -> np.ndarray:
     """(n, 2h+1, m, 2h+1) array with toeplitz(tensor[r, c]) as block (r, c)."""
     n, m, k = tensor.shape
     rows, cols = np.nonzero(np.any(tensor != 0, axis=2))
     out = np.zeros((n, k, m, k), dtype=complex)
-    out[rows, :, cols, :] = _toeplitz_stack(tensor[rows, cols])
+    out[rows, :, cols, :] = toeplitz(tensor[rows, cols])
     return out
 
 
@@ -321,72 +271,10 @@ def lift(A0: np.ndarray, A1: np.ndarray, base_frequency: float) -> np.ndarray:
     the nonzero blocks are built.
     """
     n, _, k = A0.shape
-    q = frequency_matrix(k // 2, base_frequency).diagonal
+    q = frequency_matrix(k // 2, base_frequency)
     out = _lifted_blocks(A0)
     rows, cols = np.nonzero(np.any(A1 != 0, axis=2))
-    out[rows, :, cols, :] += _toeplitz_stack(A1[rows, cols]) * q
+    out[rows, :, cols, :] += toeplitz(A1[rows, cols]) * q
     out = out.reshape(n * k, n * k)
     out[np.diag_indices(n * k)] -= np.tile(q, n)
     return out
-
-
-class HarmonicBlockMatrix:
-    """Dense complex matrix organized as labeled (2h+1)-square blocks.
-
-    Row and column block labels are fixed at construction; blocks are
-    written with :meth:`set_block` and read back bit-identically with
-    :meth:`get_block`. ``dense`` is the assembled matrix; a matrix passed
-    as ``data`` is adopted as it is, without a copy.
-    """
-
-    def __init__(
-        self, block_rows: list[str], block_cols: list[str], order: int, data: np.ndarray | None = None
-    ):
-        self.block_rows = list(block_rows)
-        self.block_cols = list(block_cols)
-        self.order = order
-        self._n = 2 * order + 1
-        self._row_index = {lbl: i for i, lbl in enumerate(self.block_rows)}
-        self._col_index = {lbl: i for i, lbl in enumerate(self.block_cols)}
-        if len(self._row_index) != len(self.block_rows) or len(self._col_index) != len(self.block_cols):
-            raise DimensionMismatchError("duplicate block labels")
-        shape = (len(self.block_rows) * self._n, len(self.block_cols) * self._n)
-        if data is None:
-            data = np.zeros(shape, dtype=complex)
-        elif data.shape != shape or data.dtype != complex:
-            raise DimensionMismatchError(f"expected a complex {shape} matrix, got {data.dtype} {data.shape}")
-        self._data = data
-
-    def _slice(self, row: str, col: str):
-        try:
-            i = self._row_index[row]
-            j = self._col_index[col]
-        except KeyError as exc:
-            raise KeyError(f"unknown block label {exc.args[0]!r}") from None
-        n = self._n
-        return slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
-
-    def set_block(self, row: str, col: str, block: np.ndarray):
-        rs, cs = self._slice(row, col)
-        blk = np.asarray(block, dtype=complex)
-        if blk.shape != (self._n, self._n):
-            raise DimensionMismatchError(
-                f"block {row!r},{col!r} must be {(self._n, self._n)}, got {blk.shape}"
-            )
-        self._data[rs, cs] = blk
-
-    def get_block(self, row: str, col: str) -> np.ndarray:
-        rs, cs = self._slice(row, col)
-        return self._data[rs, cs].copy()
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self._data
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._data.shape
-
-    def row_slice(self, row: str) -> slice:
-        i = self._row_index[row]
-        return slice(i * self._n, (i + 1) * self._n)

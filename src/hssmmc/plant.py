@@ -4,11 +4,14 @@ insertion indices, and the plant equations in two independent encodings.
 - ``plant_coefficients`` is the one periodic coefficient model of the
   plant, dx/dt = A0(t) x + A1(t) dx/dt + B(t) u, with the Fourier
   coefficients of every entry along the last axis. Both lifted models are
-  lifts of it (``harmonic.lift``), and ``time_domain_A`` / ``time_domain_B``
-  evaluate it at one instant.
+  lifts of it (``PeriodicCoefficients.lifted``, a ``LiftedModel``), and
+  ``time_domain_A`` / ``time_domain_B`` evaluate it at one instant.
 - ``plant_rhs`` is the direct-form right-hand side the reference simulator
   integrates. It is kept separate from the coefficient model so that the
   simulator checks the lifted models against an independent encoding.
+
+Insertion indices are (3, 2h+1) coefficient arrays (n_u, n_l), one row per
+phase a, b, c.
 
 State ordering (fixed, identical to the lifted block ordering):
 
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulationOutOfRangeError
-from .harmonic import HarmonicVector, block_toeplitz, lift
+from .errors import ModulationOutOfRangeError, OrderMismatchError
+from .harmonic import block_toeplitz, lift
 
 PHASES = ("a", "b", "c")
 
@@ -99,49 +102,26 @@ class MmcParameters:
         return self.R_load + 1j * k * self.omega1 * self.L_load
 
 
-@dataclass(frozen=True)
-class InsertionIndexSet:
-    """Upper and lower arm insertion indices for the three phases."""
-
-    upper: dict[str, HarmonicVector]
-    lower: dict[str, HarmonicVector]
-
-    def __post_init__(self):
-        for d in (self.upper, self.lower):
-            if set(d) != set(PHASES):
-                raise KeyError(f"insertion indices must cover phases {PHASES}")
-
-    @property
-    def order(self) -> int:
-        return self.upper["a"].order
-
-    @property
-    def base_frequency(self) -> float:
-        return self.upper["a"].base_frequency
-
-    def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(3, 2h+1) coefficient arrays of the upper and lower indices, phases a, b, c."""
-        return (
-            np.array([self.upper[p].coeffs for p in PHASES]),
-            np.array([self.lower[p].coeffs for p in PHASES]),
-        )
-
-
-def open_loop_insertion_indices(m: float, h: int, omega1: float) -> InsertionIndexSet:
+def open_loop_insertion_indices(m: float, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Sinusoidal open-loop insertion indices for modulation index m.
 
     n_u = 1/2 - (m/2) cos(w1 t - phi), n_l = 1/2 + (m/2) cos(w1 t - phi)
-    with phi = 0, +2pi/3, -2pi/3 for phases a, b, c.
+    with phi = 0, +2pi/3, -2pi/3 for phases a, b, c. Returns the (3, 2h+1)
+    coefficient arrays (n_u, n_l), phases a, b, c.
     """
     if not 0.0 <= m <= 1.0:
         raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
-    upper = {}
-    lower = {}
-    for p in PHASES:
-        phi = PHASE_SHIFT[p]
-        upper[p] = HarmonicVector.cosine(0.5, -0.5 * m, phi, h, omega1)
-        lower[p] = HarmonicVector.cosine(0.5, +0.5 * m, phi, h, omega1)
-    return InsertionIndexSet(upper=upper, lower=lower)
+    if h < 1 and m != 0.0:
+        raise OrderMismatchError("order >= 1 required for a fundamental component")
+    phi = np.array([PHASE_SHIFT[p] for p in PHASES])
+    n_u = np.zeros((3, 2 * h + 1), dtype=complex)
+    n_u[:, h] = 0.5
+    n_l = n_u.copy()
+    if h >= 1:
+        for arm, amplitude in ((n_u, -0.5 * m), (n_l, 0.5 * m)):
+            arm[:, h + 1] = 0.5 * amplitude * np.exp(-1j * phi)
+            arm[:, h - 1] = 0.5 * amplitude * np.exp(+1j * phi)
+    return n_u, n_l
 
 
 def plant_rhs(
@@ -208,9 +188,34 @@ class PeriodicCoefficients:
         lhs = np.eye(A0.shape[0]) - A1
         return np.linalg.solve(lhs, A0), np.linalg.solve(lhs, B)
 
-    def lifted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense lifted (A, B) over harmonics -h..h; see :func:`lift`."""
-        return lift(self.A0, self.A1, self.omega1), block_toeplitz(self.B)
+    def lifted(self, state_labels, input_labels) -> "LiftedModel":
+        """Lifted model over harmonics -h..h; A is :func:`lift` of (A0, A1)
+        and B the block Toeplitz lift of B."""
+        return LiftedModel(
+            h=self.A0.shape[2] // 2,
+            omega1=self.omega1,
+            A=lift(self.A0, self.A1, self.omega1),
+            B=block_toeplitz(self.B),
+            state_labels=tuple(state_labels),
+            input_labels=tuple(input_labels),
+        )
+
+
+@dataclass(frozen=True)
+class LiftedModel:
+    """Lifted LTI model dX/dt = A X + B U over harmonics k = -h..h.
+
+    Block r of X holds the 2h+1 coefficients of ``state_labels[r]`` and
+    block c of U those of ``input_labels[c]``. ``A`` and ``B`` are the dense
+    complex lifted arrays.
+    """
+
+    h: int
+    omega1: float
+    A: np.ndarray
+    B: np.ndarray
+    state_labels: tuple[str, ...]
+    input_labels: tuple[str, ...]
 
 
 def fold_terminal_voltage(A0: np.ndarray, A1: np.ndarray, g: np.ndarray, params: MmcParameters):

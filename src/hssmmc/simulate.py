@@ -321,7 +321,7 @@ def _amplitude_schedule(refs: dict[str, complex], events, dt: float):
     """
     base = np.array([refs[p] for p in PHASES], dtype=complex)
     if not events:
-        return lambda t: base, []
+        return lambda t: base
 
     snapped = []
     amps_list = [base]
@@ -338,7 +338,7 @@ def _amplitude_schedule(refs: dict[str, complex], events, dt: float):
     def amps_of_t(t):
         return amps_arr[np.searchsorted(times, t + eps)]
 
-    return amps_of_t, list(zip(times, amps_list[1:]))
+    return amps_of_t
 
 
 def closed_loop_initial_state(params: MmcParameters) -> np.ndarray:
@@ -363,7 +363,7 @@ def simulate_closed_loop(
     configuration add phasor steps at (grid-snapped) times.
     """
     cfg.validate_against(params)
-    amps_of_t, _ = _amplitude_schedule(refs, cfg.events, cfg.dt)
+    amps_of_t = _amplitude_schedule(refs, cfg.events, cfg.dt)
     rhs = _closed_loop_rhs(params, ctrl, amps_of_t)
 
     x_init = closed_loop_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)

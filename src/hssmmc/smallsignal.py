@@ -13,10 +13,12 @@ with H_v(s) = K_p + K_r s / (s^2 + w1^2) realized per phase by two states:
 
 Linearizing about a harmonic operating point extends the plant's
 coefficient model with the controller rows and the periodic gain columns
-(the F vectors, ``compute_f_coefficients``). The same lift as the steady
-model (``harmonic.lift``) turns it into an 18-block LTI model whose inputs
-are the dc-bus perturbation and the three per-phase voltage-reference
-perturbations; ``time_domain_linearized_A`` evaluates it at one instant.
+(the F vectors): ``compute_f_coefficients`` returns this closed-loop
+``PeriodicCoefficients``, and each F vector is an entry of its tensors.
+The same lift as the steady model (``PeriodicCoefficients.lifted``) turns
+it into an 18-block ``LiftedModel`` whose inputs are the dc-bus
+perturbation and the three per-phase voltage-reference perturbations;
+``time_domain_linearized_A`` evaluates it at one instant.
 
 Envelope responses of this LTI model to piecewise-constant reference
 steps are exact zero-order-hold propagations by its transition matrix,
@@ -35,11 +37,11 @@ from .errors import (
     ResidualImaginaryError,
     UnknownVariableError,
 )
-from .harmonic import HarmonicBlockMatrix, HarmonicVector
+from .harmonic import HarmonicVector
 from .plant import (
     PHASES,
     STATE_LABELS,
-    STATE_VARIABLES,
+    LiftedModel,
     MmcParameters,
     PeriodicCoefficients,
     fold_terminal_voltage,
@@ -68,58 +70,23 @@ class ControllerParams:
             raise ValueError("omega1 must be > 0")
 
 
-@dataclass(frozen=True)
-class FCoefficientSet:
-    """Periodic linearization gains of the closed loop at an operating point.
-
-    ``coefficients`` is the closed-loop coefficient model; each named gain
-    is a per-phase entry of it. The prefix names the row (c circulating
-    current, vu / vl upper / lower capacitor, i phase current), the suffix
-    the column: 1 the phase current (resistive load part folded in), 2 the
-    first resonant-controller state, 3 the voltage reference input.
-    """
-
-    coefficients: PeriodicCoefficients
-
-    def _gain(self, row: str, col: str) -> dict[str, HarmonicVector]:
-        c = self.coefficients
-        h = c.A0.shape[2] // 2
-        out = {}
-        for p in PHASES:
-            r = SMALLSIG_STATE_LABELS.index(f"{row}{p}")
-            if col == "ref":
-                coeffs = c.B[r, SMALLSIG_INPUT_LABELS.index(f"v_g{p}_ref")]
-            else:
-                coeffs = c.A0[r, SMALLSIG_STATE_LABELS.index(col.format(p=p))]
-            out[p] = HarmonicVector(h, c.omega1, coeffs)
-        return out
-
-    c1 = property(lambda self: self._gain("i_c", "i_g{p}"))
-    c2 = property(lambda self: self._gain("i_c", "pr_{p}1"))
-    vu1 = property(lambda self: self._gain("v_cu", "i_g{p}"))
-    vl1 = property(lambda self: self._gain("v_cl", "i_g{p}"))
-    i2 = property(lambda self: self._gain("i_g", "pr_{p}1"))
-    i3 = property(lambda self: self._gain("i_g", "ref"))
-
-
 def compute_f_coefficients(
     op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams
-) -> FCoefficientSet:
+) -> PeriodicCoefficients:
     """Closed-loop coefficient model linearized about an operating point.
 
+    States are ``SMALLSIG_STATE_LABELS`` and inputs ``SMALLSIG_INPUT_LABELS``.
     The plant rows are the plant's coefficient model at the operating
     indices. The controller acts through the modulation voltage v_mod,
     which moves the indices as n_u = 1/2 - v_mod/V_dc and
     n_l = 1/2 + v_mod/V_dc. With all controller gains zero the set
     collapses to the open-loop couplings.
     """
-    plant = plant_coefficients(params, *op.indices.coefficient_arrays())
+    plant = plant_coefficients(params, op.n_u, op.n_l)
     k = 2 * op.h + 1
     one = np.zeros(k)
     one[op.h] = 1.0
-    i_c, v_cu, v_cl, i_g = (
-        np.array([getattr(op, var)[p].coeffs for p in PHASES]) for var in STATE_VARIABLES
-    )
+    i_c, v_cu, v_cl, i_g = op.coeffs.reshape(4, 3, k)
     L = params.L
     C = params.C_arm
     v_dc = params.V_dc
@@ -154,33 +121,12 @@ def compute_f_coefficients(
     g[:12] += ctrl.k_f * dv_mod
 
     fold_terminal_voltage(A0, A1, g, params)
-    return FCoefficientSet(PeriodicCoefficients(params.omega1, A0, A1, B))
-
-
-@dataclass(frozen=True)
-class HssSmallSignalModel:
-    """Lifted closed-loop small-signal model: d(dX)/dt = A dX + B dU."""
-
-    h: int
-    omega1: float
-    A: HarmonicBlockMatrix
-    B: HarmonicBlockMatrix
-    params: MmcParameters
-    ctrl: ControllerParams
-    f_coeffs: FCoefficientSet
-
-    @property
-    def state_labels(self) -> tuple[str, ...]:
-        return tuple(self.A.block_rows)
-
-    @property
-    def input_labels(self) -> tuple[str, ...]:
-        return tuple(self.B.block_cols)
+    return PeriodicCoefficients(params.omega1, A0, A1, B)
 
 
 def assemble_smallsignal(
     op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams, h: int
-) -> HssSmallSignalModel:
+) -> LiftedModel:
     """Lift the closed-loop coefficient model about an operating point.
 
     The load-inductance term enters as T(A1) Q, the part of the lifted
@@ -193,30 +139,21 @@ def assemble_smallsignal(
             f"operating point solved at order {op.h}, model requested {h}"
         )
 
-    fset = compute_f_coefficients(op, params, ctrl)
-    A, B = fset.coefficients.lifted()
-    labels = list(SMALLSIG_STATE_LABELS)
-    return HssSmallSignalModel(
-        h=h,
-        omega1=params.omega1,
-        A=HarmonicBlockMatrix(labels, labels, h, A),
-        B=HarmonicBlockMatrix(labels, list(SMALLSIG_INPUT_LABELS), h, B),
-        params=params,
-        ctrl=ctrl,
-        f_coeffs=fset,
+    return compute_f_coefficients(op, params, ctrl).lifted(
+        SMALLSIG_STATE_LABELS, SMALLSIG_INPUT_LABELS
     )
 
 
-def eigenvalues(model: HssSmallSignalModel) -> np.ndarray:
+def eigenvalues(model: LiftedModel) -> np.ndarray:
     """Spectrum of the lifted closed-loop A, sorted by real part descending."""
-    eig = scipy.linalg.eigvals(model.A.dense)
+    eig = scipy.linalg.eigvals(model.A)
     order = np.lexsort((eig.imag, -eig.real))
     return eig[order]
 
 
 def load_voltage_spectrum(op: OperatingPoint, params: MmcParameters, phase: str) -> HarmonicVector:
     """Spectrum of the ac terminal voltage v_g = Z_load(k) * i_g per harmonic."""
-    i_g = op.i_g[phase]
+    i_g = op.spectrum("i_g", phase)
     k = i_g.harmonic_indices
     return HarmonicVector(op.h, op.omega1, params.load_impedance(k) * i_g.coeffs)
 
@@ -257,12 +194,13 @@ def operating_controller_states(
     trajectory.
     """
     out = {}
-    for p in PHASES:
+    for i, p in enumerate(PHASES):
         v_g = load_voltage_spectrum(op, params, p)
         v_ref = reference_spectrum(refs[p], op.h, op.omega1)
         err = v_ref - v_g
         # Modulation voltage that generates the operating-point indices.
-        v_mod = (HarmonicVector.constant(0.5, op.h, op.omega1) - op.indices.upper[p]) * params.V_dc
+        n_u = HarmonicVector(op.h, op.omega1, op.n_u[i])
+        v_mod = (HarmonicVector.constant(0.5, op.h, op.omega1) - n_u) * params.V_dc
         x1 = v_mod - ctrl.K_p * err - ctrl.k_f * v_g
         k = x1.harmonic_indices
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -288,7 +226,7 @@ def time_domain_linearized_A(
     """
     if params.L_load != 0.0:
         raise ValueError("time-domain Jacobian is defined for a resistive ac load")
-    return compute_f_coefficients(op, params, ctrl).coefficients.at(t)[0]
+    return compute_f_coefficients(op, params, ctrl).at(t)[0]
 
 
 @dataclass(frozen=True)
@@ -314,7 +252,7 @@ class EnvelopeResponse:
 
 
 def envelope_response(
-    model: HssSmallSignalModel,
+    model: LiftedModel,
     delta_u,
     t_end: float,
     dt: float,
@@ -331,8 +269,8 @@ def envelope_response(
     Gamma are the top blocks of expm([[A dt, B dt], [0, 0]]) (Van Loan
     1978), so the grid values are exact for any ``dt``.
     """
-    A = model.A.dense
-    Bd = model.B.dense
+    A = model.A
+    Bd = model.B
     dim, n_in = Bd.shape
     n_steps = int(round((t_end - t_start) / dt))
     if n_steps < 1:
@@ -375,12 +313,12 @@ def envelope_response(
         states=out[:j],
         h=model.h,
         omega1=model.omega1,
-        labels=tuple(model.state_labels),
+        labels=model.state_labels,
     )
 
 
 def lifted_reference_step(
-    model: HssSmallSignalModel, phase: str, delta_phasor: complex
+    model: LiftedModel, phase: str, delta_phasor: complex
 ) -> np.ndarray:
     """Lifted input vector for a reference-amplitude step on one phase.
 
@@ -397,13 +335,13 @@ def lifted_reference_step(
     return u
 
 
-def settled_envelope_state(model: HssSmallSignalModel, delta_u_final: np.ndarray) -> np.ndarray:
+def settled_envelope_state(model: LiftedModel, delta_u_final: np.ndarray) -> np.ndarray:
     """Algebraic settled state -A^-1 B dU of the small-signal model.
 
     Raises SingularSystemError under the same condition and residual gates
     as the steady solve.
     """
-    return solve_lifted(model.A.dense, -(model.B.dense @ delta_u_final))[0]
+    return solve_lifted(model.A, -(model.B @ delta_u_final))[0]
 
 
 def reconstruct_perturbation(

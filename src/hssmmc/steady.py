@@ -2,11 +2,12 @@
 operating-point solver.
 
 The plant's coefficient model at the open-loop insertion indices is lifted
-to truncation order h (``harmonic.lift``), giving a 12*(2h+1)-square
-complex matrix whose blocks are Toeplitz operators of the periodic
-coefficients plus the diagonal differentiation terms. Setting the lifted
-derivative to zero yields the periodic operating point directly from one
-linear solve.
+to truncation order h (``PeriodicCoefficients.lifted``), giving a
+12*(2h+1)-square complex matrix whose blocks are Toeplitz operators of the
+periodic coefficients plus the diagonal differentiation terms. Setting the
+lifted derivative to zero yields the periodic operating point directly from
+one linear solve. The operating point keeps the solution as one
+(12, 2h+1) coefficient array in ``STATE_LABELS`` order.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from .errors import (
     SingularSystemError,
     UnknownVariableError,
 )
-from .harmonic import SYMMETRY_RTOL, HarmonicBlockMatrix, HarmonicVector
+from .harmonic import SYMMETRY_RTOL, HarmonicVector, synthesize
 from .plant import (
     PHASES,
     STATE_LABELS,
     STATE_VARIABLES,
-    InsertionIndexSet,
+    LiftedModel,
     MmcParameters,
     plant_coefficients,
+    state_position,
 )
 
 # Condition-number estimate above which a lifted solve is rejected.
@@ -39,45 +41,20 @@ CONDITION_LIMIT = 1e12
 RESIDUAL_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HssSteadyModel:
-    """Lifted open-loop model: dX/dt = A X + B U with U the dc-bus block."""
-
-    h: int
-    omega1: float
-    A: HarmonicBlockMatrix
-    B: HarmonicBlockMatrix
-    params: MmcParameters
-    indices: InsertionIndexSet
-
-    @property
-    def state_labels(self) -> tuple[str, ...]:
-        return tuple(self.A.block_rows)
-
-
-def assemble_steady(params: MmcParameters, indices: InsertionIndexSet, h: int) -> HssSteadyModel:
-    """Lift the plant's coefficient model at the given insertion indices.
+def assemble_steady(
+    params: MmcParameters, indices: tuple[np.ndarray, np.ndarray], h: int
+) -> LiftedModel:
+    """Lift the plant's coefficient model at the insertion indices (n_u, n_l).
 
     With a load inductance the phase-current diagonal blocks carry the
     per-harmonic load impedance, through the A1 term of the lift.
     """
-    if indices.order != h:
+    n_u, n_l = indices
+    if n_u.shape[-1] != 2 * h + 1:
         raise DimensionMismatchError(
-            f"insertion indices built at order {indices.order}, model requested {h}"
+            f"insertion indices built at order {n_u.shape[-1] // 2}, model requested {h}"
         )
-    if indices.base_frequency != params.omega1:
-        raise DimensionMismatchError("insertion indices and parameters disagree on omega1")
-
-    A, B = plant_coefficients(params, *indices.coefficient_arrays()).lifted()
-    labels = list(STATE_LABELS)
-    return HssSteadyModel(
-        h=h,
-        omega1=params.omega1,
-        A=HarmonicBlockMatrix(labels, labels, h, A),
-        B=HarmonicBlockMatrix(labels, ["v_dc"], h, B),
-        params=params,
-        indices=indices,
-    )
+    return plant_coefficients(params, n_u, n_l).lifted(STATE_LABELS, ("v_dc",))
 
 
 def dc_input_vector(v_dc: float, h: int) -> np.ndarray:
@@ -89,15 +66,18 @@ def dc_input_vector(v_dc: float, h: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Harmonic coefficients of the periodic steady state of all plant states."""
+    """Periodic steady state of the plant.
+
+    Row r of ``coeffs`` holds the harmonic coefficients k = -h..h of state
+    ``STATE_LABELS[r]``; ``n_u`` and ``n_l`` are the (3, 2h+1) insertion
+    indices the point was solved at.
+    """
 
     h: int
     omega1: float
-    i_c: dict[str, HarmonicVector]
-    v_cu: dict[str, HarmonicVector]
-    v_cl: dict[str, HarmonicVector]
-    i_g: dict[str, HarmonicVector]
-    indices: InsertionIndexSet
+    coeffs: np.ndarray
+    n_u: np.ndarray
+    n_l: np.ndarray
     condition: float
     residual: float
 
@@ -108,18 +88,25 @@ class OperatingPoint:
             )
         if phase not in PHASES:
             raise UnknownVariableError(f"unknown phase {phase!r}")
-        return getattr(self, variable)[phase]
+        return HarmonicVector(self.h, self.omega1, self.coeffs[state_position(variable, phase)])
 
     def state_vector_at(self, t) -> np.ndarray:
         """Synthesized 12-state plant vector at time(s) t."""
-        from .harmonic import synthesize
+        return np.array([synthesize(HarmonicVector(self.h, self.omega1, c), t) for c in self.coeffs])
 
-        series = [
-            synthesize(self.spectrum(var, p), t)
-            for var in STATE_VARIABLES
-            for p in PHASES
-        ]
-        return np.array(series)
+    def power_balance(self, params: MmcParameters) -> dict[str, float]:
+        """One-period average dc input power, load dissipation and arm
+        losses, by Parseval from the coefficients."""
+        i_c, i_g = self.coeffs[0:3], self.coeffs[9:12]
+
+        def mean_square(c):
+            return float(np.sum(np.abs(c) ** 2))
+
+        return {
+            "dc_input": params.V_dc * float(np.sum(i_c[:, self.h].real)),
+            "load": params.R_load * mean_square(i_g),
+            "arm_loss": params.R * (mean_square(i_c + 0.5 * i_g) + mean_square(i_c - 0.5 * i_g)),
+        }
 
 
 def solve_lifted(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -151,41 +138,26 @@ def solve_lifted(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float
     return x, condition, residual
 
 
-def solve_steady_state(model: HssSteadyModel, u: np.ndarray) -> OperatingPoint:
-    """Periodic operating point from the algebraic solve of the lifted model.
+def solve_steady_state(
+    model: LiftedModel, u: np.ndarray, indices: tuple[np.ndarray, np.ndarray]
+) -> OperatingPoint:
+    """Periodic operating point from the algebraic solve of the lifted model
+    assembled at ``indices``.
 
     Raises SingularSystemError when the gated solve (``solve_lifted``)
     rejects the lifted matrix or its solution.
     """
-    rhs = model.B.dense @ np.asarray(u, dtype=complex)
-    x_ss, condition, residual = solve_lifted(model.A.dense, -rhs)
+    rhs = model.B @ np.asarray(u, dtype=complex)
+    x_ss, condition, residual = solve_lifted(model.A, -rhs)
 
-    n = 2 * model.h + 1
-    vectors: dict[str, dict[str, HarmonicVector]] = {var: {} for var in STATE_VARIABLES}
-    for var in STATE_VARIABLES:
-        for p in PHASES:
-            sl = model.A.row_slice(f"{var}{p}")
-            hv = HarmonicVector(model.h, model.omega1, x_ss[sl])
-            if not hv.is_real_signal(SYMMETRY_RTOL):
-                raise ResidualImaginaryError(
-                    f"steady solution for {var}{p} violates conjugate symmetry "
-                    f"(defect {hv.conjugate_symmetry_defect():.3e})"
-                )
-            vectors[var][p] = hv
-
-    return OperatingPoint(
-        h=model.h,
-        omega1=model.omega1,
-        i_c=vectors["i_c"],
-        v_cu=vectors["v_cu"],
-        v_cl=vectors["v_cl"],
-        i_g=vectors["i_g"],
-        indices=model.indices,
-        condition=condition,
-        residual=residual,
-    )
-
-
-def extract_spectrum(op: OperatingPoint, variable: str, phase: str) -> HarmonicVector:
-    """Labeled accessor for one steady-state spectrum."""
-    return op.spectrum(variable, phase)
+    coeffs = x_ss.reshape(len(model.state_labels), 2 * model.h + 1)
+    coeffs.flags.writeable = False
+    for label, c in zip(model.state_labels, coeffs):
+        hv = HarmonicVector(model.h, model.omega1, c)
+        if not hv.is_real_signal(SYMMETRY_RTOL):
+            raise ResidualImaginaryError(
+                f"steady solution for {label} violates conjugate symmetry "
+                f"(defect {hv.conjugate_symmetry_defect():.3e})"
+            )
+    n_u, n_l = indices
+    return OperatingPoint(model.h, model.omega1, coeffs, n_u, n_l, condition, residual)

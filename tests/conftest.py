@@ -64,3 +64,18 @@ def random_real_vector(rng, h, omega1, scale=1.0):
     c = rng.normal(size=2 * h + 1) + 1j * rng.normal(size=2 * h + 1)
     c = 0.5 * (c + np.conj(c[::-1])) * scale
     return HarmonicVector(h, omega1, c)
+
+
+def block(model, row, col=None):
+    """View of one block of a lifted model: block (row, col) of A, or of B
+    when ``col`` is an input label; with no ``col``, the whole block row of A."""
+    n = 2 * model.h + 1
+    r = model.state_labels.index(row)
+    rows = slice(r * n, (r + 1) * n)
+    if col is None:
+        return model.A[rows]
+    if col in model.input_labels:
+        c, matrix = model.input_labels.index(col), model.B
+    else:
+        c, matrix = model.state_labels.index(col), model.A
+    return matrix[rows, c * n : (c + 1) * n]

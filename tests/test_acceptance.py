@@ -55,11 +55,11 @@ def test_criterion_1_insertion_index_operator_fixtures():
     start = time.perf_counter()
     worst = 0.0
     for m in (0.8, 0.31, 1.0):
-        idx = open_loop_insertion_indices(m, 3, 314.0)
+        n_u, n_l = open_loop_insertion_indices(m, 3)
         phis = {"a": 0.0, "b": 2 * np.pi / 3, "c": -2 * np.pi / 3}
-        for p in PHASES:
-            for arm, sign in (("upper", -1.0), ("lower", +1.0)):
-                T = toeplitz(getattr(idx, arm)[p]).matrix
+        for row, p in enumerate(PHASES):
+            for arm, sign in ((n_u, -1.0), (n_l, +1.0)):
+                T = toeplitz(arm[row])
                 expected = 0.5 * np.eye(7, dtype=complex)
                 up = sign * m / 4 * np.exp(-1j * phis[p])
                 lo = sign * m / 4 * np.exp(+1j * phis[p])
@@ -75,9 +75,9 @@ def test_criterion_1_insertion_index_operator_fixtures():
     assert elapsed < 1.0
 
     # Spot values: phase-a off-diagonal and phase-b upper entry at m = 0.8.
-    idx = open_loop_insertion_indices(0.8, 3, 314.0)
-    assert toeplitz(idx.upper["a"]).matrix[0, 1] == pytest.approx(-0.2, abs=1e-15)
-    assert toeplitz(idx.upper["b"]).matrix[0, 1] == pytest.approx(
+    n_u, _ = open_loop_insertion_indices(0.8, 3)
+    assert toeplitz(n_u[0])[0, 1] == pytest.approx(-0.2, abs=1e-15)
+    assert toeplitz(n_u[1])[0, 1] == pytest.approx(
         0.1 * (1 - 1j * np.sqrt(3.0)), abs=1e-15
     )
 
@@ -266,9 +266,9 @@ def test_criterion_8_invariant_suite(sec3_cfg, sec3_op, smallsig_ctx):
     op0 = solve_operating_point(dataclasses.replace(sec3_cfg, m=0.0))
     eq_err = 0.0
     for p in PHASES:
-        eq_err = max(eq_err, np.max(np.abs(op0.i_c[p].coeffs)) / params.V_dc)
-        eq_err = max(eq_err, np.max(np.abs(op0.i_g[p].coeffs)) / params.V_dc)
-        dev = op0.v_cu[p].coeffs.copy()
+        eq_err = max(eq_err, np.max(np.abs(op0.spectrum("i_c", p).coeffs)) / params.V_dc)
+        eq_err = max(eq_err, np.max(np.abs(op0.spectrum("i_g", p).coeffs)) / params.V_dc)
+        dev = op0.spectrum("v_cu", p).coeffs.copy()
         dev[3] -= params.V_dc
         eq_err = max(eq_err, float(np.max(np.abs(dev))) / params.V_dc)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from hssmmc.cli import main
+from hssmmc.plant import plant_coefficients
 
 FAST = """
 [params]
@@ -91,6 +92,28 @@ class TestSteadyScenario:
         main(["steady", "--config", fast_config, "--out", str(out), "--no-timestamp", "--h", "2"])
         lines = (out / "spectrum_hss_i_c_a.csv").read_text().splitlines()
         assert len(lines) == 1 + 5
+
+    def test_report_checks_energy_balance(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["steady", "--config", fast_config, "--out", str(out), "--no-timestamp"]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[1].startswith("[PASS] condition: ")
+        assert report[2].startswith("[PASS] energy balance: ")
+        assert report[3] == "result: PASS"
+
+    def test_sign_error_in_lift_fails_energy_balance(self, fast_config, tmp_path, monkeypatch):
+        from hssmmc import steady
+
+        def flipped(params, n_u, n_l):
+            # Wrong sign of the upper-capacitor voltage in the phase-current rows.
+            model = plant_coefficients(params, n_u, n_l)
+            model.A0[9:12, 3:6] *= -1.0
+            return model
+
+        monkeypatch.setattr(steady, "plant_coefficients", flipped)
+        out = tmp_path / "out"
+        assert main(["steady", "--config", fast_config, "--out", str(out), "--no-timestamp"]) == 1
+        assert "[FAIL] energy balance: " in (out / "report.txt").read_text()
 
 
 class TestSimulateScenarios:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hssmmc import (
+    HarmonicVector,
     MmcParameters,
     ModulationOutOfRangeError,
     open_loop_insertion_indices,
@@ -60,49 +61,51 @@ def expected_gamma(m, phi, sign):
 
 class TestInsertionIndices:
     def test_zero_modulation(self):
-        idx = open_loop_insertion_indices(0.0, 3, W1)
-        for p in PHASES:
-            assert idx.upper[p][0] == 0.5
-            assert np.allclose(np.delete(idx.upper[p].coeffs, 3), 0.0)
+        n_u, _ = open_loop_insertion_indices(0.0, 3)
+        for i in range(3):
+            assert n_u[i, 3] == 0.5
+            assert np.allclose(np.delete(n_u[i], 3), 0.0)
 
     def test_out_of_range(self):
         with pytest.raises(ModulationOutOfRangeError):
-            open_loop_insertion_indices(1.2, 3, W1)
+            open_loop_insertion_indices(1.2, 3)
         with pytest.raises(ModulationOutOfRangeError):
-            open_loop_insertion_indices(-0.1, 3, W1)
+            open_loop_insertion_indices(-0.1, 3)
 
     def test_phase_b_upper_coefficient(self):
-        idx = open_loop_insertion_indices(0.8, 3, W1)
+        n_u, _ = open_loop_insertion_indices(0.8, 3)
         expected = 0.1 * (1 - 1j * np.sqrt(3.0))
-        assert idx.upper["b"][-1] == pytest.approx(expected, abs=1e-15)
+        assert n_u[1, 3 - 1] == pytest.approx(expected, abs=1e-15)
 
     def test_phase_c_lower_coefficient(self):
-        idx = open_loop_insertion_indices(0.8, 3, W1)
+        _, n_l = open_loop_insertion_indices(0.8, 3)
         expected = -0.1 * (1 + 1j * np.sqrt(3.0))
-        assert idx.lower["c"][-1] == pytest.approx(expected, abs=1e-15)
+        assert n_l[2, 3 - 1] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("m", [0.8, 0.35, 1.0])
     def test_toeplitz_fixtures_entry_for_entry(self, m):
-        idx = open_loop_insertion_indices(m, 3, W1)
+        n_u, n_l = open_loop_insertion_indices(m, 3)
         phis = {"a": 0.0, "b": 2 * np.pi / 3, "c": -2 * np.pi / 3}
-        for p in PHASES:
-            T_u = toeplitz(idx.upper[p]).matrix
-            T_l = toeplitz(idx.lower[p]).matrix
+        for i, p in enumerate(PHASES):
+            T_u = toeplitz(n_u[i])
+            T_l = toeplitz(n_l[i])
             assert np.allclose(T_u, expected_gamma(m, phis[p], -1.0), atol=1e-15)
             assert np.allclose(T_l, expected_gamma(m, phis[p], +1.0), atol=1e-15)
 
     def test_complementarity(self):
-        idx = open_loop_insertion_indices(0.7, 3, W1)
+        n_u, n_l = open_loop_insertion_indices(0.7, 3)
         ts = np.linspace(0.0, 2 * np.pi / W1, 50)
-        for p in PHASES:
-            total = synthesize(idx.upper[p], ts) + synthesize(idx.lower[p], ts)
+        for i in range(3):
+            total = synthesize(HarmonicVector(3, W1, n_u[i]), ts) + synthesize(
+                HarmonicVector(3, W1, n_l[i]), ts
+            )
             assert np.allclose(total, 1.0, atol=1e-12)
 
     def test_bounds(self):
-        idx = open_loop_insertion_indices(1.0, 3, W1)
+        n_u, _ = open_loop_insertion_indices(1.0, 3)
         ts = np.linspace(0.0, 2 * np.pi / W1, 2000)
-        for p in PHASES:
-            vals = synthesize(idx.upper[p], ts)
+        for i in range(3):
+            vals = synthesize(HarmonicVector(3, W1, n_u[i]), ts)
             assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
 
 

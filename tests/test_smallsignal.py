@@ -1,5 +1,7 @@
 """Closed-loop linearization: gain vectors, lifted assembly, envelopes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from hssmmc import (
     ControllerParams,
-    HarmonicBlockMatrix,
     analyze,
     MmcParameters,
     SingularSystemError,
@@ -27,6 +28,7 @@ from hssmmc import (
 from hssmmc.errors import ResidualImaginaryError, UnknownVariableError
 from hssmmc.smallsignal import (
     EnvelopeResponse,
+    SMALLSIG_INPUT_LABELS,
     SMALLSIG_STATE_LABELS,
     lifted_reference_step,
     load_voltage_spectrum,
@@ -37,7 +39,10 @@ from hssmmc.smallsignal import (
 )
 from hssmmc.simulate import _closed_loop_rhs
 
+from conftest import block
+
 W1 = 314.0
+S = SMALLSIG_STATE_LABELS.index
 
 
 def sec3_like():
@@ -47,9 +52,9 @@ def sec3_like():
 
 
 def solve(params, m, h):
-    idx = open_loop_insertion_indices(m, h, params.omega1)
+    idx = open_loop_insertion_indices(m, h)
     model = assemble_steady(params, idx, h)
-    return solve_steady_state(model, dc_input_vector(params.V_dc, h))
+    return solve_steady_state(model, dc_input_vector(params.V_dc, h), idx)
 
 
 def ctrl_default():
@@ -84,41 +89,42 @@ class TestFCoefficients:
         p = sec3_like()
         op = solve(p, 0.5, 3)
         ctrl = ControllerParams(K_p=0.7, K_r=100.0, k_f=0.7, omega1=W1)
-        fset = compute_f_coefficients(op, p, ctrl)
-        for ph in ("a", "b", "c"):
-            assert np.max(np.abs(fset.c1[ph].coeffs)) == 0.0
-            expected = (1.0 / (2 * p.C_arm)) * op.indices.upper[ph]
-            assert np.allclose(fset.vu1[ph].coeffs, expected.coeffs, atol=1e-18)
+        fc = compute_f_coefficients(op, p, ctrl)
+        for i, ph in enumerate(("a", "b", "c")):
+            assert np.max(np.abs(fc.A0[S(f"i_c{ph}"), S(f"i_g{ph}")])) == 0.0
+            expected = (1.0 / (2 * p.C_arm)) * op.n_u[i]
+            assert np.allclose(fc.A0[S(f"v_cu{ph}"), S(f"i_g{ph}")], expected, atol=1e-18)
 
     def test_zero_modulation_point(self):
         p = sec3_like()
         op = solve(p, 0.0, 3)
-        fset = compute_f_coefficients(op, p, ctrl_default())
+        fc = compute_f_coefficients(op, p, ctrl_default())
         for ph in ("a", "b", "c"):
-            assert np.max(np.abs(fset.c2[ph].coeffs)) <= 1e-12 / p.L
-            i2 = fset.i2[ph]
-            assert i2[0] == pytest.approx(2.0 / p.L, rel=1e-9)
-            assert np.max(np.abs(np.delete(i2.coeffs, 3))) <= 1e-9 / p.L
+            assert np.max(np.abs(fc.A0[S(f"i_c{ph}"), S(f"pr_{ph}1")])) <= 1e-12 / p.L
+            i2 = fc.A0[S(f"i_g{ph}"), S(f"pr_{ph}1")]
+            assert i2[3] == pytest.approx(2.0 / p.L, rel=1e-9)
+            assert np.max(np.abs(np.delete(i2, 3))) <= 1e-9 / p.L
 
     def test_pr_state_column_recovers_voltage_imbalance_spectrum(self, sec3_op):
         # A dc unit on the controller state drives the circulating current
         # with the capacitor voltage imbalance spectrum.
         p = sec3_like()
-        fset = compute_f_coefficients(sec3_op, p, ctrl_default())
-        gamma = toeplitz(fset.c2["a"]).matrix
+        fc = compute_f_coefficients(sec3_op, p, ctrl_default())
+        gamma = toeplitz(fc.A0[S("i_ca"), S("pr_a1")])
         unit = np.zeros(7, dtype=complex)
         unit[3] = 1.0
         response = gamma @ unit
-        expected = (sec3_op.v_cu["a"] - sec3_op.v_cl["a"]).coeffs / (2 * p.L * p.V_dc)
+        imbalance = sec3_op.spectrum("v_cu", "a") - sec3_op.spectrum("v_cl", "a")
+        expected = imbalance.coeffs / (2 * p.L * p.V_dc)
         assert np.allclose(response, expected, atol=1e-18)
 
     def test_gains_zero_lower_capacitor_column_matches_open_loop(self):
         p = sec3_like()
         op = solve(p, 0.5, 3)
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0, omega1=W1)
-        fset = compute_f_coefficients(op, p, ctrl)
-        expected = (-1.0 / (2 * p.C_arm)) * op.indices.lower["a"]
-        assert np.allclose(fset.vl1["a"].coeffs, expected.coeffs, atol=1e-18)
+        fc = compute_f_coefficients(op, p, ctrl)
+        expected = (-1.0 / (2 * p.C_arm)) * op.n_l[0]
+        assert np.allclose(fc.A0[S("v_cla"), S("i_ga")], expected, atol=1e-18)
 
 
 class TestAssembly:
@@ -130,33 +136,28 @@ class TestAssembly:
 
     def test_pr_integrator_chain_blocks(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
-        Q = frequency_matrix(3, W1).matrix
-        assert np.array_equal(model.A.get_block("pr_a2", "pr_a1"), np.eye(7))
-        assert np.array_equal(model.A.get_block("pr_a2", "pr_a2"), -Q)
-        assert np.array_equal(
-            model.A.get_block("pr_a1", "pr_a2"), -(W1**2) * np.eye(7)
-        )
+        Q = np.diag(frequency_matrix(3, W1))
+        assert np.array_equal(block(model, "pr_a2", "pr_a1"), np.eye(7))
+        assert np.array_equal(block(model, "pr_a2", "pr_a2"), -Q)
+        assert np.array_equal(block(model, "pr_a1", "pr_a2"), -(W1**2) * np.eye(7))
 
     def test_reference_input_couplings(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
-        fset = model.f_coeffs
-        assert np.allclose(
-            model.B.get_block("i_ga", "v_ga_ref"), toeplitz(fset.i3["a"]).matrix
-        )
-        assert np.array_equal(
-            model.B.get_block("pr_a1", "v_ga_ref"), sec3_cfg.ctrl.K_r * np.eye(7)
-        )
-        assert np.count_nonzero(model.B.get_block("pr_a2", "v_ga_ref")) == 0
-        assert np.count_nonzero(model.B.get_block("i_ga", "v_gb_ref")) == 0
+        fc = compute_f_coefficients(sec3_op, sec3_params, sec3_cfg.ctrl)
+        i3 = fc.B[S("i_ga"), SMALLSIG_INPUT_LABELS.index("v_ga_ref")]
+        assert np.allclose(block(model, "i_ga", "v_ga_ref"), toeplitz(i3))
+        assert np.array_equal(block(model, "pr_a1", "v_ga_ref"), sec3_cfg.ctrl.K_r * np.eye(7))
+        assert np.count_nonzero(block(model, "pr_a2", "v_ga_ref")) == 0
+        assert np.count_nonzero(block(model, "i_ga", "v_gb_ref")) == 0
 
     def test_zero_gains_about_equilibrium_reduce_to_open_loop(self):
         p = sec3_like()
         op = solve(p, 0.0, 2)
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0, omega1=W1)
         model = assemble_smallsignal(op, p, ctrl, 2)
-        steady = assemble_steady(p, open_loop_insertion_indices(0.0, 2, W1), 2)
+        steady = assemble_steady(p, open_loop_insertion_indices(0.0, 2), 2)
         n12 = 12 * 5
-        assert np.allclose(model.A.dense[:n12, :n12], steady.A.dense, atol=1e-12)
+        assert np.allclose(model.A[:n12, :n12], steady.A, atol=1e-12)
 
 
 class TestEigenvalues:
@@ -236,7 +237,7 @@ class TestEnvelope:
         assert 0.01 <= dt * np.max(np.abs(smallsig_ctx.eig)) <= 0.02
         t_end = 10 * sec3_cfg.params.period
         env = envelope_response(model, [(0.0, u)], t_end=t_end, dt=dt)
-        ref = rk4_envelope(model.A.dense, model.B.dense @ u, int(round(t_end / dt)), dt)
+        ref = rk4_envelope(model.A, model.B @ u, int(round(t_end / dt)), dt)
         err = np.max(np.abs(env.states - ref)) / np.max(np.abs(ref))
         assert err <= 1e-8
 
@@ -298,11 +299,8 @@ class TestEnvelope:
         import dataclasses
 
         model = smallsig_ctx.model
-        A = model.A.dense.copy()
-        A[model.A.row_slice("pr_a2")] = 0.0
-        singular = dataclasses.replace(
-            model, A=HarmonicBlockMatrix(model.A.block_rows, model.A.block_cols, model.h, A)
-        )
+        singular = dataclasses.replace(model, A=model.A.copy())
+        block(singular, "pr_a2")[:] = 0.0
         u = lifted_reference_step(model, "a", 10e3)
         with pytest.raises(SingularSystemError):
             settled_envelope_state(singular, u)
@@ -420,20 +418,20 @@ class TestLinearizationPoint:
         cfg = dataclasses.replace(sec3_cfg, h=h)
         params, ctrl = cfg.params, cfg.ctrl
         op = solve_operating_point(cfg)
-        ref = assemble_smallsignal(op, params, ctrl, h).A.dense
+        ref = assemble_smallsignal(op, params, ctrl, h).A
 
         n_samples = 4 * (2 * h + 1)
         ts = np.arange(n_samples) * params.period / n_samples
         samples = np.array([time_domain_linearized_A(op, params, ctrl, t) for t in ts])
         n = 2 * h + 1
-        Q = frequency_matrix(h, W1).matrix
+        Q = np.diag(frequency_matrix(h, W1))
         lifted = np.zeros_like(ref)
         for r in range(18):
             for c in range(18):
-                block = toeplitz(analyze(samples[:, r, c], h, W1)).matrix
+                lifted_rc = toeplitz(analyze(samples[:, r, c], h, W1))
                 if r == c:
-                    block = block - Q
-                lifted[r * n : (r + 1) * n, c * n : (c + 1) * n] = block
+                    lifted_rc = lifted_rc - Q
+                lifted[r * n : (r + 1) * n, c * n : (c + 1) * n] = lifted_rc
         assert np.max(np.abs(lifted - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_jacobian_requires_resistive_load(self, sec3_op, sec3_cfg):
@@ -450,3 +448,63 @@ class TestFirstOrderConvergence:
         for var in ("i_c", "i_g"):
             ratio = ten.peak_error[var] / five.peak_error[var]
             assert ratio >= 1.8
+
+
+def _previous_phase(label):
+    """Label of the same state one phase back: the block that relabelling
+    the phases a -> b -> c moves onto ``label``."""
+    prev = {"a": "c", "b": "a", "c": "b"}
+    if label.startswith("pr_"):
+        return f"pr_{prev[label[3]]}{label[4]}"
+    return label[:-1] + prev[label[-1]]
+
+
+def lift_symmetry_defects(model):
+    """Relative defects of the two structural symmetries of a lifted A.
+
+    Conjugate symmetry: J A J = conj(A), J the per-block harmonic flip.
+    120-degree rotation: P A P^T = D A D*, P the relabelling a -> b -> c of
+    the state blocks and D = I kron diag(exp(+j k 2 pi / 3)).
+    """
+    A = model.A
+    n = 2 * model.h + 1
+    labels = model.state_labels
+    start = np.arange(len(labels))[:, None] * n
+    flip = (start + np.arange(n)[::-1]).ravel()
+    rotation = (
+        np.array([labels.index(_previous_phase(lbl)) for lbl in labels])[:, None] * n + np.arange(n)
+    ).ravel()
+    d = np.tile(np.exp(2j * np.pi / 3 * np.arange(-model.h, model.h + 1)), len(labels))
+    scale = np.max(np.abs(A))
+    conjugate = np.max(np.abs(A[np.ix_(flip, flip)] - np.conj(A))) / scale
+    rotated = np.max(np.abs(A[np.ix_(rotation, rotation)] - d[:, None] * A * np.conj(d))) / scale
+    return conjugate, rotated
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    preset=st.sampled_from(("sec3-simulation", "table1-prototype")),
+    m=st.floats(0.0, 1.0),
+    h=st.integers(1, 10),
+    x_over_r=st.floats(0.0, 0.5),
+)
+def test_lift_symmetries(preset, m, h, x_over_r):
+    from hssmmc.config import load_config
+    from hssmmc.pipelines import solve_operating_point
+
+    cfg = load_config(preset)
+    params = dataclasses.replace(
+        cfg.params, L_load=x_over_r * cfg.params.R_load / cfg.params.omega1
+    )
+    steady = assemble_steady(params, open_loop_insertion_indices(m, h), h)
+    assert max(lift_symmetry_defects(steady)) <= 1e-13
+
+    # The small-signal lift needs a solved operating point. Below m = 0.01
+    # the solve's per-state conjugate-symmetry gate can reject the
+    # m^2-sized circulating-current rows as round-off noise (sec3 at
+    # m = 1e-5), a known limit of that gate and not of the lift, so such
+    # draws linearize about the m = 0 point instead.
+    m_op = m if m >= 0.01 else 0.0
+    op = solve_operating_point(dataclasses.replace(cfg, m=m_op, h=h, params=params))
+    model = assemble_smallsignal(op, params, cfg.ctrl, h)
+    assert max(lift_symmetry_defects(model)) <= 1e-13
