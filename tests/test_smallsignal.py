@@ -1,7 +1,5 @@
 """Closed-loop linearization: gain vectors, lifted assembly, envelopes."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -489,6 +487,8 @@ def lift_symmetry_defects(model):
     x_over_r=st.floats(0.0, 0.5),
 )
 def test_lift_symmetries(preset, m, h, x_over_r):
+    import dataclasses
+
     from hssmmc.config import load_config
     from hssmmc.pipelines import solve_operating_point
 
