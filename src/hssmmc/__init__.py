@@ -32,8 +32,6 @@ from .plant import (
     MmcParameters,
     open_loop_insertion_indices,
     plant_rhs,
-    time_domain_A,
-    time_domain_B,
 )
 from .steady import (
     OperatingPoint,
@@ -53,7 +51,6 @@ from .smallsignal import (
 )
 from .simulate import (
     ComparisonReport,
-    ReferenceStep,
     SimulationConfig,
     Trajectory,
     compare_spectra,

@@ -68,10 +68,6 @@ class HarmonicVector:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zeros(cls, order: int, base_frequency: float) -> "HarmonicVector":
-        return cls(order, base_frequency, np.zeros(2 * order + 1, dtype=complex))
-
-    @classmethod
     def constant(cls, value: complex, order: int, base_frequency: float) -> "HarmonicVector":
         c = np.zeros(2 * order + 1, dtype=complex)
         c[order] = value
@@ -84,25 +80,6 @@ class HarmonicVector:
             if abs(k) > order:
                 raise OrderMismatchError(f"harmonic index {k} exceeds order {order}")
             c[k + order] = v
-        return cls(order, base_frequency, c)
-
-    @classmethod
-    def cosine(
-        cls,
-        dc: float,
-        amplitude: float,
-        phase: float,
-        order: int,
-        base_frequency: float,
-    ) -> "HarmonicVector":
-        """Vector of ``dc + amplitude*cos(w1*t - phase)``."""
-        if order < 1 and amplitude != 0.0:
-            raise OrderMismatchError("order >= 1 required for a fundamental component")
-        c = np.zeros(2 * order + 1, dtype=complex)
-        c[order] = dc
-        if order >= 1:
-            c[order + 1] = 0.5 * amplitude * np.exp(-1j * phase)
-            c[order - 1] = 0.5 * amplitude * np.exp(+1j * phase)
         return cls(order, base_frequency, c)
 
     # -- indexing and algebra ----------------------------------------
@@ -151,20 +128,6 @@ class HarmonicVector:
 
     def is_real_signal(self, rtol: float = SYMMETRY_RTOL) -> bool:
         return self.conjugate_symmetry_defect() <= rtol
-
-    def truncate(self, order: int) -> "HarmonicVector":
-        """Shrink or zero-pad to a new truncation order."""
-        if order == self.order:
-            return self
-        c = np.zeros(2 * order + 1, dtype=complex)
-        m = min(order, self.order)
-        c[order - m : order + m + 1] = self.coeffs[self.order - m : self.order + m + 1]
-        return HarmonicVector(order, self.base_frequency, c)
-
-    def derivative(self) -> "HarmonicVector":
-        """Coefficient vector of the time derivative (j*k*w1 scaling)."""
-        q = frequency_matrix(self.order, self.base_frequency)
-        return HarmonicVector(self.order, self.base_frequency, q * self.coeffs)
 
 
 def toeplitz(src) -> np.ndarray:

@@ -157,23 +157,79 @@ def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     _require_controller(cfg)
     op = solve_operating_point(cfg)
     refs = references_from_operating_point(op, cfg.params)
-    events = ()
-    if cfg.step is not None:
-        from .simulate import ReferenceStep
-
-        delta = cfg.step.amplitude * np.exp(1j * np.angle(refs[cfg.step.phase]))
-        events = (ReferenceStep(time=cfg.step.time, phase=cfg.step.phase, delta=delta),)
-    sim_cfg = SimulationConfig(
-        dt=cfg.sim.dt,
-        t_end=cfg.sim.t_end,
-        settle_periods=cfg.sim.settle_periods,
-        events=events,
-    )
-    traj = simulate_closed_loop(cfg.params, cfg.ctrl, refs, sim_cfg)
+    if cfg.step is None:
+        traj = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim)
+    else:
+        # A step at or after the end of the run leaves the whole run before
+        # it. The segments are dropped once joined.
+        n_end = cfg.sim.n_steps()
+        traj = ReferenceStepRuns(cfg, refs, min(step_grid_index(cfg), n_end)).joined(
+            cfg.step.amplitude, n_end
+        )
     write_trajectory_csv(out / "trajectory.csv", traj, STATE_LABELS, timestamp)
     checks = [("completed", True, f"{traj.t.size - 1} steps")]
     write_report(out / "report.txt", "closed-loop simulation", checks, timestamp)
     return 0
+
+
+def step_grid_index(cfg: RunConfig) -> int:
+    """Integration grid point of the configured reference step."""
+    return int(round(cfg.step.time / cfg.sim.dt))
+
+
+class ReferenceStepRuns:
+    """Closed-loop runs around the configured reference step, applied as
+    run segments.
+
+    ``pre`` runs from the cold start to grid point ``n_step`` with the
+    references ``refs``. Each ``after`` run continues from its final state
+    with constant references, the stepped phase's phasor lengthened by
+    ``amplitude`` volts along itself. So the step is active from the first
+    interval that starts at its grid point, as the lifted envelope's input is.
+    """
+
+    def __init__(self, cfg: RunConfig, refs: dict[str, complex], n_step: int):
+        if n_step < 1:
+            raise SchemaViolationError("[step]: the step must come at least one grid step after t = 0")
+        self.cfg = cfg
+        self.refs = refs
+        self.n_step = n_step
+        self.t_step = n_step * cfg.sim.dt
+        self.pre = simulate_closed_loop(
+            cfg.params, cfg.ctrl, refs, SimulationConfig(dt=cfg.sim.dt, t_end=self.t_step)
+        )
+
+    def delta(self, amplitude: float) -> complex:
+        """Reference phasor step of ``amplitude`` volts along the stepped phase's phasor."""
+        return amplitude * np.exp(1j * np.angle(self.refs[self.cfg.step.phase]))
+
+    def after(self, amplitude: float, n_steps: int) -> Trajectory:
+        """The ``n_steps`` steps from the step's grid point on."""
+        refs = dict(self.refs)
+        refs[self.cfg.step.phase] = refs[self.cfg.step.phase] + self.delta(amplitude)
+        x_step = np.hstack([self.pre.states[-1], self.pre.controller[-1]])
+        dt = self.cfg.sim.dt
+        run_cfg = SimulationConfig(dt=dt, t_end=self.t_step + n_steps * dt)
+        return simulate_closed_loop(
+            self.cfg.params, self.cfg.ctrl, refs, run_cfg, x0=x_step, t_start=self.t_step
+        )
+
+    def joined(self, amplitude: float, n_end: int) -> Trajectory:
+        """One trajectory over grid points 0..n_end: ``pre`` up to the step
+        row and the stepped run from it, timed t = n * dt as a run from zero."""
+        pre = self.pre
+        after = self.after(amplitude, n_end - self.n_step)
+
+        def join(a, b):
+            return np.concatenate([a[:-1], b])
+
+        return Trajectory(
+            t=np.arange(n_end + 1) * self.cfg.sim.dt,
+            states=join(pre.states, after.states),
+            controller=join(pre.controller, after.controller),
+            n_upper=join(pre.n_upper, after.n_upper),
+            n_lower=join(pre.n_lower, after.n_lower),
+        )
 
 
 # ----------------------------------------------------------- verify-steady
@@ -295,8 +351,9 @@ class SmallsigComparison:
 class SmallsigContext:
     """Shared state for small-signal verification runs.
 
-    Builds the operating point, the lifted model, and the common pre-step
-    nonlinear segment once; individual step amplitudes reuse them.
+    Builds the operating point, the lifted model, the closed-loop run up to
+    the step and the baseline continuation once; individual step amplitudes
+    reuse them.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -304,57 +361,32 @@ class SmallsigContext:
         if cfg.step is None:
             raise SchemaViolationError("[step]: section required for this scenario")
         self.cfg = cfg
-        self.params = cfg.params
         self.op = solve_operating_point(cfg)
         self.refs = references_from_operating_point(self.op, cfg.params)
         self.model = assemble_smallsignal(self.op, cfg.params, cfg.ctrl, cfg.h)
         self.eig = eigenvalues(self.model)
 
-        # The timeline derives from the step configuration alone: a common
-        # pre-step segment, then baseline and stepped continuations covering
-        # the comparison window.
-        dt = cfg.sim.dt
-        self.dt = dt
-        self.spp = int(round(cfg.params.period / dt))
-        self.step_index = int(round(cfg.step.time / dt))
-        self.t_step = self.step_index * dt
+        # The timeline derives from the step configuration alone: the run up
+        # to the step, then baseline and stepped continuations covering the
+        # comparison window.
+        self.dt = cfg.sim.dt
+        self.spp = int(round(cfg.params.period / self.dt))
         self.window_steps = cfg.step.window_periods * self.spp
-
-        pre_cfg = SimulationConfig(
-            dt=dt, t_end=self.t_step, settle_periods=min(cfg.sim.settle_periods, 2)
-        )
-        self.common = simulate_closed_loop(cfg.params, cfg.ctrl, self.refs, pre_cfg)
-        self._x_step = np.hstack([self.common.states[-1], self.common.controller[-1]])
-
-        run_cfg = SimulationConfig(
-            dt=dt, t_end=self.t_step + self.window_steps * dt, settle_periods=2
-        )
-        self.baseline = simulate_closed_loop(
-            cfg.params, cfg.ctrl, self.refs, run_cfg, x0=self._x_step, t_start=self.t_step
-        )
+        self.runs = ReferenceStepRuns(cfg, self.refs, step_grid_index(cfg))
+        self.baseline = self.runs.after(0.0, self.window_steps)
 
     def compare(self, amplitude: float) -> SmallsigComparison:
-        cfg = self.cfg
-        phase = cfg.step.phase
-        direction = np.exp(1j * np.angle(self.refs[phase]))
-        delta = amplitude * direction
+        phase = self.cfg.step.phase
+        stepped = self.runs.after(amplitude, self.window_steps)
 
-        refs_stepped = dict(self.refs)
-        refs_stepped[phase] = refs_stepped[phase] + delta
-        run_cfg = SimulationConfig(
-            dt=self.dt, t_end=self.t_step + self.window_steps * self.dt, settle_periods=2
-        )
-        stepped = simulate_closed_loop(
-            cfg.params, cfg.ctrl, refs_stepped, run_cfg, x0=self._x_step, t_start=self.t_step
-        )
-
-        u_vec = lifted_reference_step(self.model, phase, delta)
+        t_step = self.runs.t_step
+        u_vec = lifted_reference_step(self.model, phase, self.runs.delta(amplitude))
         env = envelope_response(
             self.model,
-            [(self.t_step, u_vec)],
-            t_end=self.t_step + self.window_steps * self.dt,
+            [(t_step, u_vec)],
+            t_end=t_step + self.window_steps * self.dt,
             dt=self.dt,
-            t_start=self.t_step,
+            t_start=t_step,
         )
 
         t = env.t
@@ -371,7 +403,7 @@ class SmallsigContext:
             reconstructed[var] = d_hss
             nrmse_map[var] = nrmse(d_nl, d_hss)
             peak_error[var] = float(np.max(np.abs(d_hss - d_nl)))
-            pre_peak[var] = float(np.max(np.abs(self.common.series(var, phase)[-self.spp - 1 :])))
+            pre_peak[var] = float(np.max(np.abs(self.runs.pre.series(var, phase)[-self.spp - 1 :])))
             post_peak[var] = float(np.max(np.abs(stepped.series(var, phase)[-self.spp - 1 :])))
 
         return SmallsigComparison(

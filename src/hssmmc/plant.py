@@ -5,7 +5,7 @@ insertion indices, and the plant equations in two independent encodings.
   plant, dx/dt = A0(t) x + A1(t) dx/dt + B(t) u, with the Fourier
   coefficients of every entry along the last axis. Both lifted models are
   lifts of it (``PeriodicCoefficients.lifted``, a ``LiftedModel``), and
-  ``time_domain_A`` / ``time_domain_B`` evaluate it at one instant.
+  ``PeriodicCoefficients.at`` evaluates it at one instant.
 - ``plant_rhs`` is the direct-form right-hand side the reference simulator
   integrates. It is kept separate from the coefficient model so that the
   simulator checks the lifted models against an independent encoding.
@@ -270,18 +270,3 @@ def plant_coefficients(params: MmcParameters, n_u: np.ndarray, n_l: np.ndarray) 
     fold_terminal_voltage(A0, A1, g, params)
     return PeriodicCoefficients(params.omega1, A0, A1, B)
 
-
-def time_domain_A(n_u: np.ndarray, n_l: np.ndarray, params: MmcParameters) -> np.ndarray:
-    """Instantaneous 12x12 state matrix for given index values.
-
-    plant_rhs(x, ...) == time_domain_A(...) @ x + time_domain_B(params) * v_dc
-    holds to round-off.
-    """
-    model = plant_coefficients(params, np.asarray(n_u)[:, None], np.asarray(n_l)[:, None])
-    return model.at(0.0)[0]
-
-
-def time_domain_B(params: MmcParameters) -> np.ndarray:
-    """Input column multiplying the dc-bus voltage."""
-    zero = np.zeros((3, 1))
-    return plant_coefficients(params, zero, zero).at(0.0)[1][:, 0]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .harmonic import HarmonicVector
 from .simulate import Trajectory
+from .smallsignal import PR_LABELS
 
 SPECTRUM_COLUMNS = ("k", "real", "imag", "magnitude", "phase_deg")
 WAVEFORM_COLUMNS = ("t", "value_hss", "value_sim", "abs_error")
@@ -54,11 +55,12 @@ def write_waveform_csv(path: Path, t, value_hss, value_sim, timestamp: bool) -> 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, labels, timestamp: bool) -> None:
     columns = ["time", *labels]
-    data = traj.states
+    # Rows read states and controller in place; stacking them would copy the run.
+    controller = np.empty((traj.t.size, 0))
     if traj.controller is not None:
-        columns += ["pr_a1", "pr_a2", "pr_b1", "pr_b2", "pr_c1", "pr_c2"]
-        data = np.hstack([traj.states, traj.controller])
-    rows = ((traj.t[i], *data[i]) for i in range(traj.t.size))
+        columns += PR_LABELS
+        controller = traj.controller
+    rows = ((traj.t[i], *traj.states[i], *controller[i]) for i in range(traj.t.size))
     write_csv(path, columns, rows, timestamp)
 
 

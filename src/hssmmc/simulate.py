@@ -3,8 +3,11 @@
 Fixed-step RK4, deterministic and bit-reproducible for identical inputs.
 Open-loop runs drive the plant with sinusoidal insertion indices;
 closed-loop runs add the per-phase proportional-resonant ac-voltage
-controller. Settled trajectories feed the spectral extraction used to
-cross-check the lifted models.
+controller, with reference phasors that are constant over a run. A
+reference step is two runs: the second starts from the first one's final
+state with the stepped references (``pipelines.ReferenceStepRuns``).
+Settled trajectories feed the spectral extraction used to cross-check the
+lifted models.
 
 The open-loop periodic steady state comes from shooting
 (``settled_open_loop``): the RK4 map over one period is affine, and its
@@ -44,38 +47,22 @@ _PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
 
 
 @dataclass(frozen=True)
-class ReferenceStep:
-    """Reference-amplitude step event: add ``delta`` (complex phasor volts)
-    to one phase's fundamental reference at ``time`` seconds."""
-
-    time: float
-    phase: str
-    delta: complex
-
-    def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}")
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     """Fixed-step integration settings."""
 
     dt: float
     t_end: float
     settle_periods: int = 40
-    events: tuple[ReferenceStep, ...] = ()
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.t_end <= 0:
             raise ValueError("t_end must be > 0")
-        times = [e.time for e in self.events]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("event times must be strictly increasing")
 
     def validate_against(self, params: MmcParameters):
+        """Run-length check of ``simulate_open_loop`` and ``settled_open_loop``:
+        the run must be longer than ``settle_periods`` fundamental periods."""
         if self.t_end <= self.settle_periods * params.period:
             raise ValueError("t_end must exceed settle_periods fundamental periods")
 
@@ -292,17 +279,18 @@ def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
     return 0.5 - v_mod / v_dc, 0.5 + v_mod / v_dc, v_g
 
 
-def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps_of_t):
-    """Right-hand side of the 18-state closed-loop model."""
+def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.ndarray):
+    """Right-hand side of the 18-state closed-loop model with constant
+    per-phase reference phasors ``amps`` (3,)."""
     w1 = params.omega1
     w1sq = ctrl.omega1 ** 2
     v_dc = params.V_dc
     K_r = ctrl.K_r
+    re, im = amps.real, amps.imag
 
     def rhs(t, x):
-        amps = amps_of_t(t)
         # Scalar t: math.cos costs a fraction of np.cos per call.
-        v_star = amps.real * math.cos(w1 * t) - amps.imag * math.sin(w1 * t)
+        v_star = re * math.cos(w1 * t) - im * math.sin(w1 * t)
         n_u, n_l, v_g = _index_law(params, ctrl, v_star, x)
         d = np.empty(18)
         d[0:12] = plant_rhs(x[0:12], n_u, n_l, v_dc, params)
@@ -311,41 +299,6 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps_of_t):
         return d
 
     return rhs
-
-
-def _amplitude_schedule(refs: dict[str, complex], events, dt: float):
-    """Right-continuous per-phase reference phasors as a function of time,
-    for one time or an array of times.
-
-    Event times are snapped to the nearest integration grid point.
-    """
-    base = np.array([refs[p] for p in PHASES], dtype=complex)
-    if not events:
-        return lambda t: base
-
-    snapped = []
-    amps_list = [base]
-    current = base
-    for ev in events:
-        current = current.copy()
-        current[PHASES.index(ev.phase)] += ev.delta
-        snapped.append(round(ev.time / dt) * dt)
-        amps_list.append(current)
-    times = np.array(snapped)
-    amps_arr = np.array(amps_list)
-    eps = 0.25 * dt
-
-    def amps_of_t(t):
-        return amps_arr[np.searchsorted(times, t + eps)]
-
-    return amps_of_t
-
-
-def closed_loop_initial_state(params: MmcParameters) -> np.ndarray:
-    """Default cold start: capacitors at V_dc, currents and controller zero."""
-    x0 = np.zeros(18)
-    x0[3:9] = params.V_dc
-    return x0
 
 
 def simulate_closed_loop(
@@ -359,19 +312,20 @@ def simulate_closed_loop(
     """Integrate the closed-loop model with per-phase reference phasors.
 
     ``refs[p]`` is the complex fundamental phasor of phase p's voltage
-    reference, v*(t) = Re(refs[p] * exp(j w1 t)). Events listed in the
-    configuration add phasor steps at (grid-snapped) times.
+    reference, v*(t) = Re(refs[p] * exp(j w1 t)), constant over the run.
+    The run covers ``t_start`` to ``cfg.t_end``; the default start is the
+    cold start of ``default_initial_state`` with zero controller states.
     """
-    cfg.validate_against(params)
-    amps_of_t = _amplitude_schedule(refs, cfg.events, cfg.dt)
-    rhs = _closed_loop_rhs(params, ctrl, amps_of_t)
+    amps = np.array([refs[p] for p in PHASES], dtype=complex)
+    rhs = _closed_loop_rhs(params, ctrl, amps)
 
-    x_init = closed_loop_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
+    if x0 is None:
+        x0 = np.concatenate([default_initial_state(params), np.zeros(6)])
     n_steps = int(round((cfg.t_end - t_start) / cfg.dt))
-    states = _rk4(rhs, x_init, t_start, n_steps, cfg.dt, max(params.V_dc, 1.0), params.period)
+    states = _rk4(rhs, x0, t_start, n_steps, cfg.dt, max(params.V_dc, 1.0), params.period)
 
     t = t_start + np.arange(states.shape[0]) * cfg.dt
-    n_u, n_l = _reconstruct_indices(params, ctrl, amps_of_t, t, states)
+    n_u, n_l = _reconstruct_indices(params, ctrl, amps, t, states)
     return Trajectory(
         t=t,
         states=states[:, 0:12],
@@ -381,10 +335,9 @@ def simulate_closed_loop(
     )
 
 
-def _reconstruct_indices(params, ctrl, amps_of_t, t, states):
+def _reconstruct_indices(params, ctrl, amps, t, states):
     """Insertion indices along a run, from the same index law as the run."""
     w1t = params.omega1 * t[:, None]
-    amps = amps_of_t(t)
     v_star = amps.real * np.cos(w1t) - amps.imag * np.sin(w1t)
     n_u, n_l, _ = _index_law(params, ctrl, v_star, states)
     return n_u, n_l

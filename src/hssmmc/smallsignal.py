@@ -161,9 +161,10 @@ def load_voltage_spectrum(op: OperatingPoint, params: MmcParameters, phase: str)
 def references_from_operating_point(op: OperatingPoint, params: MmcParameters) -> dict[str, complex]:
     """Per-phase fundamental reference phasors matching the operating point.
 
-    Returned phasors V satisfy v*(t) = Re(V exp(j w1 t)); choosing them as
-    the operating point's own fundamental terminal voltage makes the
-    closed loop settle onto (essentially) the same periodic orbit.
+    Returned phasors V satisfy v*(t) = Re(V exp(j w1 t)) and reproduce the
+    operating point's own fundamental terminal voltage. The closed loop
+    settles near that open-loop orbit but not onto it: the controller also
+    feeds back the load-voltage harmonics.
     """
     refs = {}
     for p in PHASES:

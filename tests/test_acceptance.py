@@ -185,7 +185,7 @@ def test_criterion_6_analytic_jacobian_check(sec3_cfg, sec3_op):
     refs = references_from_operating_point(sec3_op, params)
     prs = operating_controller_states(sec3_op, params, ctrl, refs)
     base = np.array([refs[p] for p in PHASES])
-    rhs = _closed_loop_rhs(params, ctrl, lambda t: base)
+    rhs = _closed_loop_rhs(params, ctrl, base)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for t in rng.uniform(0.0, params.period, size=50):

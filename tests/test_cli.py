@@ -38,6 +38,13 @@ def fast_config(tmp_path):
     return str(path)
 
 
+def fast_config_with_step(tmp_path, period, phase="a"):
+    path = tmp_path / f"step{period}{phase}.ini"
+    step = f"\n[step]\nperiod = {period}\nphase = {phase}\namplitude = 15.0\nwindow_periods = 6\n"
+    path.write_text(FAST + step, encoding="utf-8")
+    return str(path)
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -131,6 +138,51 @@ class TestSimulateScenarios:
         assert main(["simulate-closed", "--config", fast_config, "--out", str(out), "--no-timestamp"]) == 0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header.endswith("pr_a1,pr_a2,pr_b1,pr_b2,pr_c1,pr_c2")
+
+    def test_closed_loop_step_is_the_smallsig_stepped_run(self, tmp_path, monkeypatch):
+        # simulate-closed and verify-smallsig apply a reference step the
+        # same way: from the step row on, the exported run is the stepped
+        # run of the small-signal comparison, bit for bit.
+        import numpy as np
+
+        from hssmmc import pipelines
+        from hssmmc.config import load_config
+
+        cfgp = fast_config_with_step(tmp_path, 4, "b")
+        exported = []
+        monkeypatch.setattr(pipelines, "write_trajectory_csv", lambda path, traj, *a: exported.append(traj))
+        assert main(["simulate-closed", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+        (traj,) = exported
+
+        runs = []
+        simulate = pipelines.simulate_closed_loop
+        monkeypatch.setattr(
+            pipelines, "simulate_closed_loop", lambda *a, **k: runs.append(simulate(*a, **k)) or runs[-1]
+        )
+        cfg = load_config(cfgp)
+        pipelines.SmallsigContext(cfg).compare(cfg.step.amplitude)
+        stepped = runs[-1]
+
+        n_step = 4 * 400  # t_end = t_step + window
+        assert traj.t.size == n_step + stepped.t.size
+        assert np.array_equal(traj.t, np.arange(traj.t.size) * cfg.sim.dt)
+        for name in ("states", "controller", "n_upper", "n_lower"):
+            assert np.array_equal(getattr(traj, name)[n_step:], getattr(stepped, name)), name
+
+    def test_closed_loop_step_at_or_after_the_end_leaves_the_run_unstepped(self, fast_config, tmp_path):
+        def trajectory(config, name):
+            out = tmp_path / name
+            assert main(["simulate-closed", "--config", config, "--out", str(out), "--no-timestamp"]) == 0
+            return (out / "trajectory.csv").read_text()
+
+        plain = trajectory(fast_config, "plain")
+        for period in (10, 12):  # total_periods = 10
+            assert trajectory(fast_config_with_step(tmp_path, period), f"step{period}") == plain
+
+    @pytest.mark.parametrize("scenario", ["simulate-closed", "verify-smallsig"])
+    def test_step_at_start_is_a_config_error(self, tmp_path, scenario):
+        cfgp = fast_config_with_step(tmp_path, 0)
+        assert main([scenario, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
 
 
 class TestSweepScenario:

@@ -10,13 +10,16 @@ from hssmmc import (
     open_loop_insertion_indices,
     plant_rhs,
     synthesize,
-    time_domain_A,
-    time_domain_B,
     toeplitz,
 )
-from hssmmc.plant import PHASES, state_position
+from hssmmc.plant import PHASES, plant_coefficients, state_position
 
 W1 = 314.0
+
+
+def state_space_at(p, n_u, n_l):
+    """Instantaneous (A, B) of the plant for index values (3,) n_u and n_l."""
+    return plant_coefficients(p, np.asarray(n_u)[:, None], np.asarray(n_l)[:, None]).at(0.0)
 
 
 def sec3_like():
@@ -128,13 +131,13 @@ class TestPlantRhs:
     def test_matches_matrix_form(self):
         rng = np.random.default_rng(20)
         p = sec3_like()
-        B = time_domain_B(p)
         for _ in range(1000):
             x = rng.normal(scale=1e3, size=12)
             n_u = rng.uniform(0, 1, size=3)
             n_l = rng.uniform(0, 1, size=3)
             direct = plant_rhs(x, n_u, n_l, p.V_dc, p)
-            matrix = time_domain_A(n_u, n_l, p) @ x + B * p.V_dc
+            A, B = state_space_at(p, n_u, n_l)
+            matrix = A @ x + B[:, 0] * p.V_dc
             scale = np.max(np.abs(direct)) or 1.0
             assert np.max(np.abs(direct - matrix)) <= 1e-12 * scale
 
@@ -144,7 +147,7 @@ class TestPlantRhs:
         x = rng.normal(scale=1e3, size=12)
         n_u = rng.uniform(0, 1, size=3)
         n_l = rng.uniform(0, 1, size=3)
-        A = time_domain_A(n_u, n_l, p)
+        A, _ = state_space_at(p, n_u, n_l)
         J = np.zeros((12, 12))
         for j in range(12):
             e = np.zeros(12)
@@ -160,7 +163,7 @@ class TestPlantRhs:
 
     def test_matrix_entries_at_zero_modulation(self):
         p = sec3_like()
-        A = time_domain_A(np.full(3, 0.5), np.full(3, 0.5), p)
+        A, _ = state_space_at(p, np.full(3, 0.5), np.full(3, 0.5))
         assert A[0, 3] == pytest.approx(-1 / (4 * p.L))
         assert A[0, 6] == pytest.approx(-1 / (4 * p.L))
         assert A[9, 9] == pytest.approx(-(p.R + 2 * p.R_load) / p.L)
@@ -170,14 +173,14 @@ class TestPlantRhs:
         x = np.zeros(12)
         x[3:9] = p.V_dc
         n = np.full(3, 0.5)
-        A = time_domain_A(n, n, p)
-        assert np.allclose(A @ x + time_domain_B(p) * p.V_dc, 0.0, atol=1e-9)
+        A, B = state_space_at(p, n, n)
+        assert np.allclose(A @ x + B[:, 0] * p.V_dc, 0.0, atol=1e-9)
 
     def test_load_inductance_folds_into_phase_current(self):
         p = MmcParameters(
             R=1.0, L=0.1, C_sm=1e-3, N=10, V_dc=1e3, omega1=W1, R_load=5.0, L_load=0.02
         )
-        A = time_domain_A(np.full(3, 0.5), np.full(3, 0.5), p)
+        A, _ = state_space_at(p, np.full(3, 0.5), np.full(3, 0.5))
         assert A[9, 9] == pytest.approx(-(p.R + 2 * p.R_load) / (p.L + 2 * p.L_load))
         # Circulating rows keep the arm inductance alone.
         assert A[0, 0] == pytest.approx(-p.R / p.L)

@@ -16,7 +16,6 @@ from hssmmc import (
     NotSettledError,
     NumericalBlowupError,
     OrderMismatchError,
-    ReferenceStep,
     SimulationConfig,
     SingularSystemError,
     compare_spectra,
@@ -26,6 +25,8 @@ from hssmmc import (
     simulate_open_loop,
     total_harmonic_distortion,
 )
+from hssmmc.config import RunConfig, StepConfig
+from hssmmc.pipelines import ReferenceStepRuns, step_grid_index
 from hssmmc.plant import PHASES, STATE_VARIABLES
 from hssmmc.simulate import (
     _rk4,
@@ -51,22 +52,10 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(dt=1e-5, t_end=-1.0)
 
-    def test_event_ordering(self):
-        events = (
-            ReferenceStep(time=0.2, phase="a", delta=1.0),
-            ReferenceStep(time=0.1, phase="a", delta=1.0),
-        )
-        with pytest.raises(ValueError):
-            SimulationConfig(dt=1e-5, t_end=1.0, events=events)
-
     def test_settle_budget(self, fast_params):
         cfg = SimulationConfig(dt=1e-5, t_end=0.02, settle_periods=40)
         with pytest.raises(ValueError):
             cfg.validate_against(fast_params)
-
-    def test_reference_step_phase(self):
-        with pytest.raises(ValueError):
-            ReferenceStep(time=0.1, phase="x", delta=1.0)
 
 
 class TestOpenLoop:
@@ -185,13 +174,16 @@ class TestClosedLoop:
         amp = 0.3 * fast_params.V_dc
         refs = {p: amp + 0.0j for p in ("a", "b", "c")}
         T = fast_params.period
-        cfg = SimulationConfig(
-            dt=T / 2000,
-            t_end=24 * T,
-            settle_periods=10,
-            events=(ReferenceStep(time=16 * T, phase="a", delta=0.2 * amp),),
+        cfg = RunConfig(
+            params=fast_params,
+            m=0.5,
+            h=3,
+            sim=SimulationConfig(dt=T / 2000, t_end=24 * T, settle_periods=10),
+            ctrl=ctrl,
+            step=StepConfig(time=16 * T, phase="a", amplitude=0.2 * amp),
         )
-        traj = simulate_closed_loop(fast_params, ctrl, refs, cfg)
+        runs = ReferenceStepRuns(cfg, refs, step_grid_index(cfg))
+        traj = runs.joined(cfg.step.amplitude, cfg.sim.n_steps())
         spp = steps_per_period(traj, W1)
         pre = np.max(np.abs(traj.series("i_g", "a")[14 * spp : 16 * spp]))
         post = np.max(np.abs(traj.series("i_g", "a")[-2 * spp :]))
@@ -269,7 +261,7 @@ class TestCompareSpectra:
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
-            compare_spectra(HarmonicVector.zeros(2, W1), HarmonicVector.zeros(3, W1))
+            compare_spectra(HarmonicVector(2, W1, np.zeros(5)), HarmonicVector(3, W1, np.zeros(7)))
 
 
 class TestDistortion:
@@ -283,7 +275,7 @@ class TestDistortion:
 
     def test_requires_fundamental(self):
         with pytest.raises(OrderMismatchError):
-            total_harmonic_distortion(HarmonicVector.zeros(0, W1))
+            total_harmonic_distortion(HarmonicVector(0, W1, np.zeros(1)))
 
 
 def test_trajectory_series_accessor(fast_params):

@@ -380,7 +380,7 @@ class TestLinearizationPoint:
         refs = references_from_operating_point(sec3_op, sec3_params)
         prs = operating_controller_states(sec3_op, sec3_params, ctrl, refs)
         base = np.array([refs[p] for p in ("a", "b", "c")])
-        rhs = _closed_loop_rhs(sec3_params, ctrl, lambda t: base)
+        rhs = _closed_loop_rhs(sec3_params, ctrl, base)
         rng = np.random.default_rng(33)
         for t in rng.uniform(0.0, sec3_params.period, size=5):
             x_op = np.concatenate(

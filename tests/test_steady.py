@@ -14,10 +14,9 @@ from hssmmc import (
     open_loop_insertion_indices,
     solve_steady_state,
     synthesize,
-    time_domain_A,
     toeplitz,
 )
-from hssmmc.plant import PHASES, STATE_LABELS, plant_rhs
+from hssmmc.plant import PHASES, STATE_LABELS, plant_coefficients, plant_rhs
 
 from conftest import block
 
@@ -46,7 +45,8 @@ class TestAssembly:
     def test_dc_only_reduces_to_instantaneous_matrix(self):
         p = sec3_like()
         model = assemble_steady(p, open_loop_insertion_indices(0.0, 0), 0)
-        expected = time_domain_A(np.full(3, 0.5), np.full(3, 0.5), p)
+        half = np.full((3, 1), 0.5)
+        expected, _ = plant_coefficients(p, half, half).at(0.0)
         assert np.allclose(model.A, expected, atol=1e-15)
         assert np.max(np.abs(model.A.imag)) == 0.0
 
@@ -150,9 +150,11 @@ class TestSolve:
         T = p.period
         ts = np.linspace(0.0, T, 400, endpoint=False)
         labels = [(var, ph) for var in ("i_c", "v_cu", "v_cl", "i_g") for ph in PHASES]
-        deriv = np.array(
-            [synthesize(op.spectrum(var, ph).derivative(), ts) for var, ph in labels]
-        )
+        q = frequency_matrix(5, W1)
+        deriv = np.array([
+            synthesize(HarmonicVector(5, W1, q * op.spectrum(var, ph).coeffs), ts)
+            for var, ph in labels
+        ])
         states = np.array([synthesize(op.spectrum(var, ph), ts) for var, ph in labels])
         n_u = np.array([synthesize(HarmonicVector(5, W1, c), ts) for c in op.n_u])
         n_l = np.array([synthesize(HarmonicVector(5, W1, c), ts) for c in op.n_l])
