@@ -67,11 +67,25 @@ class StepConfig:
     window_periods: int = 10
 
 
+SWEEPABLE_KEYS = {
+    "m", "h",
+    "R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load",
+    "K_p", "K_r", "k_f",
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """Swept key and values; the key is checked here, so a configuration
+    file and a command-line override are held to the same rule."""
+
     key: str
     values: tuple[float, ...]
     scenario: str = "steady"
+
+    def __post_init__(self):
+        if self.key not in SWEEPABLE_KEYS:
+            raise _fail("sweep", "key", f"key must be one of {sorted(SWEEPABLE_KEYS)}")
 
 
 @dataclass(frozen=True)
@@ -264,8 +278,6 @@ def _parse_sweep(s: _Section | None) -> SweepConfig | None:
     if s is None:
         return None
     key = s.get_str("key")
-    if key not in SWEEPABLE_KEYS:
-        raise _fail("sweep", "key", f"key must be one of {sorted(SWEEPABLE_KEYS)}")
     raw = s.get_str("values")
     values = []
     if raw:
@@ -281,13 +293,6 @@ def _parse_sweep(s: _Section | None) -> SweepConfig | None:
     if scenario not in ("steady", "smallsig"):
         raise _fail("sweep", "scenario", "sweep scenario must be steady or smallsig")
     return SweepConfig(key=key, values=tuple(values), scenario=scenario)
-
-
-SWEEPABLE_KEYS = {
-    "m", "h",
-    "R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load",
-    "K_p", "K_r", "k_f",
-}
 
 
 def apply_sweep_value(cfg: RunConfig, key: str, value: float) -> RunConfig:

@@ -27,7 +27,6 @@ from .reports import (
     write_waveform_csv,
 )
 from .simulate import (
-    SimulationConfig,
     Trajectory,
     compare_spectra,
     is_settled,
@@ -40,6 +39,7 @@ from .simulate import (
     total_harmonic_distortion,
 )
 from .smallsignal import (
+    SMALLSIG_STATE_LABELS,
     EnvelopeResponse,
     assemble_smallsignal,
     eigenvalues,
@@ -118,16 +118,14 @@ def _require_controller(cfg: RunConfig):
         raise SchemaViolationError("[controller]: section required for this scenario")
 
 
-def build_smallsignal_model(cfg: RunConfig) -> tuple[OperatingPoint, LiftedModel, dict[str, complex]]:
+def build_smallsignal_model(cfg: RunConfig) -> tuple[OperatingPoint, LiftedModel]:
     _require_controller(cfg)
     op = solve_operating_point(cfg)
-    refs = references_from_operating_point(op, cfg.params)
-    model = assemble_smallsignal(op, cfg.params, cfg.ctrl, cfg.h)
-    return op, model, refs
+    return op, assemble_smallsignal(op, cfg.params, cfg.ctrl, cfg.h)
 
 
 def run_smallsig(cfg: RunConfig, out: Path, timestamp: bool) -> int:
-    _, model, _ = build_smallsignal_model(cfg)
+    _, model = build_smallsignal_model(cfg)
     eig = eigenvalues(model)
     write_eigenvalue_csv(out / "eigenvalues.csv", eig, timestamp)
     stable = float(eig[0].real) < 0.0
@@ -157,16 +155,16 @@ def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     _require_controller(cfg)
     op = solve_operating_point(cfg)
     refs = references_from_operating_point(op, cfg.params)
+    n_end = cfg.sim.n_steps()
     if cfg.step is None:
-        traj = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim)
+        traj = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim.dt, n_end)
     else:
         # A step at or after the end of the run leaves the whole run before
         # it. The segments are dropped once joined.
-        n_end = cfg.sim.n_steps()
         traj = ReferenceStepRuns(cfg, refs, min(step_grid_index(cfg), n_end)).joined(
             cfg.step.amplitude, n_end
         )
-    write_trajectory_csv(out / "trajectory.csv", traj, STATE_LABELS, timestamp)
+    write_trajectory_csv(out / "trajectory.csv", traj, SMALLSIG_STATE_LABELS, timestamp)
     checks = [("completed", True, f"{traj.t.size - 1} steps")]
     write_report(out / "report.txt", "closed-loop simulation", checks, timestamp)
     return 0
@@ -194,10 +192,7 @@ class ReferenceStepRuns:
         self.cfg = cfg
         self.refs = refs
         self.n_step = n_step
-        self.t_step = n_step * cfg.sim.dt
-        self.pre = simulate_closed_loop(
-            cfg.params, cfg.ctrl, refs, SimulationConfig(dt=cfg.sim.dt, t_end=self.t_step)
-        )
+        self.pre = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim.dt, n_step)
 
     def delta(self, amplitude: float) -> complex:
         """Reference phasor step of ``amplitude`` volts along the stepped phase's phasor."""
@@ -207,29 +202,17 @@ class ReferenceStepRuns:
         """The ``n_steps`` steps from the step's grid point on."""
         refs = dict(self.refs)
         refs[self.cfg.step.phase] = refs[self.cfg.step.phase] + self.delta(amplitude)
-        x_step = np.hstack([self.pre.states[-1], self.pre.controller[-1]])
-        dt = self.cfg.sim.dt
-        run_cfg = SimulationConfig(dt=dt, t_end=self.t_step + n_steps * dt)
         return simulate_closed_loop(
-            self.cfg.params, self.cfg.ctrl, refs, run_cfg, x0=x_step, t_start=self.t_step
+            self.cfg.params, self.cfg.ctrl, refs, self.pre.dt, n_steps,
+            x0=self.pre.states[-1], n0=self.n_step,
         )
 
     def joined(self, amplitude: float, n_end: int) -> Trajectory:
         """One trajectory over grid points 0..n_end: ``pre`` up to the step
-        row and the stepped run from it, timed t = n * dt as a run from zero."""
-        pre = self.pre
+        row and the stepped run from it. Both lie on the one grid, so the
+        join is a concatenation."""
         after = self.after(amplitude, n_end - self.n_step)
-
-        def join(a, b):
-            return np.concatenate([a[:-1], b])
-
-        return Trajectory(
-            t=np.arange(n_end + 1) * self.cfg.sim.dt,
-            states=join(pre.states, after.states),
-            controller=join(pre.controller, after.controller),
-            n_upper=join(pre.n_upper, after.n_upper),
-            n_lower=join(pre.n_lower, after.n_lower),
-        )
+        return Trajectory(self.pre.dt, 0, np.concatenate([self.pre.states[:-1], after.states]))
 
 
 # ----------------------------------------------------------- verify-steady
@@ -239,7 +222,7 @@ def run_verify_steady(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     op = solve_operating_point(cfg)
     traj = settled_open_loop(cfg.params, cfg.m, cfg.sim)
     w1 = cfg.params.omega1
-    spp = steps_per_period(traj, w1)
+    spp = steps_per_period(traj.dt, w1)
     t_grid = traj.t[-spp - 1 : -1]
 
     checks = []
@@ -357,20 +340,18 @@ class SmallsigContext:
     """
 
     def __init__(self, cfg: RunConfig):
-        _require_controller(cfg)
         if cfg.step is None:
             raise SchemaViolationError("[step]: section required for this scenario")
         self.cfg = cfg
-        self.op = solve_operating_point(cfg)
+        self.op, self.model = build_smallsignal_model(cfg)
         self.refs = references_from_operating_point(self.op, cfg.params)
-        self.model = assemble_smallsignal(self.op, cfg.params, cfg.ctrl, cfg.h)
         self.eig = eigenvalues(self.model)
 
         # The timeline derives from the step configuration alone: the run up
         # to the step, then baseline and stepped continuations covering the
         # comparison window.
         self.dt = cfg.sim.dt
-        self.spp = int(round(cfg.params.period / self.dt))
+        self.spp = steps_per_period(self.dt, cfg.params.omega1)
         self.window_steps = cfg.step.window_periods * self.spp
         self.runs = ReferenceStepRuns(cfg, self.refs, step_grid_index(cfg))
         self.baseline = self.runs.after(0.0, self.window_steps)
@@ -379,7 +360,7 @@ class SmallsigContext:
         phase = self.cfg.step.phase
         stepped = self.runs.after(amplitude, self.window_steps)
 
-        t_step = self.runs.t_step
+        t_step = self.runs.n_step * self.dt
         u_vec = lifted_reference_step(self.model, phase, self.runs.delta(amplitude))
         env = envelope_response(
             self.model,
@@ -475,18 +456,14 @@ def _write_envelope_csv(
     path: Path, env: EnvelopeResponse, label: str, thin: int, timestamp: bool
 ):
     """Envelopes of one state block at every ``thin``-th grid point."""
-    t = env.t[::thin]
     block = env.block(label)[::thin]
-    h = env.h
     columns = ["t"]
-    for k in range(-h, h + 1):
+    for k in range(-env.h, env.h + 1):
         columns += [f"re_k{k}", f"im_k{k}"]
-    rows = []
-    for i in range(t.size):
-        row = [t[i]]
-        for k in range(2 * h + 1):
-            row += [block[i, k].real, block[i, k].imag]
-        rows.append(row)
+    rows = (
+        (t, *(part for c in coeffs for part in (c.real, c.imag)))
+        for t, coeffs in zip(env.t[::thin], block)
+    )
     write_csv(path, columns, rows, timestamp)
 
 
@@ -525,7 +502,7 @@ def run_sweep(cfg: RunConfig, out: Path, timestamp: bool) -> int:
             if sweep.scenario == "steady":
                 metrics = steady_sweep_row(point)
             else:
-                _, model, _ = build_smallsignal_model(point)
+                _, model = build_smallsignal_model(point)
                 metrics = [float(eigenvalues(model)[0].real)]
             rows.append([value, *metrics, ""])
         except (HssError, ValueError) as exc:  # recorded per value, sweep continues

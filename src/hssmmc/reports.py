@@ -14,7 +14,6 @@ import numpy as np
 
 from .harmonic import HarmonicVector
 from .simulate import Trajectory
-from .smallsignal import PR_LABELS
 
 SPECTRUM_COLUMNS = ("k", "real", "imag", "magnitude", "phase_deg")
 WAVEFORM_COLUMNS = ("t", "value_hss", "value_sim", "abs_error")
@@ -29,15 +28,15 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, columns, rows, timestamp: bool) -> None:
+    """Write the header and then each row as it is formatted, so no more
+    than one line of the file is held in memory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    if timestamp:
-        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        lines.append(f"# generated {now}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        if timestamp:
+            now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            f.write(f"# generated {now}\n")
+        f.write(",".join(columns) + "\n")
+        f.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
 def write_spectrum_csv(path: Path, hv: HarmonicVector, timestamp: bool) -> None:
@@ -54,14 +53,10 @@ def write_waveform_csv(path: Path, t, value_hss, value_sim, timestamp: bool) -> 
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, labels, timestamp: bool) -> None:
-    columns = ["time", *labels]
-    # Rows read states and controller in place; stacking them would copy the run.
-    controller = np.empty((traj.t.size, 0))
-    if traj.controller is not None:
-        columns += PR_LABELS
-        controller = traj.controller
-    rows = ((traj.t[i], *traj.states[i], *controller[i]) for i in range(traj.t.size))
-    write_csv(path, columns, rows, timestamp)
+    """``labels`` names the state columns, in ``traj.states`` order."""
+    # Rows read time and states in place; stacking them would copy the run.
+    rows = ((t, *x) for t, x in zip(traj.t, traj.states))
+    write_csv(path, ("time", *labels), rows, timestamp)
 
 
 def write_eigenvalue_csv(path: Path, eig: np.ndarray, timestamp: bool) -> None:

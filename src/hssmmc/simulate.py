@@ -9,6 +9,10 @@ state with the stepped references (``pipelines.ReferenceStepRuns``).
 Settled trajectories feed the spectral extraction used to cross-check the
 lifted models.
 
+Every run is a ``Trajectory``: one state array on the integer time grid
+t = (n0 + i)·dt, so runs that continue one another lie on one grid and
+join by concatenation.
+
 The open-loop periodic steady state comes from shooting
 (``settled_open_loop``): the RK4 map over one period is affine, and its
 fixed point is the orbit that brute-force settling only approaches. A
@@ -72,25 +76,20 @@ class SimulationConfig:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid solution series of one simulation run."""
+    """One simulation run: ``states[i]`` is the state at t = (n0 + i)·dt.
 
-    t: np.ndarray                       # (n,)
-    states: np.ndarray                  # (n, 12) plant states
-    controller: np.ndarray | None       # (n, 6) PR states, closed loop only
-    n_upper: np.ndarray                 # (n, 3) insertion indices
-    n_lower: np.ndarray                 # (n, 3)
-    dt: float = field(init=False)
+    ``states`` is (n, 12) in ``STATE_LABELS`` order for an open-loop run and
+    (n, 18) in ``SMALLSIG_STATE_LABELS`` order, the plant states followed by
+    the PR controller states, for a closed-loop run.
+    """
+
+    dt: float
+    n0: int
+    states: np.ndarray
+    t: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = self.t.size
-        for name in ("states", "n_upper", "n_lower"):
-            if getattr(self, name).shape[0] != n:
-                raise ValueError(f"{name} length does not match time grid")
-        if self.controller is not None and self.controller.shape[0] != n:
-            raise ValueError("controller length does not match time grid")
-        # Mean spacing: a grid that starts late, t = (n0 + arange(n)) * dt,
-        # has first differences that are off from dt by the rounding of t.
-        self.dt = float((self.t[-1] - self.t[0]) / (n - 1)) if n > 1 else 0.0
+        self.t = (self.n0 + np.arange(self.states.shape[0])) * self.dt
 
     def series(self, variable: str, phase: str) -> np.ndarray:
         from .plant import state_position
@@ -160,11 +159,6 @@ def _open_loop_rhs(params: MmcParameters, m: float, v_dc):
     return rhs
 
 
-def _open_loop_trajectory(params: MmcParameters, m: float, t: np.ndarray, states: np.ndarray):
-    n_u = 0.5 - 0.5 * m * np.cos(np.subtract.outer(params.omega1 * t, _PHASE_ANGLES))
-    return Trajectory(t=t, states=states, controller=None, n_upper=n_u, n_lower=1.0 - n_u)
-
-
 def _check_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig):
     if not 0.0 <= m <= 1.0:
         raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
@@ -185,7 +179,7 @@ def simulate_open_loop(
         _open_loop_rhs(params, m, v_dc), x_init, 0.0, cfg.n_steps(), cfg.dt,
         max(v_dc, 1.0), params.period,
     )
-    return _open_loop_trajectory(params, m, np.arange(states.shape[0]) * cfg.dt, states)
+    return Trajectory(cfg.dt, 0, states)
 
 
 def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) -> Trajectory:
@@ -212,7 +206,7 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     """
     _check_open_loop(params, m, cfg)
     dt = cfg.dt
-    spp = _grid_steps_per_period(dt, params.omega1)
+    spp = steps_per_period(dt, params.omega1)
     n0 = cfg.n_steps() - 2 * spp
     t0 = n0 * dt
     v_dc = params.V_dc
@@ -227,7 +221,7 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     x_star = x_rest + _shooting_fixed_point(end[:, 1:], end[:, 0] - x_rest)
 
     states = _rk4(_open_loop_rhs(params, m, v_dc), x_star, t0, 2 * spp, dt, scale, params.period)
-    return _open_loop_trajectory(params, m, (n0 + np.arange(states.shape[0])) * dt, states)
+    return Trajectory(dt, n0, states)
 
 
 def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -305,50 +299,30 @@ def simulate_closed_loop(
     params: MmcParameters,
     ctrl: ControllerParams,
     refs: dict[str, complex],
-    cfg: SimulationConfig,
+    dt: float,
+    n_steps: int,
     x0: np.ndarray | None = None,
-    t_start: float = 0.0,
+    n0: int = 0,
 ) -> Trajectory:
     """Integrate the closed-loop model with per-phase reference phasors.
 
     ``refs[p]`` is the complex fundamental phasor of phase p's voltage
     reference, v*(t) = Re(refs[p] * exp(j w1 t)), constant over the run.
-    The run covers ``t_start`` to ``cfg.t_end``; the default start is the
-    cold start of ``default_initial_state`` with zero controller states.
+    The run takes ``n_steps`` steps from grid point ``n0``; the default
+    start is the cold start of ``default_initial_state`` with zero
+    controller states.
     """
     amps = np.array([refs[p] for p in PHASES], dtype=complex)
     rhs = _closed_loop_rhs(params, ctrl, amps)
 
     if x0 is None:
         x0 = np.concatenate([default_initial_state(params), np.zeros(6)])
-    n_steps = int(round((cfg.t_end - t_start) / cfg.dt))
-    states = _rk4(rhs, x0, t_start, n_steps, cfg.dt, max(params.V_dc, 1.0), params.period)
-
-    t = t_start + np.arange(states.shape[0]) * cfg.dt
-    n_u, n_l = _reconstruct_indices(params, ctrl, amps, t, states)
-    return Trajectory(
-        t=t,
-        states=states[:, 0:12],
-        controller=states[:, 12:18],
-        n_upper=n_u,
-        n_lower=n_l,
-    )
+    states = _rk4(rhs, x0, n0 * dt, n_steps, dt, max(params.V_dc, 1.0), params.period)
+    return Trajectory(dt, n0, states)
 
 
-def _reconstruct_indices(params, ctrl, amps, t, states):
-    """Insertion indices along a run, from the same index law as the run."""
-    w1t = params.omega1 * t[:, None]
-    v_star = amps.real * np.cos(w1t) - amps.imag * np.sin(w1t)
-    n_u, n_l, _ = _index_law(params, ctrl, v_star, states)
-    return n_u, n_l
-
-
-def steps_per_period(traj: Trajectory, omega1: float) -> int:
+def steps_per_period(dt: float, omega1: float) -> int:
     """Integration steps per fundamental period; requires an exact fit."""
-    return _grid_steps_per_period(traj.dt, omega1)
-
-
-def _grid_steps_per_period(dt: float, omega1: float) -> int:
     period = 2.0 * np.pi / omega1
     spp = int(round(period / dt))
     if abs(spp * dt - period) > 1e-9 * period:
@@ -364,7 +338,7 @@ def settling_profile(traj: Trajectory, omega1: float, n_periods: int = 5) -> np.
     Returns an array of shape (n_periods, n_states): entry (i, j) compares
     period -(i+1) against period -(i+2), most recent first.
     """
-    spp = steps_per_period(traj, omega1)
+    spp = steps_per_period(traj.dt, omega1)
     x = traj.states
     if x.shape[0] < (n_periods + 1) * spp + 1:
         raise NotSettledError("trajectory too short for the requested settling profile")
@@ -398,7 +372,7 @@ def settled_spectrum(
         raise NotSettledError(
             f"last-two-period RMS change {worst:.3e} exceeds {rtol:.1e}"
         )
-    spp = steps_per_period(traj, omega1)
+    spp = steps_per_period(traj.dt, omega1)
     series = traj.series(variable, phase)
     samples = series[-spp - 1 : -1]
     t0 = float(traj.t[-spp - 1])
@@ -479,7 +453,7 @@ def total_harmonic_distortion(hv: HarmonicVector, k_max: int | None = None) -> f
 
 def power_balance(traj: Trajectory, params: MmcParameters) -> dict[str, float]:
     """One-period average dc input power, load dissipation, and arm losses."""
-    spp = steps_per_period(traj, params.omega1)
+    spp = steps_per_period(traj.dt, params.omega1)
     s = slice(-spp - 1, -1)
     i_c = traj.states[s, 0:3]
     i_g = traj.states[s, 9:12]

@@ -86,7 +86,7 @@ def steady_agreement(cfg, op, traj):
     """Worst dominant-component error and worst one-period waveform NRMSE
     of the lifted operating point against a settled trajectory."""
     w1 = cfg.params.omega1
-    spp = steps_per_period(traj, w1)
+    spp = steps_per_period(traj.dt, w1)
     t_grid = traj.t[-spp - 1 : -1]
     worst_dom = 0.0
     worst_wave = 0.0

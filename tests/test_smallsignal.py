@@ -171,11 +171,11 @@ class TestEigenvalues:
 
         from hssmmc.pipelines import build_smallsignal_model
 
-        _, model_base, _ = build_smallsignal_model(sec3_cfg)
+        _, model_base = build_smallsignal_model(sec3_cfg)
         heavy = dataclasses.replace(
             sec3_cfg, params=dataclasses.replace(sec3_cfg.params, R=1e3)
         )
-        _, model_heavy, _ = build_smallsignal_model(heavy)
+        _, model_heavy = build_smallsignal_model(heavy)
         e0 = eigenvalues(model_base)
         e1 = eigenvalues(model_heavy)
         assert np.mean(e1.real) < np.mean(e0.real)
