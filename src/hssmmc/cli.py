@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import SCENARIOS, SweepConfig, load_config
+from .config import SCENARIOS, SweepConfig, apply_sweep_value, load_config
 from .errors import (
     NotSettledError,
     NumericalBlowupError,
@@ -68,13 +68,9 @@ def _resolve_output_dir(args, cfg) -> Path:
 
 def _apply_overrides(cfg, args):
     if args.m is not None:
-        if not 0.0 <= args.m <= 1.0:
-            raise SchemaViolationError(f"--m {args.m} outside [0, 1]")
-        cfg = replace(cfg, m=args.m)
+        cfg = apply_sweep_value(cfg, "m", args.m)
     if args.h is not None:
-        if args.h < 0:
-            raise SchemaViolationError(f"--h {args.h} must be >= 0")
-        cfg = replace(cfg, h=args.h)
+        cfg = apply_sweep_value(cfg, "h", args.h)
     if args.sweep_key or args.sweep_values:
         base = cfg.sweep or SweepConfig(key="h", values=())
         key = args.sweep_key or base.key

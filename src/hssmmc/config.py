@@ -5,12 +5,15 @@ Sections and keys
 [params]      R, L, C_sm, N, V_dc, omega1, R_load, L_load (optional, default 0)
 [run]         m, h, scenario (optional), output_dir (optional)
 [controller]  K_p, K_r, k_f           (required for closed-loop scenarios)
-[sim]         dt | steps_per_period   (exactly one)
-              t_end | total_periods   (exactly one)
+[sim]         steps_per_period, total_periods,
               settle_periods          (optional, default 40)
-[step]        time | period           (exactly one)
-              phase, amplitude, window_periods (optional, default 10)
+[step]        period, phase, amplitude, window_periods (optional, default 10)
 [sweep]       key, values, scenario   (scenario: steady or smallsig)
+
+Time is given on the fundamental-period grid only: ``steps_per_period``
+RK4 steps per period, and run lengths, the step instant and the comparison
+window in whole periods. Without [sim] a run lasts 42 periods of 2000
+steps.
 
 Unknown sections or keys are rejected. Two presets ship with the package:
 ``sec3-simulation`` (50 MW / 320 kV transmission-scale case) and
@@ -43,8 +46,8 @@ _SCHEMA = {
     "params": {"R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load"},
     "run": {"m", "h", "scenario", "output_dir"},
     "controller": {"K_p", "K_r", "k_f"},
-    "sim": {"dt", "steps_per_period", "t_end", "total_periods", "settle_periods"},
-    "step": {"time", "period", "phase", "amplitude", "window_periods"},
+    "sim": {"steps_per_period", "total_periods", "settle_periods"},
+    "step": {"period", "phase", "amplitude", "window_periods"},
     "sweep": {"key", "values", "scenario"},
 }
 
@@ -52,16 +55,18 @@ _REQUIRED = {
     "params": {"R", "L", "C_sm", "N", "V_dc", "omega1", "R_load"},
     "run": {"m", "h"},
     "controller": {"K_p", "K_r", "k_f"},
-    "step": {"phase", "amplitude"},
+    "sim": {"steps_per_period", "total_periods"},
+    "step": {"period", "phase", "amplitude"},
     "sweep": {"key", "values"},
 }
 
 
 @dataclass(frozen=True)
 class StepConfig:
-    """One fundamental-amplitude reference step for closed-loop scenarios."""
+    """One fundamental-amplitude reference step for closed-loop scenarios,
+    applied at the start of fundamental period ``period`` of the run."""
 
-    time: float                 # seconds; already resolved from time/period
+    period: int                 # whole fundamental periods after t = 0, >= 1
     phase: str
     amplitude: float            # volts added along the existing reference phasor
     window_periods: int = 10
@@ -204,13 +209,12 @@ def parse_config(text: str) -> RunConfig:
                 K_p=c.get_float("K_p"),
                 K_r=c.get_float("K_r"),
                 k_f=c.get_float("k_f"),
-                omega1=params.omega1,
             )
         except ValueError as exc:
             raise SchemaViolationError(f"[controller]: {exc}") from None
 
-    sim = _parse_sim(sections.get("sim"), params)
-    step = _parse_step(sections.get("step"), params)
+    sim = _parse_sim(sections.get("sim"))
+    step = _parse_step(sections.get("step"))
     sweep = _parse_sweep(sections.get("sweep"))
 
     return RunConfig(
@@ -226,43 +230,25 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _parse_sim(s: _Section | None, params: MmcParameters) -> SimulationConfig:
-    period = params.period
+def _parse_sim(s: _Section | None) -> SimulationConfig:
     if s is None:
-        return SimulationConfig(dt=period / 2000.0, t_end=42.0 * period, settle_periods=40)
-
-    if ("dt" in s) == ("steps_per_period" in s):
-        raise _fail("sim", None, "exactly one of dt / steps_per_period is required")
-    if "dt" in s:
-        dt = s.get_float("dt")
-    else:
-        spp = s.get_int("steps_per_period")
-        if spp < 4:
-            raise _fail("sim", "steps_per_period", "must be >= 4")
-        dt = period / spp
-
-    if ("t_end" in s) == ("total_periods" in s):
-        raise _fail("sim", None, "exactly one of t_end / total_periods is required")
-    t_end = s.get_float("t_end") if "t_end" in s else s.get_int("total_periods") * period
-
-    settle = s.get_int("settle_periods") if "settle_periods" in s else 40
-    if settle < 2:
-        raise _fail("sim", "settle_periods", "must be >= 2")
-
+        return SimulationConfig(steps_per_period=2000, total_periods=42, settle_periods=40)
     try:
-        cfg = SimulationConfig(dt=dt, t_end=t_end, settle_periods=settle)
-        cfg.validate_against(params)
+        return SimulationConfig(
+            steps_per_period=s.get_int("steps_per_period"),
+            total_periods=s.get_int("total_periods"),
+            settle_periods=s.get_int("settle_periods") if "settle_periods" in s else 40,
+        )
     except ValueError as exc:
         raise SchemaViolationError(f"[sim]: {exc}") from None
-    return cfg
 
 
-def _parse_step(s: _Section | None, params: MmcParameters) -> StepConfig | None:
+def _parse_step(s: _Section | None) -> StepConfig | None:
     if s is None:
         return None
-    if ("time" in s) == ("period" in s):
-        raise _fail("step", None, "exactly one of time / period is required")
-    time = s.get_float("time") if "time" in s else s.get_int("period") * params.period
+    period = s.get_int("period")
+    if period < 1:
+        raise _fail("step", "period", "must be >= 1")
     phase = s.get_str("phase")
     if phase not in PHASES:
         raise _fail("step", "phase", f"phase must be one of {PHASES}")
@@ -270,7 +256,7 @@ def _parse_step(s: _Section | None, params: MmcParameters) -> StepConfig | None:
     if window < 1:
         raise _fail("step", "window_periods", "must be >= 1")
     return StepConfig(
-        time=time, phase=phase, amplitude=s.get_float("amplitude"), window_periods=window
+        period=period, phase=phase, amplitude=s.get_float("amplitude"), window_periods=window
     )
 
 
@@ -296,14 +282,15 @@ def _parse_sweep(s: _Section | None) -> SweepConfig | None:
 
 
 def apply_sweep_value(cfg: RunConfig, key: str, value: float) -> RunConfig:
-    """New RunConfig with one numeric field replaced."""
+    """New RunConfig with one numeric field replaced: a sweep value or a
+    command-line override, held to the same rules."""
     if key == "m":
         if not 0.0 <= value <= 1.0:
-            raise SchemaViolationError(f"swept m {value} outside [0, 1]")
+            raise SchemaViolationError(f"m {value} outside [0, 1]")
         return replace(cfg, m=float(value))
     if key == "h":
         if value != int(value) or value < 0:
-            raise SchemaViolationError(f"swept h {value} is not a valid order")
+            raise SchemaViolationError(f"h {value} is not a harmonic order (an integer >= 0)")
         return replace(cfg, h=int(value))
     if key in ("R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load"):
         if key == "N":

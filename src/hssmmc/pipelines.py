@@ -35,7 +35,6 @@ from .simulate import (
     settled_spectrum,
     simulate_closed_loop,
     simulate_open_loop,
-    steps_per_period,
     total_harmonic_distortion,
 )
 from .smallsignal import (
@@ -140,7 +139,7 @@ def run_smallsig(cfg: RunConfig, out: Path, timestamp: bool) -> int:
 def run_simulate_open(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     traj = simulate_open_loop(cfg.params, cfg.m, cfg.sim)
     write_trajectory_csv(out / "trajectory.csv", traj, STATE_LABELS, timestamp)
-    settled = is_settled(traj, cfg.params.omega1)
+    settled = is_settled(traj)
     if settled:
         for var in STATE_VARIABLES:
             for p in PHASES:
@@ -157,7 +156,7 @@ def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     refs = references_from_operating_point(op, cfg.params)
     n_end = cfg.sim.n_steps()
     if cfg.step is None:
-        traj = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim.dt, n_end)
+        traj = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim.steps_per_period, n_end)
     else:
         # A step at or after the end of the run leaves the whole run before
         # it. The segments are dropped once joined.
@@ -172,7 +171,7 @@ def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
 
 def step_grid_index(cfg: RunConfig) -> int:
     """Integration grid point of the configured reference step."""
-    return int(round(cfg.step.time / cfg.sim.dt))
+    return cfg.step.period * cfg.sim.steps_per_period
 
 
 class ReferenceStepRuns:
@@ -184,15 +183,17 @@ class ReferenceStepRuns:
     with constant references, the stepped phase's phasor lengthened by
     ``amplitude`` volts along itself. So the step is active from the first
     interval that starts at its grid point, as the lifted envelope's input is.
+    Every segment lies on the ``cfg.sim`` grid, and ``n_step`` >= 1 holds
+    because the configured step comes at least one period after t = 0.
     """
 
     def __init__(self, cfg: RunConfig, refs: dict[str, complex], n_step: int):
-        if n_step < 1:
-            raise SchemaViolationError("[step]: the step must come at least one grid step after t = 0")
         self.cfg = cfg
         self.refs = refs
         self.n_step = n_step
-        self.pre = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim.dt, n_step)
+        self.pre = simulate_closed_loop(
+            cfg.params, cfg.ctrl, refs, cfg.sim.steps_per_period, n_step
+        )
 
     def delta(self, amplitude: float) -> complex:
         """Reference phasor step of ``amplitude`` volts along the stepped phase's phasor."""
@@ -203,7 +204,7 @@ class ReferenceStepRuns:
         refs = dict(self.refs)
         refs[self.cfg.step.phase] = refs[self.cfg.step.phase] + self.delta(amplitude)
         return simulate_closed_loop(
-            self.cfg.params, self.cfg.ctrl, refs, self.pre.dt, n_steps,
+            self.cfg.params, self.cfg.ctrl, refs, self.pre.steps_per_period, n_steps,
             x0=self.pre.states[-1], n0=self.n_step,
         )
 
@@ -212,7 +213,10 @@ class ReferenceStepRuns:
         row and the stepped run from it. Both lie on the one grid, so the
         join is a concatenation."""
         after = self.after(amplitude, n_end - self.n_step)
-        return Trajectory(self.pre.dt, 0, np.concatenate([self.pre.states[:-1], after.states]))
+        pre = self.pre
+        return Trajectory(
+            pre.dt, pre.steps_per_period, 0, np.concatenate([pre.states[:-1], after.states])
+        )
 
 
 # ----------------------------------------------------------- verify-steady
@@ -222,7 +226,7 @@ def run_verify_steady(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     op = solve_operating_point(cfg)
     traj = settled_open_loop(cfg.params, cfg.m, cfg.sim)
     w1 = cfg.params.omega1
-    spp = steps_per_period(traj.dt, w1)
+    spp = traj.steps_per_period
     t_grid = traj.t[-spp - 1 : -1]
 
     checks = []
@@ -336,7 +340,9 @@ class SmallsigContext:
 
     Builds the operating point, the lifted model, the closed-loop run up to
     the step and the baseline continuation once; individual step amplitudes
-    reuse them.
+    reuse them. The step comes at a whole-period grid point and the
+    comparison window lasts ``window_periods`` whole periods of the
+    ``cfg.sim`` grid, the same grid the lifted envelope is sampled on.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -350,10 +356,10 @@ class SmallsigContext:
         # The timeline derives from the step configuration alone: the run up
         # to the step, then baseline and stepped continuations covering the
         # comparison window.
-        self.dt = cfg.sim.dt
-        self.spp = steps_per_period(self.dt, cfg.params.omega1)
+        self.spp = cfg.sim.steps_per_period
         self.window_steps = cfg.step.window_periods * self.spp
         self.runs = ReferenceStepRuns(cfg, self.refs, step_grid_index(cfg))
+        self.dt = self.runs.pre.dt
         self.baseline = self.runs.after(0.0, self.window_steps)
 
     def compare(self, amplitude: float) -> SmallsigComparison:
@@ -364,7 +370,7 @@ class SmallsigContext:
         u_vec = lifted_reference_step(self.model, phase, self.runs.delta(amplitude))
         env = envelope_response(
             self.model,
-            [(t_step, u_vec)],
+            u_vec,
             t_end=t_step + self.window_steps * self.dt,
             dt=self.dt,
             t_start=t_step,

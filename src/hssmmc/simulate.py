@@ -9,9 +9,11 @@ state with the stepped references (``pipelines.ReferenceStepRuns``).
 Settled trajectories feed the spectral extraction used to cross-check the
 lifted models.
 
-Every run is a ``Trajectory``: one state array on the integer time grid
-t = (n0 + i)·dt, so runs that continue one another lie on one grid and
-join by concatenation.
+Time lives on one grid: a fundamental period holds ``steps_per_period``
+RK4 steps of dt = period / steps_per_period, and every run length, start
+point and window is a whole number of those steps. Every run is a
+``Trajectory``: one state array on the grid t = (n0 + i)·dt, so runs that
+continue one another lie on one grid and join by concatenation.
 
 The open-loop periodic steady state comes from shooting
 (``settled_open_loop``): the RK4 map over one period is affine, and its
@@ -52,31 +54,34 @@ _PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Fixed-step integration settings."""
+    """Run lengths on the fundamental-period grid.
 
-    dt: float
-    t_end: float
-    settle_periods: int = 40
+    A fundamental period holds ``steps_per_period`` RK4 steps; a run lasts
+    ``total_periods`` periods, more than the ``settle_periods`` that
+    ``simulate_open_loop`` needs before its settled check.
+    """
+
+    steps_per_period: int
+    total_periods: int
+    settle_periods: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be > 0")
-
-    def validate_against(self, params: MmcParameters):
-        """Run-length check of ``simulate_open_loop`` and ``settled_open_loop``:
-        the run must be longer than ``settle_periods`` fundamental periods."""
-        if self.t_end <= self.settle_periods * params.period:
-            raise ValueError("t_end must exceed settle_periods fundamental periods")
+        if self.steps_per_period < 4:
+            raise ValueError("steps_per_period must be >= 4")
+        if self.settle_periods < 2:
+            raise ValueError("settle_periods must be >= 2")
+        if self.total_periods <= self.settle_periods:
+            raise ValueError("total_periods must exceed settle_periods")
 
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return self.total_periods * self.steps_per_period
 
 
 @dataclass
 class Trajectory:
-    """One simulation run: ``states[i]`` is the state at t = (n0 + i)·dt.
+    """One simulation run: ``states[i]`` is the state at grid point n0 + i,
+    t = (n0 + i)·dt, on a grid of ``steps_per_period`` steps per
+    fundamental period.
 
     ``states`` is (n, 12) in ``STATE_LABELS`` order for an open-loop run and
     (n, 18) in ``SMALLSIG_STATE_LABELS`` order, the plant states followed by
@@ -84,6 +89,7 @@ class Trajectory:
     """
 
     dt: float
+    steps_per_period: int
     n0: int
     states: np.ndarray
     t: np.ndarray = field(init=False)
@@ -106,25 +112,26 @@ def _check_blowup(x: np.ndarray, scale: float, step: int, t: float):
 
 
 def _rk4(
-    rhs, x0: np.ndarray, t0: float, n_steps: int, dt: float, scale: float, period: float
+    rhs, x0: np.ndarray, n0: int, n_steps: int, dt: float, steps_per_period: int, scale: float
 ) -> np.ndarray:
-    """Fixed-step RK4; returns all n_steps+1 states including the initial one.
+    """Fixed-step RK4 from grid point ``n0``; returns all n_steps+1 states
+    including the initial one.
 
     ``x0`` is one state vector or a block of state columns that ``rhs``
     advances together.
 
-    The state is checked for blow-up once per ``period`` of steps and at
-    the end; a failed check names the step index and its time.
+    The state is checked for blow-up once per period of steps and at the
+    end; a failed check names the step index and its time.
     """
-    check_every = max(1, int(round(period / dt)))
     x = np.asarray(x0, dtype=float).copy()
     out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
+    t0 = n0 * dt
     half = 0.5 * dt
     sixth = dt / 6.0
     for n in range(n_steps):
         t = t0 + n * dt
-        if n % check_every == 0:
+        if n % steps_per_period == 0:
             _check_blowup(x, scale, n, t)
         k1 = rhs(t, x)
         k2 = rhs(t + half, x + half * k1)
@@ -159,10 +166,9 @@ def _open_loop_rhs(params: MmcParameters, m: float, v_dc):
     return rhs
 
 
-def _check_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig):
+def _check_modulation(m: float):
     if not 0.0 <= m <= 1.0:
         raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
-    cfg.validate_against(params)
 
 
 def simulate_open_loop(
@@ -172,14 +178,15 @@ def simulate_open_loop(
     x0: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the open-loop plant with sinusoidal insertion indices."""
-    _check_open_loop(params, m, cfg)
+    _check_modulation(m)
+    spp = cfg.steps_per_period
+    dt = params.period / spp
     v_dc = params.V_dc
     x_init = default_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
     states = _rk4(
-        _open_loop_rhs(params, m, v_dc), x_init, 0.0, cfg.n_steps(), cfg.dt,
-        max(v_dc, 1.0), params.period,
+        _open_loop_rhs(params, m, v_dc), x_init, 0, cfg.n_steps(), dt, spp, max(v_dc, 1.0)
     )
-    return Trajectory(cfg.dt, 0, states)
+    return Trajectory(dt, spp, 0, states)
 
 
 def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) -> Trajectory:
@@ -204,11 +211,10 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     Raises SingularSystemError when the gated solve rejects I - Phi, and
     NotSettledError when the largest Floquet multiplier is not below one.
     """
-    _check_open_loop(params, m, cfg)
-    dt = cfg.dt
-    spp = steps_per_period(dt, params.omega1)
+    _check_modulation(m)
+    spp = cfg.steps_per_period
+    dt = params.period / spp
     n0 = cfg.n_steps() - 2 * spp
-    t0 = n0 * dt
     v_dc = params.V_dc
     scale = max(v_dc, 1.0)
 
@@ -217,11 +223,11 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     v_dc_columns = np.zeros(13)
     v_dc_columns[0] = v_dc
     rhs = _open_loop_rhs(params, m, v_dc_columns)
-    end = _rk4(rhs, columns, t0, spp, dt, scale, params.period)[-1]
+    end = _rk4(rhs, columns, n0, spp, dt, spp, scale)[-1]
     x_star = x_rest + _shooting_fixed_point(end[:, 1:], end[:, 0] - x_rest)
 
-    states = _rk4(_open_loop_rhs(params, m, v_dc), x_star, t0, 2 * spp, dt, scale, params.period)
-    return Trajectory(dt, n0, states)
+    states = _rk4(_open_loop_rhs(params, m, v_dc), x_star, n0, 2 * spp, dt, spp, scale)
+    return Trajectory(dt, spp, n0, states)
 
 
 def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -277,7 +283,7 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.nda
     """Right-hand side of the 18-state closed-loop model with constant
     per-phase reference phasors ``amps`` (3,)."""
     w1 = params.omega1
-    w1sq = ctrl.omega1 ** 2
+    w1sq = w1 ** 2
     v_dc = params.V_dc
     K_r = ctrl.K_r
     re, im = amps.real, amps.imag
@@ -299,7 +305,7 @@ def simulate_closed_loop(
     params: MmcParameters,
     ctrl: ControllerParams,
     refs: dict[str, complex],
-    dt: float,
+    steps_per_period: int,
     n_steps: int,
     x0: np.ndarray | None = None,
     n0: int = 0,
@@ -308,37 +314,27 @@ def simulate_closed_loop(
 
     ``refs[p]`` is the complex fundamental phasor of phase p's voltage
     reference, v*(t) = Re(refs[p] * exp(j w1 t)), constant over the run.
-    The run takes ``n_steps`` steps from grid point ``n0``; the default
-    start is the cold start of ``default_initial_state`` with zero
-    controller states.
+    The run takes ``n_steps`` steps of a ``steps_per_period`` grid from grid
+    point ``n0``; the default start is the cold start of
+    ``default_initial_state`` with zero controller states.
     """
     amps = np.array([refs[p] for p in PHASES], dtype=complex)
     rhs = _closed_loop_rhs(params, ctrl, amps)
+    dt = params.period / steps_per_period
 
     if x0 is None:
         x0 = np.concatenate([default_initial_state(params), np.zeros(6)])
-    states = _rk4(rhs, x0, n0 * dt, n_steps, dt, max(params.V_dc, 1.0), params.period)
-    return Trajectory(dt, n0, states)
+    states = _rk4(rhs, x0, n0, n_steps, dt, steps_per_period, max(params.V_dc, 1.0))
+    return Trajectory(dt, steps_per_period, n0, states)
 
 
-def steps_per_period(dt: float, omega1: float) -> int:
-    """Integration steps per fundamental period; requires an exact fit."""
-    period = 2.0 * np.pi / omega1
-    spp = int(round(period / dt))
-    if abs(spp * dt - period) > 1e-9 * period:
-        raise ValueError(
-            f"dt {dt!r} does not divide the fundamental period {period!r}"
-        )
-    return spp
-
-
-def settling_profile(traj: Trajectory, omega1: float, n_periods: int = 5) -> np.ndarray:
+def settling_profile(traj: Trajectory, n_periods: int = 5) -> np.ndarray:
     """Per-period relative RMS change of each state over the final periods.
 
     Returns an array of shape (n_periods, n_states): entry (i, j) compares
     period -(i+1) against period -(i+2), most recent first.
     """
-    spp = steps_per_period(traj.dt, omega1)
+    spp = traj.steps_per_period
     x = traj.states
     if x.shape[0] < (n_periods + 1) * spp + 1:
         raise NotSettledError("trajectory too short for the requested settling profile")
@@ -353,9 +349,9 @@ def settling_profile(traj: Trajectory, omega1: float, n_periods: int = 5) -> np.
     return out
 
 
-def is_settled(traj: Trajectory, omega1: float, rtol: float = SETTLE_RTOL) -> bool:
+def is_settled(traj: Trajectory, rtol: float = SETTLE_RTOL) -> bool:
     """Last-two-period RMS change below rtol for every state."""
-    return bool(np.all(settling_profile(traj, omega1, n_periods=1)[0] <= rtol))
+    return bool(np.all(settling_profile(traj, n_periods=1)[0] <= rtol))
 
 
 def settled_spectrum(
@@ -367,12 +363,12 @@ def settled_spectrum(
     rtol: float = SETTLE_RTOL,
 ) -> HarmonicVector:
     """Fourier coefficients of one state over the final fundamental period."""
-    if not is_settled(traj, omega1, rtol):
-        worst = float(np.max(settling_profile(traj, omega1, n_periods=1)[0]))
+    if not is_settled(traj, rtol):
+        worst = float(np.max(settling_profile(traj, n_periods=1)[0]))
         raise NotSettledError(
             f"last-two-period RMS change {worst:.3e} exceeds {rtol:.1e}"
         )
-    spp = steps_per_period(traj.dt, omega1)
+    spp = traj.steps_per_period
     series = traj.series(variable, phase)
     samples = series[-spp - 1 : -1]
     t0 = float(traj.t[-spp - 1])
@@ -453,7 +449,7 @@ def total_harmonic_distortion(hv: HarmonicVector, k_max: int | None = None) -> f
 
 def power_balance(traj: Trajectory, params: MmcParameters) -> dict[str, float]:
     """One-period average dc input power, load dissipation, and arm losses."""
-    spp = steps_per_period(traj.dt, params.omega1)
+    spp = traj.steps_per_period
     s = slice(-spp - 1, -1)
     i_c = traj.states[s, 0:3]
     i_g = traj.states[s, 9:12]

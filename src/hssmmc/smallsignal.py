@@ -20,9 +20,9 @@ it into an 18-block ``LiftedModel`` whose inputs are the dc-bus
 perturbation and the three per-phase voltage-reference perturbations;
 ``time_domain_linearized_A`` evaluates it at one instant.
 
-Envelope responses of this LTI model to piecewise-constant reference
-steps are exact zero-order-hold propagations by its transition matrix,
-so they hold for any time step.
+Envelope responses of this LTI model to a reference step are exact
+zero-order-hold propagations by its transition matrix, so they hold for
+any time step.
 """
 
 from __future__ import annotations
@@ -56,18 +56,16 @@ SMALLSIG_INPUT_LABELS = ("v_dc", "v_ga_ref", "v_gb_ref", "v_gc_ref")
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Proportional-resonant ac-voltage controller gains."""
+    """Proportional-resonant ac-voltage controller gains; the resonance is
+    at the plant's fundamental ``MmcParameters.omega1``."""
 
     K_p: float          # proportional gain, dimensionless
     K_r: float          # resonant gain, 1/s
     k_f: float          # measured-voltage feedforward gain, dimensionless
-    omega1: float       # resonant angular frequency, rad/s
 
     def __post_init__(self):
         if self.K_p < 0 or self.K_r < 0:
             raise ValueError("K_p and K_r must be >= 0")
-        if self.omega1 <= 0:
-            raise ValueError("omega1 must be > 0")
 
 
 def compute_f_coefficients(
@@ -114,7 +112,7 @@ def compute_f_coefficients(
     error_gain[x1, ph] = ctrl.K_r * one
     B[:, 1:] = error_gain
     A0[:12, x1] = dv_mod
-    A0[x1, x2] = -ctrl.omega1**2 * one
+    A0[x1, x2] = -params.omega1**2 * one
     A0[x2, x1] = one
     # Every row's coefficient of v_g: through -e and the feed-forward term.
     g = -error_gain
@@ -132,8 +130,6 @@ def assemble_smallsignal(
     The load-inductance term enters as T(A1) Q, the part of the lifted
     derivative that the periodic orbit itself carries.
     """
-    if ctrl.omega1 != params.omega1:
-        raise DimensionMismatchError("controller and plant disagree on omega1")
     if h != op.h:
         raise DimensionMismatchError(
             f"operating point solved at order {op.h}, model requested {h}"
@@ -206,7 +202,7 @@ def operating_controller_states(
         k = x1.harmonic_indices
         with np.errstate(divide="ignore", invalid="ignore"):
             c2 = np.where(k != 0, x1.coeffs / (1j * k * op.omega1), 0.0)
-        c2[op.h] = ctrl.K_r * err[0] / ctrl.omega1 ** 2
+        c2[op.h] = ctrl.K_r * err[0] / params.omega1 ** 2
         x2 = HarmonicVector(op.h, op.omega1, c2)
         out[p] = (x1, x2)
     return out
@@ -254,25 +250,25 @@ class EnvelopeResponse:
 
 def envelope_response(
     model: LiftedModel,
-    delta_u,
+    delta_u: np.ndarray,
     t_end: float,
     dt: float,
     t_start: float = 0.0,
     store_every: int = 1,
 ) -> EnvelopeResponse:
-    """Exact zero-order-hold response of the lifted small-signal model.
+    """Exact zero-order-hold response of the lifted small-signal model to
+    the lifted input vector ``delta_u``, active from ``t_start`` on.
 
-    ``delta_u`` is a list of (time, vector) pairs defining a piecewise-
-    constant input, zero before the first event. Each event time is a
-    right-continuous switch point snapped to the nearest grid point; an
-    event at or before ``t_start`` is active from the first step. The
-    state starts at zero and steps as x <- Phi x + Gamma u, where Phi and
-    Gamma are the top blocks of expm([[A dt, B dt], [0, 0]]) (Van Loan
-    1978), so the grid values are exact for any ``dt``.
+    The state starts at zero at ``t_start`` and steps as x <- Phi x + Gamma u,
+    where Phi and Gamma are the top blocks of expm([[A dt, B dt], [0, 0]])
+    (Van Loan 1978), so the grid values are exact for any ``dt``.
     """
     A = model.A
     Bd = model.B
     dim, n_in = Bd.shape
+    delta_u = np.asarray(delta_u, dtype=complex)
+    if delta_u.shape != (n_in,):
+        raise DimensionMismatchError(f"input vector must have shape ({n_in},)")
     n_steps = int(round((t_end - t_start) / dt))
     if n_steps < 1:
         raise ValueError("t_end must lie at least one step after t_start")
@@ -282,15 +278,7 @@ def envelope_response(
     augmented[:dim, dim:] = Bd * dt
     top = scipy.linalg.expm(augmented)[:dim]
     phi, gamma = top[:, :dim], top[:, dim:]
-
-    # Gamma u keyed by the first step it drives; a later event snapped to
-    # the same grid index replaces an earlier one.
-    drive = {0: np.zeros(dim, dtype=complex)}
-    for time, value in sorted(delta_u, key=lambda e: e[0]):
-        value = np.asarray(value, dtype=complex)
-        if value.shape != (n_in,):
-            raise DimensionMismatchError(f"input vector must have shape ({n_in},)")
-        drive[max(0, int(round((time - t_start) / dt)))] = gamma @ value
+    gu = gamma @ delta_u
 
     x = np.zeros(dim, dtype=complex)
     n_store = n_steps // store_every + 1
@@ -300,9 +288,7 @@ def envelope_response(
     t_out[0] = t_start
     j = 1
 
-    gu = drive[0]
     for n in range(n_steps):
-        gu = drive.get(n, gu)
         x = phi @ x + gu
         if (n + 1) % store_every == 0:
             out[j] = x

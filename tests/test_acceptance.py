@@ -34,7 +34,6 @@ from hssmmc.simulate import (
     _closed_loop_rhs,
     settled_open_loop,
     settled_spectrum,
-    steps_per_period,
     total_harmonic_distortion,
 )
 from hssmmc.smallsignal import (
@@ -86,7 +85,7 @@ def steady_agreement(cfg, op, traj):
     """Worst dominant-component error and worst one-period waveform NRMSE
     of the lifted operating point against a settled trajectory."""
     w1 = cfg.params.omega1
-    spp = steps_per_period(traj.dt, w1)
+    spp = traj.steps_per_period
     t_grid = traj.t[-spp - 1 : -1]
     worst_dom = 0.0
     worst_wave = 0.0
@@ -277,7 +276,7 @@ def test_criterion_8_invariant_suite(sec3_cfg, sec3_op, smallsig_ctx):
     u = lifted_reference_step(model, "a", delta)
     x_alg = settled_envelope_state(model, u)
     dt = 0.09 / np.max(np.abs(smallsig_ctx.eig))
-    env = envelope_response(model, [(0.0, u)], t_end=2.8, dt=dt, store_every=2000)
+    env = envelope_response(model, u, t_end=2.8, dt=dt, store_every=2000)
     env_err = float(np.linalg.norm(env.final_state() - x_alg) / np.linalg.norm(x_alg))
 
     ok = (
@@ -300,7 +299,7 @@ def test_criterion_8_invariant_suite(sec3_cfg, sec3_op, smallsig_ctx):
 
 def test_criterion_9_rk4_self_convergence(sec3_cfg, sec3_orbit, sec3_op):
     w1 = sec3_cfg.params.omega1
-    fine_cfg = dataclasses.replace(sec3_cfg.sim, dt=sec3_cfg.sim.dt / 2)
+    fine_cfg = dataclasses.replace(sec3_cfg.sim, steps_per_period=2 * sec3_cfg.sim.steps_per_period)
     fine = settled_open_loop(sec3_cfg.params, sec3_cfg.m, fine_cfg)
 
     worst = 0.0

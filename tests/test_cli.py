@@ -58,6 +58,44 @@ class TestExitCodes:
         code = main(["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--m", "1.5"])
         assert code == 2
 
+    def test_negative_order_override(self, fast_config, tmp_path, capsys):
+        code = main(["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "-1"])
+        assert code == 2
+        assert "h -1 is not a harmonic order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("steps_per_period = 400", "dt = 5.1e-5"),
+            ("total_periods = 10", "t_end = 0.2"),
+            ("[controller]", "[step]\ntime = 0.1\nphase = a\namplitude = 15.0\n\n[controller]"),
+        ],
+        ids=["sim-dt", "sim-t_end", "step-time"],
+    )
+    def test_seconds_keys_are_config_errors(self, tmp_path, capsys, old, new):
+        # Time is given on the grid only, so a key in seconds is unknown,
+        # also a dt that does not divide the fundamental period (0.02001 s).
+        path = tmp_path / "seconds.ini"
+        path.write_text(FAST.replace(old, new), encoding="utf-8")
+        assert main(["verify-steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        key = new.split(" = ")[0].split("\n")[-1]
+        assert f"] {key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("total_periods = 10", "total_periods = 8"),
+            ("steps_per_period = 400", "steps_per_period = 3"),
+            ("[controller]", "[step]\nperiod = 0\nphase = a\namplitude = 15.0\n\n[controller]"),
+        ],
+        ids=["total-not-above-settle", "too-few-steps", "step-period-0"],
+    )
+    def test_grid_rules_checked_at_parse(self, tmp_path, old, new):
+        # steady runs no simulation, so exit code 2 comes from the parse.
+        path = tmp_path / "grid.ini"
+        path.write_text(FAST.replace(old, new), encoding="utf-8")
+        assert main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_success(self, fast_config, tmp_path):
         assert main(["steady", "--config", fast_config, "--out", str(tmp_path / "o")]) == 0
 
@@ -165,7 +203,8 @@ class TestSimulateScenarios:
 
         n_step = 4 * 400  # t_end = t_step + window
         assert traj.t.size == n_step + stepped.t.size
-        assert np.array_equal(traj.t, np.arange(traj.t.size) * cfg.sim.dt)
+        assert traj.steps_per_period == stepped.steps_per_period == 400
+        assert np.array_equal(traj.t, np.arange(traj.t.size) * (cfg.params.period / 400))
         assert np.array_equal(traj.states[n_step:], stepped.states)
 
     def test_closed_loop_step_at_or_after_the_end_leaves_the_run_unstepped(self, fast_config, tmp_path):
@@ -259,6 +298,20 @@ class TestSweepScenario:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "value,max_eig_real,error"
         assert float(lines[1].split(",")[1]) < 0.0
+
+
+def test_smallsig_sweep_over_omega1_has_no_error_rows(fast_config, tmp_path):
+    # The controller resonates at the plant's omega1, so sweeping it moves both.
+    from pathlib import Path
+
+    text = Path(fast_config).read_text() + "\n[sweep]\nkey = omega1\nvalues = 314.0, 300.0\nscenario = smallsig\n"
+    cfgp = tmp_path / "omega1.ini"
+    cfgp.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfgp), "--out", str(out), "--no-timestamp"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [314.0, 300.0]
+    assert all(row.endswith(",") for row in rows)
 
 
 def _with_sweep(fast_config, tmp_path):

@@ -2,11 +2,10 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
-from hssmmc import SchemaViolationError
-from hssmmc.config import apply_sweep_value, load_config, parse_config, preset_names
+from hssmmc import ControllerParams, SchemaViolationError, SimulationConfig
+from hssmmc.config import StepConfig, apply_sweep_value, load_config, parse_config, preset_names
 
 GOOD = """
 [params]
@@ -36,7 +35,7 @@ class TestParse:
 
     def test_unknown_key(self):
         with pytest.raises(SchemaViolationError, match="unknown key"):
-            parse_config(GOOD + "\n[sim]\nfoo = 1\ndt = 1e-5\nt_end = 1.0\n")
+            parse_config(GOOD + "\n[sim]\nfoo = 1\nsteps_per_period = 1000\ntotal_periods = 20\n")
 
     def test_unknown_section(self):
         with pytest.raises(SchemaViolationError, match=r"unknown section"):
@@ -64,28 +63,47 @@ class TestParse:
             parse_config(GOOD.replace("R = 1.0", "R = one"))
 
     def test_sim_exclusivity(self):
-        with pytest.raises(SchemaViolationError, match="exactly one"):
-            parse_config(GOOD + "\n[sim]\ndt = 1e-5\nsteps_per_period = 2000\nt_end = 1.0\n")
-        with pytest.raises(SchemaViolationError, match="exactly one"):
-            parse_config(GOOD + "\n[sim]\ndt = 1e-5\n")
+        # The grid is the one time format: both grid keys are required, and
+        # the seconds keys are unknown.
+        with pytest.raises(SchemaViolationError, match=r"\[sim\] total_periods: required key missing"):
+            parse_config(GOOD + "\n[sim]\nsteps_per_period = 2000\n")
+        with pytest.raises(SchemaViolationError, match=r"\[sim\] steps_per_period: required key missing"):
+            parse_config(GOOD + "\n[sim]\ntotal_periods = 50\n")
+        for key in ("dt = 1e-5", "t_end = 1.0"):
+            with pytest.raises(SchemaViolationError, match=rf"\[sim\] {key.split()[0]}: unknown key"):
+                parse_config(GOOD + f"\n[sim]\nsteps_per_period = 2000\ntotal_periods = 50\n{key}\n")
 
     def test_sim_sugar_keys(self):
         cfg = parse_config(GOOD + "\n[sim]\nsteps_per_period = 1000\ntotal_periods = 20\nsettle_periods = 10\n")
-        T = 2 * np.pi / 314.0
-        assert cfg.sim.dt == pytest.approx(T / 1000)
-        assert cfg.sim.t_end == pytest.approx(20 * T)
+        assert cfg.sim == SimulationConfig(steps_per_period=1000, total_periods=20, settle_periods=10)
+        assert cfg.sim.n_steps() == 20_000
+        cfg = parse_config(GOOD + "\n[sim]\nsteps_per_period = 1000\ntotal_periods = 50\n")
+        assert cfg.sim.settle_periods == 40
+        assert parse_config(GOOD).sim == SimulationConfig(2000, 42, 40)
+
+    def test_sim_grid_rules(self):
+        for body, key in (
+            ("steps_per_period = 3\ntotal_periods = 50", "steps_per_period"),
+            ("steps_per_period = 400\ntotal_periods = 10\nsettle_periods = 1", "settle_periods"),
+            ("steps_per_period = 400\ntotal_periods = 10\nsettle_periods = 10", "total_periods"),
+            ("steps_per_period = 400.5\ntotal_periods = 10", "steps_per_period"),
+        ):
+            with pytest.raises(SchemaViolationError, match=key):
+                parse_config(GOOD + f"\n[sim]\n{body}\n")
 
     def test_step_section(self):
         cfg = parse_config(GOOD + "\n[step]\nperiod = 10\nphase = b\namplitude = 5e3\n")
-        assert cfg.step.phase == "b"
-        assert cfg.step.time == pytest.approx(10 * 2 * np.pi / 314.0)
-        assert cfg.step.window_periods == 10
+        assert cfg.step == StepConfig(period=10, phase="b", amplitude=5e3, window_periods=10)
 
     def test_step_exclusivity_and_phase(self):
-        with pytest.raises(SchemaViolationError, match="exactly one"):
+        with pytest.raises(SchemaViolationError, match=r"\[step\] period: required key missing"):
+            parse_config(GOOD + "\n[step]\nphase = a\namplitude = 1\n")
+        with pytest.raises(SchemaViolationError, match=r"\[step\] time: unknown key"):
             parse_config(GOOD + "\n[step]\ntime = 1.0\nperiod = 10\nphase = a\namplitude = 1\n")
+        with pytest.raises(SchemaViolationError, match=r"\[step\] period: must be >= 1"):
+            parse_config(GOOD + "\n[step]\nperiod = 0\nphase = a\namplitude = 1\n")
         with pytest.raises(SchemaViolationError, match="phase"):
-            parse_config(GOOD + "\n[step]\ntime = 1.0\nphase = q\namplitude = 1\n")
+            parse_config(GOOD + "\n[step]\nperiod = 10\nphase = q\namplitude = 1\n")
 
     def test_sweep_section(self):
         cfg = parse_config(GOOD + "\n[sweep]\nkey = h\nvalues = 1, 2, 3, 5, 7\n")
@@ -99,8 +117,7 @@ class TestParse:
 
     def test_controller_section(self):
         cfg = parse_config(GOOD + "\n[controller]\nK_p = 0.5\nK_r = 100\nk_f = 1\n")
-        assert cfg.ctrl.K_p == 0.5
-        assert cfg.ctrl.omega1 == cfg.params.omega1
+        assert cfg.ctrl == ControllerParams(K_p=0.5, K_r=100.0, k_f=1.0)
 
 
 class TestPresets:
@@ -168,3 +185,24 @@ class TestSweepValues:
         apply_sweep_value(cfg, "m", 0.1)
         assert cfg.m == 0.5
         assert dataclasses.is_dataclass(cfg)
+
+
+def test_readme_configuration_block_parses():
+    """The README's documented configuration is a valid document, and its
+    [sim] and [step] values arrive in ``cfg.sim`` and ``cfg.step``."""
+    import configparser
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    text = "\n".join(line.split("#", 1)[0].rstrip() for line in block.splitlines())
+    cfg = parse_config(text)
+
+    documented = configparser.ConfigParser()
+    documented.optionxform = str
+    documented.read_string(text)
+    for section, parsed in (("sim", cfg.sim), ("step", cfg.step)):
+        for key, raw in documented[section].items():
+            value = getattr(parsed, key)
+            expected = raw if isinstance(value, str) else type(value)(float(raw))
+            assert value == expected, (section, key)

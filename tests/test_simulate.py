@@ -34,28 +34,26 @@ from hssmmc.simulate import (
     default_initial_state,
     power_balance,
     settling_profile,
-    steps_per_period,
 )
 
 W1 = 314.0
 
 
 def fast_cfg(params, periods=12, settle=10):
-    T = params.period
-    return SimulationConfig(dt=T / 2000, t_end=periods * T, settle_periods=settle)
+    return SimulationConfig(steps_per_period=2000, total_periods=periods, settle_periods=settle)
 
 
 class TestSimulationConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(dt=0.0, t_end=1.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(dt=1e-5, t_end=-1.0)
+        assert SimulationConfig(4, 3, 2).n_steps() == 12
+        with pytest.raises(ValueError, match="steps_per_period"):
+            SimulationConfig(steps_per_period=3, total_periods=50, settle_periods=40)
+        with pytest.raises(ValueError, match="settle_periods"):
+            SimulationConfig(steps_per_period=400, total_periods=50, settle_periods=1)
 
-    def test_settle_budget(self, fast_params):
-        cfg = SimulationConfig(dt=1e-5, t_end=0.02, settle_periods=40)
-        with pytest.raises(ValueError):
-            cfg.validate_against(fast_params)
+    def test_settle_budget(self):
+        with pytest.raises(ValueError, match="total_periods must exceed settle_periods"):
+            SimulationConfig(steps_per_period=2000, total_periods=40, settle_periods=40)
 
 
 class TestOpenLoop:
@@ -85,7 +83,7 @@ class TestOpenLoop:
         assert total_harmonic_distortion(hv) < 0.01
 
     def test_settling_monotonicity(self, sec3_traj, sec3_params):
-        profile = settling_profile(sec3_traj, sec3_params.omega1, n_periods=5)
+        profile = settling_profile(sec3_traj, n_periods=5)
         worst = profile.max(axis=1)
         assert np.all(np.diff(worst) > 0)  # most recent first: older periods larger
 
@@ -137,10 +135,9 @@ class TestShooting:
         params = dataclasses.replace(
             fast_params, L_load=x_over_r * fast_params.R_load / fast_params.omega1
         )
-        T = params.period
-        cfg = SimulationConfig(dt=T / 200, t_end=4 * T, settle_periods=2)
+        cfg = SimulationConfig(steps_per_period=200, total_periods=4, settle_periods=2)
         orbit = settled_open_loop(params, m, cfg)
-        assert np.max(settling_profile(orbit, params.omega1, n_periods=1)) <= 1e-9
+        assert np.max(settling_profile(orbit, n_periods=1)) <= 1e-9
 
         rest = settled_open_loop(params, 0.0, cfg)
         deviation = rest.states.copy()
@@ -150,40 +147,39 @@ class TestShooting:
 
 class TestClosedLoop:
     def test_zero_gains_zero_reference_matches_open_loop(self, fast_params):
-        ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0, omega1=W1)
+        ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
         refs = {"a": 0.0 + 0.0j, "b": 0.0 + 0.0j, "c": 0.0 + 0.0j}
         cfg = fast_cfg(fast_params)
-        closed = simulate_closed_loop(fast_params, ctrl, refs, cfg.dt, cfg.n_steps())
+        closed = simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps())
         opened = simulate_open_loop(fast_params, 0.0, cfg)
         assert np.array_equal(closed.states[:, :12], opened.states)
         assert np.all(closed.states[:, 12:] == 0.0)
 
     def test_tracks_reference_fundamental(self, fast_params):
-        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0, omega1=W1)
+        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
         amp = 0.35 * fast_params.V_dc
         refs = {p: amp * np.exp(-1j * s) for p, s in (("a", 0.0), ("b", 2 * np.pi / 3), ("c", -2 * np.pi / 3))}
         cfg = fast_cfg(fast_params, periods=30, settle=28)
-        traj = simulate_closed_loop(fast_params, ctrl, refs, cfg.dt, cfg.n_steps())
+        traj = simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps())
         vg = settled_spectrum(traj, "i_g", "a", 3, W1) * fast_params.R_load
         achieved = 2 * abs(vg[1])
         assert achieved == pytest.approx(amp, rel=0.02)
 
     def test_reference_step_event_grows_amplitude(self, fast_params):
-        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0, omega1=W1)
+        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
         amp = 0.3 * fast_params.V_dc
         refs = {p: amp + 0.0j for p in ("a", "b", "c")}
-        T = fast_params.period
         cfg = RunConfig(
             params=fast_params,
             m=0.5,
             h=3,
-            sim=SimulationConfig(dt=T / 2000, t_end=24 * T, settle_periods=10),
+            sim=SimulationConfig(steps_per_period=2000, total_periods=24, settle_periods=10),
             ctrl=ctrl,
-            step=StepConfig(time=16 * T, phase="a", amplitude=0.2 * amp),
+            step=StepConfig(period=16, phase="a", amplitude=0.2 * amp),
         )
         runs = ReferenceStepRuns(cfg, refs, step_grid_index(cfg))
         traj = runs.joined(cfg.step.amplitude, cfg.sim.n_steps())
-        spp = steps_per_period(traj.dt, W1)
+        spp = traj.steps_per_period
         pre = np.max(np.abs(traj.series("i_g", "a")[14 * spp : 16 * spp]))
         post = np.max(np.abs(traj.series("i_g", "a")[-2 * spp :]))
         assert post > 1.1 * pre
@@ -191,16 +187,15 @@ class TestClosedLoop:
     def test_joined_run_is_the_concatenation_of_its_segments(self, fast_params):
         # The segments before and after a step lie on one grid, so joining
         # them moves no time stamp.
-        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0, omega1=W1)
+        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
         refs = {p: 300.0 + 0.0j for p in ("a", "b", "c")}
-        T = fast_params.period
         cfg = RunConfig(
             params=fast_params,
             m=0.5,
             h=3,
-            sim=SimulationConfig(dt=T / 400, t_end=6 * T, settle_periods=2),
+            sim=SimulationConfig(steps_per_period=400, total_periods=6, settle_periods=2),
             ctrl=ctrl,
-            step=StepConfig(time=4 * T, phase="b", amplitude=60.0),
+            step=StepConfig(period=4, phase="b", amplitude=60.0),
         )
         runs = ReferenceStepRuns(cfg, refs, step_grid_index(cfg))
         n_end = cfg.sim.n_steps()
@@ -210,13 +205,13 @@ class TestClosedLoop:
         assert np.array_equal(joined.states, np.concatenate([runs.pre.states[:-1], stepped.states]))
 
     def test_blowup_detection(self, fast_params):
-        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0, omega1=W1)
+        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
         refs = {p: 0.0 + 0.0j for p in ("a", "b", "c")}
         x0 = np.zeros(18)
         x0[3:9] = 1e16
         cfg = fast_cfg(fast_params)
         with pytest.raises(NumericalBlowupError):
-            simulate_closed_loop(fast_params, ctrl, refs, cfg.dt, cfg.n_steps(), x0=x0)
+            simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps(), x0=x0)
 
 
 class TestBlowupCheck:
@@ -229,7 +224,7 @@ class TestBlowupCheck:
             return np.full_like(x, np.nan) if t >= t_nan else -x
 
         with pytest.raises(NumericalBlowupError) as info:
-            _rk4(rhs, np.ones(3), 0.0, 1000, dt, 1.0, period)
+            _rk4(rhs, np.ones(3), 0, 1000, dt, 100, 1.0)
         step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
         assert t_nan <= step * dt <= t_nan + period
 
@@ -242,17 +237,10 @@ class TestSettledSpectrum:
         assert np.max(np.abs(np.delete(hv.coeffs, 3))) < 1e-9
 
     def test_not_settled_raises(self, sec3_params):
-        T = sec3_params.period
-        cfg = SimulationConfig(dt=T / 2000, t_end=6 * T, settle_periods=3)
+        cfg = SimulationConfig(steps_per_period=2000, total_periods=6, settle_periods=3)
         traj = simulate_open_loop(sec3_params, 0.5, cfg)
         with pytest.raises(NotSettledError):
             settled_spectrum(traj, "i_c", "a", 3, sec3_params.omega1)
-
-    def test_grid_must_fit_period(self, fast_params):
-        cfg = SimulationConfig(dt=1.1e-5, t_end=0.3, settle_periods=2)
-        traj = simulate_open_loop(fast_params, 0.0, cfg)
-        with pytest.raises(ValueError):
-            steps_per_period(traj.dt, fast_params.omega1)
 
     def test_matches_steady_solve(self, sec3_orbit, sec3_op, sec3_params):
         for var in ("i_c", "v_cu", "i_g"):

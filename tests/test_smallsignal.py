@@ -56,15 +56,15 @@ def solve(params, m, h):
 
 
 def ctrl_default():
-    return ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0, omega1=W1)
+    return ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
 
 
 class TestControllerParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ControllerParams(K_p=-0.1, K_r=1.0, k_f=1.0, omega1=W1)
+            ControllerParams(K_p=-0.1, K_r=1.0, k_f=1.0)
         with pytest.raises(ValueError):
-            ControllerParams(K_p=0.1, K_r=-1.0, k_f=1.0, omega1=W1)
+            ControllerParams(K_p=0.1, K_r=-1.0, k_f=1.0)
 
     def test_pr_realization_transfer_function(self):
         # The two-state resonator with dx1 = -w1^2 x2 + K_r e, dx2 = x1,
@@ -86,7 +86,7 @@ class TestFCoefficients:
     def test_feedforward_equal_proportional(self):
         p = sec3_like()
         op = solve(p, 0.5, 3)
-        ctrl = ControllerParams(K_p=0.7, K_r=100.0, k_f=0.7, omega1=W1)
+        ctrl = ControllerParams(K_p=0.7, K_r=100.0, k_f=0.7)
         fc = compute_f_coefficients(op, p, ctrl)
         for i, ph in enumerate(("a", "b", "c")):
             assert np.max(np.abs(fc.A0[S(f"i_c{ph}"), S(f"i_g{ph}")])) == 0.0
@@ -119,7 +119,7 @@ class TestFCoefficients:
     def test_gains_zero_lower_capacitor_column_matches_open_loop(self):
         p = sec3_like()
         op = solve(p, 0.5, 3)
-        ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0, omega1=W1)
+        ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
         fc = compute_f_coefficients(op, p, ctrl)
         expected = (-1.0 / (2 * p.C_arm)) * op.n_l[0]
         assert np.allclose(fc.A0[S("v_cla"), S("i_ga")], expected, atol=1e-18)
@@ -151,7 +151,7 @@ class TestAssembly:
     def test_zero_gains_about_equilibrium_reduce_to_open_loop(self):
         p = sec3_like()
         op = solve(p, 0.0, 2)
-        ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0, omega1=W1)
+        ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
         model = assemble_smallsignal(op, p, ctrl, 2)
         steady = assemble_steady(p, open_loop_insertion_indices(0.0, 2), 2)
         n12 = 12 * 5
@@ -213,7 +213,7 @@ def eig_max_real(eig):
 class TestEnvelope:
     def test_zero_input_stays_zero(self, smallsig_ctx):
         model = smallsig_ctx.model
-        env = envelope_response(model, [], t_end=0.01, dt=1e-5)
+        env = envelope_response(model, zero_input(model), t_end=0.01, dt=1e-5)
         assert np.max(np.abs(env.states)) == 0.0
 
     def test_coarse_step_is_exact(self, smallsig_ctx):
@@ -221,8 +221,8 @@ class TestEnvelope:
         # exact on any grid, so a 10x finer grid lands on the same points.
         model = smallsig_ctx.model
         u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
-        coarse = envelope_response(model, [(0.0, u)], t_end=0.1, dt=1e-3)
-        fine = envelope_response(model, [(0.0, u)], t_end=0.1, dt=1e-4, store_every=10)
+        coarse = envelope_response(model, u, t_end=0.1, dt=1e-3)
+        fine = envelope_response(model, u, t_end=0.1, dt=1e-4, store_every=10)
         assert np.allclose(coarse.t, fine.t, rtol=0.0, atol=1e-12)
         err = np.max(np.abs(coarse.states - fine.states)) / np.max(np.abs(fine.states))
         assert err <= 1e-9
@@ -231,11 +231,11 @@ class TestEnvelope:
         # At the preset's step the two methods differ by RK4's truncation error.
         model = smallsig_ctx.model
         u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
-        dt = sec3_cfg.sim.dt
+        dt = smallsig_ctx.dt
         assert 0.01 <= dt * np.max(np.abs(smallsig_ctx.eig)) <= 0.02
         t_end = 10 * sec3_cfg.params.period
-        env = envelope_response(model, [(0.0, u)], t_end=t_end, dt=dt)
-        ref = rk4_envelope(model.A, model.B @ u, int(round(t_end / dt)), dt)
+        env = envelope_response(model, u, t_end=t_end, dt=dt)
+        ref = rk4_envelope(model.A, model.B @ u, 10 * sec3_cfg.sim.steps_per_period, dt)
         err = np.max(np.abs(env.states - ref)) / np.max(np.abs(ref))
         assert err <= 1e-8
 
@@ -246,7 +246,7 @@ class TestEnvelope:
         x_alg = settled_envelope_state(model, u)
         lam = np.max(np.abs(smallsig_ctx.eig))
         dt = 0.09 / lam
-        env = envelope_response(model, [(0.0, u)], t_end=2.8, dt=dt, store_every=2000)
+        env = envelope_response(model, u, t_end=2.8, dt=dt, store_every=2000)
         err = np.linalg.norm(env.final_state() - x_alg) / np.linalg.norm(x_alg)
         assert err <= 1e-3
 
@@ -261,7 +261,7 @@ class TestEnvelope:
 
     def test_reconstruct_zero(self, smallsig_ctx):
         model = smallsig_ctx.model
-        env = envelope_response(model, [], t_end=0.005, dt=1e-5)
+        env = envelope_response(model, zero_input(model), t_end=0.005, dt=1e-5)
         series = reconstruct_perturbation(env, "i_c", "a")
         assert np.max(np.abs(series)) == 0.0
 
@@ -289,7 +289,8 @@ class TestEnvelope:
             reconstruct_perturbation(env, "i_c", "a")
 
     def test_reconstruct_unknown_variable(self, smallsig_ctx):
-        env = envelope_response(smallsig_ctx.model, [], t_end=0.002, dt=1e-5)
+        model = smallsig_ctx.model
+        env = envelope_response(model, zero_input(model), t_end=0.002, dt=1e-5)
         with pytest.raises(UnknownVariableError):
             reconstruct_perturbation(env, "i_q", "a")
 
@@ -302,6 +303,10 @@ class TestEnvelope:
         u = lifted_reference_step(model, "a", 10e3)
         with pytest.raises(SingularSystemError):
             settled_envelope_state(singular, u)
+
+
+def zero_input(model):
+    return np.zeros(model.B.shape[1], dtype=complex)
 
 
 def rk4_envelope(A, bu, n_steps, dt):
@@ -330,26 +335,22 @@ def small_model():
 @given(
     dt=st.floats(1e-5, 2e-3),
     n_steps=st.integers(4, 400),
-    step_frac=st.floats(0.0, 1.0),
     magnitude=st.floats(1e2, 1e5),
     angle=st.floats(-np.pi, np.pi),
     scale=st.floats(-3.0, 3.0),
 )
-def test_envelope_properties(small_model, dt, n_steps, step_frac, magnitude, angle, scale):
+def test_envelope_properties(small_model, dt, n_steps, magnitude, angle, scale):
     model = small_model
     t_end = n_steps * dt
-    t_step = int(step_frac * n_steps) * dt  # on the grid of dt and of dt/2
 
     def response(phasor, step=dt, store_every=1):
         u = lifted_reference_step(model, "b", phasor)
-        return envelope_response(
-            model, [(t_step, u)], t_end=t_end, dt=step, store_every=store_every
-        )
+        return envelope_response(model, u, t_end=t_end, dt=step, store_every=store_every)
 
     phasor = magnitude * np.exp(1j * angle)
     env = response(phasor)
     peak = np.max(np.abs(env.states))
-    assert peak > 0.0 or t_step == t_end
+    assert peak > 0.0
 
     # Exact on any grid: a grid twice as fine lands on the same points.
     halved = response(phasor, dt / 2, store_every=2)
