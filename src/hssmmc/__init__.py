@@ -14,6 +14,7 @@ from .errors import (
     OrderMismatchError,
     ResidualImaginaryError,
     SchemaViolationError,
+    ShootingError,
     SingularSystemError,
     UnknownVariableError,
 )

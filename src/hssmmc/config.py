@@ -187,12 +187,8 @@ def parse_config(text: str) -> RunConfig:
         raise SchemaViolationError(f"[params]: {exc}") from None
 
     r = sections["run"]
-    m = r.get_float("m")
-    if not 0.0 <= m <= 1.0:
-        raise _fail("run", "m", f"modulation index {m} outside [0, 1]")
-    h = r.get_int("h")
-    if h < 0:
-        raise _fail("run", "h", "h must be >= 0")
+    m = _modulation_index(r.get_float("m"))
+    h = _harmonic_order(r.get_int("h"))
 
     scenario = None
     if "scenario" in r:
@@ -281,17 +277,27 @@ def _parse_sweep(s: _Section | None) -> SweepConfig | None:
     return SweepConfig(key=key, values=tuple(values), scenario=scenario)
 
 
+def _modulation_index(value: float) -> float:
+    """The one rule for m, from the file, a sweep or --m."""
+    if not 0.0 <= value <= 1.0:
+        raise SchemaViolationError(f"modulation index m {value} outside [0, 1]")
+    return float(value)
+
+
+def _harmonic_order(value: float) -> int:
+    """The one rule for h, from the file, a sweep or --h."""
+    if not (float(value).is_integer() and value >= 0):
+        raise SchemaViolationError(f"h {value} is not a harmonic order (an integer >= 0)")
+    return int(value)
+
+
 def apply_sweep_value(cfg: RunConfig, key: str, value: float) -> RunConfig:
     """New RunConfig with one numeric field replaced: a sweep value or a
-    command-line override, held to the same rules."""
+    command-line override, held to the same rules as the file."""
     if key == "m":
-        if not 0.0 <= value <= 1.0:
-            raise SchemaViolationError(f"m {value} outside [0, 1]")
-        return replace(cfg, m=float(value))
+        return replace(cfg, m=_modulation_index(value))
     if key == "h":
-        if value != int(value) or value < 0:
-            raise SchemaViolationError(f"h {value} is not a harmonic order (an integer >= 0)")
-        return replace(cfg, h=int(value))
+        return replace(cfg, h=_harmonic_order(value))
     if key in ("R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load"):
         if key == "N":
             if value != int(value):

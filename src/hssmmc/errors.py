@@ -41,6 +41,15 @@ class NotSettledError(HssError):
     """Trajectory has not reached a periodic steady state."""
 
 
+class ShootingError(NotSettledError):
+    """Newton shooting found no attracting periodic orbit."""
+
+    def __init__(self, message: str, iterations: int, defect: float):
+        super().__init__(message)
+        self.iterations = iterations
+        self.defect = defect
+
+
 class NumericalBlowupError(HssError):
     """A simulated state left the physically plausible range."""
 

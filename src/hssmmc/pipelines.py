@@ -10,11 +10,12 @@ propagate as exceptions and are mapped by the CLI).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_sweep_value
+from .config import RunConfig, StepConfig, apply_sweep_value
 from .errors import HssError, SchemaViolationError
 from .harmonic import HarmonicVector, synthesize
 from .plant import PHASES, STATE_LABELS, STATE_VARIABLES, LiftedModel, open_loop_insertion_indices
@@ -27,13 +28,16 @@ from .reports import (
     write_waveform_csv,
 )
 from .simulate import (
+    PeriodicOrbit,
     Trajectory,
     compare_spectra,
     is_settled,
     power_balance,
+    settled_closed_loop,
     settled_open_loop,
     settled_spectrum,
     simulate_closed_loop,
+    simulate_closed_loop_columns,
     simulate_open_loop,
     total_harmonic_distortion,
 )
@@ -44,6 +48,7 @@ from .smallsignal import (
     eigenvalues,
     envelope_response,
     lifted_reference_step,
+    operating_state_at,
     reconstruct_perturbation,
     references_from_operating_point,
 )
@@ -174,9 +179,23 @@ def step_grid_index(cfg: RunConfig) -> int:
     return cfg.step.period * cfg.sim.steps_per_period
 
 
+def step_delta(refs: dict[str, complex], step: StepConfig, amplitude: float) -> complex:
+    """Reference phasor step of ``amplitude`` volts along the stepped phase's phasor."""
+    return amplitude * np.exp(1j * np.angle(refs[step.phase]))
+
+
+def stepped_references(
+    refs: dict[str, complex], step: StepConfig, amplitude: float
+) -> dict[str, complex]:
+    """``refs`` with the stepped phase's phasor lengthened by ``step_delta``."""
+    stepped = dict(refs)
+    stepped[step.phase] = refs[step.phase] + step_delta(refs, step, amplitude)
+    return stepped
+
+
 class ReferenceStepRuns:
-    """Closed-loop runs around the configured reference step, applied as
-    run segments.
+    """The closed-loop transient around the configured reference step, as
+    ``simulate-closed`` exports it, applied as run segments.
 
     ``pre`` runs from the cold start to grid point ``n_step`` with the
     references ``refs``. Each ``after`` run continues from its final state
@@ -195,17 +214,11 @@ class ReferenceStepRuns:
             cfg.params, cfg.ctrl, refs, cfg.sim.steps_per_period, n_step
         )
 
-    def delta(self, amplitude: float) -> complex:
-        """Reference phasor step of ``amplitude`` volts along the stepped phase's phasor."""
-        return amplitude * np.exp(1j * np.angle(self.refs[self.cfg.step.phase]))
-
     def after(self, amplitude: float, n_steps: int) -> Trajectory:
         """The ``n_steps`` steps from the step's grid point on."""
-        refs = dict(self.refs)
-        refs[self.cfg.step.phase] = refs[self.cfg.step.phase] + self.delta(amplitude)
         return simulate_closed_loop(
-            self.cfg.params, self.cfg.ctrl, refs, self.pre.steps_per_period, n_steps,
-            x0=self.pre.states[-1], n0=self.n_step,
+            self.cfg.params, self.cfg.ctrl, stepped_references(self.refs, self.cfg.step, amplitude),
+            self.pre.steps_per_period, n_steps, x0=self.pre.states[-1], n0=self.n_step,
         )
 
     def joined(self, amplitude: float, n_end: int) -> Trajectory:
@@ -338,9 +351,12 @@ class SmallsigComparison:
 class SmallsigContext:
     """Shared state for small-signal verification runs.
 
-    Builds the operating point, the lifted model, the closed-loop run up to
-    the step and the baseline continuation once; individual step amplitudes
-    reuse them. The step comes at a whole-period grid point and the
+    Builds the operating point, the lifted model and the closed-loop
+    periodic orbit at the step's grid point once; individual step amplitudes
+    reuse them. The orbit comes from Newton shooting (``settled_closed_loop``)
+    started from the operating point with its controller states at the step
+    instant, and is found on first use, so an unstable model is reported
+    without it. The step comes at a whole-period grid point and the
     comparison window lasts ``window_periods`` whole periods of the
     ``cfg.sim`` grid, the same grid the lifted envelope is sampled on.
     """
@@ -352,22 +368,52 @@ class SmallsigContext:
         self.op, self.model = build_smallsignal_model(cfg)
         self.refs = references_from_operating_point(self.op, cfg.params)
         self.eig = eigenvalues(self.model)
-
-        # The timeline derives from the step configuration alone: the run up
-        # to the step, then baseline and stepped continuations covering the
-        # comparison window.
         self.spp = cfg.sim.steps_per_period
+        self.dt = cfg.params.period / self.spp
+        self.n_step = step_grid_index(cfg)
         self.window_steps = cfg.step.window_periods * self.spp
-        self.runs = ReferenceStepRuns(cfg, self.refs, step_grid_index(cfg))
-        self.dt = self.runs.pre.dt
-        self.baseline = self.runs.after(0.0, self.window_steps)
+
+    @cached_property
+    def orbit(self) -> PeriodicOrbit:
+        """The closed-loop orbit with the unstepped references, one period
+        from the step's grid point."""
+        cfg = self.cfg
+        guess = operating_state_at(self.op, cfg.params, cfg.ctrl, self.refs, self.n_step * self.dt)
+        return settled_closed_loop(cfg.params, cfg.ctrl, self.refs, self.spp, self.n_step, guess)
+
+    def window(self, *amplitudes: float) -> list[Trajectory]:
+        """The baseline run and one stepped run per amplitude over the
+        comparison window, as columns of one RK4 pass from the orbit's state
+        at the step's grid point."""
+        cfg = self.cfg
+        return simulate_closed_loop_columns(
+            cfg.params,
+            cfg.ctrl,
+            [self.refs] + [stepped_references(self.refs, cfg.step, a) for a in amplitudes],
+            self.spp,
+            self.window_steps,
+            self.orbit.trajectory.states[0],
+            self.n_step,
+        )
 
     def compare(self, amplitude: float) -> SmallsigComparison:
-        phase = self.cfg.step.phase
-        stepped = self.runs.after(amplitude, self.window_steps)
+        return self.compare_many([amplitude])[0]
 
-        t_step = self.runs.n_step * self.dt
-        u_vec = lifted_reference_step(self.model, phase, self.runs.delta(amplitude))
+    def compare_many(self, amplitudes: list[float]) -> list[SmallsigComparison]:
+        """``compare`` for several amplitudes, from one window pass."""
+        baseline, *stepped_runs = self.window(*amplitudes)
+        return [
+            self._comparison(amplitude, baseline, stepped)
+            for amplitude, stepped in zip(amplitudes, stepped_runs)
+        ]
+
+    def _comparison(
+        self, amplitude: float, baseline: Trajectory, stepped: Trajectory
+    ) -> SmallsigComparison:
+        phase = self.cfg.step.phase
+        t_step = self.n_step * self.dt
+        delta = step_delta(self.refs, self.cfg.step, amplitude)
+        u_vec = lifted_reference_step(self.model, phase, delta)
         env = envelope_response(
             self.model,
             u_vec,
@@ -384,13 +430,13 @@ class SmallsigContext:
         pre_peak = {}
         post_peak = {}
         for var in ("i_c", "i_g"):
-            d_nl = stepped.series(var, phase) - self.baseline.series(var, phase)
+            d_nl = stepped.series(var, phase) - baseline.series(var, phase)
             d_hss = reconstruct_perturbation(env, var, phase)
             nonlinear[var] = d_nl
             reconstructed[var] = d_hss
             nrmse_map[var] = nrmse(d_nl, d_hss)
             peak_error[var] = float(np.max(np.abs(d_hss - d_nl)))
-            pre_peak[var] = float(np.max(np.abs(self.runs.pre.series(var, phase)[-self.spp - 1 :])))
+            pre_peak[var] = float(np.max(np.abs(self.orbit.trajectory.series(var, phase))))
             post_peak[var] = float(np.max(np.abs(stepped.series(var, phase)[-self.spp - 1 :])))
 
         return SmallsigComparison(

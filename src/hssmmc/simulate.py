@@ -3,11 +3,12 @@
 Fixed-step RK4, deterministic and bit-reproducible for identical inputs.
 Open-loop runs drive the plant with sinusoidal insertion indices;
 closed-loop runs add the per-phase proportional-resonant ac-voltage
-controller, with reference phasors that are constant over a run. A
-reference step is two runs: the second starts from the first one's final
-state with the stepped references (``pipelines.ReferenceStepRuns``).
-Settled trajectories feed the spectral extraction used to cross-check the
-lifted models.
+controller, with reference phasors that are constant over a run. The
+right-hand sides advance one state vector or a block of state columns,
+each column with its own references (``simulate_closed_loop_columns``); a
+column runs exactly the numpy operations of a single-vector run, so it is
+bit-identical to it. Settled trajectories feed the spectral extraction
+used to cross-check the lifted models.
 
 Time lives on one grid: a fundamental period holds ``steps_per_period``
 RK4 steps of dt = period / steps_per_period, and every run length, start
@@ -17,10 +18,16 @@ continue one another lie on one grid and join by concatenation.
 
 The open-loop periodic steady state comes from shooting
 (``settled_open_loop``): the RK4 map over one period is affine, and its
-fixed point is the orbit that brute-force settling only approaches. A
-full transient run (``simulate_open_loop``) is kept for trajectory export,
-where ``settle_periods`` sets how long the run must be before its last
-two periods are checked for settling.
+fixed point is the orbit that brute-force settling only approaches. The
+closed-loop one comes from Newton shooting (``settled_closed_loop``): the
+map is nonlinear, and each Newton step pushes 19 columns, the state and
+18 finite-difference perturbations, through one period. Full transient
+runs (``simulate_open_loop``, ``simulate_closed_loop`` from the cold start)
+are kept for trajectory export; for the open loop ``settle_periods`` sets
+how long the run must be before its last two periods are checked for
+settling. A reference step in an exported run is two runs, the second
+starting from the first one's final state with the stepped references
+(``pipelines.ReferenceStepRuns``).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .errors import (
     NotSettledError,
     NumericalBlowupError,
     OrderMismatchError,
+    ShootingError,
 )
 from .harmonic import HarmonicVector, analyze
 from .plant import PHASES, PHASE_SHIFT, MmcParameters, plant_rhs
@@ -48,6 +56,14 @@ BLOWUP_FACTOR = 1e9
 # Last-two-period RMS change below this fraction of the signal RMS counts
 # as settled.
 SETTLE_RTOL = 1e-3
+
+# Closed-loop Newton shooting stops at this relative defect of the
+# one-period map, and gives up after this many Newton updates. Forward
+# differences for its monodromy matrix step each state by _FD_STEP times
+# its magnitude (at least 1).
+SHOOTING_DEFECT_TOL = 1e-10
+SHOOTING_MAX_ITERATIONS = 8
+_FD_STEP = 1e-7
 
 _PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
 
@@ -224,14 +240,15 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     v_dc_columns[0] = v_dc
     rhs = _open_loop_rhs(params, m, v_dc_columns)
     end = _rk4(rhs, columns, n0, spp, dt, spp, scale)[-1]
-    x_star = x_rest + _shooting_fixed_point(end[:, 1:], end[:, 0] - x_rest)
+    x_star = x_rest + _shooting_fixed_point(end[:, 1:], end[:, 0] - x_rest)[0]
 
     states = _rk4(_open_loop_rhs(params, m, v_dc), x_star, n0, 2 * spp, dt, spp, scale)
     return Trajectory(dt, spp, n0, states)
 
 
-def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Fixed point of the one-period map x -> phi x + g.
+def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fixed point of the one-period map x -> phi x + g, and the largest
+    Floquet multiplier.
 
     Raises SingularSystemError when the gated solve (``steady.solve_lifted``)
     rejects I - phi, and NotSettledError when the largest Floquet multiplier
@@ -245,14 +262,15 @@ def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
             f"largest Floquet multiplier {multiplier:.6g} is not below 1: "
             "the periodic orbit is not attracting"
         )
-    return x
+    return x, multiplier
 
 
 def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
     """Closed-loop insertion indices and terminal voltage for states ``x``.
 
-    ``x`` is one 18-state vector or a run of them (n, 18), ``v_star`` the
-    matching voltage references. With an inductive load part the terminal
+    ``x`` is one 18-state vector or an (18, k) block of state columns and
+    ``v_star`` the matching (3,) or (3, k) voltage references; the results
+    are (3,) or (3, k). With an inductive load part the terminal
     voltage depends on di_g/dt, which itself depends on the insertion
     indices; that linear relation is solved in closed form, so no inner
     iteration is needed.
@@ -261,16 +279,16 @@ def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
     R_L = params.R_load
     L_L = params.L_load
     kd = ctrl.k_f - ctrl.K_p
-    v_cu = x[..., 3:6]
-    v_cl = x[..., 6:9]
-    i_g = x[..., 9:12]
+    v_cu = x[3:6]
+    v_cl = x[6:9]
+    i_g = x[9:12]
 
     # With v_g = R_load i_g + L_load di_g/dt, the modulation voltage
     # v_mod = K_p (v* - v_g) + x1 + k_f v_g is w + kd L_load di_g/dt, and the
     # plant's (L + 2 L_load) di_g/dt = -n_u v_cu + n_l v_cl - (R + 2 R_load) i_g
     # becomes linear in di_g/dt.
     sigma = (v_cu + v_cl) / v_dc
-    w = ctrl.K_p * v_star + x[..., 12:18:2] + (kd * R_L) * i_g
+    w = ctrl.K_p * v_star + x[12:18:2] + (kd * R_L) * i_g
     di_g = (sigma * w - 0.5 * (v_cu - v_cl) - (params.R + 2.0 * R_L) * i_g) / (
         params.L + 2.0 * L_L - (kd * L_L) * sigma
     )
@@ -281,7 +299,12 @@ def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
 
 def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.ndarray):
     """Right-hand side of the 18-state closed-loop model with constant
-    per-phase reference phasors ``amps`` (3,)."""
+    per-phase reference phasors ``amps``.
+
+    ``amps`` is (3,) for one 18-state vector, or (3, k) (or (3, 1), shared)
+    for an (18, k) block of state columns. Every operation is elementwise,
+    so a column of a block advances exactly as that column alone would.
+    """
     w1 = params.omega1
     w1sq = w1 ** 2
     v_dc = params.V_dc
@@ -292,13 +315,23 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.nda
         # Scalar t: math.cos costs a fraction of np.cos per call.
         v_star = re * math.cos(w1 * t) - im * math.sin(w1 * t)
         n_u, n_l, v_g = _index_law(params, ctrl, v_star, x)
-        d = np.empty(18)
+        d = np.empty(x.shape)
         d[0:12] = plant_rhs(x[0:12], n_u, n_l, v_dc, params)
         d[12:18:2] = -w1sq * x[13:18:2] + K_r * (v_star - v_g)
         d[13:18:2] = x[12:18:2]
         return d
 
     return rhs
+
+
+def _reference_amps(refs: dict[str, complex]) -> np.ndarray:
+    return np.array([refs[p] for p in PHASES], dtype=complex)
+
+
+def _closed_loop_run(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
+    dt = params.period / steps_per_period
+    rhs = _closed_loop_rhs(params, ctrl, amps)
+    return _rk4(rhs, x0, n0, n_steps, dt, steps_per_period, max(params.V_dc, 1.0))
 
 
 def simulate_closed_loop(
@@ -318,14 +351,107 @@ def simulate_closed_loop(
     point ``n0``; the default start is the cold start of
     ``default_initial_state`` with zero controller states.
     """
-    amps = np.array([refs[p] for p in PHASES], dtype=complex)
-    rhs = _closed_loop_rhs(params, ctrl, amps)
-    dt = params.period / steps_per_period
-
     if x0 is None:
         x0 = np.concatenate([default_initial_state(params), np.zeros(6)])
-    states = _rk4(rhs, x0, n0, n_steps, dt, steps_per_period, max(params.V_dc, 1.0))
-    return Trajectory(dt, steps_per_period, n0, states)
+    states = _closed_loop_run(
+        params, ctrl, _reference_amps(refs), steps_per_period, n_steps, x0, n0
+    )
+    return Trajectory(params.period / steps_per_period, steps_per_period, n0, states)
+
+
+def simulate_closed_loop_columns(
+    params: MmcParameters,
+    ctrl: ControllerParams,
+    refs_columns: list[dict[str, complex]],
+    steps_per_period: int,
+    n_steps: int,
+    x0: np.ndarray,
+    n0: int = 0,
+) -> list[Trajectory]:
+    """Closed-loop runs from one start ``x0``, one per reference set, as the
+    columns of one RK4 pass.
+
+    Run j is bit-identical to ``simulate_closed_loop`` with
+    ``refs_columns[j]`` and the same grid and start.
+    """
+    amps = np.stack([_reference_amps(refs) for refs in refs_columns], axis=1)
+    x0 = np.asarray(x0, dtype=float)
+    columns = np.repeat(x0[:, None], amps.shape[1], axis=1)
+    states = _closed_loop_run(params, ctrl, amps, steps_per_period, n_steps, columns, n0)
+    dt = params.period / steps_per_period
+    return [
+        Trajectory(dt, steps_per_period, n0, states[:, :, j].copy())
+        for j in range(amps.shape[1])
+    ]
+
+
+@dataclass(frozen=True)
+class PeriodicOrbit:
+    """One period of a periodic orbit found by Newton shooting, with the
+    shooting diagnostics."""
+
+    trajectory: Trajectory      # states[0] is the fixed point, at grid point n0
+    iterations: int             # Newton updates taken
+    defect: float               # relative defect of the one-period map at states[0]
+    multiplier: float           # largest Floquet multiplier magnitude
+
+
+def settled_closed_loop(
+    params: MmcParameters,
+    ctrl: ControllerParams,
+    refs: dict[str, complex],
+    steps_per_period: int,
+    n0: int,
+    x_guess: np.ndarray,
+) -> PeriodicOrbit:
+    """Periodic steady state of the closed loop by Newton shooting from grid
+    point ``n0``.
+
+    The references are constant, so the RK4 map F over one period from
+    ``n0`` is fixed; its fixed point is the state on the attracting orbit.
+    Each iteration is one RK4 pass over one period with 19 columns: x and
+    x + h_j e_j for the 18 states, which give F(x) and a forward-difference
+    monodromy matrix J. The update solves (I - J) dx = F(x) - x through
+    the same gated solve and Floquet check as ``settled_open_loop``. The
+    relative defect is max_i |F(x)_i - x_i| / RMS_i, with RMS_i the RMS of
+    state i over the period (1 where that is 0); Newton stops when it is at
+    or below ``SHOOTING_DEFECT_TOL``. Only the direct form of
+    ``_closed_loop_rhs`` is integrated, never the coefficient model.
+
+    Raises ShootingError (carrying the iteration count and the defect) when
+    the orbit is not attracting or the defect is still above the tolerance
+    after ``SHOOTING_MAX_ITERATIONS`` updates, and SingularSystemError when
+    the gated solve rejects I - J.
+    """
+    amps = _reference_amps(refs)[:, None]
+    x = np.array(x_guess, dtype=float)
+    for iteration in range(SHOOTING_MAX_ITERATIONS + 1):
+        columns = np.hstack([x[:, None], x[:, None] + np.diag(_FD_STEP * np.maximum(np.abs(x), 1.0))])
+        h = np.diag(columns[:, 1:]) - x  # the steps as represented
+        run = _closed_loop_run(params, ctrl, amps, steps_per_period, steps_per_period, columns, n0)
+        orbit = run[:, :, 0].copy()
+        end = run[-1]
+        rms = np.sqrt(np.mean(orbit[:-1] ** 2, axis=0))
+        defect = float(np.max(np.abs(end[:, 0] - x) / np.where(rms > 0, rms, 1.0)))
+        jacobian = (end[:, 1:] - end[:, :1]) / h
+        try:
+            dx, multiplier = _shooting_fixed_point(jacobian, end[:, 0] - x)
+        except NotSettledError as exc:
+            raise ShootingError(
+                f"after {iteration} Newton iterations (relative defect {defect:.3e}): {exc}",
+                iteration,
+                defect,
+            ) from exc
+        if defect <= SHOOTING_DEFECT_TOL:
+            trajectory = Trajectory(params.period / steps_per_period, steps_per_period, n0, orbit)
+            return PeriodicOrbit(trajectory, iteration, defect, multiplier)
+        x = x + dx
+    raise ShootingError(
+        f"Newton shooting left a relative defect {defect:.3e} above "
+        f"{SHOOTING_DEFECT_TOL:.0e} after {SHOOTING_MAX_ITERATIONS} iterations",
+        SHOOTING_MAX_ITERATIONS,
+        defect,
+    )
 
 
 def settling_profile(traj: Trajectory, n_periods: int = 5) -> np.ndarray:

@@ -37,7 +37,7 @@ from .errors import (
     ResidualImaginaryError,
     UnknownVariableError,
 )
-from .harmonic import HarmonicVector
+from .harmonic import HarmonicVector, synthesize
 from .plant import (
     PHASES,
     STATE_LABELS,
@@ -208,6 +208,22 @@ def operating_controller_states(
     return out
 
 
+def operating_state_at(
+    op: OperatingPoint,
+    params: MmcParameters,
+    ctrl: ControllerParams,
+    refs: dict[str, complex],
+    t: float,
+) -> np.ndarray:
+    """The 18 closed-loop states of the operating point at time t, in
+    ``SMALLSIG_STATE_LABELS`` order: the plant orbit followed by the
+    controller states of ``operating_controller_states``."""
+    prs = operating_controller_states(op, params, ctrl, refs)
+    return np.concatenate(
+        [op.state_vector_at(t), [synthesize(prs[p][i], t) for p in PHASES for i in (0, 1)]]
+    )
+
+
 def time_domain_linearized_A(
     op: OperatingPoint,
     params: MmcParameters,
@@ -261,7 +277,9 @@ def envelope_response(
 
     The state starts at zero at ``t_start`` and steps as x <- Phi x + Gamma u,
     where Phi and Gamma are the top blocks of expm([[A dt, B dt], [0, 0]])
-    (Van Loan 1978), so the grid values are exact for any ``dt``.
+    (Van Loan 1978), so the grid values are exact for any ``dt``. Every
+    ``store_every``-th grid point is stored, and the last one, at ``t_end``,
+    always is.
     """
     A = model.A
     Bd = model.B
@@ -281,7 +299,7 @@ def envelope_response(
     gu = gamma @ delta_u
 
     x = np.zeros(dim, dtype=complex)
-    n_store = n_steps // store_every + 1
+    n_store = -(-n_steps // store_every) + 1
     out = np.empty((n_store, dim), dtype=complex)
     t_out = np.empty(n_store)
     out[0] = x
@@ -290,7 +308,7 @@ def envelope_response(
 
     for n in range(n_steps):
         x = phi @ x + gu
-        if (n + 1) % store_every == 0:
+        if (n + 1) % store_every == 0 or n + 1 == n_steps:
             out[j] = x
             t_out[j] = t_start + (n + 1) * dt
             j += 1

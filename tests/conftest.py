@@ -46,7 +46,8 @@ def smallsig_ctx(sec3_cfg):
 
 @pytest.fixture(scope="session")
 def smallsig_comparisons(smallsig_ctx):
-    return {amp: smallsig_ctx.compare(amp) for amp in (10e3, 5e3)}
+    amplitudes = (10e3, 5e3)
+    return dict(zip(amplitudes, smallsig_ctx.compare_many(amplitudes)))
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from hssmmc.cli import main
 from hssmmc.config import apply_sweep_value, load_config
 from hssmmc.pipelines import (
     DOMINANT_FRACTION,
+    SmallsigContext,
     DOMINANT_REL_TOL,
     SMALLSIG_NRMSE_TOL,
     WAVEFORM_NRMSE_TOL,
@@ -39,7 +40,7 @@ from hssmmc.simulate import (
 from hssmmc.smallsignal import (
     envelope_response,
     lifted_reference_step,
-    operating_controller_states,
+    operating_state_at,
     references_from_operating_point,
     settled_envelope_state,
     time_domain_linearized_A,
@@ -158,6 +159,20 @@ def test_criterion_4_smallsignal_oracle_equivalence(smallsig_comparisons):
         assert comp.post_step_peak[var] > comp.pre_step_peak[var]
 
 
+def test_table1_preset_smallsignal_verification():
+    """Criterion 4's gates on table1-prototype at preset length: the
+    configured step, its grid and its window as shipped."""
+    cfg = load_config("table1-prototype")
+    ctx = SmallsigContext(cfg)
+    comp = ctx.compare(cfg.step.amplitude)
+    print(f"table1-prototype: Newton shooting {ctx.orbit.iterations} iterations, "
+          f"defect {ctx.orbit.defect:.1e}, Floquet multiplier {ctx.orbit.multiplier:.3f}; "
+          f"NRMSE i_c {comp.nrmse['i_c']:.3%}, i_g {comp.nrmse['i_g']:.3%} (tol 10%)")
+    for var in ("i_c", "i_g"):
+        assert comp.nrmse[var] <= SMALLSIG_NRMSE_TOL
+        assert comp.post_step_peak[var] > comp.pre_step_peak[var]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(
@@ -182,18 +197,12 @@ def test_criterion_5_linearization_first_order_convergence(smallsig_comparisons)
 def test_criterion_6_analytic_jacobian_check(sec3_cfg, sec3_op):
     params, ctrl = sec3_cfg.params, sec3_cfg.ctrl
     refs = references_from_operating_point(sec3_op, params)
-    prs = operating_controller_states(sec3_op, params, ctrl, refs)
     base = np.array([refs[p] for p in PHASES])
     rhs = _closed_loop_rhs(params, ctrl, base)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for t in rng.uniform(0.0, params.period, size=50):
-        x_op = np.concatenate(
-            [
-                sec3_op.state_vector_at(t),
-                [synthesize(prs[p][i], t) for p in PHASES for i in (0, 1)],
-            ]
-        )
+        x_op = operating_state_at(sec3_op, params, ctrl, refs, t)
         A_an = time_domain_linearized_A(sec3_op, params, ctrl, t)
         J = np.zeros((18, 18))
         for j in range(18):

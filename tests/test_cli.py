@@ -58,6 +58,17 @@ class TestExitCodes:
         code = main(["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--m", "1.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("key, old, value", [("m", "0.5", "1.5"), ("h", "3", "-1")])
+    def test_file_and_override_give_one_message(self, fast_config, tmp_path, capsys, key, old, value):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST.replace(f"\n{key} = {old}\n", f"\n{key} = {value}\n"), encoding="utf-8")
+        assert main(["steady", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        from_file = capsys.readouterr().err
+        code = main(["steady", "--config", fast_config, "--out", str(tmp_path / "o"), f"--{key}", value])
+        assert code == 2
+        assert capsys.readouterr().err == from_file
+        assert from_file.startswith(f"configuration error: {'modulation index m' if key == 'm' else 'h'} {value} ")
+
     def test_negative_order_override(self, fast_config, tmp_path, capsys):
         code = main(["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "-1"])
         assert code == 2
@@ -177,14 +188,16 @@ class TestSimulateScenarios:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header.endswith("pr_a1,pr_a2,pr_b1,pr_b2,pr_c1,pr_c2")
 
-    def test_closed_loop_step_is_the_smallsig_stepped_run(self, tmp_path, monkeypatch):
-        # simulate-closed and verify-smallsig apply a reference step the
-        # same way: from the step row on, the exported run is the stepped
-        # run of the small-signal comparison, bit for bit.
+    def test_closed_loop_step_shares_the_smallsig_grid(self, tmp_path, monkeypatch):
+        # simulate-closed exports the transient from the cold start, while
+        # verify-smallsig starts its baseline and stepped runs on the periodic
+        # orbit at the step, so their states differ. Both lie on one grid and
+        # time axis from the step row on, and the baseline repeats the orbit.
         import numpy as np
 
         from hssmmc import pipelines
         from hssmmc.config import load_config
+        from hssmmc.simulate import SETTLE_RTOL, settling_profile
 
         cfgp = fast_config_with_step(tmp_path, 4, "b")
         exported = []
@@ -192,20 +205,18 @@ class TestSimulateScenarios:
         assert main(["simulate-closed", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
         (traj,) = exported
 
-        runs = []
-        simulate = pipelines.simulate_closed_loop
-        monkeypatch.setattr(
-            pipelines, "simulate_closed_loop", lambda *a, **k: runs.append(simulate(*a, **k)) or runs[-1]
-        )
         cfg = load_config(cfgp)
-        pipelines.SmallsigContext(cfg).compare(cfg.step.amplitude)
-        stepped = runs[-1]
+        ctx = pipelines.SmallsigContext(cfg)
+        baseline, stepped = ctx.window(cfg.step.amplitude)
 
         n_step = 4 * 400  # t_end = t_step + window
         assert traj.t.size == n_step + stepped.t.size
-        assert traj.steps_per_period == stepped.steps_per_period == 400
+        assert traj.steps_per_period == stepped.steps_per_period == baseline.steps_per_period == 400
         assert np.array_equal(traj.t, np.arange(traj.t.size) * (cfg.params.period / 400))
-        assert np.array_equal(traj.states[n_step:], stepped.states)
+        assert np.array_equal(traj.t[n_step:], stepped.t)
+        assert np.array_equal(baseline.t, stepped.t)
+        assert np.array_equal(baseline.states[0], ctx.orbit.trajectory.states[0])
+        assert np.max(settling_profile(baseline, n_periods=5)) <= SETTLE_RTOL
 
     def test_closed_loop_step_at_or_after_the_end_leaves_the_run_unstepped(self, fast_config, tmp_path):
         def trajectory(config, name):
@@ -348,6 +359,18 @@ class TestVerifyScenarios:
         report = (out / "report.txt").read_text()
         assert "perturbation NRMSE i_c a" in report
         assert "result: PASS" in report
+
+    def test_smallsig_amplitudes_share_one_window_pass(self, tmp_path):
+        from hssmmc.config import load_config
+        from hssmmc.pipelines import SmallsigContext
+
+        ctx = SmallsigContext(load_config(fast_config_with_step(tmp_path, 4)))
+        many = ctx.compare_many([15.0, -7.5])
+        for amplitude, comp in zip((15.0, -7.5), many):
+            alone = ctx.compare(amplitude)
+            assert comp.nrmse == alone.nrmse
+            assert comp.peak_error == alone.peak_error
+            assert comp.post_step_peak == alone.post_step_peak
 
     def test_smallsig_requires_step_section(self, fast_config, tmp_path):
         out = tmp_path / "out"

@@ -26,14 +26,20 @@ from hssmmc import (
     total_harmonic_distortion,
 )
 from hssmmc.config import RunConfig, StepConfig
+from hssmmc.errors import ShootingError
+from hssmmc.harmonic import analyze
 from hssmmc.pipelines import ReferenceStepRuns, step_grid_index
 from hssmmc.plant import PHASES, STATE_VARIABLES
 from hssmmc.simulate import (
+    SETTLE_RTOL,
+    SHOOTING_DEFECT_TOL,
     _rk4,
     _shooting_fixed_point,
     default_initial_state,
     power_balance,
+    settled_closed_loop,
     settling_profile,
+    simulate_closed_loop_columns,
 )
 
 W1 = 314.0
@@ -41,6 +47,16 @@ W1 = 314.0
 
 def fast_cfg(params, periods=12, settle=10):
     return SimulationConfig(steps_per_period=2000, total_periods=periods, settle_periods=settle)
+
+
+def tracking_loop():
+    """PR gains and balanced references of 0.35 V_dc for the fast circuit."""
+    refs = {p: 350.0 * np.exp(-1j * s) for p, s in (("a", 0.0), ("b", 2 * np.pi / 3), ("c", -2 * np.pi / 3))}
+    return ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0), refs
+
+
+def closed_loop_rest(params):
+    return np.concatenate([default_initial_state(params), np.zeros(6)])
 
 
 class TestSimulationConfig:
@@ -156,14 +172,16 @@ class TestClosedLoop:
         assert np.all(closed.states[:, 12:] == 0.0)
 
     def test_tracks_reference_fundamental(self, fast_params):
-        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
-        amp = 0.35 * fast_params.V_dc
-        refs = {p: amp * np.exp(-1j * s) for p, s in (("a", 0.0), ("b", 2 * np.pi / 3), ("c", -2 * np.pi / 3))}
-        cfg = fast_cfg(fast_params, periods=30, settle=28)
-        traj = simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps())
-        vg = settled_spectrum(traj, "i_g", "a", 3, W1) * fast_params.R_load
-        achieved = 2 * abs(vg[1])
-        assert achieved == pytest.approx(amp, rel=0.02)
+        # A claim about the settled orbit, so it is read from the shooting
+        # orbit at period 30 of a 2000-step grid.
+        ctrl, refs = tracking_loop()
+        spp = 2000
+        orbit = settled_closed_loop(
+            fast_params, ctrl, refs, spp, 30 * spp, closed_loop_rest(fast_params)
+        ).trajectory
+        i_g = analyze(orbit.series("i_g", "a")[:-1], 3, W1, t0=float(orbit.t[0]))
+        achieved = 2 * abs(i_g[1]) * fast_params.R_load
+        assert achieved == pytest.approx(abs(refs["a"]), rel=0.02)
 
     def test_reference_step_event_grows_amplitude(self, fast_params):
         ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
@@ -212,6 +230,69 @@ class TestClosedLoop:
         cfg = fast_cfg(fast_params)
         with pytest.raises(NumericalBlowupError):
             simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps(), x0=x0)
+
+
+class TestClosedLoopColumns:
+    @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
+    def test_column_is_the_single_run(self, fast_params, x_over_r):
+        # An (18, k) block advances each column exactly as that column alone.
+        params = dataclasses.replace(
+            fast_params, L_load=x_over_r * fast_params.R_load / fast_params.omega1
+        )
+        ctrl, refs = tracking_loop()
+        x0 = simulate_closed_loop(params, ctrl, refs, 400, 400).states[-1]
+        columns = [refs, {p: 1.1 * v for p, v in refs.items()}, {"a": 0j, "b": 50.0 + 0j, "c": -20j}]
+        runs = simulate_closed_loop_columns(params, ctrl, columns, 400, 800, x0, n0=400)
+        for refs_j, run in zip(columns, runs):
+            single = simulate_closed_loop(params, ctrl, refs_j, 400, 800, x0=x0, n0=400)
+            assert np.array_equal(run.t, single.t)
+            assert np.array_equal(run.states, single.states)
+
+
+class TestClosedLoopShooting:
+    def test_orbit_is_the_settled_cold_start(self, fast_params):
+        ctrl, refs = tracking_loop()
+        spp, periods = 400, 20
+        orbit = settled_closed_loop(
+            fast_params, ctrl, refs, spp, periods * spp, closed_loop_rest(fast_params)
+        )
+        assert orbit.defect <= SHOOTING_DEFECT_TOL
+        assert orbit.multiplier < 1.0
+
+        cold = simulate_closed_loop(fast_params, ctrl, refs, spp, periods * spp)
+        last = cold.states[-spp - 1 :]
+        shot = orbit.trajectory.states
+        assert orbit.trajectory.t[0] == cold.t[-1]
+        deviation = np.sqrt(np.mean((last - shot) ** 2, axis=0))
+        assert np.all(deviation <= SETTLE_RTOL * np.sqrt(np.mean(shot**2, axis=0)))
+
+    def test_orbit_starts_the_closed_loop_run_it_repeats(self, fast_params):
+        ctrl, refs = tracking_loop()
+        orbit = settled_closed_loop(fast_params, ctrl, refs, 400, 800, closed_loop_rest(fast_params))
+        run = simulate_closed_loop(
+            fast_params, ctrl, refs, 400, 400, x0=orbit.trajectory.states[0], n0=800
+        )
+        assert np.array_equal(run.states, orbit.trajectory.states)
+
+    def test_non_attracting_orbit_raises(self, fast_params):
+        # Feed-forward gain 3 makes the loop unstable on this circuit.
+        _, refs = tracking_loop()
+        ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=3.0)
+        with pytest.raises(ShootingError, match="not attracting") as info:
+            settled_closed_loop(fast_params, ctrl, refs, 200, 200, closed_loop_rest(fast_params))
+        assert info.value.iterations == 0
+        assert info.value.defect > SHOOTING_DEFECT_TOL
+        assert isinstance(info.value, NotSettledError)
+
+    def test_iteration_cap_raises(self, fast_params, monkeypatch):
+        from hssmmc import simulate
+
+        monkeypatch.setattr(simulate, "SHOOTING_MAX_ITERATIONS", 1)
+        ctrl, refs = tracking_loop()
+        with pytest.raises(ShootingError, match="after 1 iterations") as info:
+            settled_closed_loop(fast_params, ctrl, refs, 200, 200, closed_loop_rest(fast_params))
+        assert info.value.iterations == 1
+        assert info.value.defect > SHOOTING_DEFECT_TOL
 
 
 class TestBlowupCheck:

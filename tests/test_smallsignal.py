@@ -20,7 +20,6 @@ from hssmmc import (
     open_loop_insertion_indices,
     reconstruct_perturbation,
     solve_steady_state,
-    synthesize,
     toeplitz,
 )
 from hssmmc.errors import ResidualImaginaryError, UnknownVariableError
@@ -30,7 +29,7 @@ from hssmmc.smallsignal import (
     SMALLSIG_STATE_LABELS,
     lifted_reference_step,
     load_voltage_spectrum,
-    operating_controller_states,
+    operating_state_at,
     references_from_operating_point,
     settled_envelope_state,
     time_domain_linearized_A,
@@ -250,6 +249,18 @@ class TestEnvelope:
         err = np.linalg.norm(env.final_state() - x_alg) / np.linalg.norm(x_alg)
         assert err <= 1e-3
 
+    def test_stores_t_end_when_store_every_does_not_divide_the_steps(self, smallsig_ctx):
+        model = smallsig_ctx.model
+        u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
+        every = envelope_response(model, u, t_end=0.0105, dt=1e-4)
+        thinned = envelope_response(model, u, t_end=0.0105, dt=1e-4, store_every=10)
+        assert every.t.size == 106
+        stored = list(range(0, 105, 10)) + [105]
+        assert np.array_equal(thinned.t, every.t[stored])
+        assert np.array_equal(thinned.states, every.states[stored])
+        assert thinned.t[-1] == pytest.approx(0.0105, abs=1e-15)
+        assert np.array_equal(thinned.final_state(), every.final_state())
+
     def test_lifted_step_slots(self, smallsig_ctx):
         model = smallsig_ctx.model
         u = lifted_reference_step(model, "a", 10e3)
@@ -379,21 +390,11 @@ class TestLinearizationPoint:
     ):
         ctrl = sec3_cfg.ctrl
         refs = references_from_operating_point(sec3_op, sec3_params)
-        prs = operating_controller_states(sec3_op, sec3_params, ctrl, refs)
         base = np.array([refs[p] for p in ("a", "b", "c")])
         rhs = _closed_loop_rhs(sec3_params, ctrl, base)
         rng = np.random.default_rng(33)
         for t in rng.uniform(0.0, sec3_params.period, size=5):
-            x_op = np.concatenate(
-                [
-                    sec3_op.state_vector_at(t),
-                    [
-                        synthesize(prs[p][i], t)
-                        for p in ("a", "b", "c")
-                        for i in (0, 1)
-                    ],
-                ]
-            )
+            x_op = operating_state_at(sec3_op, sec3_params, ctrl, refs, t)
             A_an = time_domain_linearized_A(sec3_op, sec3_params, ctrl, t)
             J = np.zeros((18, 18))
             for j in range(18):
