@@ -12,6 +12,7 @@ from .errors import (
     NotSettledError,
     NumericalBlowupError,
     OrderMismatchError,
+    PhaseImbalanceError,
     ResidualImaginaryError,
     SchemaViolationError,
     ShootingError,

@@ -23,6 +23,7 @@ from .config import SCENARIOS, SweepConfig, apply_sweep_value, load_config
 from .errors import (
     NotSettledError,
     NumericalBlowupError,
+    PhaseImbalanceError,
     ResidualImaginaryError,
     SchemaViolationError,
     SingularSystemError,
@@ -39,6 +40,7 @@ _NUMERICAL_ERRORS = (
     SingularSystemError,
     NotSettledError,
     ResidualImaginaryError,
+    PhaseImbalanceError,
 )
 
 

@@ -33,6 +33,15 @@ class SingularSystemError(HssError):
         self.condition = condition
 
 
+class PhaseImbalanceError(HssError):
+    """A lifted model is not balanced over the three phases: it does not
+    commute with the 120-degree phase rotation."""
+
+    def __init__(self, message: str, defect: float):
+        super().__init__(message)
+        self.defect = defect
+
+
 class UnknownVariableError(HssError):
     """Requested state variable or phase label does not exist."""
 

@@ -85,6 +85,11 @@ def nrmse(reference: np.ndarray, value: np.ndarray) -> float:
 
 
 def solve_operating_point(cfg: RunConfig) -> OperatingPoint:
+    if cfg.h < 1 and cfg.m != 0.0:
+        raise SchemaViolationError(
+            f"h {cfg.h} cannot hold the fundamental of modulation index m {cfg.m}; "
+            "h >= 1 is needed when m > 0"
+        )
     indices = open_loop_insertion_indices(cfg.m, cfg.h)
     model = assemble_steady(cfg.params, indices, cfg.h)
     u = dc_input_vector(cfg.params.V_dc, cfg.h)

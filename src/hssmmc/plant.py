@@ -6,6 +6,8 @@ insertion indices, and the plant equations in two independent encodings.
   coefficients of every entry along the last axis. Both lifted models are
   lifts of it (``PeriodicCoefficients.lifted``, a ``LiftedModel``), and
   ``PeriodicCoefficients.at`` evaluates it at one instant.
+  ``LiftedModel.sequence_blocks`` splits a lifted A into its phase-sequence
+  blocks, which the eigenvalue screening decomposes.
 - ``plant_rhs`` is the direct-form right-hand side the reference simulator
   integrates. It is kept separate from the coefficient model so that the
   simulator checks the lifted models against an independent encoding.
@@ -30,7 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulationOutOfRangeError, OrderMismatchError
+from .errors import (
+    DimensionMismatchError,
+    ModulationOutOfRangeError,
+    OrderMismatchError,
+    PhaseImbalanceError,
+    UnknownVariableError,
+)
 from .harmonic import block_toeplitz, lift
 
 PHASES = ("a", "b", "c")
@@ -47,6 +55,11 @@ STATE_LABELS = (
 
 STATE_VARIABLES = ("i_c", "v_cu", "v_cl", "i_g")
 
+# Largest entry of an off-diagonal phase-sequence block of a lifted A,
+# relative to max|A|, for which the model still counts as balanced over the
+# three phases; a balanced lift meets it to round-off.
+SEQUENCE_DEFECT_RTOL = 1e-12
+
 
 _STATE_INDEX = {label: i for i, label in enumerate(STATE_LABELS)}
 
@@ -57,6 +70,16 @@ def state_position(variable: str, phase: str) -> int:
         return _STATE_INDEX[f"{variable}{phase}"]
     except KeyError:
         raise KeyError(f"no state {variable!r} phase {phase!r}") from None
+
+
+def split_phase(label: str) -> tuple[str, str]:
+    """(variable, phase) of a per-phase state label. The phase letter ends
+    the label ('v_cub' -> ('v_cu', 'b')) or comes before a trailing state
+    number ('pr_a1' -> ('pr_1', 'a'))."""
+    i = len(label) - (2 if label[-1].isdigit() else 1)
+    if i < 0 or label[i] not in PHASES:
+        raise UnknownVariableError(f"state label {label!r} names no phase")
+    return label[:i] + label[i + 1 :], label[i]
 
 
 @dataclass(frozen=True)
@@ -216,6 +239,79 @@ class LiftedModel:
     B: np.ndarray
     state_labels: tuple[str, ...]
     input_labels: tuple[str, ...]
+
+    def sequence_blocks(self):
+        """Yield the phase-sequence blocks Q_r^H A Q_r of A for r = 0, 1.
+
+        A balanced three-phase model commutes with the 120-degree rotation
+        S that relabels the phases a -> b -> c and turns harmonic k by
+        exp(-j k 2 pi / 3): Fortescue's symmetrical components, applied per
+        harmonic. Sequence r has the orthonormal basis Q_r that puts
+        mu^p / sqrt(3), mu = exp(-j 2 pi (k + r) / 3), on phase p of each
+        (variable, k), and A is block diagonal over r = 0, 1, 2. Block r is
+        formed from three column and three row gathers of A, so it costs
+        O(n^2), and only one block is held at a time.
+
+        The off-diagonal blocks Q_s^H A Q_r, s != r, come from the same
+        gathers; their largest entry relative to max|A| is the rotation
+        defect, and above SEQUENCE_DEFECT_RTOL PhaseImbalanceError is
+        raised. Block 2 is checked but not yielded: A lifts real
+        coefficients (J A J = conj A, J the harmonic flip), which maps
+        sequence 1 onto sequence 2, so the spectrum of block 2 is the
+        conjugate of block 1's.
+        """
+        n_h = 2 * self.h + 1
+        phase_rows = {}
+        for i, label in enumerate(self.state_labels):
+            variable, phase = split_phase(label)
+            phase_rows.setdefault(variable, {})[phase] = i
+        if any(len(rows) != len(PHASES) for rows in phase_rows.values()):
+            raise DimensionMismatchError("every state variable needs one block per phase")
+        # index[p]: the rows (and columns) of phase p in (variable, k) order.
+        blocks = np.array([[rows[p] for p in PHASES] for rows in phase_rows.values()])
+        index = (blocks.T[:, :, None] * n_h + np.arange(n_h)).reshape(len(PHASES), -1)
+        k = np.tile(np.arange(-self.h, self.h + 1), len(phase_rows))
+        p = np.arange(len(PHASES))[:, None]
+
+        def mu_power(r):
+            # mu^p of sequence r, with the exponent reduced mod 3 so that the
+            # weights are exact at every k.
+            return np.exp(-2j * np.pi * (p * (k + r) % 3) / 3)
+
+        scale = float(np.max(np.abs(self.A))) or 1.0
+        for r in range(3):
+            columns = _phase_sum(self.A, index, mu_power(r), axis=1)
+            for s in range(3):
+                if s == r:
+                    continue
+                off_diagonal = _phase_sum(columns, index, mu_power(s).conj(), axis=0)
+                defect = float(np.max(np.abs(off_diagonal))) / 3.0 / scale
+                if defect > SEQUENCE_DEFECT_RTOL:
+                    raise PhaseImbalanceError(
+                        f"lifted A is not balanced over the phases: 120-degree rotation "
+                        f"defect {defect:.3e} of max|A| exceeds {SEQUENCE_DEFECT_RTOL:.0e}",
+                        defect,
+                    )
+            if r < 2:
+                block = _phase_sum(columns, index, mu_power(r).conj(), axis=0)
+                del columns, off_diagonal
+                block /= 3.0
+                yield block
+
+
+def _phase_sum(matrix: np.ndarray, index: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over the phases p of the rows (axis 0) or columns (axis 1)
+    ``index[p]`` of ``matrix``, each scaled by ``weights[p]``, accumulated
+    in place. The weight of phase a is 1."""
+    out = np.take(matrix, index[0], axis=axis)
+    part = np.empty_like(out)
+    for p in (1, 2):
+        # The indices are in range; mode "clip" lets take write into ``part``
+        # without the temporary buffer it uses in the default mode.
+        np.take(matrix, index[p], axis=axis, out=part, mode="clip")
+        part *= weights[p] if axis == 1 else weights[p][:, None]
+        out += part
+    return out
 
 
 def fold_terminal_voltage(A0: np.ndarray, A1: np.ndarray, g: np.ndarray, params: MmcParameters):

@@ -454,11 +454,21 @@ def settled_closed_loop(
     )
 
 
+# settling_profile measures each state's change against its own RMS, but
+# never against less than this fraction of the largest state RMS of the
+# run, the floor compare_spectra puts under a spectrum's components.
+SETTLE_FLOOR = 1e-6
+
+
 def settling_profile(traj: Trajectory, n_periods: int = 5) -> np.ndarray:
     """Per-period relative RMS change of each state over the final periods.
 
     Returns an array of shape (n_periods, n_states): entry (i, j) compares
-    period -(i+1) against period -(i+2), most recent first.
+    period -(i+1) against period -(i+2), most recent first. Each change is
+    relative to the state's RMS over the later period, floored at
+    ``SETTLE_FLOOR`` times the largest state RMS of that period: rounding
+    in the integration scales with the whole state, so a state that
+    vanishes with m would otherwise read it as a change.
     """
     spp = traj.steps_per_period
     x = traj.states
@@ -470,8 +480,8 @@ def settling_profile(traj: Trajectory, n_periods: int = 5) -> np.ndarray:
         prev = x[x.shape[0] - 1 - (i + 2) * spp : x.shape[0] - 1 - (i + 1) * spp]
         diff = np.sqrt(np.mean((last - prev) ** 2, axis=0))
         scale = np.sqrt(np.mean(last**2, axis=0))
-        scale = np.where(scale > 0, scale, 1.0)
-        out[i] = diff / scale
+        scale = np.maximum(scale, SETTLE_FLOOR * scale.max())
+        out[i] = diff / np.where(scale > 0, scale, 1.0)
     return out
 
 

@@ -20,6 +20,11 @@ it into an 18-block ``LiftedModel`` whose inputs are the dc-bus
 perturbation and the three per-phase voltage-reference perturbations;
 ``time_domain_linearized_A`` evaluates it at one instant.
 
+Eigenvalue screening (``eigenvalues``) uses the three-phase balance of the
+model: the lifted A is block diagonal over the three phase sequences
+(``LiftedModel.sequence_blocks``), and the spectrum comes from two
+eigendecompositions a third of the size of A.
+
 Envelope responses of this LTI model to a reference step are exact
 zero-order-hold propagations by its transition matrix, so they hold for
 any time step.
@@ -141,8 +146,17 @@ def assemble_smallsignal(
 
 
 def eigenvalues(model: LiftedModel) -> np.ndarray:
-    """Spectrum of the lifted closed-loop A, sorted by real part descending."""
-    eig = scipy.linalg.eigvals(model.A)
+    """Spectrum of the lifted A, sorted by real part descending, then by
+    imaginary part.
+
+    Computed from the phase-sequence blocks of A
+    (``LiftedModel.sequence_blocks``): one eigendecomposition each of
+    blocks 0 and 1, a third of the size of A, and the conjugate of block 1's
+    spectrum for block 2. Raises PhaseImbalanceError when A is not balanced
+    over the three phases.
+    """
+    parts = [scipy.linalg.eigvals(block, overwrite_a=True) for block in model.sequence_blocks()]
+    eig = np.concatenate([*parts, parts[1].conj()])
     order = np.lexsort((eig.imag, -eig.real))
     return eig[order]
 

@@ -80,3 +80,15 @@ def block(model, row, col=None):
     else:
         c, matrix = model.state_labels.index(col), model.A
     return matrix[rows, c * n : (c + 1) * n]
+
+
+def unbalanced(model, label="i_cb", rel=1e-6):
+    """``model`` with the whole block row of ``label`` raised by ``rel`` of
+    max|A|, which breaks its balance over the three phases."""
+    import dataclasses
+
+    n = 2 * model.h + 1
+    r = model.state_labels.index(label)
+    A = model.A.copy()
+    A[r * n : (r + 1) * n] += rel * np.max(np.abs(A))
+    return dataclasses.replace(model, A=A)

@@ -5,6 +5,8 @@ import pytest
 from hssmmc.cli import main
 from hssmmc.plant import plant_coefficients
 
+from conftest import unbalanced
+
 FAST = """
 [params]
 R = 5.0
@@ -45,6 +47,17 @@ def fast_config_with_step(tmp_path, period, phase="a"):
     return str(path)
 
 
+def _unbalance_smallsignal_models(monkeypatch):
+    """Make every small-signal model the pipelines build unbalanced over
+    the phases (``conftest.unbalanced``: the i_cb block row perturbed)."""
+    import hssmmc.pipelines as pipelines
+
+    assemble = pipelines.assemble_smallsignal
+    monkeypatch.setattr(
+        pipelines, "assemble_smallsignal", lambda *args: unbalanced(assemble(*args))
+    )
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -68,6 +81,21 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == from_file
         assert from_file.startswith(f"configuration error: {'modulation index m' if key == 'm' else 'h'} {value} ")
+
+    @pytest.mark.parametrize("scenario", ["steady", "smallsig"])
+    def test_zero_order_with_modulation(self, fast_config, tmp_path, capsys, scenario):
+        code = main([scenario, "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "0"])
+        assert code == 2
+        assert "h 0 cannot hold the fundamental of modulation index m 0.5" in capsys.readouterr().err
+
+    def test_zero_order_without_modulation(self, fast_config, tmp_path):
+        argv = ["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "0", "--m", "0"]
+        assert main(argv) == 0
+
+    def test_unbalanced_model_is_a_numerical_failure(self, fast_config, tmp_path, capsys, monkeypatch):
+        _unbalance_smallsignal_models(monkeypatch)
+        assert main(["smallsig", "--config", fast_config, "--out", str(tmp_path / "o")]) == 3
+        assert "PhaseImbalanceError" in capsys.readouterr().err
 
     def test_negative_order_override(self, fast_config, tmp_path, capsys):
         code = main(["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "-1"])
@@ -276,6 +304,17 @@ class TestSweepScenario:
         assert len(lines) == 3
         assert lines[1].endswith(",")            # first value succeeded
         assert "outside" in lines[2]             # second value recorded its error
+
+    def test_unbalanced_model_gives_an_error_row(self, fast_config, tmp_path, monkeypatch):
+        _unbalance_smallsignal_models(monkeypatch)
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--config", str(_with_sweep(fast_config, tmp_path)), "--out", str(out),
+            "--no-timestamp",
+        ])
+        assert code == 1
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows and all("not balanced over the phases" in row for row in rows)
 
     def test_programming_errors_propagate(self, fast_config, tmp_path, monkeypatch):
         def broken(cfg):

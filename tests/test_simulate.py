@@ -138,13 +138,20 @@ class TestShooting:
             with pytest.raises(SingularSystemError):
                 _shooting_fixed_point(np.eye(12), np.ones(12))
 
-    # m is 0 or at least 0.01: the circulating currents scale with m^2, and
-    # below m = 0.01 they approach the rounding floor of the integration,
-    # which the per-state relative measure of settling_profile reports as a
-    # defect.
+    def test_small_modulation_orbit_is_settled(self, sec3_cfg):
+        # At m = 1e-6 the circulating currents are about 1e-10 A, at the
+        # rounding floor of an integration whose capacitor voltages are
+        # 3.2e5 V; measured against their own RMS alone they read 1e-2.
+        params = sec3_cfg.params
+        orbit = settled_open_loop(params, 1e-6, sec3_cfg.sim)
+        assert np.max(np.sqrt(np.mean(orbit.series("i_c", "a") ** 2))) < 1e-9
+        assert np.max(settling_profile(orbit, n_periods=1)) <= 1e-6 * SETTLE_RTOL
+        hv = settled_spectrum(orbit, "i_g", "a", 3, params.omega1)
+        assert abs(hv[1]) > 0.0
+
     @settings(max_examples=20, deadline=None)
     @given(
-        m=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+        m=st.floats(0.0, 1.0),
         x_over_r=st.floats(0.0, 0.5),
     )
     def test_orbit_properties(self, fast_params, m, x_over_r):

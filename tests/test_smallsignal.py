@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,8 @@ from hssmmc import (
     solve_steady_state,
     toeplitz,
 )
-from hssmmc.errors import ResidualImaginaryError, UnknownVariableError
+from hssmmc.errors import PhaseImbalanceError, ResidualImaginaryError, UnknownVariableError
+from hssmmc.plant import split_phase
 from hssmmc.smallsignal import (
     EnvelopeResponse,
     SMALLSIG_INPUT_LABELS,
@@ -36,7 +38,7 @@ from hssmmc.smallsignal import (
 )
 from hssmmc.simulate import _closed_loop_rhs
 
-from conftest import block
+from conftest import block, unbalanced
 
 W1 = 314.0
 S = SMALLSIG_STATE_LABELS.index
@@ -501,12 +503,70 @@ def test_lift_symmetries(preset, m, h, x_over_r):
     steady = assemble_steady(params, open_loop_insertion_indices(m, h), h)
     assert max(lift_symmetry_defects(steady)) <= 1e-13
 
-    # The small-signal lift needs a solved operating point. Below m = 0.01
-    # the solve's per-state conjugate-symmetry gate can reject the
-    # m^2-sized circulating-current rows as round-off noise (sec3 at
-    # m = 1e-5), a known limit of that gate and not of the lift, so such
-    # draws linearize about the m = 0 point instead.
-    m_op = m if m >= 0.01 else 0.0
-    op = solve_operating_point(dataclasses.replace(cfg, m=m_op, h=h, params=params))
+    op = solve_operating_point(dataclasses.replace(cfg, m=m, h=h, params=params))
     model = assemble_smallsignal(op, params, cfg.ctrl, h)
     assert max(lift_symmetry_defects(model)) <= 1e-13
+
+
+def _preset_model(preset, m=None, h=None, x_over_r=0.0):
+    import dataclasses
+
+    from hssmmc.config import load_config
+    from hssmmc.pipelines import build_smallsignal_model
+
+    cfg = load_config(preset)
+    params = dataclasses.replace(
+        cfg.params, L_load=x_over_r * cfg.params.R_load / cfg.params.omega1
+    )
+    cfg = dataclasses.replace(
+        cfg, m=cfg.m if m is None else m, h=cfg.h if h is None else h, params=params
+    )
+    return build_smallsignal_model(cfg)[1]
+
+
+def assert_same_spectrum(model):
+    """``eigenvalues`` (sequence blocks) against the dense eigenvalues of
+    the whole lifted A, matched one to one."""
+    from scipy.optimize import linear_sum_assignment
+
+    blocks = eigenvalues(model)
+    dense = scipy.linalg.eigvals(model.A)
+    assert blocks.shape == dense.shape
+    rows, cols = linear_sum_assignment(np.abs(blocks[:, None] - dense[None, :]))
+    assert np.max(np.abs(blocks[rows] - dense[cols])) <= 1e-12 * np.max(np.abs(dense))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    preset=st.sampled_from(("sec3-simulation", "table1-prototype")),
+    m=st.floats(0.0, 1.0),
+    h=st.integers(1, 8),
+    x_over_r=st.floats(0.0, 0.5),
+)
+def test_sequence_block_spectrum_matches_dense(preset, m, h, x_over_r):
+    assert_same_spectrum(_preset_model(preset, m, h, x_over_r))
+
+
+@pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+def test_sequence_block_spectrum_matches_dense_at_h30(preset):
+    assert_same_spectrum(_preset_model(preset, h=30))
+
+
+class TestPhaseBalanceGate:
+    def test_perturbed_phase_row_raises(self):
+        model = _preset_model("table1-prototype", h=3)
+        with pytest.raises(PhaseImbalanceError) as info:
+            eigenvalues(unbalanced(model))
+        assert 1e-7 < info.value.defect < 1e-5
+
+    def test_balanced_models_pass(self):
+        # The steady lift has the same symmetry as the closed-loop one.
+        steady = assemble_steady(sec3_like(), open_loop_insertion_indices(0.7, 4), 4)
+        eigenvalues(steady)
+        eigenvalues(unbalanced(_preset_model("sec3-simulation", h=3), rel=1e-14))
+
+    def test_labels_name_their_phase(self):
+        assert split_phase("v_cub") == ("v_cu", "b")
+        assert split_phase("pr_c2") == ("pr_2", "c")
+        with pytest.raises(UnknownVariableError):
+            split_phase("i_gx")

@@ -6,6 +6,7 @@ import pytest
 from hssmmc import (
     HarmonicVector,
     MmcParameters,
+    ResidualImaginaryError,
     SingularSystemError,
     UnknownVariableError,
     assemble_steady,
@@ -132,6 +133,28 @@ class TestSolve:
             b = sec3_op.spectrum(var, "b").coeffs
             scale = np.max(np.abs(a)) or 1.0
             assert np.max(np.abs(b - a * shift)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    @pytest.mark.parametrize("m", [1e-5, 1e-6, 1e-8])
+    def test_small_modulation_passes_the_symmetry_gate(self, preset, m):
+        # The circulating currents scale with m^2 and sink to the rounding
+        # floor of the solve, which scales with the whole solution.
+        from hssmmc.config import load_config
+
+        params = load_config(preset).params
+        _, op = solve(params, m, 3)
+        assert 0.0 < np.max(np.abs(op.spectrum("i_c", "a").coeffs)) < 1e-6
+
+    def test_non_conjugate_solution_raises(self):
+        # Indices whose k = +1 and k = -1 coefficients are not conjugate
+        # describe no real signal, and neither does the solution.
+        p = sec3_like()
+        n_u, n_l = open_loop_insertion_indices(0.5, 3)
+        n_u = n_u.copy()
+        n_u[:, 4] *= 1.01
+        model = assemble_steady(p, (n_u, n_l), 3)
+        with pytest.raises(ResidualImaginaryError, match="conjugate symmetry"):
+            solve_steady_state(model, dc_input_vector(p.V_dc, 3), (n_u, n_l))
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_detected(self):
