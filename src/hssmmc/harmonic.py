@@ -157,18 +157,20 @@ def frequency_matrix(h: int, base_frequency: float) -> np.ndarray:
     return 1j * np.arange(-h, h + 1) * base_frequency
 
 
-def synthesize(src: HarmonicVector, t, rtol: float = SYMMETRY_RTOL):
+def synthesize(src: HarmonicVector, t, rtol: float = SYMMETRY_RTOL, floor: float = 0.0):
     """Evaluate the real time-domain signal of ``src`` at time(s) ``t``.
 
     Raises ResidualImaginaryError when the reconstruction is not real to
-    within ``rtol`` relative to the largest coefficient, which signals a
-    vector that does not describe a real signal.
+    within ``rtol`` relative to the largest coefficient, or to ``floor``
+    when that is larger, which signals a vector that does not describe a
+    real signal. A spectrum taken from a larger solution carries that
+    solution's rounding, so its caller passes a floor scaled to it.
     """
     t_arr = np.asarray(t, dtype=float)
     k = src.harmonic_indices
     phases = np.exp(1j * np.multiply.outer(t_arr, k) * src.base_frequency)
     values = phases @ src.coeffs
-    scale = float(np.max(np.abs(src.coeffs))) or 1.0
+    scale = max(float(np.max(np.abs(src.coeffs))), floor) or 1.0
     max_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if max_imag > rtol * scale:
         raise ResidualImaginaryError(

@@ -268,7 +268,7 @@ def run_verify_steady(cfg: RunConfig, out: Path, timestamp: bool) -> int:
                 )
             )
 
-            wave_hss = synthesize(hss_hv, t_grid)
+            wave_hss = synthesize(hss_hv, t_grid, floor=op.symmetry_floor)
             wave_sim = traj.series(var, p)[-spp - 1 : -1]
             err = nrmse(wave_sim, wave_hss)
             write_waveform_csv(out / f"waveform_{var}_{p}.csv", t_grid, wave_hss, wave_sim, timestamp)

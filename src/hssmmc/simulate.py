@@ -16,18 +16,20 @@ point and window is a whole number of those steps. Every run is a
 ``Trajectory``: one state array on the grid t = (n0 + i)·dt, so runs that
 continue one another lie on one grid and join by concatenation.
 
-The open-loop periodic steady state comes from shooting
-(``settled_open_loop``): the RK4 map over one period is affine, and its
-fixed point is the orbit that brute-force settling only approaches. The
-closed-loop one comes from Newton shooting (``settled_closed_loop``): the
-map is nonlinear, and each Newton step pushes 19 columns, the state and
-18 finite-difference perturbations, through one period. Full transient
-runs (``simulate_open_loop``, ``simulate_closed_loop`` from the cold start)
-are kept for trajectory export; for the open loop ``settle_periods`` sets
-how long the run must be before its last two periods are checked for
-settling. A reference step in an exported run is two runs, the second
-starting from the first one's final state with the stepped references
-(``pipelines.ReferenceStepRuns``).
+At fixed insertion indices the open-loop plant is linear time-periodic,
+so the RK4 map from a period start to any step of that period is affine.
+Both open-loop runs are composed from one 13-column RK4 pass over one
+period (``_open_loop_periods``): a transient (``simulate_open_loop``)
+follows the period-start states through the one-period map, and the
+periodic steady state (``settled_open_loop``) starts on its fixed point
+(shooting). For the open loop ``settle_periods`` sets how long a transient
+must be before its last two periods are checked for settling. The closed
+loop is nonlinear and is integrated step by step; its periodic steady
+state comes from Newton shooting (``settled_closed_loop``), each Newton
+step pushing 19 columns, the state and 18 finite-difference perturbations,
+through one period. A reference step in an exported closed-loop run is two
+runs, the second starting from the first one's final state with the
+stepped references (``pipelines.ReferenceStepRuns``).
 """
 
 from __future__ import annotations
@@ -119,11 +121,19 @@ class Trajectory:
         return self.states[:, state_position(variable, phase)]
 
 
-def _check_blowup(x: np.ndarray, scale: float, step: int, t: float):
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_FACTOR * scale:
+def _check_blowup(rows: np.ndarray, scale: float, n0: int, dt: float, steps_per_period: int):
+    """Raise NumericalBlowupError at the first of ``rows``, the states at
+    grid points n0, n0 + 1, ..., that is not finite or beyond
+    ``BLOWUP_FACTOR`` * scale; the message names its grid step, period and
+    time."""
+    size = np.max(np.abs(rows.reshape(rows.shape[0], -1)), axis=1)
+    bad = ~(size <= BLOWUP_FACTOR * scale)  # a NaN fails too
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        step = n0 + i
         raise NumericalBlowupError(
-            f"state magnitude {np.max(np.abs(x)):.3e} left the plausible range "
-            f"at step {step} (t = {t:.6g} s)"
+            f"state magnitude {size[i]:.3e} left the plausible range at step {step} "
+            f"(period {step // steps_per_period}, t = {step * dt:.6g} s)"
         )
 
 
@@ -137,7 +147,7 @@ def _rk4(
     advances together.
 
     The state is checked for blow-up once per period of steps and at the
-    end; a failed check names the step index and its time.
+    end; a failed check names the grid step, its period and its time.
     """
     x = np.asarray(x0, dtype=float).copy()
     out = np.empty((n_steps + 1,) + x.shape)
@@ -148,14 +158,14 @@ def _rk4(
     for n in range(n_steps):
         t = t0 + n * dt
         if n % steps_per_period == 0:
-            _check_blowup(x, scale, n, t)
+            _check_blowup(x[None], scale, n0 + n, dt, steps_per_period)
         k1 = rhs(t, x)
         k2 = rhs(t + half, x + half * k1)
         k3 = rhs(t + half, x + half * k2)
         k4 = rhs(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[n + 1] = x
-    _check_blowup(x, scale, n_steps, t0 + n_steps * dt)
+    _check_blowup(x[None], scale, n0 + n_steps, dt, steps_per_period)
     return out
 
 
@@ -187,63 +197,66 @@ def _check_modulation(m: float):
         raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
 
 
+def _open_loop_periods(
+    params: MmcParameters, m: float, spp: int, n0: int, n_periods: int, x0: np.ndarray | None
+) -> Trajectory:
+    """Open-loop run over grid points n0 .. n0 + n_periods * spp, composed
+    from one RK4 pass over one period.
+
+    At fixed insertion indices the plant is linear time-periodic: the RK4
+    map from a period start x_p to its step s is x(s) = r(s) + Psi(s) d_p,
+    d_p = x_p - x_rest. The pass advances 13 columns from n0, rest with
+    input v_dc (r) and the identity with no input (Psi), and
+    d_{p+1} = Phi d_p + g with Phi = Psi(T), g = r(T) - x_rest. ``x0`` is
+    the state at n0, or None for the periodic orbit d* = (I - Phi)^-1 g.
+    Each composed period is checked for blow-up; from rest at m = 0 every
+    d_p is exactly zero.
+    """
+    _check_modulation(m)
+    dt = params.period / spp
+    scale = max(params.V_dc, 1.0)
+    x_rest = default_initial_state(params)
+    rhs = _open_loop_rhs(params, m, np.r_[params.V_dc, np.zeros(12)])
+    run = _rk4(rhs, np.hstack([x_rest[:, None], np.eye(12)]), n0, spp, dt, spp, scale)
+    phi, g = run[-1, :, 1:], run[-1, :, 0] - x_rest
+    d = _shooting_fixed_point(phi, g)[0] if x0 is None else x0 - x_rest
+    states = np.empty((n_periods * spp + 1, 12))
+    for p in range(n_periods):
+        rows = states[p * spp : (p + 1) * spp + 1]
+        rows[:] = (run.reshape(-1, 13) @ np.concatenate(([1.0], d))).reshape(rows.shape)
+        _check_blowup(rows, scale, n0 + p * spp, dt, spp)
+        d = phi @ d + g
+    return Trajectory(dt, spp, n0, states)
+
+
 def simulate_open_loop(
     params: MmcParameters,
     m: float,
     cfg: SimulationConfig,
     x0: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the open-loop plant with sinusoidal insertion indices."""
-    _check_modulation(m)
-    spp = cfg.steps_per_period
-    dt = params.period / spp
-    v_dc = params.V_dc
+    """Open-loop transient from ``x0`` (default: rest) over the configured
+    run, every grid point composed from one RK4 pass over one period."""
     x_init = default_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
-    states = _rk4(
-        _open_loop_rhs(params, m, v_dc), x_init, 0, cfg.n_steps(), dt, spp, max(v_dc, 1.0)
-    )
-    return Trajectory(dt, spp, 0, states)
+    return _open_loop_periods(params, m, cfg.steps_per_period, 0, cfg.total_periods, x_init)
 
 
 def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) -> Trajectory:
-    """Periodic steady state of the open-loop plant by shooting, on the last
-    two fundamental periods of the configured grid.
+    """Periodic steady state of the open-loop plant by shooting (Aprille &
+    Trick 1972) on the last two periods of the configured grid, composed
+    from the fixed point of the one-period map (``_open_loop_periods``).
 
-    At fixed insertion indices the plant is linear time-periodic, so the RK4
-    map over one period is affine, F(x) = Phi x + g. One RK4 pass over a
-    period advances 13 columns: column 0 from rest (``default_initial_state``)
-    with input v_dc gives F(x_rest), columns 1-12 from the identity with no
-    input give Phi. The fixed point x* = (I - Phi)^-1 g, the limit that
-    settling from any start approaches (periodic steady state by shooting,
-    Aprille & Trick 1972), is solved as its deviation from rest,
-    (I - Phi)(x* - x_rest) = F(x_rest) - x_rest; at m = 0 the right-hand
-    side is exactly zero, so the equilibrium comes out exact. The orbit is
-    integrated from x* over grid steps n0..n_end, the final two periods of
-    a ``simulate_open_loop`` run with the same configuration, so the time
-    grid matches that run and ``settling_profile`` measures the shooting
-    defect. Only the plant's direct form ``plant_rhs`` is integrated, never
-    the coefficient model the lifted solvers use.
+    The fixed point is solved as its deviation from rest, so the m = 0
+    equilibrium comes out exact. The orbit lies on the grid of a
+    ``simulate_open_loop`` run, so ``settling_profile`` measures the
+    shooting defect. Only the direct form ``plant_rhs`` is integrated,
+    never the coefficient model of the lifted solvers.
 
     Raises SingularSystemError when the gated solve rejects I - Phi, and
     NotSettledError when the largest Floquet multiplier is not below one.
     """
-    _check_modulation(m)
     spp = cfg.steps_per_period
-    dt = params.period / spp
-    n0 = cfg.n_steps() - 2 * spp
-    v_dc = params.V_dc
-    scale = max(v_dc, 1.0)
-
-    x_rest = default_initial_state(params)
-    columns = np.hstack([x_rest[:, None], np.eye(12)])
-    v_dc_columns = np.zeros(13)
-    v_dc_columns[0] = v_dc
-    rhs = _open_loop_rhs(params, m, v_dc_columns)
-    end = _rk4(rhs, columns, n0, spp, dt, spp, scale)[-1]
-    x_star = x_rest + _shooting_fixed_point(end[:, 1:], end[:, 0] - x_rest)[0]
-
-    states = _rk4(_open_loop_rhs(params, m, v_dc), x_star, n0, 2 * spp, dt, spp, scale)
-    return Trajectory(dt, spp, n0, states)
+    return _open_loop_periods(params, m, spp, cfg.n_steps() - 2 * spp, 2, None)
 
 
 def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:

@@ -98,9 +98,19 @@ class OperatingPoint:
             raise UnknownVariableError(f"unknown phase {phase!r}")
         return HarmonicVector(self.h, self.omega1, self.coeffs[state_position(variable, phase)])
 
+    @property
+    def symmetry_floor(self) -> float:
+        """Least scale a state's real-signal check measures against:
+        ``SYMMETRY_FLOOR`` of the whole solution's peak, as in the solve's
+        conjugate-symmetry gate."""
+        return SYMMETRY_FLOOR * float(np.max(np.abs(self.coeffs)))
+
     def state_vector_at(self, t) -> np.ndarray:
         """Synthesized 12-state plant vector at time(s) t."""
-        return np.array([synthesize(HarmonicVector(self.h, self.omega1, c), t) for c in self.coeffs])
+        floor = self.symmetry_floor
+        return np.array(
+            [synthesize(HarmonicVector(self.h, self.omega1, c), t, floor=floor) for c in self.coeffs]
+        )
 
     def power_balance(self, params: MmcParameters) -> dict[str, float]:
         """One-period average dc input power, load dissipation and arm

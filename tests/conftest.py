@@ -9,7 +9,13 @@ import pytest
 from hssmmc import MmcParameters
 from hssmmc.config import load_config
 from hssmmc.pipelines import SmallsigContext, solve_operating_point
-from hssmmc.simulate import settled_open_loop, simulate_open_loop
+from hssmmc.simulate import (
+    Trajectory,
+    _open_loop_rhs,
+    _rk4,
+    default_initial_state,
+    settled_open_loop,
+)
 
 
 @pytest.fixture(scope="session")
@@ -27,10 +33,22 @@ def sec3_op(sec3_cfg):
     return solve_operating_point(sec3_cfg)
 
 
+def sequential_open_loop(params, m, cfg):
+    """Open-loop run from rest, integrated step by step with ``_rk4`` rather
+    than composed from the one-period map: an independent reference for
+    ``simulate_open_loop`` and ``settled_open_loop``."""
+    spp = cfg.steps_per_period
+    dt = params.period / spp
+    rhs = _open_loop_rhs(params, m, params.V_dc)
+    x0 = default_initial_state(params)
+    return Trajectory(dt, spp, 0, _rk4(rhs, x0, 0, cfg.n_steps(), dt, spp, max(params.V_dc, 1.0)))
+
+
 @pytest.fixture(scope="session")
 def sec3_traj(sec3_cfg):
-    """Brute-force settling: the full 122-period transient run."""
-    return simulate_open_loop(sec3_cfg.params, sec3_cfg.m, sec3_cfg.sim)
+    """Brute-force settling: the full 122-period transient, step by step, so
+    that shooting is checked against a run that does not use its map."""
+    return sequential_open_loop(sec3_cfg.params, sec3_cfg.m, sec3_cfg.sim)
 
 
 @pytest.fixture(scope="session")

@@ -411,6 +411,16 @@ class TestVerifyScenarios:
             assert comp.peak_error == alone.peak_error
             assert comp.post_step_peak == alone.post_step_peak
 
+    def test_steady_at_small_modulation_is_no_numerical_failure(self, tmp_path, capsys):
+        # At m = 1e-6 the circulating-current spectrum is at the rounding
+        # floor of the solution; its synthesis measures the imaginary
+        # residual against that floor, not against its own peak (exit 3).
+        out = tmp_path / "out"
+        argv = ["verify-steady", "--config", "sec3-simulation", "--m", "1e-6"]
+        code = main(argv + ["--out", str(out), "--no-timestamp"])
+        assert code in (0, 1), capsys.readouterr().err
+        assert (out / "waveform_i_c_a.csv").exists()
+
     def test_smallsig_requires_step_section(self, fast_config, tmp_path):
         out = tmp_path / "out"
         code = main(["verify-smallsig", "--config", fast_config, "--out", str(out)])

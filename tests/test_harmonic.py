@@ -142,6 +142,14 @@ class TestSynthesize:
         with pytest.raises(ResidualImaginaryError):
             synthesize(hv, 0.1)
 
+    def test_floor_scales_the_residual_check(self):
+        # A spectrum far below the floor, with an imaginary residual that is
+        # large against itself but rounding against the floor.
+        hv = HarmonicVector.from_dict({1: 1e-10, -1: 1e-10 + 1e-18j}, 1, W1)
+        with pytest.raises(ResidualImaginaryError):
+            synthesize(hv, 0.1)
+        assert synthesize(hv, 0.1, floor=1.0) == pytest.approx(2e-10 * np.cos(0.1 * W1))
+
     def test_vectorized(self):
         rng = np.random.default_rng(4)
         hv = random_real_vector(rng, 3, W1)

@@ -25,12 +25,13 @@ from hssmmc import (
     simulate_open_loop,
     total_harmonic_distortion,
 )
-from hssmmc.config import RunConfig, StepConfig
+from hssmmc.config import RunConfig, StepConfig, load_config
 from hssmmc.errors import ShootingError
 from hssmmc.harmonic import analyze
 from hssmmc.pipelines import ReferenceStepRuns, step_grid_index
 from hssmmc.plant import PHASES, STATE_VARIABLES
 from hssmmc.simulate import (
+    SETTLE_FLOOR,
     SETTLE_RTOL,
     SHOOTING_DEFECT_TOL,
     _rk4,
@@ -42,7 +43,15 @@ from hssmmc.simulate import (
     simulate_closed_loop_columns,
 )
 
+from conftest import sequential_open_loop
+
 W1 = 314.0
+
+# A composed open-loop run may differ from the step-by-step RK4 run by
+# rounding only: by at most this share of each state's peak. Rounding scales
+# with the whole state, so each peak is floored at SETTLE_FLOOR of the
+# largest one, as in settling_profile.
+COMPOSED_RTOL = 1e-9
 
 
 def fast_cfg(params, periods=12, settle=10):
@@ -57,6 +66,21 @@ def tracking_loop():
 
 def closed_loop_rest(params):
     return np.concatenate([default_initial_state(params), np.zeros(6)])
+
+
+def composed_error(composed, reference):
+    """Largest difference of two runs on one grid, per state relative to
+    the reference's peak floored at SETTLE_FLOOR of the largest peak."""
+    assert np.array_equal(composed.t, reference.t)
+    peak = np.max(np.abs(reference.states), axis=0)
+    scale = np.maximum(peak, SETTLE_FLOOR * peak.max())
+    return float(np.max(np.abs(composed.states - reference.states) / scale))
+
+
+def blowup_step(error):
+    """(grid step, period) that a NumericalBlowupError names."""
+    found = re.search(r"at step (\d+) \(period (\d+),", str(error))
+    return int(found.group(1)), int(found.group(2))
 
 
 class TestSimulationConfig:
@@ -89,6 +113,41 @@ class TestOpenLoop:
         x0[0] = 1e16
         with pytest.raises(NumericalBlowupError):
             simulate_open_loop(fast_params, 0.5, fast_cfg(fast_params), x0=x0)
+
+    def test_blowup_names_its_period(self, fast_params):
+        # A negative arm resistance makes the open loop unstable. The
+        # parameter check rejects it, so it is set past that check.
+        params = dataclasses.replace(fast_params)
+        object.__setattr__(params, "R", -20.0)
+        cfg = fast_cfg(params)
+        spp = cfg.steps_per_period
+        with pytest.raises(NumericalBlowupError) as info:
+            simulate_open_loop(params, 0.5, cfg)
+        step, period = blowup_step(info.value)
+        assert period > 0
+        assert period == step // spp
+        # The step-by-step run checks at period starts, so it first fails
+        # at the start of the next period.
+        with pytest.raises(NumericalBlowupError) as info:
+            sequential_open_loop(params, 0.5, cfg)
+        assert blowup_step(info.value) == ((period + 1) * spp, period + 1)
+
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_matches_sequential_rk4(self, preset):
+        cfg = load_config(preset)
+        sim = SimulationConfig(cfg.sim.steps_per_period, total_periods=5, settle_periods=2)
+        composed = simulate_open_loop(cfg.params, cfg.m, sim)
+        assert composed_error(composed, sequential_open_loop(cfg.params, cfg.m, sim)) <= COMPOSED_RTOL
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.floats(0.0, 1.0), x_over_r=st.floats(0.0, 0.5))
+    def test_matches_sequential_rk4_property(self, fast_params, m, x_over_r):
+        params = dataclasses.replace(
+            fast_params, L_load=x_over_r * fast_params.R_load / fast_params.omega1
+        )
+        sim = SimulationConfig(steps_per_period=200, total_periods=5, settle_periods=2)
+        composed = simulate_open_loop(params, m, sim)
+        assert composed_error(composed, sequential_open_loop(params, m, sim)) <= COMPOSED_RTOL
 
     def test_circulating_spectrum_structure(self, sec3_orbit, sec3_params):
         hv = settled_spectrum(sec3_orbit, "i_c", "a", 4, sec3_params.omega1)
