@@ -105,7 +105,7 @@ def run_steady(cfg: RunConfig, out: Path, timestamp: bool) -> int:
         for p in PHASES:
             write_spectrum_csv(out / f"spectrum_hss_{var}_{p}.csv", op.spectrum(var, p), timestamp)
     checks = [
-        ("condition", op.condition <= CONDITION_LIMIT, f"estimate {op.condition:.3e}"),
+        ("condition", op.condition <= CONDITION_LIMIT, f"1-norm condition number {op.condition:.3e}"),
         energy_balance_check(op.power_balance(cfg.params)),
     ]
     ok = write_report(out / "report.txt", f"steady solve (m={cfg.m}, h={cfg.h})", checks, timestamp)
@@ -545,23 +545,26 @@ def steady_sweep_row(cfg: RunConfig) -> list[float]:
     return [_mag(ic, 0), _mag(ic, 2), _mag(vc, 1), _mag(vc, 2), _mag(vc, 3), _mag(ig, 1)]
 
 
+def smallsig_sweep_row(cfg: RunConfig) -> list[float]:
+    _, model = build_smallsignal_model(cfg)
+    return [float(eigenvalues(model)[0].real)]
+
+
 def run_sweep(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     if cfg.sweep is None:
         raise SchemaViolationError("[sweep]: section required for the sweep scenario")
     sweep = cfg.sweep
-    columns = STEADY_SWEEP_COLUMNS if sweep.scenario == "steady" else SMALLSIG_SWEEP_COLUMNS
+    if sweep.scenario == "steady":
+        columns, row = STEADY_SWEEP_COLUMNS, steady_sweep_row
+    else:
+        columns, row = SMALLSIG_SWEEP_COLUMNS, smallsig_sweep_row
 
     rows = []
     failures = 0
     for value in sweep.values:
         try:
             point = apply_sweep_value(cfg, sweep.key, value)
-            if sweep.scenario == "steady":
-                metrics = steady_sweep_row(point)
-            else:
-                _, model = build_smallsignal_model(point)
-                metrics = [float(eigenvalues(model)[0].real)]
-            rows.append([value, *metrics, ""])
+            rows.append([value, *row(point), ""])
         except (HssError, ValueError) as exc:  # recorded per value, sweep continues
             failures += 1
             pad = len(columns) - 2

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -155,6 +154,8 @@ def eigenvalues(model: LiftedModel) -> np.ndarray:
     spectrum for block 2. Raises PhaseImbalanceError when A is not balanced
     over the three phases.
     """
+    import scipy.linalg
+
     parts = [scipy.linalg.eigvals(block, overwrite_a=True) for block in model.sequence_blocks()]
     eig = np.concatenate([*parts, parts[1].conj()])
     order = np.lexsort((eig.imag, -eig.real))
@@ -295,6 +296,8 @@ def envelope_response(
     ``store_every``-th grid point is stored, and the last one, at ``t_end``,
     always is.
     """
+    import scipy.linalg
+
     A = model.A
     Bd = model.B
     dim, n_in = Bd.shape

@@ -449,3 +449,52 @@ class TestOutputDirResolution:
         assert main(["steady", "--config", fast_config, "--out", str(out)]) == 0
         assert (out / "report.txt").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def _scipy_modules_after(argvs):
+    """Exit codes of ``main`` on each argv, run in turn in one fresh
+    interpreter, and the scipy modules that interpreter loaded."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hssmmc
+
+    src = str(Path(hssmmc.__file__).resolve().parents[1])
+    script = (
+        "import json, sys\n"
+        "from hssmmc.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestScipyImports:
+    """scipy is loaded only where a model is decomposed or exponentiated:
+    the eigen screening and the envelope propagation of the small-signal
+    model. The steady solve, the simulator and steady sweeps run on numpy."""
+
+    def test_steady_and_simulator_scenarios_run_without_scipy(self, fast_config, tmp_path):
+        argvs = [
+            [scenario, "--config", fast_config, "--out", str(tmp_path / scenario), "--no-timestamp"]
+            for scenario in ("steady", "verify-steady", "simulate-open", "simulate-closed")
+        ]
+        argvs.append([
+            "sweep", "--config", fast_config, "--out", str(tmp_path / "sweep"), "--no-timestamp",
+            "--sweep-key", "m", "--sweep-values", "0.3,0.6",
+        ])
+        codes, loaded = _scipy_modules_after(argvs)
+        assert codes == [0] * len(argvs)
+        assert loaded == []
+
+    def test_smallsig_loads_scipy(self, fast_config, tmp_path):
+        argv = ["smallsig", "--config", fast_config, "--out", str(tmp_path / "o"), "--no-timestamp"]
+        codes, loaded = _scipy_modules_after([argv])
+        assert codes == [0]
+        assert "scipy.linalg" in loaded

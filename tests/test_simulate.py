@@ -2,13 +2,11 @@
 
 import dataclasses
 import re
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgWarning
 
 from hssmmc import (
     ControllerParams,
@@ -191,11 +189,10 @@ class TestShooting:
         with pytest.raises(NotSettledError, match="1.2"):
             _shooting_fixed_point(phi, np.ones(12))
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_map_raises(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            with pytest.raises(SingularSystemError):
-                _shooting_fixed_point(np.eye(12), np.ones(12))
+        with pytest.raises(SingularSystemError, match="condition number inf"):
+            _shooting_fixed_point(np.eye(12), np.ones(12))
 
     def test_small_modulation_orbit_is_settled(self, sec3_cfg):
         # At m = 1e-6 the circulating currents are about 1e-10 A, at the

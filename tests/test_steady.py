@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hssmmc import (
     HarmonicVector,
@@ -156,14 +158,39 @@ class TestSolve:
         with pytest.raises(ResidualImaginaryError, match="conjugate symmetry"):
             solve_steady_state(model, dc_input_vector(p.V_dc, 3), (n_u, n_l))
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error")
     def test_singular_system_detected(self):
         p = sec3_like()
         idx = open_loop_insertion_indices(0.5, 2)
         model = assemble_steady(p, idx, 2)
         model.A[:] = 0.0
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError) as raised:
             solve_steady_state(model, dc_input_vector(p.V_dc, 2), idx)
+        assert raised.value.condition == np.inf
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        preset=st.sampled_from(["sec3-simulation", "table1-prototype"]),
+        m=st.floats(0.0, 1.0),
+        h=st.integers(1, 15),
+    )
+    def test_condition_is_the_exact_one_norm_condition_number(self, preset, m, h):
+        # scipy's LAPACK zgecon estimate of the same number is a lower
+        # bound of it, up to rounding.
+        import scipy.linalg
+
+        from hssmmc.config import load_config
+        from hssmmc.steady import solve_lifted
+
+        params = load_config(preset).params
+        model = assemble_steady(params, open_loop_insertion_indices(m, h), h)
+        A = model.A
+        _, condition, _ = solve_lifted(A, -(model.B @ dc_input_vector(params.V_dc, h)))
+        assert condition == np.linalg.cond(A, 1)
+        lu, _ = scipy.linalg.lu_factor(A)
+        rcond, info = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(A, 1))
+        assert info == 0
+        assert condition >= (1.0 - 1e-12) / rcond
 
     def test_reconstruction_satisfies_ode(self):
         # The synthesized periodic solution, differentiated spectrally, must
