@@ -28,6 +28,10 @@ eigendecompositions a third of the size of A.
 Envelope responses of this LTI model to a reference step are exact
 zero-order-hold propagations by its transition matrix, so they hold for
 any time step.
+
+``eigenvalues`` and ``envelope_response`` import scipy in their bodies:
+the steady and simulator scenarios import this module too, and need no
+scipy.
 """
 
 from __future__ import annotations
