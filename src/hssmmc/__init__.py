@@ -6,6 +6,7 @@ reference simulator for validating both.
 
 from .errors import (
     DimensionMismatchError,
+    HalfWaveAsymmetryError,
     HssError,
     InsufficientSamplesError,
     ModulationOutOfRangeError,

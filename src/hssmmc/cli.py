@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .config import SCENARIOS, SweepConfig, apply_sweep_value, load_config
 from .errors import (
+    HalfWaveAsymmetryError,
     NotSettledError,
     NumericalBlowupError,
     PhaseImbalanceError,
@@ -41,6 +42,7 @@ _NUMERICAL_ERRORS = (
     NotSettledError,
     ResidualImaginaryError,
     PhaseImbalanceError,
+    HalfWaveAsymmetryError,
 )
 
 

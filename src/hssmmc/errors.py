@@ -42,6 +42,15 @@ class PhaseImbalanceError(HssError):
         self.defect = defect
 
 
+class HalfWaveAsymmetryError(HssError):
+    """A lifted model does not commute with the half-wave operator: a
+    half-period shift with the upper and lower arms swapped."""
+
+    def __init__(self, message: str, defect: float):
+        super().__init__(message)
+        self.defect = defect
+
+
 class UnknownVariableError(HssError):
     """Requested state variable or phase label does not exist."""
 

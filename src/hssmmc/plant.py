@@ -7,7 +7,9 @@ insertion indices, and the plant equations in two independent encodings.
   lifts of it (``PeriodicCoefficients.lifted``, a ``LiftedModel``), and
   ``PeriodicCoefficients.at`` evaluates it at one instant.
   ``LiftedModel.sequence_blocks`` splits a lifted A into its phase-sequence
-  blocks, which the eigenvalue screening decomposes.
+  blocks, and each of those into its two halves under the half-wave
+  operator (``HALF_WAVE_IMAGE``): the eigenvalue screening decomposes four
+  blocks of about a sixth of the size of A.
 - ``plant_rhs`` is the direct-form right-hand side the reference simulator
   integrates. It is kept separate from the coefficient model so that the
   simulator checks the lifted models against an independent encoding.
@@ -34,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    HalfWaveAsymmetryError,
     ModulationOutOfRangeError,
     OrderMismatchError,
     PhaseImbalanceError,
@@ -55,9 +58,23 @@ STATE_LABELS = (
 
 STATE_VARIABLES = ("i_c", "v_cu", "v_cl", "i_g")
 
-# Largest entry of an off-diagonal phase-sequence block of a lifted A,
-# relative to max|A|, for which the model still counts as balanced over the
-# three phases; a balanced lift meets it to round-off.
+# The half-wave operator T2 shifts the states by half a period and swaps
+# the upper and lower arms. Each state variable maps to (image, sign):
+# variable v of T2 x at t is sign * x_image(t + T/2), so its harmonic k is
+# sign * (-1)^k times harmonic k of the image. The plant commutes with T2,
+# and its orbit is invariant: i_c and v_cu + v_cl carry dc and even
+# harmonics, i_g and v_cu - v_cl odd ones.
+HALF_WAVE_IMAGE = {
+    "i_c": ("i_c", 1),
+    "v_cu": ("v_cl", 1),
+    "v_cl": ("v_cu", 1),
+    "i_g": ("i_g", -1),
+}
+
+# Largest entry of an off-diagonal phase-sequence block, or of an
+# off-diagonal half-wave block, of a lifted A, relative to max|A|, for which
+# the model still counts as balanced over the three phases and half-wave
+# symmetric; a balanced lift meets it to round-off.
 SEQUENCE_DEFECT_RTOL = 1e-12
 
 
@@ -240,8 +257,9 @@ class LiftedModel:
     state_labels: tuple[str, ...]
     input_labels: tuple[str, ...]
 
-    def sequence_blocks(self):
-        """Yield the phase-sequence blocks Q_r^H A Q_r of A for r = 0, 1.
+    def sequence_blocks(self, half_wave: dict[str, tuple[str, int]]):
+        """Yield (r, block) for the half-wave halves of the phase-sequence
+        blocks r = 0, 1 of A: four blocks of about a sixth of its size.
 
         A balanced three-phase model commutes with the 120-degree rotation
         S that relabels the phases a -> b -> c and turns harmonic k by
@@ -254,11 +272,22 @@ class LiftedModel:
 
         The off-diagonal blocks Q_s^H A Q_r, s != r, come from the same
         gathers; their largest entry relative to max|A| is the rotation
-        defect, and above SEQUENCE_DEFECT_RTOL PhaseImbalanceError is
-        raised. Block 2 is checked but not yielded: A lifts real
-        coefficients (J A J = conj A, J the harmonic flip), which maps
-        sequence 1 onto sequence 2, so the spectrum of block 2 is the
-        conjugate of block 1's.
+        defect, and unless it is at most SEQUENCE_DEFECT_RTOL (a NaN is
+        not) PhaseImbalanceError is raised. Block 2 is checked but not
+        yielded: A lifts real coefficients (J A J = conj A, J the harmonic
+        flip), which maps sequence 1 onto sequence 2, so the spectrum of
+        block 2 is the conjugate of block 1's.
+
+        The half-wave operator T2 commutes with S and acts on each (variable,
+        k) of a sequence block as the signed permutation ``half_wave`` gives
+        (``HALF_WAVE_IMAGE``); a state variable without an entry raises
+        UnknownVariableError. Each pair of variables that T2 swaps is
+        replaced in place by its normalized sum and difference, after which
+        T2 is diagonal with entries +-1, and the block splits into the rows
+        and columns of +1 and of -1, one gather each. The off-diagonal half
+        blocks give the half-wave defect (a map that is no symmetry of A
+        shows there too), and unless it is at most SEQUENCE_DEFECT_RTOL
+        HalfWaveAsymmetryError is raised.
         """
         n_h = 2 * self.h + 1
         phase_rows = {}
@@ -267,6 +296,8 @@ class LiftedModel:
             phase_rows.setdefault(variable, {})[phase] = i
         if any(len(rows) != len(PHASES) for rows in phase_rows.values()):
             raise DimensionMismatchError("every state variable needs one block per phase")
+        pairs, plus = _half_wave_basis(tuple(phase_rows), half_wave, self.h)
+        halves = (np.flatnonzero(plus), np.flatnonzero(~plus))
         # index[p]: the rows (and columns) of phase p in (variable, k) order.
         blocks = np.array([[rows[p] for p in PHASES] for rows in phase_rows.values()])
         index = (blocks.T[:, :, None] * n_h + np.arange(n_h)).reshape(len(PHASES), -1)
@@ -286,7 +317,7 @@ class LiftedModel:
                     continue
                 off_diagonal = _phase_sum(columns, index, mu_power(s).conj(), axis=0)
                 defect = float(np.max(np.abs(off_diagonal))) / 3.0 / scale
-                if defect > SEQUENCE_DEFECT_RTOL:
+                if not defect <= SEQUENCE_DEFECT_RTOL:
                     raise PhaseImbalanceError(
                         f"lifted A is not balanced over the phases: 120-degree rotation "
                         f"defect {defect:.3e} of max|A| exceeds {SEQUENCE_DEFECT_RTOL:.0e}",
@@ -296,7 +327,58 @@ class LiftedModel:
                 block = _phase_sum(columns, index, mu_power(r).conj(), axis=0)
                 del columns, off_diagonal
                 block /= 3.0
-                yield block
+                _sum_and_difference(block, pairs, n_h)
+                for rows, cols in (halves, halves[::-1]):
+                    off_diagonal = block[np.ix_(rows, cols)]
+                    defect = float(np.max(np.abs(off_diagonal), initial=0.0)) / scale
+                    if not defect <= SEQUENCE_DEFECT_RTOL:
+                        raise HalfWaveAsymmetryError(
+                            f"lifted A is not half-wave symmetric: defect {defect:.3e} "
+                            f"of max|A| exceeds {SEQUENCE_DEFECT_RTOL:.0e}",
+                            defect,
+                        )
+                del off_diagonal
+                for half in halves:
+                    yield r, block[np.ix_(half, half)]
+                del block
+
+
+def _half_wave_basis(variables, half_wave, h):
+    """The pairs (j, i), j < i, of the positions in ``variables`` that the
+    half-wave operator swaps, and the mask of its +1 eigenvectors over the
+    (variable, k) basis of a sequence block once each pair is replaced by
+    its sum (at j) and difference (at i).
+
+    A variable that maps to itself, with sign s, is in the +1 half at the
+    harmonics k with s (-1)^k = 1. The sum of a pair swapped with sign s is
+    there at the same harmonics, and the difference at the others.
+    """
+    position = {v: j for j, v in enumerate(variables)}
+    odd = np.arange(-h, h + 1) % 2 == 1
+    pairs, plus = [], []
+    for j, variable in enumerate(variables):
+        try:
+            image, sign = half_wave[variable]
+            i = position[image]
+        except KeyError:
+            raise UnknownVariableError(
+                f"state variable {variable!r} has no half-wave image among the states"
+            ) from None
+        if j < i:
+            pairs.append((j, i))
+        plus.append(odd if (sign < 0) != (j > i) else ~odd)
+    return pairs, np.concatenate(plus)
+
+
+def _sum_and_difference(block: np.ndarray, pairs, n_h: int):
+    """Replace the rows, then the columns, of each pair (j, i) of variable
+    blocks of ``block`` by their sum (at j) and difference (at i), each
+    scaled by 1/sqrt(2), in place."""
+    scale = np.sqrt(0.5)
+    for view in (block, block.T):
+        for j, i in pairs:
+            first, second = view[j * n_h : (j + 1) * n_h], view[i * n_h : (i + 1) * n_h]
+            first[...], second[...] = scale * (first + second), scale * (first - second)
 
 
 def _phase_sum(matrix: np.ndarray, index: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:

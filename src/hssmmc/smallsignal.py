@@ -20,18 +20,20 @@ it into an 18-block ``LiftedModel`` whose inputs are the dc-bus
 perturbation and the three per-phase voltage-reference perturbations;
 ``time_domain_linearized_A`` evaluates it at one instant.
 
-Eigenvalue screening (``eigenvalues``) uses the three-phase balance of the
-model: the lifted A is block diagonal over the three phase sequences
-(``LiftedModel.sequence_blocks``), and the spectrum comes from two
-eigendecompositions a third of the size of A.
+Eigenvalue screening (``eigenvalues``) uses two symmetries of the model:
+the lifted A is block diagonal over the three phase sequences and, within
+each, over the two halves of the half-wave operator
+(``LiftedModel.sequence_blocks``, with the controller states' images in
+``SMALLSIG_HALF_WAVE_IMAGE``). The spectrum comes from four numpy
+eigendecompositions of about a sixth of the size of A.
 
 Envelope responses of this LTI model to a reference step are exact
 zero-order-hold propagations by its transition matrix, so they hold for
 any time step.
 
-``eigenvalues`` and ``envelope_response`` import scipy in their bodies:
-the steady and simulator scenarios import this module too, and need no
-scipy.
+Only ``envelope_response`` needs scipy, for the matrix exponential, and
+imports it in its body: every other scenario imports this module too, and
+runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .errors import (
 )
 from .harmonic import HarmonicVector, synthesize
 from .plant import (
+    HALF_WAVE_IMAGE,
     PHASES,
     STATE_LABELS,
     LiftedModel,
@@ -60,6 +63,11 @@ from .steady import OperatingPoint, solve_lifted
 PR_LABELS = ("pr_a1", "pr_a2", "pr_b1", "pr_b2", "pr_c1", "pr_c2")
 SMALLSIG_STATE_LABELS = STATE_LABELS + PR_LABELS
 SMALLSIG_INPUT_LABELS = ("v_dc", "v_ga_ref", "v_gb_ref", "v_gc_ref")
+
+# Half-wave images (``plant.HALF_WAVE_IMAGE``) of the closed-loop states:
+# the PR states are driven by the ac voltage error, which carries odd
+# harmonics, so they flip sign with i_g.
+SMALLSIG_HALF_WAVE_IMAGE = {**HALF_WAVE_IMAGE, "pr_1": ("pr_1", -1), "pr_2": ("pr_2", -1)}
 
 
 @dataclass(frozen=True)
@@ -152,16 +160,20 @@ def eigenvalues(model: LiftedModel) -> np.ndarray:
     """Spectrum of the lifted A, sorted by real part descending, then by
     imaginary part.
 
-    Computed from the phase-sequence blocks of A
-    (``LiftedModel.sequence_blocks``): one eigendecomposition each of
-    blocks 0 and 1, a third of the size of A, and the conjugate of block 1's
-    spectrum for block 2. Raises PhaseImbalanceError when A is not balanced
-    over the three phases.
+    Computed from the sequence x half-wave blocks of A
+    (``LiftedModel.sequence_blocks`` with ``SMALLSIG_HALF_WAVE_IMAGE``, which
+    also covers the plant states of a steady model): one numpy
+    eigendecomposition of each half-wave half of sequences 0 and 1, about a
+    sixth of the size of A each, and the conjugates of sequence 1's spectra
+    for sequence 2. Raises PhaseImbalanceError when A is not balanced over
+    the three phases, and HalfWaveAsymmetryError when it does not commute
+    with the half-wave operator.
     """
-    import scipy.linalg
-
-    parts = [scipy.linalg.eigvals(block, overwrite_a=True) for block in model.sequence_blocks()]
-    eig = np.concatenate([*parts, parts[1].conj()])
+    parts = []
+    for r, block in model.sequence_blocks(SMALLSIG_HALF_WAVE_IMAGE):
+        part = np.linalg.eigvals(block)
+        parts += [part, part.conj()] if r == 1 else [part]
+    eig = np.concatenate(parts)
     order = np.lexsort((eig.imag, -eig.real))
     return eig[order]
 

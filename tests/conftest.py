@@ -110,3 +110,28 @@ def unbalanced(model, label="i_cb", rel=1e-6):
     A = model.A.copy()
     A[r * n : (r + 1) * n] += rel * np.max(np.abs(A))
     return dataclasses.replace(model, A=A)
+
+
+def half_wave_broken(model, rel=1e-6):
+    """``model`` with the coupling of (i_c, k = 3) to (i_c, k = 0) raised by
+    ``rel`` of max|A| on all three phases: it keeps the balance over the
+    phases but couples an odd to an even harmonic of i_c, which breaks the
+    half-wave symmetry."""
+    import dataclasses
+
+    n = 2 * model.h + 1
+    A = model.A.copy()
+    delta = rel * np.max(np.abs(A))
+    for phase in "abc":
+        start = model.state_labels.index(f"i_c{phase}") * n + model.h
+        A[start + 3, start] += delta
+    return dataclasses.replace(model, A=A)
+
+
+def with_nan(model):
+    """``model`` with one NaN entry in A."""
+    import dataclasses
+
+    A = model.A.copy()
+    A[5, 7] = np.nan
+    return dataclasses.replace(model, A=A)

@@ -5,7 +5,7 @@ import pytest
 from hssmmc.cli import main
 from hssmmc.plant import plant_coefficients
 
-from conftest import unbalanced
+from conftest import half_wave_broken, unbalanced, with_nan
 
 FAST = """
 [params]
@@ -47,15 +47,20 @@ def fast_config_with_step(tmp_path, period, phase="a"):
     return str(path)
 
 
-def _unbalance_smallsignal_models(monkeypatch):
-    """Make every small-signal model the pipelines build unbalanced over
-    the phases (``conftest.unbalanced``: the i_cb block row perturbed)."""
+def _perturb_smallsignal_models(monkeypatch, perturb):
+    """Pass every small-signal model the pipelines build through ``perturb``."""
     import hssmmc.pipelines as pipelines
 
     assemble = pipelines.assemble_smallsignal
     monkeypatch.setattr(
-        pipelines, "assemble_smallsignal", lambda *args: unbalanced(assemble(*args))
+        pipelines, "assemble_smallsignal", lambda *args: perturb(assemble(*args))
     )
+
+
+def _unbalance_smallsignal_models(monkeypatch):
+    """Make every small-signal model the pipelines build unbalanced over
+    the phases (``conftest.unbalanced``: the i_cb block row perturbed)."""
+    _perturb_smallsignal_models(monkeypatch, unbalanced)
 
 
 class TestExitCodes:
@@ -96,6 +101,17 @@ class TestExitCodes:
         _unbalance_smallsignal_models(monkeypatch)
         assert main(["smallsig", "--config", fast_config, "--out", str(tmp_path / "o")]) == 3
         assert "PhaseImbalanceError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("perturb, error", [
+        (half_wave_broken, "HalfWaveAsymmetryError"),
+        (with_nan, "PhaseImbalanceError"),
+    ])
+    def test_asymmetric_or_non_finite_model_is_a_numerical_failure(
+        self, fast_config, tmp_path, capsys, monkeypatch, perturb, error
+    ):
+        _perturb_smallsignal_models(monkeypatch, perturb)
+        assert main(["smallsig", "--config", fast_config, "--out", str(tmp_path / "o")]) == 3
+        assert error in capsys.readouterr().err
 
     def test_negative_order_override(self, fast_config, tmp_path, capsys):
         code = main(["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "-1"])
@@ -316,6 +332,17 @@ class TestSweepScenario:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert rows and all("not balanced over the phases" in row for row in rows)
 
+    def test_half_wave_asymmetric_model_gives_an_error_row(self, fast_config, tmp_path, monkeypatch):
+        _perturb_smallsignal_models(monkeypatch, half_wave_broken)
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--config", str(_with_sweep(fast_config, tmp_path)), "--out", str(out),
+            "--no-timestamp",
+        ])
+        assert code == 1
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows and all("not half-wave symmetric" in row for row in rows)
+
     def test_programming_errors_propagate(self, fast_config, tmp_path, monkeypatch):
         def broken(cfg):
             raise TypeError("broken sweep point")
@@ -476,9 +503,9 @@ def _scipy_modules_after(argvs):
 
 
 class TestScipyImports:
-    """scipy is loaded only where a model is decomposed or exponentiated:
-    the eigen screening and the envelope propagation of the small-signal
-    model. The steady solve, the simulator and steady sweeps run on numpy."""
+    """scipy is loaded only where a model is exponentiated: the envelope
+    propagation of the small-signal model. The steady solve, the eigen
+    screening, the simulator and sweeps run on numpy."""
 
     def test_steady_and_simulator_scenarios_run_without_scipy(self, fast_config, tmp_path):
         argvs = [
@@ -493,8 +520,21 @@ class TestScipyImports:
         assert codes == [0] * len(argvs)
         assert loaded == []
 
-    def test_smallsig_loads_scipy(self, fast_config, tmp_path):
-        argv = ["smallsig", "--config", fast_config, "--out", str(tmp_path / "o"), "--no-timestamp"]
+    def test_smallsig_and_smallsig_sweep_run_without_scipy(self, fast_config, tmp_path):
+        argvs = [
+            ["smallsig", "--config", fast_config, "--out", str(tmp_path / "o"), "--no-timestamp"],
+            [
+                "sweep", "--config", str(_with_sweep(fast_config, tmp_path)), "--out",
+                str(tmp_path / "sweep"), "--no-timestamp", "--sweep-key", "h", "--sweep-values", "3,7",
+            ],
+        ]
+        codes, loaded = _scipy_modules_after(argvs)
+        assert codes == [0, 0]
+        assert loaded == []
+
+    def test_verify_smallsig_loads_scipy_linalg(self, tmp_path):
+        config = fast_config_with_step(tmp_path, 12)
+        argv = ["verify-smallsig", "--config", config, "--out", str(tmp_path / "o"), "--no-timestamp"]
         codes, loaded = _scipy_modules_after([argv])
         assert codes == [0]
         assert "scipy.linalg" in loaded

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hssmmc import (
@@ -23,8 +23,13 @@ from hssmmc import (
     solve_steady_state,
     toeplitz,
 )
-from hssmmc.errors import PhaseImbalanceError, ResidualImaginaryError, UnknownVariableError
-from hssmmc.plant import split_phase
+from hssmmc.errors import (
+    HalfWaveAsymmetryError,
+    PhaseImbalanceError,
+    ResidualImaginaryError,
+    UnknownVariableError,
+)
+from hssmmc.plant import HALF_WAVE_IMAGE, split_phase
 from hssmmc.smallsignal import (
     EnvelopeResponse,
     SMALLSIG_INPUT_LABELS,
@@ -38,7 +43,7 @@ from hssmmc.smallsignal import (
 )
 from hssmmc.simulate import _closed_loop_rhs
 
-from conftest import block, unbalanced
+from conftest import block, half_wave_broken, unbalanced, with_nan
 
 W1 = 314.0
 S = SMALLSIG_STATE_LABELS.index
@@ -543,6 +548,10 @@ def assert_same_spectrum(model):
     h=st.integers(1, 8),
     x_over_r=st.floats(0.0, 0.5),
 )
+@example(preset="sec3-simulation", m=0.0, h=0, x_over_r=0.0)
+@example(preset="table1-prototype", m=0.0, h=0, x_over_r=0.3)
+@example(preset="sec3-simulation", m=0.0, h=5, x_over_r=0.3)
+@example(preset="table1-prototype", m=0.0, h=4, x_over_r=0.0)
 def test_sequence_block_spectrum_matches_dense(preset, m, h, x_over_r):
     assert_same_spectrum(_preset_model(preset, m, h, x_over_r))
 
@@ -564,6 +573,24 @@ class TestPhaseBalanceGate:
         steady = assemble_steady(sec3_like(), open_loop_insertion_indices(0.7, 4), 4)
         eigenvalues(steady)
         eigenvalues(unbalanced(_preset_model("sec3-simulation", h=3), rel=1e-14))
+
+    def test_non_finite_model_raises_the_gate_error(self):
+        # A NaN compares false with every bound, so it must fail the gate.
+        with pytest.raises(PhaseImbalanceError):
+            eigenvalues(with_nan(_preset_model("sec3-simulation", h=3)))
+
+    def test_half_wave_coupling_raises(self):
+        model = half_wave_broken(_preset_model("sec3-simulation", h=3))
+        with pytest.raises(HalfWaveAsymmetryError) as info:
+            eigenvalues(model)
+        assert not isinstance(info.value, PhaseImbalanceError)
+        assert 1e-7 < info.value.defect < 1e-5
+
+    def test_every_state_variable_needs_a_half_wave_image(self):
+        # The plant map names no controller state.
+        model = _preset_model("sec3-simulation", h=3)
+        with pytest.raises(UnknownVariableError, match="pr_1"):
+            next(model.sequence_blocks(HALF_WAVE_IMAGE))
 
     def test_labels_name_their_phase(self):
         assert split_phase("v_cub") == ("v_cu", "b")

@@ -19,7 +19,7 @@ from hssmmc import (
     synthesize,
     toeplitz,
 )
-from hssmmc.plant import PHASES, STATE_LABELS, plant_coefficients, plant_rhs
+from hssmmc.plant import HALF_WAVE_IMAGE, PHASES, STATE_LABELS, plant_coefficients, plant_rhs
 
 from conftest import block
 
@@ -135,6 +135,22 @@ class TestSolve:
             b = sec3_op.spectrum(var, "b").coeffs
             scale = np.max(np.abs(a)) or 1.0
             assert np.max(np.abs(b - a * shift)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
+    def test_orbit_is_half_wave_symmetric(self, x_over_r):
+        # Each state equals sign * (-1)^k times its image under the map
+        # the eigen screening splits the lifted A by.
+        import dataclasses
+
+        p = sec3_like()
+        p = dataclasses.replace(p, L_load=x_over_r * p.R_load / p.omega1)
+        _, op = solve(p, 0.8, 6)
+        parity = (-1.0) ** np.arange(-6, 7)
+        for var, (image, sign) in HALF_WAVE_IMAGE.items():
+            for ph in PHASES:
+                x = op.spectrum(var, ph).coeffs
+                shifted = sign * parity * op.spectrum(image, ph).coeffs
+                assert np.max(np.abs(x - shifted)) <= 1e-12 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
     @pytest.mark.parametrize("m", [1e-5, 1e-6, 1e-8])
