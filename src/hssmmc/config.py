@@ -11,8 +11,9 @@ Sections and keys
 [sweep]       key, values, scenario   (scenario: steady or smallsig)
 
 Time is given on the fundamental-period grid only: ``steps_per_period``
-RK4 steps per period, and run lengths, the step instant and the comparison
-window in whole periods. Without [sim] a run lasts 42 periods of 2000
+RK4 steps per period, an even number so that half a period is a grid point,
+and run lengths, the step instant and the comparison window in whole
+periods. Without [sim] a run lasts 42 periods of 2000
 steps.
 
 Unknown sections or keys are rejected. Two presets ship with the package:

@@ -25,11 +25,15 @@ periodic steady state (``settled_open_loop``) starts on its fixed point
 (shooting). For the open loop ``settle_periods`` sets how long a transient
 must be before its last two periods are checked for settling. The closed
 loop is nonlinear and is integrated step by step; its periodic steady
-state comes from Newton shooting (``settled_closed_loop``), each Newton
-step pushing 19 columns, the state and 18 finite-difference perturbations,
-through one period. A reference step in an exported closed-loop run is two
-runs, the second starting from the first one's final state with the
-stepped references (``pipelines.ReferenceStepRuns``).
+state comes from Newton shooting (``settled_closed_loop``) on the half-wave
+map: the closed loop commutes with the half-wave operator (half a period
+on, arms swapped, ac quantities negated), so each Newton step pushes 19
+columns, the state and 18 finite-difference perturbations, through half a
+period only, and the second half of the orbit is the first half's image.
+That needs a grid point at half a period, so ``steps_per_period`` is even.
+A reference step in an exported closed-loop run is two runs, the second
+starting from the first one's final state with the stepped references
+(``pipelines.ReferenceStepRuns``).
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from .errors import (
     ShootingError,
 )
 from .harmonic import HarmonicVector, analyze
-from .plant import PHASES, PHASE_SHIFT, MmcParameters, plant_rhs
-from .smallsignal import ControllerParams
+from .plant import PHASES, PHASE_SHIFT, MmcParameters, plant_rhs, split_phase
+from .smallsignal import SMALLSIG_HALF_WAVE_IMAGE, SMALLSIG_STATE_LABELS, ControllerParams
 from .steady import solve_lifted
 
 # A simulated state magnitude beyond this multiple of the dc-bus voltage
@@ -60,12 +64,15 @@ BLOWUP_FACTOR = 1e9
 SETTLE_RTOL = 1e-3
 
 # Closed-loop Newton shooting stops at this relative defect of the
-# one-period map, and gives up after this many Newton updates. Forward
-# differences for its monodromy matrix step each state by _FD_STEP times
-# its magnitude (at least 1).
+# half-wave map, and gives up after this many Newton updates. Forward
+# differences for its Jacobian step each state by _FD_STEP times its
+# magnitude (at least 1). A step of 1e-7 drowns in the rounding of the RK4
+# pass: on the presets at 400 steps per period it leaves the Floquet
+# multiplier up to 3e-6 off its central-difference value, and 5e-7 within
+# 6e-7.
 SHOOTING_DEFECT_TOL = 1e-10
 SHOOTING_MAX_ITERATIONS = 8
-_FD_STEP = 1e-7
+_FD_STEP = 5e-7
 
 _PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
 
@@ -74,9 +81,10 @@ _PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
 class SimulationConfig:
     """Run lengths on the fundamental-period grid.
 
-    A fundamental period holds ``steps_per_period`` RK4 steps; a run lasts
-    ``total_periods`` periods, more than the ``settle_periods`` that
-    ``simulate_open_loop`` needs before its settled check.
+    A fundamental period holds ``steps_per_period`` RK4 steps, an even
+    number so that half a period is a grid point (``settled_closed_loop``);
+    a run lasts ``total_periods`` periods, more than the ``settle_periods``
+    that ``simulate_open_loop`` needs before its settled check.
     """
 
     steps_per_period: int
@@ -86,6 +94,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.steps_per_period < 4:
             raise ValueError("steps_per_period must be >= 4")
+        if self.steps_per_period % 2:
+            raise ValueError("steps_per_period must be even")
         if self.settle_periods < 2:
             raise ValueError("settle_periods must be >= 2")
         if self.total_periods <= self.settle_periods:
@@ -259,17 +269,20 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     return _open_loop_periods(params, m, spp, cfg.n_steps() - 2 * spp, 2, None)
 
 
-def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Fixed point of the one-period map x -> phi x + g, and the largest
-    Floquet multiplier.
+def _shooting_fixed_point(
+    phi: np.ndarray, g: np.ndarray, maps_per_period: int = 1
+) -> tuple[np.ndarray, float]:
+    """Fixed point of the map x -> phi x + g, which makes one period when
+    applied ``maps_per_period`` times, and the largest Floquet multiplier,
+    the largest eigenvalue magnitude of phi to that power.
 
     Raises SingularSystemError when the gated solve (``steady.solve_lifted``)
     rejects I - phi, and NotSettledError when the largest Floquet multiplier
-    (eigenvalue magnitude of phi) is not below one: the fixed point then
-    exists but no transient settles onto it.
+    is not below one: the fixed point then exists but no transient settles
+    onto it.
     """
     x, _, _ = solve_lifted(np.eye(g.size) - phi, g)
-    multiplier = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    multiplier = float(np.max(np.abs(np.linalg.eigvals(phi)))) ** maps_per_period
     if multiplier >= 1.0:
         raise NotSettledError(
             f"largest Floquet multiplier {multiplier:.6g} is not below 1: "
@@ -337,6 +350,25 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.nda
     return rhs
 
 
+def _half_wave_operator() -> np.ndarray:
+    """The half-wave operator H on the closed-loop states as an 18 x 18
+    signed permutation matrix, (H x)_v = sign * x_image for each state v,
+    from ``SMALLSIG_HALF_WAVE_IMAGE``: i_c stays, v_cu and v_cl swap, and
+    i_g and the PR states change sign. With references that are pure
+    fundamentals, v*(t + T/2) = -v*(t), so a closed-loop run started at
+    H x half a period on is H applied to the run started at x."""
+    position = {split_phase(label): i for i, label in enumerate(SMALLSIG_STATE_LABELS)}
+    H = np.zeros((len(position), len(position)))
+    for i, label in enumerate(SMALLSIG_STATE_LABELS):
+        variable, phase = split_phase(label)
+        image, sign = SMALLSIG_HALF_WAVE_IMAGE[variable]
+        H[i, position[image, phase]] = sign
+    return H
+
+
+HALF_WAVE_OPERATOR = _half_wave_operator()
+
+
 def _reference_amps(refs: dict[str, complex]) -> np.ndarray:
     return np.array([refs[p] for p in PHASES], dtype=complex)
 
@@ -400,13 +432,15 @@ def simulate_closed_loop_columns(
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """One period of a periodic orbit found by Newton shooting, with the
-    shooting diagnostics."""
+    """One period of a periodic orbit found by Newton shooting on the
+    half-wave map, with the shooting diagnostics. The first half of the
+    period is an RK4 run from states[0]; the second half is the half-wave
+    operator applied to it."""
 
     trajectory: Trajectory      # states[0] is the fixed point, at grid point n0
     iterations: int             # Newton updates taken
-    defect: float               # relative defect of the one-period map at states[0]
-    multiplier: float           # largest Floquet multiplier magnitude
+    defect: float               # relative defect of the half-wave map at states[0]
+    multiplier: float           # largest Floquet multiplier magnitude, full period
 
 
 def settled_closed_loop(
@@ -418,37 +452,53 @@ def settled_closed_loop(
     x_guess: np.ndarray,
 ) -> PeriodicOrbit:
     """Periodic steady state of the closed loop by Newton shooting from grid
-    point ``n0``.
+    point ``n0`` on the half-wave map.
 
-    The references are constant, so the RK4 map F over one period from
-    ``n0`` is fixed; its fixed point is the state on the attracting orbit.
-    Each iteration is one RK4 pass over one period with 19 columns: x and
-    x + h_j e_j for the 18 states, which give F(x) and a forward-difference
-    monodromy matrix J. The update solves (I - J) dx = F(x) - x through
-    the same gated solve and Floquet check as ``settled_open_loop``. The
-    relative defect is max_i |F(x)_i - x_i| / RMS_i, with RMS_i the RMS of
+    The references are constant phasors, so v*(t + T/2) = -v*(t), and the
+    closed loop commutes with the half-wave operator H
+    (``HALF_WAVE_OPERATOR``): the RK4 run from n0 + spp/2 started at H x is
+    H applied to the run from n0 started at x, up to rounding. With F_half
+    the RK4 map over half a period from ``n0``, the one-period map is G∘G
+    for the half-wave map G(x) = H F_half(x), so a fixed point of G is the
+    state on the attracting orbit. Each iteration is one RK4 pass over half
+    a period with 19 columns: x and x + h_j e_j for the 18 states, which
+    give G(x) and a forward-difference Jacobian J of G. The update solves
+    (I - J) dx = G(x) - x through the same gated solve as
+    ``settled_open_loop``; the full-period monodromy matrix at the fixed
+    point is J², so the largest Floquet multiplier is max|eig(J)|². The
+    relative defect is max_i |G(x)_i - x_i| / RMS_i, with RMS_i the RMS of
     state i over the period (1 where that is 0); Newton stops when it is at
-    or below ``SHOOTING_DEFECT_TOL``. Only the direct form of
-    ``_closed_loop_rhs`` is integrated, never the coefficient model.
+    or below ``SHOOTING_DEFECT_TOL``. The returned period is the last
+    half-period run followed by H applied to its rows. Only the direct form
+    of ``_closed_loop_rhs`` is integrated, never the coefficient model.
 
-    Raises ShootingError (carrying the iteration count and the defect) when
-    the orbit is not attracting or the defect is still above the tolerance
-    after ``SHOOTING_MAX_ITERATIONS`` updates, and SingularSystemError when
-    the gated solve rejects I - J.
+    Raises ValueError for an odd ``steps_per_period``, which has no grid
+    point at half a period; ShootingError (carrying the iteration count and
+    the defect) when the orbit is not attracting or the defect is still
+    above the tolerance after ``SHOOTING_MAX_ITERATIONS`` updates; and
+    SingularSystemError when the gated solve rejects I - J.
     """
+    if steps_per_period % 2:
+        raise ValueError(
+            f"steps_per_period must be even for half-wave shooting, got {steps_per_period}"
+        )
+    H = HALF_WAVE_OPERATOR
     amps = _reference_amps(refs)[:, None]
     x = np.array(x_guess, dtype=float)
     for iteration in range(SHOOTING_MAX_ITERATIONS + 1):
         columns = np.hstack([x[:, None], x[:, None] + np.diag(_FD_STEP * np.maximum(np.abs(x), 1.0))])
         h = np.diag(columns[:, 1:]) - x  # the steps as represented
-        run = _closed_loop_run(params, ctrl, amps, steps_per_period, steps_per_period, columns, n0)
-        orbit = run[:, :, 0].copy()
-        end = run[-1]
+        run = _closed_loop_run(
+            params, ctrl, amps, steps_per_period, steps_per_period // 2, columns, n0
+        )
+        first_half = run[:, :, 0]
+        orbit = np.concatenate([first_half, first_half[1:] @ H.T])
+        end = H @ run[-1]
         rms = np.sqrt(np.mean(orbit[:-1] ** 2, axis=0))
         defect = float(np.max(np.abs(end[:, 0] - x) / np.where(rms > 0, rms, 1.0)))
         jacobian = (end[:, 1:] - end[:, :1]) / h
         try:
-            dx, multiplier = _shooting_fixed_point(jacobian, end[:, 0] - x)
+            dx, multiplier = _shooting_fixed_point(jacobian, end[:, 0] - x, maps_per_period=2)
         except NotSettledError as exc:
             raise ShootingError(
                 f"after {iteration} Newton iterations (relative defect {defect:.3e}): {exc}",

@@ -29,15 +29,14 @@ eigendecompositions of about a sixth of the size of A.
 
 Envelope responses of this LTI model to a reference step are exact
 zero-order-hold propagations by its transition matrix, so they hold for
-any time step.
-
-Only ``envelope_response`` needs scipy, for the matrix exponential, and
-imports it in its body: every other scenario imports this module too, and
-runs on numpy alone.
+any time step. The transition matrix comes from ``_expm``, a numpy
+scaling-and-squaring [13/13] Padé exponential (Higham 2005), so this
+module, like the rest of the package, runs on numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,11 +264,9 @@ def time_domain_linearized_A(
 
     This is the closed-loop coefficient model evaluated at one instant, so
     it is exactly what the lifted blocks represent in the time domain (the
-    frequency-translation diagonals excluded). Requires a purely resistive
-    ac load.
+    frequency-translation diagonals excluded). An inductive load part is
+    solved out there (``PeriodicCoefficients.at``).
     """
-    if params.L_load != 0.0:
-        raise ValueError("time-domain Jacobian is defined for a resistive ac load")
     return compute_f_coefficients(op, params, ctrl).at(t)[0]
 
 
@@ -308,12 +305,10 @@ def envelope_response(
 
     The state starts at zero at ``t_start`` and steps as x <- Phi x + Gamma u,
     where Phi and Gamma are the top blocks of expm([[A dt, B dt], [0, 0]])
-    (Van Loan 1978), so the grid values are exact for any ``dt``. Every
-    ``store_every``-th grid point is stored, and the last one, at ``t_end``,
-    always is.
+    (Van Loan 1978, with ``_expm``), so the grid values are exact for any
+    ``dt``. Every ``store_every``-th grid point is stored, and the last one,
+    at ``t_end``, always is.
     """
-    import scipy.linalg
-
     A = model.A
     Bd = model.B
     dim, n_in = Bd.shape
@@ -327,7 +322,7 @@ def envelope_response(
     augmented = np.zeros((dim + n_in, dim + n_in), dtype=complex)
     augmented[:dim, :dim] = A * dt
     augmented[:dim, dim:] = Bd * dt
-    top = scipy.linalg.expm(augmented)[:dim]
+    top = _expm(augmented)[:dim]
     phi, gamma = top[:, :dim], top[:, dim:]
     gu = gamma @ delta_u
 
@@ -353,6 +348,41 @@ def envelope_response(
         omega1=model.omega1,
         labels=model.state_labels,
     )
+
+
+# Coefficients b_0..b_13 of the [13/13] Padé approximant of exp, and the
+# largest 1-norm for which it meets double-precision unit roundoff in
+# backward error (Higham 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the [13/13] Padé
+    approximant (Higham 2005): a is scaled by 2^-s into the 1-norm ball of
+    radius ``_THETA13``, exp(a 2^-s) = (V - U)^-1 (V + U) with U and V the
+    odd and even parts of the Padé numerator, and the result squared s
+    times."""
+    norm = float(np.linalg.norm(a, 1))
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def lifted_reference_step(

@@ -141,9 +141,10 @@ class TestExitCodes:
         [
             ("total_periods = 10", "total_periods = 8"),
             ("steps_per_period = 400", "steps_per_period = 3"),
+            ("steps_per_period = 400", "steps_per_period = 401"),
             ("[controller]", "[step]\nperiod = 0\nphase = a\namplitude = 15.0\n\n[controller]"),
         ],
-        ids=["total-not-above-settle", "too-few-steps", "step-period-0"],
+        ids=["total-not-above-settle", "too-few-steps", "odd-steps", "step-period-0"],
     )
     def test_grid_rules_checked_at_parse(self, tmp_path, old, new):
         # steady runs no simulation, so exit code 2 comes from the parse.
@@ -503,9 +504,8 @@ def _scipy_modules_after(argvs):
 
 
 class TestScipyImports:
-    """scipy is loaded only where a model is exponentiated: the envelope
-    propagation of the small-signal model. The steady solve, the eigen
-    screening, the simulator and sweeps run on numpy."""
+    """No scenario loads scipy: the steady solve, the eigen screening, the
+    envelope exponential, the simulator and sweeps run on numpy."""
 
     def test_steady_and_simulator_scenarios_run_without_scipy(self, fast_config, tmp_path):
         argvs = [
@@ -532,9 +532,9 @@ class TestScipyImports:
         assert codes == [0, 0]
         assert loaded == []
 
-    def test_verify_smallsig_loads_scipy_linalg(self, tmp_path):
+    def test_verify_smallsig_runs_without_scipy(self, tmp_path):
         config = fast_config_with_step(tmp_path, 12)
         argv = ["verify-smallsig", "--config", config, "--out", str(tmp_path / "o"), "--no-timestamp"]
         codes, loaded = _scipy_modules_after([argv])
         assert codes == [0]
-        assert "scipy.linalg" in loaded
+        assert loaded == []

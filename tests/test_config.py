@@ -84,6 +84,7 @@ class TestParse:
     def test_sim_grid_rules(self):
         for body, key in (
             ("steps_per_period = 3\ntotal_periods = 50", "steps_per_period"),
+            ("steps_per_period = 401\ntotal_periods = 50", "steps_per_period must be even"),
             ("steps_per_period = 400\ntotal_periods = 10\nsettle_periods = 1", "settle_periods"),
             ("steps_per_period = 400\ntotal_periods = 10\nsettle_periods = 10", "total_periods"),
             ("steps_per_period = 400.5\ntotal_periods = 10", "steps_per_period"),

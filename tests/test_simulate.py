@@ -29,9 +29,11 @@ from hssmmc.harmonic import analyze
 from hssmmc.pipelines import ReferenceStepRuns, step_grid_index
 from hssmmc.plant import PHASES, STATE_VARIABLES
 from hssmmc.simulate import (
+    HALF_WAVE_OPERATOR,
     SETTLE_FLOOR,
     SETTLE_RTOL,
     SHOOTING_DEFECT_TOL,
+    _closed_loop_run,
     _rk4,
     _shooting_fixed_point,
     default_initial_state,
@@ -64,6 +66,26 @@ def tracking_loop():
 
 def closed_loop_rest(params):
     return np.concatenate([default_initial_state(params), np.zeros(6)])
+
+
+def preset_closed_loop(preset, x_over_r, m=None):
+    """A preset's circuit with load reactance X/R = ``x_over_r`` and
+    modulation ``m`` (default the preset's), its controller, the references
+    of its operating point, and the operating point's closed-loop state at
+    a grid step of 400 per period."""
+    from hssmmc.pipelines import solve_operating_point
+    from hssmmc.smallsignal import operating_state_at, references_from_operating_point
+
+    cfg = load_config(preset)
+    params = dataclasses.replace(cfg.params, L_load=x_over_r * cfg.params.R_load / cfg.params.omega1)
+    cfg = dataclasses.replace(cfg, params=params, m=cfg.m if m is None else m)
+    op = solve_operating_point(cfg)
+    refs = references_from_operating_point(op, params)
+
+    def state_at(n):
+        return operating_state_at(op, params, cfg.ctrl, refs, n * params.period / 400)
+
+    return params, cfg.ctrl, refs, state_at
 
 
 def composed_error(composed, reference):
@@ -329,13 +351,43 @@ class TestClosedLoopShooting:
         deviation = np.sqrt(np.mean((last - shot) ** 2, axis=0))
         assert np.all(deviation <= SETTLE_RTOL * np.sqrt(np.mean(shot**2, axis=0)))
 
-    def test_orbit_starts_the_closed_loop_run_it_repeats(self, fast_params):
+    @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_orbit_is_a_half_period_run_and_its_half_wave_image(self, preset, x_over_r):
+        params, ctrl, refs, guess_at = preset_closed_loop(preset, x_over_r)
+        spp, n0 = 400, 15 * 400
+        orbit = settled_closed_loop(params, ctrl, refs, spp, n0, guess_at(n0))
+        shot = orbit.trajectory.states
+        assert shot.shape == (spp + 1, 18)
+
+        # The first half is the RK4 run from the fixed point itself.
+        first = simulate_closed_loop(params, ctrl, refs, spp, spp // 2, x0=shot[0], n0=n0)
+        assert np.array_equal(first.states, shot[: spp // 2 + 1])
+
+        # The composed second half follows the sequential run within
+        # rounding of the shooting defect.
+        sequential = simulate_closed_loop(params, ctrl, refs, spp, spp, x0=shot[0], n0=n0)
+        assert np.array_equal(sequential.t, orbit.trajectory.t)
+        peak = np.max(np.abs(sequential.states), axis=0)
+        assert np.all(np.abs(shot - sequential.states) <= 1e-9 * peak)
+
+        # multiplier is the full-period Floquet multiplier: the largest
+        # eigenvalue magnitude of a forward-difference monodromy matrix
+        # over one whole period from the fixed point. Its step, 1e-6 of each
+        # state, keeps the reference within 3e-7 of central differences.
+        x = shot[0]
+        columns = np.hstack([x[:, None], x[:, None] + np.diag(1e-6 * np.maximum(np.abs(x), 1.0))])
+        steps = np.diag(columns[:, 1:]) - x
+        amps = np.array([refs[p] for p in PHASES])[:, None]
+        end = _closed_loop_run(params, ctrl, amps, spp, spp, columns, n0)[-1]
+        monodromy = (end[:, 1:] - end[:, :1]) / steps
+        multiplier = np.max(np.abs(np.linalg.eigvals(monodromy)))
+        assert orbit.multiplier == pytest.approx(multiplier, rel=1e-6)
+
+    def test_odd_grid_has_no_half_period_point(self, fast_params):
         ctrl, refs = tracking_loop()
-        orbit = settled_closed_loop(fast_params, ctrl, refs, 400, 800, closed_loop_rest(fast_params))
-        run = simulate_closed_loop(
-            fast_params, ctrl, refs, 400, 400, x0=orbit.trajectory.states[0], n0=800
-        )
-        assert np.array_equal(run.states, orbit.trajectory.states)
+        with pytest.raises(ValueError, match="even"):
+            settled_closed_loop(fast_params, ctrl, refs, 401, 0, closed_loop_rest(fast_params))
 
     def test_non_attracting_orbit_raises(self, fast_params):
         # Feed-forward gain 3 makes the loop unstable on this circuit.
@@ -356,6 +408,34 @@ class TestClosedLoopShooting:
             settled_closed_loop(fast_params, ctrl, refs, 200, 200, closed_loop_rest(fast_params))
         assert info.value.iterations == 1
         assert info.value.defect > SHOOTING_DEFECT_TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    preset=st.sampled_from(["sec3-simulation", "table1-prototype"]),
+    m=st.floats(0.0, 1.0),
+    x_over_r=st.floats(0.0, 0.5),
+    gains=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3),
+    turns=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    n0=st.integers(0, 4000),
+)
+def test_closed_loop_commutes_with_the_half_wave_operator(
+    preset, m, x_over_r, gains, turns, n0
+):
+    # What half-wave shooting rests on: with fundamental references of any
+    # per-phase amplitude and angle, v*(t + T/2) = -v*(t), so the run from
+    # n0 + spp/2 started at H x is H applied to the run from n0 started at x.
+    params, ctrl, refs, guess_at = preset_closed_loop(preset, x_over_r, m)
+    refs = {p: refs[p] * g * np.exp(1j * a) for p, g, a in zip(PHASES, gains, turns)}
+    spp = 400
+    H = HALF_WAVE_OPERATOR
+    x = guess_at(n0)
+    run = simulate_closed_loop(params, ctrl, refs, spp, spp, x0=x, n0=n0)
+    shifted = simulate_closed_loop(params, ctrl, refs, spp, spp, x0=H @ x, n0=n0 + spp // 2)
+    image = run.states @ H.T
+    peak = np.max(np.abs(image), axis=0)
+    scale = np.maximum(peak, SETTLE_FLOOR * peak.max())
+    assert np.max(np.abs(shifted.states - image) / scale) <= 1e-10
 
 
 class TestBlowupCheck:

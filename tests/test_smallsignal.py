@@ -39,6 +39,7 @@ from hssmmc.smallsignal import (
     operating_state_at,
     references_from_operating_point,
     settled_envelope_state,
+    _expm,
     time_domain_linearized_A,
 )
 from hssmmc.simulate import _closed_loop_rhs
@@ -385,6 +386,65 @@ def test_envelope_properties(small_model, dt, n_steps, magnitude, angle, scale):
         reconstruct_perturbation(env, var, "b")
 
 
+def expm_error(a):
+    """1-norm of ``_expm(a)`` minus scipy's ``expm(a)``, relative to the
+    1-norm of scipy's."""
+    expected = scipy.linalg.expm(a)
+    return np.linalg.norm(_expm(a) - expected, 1) / np.linalg.norm(expected, 1)
+
+
+@pytest.mark.parametrize("steps_per_period", [400, 2000])
+@pytest.mark.parametrize("h", [3, 7])
+@pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+def test_expm_of_the_envelope_matrix_matches_scipy(preset, h, steps_per_period):
+    # The augmented matrix whose exponential gives the envelope's
+    # zero-order-hold transition (envelope_response).
+    model = _preset_model(preset, h=h)
+    dt = 2.0 * np.pi / model.omega1 / steps_per_period
+    dim, n_in = model.B.shape
+    augmented = np.zeros((dim + n_in, dim + n_in), dtype=complex)
+    augmented[:dim, :dim] = model.A * dt
+    augmented[:dim, dim:] = model.B * dt
+    assert expm_error(augmented) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_norm=st.floats(-3.0, 3.0),
+)
+def test_expm_matches_scipy(n, seed, log_norm):
+    # A dense complex Gaussian matrix, shifted so that its largest
+    # eigenvalue real part is 0 (a real part beyond about 709 overflows
+    # exp), and scaled to 1-norm 10^log_norm.
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m -= np.max(np.linalg.eigvals(m).real) * np.eye(n)
+    assert expm_error(10.0**log_norm * m / np.linalg.norm(m, 1)) <= 1e-12
+
+
+def assert_jacobian_matches_central_differences(op, params, ctrl):
+    """``time_domain_linearized_A`` against central differences of the
+    simulator's closed-loop right-hand side at five instants on the
+    operating orbit, row by row within 1e-5 relative."""
+    refs = references_from_operating_point(op, params)
+    rhs = _closed_loop_rhs(params, ctrl, np.array([refs[p] for p in ("a", "b", "c")]))
+    rng = np.random.default_rng(33)
+    for t in rng.uniform(0.0, params.period, size=5):
+        x_op = operating_state_at(op, params, ctrl, refs, t)
+        A_an = time_domain_linearized_A(op, params, ctrl, t)
+        J = np.zeros((18, 18))
+        for j in range(18):
+            e = np.zeros(18)
+            step = max(abs(x_op[j]), 1.0) * 1e-5
+            e[j] = step
+            J[:, j] = (rhs(t, x_op + e) - rhs(t, x_op - e)) / (2 * step)
+        for i in range(18):
+            denom = np.linalg.norm(A_an[i]) or 1.0
+            assert np.linalg.norm(J[i] - A_an[i]) / denom <= 1e-5
+
+
 class TestLinearizationPoint:
     def test_references_match_terminal_voltage_fundamental(self, sec3_op, sec3_params):
         refs = references_from_operating_point(sec3_op, sec3_params)
@@ -395,23 +455,23 @@ class TestLinearizationPoint:
     def test_time_domain_jacobian_matches_finite_differences(
         self, sec3_op, sec3_params, sec3_cfg
     ):
-        ctrl = sec3_cfg.ctrl
-        refs = references_from_operating_point(sec3_op, sec3_params)
-        base = np.array([refs[p] for p in ("a", "b", "c")])
-        rhs = _closed_loop_rhs(sec3_params, ctrl, base)
-        rng = np.random.default_rng(33)
-        for t in rng.uniform(0.0, sec3_params.period, size=5):
-            x_op = operating_state_at(sec3_op, sec3_params, ctrl, refs, t)
-            A_an = time_domain_linearized_A(sec3_op, sec3_params, ctrl, t)
-            J = np.zeros((18, 18))
-            for j in range(18):
-                e = np.zeros(18)
-                step = max(abs(x_op[j]), 1.0) * 1e-5
-                e[j] = step
-                J[:, j] = (rhs(t, x_op + e) - rhs(t, x_op - e)) / (2 * step)
-            for i in range(18):
-                denom = np.linalg.norm(A_an[i]) or 1.0
-                assert np.linalg.norm(J[i] - A_an[i]) / denom <= 1e-5
+        assert_jacobian_matches_central_differences(sec3_op, sec3_params, sec3_cfg.ctrl)
+
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_inductive_load_jacobian_matches_finite_differences(self, preset):
+        # With an inductive load the coefficient model solves out the
+        # L_load di_g/dt term at each instant, as the simulator does.
+        import dataclasses
+
+        from hssmmc.config import load_config
+        from hssmmc.pipelines import solve_operating_point
+
+        cfg = load_config(preset)
+        params = dataclasses.replace(
+            cfg.params, L_load=0.3 * cfg.params.R_load / cfg.params.omega1
+        )
+        op = solve_operating_point(dataclasses.replace(cfg, params=params))
+        assert_jacobian_matches_central_differences(op, params, cfg.ctrl)
 
     @pytest.mark.parametrize("h", [3, 15])
     def test_lift_of_sampled_jacobian_matches_assembly(self, sec3_cfg, h):
@@ -440,13 +500,6 @@ class TestLinearizationPoint:
                     lifted_rc = lifted_rc - Q
                 lifted[r * n : (r + 1) * n, c * n : (c + 1) * n] = lifted_rc
         assert np.max(np.abs(lifted - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_jacobian_requires_resistive_load(self, sec3_op, sec3_cfg):
-        import dataclasses
-
-        inductive = dataclasses.replace(sec3_cfg.params, L_load=0.01)
-        with pytest.raises(ValueError):
-            time_domain_linearized_A(sec3_op, inductive, sec3_cfg.ctrl, 0.0)
 
 
 class TestFirstOrderConvergence:
