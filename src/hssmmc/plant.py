@@ -173,15 +173,15 @@ def plant_rhs(
 ) -> np.ndarray:
     """Time derivative of the 12 plant states for given insertion indices.
 
-    ``state`` is one 12-vector or a (12, k) block of k state columns; the
-    insertion indices broadcast against the (3,) or (3, k) state slices and
-    ``v_dc`` is a scalar or one value per column.
+    ``state`` is one 12-vector or a (12, k) block of k state columns, real
+    or complex; the insertion indices broadcast against the (3,) or (3, k)
+    state slices and ``v_dc`` is a scalar or one value per column.
 
     The ac load enters with its resistive part algebraic
     (v_g = R_load * i_g) and its inductive part folded into the phase
     current equation as an effective series inductance L + 2*L_load.
     """
-    x = np.asarray(state, dtype=float)
+    x = np.asarray(state)
     i_c = x[0:3]
     v_cu = x[3:6]
     v_cl = x[6:9]
@@ -196,11 +196,12 @@ def plant_rhs(
     v_l = n_l * v_cl
     i_half = 0.5 * i_g
 
-    d = np.empty(x.shape)
-    d[0:3] = (-R * i_c - 0.5 * v_u - 0.5 * v_l + 0.5 * v_dc) / L
-    d[3:6] = n_u * (i_c + i_half) / C
-    d[6:9] = n_l * (i_c - i_half) / C
-    d[9:12] = (-v_u + v_l - (R + 2.0 * params.R_load) * i_g) / (L + 2.0 * params.L_load)
+    # Reciprocals, as numpy's complex division uses: a real column runs as a real run.
+    d = np.empty(x.shape, np.result_type(x, float))
+    d[0:3] = (-R * i_c - 0.5 * v_u - 0.5 * v_l + 0.5 * v_dc) * (1.0 / L)
+    d[3:6] = n_u * (i_c + i_half) * (1.0 / C)
+    d[6:9] = n_l * (i_c - i_half) * (1.0 / C)
+    d[9:12] = (-v_u + v_l - (R + 2.0 * params.R_load) * i_g) * (1.0 / (L + 2.0 * params.L_load))
     return d
 
 

@@ -16,21 +16,20 @@ point and window is a whole number of those steps. Every run is a
 ``Trajectory``: one state array on the grid t = (n0 + i)·dt, so runs that
 continue one another lie on one grid and join by concatenation.
 
-At fixed insertion indices the open-loop plant is linear time-periodic,
-so the RK4 map from a period start to any step of that period is affine.
-Both open-loop runs are composed from one 13-column RK4 pass over one
-period (``_open_loop_periods``): a transient (``simulate_open_loop``)
-follows the period-start states through the one-period map, and the
-periodic steady state (``settled_open_loop``) starts on its fixed point
-(shooting). For the open loop ``settle_periods`` sets how long a transient
-must be before its last two periods are checked for settling. The closed
-loop is nonlinear and is integrated step by step; its periodic steady
-state comes from Newton shooting (``settled_closed_loop``) on the half-wave
-map: the closed loop commutes with the half-wave operator (half a period
-on, arms swapped, ac quantities negated), so each Newton step pushes 19
-columns, the state and 18 finite-difference perturbations, through half a
-period only, and the second half of the orbit is the first half's image.
-That needs a grid point at half a period, so ``steps_per_period`` is even.
+Both loops commute with the half-wave operator H (``HALF_WAVE_OPERATOR``:
+half a period on, arms swapped, ac quantities negated), so both shoot
+(Aprille & Trick 1972) on the half-wave map G = H F_half, F_half the RK4
+map over half a period, and the second half of a period is H applied to
+the first; ``steps_per_period`` is even so that T/2 is a grid point. The
+open loop is linear time-periodic at fixed insertion indices, so G is
+affine, and both open-loop runs are composed from one 13-column RK4 pass
+over half a period (``_open_loop_periods``): a transient
+(``simulate_open_loop``) or the periodic orbit at G's fixed point
+(``settled_open_loop``). ``settle_periods`` sets how long a transient must
+be before its last two periods are checked for settling. The closed loop
+is integrated step by step and shot by Newton (``settled_closed_loop``)
+with the Jacobian of G by complex step (Squire & Trapp 1998): 19 columns,
+the state and 18 complex perturbations, through half a period.
 A reference step in an exported closed-loop run is two runs, the second
 starting from the first one's final state with the stepped references
 (``pipelines.ReferenceStepRuns``).
@@ -64,15 +63,9 @@ BLOWUP_FACTOR = 1e9
 SETTLE_RTOL = 1e-3
 
 # Closed-loop Newton shooting stops at this relative defect of the
-# half-wave map, and gives up after this many Newton updates. Forward
-# differences for its Jacobian step each state by _FD_STEP times its
-# magnitude (at least 1). A step of 1e-7 drowns in the rounding of the RK4
-# pass: on the presets at 400 steps per period it leaves the Floquet
-# multiplier up to 3e-6 off its central-difference value, and 5e-7 within
-# 6e-7.
+# half-wave map, and gives up after this many Newton updates.
 SHOOTING_DEFECT_TOL = 1e-10
 SHOOTING_MAX_ITERATIONS = 8
-_FD_STEP = 5e-7
 
 _PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
 
@@ -82,8 +75,8 @@ class SimulationConfig:
     """Run lengths on the fundamental-period grid.
 
     A fundamental period holds ``steps_per_period`` RK4 steps, an even
-    number so that half a period is a grid point (``settled_closed_loop``);
-    a run lasts ``total_periods`` periods, more than the ``settle_periods``
+    number so that half a period is a grid point (the half-wave map); a
+    run lasts ``total_periods`` periods, more than the ``settle_periods``
     that ``simulate_open_loop`` needs before its settled check.
     """
 
@@ -154,13 +147,14 @@ def _rk4(
     including the initial one.
 
     ``x0`` is one state vector or a block of state columns that ``rhs``
-    advances together.
+    advances together; a complex ``x0`` runs complex.
 
     The state is checked for blow-up once per period of steps and at the
     end; a failed check names the grid step, its period and its time.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    out = np.empty((n_steps + 1,) + x.shape)
+    x = np.asarray(x0)
+    x = x.astype(np.result_type(x, float))
+    out = np.empty((n_steps + 1,) + x.shape, x.dtype)
     out[0] = x
     t0 = n0 * dt
     half = 0.5 * dt
@@ -207,34 +201,59 @@ def _check_modulation(m: float):
         raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
 
 
+def _half_wave_operator() -> np.ndarray:
+    """The half-wave operator H on the closed-loop states as an 18 x 18
+    signed permutation matrix, (H x)_v = sign * x_image for each state v,
+    from ``SMALLSIG_HALF_WAVE_IMAGE``: i_c stays, v_cu and v_cl swap, and
+    i_g and the PR states change sign. With references that are pure
+    fundamentals, v*(t + T/2) = -v*(t), so a closed-loop run started at
+    H x half a period on is H applied to the run started at x; an
+    open-loop run does the same under the 12 x 12 plant block."""
+    position = {split_phase(label): i for i, label in enumerate(SMALLSIG_STATE_LABELS)}
+    H = np.zeros((len(position), len(position)))
+    for i, label in enumerate(SMALLSIG_STATE_LABELS):
+        variable, phase = split_phase(label)
+        image, sign = SMALLSIG_HALF_WAVE_IMAGE[variable]
+        H[i, position[image, phase]] = sign
+    return H
+
+
+HALF_WAVE_OPERATOR = _half_wave_operator()
+
+
 def _open_loop_periods(
     params: MmcParameters, m: float, spp: int, n0: int, n_periods: int, x0: np.ndarray | None
 ) -> Trajectory:
     """Open-loop run over grid points n0 .. n0 + n_periods * spp, composed
-    from one RK4 pass over one period.
+    from one RK4 pass over half a period.
 
-    At fixed insertion indices the plant is linear time-periodic: the RK4
-    map from a period start x_p to its step s is x(s) = r(s) + Psi(s) d_p,
-    d_p = x_p - x_rest. The pass advances 13 columns from n0, rest with
-    input v_dc (r) and the identity with no input (Psi), and
-    d_{p+1} = Phi d_p + g with Phi = Psi(T), g = r(T) - x_rest. ``x0`` is
-    the state at n0, or None for the periodic orbit d* = (I - Phi)^-1 g.
-    Each composed period is checked for blow-up; from rest at m = 0 every
-    d_p is exactly zero.
+    At fixed insertion indices the plant is linear time-periodic and
+    commutes with the plant block H of ``HALF_WAVE_OPERATOR``, and rest
+    x_rest is H-invariant. The pass advances 13 columns from n0, rest with input v_dc (r)
+    and the identity with no input (Psi). Half period q runs from x_q as
+    H^q (r(s) + Psi(s) d_q), d_q = H^q x_q - x_rest, and
+    d_{q+1} = Phi d_q + g with Phi = H Psi(T/2), g = H r(T/2) - x_rest.
+    ``x0`` is the state at n0, or None for the periodic orbit
+    d* = (I - Phi)^-1 g. Each half period is checked for blow-up; from rest
+    at m = 0 every d_q is exactly zero.
     """
     _check_modulation(m)
+    half = spp // 2
     dt = params.period / spp
     scale = max(params.V_dc, 1.0)
     x_rest = default_initial_state(params)
+    H = HALF_WAVE_OPERATOR[:12, :12]
     rhs = _open_loop_rhs(params, m, np.r_[params.V_dc, np.zeros(12)])
-    run = _rk4(rhs, np.hstack([x_rest[:, None], np.eye(12)]), n0, spp, dt, spp, scale)
-    phi, g = run[-1, :, 1:], run[-1, :, 0] - x_rest
+    run = _rk4(rhs, np.hstack([x_rest[:, None], np.eye(12)]), n0, half, dt, spp, scale)
+    image = H @ run  # H applied at every step
+    phi, g = image[-1, :, 1:], image[-1, :, 0] - x_rest
     d = _shooting_fixed_point(phi, g)[0] if x0 is None else x0 - x_rest
     states = np.empty((n_periods * spp + 1, 12))
-    for p in range(n_periods):
-        rows = states[p * spp : (p + 1) * spp + 1]
-        rows[:] = (run.reshape(-1, 13) @ np.concatenate(([1.0], d))).reshape(rows.shape)
-        _check_blowup(rows, scale, n0 + p * spp, dt, spp)
+    for q in range(2 * n_periods):
+        rows = states[q * half : (q + 1) * half + 1]
+        basis = (run, image)[q % 2].reshape(-1, 13)
+        rows[:] = (basis @ np.concatenate(([1.0], d))).reshape(rows.shape)
+        _check_blowup(rows, scale, n0 + q * half, dt, spp)
         d = phi @ d + g
     return Trajectory(dt, spp, n0, states)
 
@@ -246,7 +265,7 @@ def simulate_open_loop(
     x0: np.ndarray | None = None,
 ) -> Trajectory:
     """Open-loop transient from ``x0`` (default: rest) over the configured
-    run, every grid point composed from one RK4 pass over one period."""
+    run, every grid point composed from one RK4 pass over half a period."""
     x_init = default_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
     return _open_loop_periods(params, m, cfg.steps_per_period, 0, cfg.total_periods, x_init)
 
@@ -254,7 +273,7 @@ def simulate_open_loop(
 def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) -> Trajectory:
     """Periodic steady state of the open-loop plant by shooting (Aprille &
     Trick 1972) on the last two periods of the configured grid, composed
-    from the fixed point of the one-period map (``_open_loop_periods``).
+    from the fixed point of the affine half-wave map (``_open_loop_periods``).
 
     The fixed point is solved as its deviation from rest, so the m = 0
     equilibrium comes out exact. The orbit lies on the grid of a
@@ -269,12 +288,10 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     return _open_loop_periods(params, m, spp, cfg.n_steps() - 2 * spp, 2, None)
 
 
-def _shooting_fixed_point(
-    phi: np.ndarray, g: np.ndarray, maps_per_period: int = 1
-) -> tuple[np.ndarray, float]:
-    """Fixed point of the map x -> phi x + g, which makes one period when
-    applied ``maps_per_period`` times, and the largest Floquet multiplier,
-    the largest eigenvalue magnitude of phi to that power.
+def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fixed point of the half-wave map x -> phi x + g, and the largest
+    Floquet multiplier: one period is two half-wave maps, so it is the
+    largest eigenvalue magnitude of phi, squared.
 
     Raises SingularSystemError when the gated solve (``steady.solve_lifted``)
     rejects I - phi, and NotSettledError when the largest Floquet multiplier
@@ -282,7 +299,7 @@ def _shooting_fixed_point(
     onto it.
     """
     x, _, _ = solve_lifted(np.eye(g.size) - phi, g)
-    multiplier = float(np.max(np.abs(np.linalg.eigvals(phi)))) ** maps_per_period
+    multiplier = float(np.max(np.abs(np.linalg.eigvals(phi)))) ** 2
     if multiplier >= 1.0:
         raise NotSettledError(
             f"largest Floquet multiplier {multiplier:.6g} is not below 1: "
@@ -294,14 +311,14 @@ def _shooting_fixed_point(
 def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
     """Closed-loop insertion indices and terminal voltage for states ``x``.
 
-    ``x`` is one 18-state vector or an (18, k) block of state columns and
-    ``v_star`` the matching (3,) or (3, k) voltage references; the results
-    are (3,) or (3, k). With an inductive load part the terminal
-    voltage depends on di_g/dt, which itself depends on the insertion
-    indices; that linear relation is solved in closed form, so no inner
-    iteration is needed.
+    ``x`` is one 18-state vector or an (18, k) block of state columns, real
+    or complex, and ``v_star`` the matching (3,) or (3, k) voltage
+    references; the results are (3,) or (3, k). With an inductive load part
+    the terminal voltage depends on di_g/dt, which itself depends on the
+    insertion indices; that linear relation is solved in closed form, so no
+    inner iteration is needed.
     """
-    v_dc = params.V_dc
+    inv_v_dc = 1.0 / params.V_dc
     R_L = params.R_load
     L_L = params.L_load
     kd = ctrl.k_f - ctrl.K_p
@@ -313,14 +330,15 @@ def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
     # v_mod = K_p (v* - v_g) + x1 + k_f v_g is w + kd L_load di_g/dt, and the
     # plant's (L + 2 L_load) di_g/dt = -n_u v_cu + n_l v_cl - (R + 2 R_load) i_g
     # becomes linear in di_g/dt.
-    sigma = (v_cu + v_cl) / v_dc
+    # Reciprocals, as numpy's complex division uses: a real column runs as a real run.
+    sigma = (v_cu + v_cl) * inv_v_dc
     w = ctrl.K_p * v_star + x[12:18:2] + (kd * R_L) * i_g
-    di_g = (sigma * w - 0.5 * (v_cu - v_cl) - (params.R + 2.0 * R_L) * i_g) / (
-        params.L + 2.0 * L_L - (kd * L_L) * sigma
+    di_g = (sigma * w - 0.5 * (v_cu - v_cl) - (params.R + 2.0 * R_L) * i_g) * (
+        1.0 / (params.L + 2.0 * L_L - (kd * L_L) * sigma)
     )
     v_mod = w + (kd * L_L) * di_g
     v_g = R_L * i_g + L_L * di_g
-    return 0.5 - v_mod / v_dc, 0.5 + v_mod / v_dc, v_g
+    return 0.5 - v_mod * inv_v_dc, 0.5 + v_mod * inv_v_dc, v_g
 
 
 def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.ndarray):
@@ -341,32 +359,13 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.nda
         # Scalar t: math.cos costs a fraction of np.cos per call.
         v_star = re * math.cos(w1 * t) - im * math.sin(w1 * t)
         n_u, n_l, v_g = _index_law(params, ctrl, v_star, x)
-        d = np.empty(x.shape)
+        d = np.empty(x.shape, x.dtype)
         d[0:12] = plant_rhs(x[0:12], n_u, n_l, v_dc, params)
         d[12:18:2] = -w1sq * x[13:18:2] + K_r * (v_star - v_g)
         d[13:18:2] = x[12:18:2]
         return d
 
     return rhs
-
-
-def _half_wave_operator() -> np.ndarray:
-    """The half-wave operator H on the closed-loop states as an 18 x 18
-    signed permutation matrix, (H x)_v = sign * x_image for each state v,
-    from ``SMALLSIG_HALF_WAVE_IMAGE``: i_c stays, v_cu and v_cl swap, and
-    i_g and the PR states change sign. With references that are pure
-    fundamentals, v*(t + T/2) = -v*(t), so a closed-loop run started at
-    H x half a period on is H applied to the run started at x."""
-    position = {split_phase(label): i for i, label in enumerate(SMALLSIG_STATE_LABELS)}
-    H = np.zeros((len(position), len(position)))
-    for i, label in enumerate(SMALLSIG_STATE_LABELS):
-        variable, phase = split_phase(label)
-        image, sign = SMALLSIG_HALF_WAVE_IMAGE[variable]
-        H[i, position[image, phase]] = sign
-    return H
-
-
-HALF_WAVE_OPERATOR = _half_wave_operator()
 
 
 def _reference_amps(refs: dict[str, complex]) -> np.ndarray:
@@ -434,13 +433,13 @@ def simulate_closed_loop_columns(
 class PeriodicOrbit:
     """One period of a periodic orbit found by Newton shooting on the
     half-wave map, with the shooting diagnostics. The first half of the
-    period is an RK4 run from states[0]; the second half is the half-wave
-    operator applied to it."""
+    period is the RK4 run from states[0], bit for bit; the second half is
+    the half-wave operator applied to it."""
 
     trajectory: Trajectory      # states[0] is the fixed point, at grid point n0
     iterations: int             # Newton updates taken
     defect: float               # relative defect of the half-wave map at states[0]
-    multiplier: float           # largest Floquet multiplier magnitude, full period
+    multiplier: float           # largest full-period Floquet multiplier, max|eig(J)|²
 
 
 def settled_closed_loop(
@@ -461,9 +460,11 @@ def settled_closed_loop(
     the RK4 map over half a period from ``n0``, the one-period map is G∘G
     for the half-wave map G(x) = H F_half(x), so a fixed point of G is the
     state on the attracting orbit. Each iteration is one RK4 pass over half
-    a period with 19 columns: x and x + h_j e_j for the 18 states, which
-    give G(x) and a forward-difference Jacobian J of G. The update solves
-    (I - J) dx = G(x) - x through the same gated solve as
+    a period with 19 complex columns, x and x + i s_j e_j for the 18 states,
+    s_j = 1e-30 max(|x_j|, 1). G is analytic, so they give G(x) and its
+    Jacobian J to rounding, column j Im(G(x + i s_j e_j)) / s_j, with no
+    step-size trade-off (complex step, Squire & Trapp 1998). The update
+    solves (I - J) dx = G(x) - x through the same gated solve as
     ``settled_open_loop``; the full-period monodromy matrix at the fixed
     point is J², so the largest Floquet multiplier is max|eig(J)|². The
     relative defect is max_i |G(x)_i - x_i| / RMS_i, with RMS_i the RMS of
@@ -486,19 +487,19 @@ def settled_closed_loop(
     amps = _reference_amps(refs)[:, None]
     x = np.array(x_guess, dtype=float)
     for iteration in range(SHOOTING_MAX_ITERATIONS + 1):
-        columns = np.hstack([x[:, None], x[:, None] + np.diag(_FD_STEP * np.maximum(np.abs(x), 1.0))])
-        h = np.diag(columns[:, 1:]) - x  # the steps as represented
+        steps = 1e-30 * np.maximum(np.abs(x), 1.0)
+        columns = np.hstack([x[:, None], x[:, None] + 1j * np.diag(steps)])
         run = _closed_loop_run(
             params, ctrl, amps, steps_per_period, steps_per_period // 2, columns, n0
         )
-        first_half = run[:, :, 0]
+        first_half = run[:, :, 0].real
         orbit = np.concatenate([first_half, first_half[1:] @ H.T])
         end = H @ run[-1]
         rms = np.sqrt(np.mean(orbit[:-1] ** 2, axis=0))
-        defect = float(np.max(np.abs(end[:, 0] - x) / np.where(rms > 0, rms, 1.0)))
-        jacobian = (end[:, 1:] - end[:, :1]) / h
+        defect = float(np.max(np.abs(end[:, 0].real - x) / np.where(rms > 0, rms, 1.0)))
+        jacobian = end[:, 1:].imag / steps
         try:
-            dx, multiplier = _shooting_fixed_point(jacobian, end[:, 0] - x, maps_per_period=2)
+            dx, multiplier = _shooting_fixed_point(jacobian, end[:, 0].real - x)
         except NotSettledError as exc:
             raise ShootingError(
                 f"after {iteration} Newton iterations (relative defect {defect:.3e}): {exc}",
@@ -548,9 +549,9 @@ def settling_profile(traj: Trajectory, n_periods: int = 5) -> np.ndarray:
     return out
 
 
-def is_settled(traj: Trajectory, rtol: float = SETTLE_RTOL) -> bool:
-    """Last-two-period RMS change below rtol for every state."""
-    return bool(np.all(settling_profile(traj, n_periods=1)[0] <= rtol))
+def is_settled(traj: Trajectory) -> bool:
+    """Last-two-period RMS change at most ``SETTLE_RTOL`` for every state."""
+    return bool(np.all(settling_profile(traj, n_periods=1)[0] <= SETTLE_RTOL))
 
 
 def settled_spectrum(
@@ -559,13 +560,12 @@ def settled_spectrum(
     phase: str,
     h: int,
     omega1: float,
-    rtol: float = SETTLE_RTOL,
 ) -> HarmonicVector:
     """Fourier coefficients of one state over the final fundamental period."""
-    if not is_settled(traj, rtol):
+    if not is_settled(traj):
         worst = float(np.max(settling_profile(traj, n_periods=1)[0]))
         raise NotSettledError(
-            f"last-two-period RMS change {worst:.3e} exceeds {rtol:.1e}"
+            f"last-two-period RMS change {worst:.3e} exceeds {SETTLE_RTOL:.1e}"
         )
     spp = traj.steps_per_period
     series = traj.series(variable, phase)
@@ -602,14 +602,13 @@ class ComparisonReport:
 def compare_spectra(
     a: HarmonicVector,
     b: HarmonicVector,
-    floor: float | None = None,
     dominant_fraction: float = 0.01,
 ) -> ComparisonReport:
     """Symmetric spectral comparison with a floored relative error.
 
-    Relative error is |a_k - b_k| / max(|a_k|, |b_k|, floor); the default
-    floor is 1e-6 of the largest component so negligible harmonics cannot
-    produce meaningless percentages. Components within ``dominant_fraction``
+    Relative error is |a_k - b_k| / max(|a_k|, |b_k|, floor); the floor is
+    1e-6 of the largest component so negligible harmonics cannot produce
+    meaningless percentages. Components within ``dominant_fraction``
     of the largest one form the dominant set.
     """
     if a.order != b.order:
@@ -617,8 +616,7 @@ def compare_spectra(
     a_mag = np.abs(a.coeffs)
     b_mag = np.abs(b.coeffs)
     peak = max(float(a_mag.max()), float(b_mag.max()))
-    if floor is None:
-        floor = 1e-6 * peak if peak > 0 else 1e-30
+    floor = 1e-6 * peak if peak > 0 else 1e-30
     abs_err = np.abs(a.coeffs - b.coeffs)
     denom = np.maximum(np.maximum(a_mag, b_mag), floor)
     rel_err = abs_err / denom

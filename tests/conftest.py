@@ -35,7 +35,7 @@ def sec3_op(sec3_cfg):
 
 def sequential_open_loop(params, m, cfg):
     """Open-loop run from rest, integrated step by step with ``_rk4`` rather
-    than composed from the one-period map: an independent reference for
+    than composed from the half-wave map: an independent reference for
     ``simulate_open_loop`` and ``settled_open_loop``."""
     spp = cfg.steps_per_period
     dt = params.period / spp

@@ -34,6 +34,7 @@ from hssmmc.simulate import (
     SETTLE_RTOL,
     SHOOTING_DEFECT_TOL,
     _closed_loop_run,
+    _open_loop_rhs,
     _rk4,
     _shooting_fixed_point,
     default_initial_state,
@@ -207,8 +208,9 @@ class TestShooting:
         assert np.array_equal(sec3_orbit.t, sec3_traj.t[-sec3_orbit.t.size :])
 
     def test_unstable_map_raises_not_settled(self):
+        # phi is a half-wave map: the one-period multiplier is 1.2².
         phi = np.diag([1.2] + [0.5] * 11)
-        with pytest.raises(NotSettledError, match="1.2"):
+        with pytest.raises(NotSettledError, match="1.44"):
             _shooting_fixed_point(phi, np.ones(12))
 
     @pytest.mark.filterwarnings("error")
@@ -384,6 +386,27 @@ class TestClosedLoopShooting:
         multiplier = np.max(np.abs(np.linalg.eigvals(monodromy)))
         assert orbit.multiplier == pytest.approx(multiplier, rel=1e-6)
 
+    def test_multiplier_matches_central_differences_at_small_modulation(self):
+        # At m = 0.05 the circulating currents are far below their typical
+        # size, so a difference step in each state's own units is mostly
+        # rounding there: a forward-difference Jacobian left the multiplier
+        # 5e-6 off. The complex-step Jacobian has no step to choose.
+        params, ctrl, refs, guess_at = preset_closed_loop("sec3-simulation", 0.3, m=0.05)
+        spp, n0 = 400, 15 * 400
+        orbit = settled_closed_loop(params, ctrl, refs, spp, n0, guess_at(n0))
+
+        # Reference: a central-difference monodromy matrix over one whole
+        # period from the fixed point, with the steps as represented.
+        x = orbit.trajectory.states[0]
+        step = np.diag(1e-5 * np.maximum(np.abs(x), 1.0))
+        columns = np.hstack([x[:, None] + step, x[:, None] - step])
+        steps = np.diag(columns[:, :18]) - np.diag(columns[:, 18:])
+        amps = np.array([refs[p] for p in PHASES])[:, None]
+        end = _closed_loop_run(params, ctrl, amps, spp, spp, columns, n0)[-1]
+        monodromy = (end[:, :18] - end[:, 18:]) / steps
+        multiplier = np.max(np.abs(np.linalg.eigvals(monodromy)))
+        assert orbit.multiplier == pytest.approx(multiplier, rel=1e-7)
+
     def test_odd_grid_has_no_half_period_point(self, fast_params):
         ctrl, refs = tracking_loop()
         with pytest.raises(ValueError, match="even"):
@@ -436,6 +459,31 @@ def test_closed_loop_commutes_with_the_half_wave_operator(
     peak = np.max(np.abs(image), axis=0)
     scale = np.maximum(peak, SETTLE_FLOOR * peak.max())
     assert np.max(np.abs(shifted.states - image) / scale) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    preset=st.sampled_from(["sec3-simulation", "table1-prototype"]),
+    m=st.floats(0.0, 1.0),
+    x_over_r=st.floats(0.0, 0.5),
+    n0=st.integers(0, 4000),
+)
+def test_open_loop_commutes_with_the_half_wave_operator(preset, m, x_over_r, n0):
+    # What the half-period open-loop pass rests on: n_u(t + T/2) = n_l(t)
+    # and H x_rest = x_rest for the plant block H of the operator, so the
+    # step-by-step run from n0 + spp/2 started at H x is H applied to the
+    # run from n0 started at x.
+    params, _, _, guess_at = preset_closed_loop(preset, x_over_r, m)
+    spp = 400
+    dt = params.period / spp
+    H = HALF_WAVE_OPERATOR[:12, :12]
+    rhs = _open_loop_rhs(params, m, params.V_dc)
+    x = guess_at(n0)[:12]
+    image = _rk4(rhs, x, n0, spp, dt, spp, params.V_dc) @ H.T
+    shifted = _rk4(rhs, H @ x, n0 + spp // 2, spp, dt, spp, params.V_dc)
+    peak = np.max(np.abs(image), axis=0)
+    scale = np.maximum(peak, SETTLE_FLOOR * peak.max())
+    assert np.max(np.abs(shifted - image) / scale) <= 1e-10
 
 
 class TestBlowupCheck:
