@@ -37,7 +37,6 @@ from .simulate import (
     settled_open_loop,
     settled_spectrum,
     simulate_closed_loop,
-    simulate_closed_loop_columns,
     simulate_open_loop,
     total_harmonic_distortion,
 )
@@ -168,11 +167,8 @@ def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     if cfg.step is None:
         traj = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim.steps_per_period, n_end)
     else:
-        # A step at or after the end of the run leaves the whole run before
-        # it. The segments are dropped once joined.
-        traj = ReferenceStepRuns(cfg, refs, min(step_grid_index(cfg), n_end)).joined(
-            cfg.step.amplitude, n_end
-        )
+        # A step at or after the end of the run leaves the whole run before it.
+        traj = reference_step_run(cfg, refs, min(step_grid_index(cfg), n_end), n_end)
     write_trajectory_csv(out / "trajectory.csv", traj, SMALLSIG_STATE_LABELS, timestamp)
     checks = [("completed", True, f"{traj.t.size - 1} steps")]
     write_report(out / "report.txt", "closed-loop simulation", checks, timestamp)
@@ -198,43 +194,22 @@ def stepped_references(
     return stepped
 
 
-class ReferenceStepRuns:
-    """The closed-loop transient around the configured reference step, as
-    ``simulate-closed`` exports it, applied as run segments.
-
-    ``pre`` runs from the cold start to grid point ``n_step`` with the
-    references ``refs``. Each ``after`` run continues from its final state
-    with constant references, the stepped phase's phasor lengthened by
-    ``amplitude`` volts along itself. So the step is active from the first
-    interval that starts at its grid point, as the lifted envelope's input is.
-    Every segment lies on the ``cfg.sim`` grid, and ``n_step`` >= 1 holds
-    because the configured step comes at least one period after t = 0.
-    """
-
-    def __init__(self, cfg: RunConfig, refs: dict[str, complex], n_step: int):
-        self.cfg = cfg
-        self.refs = refs
-        self.n_step = n_step
-        self.pre = simulate_closed_loop(
-            cfg.params, cfg.ctrl, refs, cfg.sim.steps_per_period, n_step
-        )
-
-    def after(self, amplitude: float, n_steps: int) -> Trajectory:
-        """The ``n_steps`` steps from the step's grid point on."""
-        return simulate_closed_loop(
-            self.cfg.params, self.cfg.ctrl, stepped_references(self.refs, self.cfg.step, amplitude),
-            self.pre.steps_per_period, n_steps, x0=self.pre.states[-1], n0=self.n_step,
-        )
-
-    def joined(self, amplitude: float, n_end: int) -> Trajectory:
-        """One trajectory over grid points 0..n_end: ``pre`` up to the step
-        row and the stepped run from it. Both lie on the one grid, so the
-        join is a concatenation."""
-        after = self.after(amplitude, n_end - self.n_step)
-        pre = self.pre
-        return Trajectory(
-            pre.dt, pre.steps_per_period, 0, np.concatenate([pre.states[:-1], after.states])
-        )
+def reference_step_run(
+    cfg: RunConfig, refs: dict[str, complex], n_step: int, n_end: int
+) -> Trajectory:
+    """The closed-loop transient over grid points 0..n_end that
+    ``simulate-closed`` exports: a run from the cold start to grid point
+    ``n_step`` with ``refs``, continued from its final state with
+    ``stepped_references``. The step is active from the first interval that
+    starts at its grid point, as the lifted envelope's input is, and both
+    runs lie on the ``cfg.sim`` grid, so the join is a concatenation."""
+    spp = cfg.sim.steps_per_period
+    pre = simulate_closed_loop(cfg.params, cfg.ctrl, refs, spp, n_step)
+    after = simulate_closed_loop(
+        cfg.params, cfg.ctrl, stepped_references(refs, cfg.step, cfg.step.amplitude),
+        spp, n_end - n_step, x0=pre.states[-1], n0=n_step,
+    )
+    return Trajectory(pre.dt, spp, 0, np.concatenate([pre.states[:-1], after.states]))
 
 
 # ----------------------------------------------------------- verify-steady
@@ -361,9 +336,10 @@ class SmallsigContext:
     reuse them. The orbit comes from Newton shooting (``settled_closed_loop``)
     started from the operating point with its controller states at the step
     instant, and is found on first use, so an unstable model is reported
-    without it. The step comes at a whole-period grid point and the
-    comparison window lasts ``window_periods`` whole periods of the
-    ``cfg.sim`` grid, the same grid the lifted envelope is sampled on.
+    without it. Repeated, it is the run without the step. The step comes at
+    a whole-period grid point and the comparison window lasts
+    ``window_periods`` whole periods of the ``cfg.sim`` grid, the same grid
+    the lifted envelope is sampled on.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -386,38 +362,19 @@ class SmallsigContext:
         guess = operating_state_at(self.op, cfg.params, cfg.ctrl, self.refs, self.n_step * self.dt)
         return settled_closed_loop(cfg.params, cfg.ctrl, self.refs, self.spp, self.n_step, guess)
 
-    def window(self, *amplitudes: float) -> list[Trajectory]:
-        """The baseline run and one stepped run per amplitude over the
-        comparison window, as columns of one RK4 pass from the orbit's state
-        at the step's grid point."""
-        cfg = self.cfg
-        return simulate_closed_loop_columns(
-            cfg.params,
-            cfg.ctrl,
-            [self.refs] + [stepped_references(self.refs, cfg.step, a) for a in amplitudes],
-            self.spp,
-            self.window_steps,
-            self.orbit.trajectory.states[0],
-            self.n_step,
-        )
-
     def compare(self, amplitude: float) -> SmallsigComparison:
-        return self.compare_many([amplitude])[0]
-
-    def compare_many(self, amplitudes: list[float]) -> list[SmallsigComparison]:
-        """``compare`` for several amplitudes, from one window pass."""
-        baseline, *stepped_runs = self.window(*amplitudes)
-        return [
-            self._comparison(amplitude, baseline, stepped)
-            for amplitude, stepped in zip(amplitudes, stepped_runs)
-        ]
-
-    def _comparison(
-        self, amplitude: float, baseline: Trajectory, stepped: Trajectory
-    ) -> SmallsigComparison:
-        phase = self.cfg.step.phase
+        """The stepped run from the orbit's state at the step against the
+        lifted envelope; the nonlinear perturbation is that run minus the
+        orbit repeated over the window, the run without the step."""
+        cfg = self.cfg
+        phase = cfg.step.phase
+        orbit = self.orbit.trajectory
+        stepped = simulate_closed_loop(
+            cfg.params, cfg.ctrl, stepped_references(self.refs, cfg.step, amplitude),
+            self.spp, self.window_steps, x0=orbit.states[0], n0=self.n_step,
+        )
         t_step = self.n_step * self.dt
-        delta = step_delta(self.refs, self.cfg.step, amplitude)
+        delta = step_delta(self.refs, cfg.step, amplitude)
         u_vec = lifted_reference_step(self.model, phase, delta)
         env = envelope_response(
             self.model,
@@ -435,13 +392,14 @@ class SmallsigContext:
         pre_peak = {}
         post_peak = {}
         for var in ("i_c", "i_g"):
-            d_nl = stepped.series(var, phase) - baseline.series(var, phase)
+            periodic = orbit.series(var, phase)
+            d_nl = stepped.series(var, phase) - np.resize(periodic[:-1], self.window_steps + 1)
             d_hss = reconstruct_perturbation(env, var, phase)
             nonlinear[var] = d_nl
             reconstructed[var] = d_hss
             nrmse_map[var] = nrmse(d_nl, d_hss)
             peak_error[var] = float(np.max(np.abs(d_hss - d_nl)))
-            pre_peak[var] = float(np.max(np.abs(self.orbit.trajectory.series(var, phase))))
+            pre_peak[var] = float(np.max(np.abs(periodic)))
             post_peak[var] = float(np.max(np.abs(stepped.series(var, phase)[-self.spp - 1 :])))
 
         return SmallsigComparison(

@@ -4,11 +4,10 @@ Fixed-step RK4, deterministic and bit-reproducible for identical inputs.
 Open-loop runs drive the plant with sinusoidal insertion indices;
 closed-loop runs add the per-phase proportional-resonant ac-voltage
 controller, with reference phasors that are constant over a run. The
-right-hand sides advance one state vector or a block of state columns,
-each column with its own references (``simulate_closed_loop_columns``); a
-column runs exactly the numpy operations of a single-vector run, so it is
-bit-identical to it. Settled trajectories feed the spectral extraction
-used to cross-check the lifted models.
+right-hand sides advance one state vector or a block of state columns
+with shared references; a column runs exactly the numpy operations of a
+single-vector run, so it is bit-identical to it. Settled trajectories
+feed the spectral extraction used to cross-check the lifted models.
 
 Time lives on one grid: a fundamental period holds ``steps_per_period``
 RK4 steps of dt = period / steps_per_period, and every run length, start
@@ -32,7 +31,7 @@ with the Jacobian of G by complex step (Squire & Trapp 1998): 19 columns,
 the state and 18 complex perturbations, through half a period.
 A reference step in an exported closed-loop run is two runs, the second
 starting from the first one's final state with the stepped references
-(``pipelines.ReferenceStepRuns``).
+(``pipelines.reference_step_run``).
 """
 
 from __future__ import annotations
@@ -312,7 +311,7 @@ def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
     """Closed-loop insertion indices and terminal voltage for states ``x``.
 
     ``x`` is one 18-state vector or an (18, k) block of state columns, real
-    or complex, and ``v_star`` the matching (3,) or (3, k) voltage
+    or complex, and ``v_star`` the (3,) or shared (3, 1) voltage
     references; the results are (3,) or (3, k). With an inductive load part
     the terminal voltage depends on di_g/dt, which itself depends on the
     insertion indices; that linear relation is solved in closed form, so no
@@ -345,9 +344,9 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.nda
     """Right-hand side of the 18-state closed-loop model with constant
     per-phase reference phasors ``amps``.
 
-    ``amps`` is (3,) for one 18-state vector, or (3, k) (or (3, 1), shared)
-    for an (18, k) block of state columns. Every operation is elementwise,
-    so a column of a block advances exactly as that column alone would.
+    ``amps`` is (3,) for one 18-state vector, or (3, 1), shared, for an
+    (18, k) block of state columns. Every operation is elementwise, so a
+    column of a block advances exactly as that column alone would.
     """
     w1 = params.omega1
     w1sq = w1 ** 2
@@ -403,38 +402,13 @@ def simulate_closed_loop(
     return Trajectory(params.period / steps_per_period, steps_per_period, n0, states)
 
 
-def simulate_closed_loop_columns(
-    params: MmcParameters,
-    ctrl: ControllerParams,
-    refs_columns: list[dict[str, complex]],
-    steps_per_period: int,
-    n_steps: int,
-    x0: np.ndarray,
-    n0: int = 0,
-) -> list[Trajectory]:
-    """Closed-loop runs from one start ``x0``, one per reference set, as the
-    columns of one RK4 pass.
-
-    Run j is bit-identical to ``simulate_closed_loop`` with
-    ``refs_columns[j]`` and the same grid and start.
-    """
-    amps = np.stack([_reference_amps(refs) for refs in refs_columns], axis=1)
-    x0 = np.asarray(x0, dtype=float)
-    columns = np.repeat(x0[:, None], amps.shape[1], axis=1)
-    states = _closed_loop_run(params, ctrl, amps, steps_per_period, n_steps, columns, n0)
-    dt = params.period / steps_per_period
-    return [
-        Trajectory(dt, steps_per_period, n0, states[:, :, j].copy())
-        for j in range(amps.shape[1])
-    ]
-
-
 @dataclass(frozen=True)
 class PeriodicOrbit:
     """One period of a periodic orbit found by Newton shooting on the
     half-wave map, with the shooting diagnostics. The first half of the
     period is the RK4 run from states[0], bit for bit; the second half is
-    the half-wave operator applied to it."""
+    the half-wave operator applied to it. Repeated, states[:-1] is the RK4
+    run from states[0] over later periods to the shooting tolerance."""
 
     trajectory: Trajectory      # states[0] is the fixed point, at grid point n0
     iterations: int             # Newton updates taken

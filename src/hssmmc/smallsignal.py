@@ -412,14 +412,16 @@ def settled_envelope_state(model: LiftedModel, delta_u_final: np.ndarray) -> np.
     return solve_lifted(model.A, -(model.B @ delta_u_final))[0]
 
 
-def reconstruct_perturbation(
-    env: EnvelopeResponse, variable: str, phase: str, rtol: float = 1e-6
-) -> np.ndarray:
+# Largest imaginary residual of a reconstructed perturbation, relative to its peak.
+RECONSTRUCT_RTOL = 1e-6
+
+
+def reconstruct_perturbation(env: EnvelopeResponse, variable: str, phase: str) -> np.ndarray:
     """Real time series of one state's perturbation from its envelopes.
 
     The imaginary residual of the reconstruction is checked against
-    ``rtol`` times the series scale; a violation signals envelopes that do
-    not describe a real signal.
+    ``RECONSTRUCT_RTOL`` times the series scale; a violation signals
+    envelopes that do not describe a real signal.
     """
     if variable in ("pr1", "pr2"):
         label = f"pr_{phase}{variable[-1]}"
@@ -436,8 +438,8 @@ def reconstruct_perturbation(
     scale = float(np.max(np.abs(series)))
     if scale > 0.0:
         max_imag = float(np.max(np.abs(series.imag)))
-        if max_imag > rtol * scale:
+        if max_imag > RECONSTRUCT_RTOL * scale:
             raise ResidualImaginaryError(
-                f"imaginary residual {max_imag:.3e} exceeds {rtol:.1e} * {scale:.3e}"
+                f"imaginary residual {max_imag:.3e} exceeds {RECONSTRUCT_RTOL:.1e} * {scale:.3e}"
             )
     return series.real

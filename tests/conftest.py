@@ -64,8 +64,7 @@ def smallsig_ctx(sec3_cfg):
 
 @pytest.fixture(scope="session")
 def smallsig_comparisons(smallsig_ctx):
-    amplitudes = (10e3, 5e3)
-    return dict(zip(amplitudes, smallsig_ctx.compare_many(amplitudes)))
+    return {a: smallsig_ctx.compare(a) for a in (10e3, 5e3)}
 
 
 @pytest.fixture(scope="session")

@@ -235,14 +235,14 @@ class TestSimulateScenarios:
 
     def test_closed_loop_step_shares_the_smallsig_grid(self, tmp_path, monkeypatch):
         # simulate-closed exports the transient from the cold start, while
-        # verify-smallsig starts its baseline and stepped runs on the periodic
-        # orbit at the step, so their states differ. Both lie on one grid and
-        # time axis from the step row on, and the baseline repeats the orbit.
+        # verify-smallsig starts its stepped run on the periodic orbit at the
+        # step, so their states differ. Both lie on one grid and time axis
+        # from the step row on.
         import numpy as np
 
         from hssmmc import pipelines
         from hssmmc.config import load_config
-        from hssmmc.simulate import SETTLE_RTOL, settling_profile
+        from hssmmc.simulate import simulate_closed_loop
 
         cfgp = fast_config_with_step(tmp_path, 4, "b")
         exported = []
@@ -252,16 +252,17 @@ class TestSimulateScenarios:
 
         cfg = load_config(cfgp)
         ctx = pipelines.SmallsigContext(cfg)
-        baseline, stepped = ctx.window(cfg.step.amplitude)
+        stepped = simulate_closed_loop(
+            cfg.params, cfg.ctrl, pipelines.stepped_references(ctx.refs, cfg.step, cfg.step.amplitude),
+            ctx.spp, ctx.window_steps, x0=ctx.orbit.trajectory.states[0], n0=ctx.n_step,
+        )
 
         n_step = 4 * 400  # t_end = t_step + window
         assert traj.t.size == n_step + stepped.t.size
-        assert traj.steps_per_period == stepped.steps_per_period == baseline.steps_per_period == 400
+        assert traj.steps_per_period == stepped.steps_per_period == 400
         assert np.array_equal(traj.t, np.arange(traj.t.size) * (cfg.params.period / 400))
         assert np.array_equal(traj.t[n_step:], stepped.t)
-        assert np.array_equal(baseline.t, stepped.t)
-        assert np.array_equal(baseline.states[0], ctx.orbit.trajectory.states[0])
-        assert np.max(settling_profile(baseline, n_periods=5)) <= SETTLE_RTOL
+        assert np.array_equal(ctx.orbit.trajectory.t, stepped.t[: 400 + 1])
 
     def test_closed_loop_step_at_or_after_the_end_leaves_the_run_unstepped(self, fast_config, tmp_path):
         def trajectory(config, name):
@@ -426,18 +427,6 @@ class TestVerifyScenarios:
         report = (out / "report.txt").read_text()
         assert "perturbation NRMSE i_c a" in report
         assert "result: PASS" in report
-
-    def test_smallsig_amplitudes_share_one_window_pass(self, tmp_path):
-        from hssmmc.config import load_config
-        from hssmmc.pipelines import SmallsigContext
-
-        ctx = SmallsigContext(load_config(fast_config_with_step(tmp_path, 4)))
-        many = ctx.compare_many([15.0, -7.5])
-        for amplitude, comp in zip((15.0, -7.5), many):
-            alone = ctx.compare(amplitude)
-            assert comp.nrmse == alone.nrmse
-            assert comp.peak_error == alone.peak_error
-            assert comp.post_step_peak == alone.post_step_peak
 
     def test_steady_at_small_modulation_is_no_numerical_failure(self, tmp_path, capsys):
         # At m = 1e-6 the circulating-current spectrum is at the rounding

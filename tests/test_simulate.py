@@ -26,7 +26,7 @@ from hssmmc import (
 from hssmmc.config import RunConfig, StepConfig, load_config
 from hssmmc.errors import ShootingError
 from hssmmc.harmonic import analyze
-from hssmmc.pipelines import ReferenceStepRuns, step_grid_index
+from hssmmc.pipelines import SmallsigContext, reference_step_run, step_grid_index
 from hssmmc.plant import PHASES, STATE_VARIABLES
 from hssmmc.simulate import (
     HALF_WAVE_OPERATOR,
@@ -41,7 +41,6 @@ from hssmmc.simulate import (
     power_balance,
     settled_closed_loop,
     settling_profile,
-    simulate_closed_loop_columns,
 )
 
 from conftest import sequential_open_loop
@@ -282,8 +281,7 @@ class TestClosedLoop:
             ctrl=ctrl,
             step=StepConfig(period=16, phase="a", amplitude=0.2 * amp),
         )
-        runs = ReferenceStepRuns(cfg, refs, step_grid_index(cfg))
-        traj = runs.joined(cfg.step.amplitude, cfg.sim.n_steps())
+        traj = reference_step_run(cfg, refs, step_grid_index(cfg), cfg.sim.n_steps())
         spp = traj.steps_per_period
         pre = np.max(np.abs(traj.series("i_g", "a")[14 * spp : 16 * spp]))
         post = np.max(np.abs(traj.series("i_g", "a")[-2 * spp :]))
@@ -302,12 +300,16 @@ class TestClosedLoop:
             ctrl=ctrl,
             step=StepConfig(period=4, phase="b", amplitude=60.0),
         )
-        runs = ReferenceStepRuns(cfg, refs, step_grid_index(cfg))
-        n_end = cfg.sim.n_steps()
-        joined = runs.joined(cfg.step.amplitude, n_end)
-        stepped = runs.after(cfg.step.amplitude, n_end - runs.n_step)
-        assert np.array_equal(joined.t, np.concatenate([runs.pre.t[:-1], stepped.t]))
-        assert np.array_equal(joined.states, np.concatenate([runs.pre.states[:-1], stepped.states]))
+        n_step, n_end = step_grid_index(cfg), cfg.sim.n_steps()
+        joined = reference_step_run(cfg, refs, n_step, n_end)
+        pre = simulate_closed_loop(fast_params, ctrl, refs, 400, n_step)
+        # Phase b's phasor lengthened by the 60 V step along itself.
+        stepped = simulate_closed_loop(
+            fast_params, ctrl, {**refs, "b": 360.0 + 0.0j}, 400, n_end - n_step,
+            x0=pre.states[-1], n0=n_step,
+        )
+        assert np.array_equal(joined.t, np.concatenate([pre.t[:-1], stepped.t]))
+        assert np.array_equal(joined.states, np.concatenate([pre.states[:-1], stepped.states]))
 
     def test_blowup_detection(self, fast_params):
         ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
@@ -317,23 +319,6 @@ class TestClosedLoop:
         cfg = fast_cfg(fast_params)
         with pytest.raises(NumericalBlowupError):
             simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps(), x0=x0)
-
-
-class TestClosedLoopColumns:
-    @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
-    def test_column_is_the_single_run(self, fast_params, x_over_r):
-        # An (18, k) block advances each column exactly as that column alone.
-        params = dataclasses.replace(
-            fast_params, L_load=x_over_r * fast_params.R_load / fast_params.omega1
-        )
-        ctrl, refs = tracking_loop()
-        x0 = simulate_closed_loop(params, ctrl, refs, 400, 400).states[-1]
-        columns = [refs, {p: 1.1 * v for p, v in refs.items()}, {"a": 0j, "b": 50.0 + 0j, "c": -20j}]
-        runs = simulate_closed_loop_columns(params, ctrl, columns, 400, 800, x0, n0=400)
-        for refs_j, run in zip(columns, runs):
-            single = simulate_closed_loop(params, ctrl, refs_j, 400, 800, x0=x0, n0=400)
-            assert np.array_equal(run.t, single.t)
-            assert np.array_equal(run.states, single.states)
 
 
 class TestClosedLoopShooting:
@@ -406,6 +391,26 @@ class TestClosedLoopShooting:
         monodromy = (end[:, :18] - end[:, 18:]) / steps
         multiplier = np.max(np.abs(np.linalg.eigvals(monodromy)))
         assert orbit.multiplier == pytest.approx(multiplier, rel=1e-7)
+
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_orbit_repeated_is_the_rk4_continuation(self, preset):
+        # verify-smallsig measures its step against the orbit repeated over
+        # the comparison window, in place of an unstepped run; the two agree
+        # to the shooting tolerance.
+        cfg = load_config(preset)
+        cfg = dataclasses.replace(
+            cfg,
+            sim=dataclasses.replace(cfg.sim, steps_per_period=400),
+            step=dataclasses.replace(cfg.step, period=15, window_periods=5),
+        )
+        ctx = SmallsigContext(cfg)
+        orbit = ctx.orbit.trajectory.states
+        run = simulate_closed_loop(
+            cfg.params, cfg.ctrl, ctx.refs, ctx.spp, ctx.window_steps, x0=orbit[0], n0=ctx.n_step
+        )
+        repeated = np.resize(orbit[:-1], run.states.shape)
+        peak = np.max(np.abs(orbit), axis=0)
+        assert np.all(np.abs(run.states - repeated) <= 1e-8 * peak)
 
     def test_odd_grid_has_no_half_period_point(self, fast_params):
         ctrl, refs = tracking_loop()
