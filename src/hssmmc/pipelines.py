@@ -121,13 +121,20 @@ def energy_balance_check(balance: dict[str, float]) -> tuple[str, bool, str]:
 # --------------------------------------------------------------- smallsig
 
 
-def _require_controller(cfg: RunConfig):
+def _require_closed_loop(cfg: RunConfig):
+    """A closed-loop scenario needs the controller, and a dc bus to divide
+    the modulation voltage by: its insertion indices are 1/2 -+ v_mod / V_dc."""
     if cfg.ctrl is None:
         raise SchemaViolationError("[controller]: section required for this scenario")
+    if cfg.params.V_dc == 0.0:
+        raise SchemaViolationError(
+            "[params] V_dc: must be > 0 for a closed-loop scenario, whose insertion "
+            "indices divide the modulation voltage by it"
+        )
 
 
 def build_smallsignal_model(cfg: RunConfig) -> tuple[OperatingPoint, LiftedModel]:
-    _require_controller(cfg)
+    _require_closed_loop(cfg)
     op = solve_operating_point(cfg)
     return op, assemble_smallsignal(op, cfg.params, cfg.ctrl, cfg.h)
 
@@ -160,7 +167,7 @@ def run_simulate_open(cfg: RunConfig, out: Path, timestamp: bool) -> int:
 
 
 def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
-    _require_controller(cfg)
+    _require_closed_loop(cfg)
     op = solve_operating_point(cfg)
     refs = references_from_operating_point(op, cfg.params)
     n_end = cfg.sim.n_steps()

@@ -10,9 +10,12 @@ insertion indices, and the plant equations in two independent encodings.
   blocks, and each of those into its two halves under the half-wave
   operator (``HALF_WAVE_IMAGE``): the eigenvalue screening decomposes four
   blocks of about a sixth of the size of A.
-- ``plant_rhs`` is the direct-form right-hand side the reference simulator
-  integrates. It is kept separate from the coefficient model so that the
-  simulator checks the lifted models against an independent encoding.
+- ``plant_phase_equations`` is the direct form the reference simulator
+  integrates, the equations of one phase leg written once and elementwise:
+  on floats for one phase, or on arrays for all three, as ``plant_rhs``
+  evaluates them on the 12 states. It is kept separate from the coefficient
+  model so that the simulator checks the lifted models against an
+  independent encoding.
 
 Insertion indices are (3, 2h+1) coefficient arrays (n_u, n_l), one row per
 phase a, b, c.
@@ -175,34 +178,51 @@ def plant_rhs(
 
     ``state`` is one 12-vector or a (12, k) block of k state columns, real
     or complex; the insertion indices broadcast against the (3,) or (3, k)
-    state slices and ``v_dc`` is a scalar or one value per column.
+    state slices and ``v_dc`` is a scalar or one value per column. The
+    equations are those of ``plant_phase_equations``, on all three phases
+    at once.
+    """
+    x = np.asarray(state)
+    d = np.empty(x.shape, np.result_type(x, float))
+    d[0:3], d[3:6], d[6:9], d[9:12] = plant_phase_equations(params)(
+        x[0:3], x[3:6], x[6:9], x[9:12], n_u, n_l, v_dc
+    )
+    return d
+
+
+def plant_phase_equations(params: MmcParameters):
+    """The direct-form plant equations of one phase leg, as a function
+    (i_c, v_cu, v_cl, i_g, n_u, n_l, v_dc) -> (di_c, dv_cu, dv_cl, di_g)/dt.
+
+    Every operation is elementwise, so the arguments are Python floats for
+    one phase, or arrays of shape (3,) or (3, k), real or complex, for all
+    three phases: the phases share only the dc bus. The same expressions in
+    the same order give the same IEEE doubles either way.
 
     The ac load enters with its resistive part algebraic
     (v_g = R_load * i_g) and its inductive part folded into the phase
     current equation as an effective series inductance L + 2*L_load.
     """
-    x = np.asarray(state)
-    i_c = x[0:3]
-    v_cu = x[3:6]
-    v_cl = x[6:9]
-    i_g = x[9:12]
-
-    L = params.L
-    C = params.C_arm
     R = params.R
-
-    # Inserted arm voltages and the arm-current share of i_g.
-    v_u = n_u * v_cu
-    v_l = n_l * v_cl
-    i_half = 0.5 * i_g
-
     # Reciprocals, as numpy's complex division uses: a real column runs as a real run.
-    d = np.empty(x.shape, np.result_type(x, float))
-    d[0:3] = (-R * i_c - 0.5 * v_u - 0.5 * v_l + 0.5 * v_dc) * (1.0 / L)
-    d[3:6] = n_u * (i_c + i_half) * (1.0 / C)
-    d[6:9] = n_l * (i_c - i_half) * (1.0 / C)
-    d[9:12] = (-v_u + v_l - (R + 2.0 * params.R_load) * i_g) * (1.0 / (L + 2.0 * params.L_load))
-    return d
+    inv_L = 1.0 / params.L
+    inv_C = 1.0 / params.C_arm
+    R_g = R + 2.0 * params.R_load
+    inv_L_g = 1.0 / (params.L + 2.0 * params.L_load)
+
+    def derivatives(i_c, v_cu, v_cl, i_g, n_u, n_l, v_dc):
+        # Inserted arm voltages and the arm-current share of i_g.
+        v_u = n_u * v_cu
+        v_l = n_l * v_cl
+        i_half = 0.5 * i_g
+        return (
+            (-R * i_c - 0.5 * v_u - 0.5 * v_l + 0.5 * v_dc) * inv_L,
+            n_u * (i_c + i_half) * inv_C,
+            n_l * (i_c - i_half) * inv_C,
+            (-v_u + v_l - R_g * i_g) * inv_L_g,
+        )
+
+    return derivatives
 
 
 @dataclass(frozen=True)

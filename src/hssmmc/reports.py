@@ -30,13 +30,19 @@ def _fmt(value) -> str:
 def write_csv(path: Path, columns, rows, timestamp: bool) -> None:
     """Write the header and then each row as it is formatted, so no more
     than one line of the file is held in memory."""
+    _write_lines(path, columns, (",".join(_fmt(v) for v in row) + "\n" for row in rows), timestamp)
+
+
+def _write_lines(path: Path, columns, lines, timestamp: bool) -> None:
+    """Write the optional timestamp line, the header and then ``lines``,
+    each already ending in a newline, as they come."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as f:
         if timestamp:
             now = datetime.datetime.now(datetime.timezone.utc).isoformat()
             f.write(f"# generated {now}\n")
         f.write(",".join(columns) + "\n")
-        f.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        f.writelines(lines)
 
 
 def write_spectrum_csv(path: Path, hv: HarmonicVector, timestamp: bool) -> None:
@@ -54,9 +60,11 @@ def write_waveform_csv(path: Path, t, value_hss, value_sim, timestamp: bool) -> 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, labels, timestamp: bool) -> None:
     """``labels`` names the state columns, in ``traj.states`` order."""
-    # Rows read time and states in place; stacking them would copy the run.
-    rows = ((t, *x) for t, x in zip(traj.t, traj.states))
-    write_csv(path, ("time", *labels), rows, timestamp)
+    # One %-format per row, as format(v, ".12g") writes each value. Rows
+    # read time and states in place; stacking them would copy the run.
+    line = ",".join(["%.12g"] * (1 + traj.states.shape[1])) + "\n"
+    lines = (line % (float(t), *x.tolist()) for t, x in zip(traj.t, traj.states))
+    _write_lines(path, ("time", *labels), lines, timestamp)
 
 
 def write_eigenvalue_csv(path: Path, eig: np.ndarray, timestamp: bool) -> None:

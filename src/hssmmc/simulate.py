@@ -4,10 +4,15 @@ Fixed-step RK4, deterministic and bit-reproducible for identical inputs.
 Open-loop runs drive the plant with sinusoidal insertion indices;
 closed-loop runs add the per-phase proportional-resonant ac-voltage
 controller, with reference phasors that are constant over a run. The
-right-hand sides advance one state vector or a block of state columns
-with shared references; a column runs exactly the numpy operations of a
-single-vector run, so it is bit-identical to it. Settled trajectories
-feed the spectral extraction used to cross-check the lifted models.
+equations are written once, elementwise (``plant_phase_equations`` and
+``_closed_loop_equations``). On numpy arrays, ``_rk4`` advances a block of
+state columns with shared references; a column runs exactly the
+operations of a single-vector run. One real closed-loop state runs as
+three per-phase systems on Python floats (``_closed_loop_floats``): the
+phases share only the constant dc bus, and the same expressions in the
+same order give the same doubles as a one-column block. Settled
+trajectories feed the spectral extraction used to cross-check the lifted
+models.
 
 Time lives on one grid: a fundamental period holds ``steps_per_period``
 RK4 steps of dt = period / steps_per_period, and every run length, start
@@ -49,7 +54,7 @@ from .errors import (
     ShootingError,
 )
 from .harmonic import HarmonicVector, analyze
-from .plant import PHASES, PHASE_SHIFT, MmcParameters, plant_rhs, split_phase
+from .plant import PHASES, PHASE_SHIFT, MmcParameters, plant_phase_equations, plant_rhs, split_phase
 from .smallsignal import SMALLSIG_HALF_WAVE_IMAGE, SMALLSIG_STATE_LABELS, ControllerParams
 from .steady import solve_lifted
 
@@ -307,37 +312,57 @@ def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, f
     return x, multiplier
 
 
-def _index_law(params: MmcParameters, ctrl: ControllerParams, v_star, x):
-    """Closed-loop insertion indices and terminal voltage for states ``x``.
+def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
+    """The closed-loop equations of one phase leg, as a function
+    (v_star, i_c, v_cu, v_cl, i_g, x1, x2) -> the time derivatives of
+    (i_c, v_cu, v_cl, i_g, x1, x2), with x1, x2 the PR controller states and
+    v_star the voltage reference at that instant.
 
-    ``x`` is one 18-state vector or an (18, k) block of state columns, real
-    or complex, and ``v_star`` the (3,) or shared (3, 1) voltage
-    references; the results are (3,) or (3, k). With an inductive load part
-    the terminal voltage depends on di_g/dt, which itself depends on the
+    As in ``plant_phase_equations``, which supplies the plant rows, every
+    operation is elementwise: the arguments are floats for one phase or
+    (3,) or (3, k) arrays for all three.
+
+    The insertion indices follow from the modulation voltage
+    v_mod = K_p (v* - v_g) + x1 + k_f v_g, n_u,l = 1/2 -+ v_mod / V_dc. With
+    an inductive load part the terminal voltage v_g = R_load i_g +
+    L_load di_g/dt depends on di_g/dt, which itself depends on the
     insertion indices; that linear relation is solved in closed form, so no
-    inner iteration is needed.
+    inner iteration is needed. A zero denominator there raises
+    ZeroDivisionError on floats and gives inf on arrays.
     """
-    inv_v_dc = 1.0 / params.V_dc
+    plant = plant_phase_equations(params)
+    v_dc = params.V_dc
+    # Reciprocals, as numpy's complex division uses: a real column runs as a real run.
+    inv_v_dc = 1.0 / v_dc
+    K_p = ctrl.K_p
+    K_r = ctrl.K_r
+    w1sq = params.omega1 ** 2
     R_L = params.R_load
     L_L = params.L_load
     kd = ctrl.k_f - ctrl.K_p
-    v_cu = x[3:6]
-    v_cl = x[6:9]
-    i_g = x[9:12]
+    kd_R_L = kd * R_L
+    kd_L_L = kd * L_L
+    R_g = params.R + 2.0 * R_L
+    L_g = params.L + 2.0 * L_L
 
-    # With v_g = R_load i_g + L_load di_g/dt, the modulation voltage
-    # v_mod = K_p (v* - v_g) + x1 + k_f v_g is w + kd L_load di_g/dt, and the
-    # plant's (L + 2 L_load) di_g/dt = -n_u v_cu + n_l v_cl - (R + 2 R_load) i_g
-    # becomes linear in di_g/dt.
-    # Reciprocals, as numpy's complex division uses: a real column runs as a real run.
-    sigma = (v_cu + v_cl) * inv_v_dc
-    w = ctrl.K_p * v_star + x[12:18:2] + (kd * R_L) * i_g
-    di_g = (sigma * w - 0.5 * (v_cu - v_cl) - (params.R + 2.0 * R_L) * i_g) * (
-        1.0 / (params.L + 2.0 * L_L - (kd * L_L) * sigma)
-    )
-    v_mod = w + (kd * L_L) * di_g
-    v_g = R_L * i_g + L_L * di_g
-    return 0.5 - v_mod * inv_v_dc, 0.5 + v_mod * inv_v_dc, v_g
+    def derivatives(v_star, i_c, v_cu, v_cl, i_g, x1, x2):
+        # v_mod is w + kd L_load di_g/dt, and the plant's
+        # (L + 2 L_load) di_g/dt = -n_u v_cu + n_l v_cl - (R + 2 R_load) i_g
+        # becomes linear in di_g/dt.
+        sigma = (v_cu + v_cl) * inv_v_dc
+        w = K_p * v_star + x1 + kd_R_L * i_g
+        di_g = (sigma * w - 0.5 * (v_cu - v_cl) - R_g * i_g) * (1.0 / (L_g - kd_L_L * sigma))
+        v_mod = w + kd_L_L * di_g
+        v_g = R_L * i_g + L_L * di_g
+        n_u = 0.5 - v_mod * inv_v_dc
+        n_l = 0.5 + v_mod * inv_v_dc
+        return (
+            *plant(i_c, v_cu, v_cl, i_g, n_u, n_l, v_dc),
+            -w1sq * x2 + K_r * (v_star - v_g),
+            x1,
+        )
+
+    return derivatives
 
 
 def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.ndarray):
@@ -349,19 +374,16 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.nda
     column of a block advances exactly as that column alone would.
     """
     w1 = params.omega1
-    w1sq = w1 ** 2
-    v_dc = params.V_dc
-    K_r = ctrl.K_r
     re, im = amps.real, amps.imag
+    derivatives = _closed_loop_equations(params, ctrl)
 
     def rhs(t, x):
         # Scalar t: math.cos costs a fraction of np.cos per call.
         v_star = re * math.cos(w1 * t) - im * math.sin(w1 * t)
-        n_u, n_l, v_g = _index_law(params, ctrl, v_star, x)
         d = np.empty(x.shape, x.dtype)
-        d[0:12] = plant_rhs(x[0:12], n_u, n_l, v_dc, params)
-        d[12:18:2] = -w1sq * x[13:18:2] + K_r * (v_star - v_g)
-        d[13:18:2] = x[12:18:2]
+        d[0:3], d[3:6], d[6:9], d[9:12], d[12:18:2], d[13:18:2] = derivatives(
+            v_star, x[0:3], x[3:6], x[6:9], x[9:12], x[12:18:2], x[13:18:2]
+        )
         return d
 
     return rhs
@@ -372,9 +394,120 @@ def _reference_amps(refs: dict[str, complex]) -> np.ndarray:
 
 
 def _closed_loop_run(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
+    """Closed-loop RK4 states at grid points n0 .. n0 + n_steps.
+
+    A block of state columns, or a complex state, advances in ``_rk4``. One
+    real state vector advances phase by phase on Python floats
+    (``_closed_loop_floats``): the phases share only the constant dc bus, and
+    numpy's cost per call on 3-element slices is most of a step."""
+    x0 = np.asarray(x0)
+    if x0.ndim == 1 and not np.iscomplexobj(x0):
+        return _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0)
     dt = params.period / steps_per_period
     rhs = _closed_loop_rhs(params, ctrl, amps)
     return _rk4(rhs, x0, n0, n_steps, dt, steps_per_period, max(params.V_dc, 1.0))
+
+
+def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
+    """``_rk4`` of ``_closed_loop_rhs`` from one real state vector, bit for
+    bit, run on Python floats one phase at a time.
+
+    The same equations (``_closed_loop_equations``) and the same RK4 stage
+    expressions are evaluated in the same order, so every double matches
+    the array run. Between the blow-up checks, once per period of steps,
+    each phase advances on its own, a segment of steps at a time
+    (``_float_segments``); the cosines and sines at the stage times are
+    shared by the three. A zero di_g denominator raises
+    NumericalBlowupError naming its step, where an array run would carry
+    inf to the next check.
+    """
+    spp = steps_per_period
+    dt = params.period / spp
+    scale = max(params.V_dc, 1.0)
+    derivatives = _closed_loop_equations(params, ctrl)
+    w1 = params.omega1
+    t0 = n0 * dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    out = np.empty((n_steps + 1, x0.size))
+    out[0] = x0
+    columns = [list(range(p, 12, 3)) + [12 + 2 * p, 13 + 2 * p] for p in range(3)]
+    states = [tuple(out[0, c].tolist()) for c in columns]
+    refs = list(zip(amps.real.tolist(), amps.imag.tolist()))
+    for start, stop in _float_segments(n_steps, spp):
+        if start % spp == 0:
+            _check_blowup(out[start][None], scale, n0 + start, dt, spp)
+        cos_sin = []
+        for n in range(start, stop):
+            t = t0 + n * dt
+            cos_sin.append((
+                math.cos(w1 * t), math.sin(w1 * t),
+                math.cos(w1 * (t + half)), math.sin(w1 * (t + half)),
+                math.cos(w1 * (t + dt)), math.sin(w1 * (t + dt)),
+            ))
+        for p, (re, im) in enumerate(refs):
+            rows = []
+            x = states[p]
+            try:
+                for c1, s1, c2, s2, c4, s4 in cos_sin:
+                    x = _phase_rk4_step(
+                        derivatives, x, re * c1 - im * s1, re * c2 - im * s2, re * c4 - im * s4,
+                        half, dt, sixth,
+                    )
+                    rows += x
+            except ZeroDivisionError:
+                step = n0 + start + len(rows) // len(x)
+                raise NumericalBlowupError(
+                    f"the di_g denominator L + 2 L_load - (k_f - K_p) L_load sigma is zero "
+                    f"at step {step} (period {step // spp}, t = {step * dt:.6g} s)"
+                ) from None
+            states[p] = x
+            out[start + 1 : stop + 1, columns[p]] = np.array(rows).reshape(-1, len(x))
+    _check_blowup(out[n_steps][None], scale, n0 + n_steps, dt, spp)
+    return out
+
+
+# A float run advances each phase over at most this many steps before the
+# next phase, which keeps its lists of Python floats small.
+_FLOAT_SEGMENT_STEPS = 250
+
+
+def _float_segments(n_steps: int, spp: int):
+    """(start, stop) of the step segments of a float run: none longer than
+    ``_FLOAT_SEGMENT_STEPS``, and none across a multiple of ``spp``, where
+    the blow-up check comes."""
+    for period_start in range(0, n_steps, spp):
+        period_stop = min(period_start + spp, n_steps)
+        for start in range(period_start, period_stop, _FLOAT_SEGMENT_STEPS):
+            yield start, min(start + _FLOAT_SEGMENT_STEPS, period_stop)
+
+
+def _phase_rk4_step(f, x, v1, v2, v4, half, dt, sixth):
+    """One RK4 step of one phase's six closed-loop states ``x`` on floats,
+    with the references v1, v2, v4 at the start, middle and end of the step:
+    the stage expressions of ``_rk4``."""
+    i_c, v_cu, v_cl, i_g, x1, x2 = x
+    a1, b1, c1, d1, e1, f1 = f(v1, i_c, v_cu, v_cl, i_g, x1, x2)
+    a2, b2, c2, d2, e2, f2 = f(
+        v2, i_c + half * a1, v_cu + half * b1, v_cl + half * c1,
+        i_g + half * d1, x1 + half * e1, x2 + half * f1,
+    )
+    a3, b3, c3, d3, e3, f3 = f(
+        v2, i_c + half * a2, v_cu + half * b2, v_cl + half * c2,
+        i_g + half * d2, x1 + half * e2, x2 + half * f2,
+    )
+    a4, b4, c4, d4, e4, f4 = f(
+        v4, i_c + dt * a3, v_cu + dt * b3, v_cl + dt * c3,
+        i_g + dt * d3, x1 + dt * e3, x2 + dt * f3,
+    )
+    return (
+        i_c + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        v_cu + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+        v_cl + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
+        i_g + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4),
+        x1 + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4),
+        x2 + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
+    )
 
 
 def simulate_closed_loop(

@@ -152,6 +152,23 @@ class TestExitCodes:
         path.write_text(FAST.replace(old, new), encoding="utf-8")
         assert main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("scenario", ["simulate-closed", "smallsig", "verify-smallsig"])
+    def test_closed_loop_without_dc_bus_is_a_config_error(self, tmp_path, capsys, scenario):
+        # The closed-loop insertion indices divide by V_dc.
+        path = tmp_path / "unenergized.ini"
+        text = open(fast_config_with_step(tmp_path, 4), encoding="utf-8").read()
+        path.write_text(text.replace("V_dc = 1000.0", "V_dc = 0.0"), encoding="utf-8")
+        assert main([scenario, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error: [params] V_dc: must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["steady", "simulate-open"])
+    def test_open_loop_without_dc_bus_runs(self, fast_config, tmp_path, scenario):
+        # An unenergized bus is a valid open-loop case: everything stays at rest.
+        path = tmp_path / "unenergized.ini"
+        text = open(fast_config, encoding="utf-8").read()
+        path.write_text(text.replace("V_dc = 1000.0", "V_dc = 0.0"), encoding="utf-8")
+        assert main([scenario, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
     def test_success(self, fast_config, tmp_path):
         assert main(["steady", "--config", fast_config, "--out", str(tmp_path / "o")]) == 0
 
@@ -232,6 +249,24 @@ class TestSimulateScenarios:
         assert main(["simulate-closed", "--config", fast_config, "--out", str(out), "--no-timestamp"]) == 0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header.endswith("pr_a1,pr_a2,pr_b1,pr_b2,pr_c1,pr_c2")
+
+    def test_trajectory_csv_writes_each_value_as_format_12g(self, tmp_path):
+        import numpy as np
+
+        from hssmmc.reports import write_trajectory_csv
+        from hssmmc.simulate import Trajectory
+
+        values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                  1.0 / 3.0, -123456789012.5, 1e22, 6.02214076e-23, 1e-5]
+        states = np.array(values * 2).reshape(2, -1)
+        traj = Trajectory(1.0 / 3.0, 4, 5, states)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(path, traj, [f"x{i}" for i in range(len(values))], False)
+        rows = [
+            ",".join(format(float(v), ".12g") for v in (t, *x)) for t, x in zip(traj.t, states)
+        ]
+        header = ",".join(["time"] + [f"x{i}" for i in range(len(values))])
+        assert path.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
 
     def test_closed_loop_step_shares_the_smallsig_grid(self, tmp_path, monkeypatch):
         # simulate-closed exports the transient from the cold start, while
@@ -391,6 +426,19 @@ def test_smallsig_sweep_over_omega1_has_no_error_rows(fast_config, tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[0]) for row in rows] == [314.0, 300.0]
     assert all(row.endswith(",") for row in rows)
+
+
+def test_smallsig_sweep_without_dc_bus_gives_an_error_row(fast_config, tmp_path):
+    from pathlib import Path
+
+    text = Path(fast_config).read_text() + "\n[sweep]\nkey = V_dc\nvalues = 0, 1000\nscenario = smallsig\n"
+    cfgp = tmp_path / "v_dc.ini"
+    cfgp.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfgp), "--out", str(out), "--no-timestamp"]) == 1
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert rows[0][0] == "0" and rows[0][2].startswith("[params] V_dc: must be > 0")
+    assert rows[1][0] == "1000" and rows[1][2] == ""
 
 
 def _with_sweep(fast_config, tmp_path):

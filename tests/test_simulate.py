@@ -321,6 +321,80 @@ class TestClosedLoop:
             simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps(), x0=x0)
 
 
+def block_run(params, ctrl, refs, spp, n_steps, x0, n0):
+    """The closed-loop run of the state ``x0`` as a one-column block, which
+    advances in ``_rk4`` on arrays, not on floats."""
+    amps = np.array([refs[p] for p in PHASES])
+    return _closed_loop_run(params, ctrl, amps[:, None], spp, n_steps, x0[:, None], n0)[:, :, 0]
+
+
+def blowup_message(run):
+    """The message of the NumericalBlowupError that ``run()`` raises."""
+    with pytest.raises(NumericalBlowupError) as info, np.errstate(all="ignore"):
+        run()
+    return str(info.value)
+
+
+class TestClosedLoopFloatPath:
+    """``simulate_closed_loop`` advances one real state on Python floats,
+    phase by phase; a block of columns runs the same equations on arrays in
+    ``_rk4``. The two give the same doubles."""
+
+    @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_matches_a_one_column_block(self, preset, x_over_r):
+        # From a perturbed orbit state, off a period boundary and over two
+        # blow-up checks, with phase a's reference stepped.
+        params, ctrl, refs, guess_at = preset_closed_loop(preset, x_over_r)
+        spp, n0, n_steps = 400, 15 * 400 + 137, 2 * 400 + 50
+        x = guess_at(n0)
+        x0 = x + 0.01 * np.maximum(np.abs(x), 1.0) * np.random.default_rng(7).standard_normal(18)
+        stepped = {**refs, "a": 1.05 * refs["a"]}
+        run = simulate_closed_loop(params, ctrl, stepped, spp, n_steps, x0=x0, n0=n0)
+        assert np.array_equal(run.states, block_run(params, ctrl, stepped, spp, n_steps, x0, n0))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        preset=st.sampled_from(["sec3-simulation", "table1-prototype"]),
+        m=st.floats(0.0, 1.0),
+        x_over_r=st.floats(0.0, 0.5),
+        k_p=st.floats(0.0, 2.0),
+        n0=st.integers(0, 4000),
+    )
+    def test_matches_a_one_column_block_property(self, preset, m, x_over_r, k_p, n0):
+        params, ctrl, refs, guess_at = preset_closed_loop(preset, x_over_r, m)
+        ctrl = dataclasses.replace(ctrl, K_p=k_p)
+        spp, n_steps = 400, 450
+        x0 = guess_at(n0)
+        run = simulate_closed_loop(params, ctrl, refs, spp, n_steps, x0=x0, n0=n0)
+        assert np.array_equal(run.states, block_run(params, ctrl, refs, spp, n_steps, x0, n0))
+
+    def test_blowup_names_the_same_step_on_both_paths(self, fast_params):
+        # A negative arm resistance makes the closed loop unstable. The
+        # parameter check rejects it, so it is set past that check.
+        params = dataclasses.replace(fast_params)
+        object.__setattr__(params, "R", -20.0)
+        ctrl, refs = tracking_loop()
+        spp, n_steps = 400, 40 * 400
+        x0 = closed_loop_rest(params)
+        message = blowup_message(lambda: simulate_closed_loop(params, ctrl, refs, spp, n_steps))
+        assert message == blowup_message(lambda: block_run(params, ctrl, refs, spp, n_steps, x0, 0))
+        step, period = blowup_step(message)
+        assert period > 0
+        assert step == period * spp
+
+    def test_zero_di_g_denominator_is_a_blowup(self, fast_params):
+        # L + 2 L_load - (k_f - K_p) L_load sigma is 0.25 + 0.5 - 1.5 * 0.25 * 2,
+        # exactly zero at the cold start, where sigma = (v_cu + v_cl) / V_dc = 2.
+        # Floats raise ZeroDivisionError there; it must not escape.
+        params = dataclasses.replace(fast_params, L=0.25, L_load=0.25)
+        ctrl = ControllerParams(K_p=0.0, K_r=300.0, k_f=1.5)
+        _, refs = tracking_loop()
+        message = blowup_message(lambda: simulate_closed_loop(params, ctrl, refs, 400, 800))
+        assert "denominator" in message
+        assert blowup_step(message) == (0, 0)
+
+
 class TestClosedLoopShooting:
     def test_orbit_is_the_settled_cold_start(self, fast_params):
         ctrl, refs = tracking_loop()
