@@ -31,9 +31,11 @@ over half a period (``_open_loop_periods``): a transient
 (``simulate_open_loop``) or the periodic orbit at G's fixed point
 (``settled_open_loop``). ``settle_periods`` sets how long a transient must
 be before its last two periods are checked for settling. The closed loop
-is integrated step by step and shot by Newton (``settled_closed_loop``)
-with the Jacobian of G by complex step (Squire & Trapp 1998): 19 columns,
-the state and 18 complex perturbations, through half a period.
+is integrated step by step and shot by Newton (``settled_closed_loop``):
+each pass is one real float run over half a period, and the Jacobian of G
+is the exact derivative of that run's RK4 map (``_tangent_map``), block
+diagonal over the phases, from stage Jacobians by complex step (Squire &
+Trapp 1998) taken for every step in one array call.
 A reference step in an exported closed-loop run is two runs, the second
 starting from the first one's final state with the stepped references
 (``pipelines.reference_step_run``).
@@ -72,6 +74,10 @@ SHOOTING_DEFECT_TOL = 1e-10
 SHOOTING_MAX_ITERATIONS = 8
 
 _PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
+
+# The positions in the 18-state vector of each phase's six states, in the
+# argument order of _closed_loop_equations: i_c, v_cu, v_cl, i_g, x1, x2.
+_PHASE_COLUMNS = [list(range(p, 12, 3)) + [12 + 2 * p, 13 + 2 * p] for p in range(3)]
 
 
 @dataclass(frozen=True)
@@ -163,16 +169,19 @@ def _rk4(
     t0 = n0 * dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    for n in range(n_steps):
-        t = t0 + n * dt
-        if n % steps_per_period == 0:
-            _check_blowup(x[None], scale, n0 + n, dt, steps_per_period)
-        k1 = rhs(t, x)
-        k2 = rhs(t + half, x + half * k1)
-        k3 = rhs(t + half, x + half * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[n + 1] = x
+    # A run that blows up overflows before its next check; the check, not
+    # numpy's warnings, reports it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(n_steps):
+            t = t0 + n * dt
+            if n % steps_per_period == 0:
+                _check_blowup(x[None], scale, n0 + n, dt, steps_per_period)
+            k1 = rhs(t, x)
+            k2 = rhs(t + half, x + half * k1)
+            k3 = rhs(t + half, x + half * k2)
+            k4 = rhs(t + dt, x + dt * k3)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[n + 1] = x
     _check_blowup(x[None], scale, n0 + n_steps, dt, steps_per_period)
     return out
 
@@ -329,9 +338,13 @@ def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
     insertion indices; that linear relation is solved in closed form, so no
     inner iteration is needed. A zero denominator there raises
     ZeroDivisionError on floats and gives inf on arrays.
+
+    Raises ValueError for V_dc = 0, where the index law is undefined.
     """
     plant = plant_phase_equations(params)
     v_dc = params.V_dc
+    if v_dc == 0.0:
+        raise ValueError("the closed loop needs a nonzero V_dc: its insertion indices divide by it")
     # Reciprocals, as numpy's complex division uses: a real column runs as a real run.
     inv_v_dc = 1.0 / v_dc
     K_p = ctrl.K_p
@@ -371,7 +384,9 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.nda
 
     ``amps`` is (3,) for one 18-state vector, or (3, 1), shared, for an
     (18, k) block of state columns. Every operation is elementwise, so a
-    column of a block advances exactly as that column alone would.
+    column of a block advances exactly as that column alone would. The
+    tests run blocks of columns as a reference for the float path and for
+    the shooting Jacobian (``_tangent_map``).
     """
     w1 = params.omega1
     re, im = amps.real, amps.imag
@@ -396,10 +411,11 @@ def _reference_amps(refs: dict[str, complex]) -> np.ndarray:
 def _closed_loop_run(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
     """Closed-loop RK4 states at grid points n0 .. n0 + n_steps.
 
-    A block of state columns, or a complex state, advances in ``_rk4``. One
-    real state vector advances phase by phase on Python floats
-    (``_closed_loop_floats``): the phases share only the constant dc bus, and
-    numpy's cost per call on 3-element slices is most of a step."""
+    One real state vector advances phase by phase on Python floats
+    (``_closed_loop_floats``): the phases share only the constant dc bus,
+    and numpy's cost per call on 3-element slices is most of a step. A
+    block of state columns, or a complex state, advances in ``_rk4``; the
+    tests use it as an independent reference."""
     x0 = np.asarray(x0)
     if x0.ndim == 1 and not np.iscomplexobj(x0):
         return _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0)
@@ -431,8 +447,7 @@ def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -
     sixth = dt / 6.0
     out = np.empty((n_steps + 1, x0.size))
     out[0] = x0
-    columns = [list(range(p, 12, 3)) + [12 + 2 * p, 13 + 2 * p] for p in range(3)]
-    states = [tuple(out[0, c].tolist()) for c in columns]
+    states = [tuple(out[0, c].tolist()) for c in _PHASE_COLUMNS]
     refs = list(zip(amps.real.tolist(), amps.imag.tolist()))
     for start, stop in _float_segments(n_steps, spp):
         if start % spp == 0:
@@ -462,7 +477,7 @@ def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -
                     f"at step {step} (period {step // spp}, t = {step * dt:.6g} s)"
                 ) from None
             states[p] = x
-            out[start + 1 : stop + 1, columns[p]] = np.array(rows).reshape(-1, len(x))
+            out[start + 1 : stop + 1, _PHASE_COLUMNS[p]] = np.array(rows).reshape(-1, len(x))
     _check_blowup(out[n_steps][None], scale, n0 + n_steps, dt, spp)
     return out
 
@@ -549,6 +564,67 @@ class PeriodicOrbit:
     multiplier: float           # largest full-period Floquet multiplier, max|eig(J)|²
 
 
+def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
+    """Jacobian of the closed-loop RK4 map from run[0] to run[-1], the
+    states at grid points n0 .. n0 + n of one real run with reference
+    phasors ``amps`` (3,), as an 18 x 18 matrix.
+
+    The phases share only the constant dc bus, so the Jacobian is block
+    diagonal over them (``_PHASE_COLUMNS``). The four RK4 stage states of
+    every step are recomputed from the run on (3, n) arrays, and every stage
+    Jacobian A = df/dy is taken by complex step in one call of
+    ``_closed_loop_equations``, on arguments of shape (6 states, 3 phases,
+    4 stages, n steps, 6 columns) with y + i s_c e_c in column c,
+    s = 1e-30 max(|y|, 1). Step i's matrix is the derivative of its RK4
+    update, M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A1,
+    K2 = A2 (I + dt/2 K1), K3 = A3 (I + dt/2 K2), K4 = A4 (I + dt K3), and
+    the steps are multiplied in pairs, about log2(n) batched products. The
+    products are carried as M - I, (I + B)(I + A) = I + A + B + BA, so the
+    identity is not rounded into the small entries. At sec3's rest state
+    with K_p = 2, against an extended-precision product, the products of M
+    itself left one entry 1.5e-11 off relative to itself; this form leaves
+    9e-14, and the complex step of a whole run 1.5e-12.
+    """
+    dt = params.period / steps_per_period
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    f = _closed_loop_equations(params, ctrl)
+    n = run.shape[0] - 1
+    t = n0 * dt + np.arange(n) * dt
+    w1 = params.omega1
+    re, im = amps.real[:, None], amps.imag[:, None]
+
+    def v_star(times):
+        return re * np.cos(w1 * times) - im * np.sin(w1 * times)
+
+    v1, v2, v4 = v_star(t), v_star(t + half), v_star(t + dt)
+    eye = np.eye(6)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y1 = run[:-1, np.transpose(_PHASE_COLUMNS)].transpose(1, 2, 0)  # (6, 3, n)
+        y2 = y1 + half * np.array(f(v1, *y1))
+        y3 = y1 + half * np.array(f(v2, *y2))
+        y4 = y1 + dt * np.array(f(v2, *y3))
+        y = np.stack([y1, y2, y3, y4], axis=2)  # (6, 3, 4, n)
+        s = 1e-30 * np.maximum(np.abs(y), 1.0)
+        z = y[..., None] + 1j * s[..., None] * eye[:, None, None, None, :]
+        v = np.stack([v1, v2, v2, v4], axis=1)[..., None]
+        a = np.stack(f(v, *z), axis=-2).imag / np.moveaxis(s, 0, -1)[..., None, :]
+        k1 = a[:, 0]
+        k2 = a[:, 1] @ (eye + half * k1)
+        k3 = a[:, 2] @ (eye + half * k2)
+        k4 = a[:, 3] @ (eye + dt * k3)
+        d = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # M - I, (3, n, 6, 6)
+        while d.shape[1] > 1:
+            if d.shape[1] % 2:
+                d = np.concatenate([d, np.zeros((3, 1, 6, 6))], axis=1)
+            earlier, later = d[:, 0::2], d[:, 1::2]
+            d = earlier + later + later @ earlier
+    jacobian = np.zeros((18, 18))
+    for p, c in enumerate(_PHASE_COLUMNS):
+        jacobian[np.ix_(c, c)] = eye + d[p, 0]
+    return jacobian
+
+
 def settled_closed_loop(
     params: MmcParameters,
     ctrl: ControllerParams,
@@ -566,12 +642,13 @@ def settled_closed_loop(
     H applied to the run from n0 started at x, up to rounding. With F_half
     the RK4 map over half a period from ``n0``, the one-period map is G∘G
     for the half-wave map G(x) = H F_half(x), so a fixed point of G is the
-    state on the attracting orbit. Each iteration is one RK4 pass over half
-    a period with 19 complex columns, x and x + i s_j e_j for the 18 states,
-    s_j = 1e-30 max(|x_j|, 1). G is analytic, so they give G(x) and its
-    Jacobian J to rounding, column j Im(G(x + i s_j e_j)) / s_j, with no
-    step-size trade-off (complex step, Squire & Trapp 1998). The update
-    solves (I - J) dx = G(x) - x through the same gated solve as
+    state on the attracting orbit. Each iteration is one real RK4 run over
+    half a period on floats (``_closed_loop_floats``), which gives G(x), and
+    the exact derivative of the RK4 map along it (``_tangent_map``), which
+    gives its Jacobian J = H dF_half/dx to rounding: the stage Jacobians
+    come from the equations by complex step, with no step-size trade-off
+    (Squire & Trapp 1998), and the phases give three 6 x 6 blocks. The
+    update solves (I - J) dx = G(x) - x through the same gated solve as
     ``settled_open_loop``; the full-period monodromy matrix at the fixed
     point is J², so the largest Floquet multiplier is max|eig(J)|². The
     relative defect is max_i |G(x)_i - x_i| / RMS_i, with RMS_i the RMS of
@@ -591,22 +668,19 @@ def settled_closed_loop(
             f"steps_per_period must be even for half-wave shooting, got {steps_per_period}"
         )
     H = HALF_WAVE_OPERATOR
-    amps = _reference_amps(refs)[:, None]
+    amps = _reference_amps(refs)
     x = np.array(x_guess, dtype=float)
     for iteration in range(SHOOTING_MAX_ITERATIONS + 1):
-        steps = 1e-30 * np.maximum(np.abs(x), 1.0)
-        columns = np.hstack([x[:, None], x[:, None] + 1j * np.diag(steps)])
-        run = _closed_loop_run(
-            params, ctrl, amps, steps_per_period, steps_per_period // 2, columns, n0
+        first_half = _closed_loop_floats(
+            params, ctrl, amps, steps_per_period, steps_per_period // 2, x, n0
         )
-        first_half = run[:, :, 0].real
         orbit = np.concatenate([first_half, first_half[1:] @ H.T])
-        end = H @ run[-1]
+        end = H @ first_half[-1]
         rms = np.sqrt(np.mean(orbit[:-1] ** 2, axis=0))
-        defect = float(np.max(np.abs(end[:, 0].real - x) / np.where(rms > 0, rms, 1.0)))
-        jacobian = end[:, 1:].imag / steps
+        defect = float(np.max(np.abs(end - x) / np.where(rms > 0, rms, 1.0)))
+        jacobian = H @ _tangent_map(params, ctrl, amps, steps_per_period, n0, first_half)
         try:
-            dx, multiplier = _shooting_fixed_point(jacobian, end[:, 0].real - x)
+            dx, multiplier = _shooting_fixed_point(jacobian, end - x)
         except NotSettledError as exc:
             raise ShootingError(
                 f"after {iteration} Newton iterations (relative defect {defect:.3e}): {exc}",

@@ -3,19 +3,16 @@ session-scoped artifacts (the shooting orbit, the brute-force settled
 open-loop run, the small-signal context) so the verification tests share
 one simulation each."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hssmmc import MmcParameters
 from hssmmc.config import load_config
 from hssmmc.pipelines import SmallsigContext, solve_operating_point
-from hssmmc.simulate import (
-    Trajectory,
-    _open_loop_rhs,
-    _rk4,
-    default_initial_state,
-    settled_open_loop,
-)
+from hssmmc.plant import PHASE_SHIFT, PHASES, plant_phase_equations
+from hssmmc.simulate import Trajectory, _check_blowup, default_initial_state, settled_open_loop
 
 
 @pytest.fixture(scope="session")
@@ -34,14 +31,58 @@ def sec3_op(sec3_cfg):
 
 
 def sequential_open_loop(params, m, cfg):
-    """Open-loop run from rest, integrated step by step with ``_rk4`` rather
-    than composed from the half-wave map: an independent reference for
-    ``simulate_open_loop`` and ``settled_open_loop``."""
+    """Open-loop run from rest, integrated step by step rather than composed
+    from the half-wave map: an independent reference for
+    ``simulate_open_loop`` and ``settled_open_loop``.
+
+    Each phase advances on Python floats with ``plant_phase_equations``, the
+    stage expressions of ``_rk4`` and the indices of ``_open_loop_rhs``, a
+    period at a time, which gives ``_rk4``'s states bit for bit at a tenth
+    of its cost; the 12-state row is checked for blow-up at every period
+    start and at the end, as ``_rk4`` does.
+    """
     spp = cfg.steps_per_period
+    n_steps = cfg.n_steps()
     dt = params.period / spp
-    rhs = _open_loop_rhs(params, m, params.V_dc)
-    x0 = default_initial_state(params)
-    return Trajectory(dt, spp, 0, _rk4(rhs, x0, 0, cfg.n_steps(), dt, spp, max(params.V_dc, 1.0)))
+    half, sixth = 0.5 * dt, dt / 6.0
+    w1, v_dc = params.omega1, params.V_dc
+    scale = max(v_dc, 1.0)
+    f = plant_phase_equations(params)
+    states = np.empty((n_steps + 1, 12))
+    states[0] = default_initial_state(params)
+    for start in range(0, n_steps, spp):
+        _check_blowup(states[start][None], scale, start, dt, spp)
+        stop = min(start + spp, n_steps)
+        for p, phase in enumerate(PHASES):
+            phi = PHASE_SHIFT[phase]
+            i_c, v_cu, v_cl, i_g = states[start, p::3].tolist()
+            rows = []
+            for n in range(start, stop):
+                t = n * dt
+                n1 = 0.5 - 0.5 * m * math.cos(w1 * t - phi)
+                n2 = 0.5 - 0.5 * m * math.cos(w1 * (t + half) - phi)
+                n4 = 0.5 - 0.5 * m * math.cos(w1 * (t + dt) - phi)
+                a1, b1, c1, d1 = f(i_c, v_cu, v_cl, i_g, n1, 1.0 - n1, v_dc)
+                a2, b2, c2, d2 = f(
+                    i_c + half * a1, v_cu + half * b1, v_cl + half * c1, i_g + half * d1,
+                    n2, 1.0 - n2, v_dc,
+                )
+                a3, b3, c3, d3 = f(
+                    i_c + half * a2, v_cu + half * b2, v_cl + half * c2, i_g + half * d2,
+                    n2, 1.0 - n2, v_dc,
+                )
+                a4, b4, c4, d4 = f(
+                    i_c + dt * a3, v_cu + dt * b3, v_cl + dt * c3, i_g + dt * d3,
+                    n4, 1.0 - n4, v_dc,
+                )
+                i_c = i_c + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                v_cu = v_cu + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                v_cl = v_cl + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                i_g = i_g + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                rows.append((i_c, v_cu, v_cl, i_g))
+            states[start + 1 : stop + 1, p::3] = rows
+    _check_blowup(states[n_steps][None], scale, n_steps, dt, spp)
+    return Trajectory(dt, spp, 0, states)
 
 
 @pytest.fixture(scope="session")

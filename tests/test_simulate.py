@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,10 +34,12 @@ from hssmmc.simulate import (
     SETTLE_FLOOR,
     SETTLE_RTOL,
     SHOOTING_DEFECT_TOL,
+    _PHASE_COLUMNS,
     _closed_loop_run,
     _open_loop_rhs,
     _rk4,
     _shooting_fixed_point,
+    _tangent_map,
     default_initial_state,
     power_balance,
     settled_closed_loop,
@@ -52,6 +55,11 @@ W1 = 314.0
 # with the whole state, so each peak is floored at SETTLE_FLOOR of the
 # largest one, as in settling_profile.
 COMPOSED_RTOL = 1e-9
+
+# The shooting Jacobian from the tangent of the float run may differ from
+# the complex-step Jacobian of a 19-column block run by rounding only: by
+# at most this share of the largest entry, both scaled by the state sizes.
+TANGENT_RTOL = 1e-12
 
 
 def fast_cfg(params, periods=12, settle=10):
@@ -311,6 +319,16 @@ class TestClosedLoop:
         assert np.array_equal(joined.t, np.concatenate([pre.t[:-1], stepped.t]))
         assert np.array_equal(joined.states, np.concatenate([pre.states[:-1], stepped.states]))
 
+    def test_zero_dc_bus_is_a_value_error(self, fast_params):
+        # The parameters accept V_dc = 0, where the open loop runs; the
+        # closed-loop insertion indices divide by it.
+        params = dataclasses.replace(fast_params, V_dc=0.0)
+        ctrl, refs = tracking_loop()
+        with pytest.raises(ValueError, match="V_dc"):
+            simulate_closed_loop(params, ctrl, refs, 400, 400)
+        with pytest.raises(ValueError, match="V_dc"):
+            settled_closed_loop(params, ctrl, refs, 400, 0, closed_loop_rest(params))
+
     def test_blowup_detection(self, fast_params):
         ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
         refs = {p: 0.0 + 0.0j for p in ("a", "b", "c")}
@@ -329,8 +347,10 @@ def block_run(params, ctrl, refs, spp, n_steps, x0, n0):
 
 
 def blowup_message(run):
-    """The message of the NumericalBlowupError that ``run()`` raises."""
-    with pytest.raises(NumericalBlowupError) as info, np.errstate(all="ignore"):
+    """The message of the NumericalBlowupError that ``run()`` raises, with
+    every warning an error: the typed error comes with no numpy noise."""
+    with pytest.raises(NumericalBlowupError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")
         run()
     return str(info.value)
 
@@ -395,7 +415,56 @@ class TestClosedLoopFloatPath:
         assert blowup_step(message) == (0, 0)
 
 
+def block_jacobian(params, ctrl, refs, spp, n0, x):
+    """Jacobian of the half-period RK4 map at ``x`` by complex step through a
+    19-column block run, x and x + i s_j e_j with s_j = 1e-30 max(|x_j|, 1):
+    the shooting Jacobian as a whole-run complex pass builds it."""
+    steps = 1e-30 * np.maximum(np.abs(x), 1.0)
+    columns = np.hstack([x[:, None], x[:, None] + 1j * np.diag(steps)])
+    amps = np.array([refs[p] for p in PHASES])[:, None]
+    return _closed_loop_run(params, ctrl, amps, spp, spp // 2, columns, n0)[-1][:, 1:].imag / steps
+
+
+def tangent_error(params, ctrl, refs, spp, n0, x):
+    """Largest difference of ``_tangent_map`` along the float run from ``x``
+    and ``block_jacobian``, both scaled by the state sizes max(|x|, 1),
+    relative to the largest scaled entry. The block Jacobian's off-phase
+    blocks must be exactly zero."""
+    reference = block_jacobian(params, ctrl, refs, spp, n0, x)
+    off_phase = np.ones((18, 18), bool)
+    for c in _PHASE_COLUMNS:
+        off_phase[np.ix_(c, c)] = False
+    assert np.all(reference[off_phase] == 0.0)
+    run = simulate_closed_loop(params, ctrl, refs, spp, spp // 2, x0=x, n0=n0).states
+    amps = np.array([refs[p] for p in PHASES])
+    tangent = _tangent_map(params, ctrl, amps, spp, n0, run)
+    size = np.maximum(np.abs(x), 1.0)
+    scale = size[None, :] / size[:, None]
+    reference, tangent = reference * scale, tangent * scale
+    return float(np.max(np.abs(tangent - reference)) / np.max(np.abs(reference)))
+
+
 class TestClosedLoopShooting:
+    @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_tangent_is_the_complex_step_jacobian(self, preset, x_over_r):
+        params, ctrl, refs, guess_at = preset_closed_loop(preset, x_over_r)
+        spp, n0 = 400, 15 * 400
+        assert tangent_error(params, ctrl, refs, spp, n0, guess_at(n0)) <= TANGENT_RTOL
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        preset=st.sampled_from(["sec3-simulation", "table1-prototype"]),
+        m=st.floats(0.0, 1.0),
+        x_over_r=st.floats(0.0, 0.5),
+        k_p=st.floats(0.0, 2.0),
+        n0=st.integers(0, 4000),
+    )
+    def test_tangent_is_the_complex_step_jacobian_property(self, preset, m, x_over_r, k_p, n0):
+        params, ctrl, refs, guess_at = preset_closed_loop(preset, x_over_r, m)
+        ctrl = dataclasses.replace(ctrl, K_p=k_p)
+        assert tangent_error(params, ctrl, refs, 400, n0, guess_at(n0)) <= TANGENT_RTOL
+
     def test_orbit_is_the_settled_cold_start(self, fast_params):
         ctrl, refs = tracking_loop()
         spp, periods = 400, 20
