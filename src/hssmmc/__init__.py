@@ -23,7 +23,6 @@ from .errors import (
 from .harmonic import (
     HarmonicVector,
     analyze,
-    convolve,
     frequency_matrix,
     synthesize,
     toeplitz,
@@ -46,7 +45,6 @@ from .smallsignal import (
     ControllerParams,
     EnvelopeResponse,
     assemble_smallsignal,
-    compute_f_coefficients,
     eigenvalues,
     envelope_response,
     reconstruct_perturbation,

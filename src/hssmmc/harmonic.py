@@ -1,6 +1,7 @@
 """Harmonic-domain algebra: truncated Fourier vectors, Toeplitz convolution
 operators, the frequency (differentiation) matrix, time-domain
-synthesis/analysis, and the lift of periodic coefficient tensors.
+synthesis/analysis, the sampling FFTs of the lifted models, and the lift of
+periodic coefficient tensors.
 
 Coefficients are stored for harmonic indices k = -h..+h in ascending order,
 so ``coeffs[k + h]`` is the coefficient of ``exp(1j*k*w1*t)``. Every block
@@ -9,6 +10,8 @@ matrix in the toolkit uses the same ordering.
 Coefficient arrays are the one internal format: ``toeplitz`` and
 ``frequency_matrix`` return plain arrays, and ``block_toeplitz`` and
 ``lift`` turn (n, m, 2h+1) coefficient tensors into dense lifted matrices.
+``sample`` and ``fourier`` move stacks of coefficient rows to and from
+their values at ``instants(h)`` uniform instants per period.
 ``HarmonicVector`` is the per-signal spectrum type of ``analyze``,
 ``synthesize``, the spectrum comparisons and the CSV writers.
 """
@@ -204,42 +207,45 @@ def analyze(samples, h: int, base_frequency: float, t0: float = 0.0) -> Harmonic
     return HarmonicVector(h, base_frequency, coeffs)
 
 
-def convolve(a: HarmonicVector, b: HarmonicVector) -> HarmonicVector:
-    """h-truncated coefficient convolution (the product signal's spectrum)."""
-    a._check_compatible(b)
-    h = a.order
-    full = np.convolve(a.coeffs, b.coeffs)
-    return HarmonicVector(h, a.base_frequency, full[h : 3 * h + 1])
-
-
-def _lifted_blocks(tensor: np.ndarray) -> np.ndarray:
-    """(n, 2h+1, m, 2h+1) array with toeplitz(tensor[r, c]) as block (r, c)."""
+def block_toeplitz(tensor: np.ndarray) -> np.ndarray:
+    """Lift of an (n, m, 2h+1) coefficient tensor: block (r, c) is the
+    Toeplitz operator of ``tensor[r, c]``. Only the nonzero blocks are
+    built."""
     n, m, k = tensor.shape
     rows, cols = np.nonzero(np.any(tensor != 0, axis=2))
     out = np.zeros((n, k, m, k), dtype=complex)
     out[rows, :, cols, :] = toeplitz(tensor[rows, cols])
+    return out.reshape(n * k, m * k)
+
+
+def lift(A: np.ndarray, base_frequency: float) -> np.ndarray:
+    """Lifted state matrix of dx/dt = A(t) x: block-Toeplitz(A) - I kron Q
+    for a square (n, n, 2h+1) coefficient tensor, Q the frequency matrix."""
+    n, _, k = A.shape
+    out = block_toeplitz(A)
+    out[np.diag_indices(n * k)] -= np.tile(frequency_matrix(k // 2, base_frequency), n)
     return out
 
 
-def block_toeplitz(tensor: np.ndarray) -> np.ndarray:
-    """Lift of an (n, m, 2h+1) coefficient tensor: block (r, c) is the
-    Toeplitz operator of ``tensor[r, c]``."""
-    n, m, k = tensor.shape
-    return _lifted_blocks(tensor).reshape(n * k, m * k)
+def instants(h: int) -> int:
+    """Instants per period at which the lifted models of order h are
+    sampled: the smallest power of two >= 8(h + 1). A power of two keeps
+    constants exact through ``sample`` and ``fourier``, and 8(h + 1) keeps
+    the aliasing of the inductive closed loop, which is not band-limited,
+    at rounding level."""
+    return 1 << (8 * (h + 1) - 1).bit_length()
 
 
-def lift(A0: np.ndarray, A1: np.ndarray, base_frequency: float) -> np.ndarray:
-    """Lifted state matrix of dx/dt = A0(t) x + A1(t) dx/dt.
+def sample(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values at the instants t = j T / n of the real signals with the
+    coefficient rows ``coeffs`` (..., 2h+1), 2h < n: an inverse real FFT
+    of the k >= 0 half."""
+    h = coeffs.shape[-1] // 2
+    return np.fft.irfft(coeffs[..., h:], n, axis=-1, norm="forward")
 
-    Returns block-Toeplitz(A0) + block-Toeplitz(A1)(I kron Q) - I kron Q for
-    square (n, n, 2h+1) coefficient tensors, Q the frequency matrix. Only
-    the nonzero blocks are built.
-    """
-    n, _, k = A0.shape
-    q = frequency_matrix(k // 2, base_frequency)
-    out = _lifted_blocks(A0)
-    rows, cols = np.nonzero(np.any(A1 != 0, axis=2))
-    out[rows, :, cols, :] += toeplitz(A1[rows, cols]) * q
-    out = out.reshape(n * k, n * k)
-    out[np.diag_indices(n * k)] -= np.tile(q, n)
-    return out
+
+def fourier(samples: np.ndarray, h: int) -> np.ndarray:
+    """Coefficients k = -h..h of real signals sampled at t = j T / n along
+    the last axis, 2h < n: a real FFT, with k < 0 the conjugate of k > 0."""
+    half = np.fft.rfft(samples, axis=-1, norm="forward")[..., : h + 1]
+    return np.concatenate([half[..., :0:-1].conj(), half], axis=-1)

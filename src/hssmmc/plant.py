@@ -1,21 +1,19 @@
 """Average-value model of the three-phase MMC: circuit parameters, open-loop
-insertion indices, and the plant equations in two independent encodings.
+insertion indices, the plant equations and the lifted model.
 
-- ``plant_coefficients`` is the one periodic coefficient model of the
-  plant, dx/dt = A0(t) x + A1(t) dx/dt + B(t) u, with the Fourier
-  coefficients of every entry along the last axis. Both lifted models are
-  lifts of it (``PeriodicCoefficients.lifted``, a ``LiftedModel``), and
-  ``PeriodicCoefficients.at`` evaluates it at one instant.
-  ``LiftedModel.sequence_blocks`` splits a lifted A into its phase-sequence
-  blocks, and each of those into its two halves under the half-wave
-  operator (``HALF_WAVE_IMAGE``): the eigenvalue screening decomposes four
-  blocks of about a sixth of the size of A.
-- ``plant_phase_equations`` is the direct form the reference simulator
-  integrates, the equations of one phase leg written once and elementwise:
-  on floats for one phase, or on arrays for all three, as ``plant_rhs``
-  evaluates them on the 12 states. It is kept separate from the coefficient
-  model so that the simulator checks the lifted models against an
-  independent encoding.
+``plant_phase_equations`` is the one encoding of the plant, one phase leg
+written once and elementwise: on floats for one phase, on arrays for all
+three (``plant_rhs`` on the 12 states). The simulator integrates it, and
+both lifted models derive from it (the closed loop through
+``smallsignal._closed_loop_equations``): ``complex_step_jacobian`` samples
+the Jacobian at ``harmonic.instants(h)`` instants of a period (Squire &
+Trapp 1998), and ``lift_phase_samples`` lifts its FFT coefficients to
+T(A) - I kron Q, as the alternating frequency-time method does (Cameron &
+Griffin 1989).
+``LiftedModel.sequence_blocks`` splits a lifted A into its phase-sequence
+blocks, and each of those into its two halves under the half-wave
+operator (``HALF_WAVE_IMAGE``): the eigenvalue screening decomposes four
+blocks of about a sixth of the size of A.
 
 Insertion indices are (3, 2h+1) coefficient arrays (n_u, n_l), one row per
 phase a, b, c.
@@ -45,7 +43,7 @@ from .errors import (
     PhaseImbalanceError,
     UnknownVariableError,
 )
-from .harmonic import block_toeplitz, lift
+from .harmonic import block_toeplitz, fourier, lift
 
 PHASES = ("a", "b", "c")
 
@@ -82,6 +80,10 @@ SEQUENCE_DEFECT_RTOL = 1e-12
 
 
 _STATE_INDEX = {label: i for i, label in enumerate(STATE_LABELS)}
+
+# The positions in the state vector of each phase's states, in the argument
+# order of plant_phase_equations: i_c, v_cu, v_cl, i_g.
+PHASE_STATES = [[_STATE_INDEX[variable + phase] for variable in STATE_VARIABLES] for phase in PHASES]
 
 
 def state_position(variable: str, phase: str) -> int:
@@ -225,41 +227,42 @@ def plant_phase_equations(params: MmcParameters):
     return derivatives
 
 
-@dataclass(frozen=True)
-class PeriodicCoefficients:
-    """Linear time-periodic model dx/dt = A0(t) x + A1(t) dx/dt + B(t) u.
+def complex_step_jacobian(f, args, wrt) -> np.ndarray:
+    """(*S, outputs, len(wrt)) derivatives of the elementwise equations
+    ``f`` with respect to ``args[i]``, i in ``wrt``, by complex step (Squire
+    & Trapp 1998) in one call of ``f``; the real ``args`` broadcast to shape
+    S. Column c of a new last axis adds i s to ``args[wrt[c]]``, s a power
+    of two near 2^-100 max(|x|, 1), so a linear term's coefficient comes out
+    exactly as ``f`` computes it."""
+    columns = np.eye(len(wrt))
+    z = [np.asarray(x)[..., None] for x in args]
+    steps = []
+    for c, i in enumerate(wrt):
+        s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(args[i]), 1.0))[1] - 100)
+        z[i] = z[i] + 1j * s[..., None] * columns[c]
+        steps.append(s)
+    d = np.stack(np.broadcast_arrays(*f(*z)), axis=-2).imag
+    return d / np.stack(np.broadcast_arrays(*steps), axis=-1)[..., None, :]
 
-    The last axis of each tensor holds the Fourier coefficients k = -h..h
-    of its entries: A0 and A1 are (n, n, 2h+1), B is (n, m, 2h+1). A1 is
-    the load-inductance term L_load di_g/dt and is nonzero only in the i_g
-    columns.
-    """
 
-    omega1: float
-    A0: np.ndarray
-    A1: np.ndarray
-    B: np.ndarray
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Real (A, B) at time t with the A1 term solved out:
-        dx/dt = (I - A1)^-1 (A0 x + B u)."""
-        h = self.A0.shape[2] // 2
-        phasor = np.exp(1j * np.arange(-h, h + 1) * self.omega1 * t)
-        A0, A1, B = ((T @ phasor).real for T in (self.A0, self.A1, self.B))
-        lhs = np.eye(A0.shape[0]) - A1
-        return np.linalg.solve(lhs, A0), np.linalg.solve(lhs, B)
-
-    def lifted(self, state_labels, input_labels) -> "LiftedModel":
-        """Lifted model over harmonics -h..h; A is :func:`lift` of (A0, A1)
-        and B the block Toeplitz lift of B."""
-        return LiftedModel(
-            h=self.A0.shape[2] // 2,
-            omega1=self.omega1,
-            A=lift(self.A0, self.A1, self.omega1),
-            B=block_toeplitz(self.B),
-            state_labels=tuple(state_labels),
-            input_labels=tuple(input_labels),
-        )
+def lift_phase_samples(samples, states, inputs, h, omega1, state_labels, input_labels) -> LiftedModel:
+    """Lifted model of per-phase Jacobian samples (3, n, n + m, N) at the
+    instants t = j T / N: phase p's derivatives with respect to its n
+    states, at ``states[p]`` in the state vector, then to m inputs, at
+    ``inputs[p]`` in the input vector. Their coefficients k = -h..h
+    (``fourier``) are A(t) and B(t); A is ``lift`` of A(t) and B the block
+    Toeplitz lift of B(t)."""
+    coeffs = fourier(samples, h)
+    n = samples.shape[1]
+    shape = (len(state_labels), len(state_labels), 2 * h + 1)
+    A = np.zeros(shape, dtype=complex)
+    B = np.zeros((shape[0], len(input_labels), shape[2]), dtype=complex)
+    for p, rows in enumerate(states):
+        A[np.ix_(rows, rows)] = coeffs[p, :, :n]
+        B[np.ix_(rows, inputs[p])] = coeffs[p, :, n:]
+    return LiftedModel(
+        h, omega1, lift(A, omega1), block_toeplitz(B), tuple(state_labels), tuple(input_labels)
+    )
 
 
 @dataclass(frozen=True)
@@ -415,57 +418,3 @@ def _phase_sum(matrix: np.ndarray, index: np.ndarray, weights: np.ndarray, axis:
         part *= weights[p] if axis == 1 else weights[p][:, None]
         out += part
     return out
-
-
-def fold_terminal_voltage(A0: np.ndarray, A1: np.ndarray, g: np.ndarray, params: MmcParameters):
-    """Add each row's dependence on the ac terminal voltages in place.
-
-    ``g`` (n, 3, 2h+1) holds every row's coefficient of the phase voltages
-    v_g = R_load i_g + L_load di_g/dt; the resistive part enters A0 and the
-    inductive part A1, both in the i_g columns.
-    """
-    A0[:, 9:12] += params.R_load * g
-    A1[:, 9:12] += params.L_load * g
-
-
-def plant_coefficients(params: MmcParameters, n_u: np.ndarray, n_l: np.ndarray) -> PeriodicCoefficients:
-    """Coefficient model of the open-loop plant, input the dc-bus voltage.
-
-    ``n_u`` and ``n_l`` are (3, 2h+1) insertion-index coefficients per
-    phase; one column (h = 0) holds instantaneous index values. Per phase:
-
-        L di_c/dt  = -R i_c - (n_u v_cu + n_l v_cl)/2 + v_dc/2
-        C dv_cu/dt = n_u (i_c + i_g/2)
-        C dv_cl/dt = n_l (i_c - i_g/2)
-        L di_g/dt  = -n_u v_cu + n_l v_cl - R i_g - 2 v_g
-    """
-    k = n_u.shape[1]
-    one = np.zeros(k)
-    one[k // 2] = 1.0
-    L = params.L
-    C = params.C_arm
-    R = params.R
-    ph = np.arange(3)
-    i_c, v_cu, v_cl, i_g = ph, 3 + ph, 6 + ph, 9 + ph
-
-    A0 = np.zeros((12, 12, k), dtype=complex)
-    A0[i_c, i_c] = -R / L * one
-    A0[i_c, v_cu] = -n_u / (2.0 * L)
-    A0[i_c, v_cl] = -n_l / (2.0 * L)
-    A0[v_cu, i_c] = n_u / C
-    A0[v_cu, i_g] = n_u / (2.0 * C)
-    A0[v_cl, i_c] = n_l / C
-    A0[v_cl, i_g] = -n_l / (2.0 * C)
-    A0[i_g, v_cu] = -n_u / L
-    A0[i_g, v_cl] = n_l / L
-    A0[i_g, i_g] = -R / L * one
-
-    B = np.zeros((12, 1, k), dtype=complex)
-    B[i_c, 0] = one / (2.0 * L)
-
-    g = np.zeros((12, 3, k), dtype=complex)
-    g[i_g, ph] = -2.0 / L * one
-    A1 = np.zeros_like(A0)
-    fold_terminal_voltage(A0, A1, g, params)
-    return PeriodicCoefficients(params.omega1, A0, A1, B)
-

@@ -4,8 +4,9 @@ Fixed-step RK4, deterministic and bit-reproducible for identical inputs.
 Open-loop runs drive the plant with sinusoidal insertion indices;
 closed-loop runs add the per-phase proportional-resonant ac-voltage
 controller, with reference phasors that are constant over a run. The
-equations are written once, elementwise (``plant_phase_equations`` and
-``_closed_loop_equations``). On numpy arrays, ``_rk4`` advances a block of
+equations are written once, elementwise (``plant.plant_phase_equations``
+and ``smallsignal._closed_loop_equations``), and the lifted models are
+derived from the same functions. On numpy arrays, ``_rk4`` advances a block of
 state columns with shared references; a column runs exactly the
 operations of a single-vector run. One real closed-loop state runs as
 three per-phase systems on Python floats (``_closed_loop_floats``): the
@@ -35,7 +36,8 @@ is integrated step by step and shot by Newton (``settled_closed_loop``):
 each pass is one real float run over half a period, and the Jacobian of G
 is the exact derivative of that run's RK4 map (``_tangent_map``), block
 diagonal over the phases, from stage Jacobians by complex step (Squire &
-Trapp 1998) taken for every step in one array call.
+Trapp 1998) taken for every step in one array call
+(``plant.complex_step_jacobian``, as for the lifted models).
 A reference step in an exported closed-loop run is two runs, the second
 starting from the first one's final state with the stepped references
 (``pipelines.reference_step_run``).
@@ -56,8 +58,21 @@ from .errors import (
     ShootingError,
 )
 from .harmonic import HarmonicVector, analyze
-from .plant import PHASES, PHASE_SHIFT, MmcParameters, plant_phase_equations, plant_rhs, split_phase
-from .smallsignal import SMALLSIG_HALF_WAVE_IMAGE, SMALLSIG_STATE_LABELS, ControllerParams
+from .plant import (
+    PHASES,
+    PHASE_SHIFT,
+    MmcParameters,
+    complex_step_jacobian,
+    plant_rhs,
+    split_phase,
+)
+from .smallsignal import (
+    _PHASE_COLUMNS,
+    SMALLSIG_HALF_WAVE_IMAGE,
+    SMALLSIG_STATE_LABELS,
+    ControllerParams,
+    _closed_loop_equations,
+)
 from .steady import solve_lifted
 
 # A simulated state magnitude beyond this multiple of the dc-bus voltage
@@ -74,10 +89,6 @@ SHOOTING_DEFECT_TOL = 1e-10
 SHOOTING_MAX_ITERATIONS = 8
 
 _PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
-
-# The positions in the 18-state vector of each phase's six states, in the
-# argument order of _closed_loop_equations: i_c, v_cu, v_cl, i_g, x1, x2.
-_PHASE_COLUMNS = [list(range(p, 12, 3)) + [12 + 2 * p, 13 + 2 * p] for p in range(3)]
 
 
 @dataclass(frozen=True)
@@ -291,8 +302,7 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     The fixed point is solved as its deviation from rest, so the m = 0
     equilibrium comes out exact. The orbit lies on the grid of a
     ``simulate_open_loop`` run, so ``settling_profile`` measures the
-    shooting defect. Only the direct form ``plant_rhs`` is integrated,
-    never the coefficient model of the lifted solvers.
+    shooting defect.
 
     Raises SingularSystemError when the gated solve rejects I - Phi, and
     NotSettledError when the largest Floquet multiplier is not below one.
@@ -319,63 +329,6 @@ def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, f
             "the periodic orbit is not attracting"
         )
     return x, multiplier
-
-
-def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
-    """The closed-loop equations of one phase leg, as a function
-    (v_star, i_c, v_cu, v_cl, i_g, x1, x2) -> the time derivatives of
-    (i_c, v_cu, v_cl, i_g, x1, x2), with x1, x2 the PR controller states and
-    v_star the voltage reference at that instant.
-
-    As in ``plant_phase_equations``, which supplies the plant rows, every
-    operation is elementwise: the arguments are floats for one phase or
-    (3,) or (3, k) arrays for all three.
-
-    The insertion indices follow from the modulation voltage
-    v_mod = K_p (v* - v_g) + x1 + k_f v_g, n_u,l = 1/2 -+ v_mod / V_dc. With
-    an inductive load part the terminal voltage v_g = R_load i_g +
-    L_load di_g/dt depends on di_g/dt, which itself depends on the
-    insertion indices; that linear relation is solved in closed form, so no
-    inner iteration is needed. A zero denominator there raises
-    ZeroDivisionError on floats and gives inf on arrays.
-
-    Raises ValueError for V_dc = 0, where the index law is undefined.
-    """
-    plant = plant_phase_equations(params)
-    v_dc = params.V_dc
-    if v_dc == 0.0:
-        raise ValueError("the closed loop needs a nonzero V_dc: its insertion indices divide by it")
-    # Reciprocals, as numpy's complex division uses: a real column runs as a real run.
-    inv_v_dc = 1.0 / v_dc
-    K_p = ctrl.K_p
-    K_r = ctrl.K_r
-    w1sq = params.omega1 ** 2
-    R_L = params.R_load
-    L_L = params.L_load
-    kd = ctrl.k_f - ctrl.K_p
-    kd_R_L = kd * R_L
-    kd_L_L = kd * L_L
-    R_g = params.R + 2.0 * R_L
-    L_g = params.L + 2.0 * L_L
-
-    def derivatives(v_star, i_c, v_cu, v_cl, i_g, x1, x2):
-        # v_mod is w + kd L_load di_g/dt, and the plant's
-        # (L + 2 L_load) di_g/dt = -n_u v_cu + n_l v_cl - (R + 2 R_load) i_g
-        # becomes linear in di_g/dt.
-        sigma = (v_cu + v_cl) * inv_v_dc
-        w = K_p * v_star + x1 + kd_R_L * i_g
-        di_g = (sigma * w - 0.5 * (v_cu - v_cl) - R_g * i_g) * (1.0 / (L_g - kd_L_L * sigma))
-        v_mod = w + kd_L_L * di_g
-        v_g = R_L * i_g + L_L * di_g
-        n_u = 0.5 - v_mod * inv_v_dc
-        n_l = 0.5 + v_mod * inv_v_dc
-        return (
-            *plant(i_c, v_cu, v_cl, i_g, n_u, n_l, v_dc),
-            -w1sq * x2 + K_r * (v_star - v_g),
-            x1,
-        )
-
-    return derivatives
 
 
 def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.ndarray):
@@ -573,9 +526,8 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
     diagonal over them (``_PHASE_COLUMNS``). The four RK4 stage states of
     every step are recomputed from the run on (3, n) arrays, and every stage
     Jacobian A = df/dy is taken by complex step in one call of
-    ``_closed_loop_equations``, on arguments of shape (6 states, 3 phases,
-    4 stages, n steps, 6 columns) with y + i s_c e_c in column c,
-    s = 1e-30 max(|y|, 1). Step i's matrix is the derivative of its RK4
+    ``_closed_loop_equations`` on (3 phases, 4 stages, n steps) arguments
+    (``complex_step_jacobian``). Step i's matrix is the derivative of its RK4
     update, M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A1,
     K2 = A2 (I + dt/2 K1), K3 = A3 (I + dt/2 K2), K4 = A4 (I + dt K3), and
     the steps are multiplied in pairs, about log2(n) batched products. The
@@ -605,10 +557,8 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
         y3 = y1 + half * np.array(f(v2, *y2))
         y4 = y1 + dt * np.array(f(v2, *y3))
         y = np.stack([y1, y2, y3, y4], axis=2)  # (6, 3, 4, n)
-        s = 1e-30 * np.maximum(np.abs(y), 1.0)
-        z = y[..., None] + 1j * s[..., None] * eye[:, None, None, None, :]
-        v = np.stack([v1, v2, v2, v4], axis=1)[..., None]
-        a = np.stack(f(v, *z), axis=-2).imag / np.moveaxis(s, 0, -1)[..., None, :]
+        v = np.stack([v1, v2, v2, v4], axis=1)
+        a = complex_step_jacobian(f, (v, *y), range(1, 7))  # (3, 4, n, 6, 6)
         k1 = a[:, 0]
         k2 = a[:, 1] @ (eye + half * k1)
         k3 = a[:, 2] @ (eye + half * k2)
@@ -654,8 +604,7 @@ def settled_closed_loop(
     relative defect is max_i |G(x)_i - x_i| / RMS_i, with RMS_i the RMS of
     state i over the period (1 where that is 0); Newton stops when it is at
     or below ``SHOOTING_DEFECT_TOL``. The returned period is the last
-    half-period run followed by H applied to its rows. Only the direct form
-    of ``_closed_loop_rhs`` is integrated, never the coefficient model.
+    half-period run followed by H applied to its rows.
 
     Raises ValueError for an odd ``steps_per_period``, which has no grid
     point at half a period; ShootingError (carrying the iteration count and

@@ -11,14 +11,12 @@ with H_v(s) = K_p + K_r s / (s^2 + w1^2) realized per phase by two states:
 
     dx1/dt = -w1^2 x2 + K_r e,   dx2/dt = x1,   y = x1.
 
-Linearizing about a harmonic operating point extends the plant's
-coefficient model with the controller rows and the periodic gain columns
-(the F vectors): ``compute_f_coefficients`` returns this closed-loop
-``PeriodicCoefficients``, and each F vector is an entry of its tensors.
-The same lift as the steady model (``PeriodicCoefficients.lifted``) turns
-it into an 18-block ``LiftedModel`` whose inputs are the dc-bus
-perturbation and the three per-phase voltage-reference perturbations;
-``time_domain_linearized_A`` evaluates it at one instant.
+The lifted model derives from the closed-loop equations the simulator
+integrates (``_closed_loop_equations``): their complex-step Jacobian on the
+operating orbit at ``instants(h)`` instants (``_closed_loop_samples``),
+lifted as the steady model is (``lift_phase_samples``) to an 18-block
+``LiftedModel`` with inputs v_dc and the three voltage references.
+``time_domain_linearized_A`` is that Jacobian at one instant.
 
 Eigenvalue screening (``eigenvalues``) uses two symmetries of the model:
 the lifted A is block diagonal over the three phase sequences and, within
@@ -46,18 +44,19 @@ from .errors import (
     ResidualImaginaryError,
     UnknownVariableError,
 )
-from .harmonic import HarmonicVector, synthesize
+from .harmonic import HarmonicVector, instants, sample, synthesize
 from .plant import (
     HALF_WAVE_IMAGE,
+    PHASE_STATES,
     PHASES,
     STATE_LABELS,
     LiftedModel,
     MmcParameters,
-    PeriodicCoefficients,
-    fold_terminal_voltage,
-    plant_coefficients,
+    complex_step_jacobian,
+    lift_phase_samples,
+    plant_phase_equations,
 )
-from .steady import OperatingPoint, solve_lifted
+from .steady import OperatingPoint, plant_samples, solve_lifted
 
 PR_LABELS = ("pr_a1", "pr_a2", "pr_b1", "pr_b2", "pr_c1", "pr_c2")
 SMALLSIG_STATE_LABELS = STATE_LABELS + PR_LABELS
@@ -83,75 +82,110 @@ class ControllerParams:
             raise ValueError("K_p and K_r must be >= 0")
 
 
-def compute_f_coefficients(
-    op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams
-) -> PeriodicCoefficients:
-    """Closed-loop coefficient model linearized about an operating point.
+# The positions in the 18-state vector of each phase's six states, in the
+# argument order of _closed_loop_equations: i_c, v_cu, v_cl, i_g, x1, x2.
+_PHASE_COLUMNS = [PHASE_STATES[p] + [12 + 2 * p, 13 + 2 * p] for p in range(len(PHASES))]
 
-    States are ``SMALLSIG_STATE_LABELS`` and inputs ``SMALLSIG_INPUT_LABELS``.
-    The plant rows are the plant's coefficient model at the operating
-    indices. The controller acts through the modulation voltage v_mod,
-    which moves the indices as n_u = 1/2 - v_mod/V_dc and
-    n_l = 1/2 + v_mod/V_dc. With all controller gains zero the set
-    collapses to the open-loop couplings.
+
+def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
+    """The closed-loop equations of one phase leg, as a function
+    (v_star, i_c, v_cu, v_cl, i_g, x1, x2) -> the time derivatives of
+    (i_c, v_cu, v_cl, i_g, x1, x2), with x1, x2 the PR controller states and
+    v_star the voltage reference at that instant.
+
+    As in ``plant_phase_equations``, which supplies the plant rows, every
+    operation is elementwise: the arguments are floats for one phase or
+    (3,) or (3, k) arrays for all three.
+
+    The insertion indices follow from the modulation voltage
+    v_mod = K_p (v* - v_g) + x1 + k_f v_g, n_u,l = 1/2 -+ v_mod / V_dc. With
+    an inductive load part the terminal voltage v_g = R_load i_g +
+    L_load di_g/dt depends on di_g/dt, which itself depends on the
+    insertion indices; that linear relation is solved in closed form, so no
+    inner iteration is needed. A zero denominator there raises
+    ZeroDivisionError on floats and gives inf on arrays.
+
+    Raises ValueError for V_dc = 0, where the index law is undefined.
     """
-    plant = plant_coefficients(params, op.n_u, op.n_l)
-    k = 2 * op.h + 1
-    one = np.zeros(k)
-    one[op.h] = 1.0
-    i_c, v_cu, v_cl, i_g = op.coeffs.reshape(4, 3, k)
-    L = params.L
-    C = params.C_arm
+    plant = plant_phase_equations(params)
     v_dc = params.V_dc
+    if v_dc == 0.0:
+        raise ValueError("the closed loop needs a nonzero V_dc: its insertion indices divide by it")
+    # Reciprocals, as numpy's complex division uses: a real column runs as a real run.
+    inv_v_dc = 1.0 / v_dc
+    K_p = ctrl.K_p
+    K_r = ctrl.K_r
+    w1sq = params.omega1 ** 2
+    R_L = params.R_load
+    L_L = params.L_load
+    kd = ctrl.k_f - ctrl.K_p
+    kd_R_L = kd * R_L
+    kd_L_L = kd * L_L
+    R_g = params.R + 2.0 * R_L
+    L_g = params.L + 2.0 * L_L
 
-    # Plant-row response to each phase's modulation voltage at the
-    # operating point (the F vectors); the lower-arm row carries the minus
-    # sign of its arm current i_c - i_g/2.
-    ph = np.arange(3)
-    dv_mod = np.zeros((12, 3, k), dtype=complex)
-    dv_mod[ph, ph] = (1.0 / (2.0 * L * v_dc)) * (v_cu - v_cl)
-    dv_mod[3 + ph, ph] = (-1.0 / (C * v_dc)) * (i_c + 0.5 * i_g)
-    dv_mod[6 + ph, ph] = (1.0 / (C * v_dc)) * (i_c - 0.5 * i_g)
-    dv_mod[9 + ph, ph] = (1.0 / (L * v_dc)) * (v_cu + v_cl)
+    def derivatives(v_star, i_c, v_cu, v_cl, i_g, x1, x2):
+        # v_mod is w + kd L_load di_g/dt, and the plant's
+        # (L + 2 L_load) di_g/dt = -n_u v_cu + n_l v_cl - (R + 2 R_load) i_g
+        # becomes linear in di_g/dt.
+        sigma = (v_cu + v_cl) * inv_v_dc
+        w = K_p * v_star + x1 + kd_R_L * i_g
+        di_g = (sigma * w - 0.5 * (v_cu - v_cl) - R_g * i_g) * (1.0 / (L_g - kd_L_L * sigma))
+        v_mod = w + kd_L_L * di_g
+        v_g = R_L * i_g + L_L * di_g
+        n_u = 0.5 - v_mod * inv_v_dc
+        n_l = 0.5 + v_mod * inv_v_dc
+        return (
+            *plant(i_c, v_cu, v_cl, i_g, n_u, n_l, v_dc),
+            -w1sq * x2 + K_r * (v_star - v_g),
+            x1,
+        )
 
-    x1, x2 = 12 + 2 * ph, 13 + 2 * ph
-    A0 = np.zeros((18, 18, k), dtype=complex)
-    A1 = np.zeros_like(A0)
-    B = np.zeros((18, len(SMALLSIG_INPUT_LABELS), k), dtype=complex)
-    A0[:12, :12], A1[:12, :12], B[:12, :1] = plant.A0, plant.A1, plant.B
+    return derivatives
 
-    # Controller per phase, with the error e = v* - v_g:
-    #   v_mod = K_p e + x1 + k_f v_g,  dx1/dt = -w1^2 x2 + K_r e,  dx2/dt = x1.
-    error_gain = np.zeros((18, 3, k), dtype=complex)
-    error_gain[:12] = ctrl.K_p * dv_mod
-    error_gain[x1, ph] = ctrl.K_r * one
-    B[:, 1:] = error_gain
-    A0[:12, x1] = dv_mod
-    A0[x1, x2] = -params.omega1**2 * one
-    A0[x2, x1] = one
-    # Every row's coefficient of v_g: through -e and the feed-forward term.
-    g = -error_gain
-    g[:12] += ctrl.k_f * dv_mod
 
-    fold_terminal_voltage(A0, A1, g, params)
-    return PeriodicCoefficients(params.omega1, A0, A1, B)
+def _closed_loop_samples(
+    op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams, t0: float = 0.0
+) -> np.ndarray:
+    """Complex-step Jacobian samples (3, 6, 7, N) of
+    ``_closed_loop_equations`` per phase with respect to its six states
+    (``_PHASE_COLUMNS`` order) and v*, on the operating orbit at the N =
+    ``instants(op.h)`` instants t0 + j T / N, all 18 rows sampled by one
+    inverse FFT.
+
+    The equations see v* and x1 only through the modulation voltage, so the
+    samples take v* = 0 and the PR states ``operating_controller_states``
+    gives with zero references: no reference phasor is needed, which an
+    order-0 point lacks.
+    """
+    prs = operating_controller_states(op, params, ctrl, {p: 0.0 for p in PHASES})
+    rows = np.concatenate([op.coeffs, [prs[p][i].coeffs for p in PHASES for i in (0, 1)]])
+    k = np.arange(-op.h, op.h + 1)
+    x = sample(rows * np.exp(1j * k * params.omega1 * t0), instants(op.h))
+    y = x[np.transpose(_PHASE_COLUMNS)]  # (6, 3, N)
+    jacobian = complex_step_jacobian(
+        _closed_loop_equations(params, ctrl), (np.zeros_like(y[0]), *y), (1, 2, 3, 4, 5, 6, 0)
+    )
+    return np.moveaxis(jacobian, 1, -1)
 
 
 def assemble_smallsignal(
     op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams, h: int
 ) -> LiftedModel:
-    """Lift the closed-loop coefficient model about an operating point.
-
-    The load-inductance term enters as T(A1) Q, the part of the lifted
-    derivative that the periodic orbit itself carries.
+    """Lifted closed-loop model about an operating point, derived from the
+    closed-loop equations (``_closed_loop_samples``). The v_dc input is the
+    plant's own dc-bus term, the steady model's input (``plant_samples``).
     """
     if h != op.h:
         raise DimensionMismatchError(
             f"operating point solved at order {op.h}, model requested {h}"
         )
-
-    return compute_f_coefficients(op, params, ctrl).lifted(
-        SMALLSIG_STATE_LABELS, SMALLSIG_INPUT_LABELS
+    closed = _closed_loop_samples(op, params, ctrl)
+    dc = np.zeros_like(closed[:, :, :1])
+    dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
+    return lift_phase_samples(
+        np.concatenate([closed, dc], axis=2), _PHASE_COLUMNS, [[1 + p, 0] for p in range(len(PHASES))],
+        h, params.omega1, SMALLSIG_STATE_LABELS, SMALLSIG_INPUT_LABELS,
     )
 
 
@@ -200,10 +234,10 @@ def references_from_operating_point(op: OperatingPoint, params: MmcParameters) -
 
 
 def reference_spectrum(phasor: complex, h: int, omega1: float) -> HarmonicVector:
-    """Fundamental-only harmonic vector of Re(phasor * exp(j w1 t))."""
-    return HarmonicVector.from_dict(
-        {+1: 0.5 * phasor, -1: 0.5 * np.conj(phasor)}, h, omega1
-    )
+    """Fundamental-only harmonic vector of Re(phasor * exp(j w1 t)),
+    truncated at order h: zero at h = 0."""
+    pair = {+1: 0.5 * phasor, -1: 0.5 * np.conj(phasor)} if h >= 1 else {}
+    return HarmonicVector.from_dict(pair, h, omega1)
 
 
 def operating_controller_states(
@@ -260,14 +294,14 @@ def time_domain_linearized_A(
     ctrl: ControllerParams,
     t: float,
 ) -> np.ndarray:
-    """Instantaneous 18x18 closed-loop Jacobian at time t on the operating orbit.
-
-    This is the closed-loop coefficient model evaluated at one instant, so
-    it is exactly what the lifted blocks represent in the time domain (the
-    frequency-translation diagonals excluded). An inductive load part is
-    solved out there (``PeriodicCoefficients.at``).
-    """
-    return compute_f_coefficients(op, params, ctrl).at(t)[0]
+    """Instantaneous 18x18 closed-loop Jacobian at time t on the operating
+    orbit: the complex-step Jacobian the lifted A is the lift of
+    (``_closed_loop_samples``), at one instant."""
+    a = _closed_loop_samples(op, params, ctrl, t)[:, :, :6, 0]
+    out = np.zeros((18, 18))
+    for p, c in enumerate(_PHASE_COLUMNS):
+        out[np.ix_(c, c)] = a[p]
+    return out
 
 
 @dataclass(frozen=True)

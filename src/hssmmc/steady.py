@@ -1,8 +1,9 @@
 """Lifted steady-state model of the open-loop MMC and its harmonic
 operating-point solver.
 
-The plant's coefficient model at the open-loop insertion indices is lifted
-to truncation order h (``PeriodicCoefficients.lifted``), giving a
+The plant equations are differentiated by complex step at the insertion
+indices of ``instants(h)`` instants of a period (``plant_samples``) and
+lifted to truncation order h (``lift_phase_samples``), giving a
 12*(2h+1)-square complex matrix whose blocks are Toeplitz operators of the
 periodic coefficients plus the diagonal differentiation terms. Setting the
 lifted derivative to zero yields the periodic operating point directly from
@@ -22,14 +23,17 @@ from .errors import (
     SingularSystemError,
     UnknownVariableError,
 )
-from .harmonic import SYMMETRY_RTOL, HarmonicVector, synthesize
+from .harmonic import SYMMETRY_RTOL, HarmonicVector, instants, sample, synthesize
 from .plant import (
+    PHASE_STATES,
     PHASES,
     STATE_LABELS,
     STATE_VARIABLES,
     LiftedModel,
     MmcParameters,
-    plant_coefficients,
+    complex_step_jacobian,
+    lift_phase_samples,
+    plant_phase_equations,
     state_position,
 )
 
@@ -48,20 +52,44 @@ RESIDUAL_RTOL = 1e-9
 SYMMETRY_FLOOR = 1e-4
 
 
+def plant_samples(params: MmcParameters, indices: tuple[np.ndarray, np.ndarray], h: int) -> np.ndarray:
+    """Complex-step Jacobian samples (3, 4, 5, N) of
+    ``plant_phase_equations`` per phase with respect to (i_c, v_cu, v_cl,
+    i_g, v_dc), at the insertion indices (n_u, n_l) at N = ``instants(h)``
+    instants. The plant is linear in its states, taken at zero.
+
+    Raises DimensionMismatchError for indices of another order, and
+    ResidualImaginaryError for indices that are not conjugate symmetric: a
+    complex step reads only imaginary parts, so complex index values would
+    give a wrong Jacobian.
+    """
+    n = np.stack(indices)
+    if n.shape[-1] != 2 * h + 1:
+        raise DimensionMismatchError(
+            f"insertion indices built at order {n.shape[-1] // 2}, model requested {h}"
+        )
+    defect = float(np.max(np.abs(n[..., ::-1] - n.conj()))) / (float(np.max(np.abs(n))) or 1.0)
+    if not defect <= SYMMETRY_RTOL:
+        raise ResidualImaginaryError(
+            f"insertion indices violate conjugate symmetry (defect {defect:.3e})"
+        )
+    n_u, n_l = sample(n, instants(h))
+    zero = np.zeros_like(n_u)
+    jacobian = complex_step_jacobian(
+        plant_phase_equations(params), (zero, zero, zero, zero, n_u, n_l, params.V_dc), (0, 1, 2, 3, 6)
+    )
+    return np.moveaxis(jacobian, 1, -1)
+
+
 def assemble_steady(
     params: MmcParameters, indices: tuple[np.ndarray, np.ndarray], h: int
 ) -> LiftedModel:
-    """Lift the plant's coefficient model at the insertion indices (n_u, n_l).
-
-    With a load inductance the phase-current diagonal blocks carry the
-    per-harmonic load impedance, through the A1 term of the lift.
-    """
-    n_u, n_l = indices
-    if n_u.shape[-1] != 2 * h + 1:
-        raise DimensionMismatchError(
-            f"insertion indices built at order {n_u.shape[-1] // 2}, model requested {h}"
-        )
-    return plant_coefficients(params, n_u, n_l).lifted(STATE_LABELS, ("v_dc",))
+    """Lifted plant model at the insertion indices (n_u, n_l), input the
+    dc-bus voltage, derived from the plant equations (``plant_samples``)."""
+    return lift_phase_samples(
+        plant_samples(params, indices, h), PHASE_STATES, [[0]] * len(PHASES), h,
+        params.omega1, STATE_LABELS, ("v_dc",),
+    )
 
 
 def dc_input_vector(v_dc: float, h: int) -> np.ndarray:

@@ -11,7 +11,13 @@ import pytest
 from hssmmc import MmcParameters
 from hssmmc.config import load_config
 from hssmmc.pipelines import SmallsigContext, solve_operating_point
-from hssmmc.plant import PHASE_SHIFT, PHASES, plant_phase_equations
+from hssmmc.plant import (
+    PHASE_SHIFT,
+    PHASE_STATES,
+    PHASES,
+    complex_step_jacobian,
+    plant_phase_equations,
+)
 from hssmmc.simulate import Trajectory, _check_blowup, default_initial_state, settled_open_loop
 
 
@@ -123,6 +129,20 @@ def random_real_vector(rng, h, omega1, scale=1.0):
     c = rng.normal(size=2 * h + 1) + 1j * rng.normal(size=2 * h + 1)
     c = 0.5 * (c + np.conj(c[::-1])) * scale
     return HarmonicVector(h, omega1, c)
+
+
+def state_space_at(p, n_u, n_l):
+    """Instantaneous (A, B) of the plant for index values (3,) n_u and n_l:
+    the complex-step Jacobian of the direct-form equations that the lifted
+    models sample, with respect to the states and v_dc."""
+    zero = np.zeros(3)
+    args = (zero, zero, zero, zero, np.asarray(n_u, float), np.asarray(n_l, float), p.V_dc)
+    jacobian = complex_step_jacobian(plant_phase_equations(p), args, (0, 1, 2, 3, 6))
+    A, B = np.zeros((12, 12)), np.zeros((12, 1))
+    for phase, rows in enumerate(PHASE_STATES):
+        A[np.ix_(rows, rows)] = jacobian[phase, :, :4]
+        B[rows, 0] = jacobian[phase, :, 4]
+    return A, B
 
 
 def block(model, row, col=None):

@@ -3,7 +3,7 @@
 import pytest
 
 from hssmmc.cli import main
-from hssmmc.plant import plant_coefficients
+from hssmmc.plant import plant_phase_equations
 
 from conftest import half_wave_broken, unbalanced, with_nan
 
@@ -222,13 +222,19 @@ class TestSteadyScenario:
     def test_sign_error_in_lift_fails_energy_balance(self, fast_config, tmp_path, monkeypatch):
         from hssmmc import steady
 
-        def flipped(params, n_u, n_l):
-            # Wrong sign of the upper-capacitor voltage in the phase-current rows.
-            model = plant_coefficients(params, n_u, n_l)
-            model.A0[9:12, 3:6] *= -1.0
-            return model
+        def flipped(params):
+            # Wrong sign of the inserted upper-arm voltage in the phase-current
+            # equation: +n_u v_cu where the plant has -n_u v_cu.
+            equations = plant_phase_equations(params)
+            inv_L_g = 1.0 / (params.L + 2.0 * params.L_load)
 
-        monkeypatch.setattr(steady, "plant_coefficients", flipped)
+            def derivatives(i_c, v_cu, v_cl, i_g, n_u, n_l, v_dc):
+                *rest, di_g = equations(i_c, v_cu, v_cl, i_g, n_u, n_l, v_dc)
+                return (*rest, di_g + 2.0 * n_u * v_cu * inv_L_g)
+
+            return derivatives
+
+        monkeypatch.setattr(steady, "plant_phase_equations", flipped)
         out = tmp_path / "out"
         assert main(["steady", "--config", fast_config, "--out", str(out), "--no-timestamp"]) == 1
         assert "[FAIL] energy balance: " in (out / "report.txt").read_text()

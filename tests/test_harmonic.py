@@ -12,11 +12,12 @@ from hssmmc import (
     OrderMismatchError,
     ResidualImaginaryError,
     analyze,
-    convolve,
     frequency_matrix,
     synthesize,
     toeplitz,
 )
+from hssmmc.harmonic import fourier, instants, sample
+
 from conftest import random_real_vector
 
 W1 = 314.0
@@ -198,76 +199,51 @@ class TestAnalyze:
             analyze(np.zeros(27), 3, W1)
 
 
-class TestConvolve:
-    def test_identity_element(self):
-        rng = np.random.default_rng(7)
-        b = random_real_vector(rng, 3, W1)
-        one = HarmonicVector.constant(1.0, 3, W1)
-        out = convolve(one, b)
-        assert np.allclose(out.coeffs, b.coeffs, atol=1e-15)
-
-    def test_commutativity(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            a = random_real_vector(rng, 4, W1)
-            b = random_real_vector(rng, 4, W1)
-            ab = convolve(a, b)
-            ba = convolve(b, a)
-            assert np.allclose(ab.coeffs, ba.coeffs, atol=1e-12)
-
-    def test_cosine_squared(self):
-        c = HarmonicVector.from_dict({1: 0.5, -1: 0.5}, 3, W1)
-        cc = convolve(c, c)
-        assert cc[0] == pytest.approx(0.5, abs=1e-15)
-        assert cc[2] == pytest.approx(0.25, abs=1e-15)
-
-    def test_matches_toeplitz_route(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = random_real_vector(rng, 3, W1)
-            b = random_real_vector(rng, 3, W1)
-            direct = convolve(a, b)
-            via_matrix = toeplitz(a) @ b.coeffs
-            assert np.allclose(direct.coeffs, via_matrix, atol=1e-12)
-
-    def test_order_mismatch(self):
-        with pytest.raises(OrderMismatchError):
-            convolve(HarmonicVector(2, W1, np.zeros(5)), HarmonicVector(3, W1, np.zeros(7)))
-
-    def test_synthesis_consistency_band_limited(self):
-        # Exact when bandwidth(a) + bandwidth(b) <= h.
-        rng = np.random.default_rng(10)
-        h = 7
-        a = zero_padded(random_real_vector(rng, 3, W1), h)
-        b = zero_padded(random_real_vector(rng, 3, W1), h)
-        ab = convolve(a, b)
-        for t in rng.uniform(0, 0.02, size=10):
-            assert synthesize(ab, t) == pytest.approx(
-                synthesize(a, t) * synthesize(b, t), rel=1e-9, abs=1e-9
-            )
-
-    def test_symmetry_preserved(self):
-        rng = np.random.default_rng(11)
-        a = random_real_vector(rng, 4, W1)
-        b = random_real_vector(rng, 4, W1)
-        assert convolve(a, b).is_real_signal()
-        assert HarmonicVector(4, W1, toeplitz(a) @ b.coeffs).is_real_signal()
-
-
 @settings(max_examples=50, deadline=None)
 @given(h=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
 def test_product_routes_agree(h, seed):
     # Bandwidths at most h/2 keep the product inside the band, so the
-    # Toeplitz product, the convolution and the sampled time-domain product
-    # are the same spectrum up to round-off.
+    # Toeplitz product, the sampled time-domain product and the product of
+    # the lifted models' sampling FFTs are the same spectrum up to round-off.
     rng = np.random.default_rng(seed)
     a = zero_padded(random_real_vector(rng, h // 2, W1), h)
     b = zero_padded(random_real_vector(rng, h // 2, W1), h)
     via_toeplitz = toeplitz(a) @ b.coeffs
-    via_convolve = convolve(a, b).coeffs
     n = 4 * (2 * h + 1)
     t = np.arange(n) * (2 * np.pi / W1) / n
     via_samples = analyze(synthesize(a, t) * synthesize(b, t), h, W1).coeffs
+    a_t, b_t = sample(np.stack([a.coeffs, b.coeffs]), instants(h))
+    via_fft = fourier(a_t * b_t, h)
     scale = np.max(np.abs(a.coeffs)) * np.max(np.abs(b.coeffs)) * (2 * h + 1)
-    assert np.max(np.abs(via_toeplitz - via_convolve)) <= 1e-14 * scale
-    assert np.max(np.abs(via_samples - via_convolve)) <= 1e-14 * scale
+    assert np.max(np.abs(via_samples - via_toeplitz)) <= 1e-14 * scale
+    assert np.max(np.abs(via_fft - via_toeplitz)) <= 1e-14 * scale
+
+
+class TestSampling:
+    def test_instants_are_the_smallest_power_of_two_of_eight_per_order(self):
+        for h in range(40):
+            n = instants(h)
+            assert n & (n - 1) == 0 and n // 2 < 8 * (h + 1) <= n
+
+    @settings(max_examples=50, deadline=None)
+    @given(h=st.integers(0, 15), seed=st.integers(0, 2**32 - 1))
+    def test_fourier_inverts_sample(self, h, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = np.stack([random_real_vector(rng, h, W1).coeffs for _ in range(3)])
+        values = sample(coeffs, instants(h))
+        t = np.arange(instants(h)) * (2 * np.pi / W1) / instants(h)
+        direct = np.array([synthesize(HarmonicVector(h, W1, c), t) for c in coeffs])
+        scale = np.max(np.abs(coeffs)) * (2 * h + 1)
+        assert np.max(np.abs(values - direct)) <= 1e-14 * scale
+        assert np.max(np.abs(fourier(values, h) - coeffs)) <= 1e-14 * scale
+
+    def test_constants_are_exact(self):
+        # A power-of-two count keeps a constant exact through both FFTs.
+        rng = np.random.default_rng(12)
+        for h in (0, 1, 3, 7, 15, 30):
+            c = rng.normal(size=(50, 1)) * 10.0 ** rng.uniform(-6, 6, size=(50, 1))
+            coeffs = np.zeros((50, 2 * h + 1), dtype=complex)
+            coeffs[:, h] = c[:, 0]
+            values = sample(coeffs, instants(h))
+            assert np.array_equal(values, np.broadcast_to(c, values.shape))
+            assert np.array_equal(fourier(values, h), coeffs)

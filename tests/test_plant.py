@@ -12,14 +12,11 @@ from hssmmc import (
     synthesize,
     toeplitz,
 )
-from hssmmc.plant import PHASES, plant_coefficients, state_position
+from hssmmc.plant import PHASES, state_position
+
+from conftest import state_space_at
 
 W1 = 314.0
-
-
-def state_space_at(p, n_u, n_l):
-    """Instantaneous (A, B) of the plant for index values (3,) n_u and n_l."""
-    return plant_coefficients(p, np.asarray(n_u)[:, None], np.asarray(n_l)[:, None]).at(0.0)
 
 
 def sec3_like():

@@ -13,7 +13,6 @@ from hssmmc import (
     SingularSystemError,
     assemble_smallsignal,
     assemble_steady,
-    compute_f_coefficients,
     dc_input_vector,
     eigenvalues,
     envelope_response,
@@ -32,7 +31,6 @@ from hssmmc.errors import (
 from hssmmc.plant import HALF_WAVE_IMAGE, split_phase
 from hssmmc.smallsignal import (
     EnvelopeResponse,
-    SMALLSIG_INPUT_LABELS,
     SMALLSIG_STATE_LABELS,
     lifted_reference_step,
     load_voltage_spectrum,
@@ -47,7 +45,6 @@ from hssmmc.simulate import _closed_loop_rhs
 from conftest import block, half_wave_broken, unbalanced, with_nan
 
 W1 = 314.0
-S = SMALLSIG_STATE_LABELS.index
 
 
 def sec3_like():
@@ -89,24 +86,41 @@ class TestControllerParams:
             assert H_ss == pytest.approx(H_ref, rel=1e-9)
 
 
+def coefficients(model, row, col):
+    """Coefficients k = -h..h of entry (row, col) of the periodic A(t) the
+    lifted A is the lift of, or of B(t) for an input label: the k = 0
+    column of its lifted block, a Toeplitz operator there (the frequency
+    matrix is zero at k = 0)."""
+    return block(model, row, col)[:, model.h]
+
+
+def assert_coefficients_equal(actual, expected):
+    """Equal to rounding in every slot: within 1e-14 of the largest expected
+    coefficient. A sampled derivation carries its rounding into the slots
+    that are zero in exact arithmetic, at about 1e-17 of the scale."""
+    assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 class TestFCoefficients:
+    # The gain columns of the derived closed-loop model: the plant rows'
+    # response to the modulation voltage through the PR state x1.
     def test_feedforward_equal_proportional(self):
         p = sec3_like()
         op = solve(p, 0.5, 3)
         ctrl = ControllerParams(K_p=0.7, K_r=100.0, k_f=0.7)
-        fc = compute_f_coefficients(op, p, ctrl)
+        model = assemble_smallsignal(op, p, ctrl, 3)
         for i, ph in enumerate(("a", "b", "c")):
-            assert np.max(np.abs(fc.A0[S(f"i_c{ph}"), S(f"i_g{ph}")])) == 0.0
+            assert np.max(np.abs(coefficients(model, f"i_c{ph}", f"i_g{ph}"))) == 0.0
             expected = (1.0 / (2 * p.C_arm)) * op.n_u[i]
-            assert np.allclose(fc.A0[S(f"v_cu{ph}"), S(f"i_g{ph}")], expected, atol=1e-18)
+            assert_coefficients_equal(coefficients(model, f"v_cu{ph}", f"i_g{ph}"), expected)
 
     def test_zero_modulation_point(self):
         p = sec3_like()
         op = solve(p, 0.0, 3)
-        fc = compute_f_coefficients(op, p, ctrl_default())
+        model = assemble_smallsignal(op, p, ctrl_default(), 3)
         for ph in ("a", "b", "c"):
-            assert np.max(np.abs(fc.A0[S(f"i_c{ph}"), S(f"pr_{ph}1")])) <= 1e-12 / p.L
-            i2 = fc.A0[S(f"i_g{ph}"), S(f"pr_{ph}1")]
+            assert np.max(np.abs(coefficients(model, f"i_c{ph}", f"pr_{ph}1"))) <= 1e-12 / p.L
+            i2 = coefficients(model, f"i_g{ph}", f"pr_{ph}1")
             assert i2[3] == pytest.approx(2.0 / p.L, rel=1e-9)
             assert np.max(np.abs(np.delete(i2, 3))) <= 1e-9 / p.L
 
@@ -114,22 +128,22 @@ class TestFCoefficients:
         # A dc unit on the controller state drives the circulating current
         # with the capacitor voltage imbalance spectrum.
         p = sec3_like()
-        fc = compute_f_coefficients(sec3_op, p, ctrl_default())
-        gamma = toeplitz(fc.A0[S("i_ca"), S("pr_a1")])
+        model = assemble_smallsignal(sec3_op, p, ctrl_default(), 3)
+        gamma = block(model, "i_ca", "pr_a1")
         unit = np.zeros(7, dtype=complex)
         unit[3] = 1.0
         response = gamma @ unit
         imbalance = sec3_op.spectrum("v_cu", "a") - sec3_op.spectrum("v_cl", "a")
         expected = imbalance.coeffs / (2 * p.L * p.V_dc)
-        assert np.allclose(response, expected, atol=1e-18)
+        assert_coefficients_equal(response, expected)
 
     def test_gains_zero_lower_capacitor_column_matches_open_loop(self):
         p = sec3_like()
         op = solve(p, 0.5, 3)
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
-        fc = compute_f_coefficients(op, p, ctrl)
+        model = assemble_smallsignal(op, p, ctrl, 3)
         expected = (-1.0 / (2 * p.C_arm)) * op.n_l[0]
-        assert np.allclose(fc.A0[S("v_cla"), S("i_ga")], expected, atol=1e-18)
+        assert_coefficients_equal(coefficients(model, "v_cla", "i_ga"), expected)
 
 
 class TestAssembly:
@@ -148,9 +162,11 @@ class TestAssembly:
 
     def test_reference_input_couplings(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
-        fc = compute_f_coefficients(sec3_op, sec3_params, sec3_cfg.ctrl)
-        i3 = fc.B[S("i_ga"), SMALLSIG_INPUT_LABELS.index("v_ga_ref")]
+        i3 = coefficients(model, "i_ga", "v_ga_ref")
         assert np.allclose(block(model, "i_ga", "v_ga_ref"), toeplitz(i3))
+        # The plant rows see v* only through K_p v* + x1.
+        pr = sec3_cfg.ctrl.K_p * coefficients(model, "i_ga", "pr_a1")
+        assert np.allclose(i3, pr, rtol=1e-12, atol=1e-12 * np.max(np.abs(pr)))
         assert np.array_equal(block(model, "pr_a1", "v_ga_ref"), sec3_cfg.ctrl.K_r * np.eye(7))
         assert np.count_nonzero(block(model, "pr_a2", "v_ga_ref")) == 0
         assert np.count_nonzero(block(model, "i_ga", "v_gb_ref")) == 0
@@ -650,3 +666,80 @@ class TestPhaseBalanceGate:
         assert split_phase("pr_c2") == ("pr_2", "c")
         with pytest.raises(UnknownVariableError):
             split_phase("i_gx")
+
+
+# Largest difference of a lifted A sampled at instants(h) from the same A
+# sampled at four times as many instants, relative to max|A|: the aliasing
+# of the sampled derivation, which is not band-limited on inductive loads.
+ALIASING_RTOL = 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    preset=st.sampled_from(("sec3-simulation", "table1-prototype")),
+    m=st.floats(0.0, 1.0),
+    x_over_r=st.floats(0.0, 0.5),
+    h=st.integers(0, 15),
+)
+@example(preset="table1-prototype", m=1.0, x_over_r=0.5, h=15)
+def test_lifted_models_do_not_alias(preset, m, x_over_r, h):
+    import dataclasses
+    from unittest import mock
+
+    from hssmmc import harmonic, smallsignal, steady
+    from hssmmc.config import load_config
+    from hssmmc.pipelines import solve_operating_point
+
+    cfg = load_config(preset)
+    params = dataclasses.replace(cfg.params, L_load=x_over_r * cfg.params.R_load / cfg.params.omega1)
+    cfg = dataclasses.replace(cfg, params=params, m=m if h else 0.0, h=h)
+    op = solve_operating_point(cfg)
+
+    def assemble():
+        return (
+            assemble_steady(params, (op.n_u, op.n_l), h).A,
+            assemble_smallsignal(op, params, cfg.ctrl, h).A,
+        )
+
+    models = assemble()
+    denser = lambda order: 4 * harmonic.instants(order)  # noqa: E731
+    with mock.patch.object(steady, "instants", denser), mock.patch.object(smallsignal, "instants", denser):
+        dense = assemble()
+    for A, reference in zip(models, dense):
+        assert np.max(np.abs(A - reference)) <= ALIASING_RTOL * np.max(np.abs(reference))
+
+
+def centred_abscissa(model):
+    """Largest real part among the eigenvalues of the lifted A whose
+    eigenvector has its harmonic centre of mass within half a harmonic of
+    k = 0: one copy of each Floquet exponent."""
+    eig, vectors = np.linalg.eig(model.A)
+    weight = np.abs(vectors.reshape(len(model.state_labels), 2 * model.h + 1, -1)) ** 2
+    k = np.arange(-model.h, model.h + 1)[None, :, None]
+    centre = np.sum(k * weight, axis=(0, 1)) / np.sum(weight, axis=(0, 1))
+    return float(np.max(eig.real[np.abs(centre) < 0.5]))
+
+
+@pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+def test_inductive_load_is_stable_and_matches_the_floquet_exponent(preset):
+    # At X/R = 0.3 the derived lift keeps the load inductance solved out, as
+    # the simulator's equations do; its centred abscissa is the decay rate
+    # ln(mu)/T of the shooting orbit's largest Floquet multiplier.
+    import dataclasses
+
+    from hssmmc.config import load_config
+    from hssmmc.pipelines import solve_operating_point
+    from hssmmc.simulate import settled_closed_loop
+
+    cfg = load_config(preset)
+    params = dataclasses.replace(cfg.params, L_load=0.3 * cfg.params.R_load / cfg.params.omega1)
+    cfg = dataclasses.replace(cfg, params=params, h=7)
+    op = solve_operating_point(cfg)
+    model = assemble_smallsignal(op, params, cfg.ctrl, 7)
+    assert eigenvalues(model)[0].real < 0.0
+
+    refs = references_from_operating_point(op, params)
+    guess = operating_state_at(op, params, cfg.ctrl, refs, 0.0)
+    orbit = settled_closed_loop(params, cfg.ctrl, refs, 400, 0, guess)
+    rate = np.log(orbit.multiplier) / params.period
+    assert abs(centred_abscissa(model) - rate) <= 0.01

@@ -19,9 +19,9 @@ from hssmmc import (
     synthesize,
     toeplitz,
 )
-from hssmmc.plant import HALF_WAVE_IMAGE, PHASES, STATE_LABELS, plant_coefficients, plant_rhs
+from hssmmc.plant import HALF_WAVE_IMAGE, PHASES, STATE_LABELS, plant_rhs
 
-from conftest import block
+from conftest import block, state_space_at
 
 W1 = 314.0
 
@@ -48,9 +48,9 @@ class TestAssembly:
     def test_dc_only_reduces_to_instantaneous_matrix(self):
         p = sec3_like()
         model = assemble_steady(p, open_loop_insertion_indices(0.0, 0), 0)
-        half = np.full((3, 1), 0.5)
-        expected, _ = plant_coefficients(p, half, half).at(0.0)
-        assert np.allclose(model.A, expected, atol=1e-15)
+        half = np.full(3, 0.5)
+        expected, _ = state_space_at(p, half, half)
+        assert np.array_equal(model.A, expected)
         assert np.max(np.abs(model.A.imag)) == 0.0
 
     def test_capacitor_diagonals_are_pure_frequency_blocks(self):
@@ -83,8 +83,10 @@ class TestAssembly:
         model = assemble_steady(p, open_loop_insertion_indices(0.5, 2), 2)
         blk = block(model, "i_ga", "i_ga")
         k = np.arange(-2, 3)
-        expected_diag = -(p.R + 2 * (p.R_load + 1j * k * W1 * p.L_load)) / p.L - 1j * k * W1
-        assert np.allclose(np.diag(blk), expected_diag, atol=1e-12)
+        # The equations solve L_load out: (L + 2 L_load) di_g/dt carries the
+        # load impedance at harmonic k.
+        expected = -(p.R + 2 * p.load_impedance(k)) - 1j * k * W1 * p.L
+        assert np.allclose((p.L + 2 * p.L_load) * np.diag(blk), expected, atol=1e-12)
 
 
 class TestDcInput:
@@ -164,15 +166,25 @@ class TestSolve:
         assert 0.0 < np.max(np.abs(op.spectrum("i_c", "a").coeffs)) < 1e-6
 
     def test_non_conjugate_solution_raises(self):
-        # Indices whose k = +1 and k = -1 coefficients are not conjugate
-        # describe no real signal, and neither does the solution.
+        # A lifted A whose k = +1 coupling of n_u is not the conjugate of its
+        # k = -1 coupling describes no real system, and the solution is no
+        # real signal.
         p = sec3_like()
-        n_u, n_l = open_loop_insertion_indices(0.5, 3)
-        n_u = n_u.copy()
-        n_u[:, 4] *= 1.01
-        model = assemble_steady(p, (n_u, n_l), 3)
+        idx = open_loop_insertion_indices(0.5, 3)
+        model = assemble_steady(p, idx, 3)
+        block(model, "i_ga", "v_cua")[4, 3] *= 1.01
         with pytest.raises(ResidualImaginaryError, match="conjugate symmetry"):
-            solve_steady_state(model, dc_input_vector(p.V_dc, 3), (n_u, n_l))
+            solve_steady_state(model, dc_input_vector(p.V_dc, 3), idx)
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_non_conjugate_indices_raise(self, arm):
+        # A complex step reads only imaginary parts: complex index values
+        # would give a wrong Jacobian, so they are rejected.
+        p = sec3_like()
+        idx = [c.copy() for c in open_loop_insertion_indices(0.5, 3)]
+        idx[arm][:, 4] *= 1.01
+        with pytest.raises(ResidualImaginaryError, match="insertion indices"):
+            assemble_steady(p, tuple(idx), 3)
 
     @pytest.mark.filterwarnings("error")
     def test_singular_system_detected(self):
