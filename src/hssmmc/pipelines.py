@@ -133,6 +133,16 @@ def _require_closed_loop(cfg: RunConfig):
         )
 
 
+def _require_reference_phasors(cfg: RunConfig):
+    """A closed-loop run takes its reference phasors from the operating
+    point's fundamental, which h = 0 does not hold."""
+    if cfg.h < 1:
+        raise SchemaViolationError(
+            f"h {cfg.h} cannot hold the fundamental the reference phasors are "
+            "taken from; h >= 1 is needed for a closed-loop run"
+        )
+
+
 def build_smallsignal_model(cfg: RunConfig) -> tuple[OperatingPoint, LiftedModel]:
     _require_closed_loop(cfg)
     op = solve_operating_point(cfg)
@@ -168,6 +178,7 @@ def run_simulate_open(cfg: RunConfig, out: Path, timestamp: bool) -> int:
 
 def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     _require_closed_loop(cfg)
+    _require_reference_phasors(cfg)
     op = solve_operating_point(cfg)
     refs = references_from_operating_point(op, cfg.params)
     n_end = cfg.sim.n_steps()
@@ -352,6 +363,7 @@ class SmallsigContext:
     def __init__(self, cfg: RunConfig):
         if cfg.step is None:
             raise SchemaViolationError("[step]: section required for this scenario")
+        _require_reference_phasors(cfg)
         self.cfg = cfg
         self.op, self.model = build_smallsignal_model(cfg)
         self.refs = references_from_operating_point(self.op, cfg.params)

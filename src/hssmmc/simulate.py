@@ -6,14 +6,8 @@ closed-loop runs add the per-phase proportional-resonant ac-voltage
 controller, with reference phasors that are constant over a run. The
 equations are written once, elementwise (``plant.plant_phase_equations``
 and ``smallsignal._closed_loop_equations``), and the lifted models are
-derived from the same functions. On numpy arrays, ``_rk4`` advances a block of
-state columns with shared references; a column runs exactly the
-operations of a single-vector run. One real closed-loop state runs as
-three per-phase systems on Python floats (``_closed_loop_floats``): the
-phases share only the constant dc bus, and the same expressions in the
-same order give the same doubles as a one-column block. Settled
-trajectories feed the spectral extraction used to cross-check the lifted
-models.
+derived from the same functions. Settled trajectories feed the spectral
+extraction used to cross-check the lifted models.
 
 Time lives on one grid: a fundamental period holds ``steps_per_period``
 RK4 steps of dt = period / steps_per_period, and every run length, start
@@ -25,22 +19,18 @@ Both loops commute with the half-wave operator H (``HALF_WAVE_OPERATOR``:
 half a period on, arms swapped, ac quantities negated), so both shoot
 (Aprille & Trick 1972) on the half-wave map G = H F_half, F_half the RK4
 map over half a period, and the second half of a period is H applied to
-the first; ``steps_per_period`` is even so that T/2 is a grid point. The
-open loop is linear time-periodic at fixed insertion indices, so G is
-affine, and both open-loop runs are composed from one 13-column RK4 pass
-over half a period (``_open_loop_periods``): a transient
+the first; ``steps_per_period`` is even so that T/2 is a grid point.
+Stage Jacobians by complex step (Squire & Trapp 1998), many steps per
+array call as for the lifted models, give each step's RK4 matrix
+(``_rk4_step_maps``). The open loop is linear at fixed insertion indices,
+so its steps are exact affine maps, and a transient
 (``simulate_open_loop``) or the periodic orbit at G's fixed point
-(``settled_open_loop``). ``settle_periods`` sets how long a transient must
-be before its last two periods are checked for settling. The closed loop
-is integrated step by step and shot by Newton (``settled_closed_loop``):
-each pass is one real float run over half a period, and the Jacobian of G
-is the exact derivative of that run's RK4 map (``_tangent_map``), block
-diagonal over the phases, from stage Jacobians by complex step (Squire &
-Trapp 1998) taken for every step in one array call
-(``plant.complex_step_jacobian``, as for the lifted models).
-A reference step in an exported closed-loop run is two runs, the second
-starting from the first one's final state with the stepped references
-(``pipelines.reference_step_run``).
+(``settled_open_loop``) is composed from the maps of half a period
+(``_open_loop_periods``). The closed loop runs on Python floats, one
+phase at a time (``_closed_loop_floats``; ``_rk4`` advances blocks of
+columns on arrays), and is shot by Newton (``settled_closed_loop``) with
+the exact derivative of each run's RK4 map (``_tangent_map``). A
+reference step joins two runs (``pipelines.reference_step_run``).
 """
 
 from __future__ import annotations
@@ -63,8 +53,9 @@ from .plant import (
     PHASE_SHIFT,
     MmcParameters,
     complex_step_jacobian,
-    plant_rhs,
+    plant_phase_equations,
     split_phase,
+    state_position,
 )
 from .smallsignal import (
     _PHASE_COLUMNS,
@@ -88,7 +79,7 @@ SETTLE_RTOL = 1e-3
 SHOOTING_DEFECT_TOL = 1e-10
 SHOOTING_MAX_ITERATIONS = 8
 
-_PHASE_ANGLES = np.array([PHASE_SHIFT[p] for p in PHASES])
+_PHASE_ANGLES = np.array([[PHASE_SHIFT[p]] for p in PHASES])  # (3, 1)
 
 
 @dataclass(frozen=True)
@@ -140,8 +131,6 @@ class Trajectory:
         self.t = (self.n0 + np.arange(self.states.shape[0])) * self.dt
 
     def series(self, variable: str, phase: str) -> np.ndarray:
-        from .plant import state_position
-
         return self.states[:, state_position(variable, phase)]
 
 
@@ -165,13 +154,10 @@ def _rk4(
     rhs, x0: np.ndarray, n0: int, n_steps: int, dt: float, steps_per_period: int, scale: float
 ) -> np.ndarray:
     """Fixed-step RK4 from grid point ``n0``; returns all n_steps+1 states
-    including the initial one.
-
-    ``x0`` is one state vector or a block of state columns that ``rhs``
-    advances together; a complex ``x0`` runs complex.
-
-    The state is checked for blow-up once per period of steps and at the
-    end; a failed check names the grid step, its period and its time.
+    including the initial one. ``x0`` is one state vector or a block of
+    state columns that ``rhs`` advances together; a complex ``x0`` runs
+    complex. The state is checked for blow-up (``_check_blowup``) once per
+    period of steps and at the end.
     """
     x = np.asarray(x0)
     x = x.astype(np.result_type(x, float))
@@ -204,22 +190,6 @@ def default_initial_state(params: MmcParameters) -> np.ndarray:
     return x0
 
 
-def _open_loop_rhs(params: MmcParameters, m: float, v_dc):
-    """Open-loop right-hand side with sinusoidal insertion indices.
-
-    ``v_dc`` is a scalar for one 12-state vector, or one value per column
-    of a (12, k) state block.
-    """
-    w1 = params.omega1
-    phi = _PHASE_ANGLES.reshape((3,) + (1,) * np.ndim(v_dc))
-
-    def rhs(t, x):
-        n_u = 0.5 - 0.5 * m * np.cos(w1 * t - phi)
-        return plant_rhs(x, n_u, 1.0 - n_u, v_dc, params)
-
-    return rhs
-
-
 def _check_modulation(m: float):
     if not 0.0 <= m <= 1.0:
         raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
@@ -245,40 +215,71 @@ def _half_wave_operator() -> np.ndarray:
 HALF_WAVE_OPERATOR = _half_wave_operator()
 
 
+# The open-loop pass builds its step maps this many steps at a time, which
+# bounds its temporaries at any steps_per_period.
+_MAP_SEGMENT_STEPS = 64
+
+
+def _half_period_maps(params: MmcParameters, m: float, spp: int, n0: int) -> np.ndarray:
+    """(3, spp/2 + 1, 4, 5) maps D[p, s] of the open-loop RK4 run from grid
+    point n0: phase p's deviation from rest after s steps is
+    d + D[p, s] (d, 1), d its deviation at n0. Each step is the RK4 map
+    (``_rk4_step_maps``) of the linear y' = [[A(t), f(x_rest, t)], [0, 0]] y,
+    y = (d, 1): A by complex step at zero states, and the forcing exactly
+    zero at m = 0. The prefix products, carried as ``_rk4_step_maps`` says,
+    take log2 batched rounds per segment of ``_MAP_SEGMENT_STEPS``."""
+    half, dt, v = spp // 2, params.period / spp, params.V_dc
+    f = plant_phase_equations(params)
+    maps = np.zeros((3, half + 1, 4, 5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, half, _MAP_SEGMENT_STEPS):
+            stop = min(start + _MAP_SEGMENT_STEPS, half)
+            t = n0 * dt + np.arange(start, stop) * dt
+            t = np.stack([t, t + 0.5 * dt, t + dt])[:, None]  # stage times, (3, 1, n)
+            n_u = 0.5 - 0.5 * m * np.cos(params.omega1 * t - _PHASE_ANGLES)
+            a = np.zeros(n_u.shape + (5, 5))
+            a[..., :4, :4] = complex_step_jacobian(f, (0.0, 0.0, 0.0, 0.0, n_u, 1.0 - n_u, v), range(4))
+            a[..., :4, 4] = np.stack(f(0.0, v, v, 0.0, n_u, 1.0 - n_u, v), axis=-1)
+            d = _rk4_step_maps(a[0], a[1], a[1], a[2], dt)[..., :4, :]  # (3, n, 4, 5)
+            k = 1
+            while k < stop - start:
+                d[:, k:] = d[:, k:] + d[:, :-k] + d[:, k:, :, :4] @ d[:, :-k]
+                k *= 2
+            carry = maps[:, start, None]
+            maps[:, start + 1 : stop + 1] = d + carry + d[..., :4] @ carry
+    return maps
+
+
 def _open_loop_periods(
     params: MmcParameters, m: float, spp: int, n0: int, n_periods: int, x0: np.ndarray | None
 ) -> Trajectory:
     """Open-loop run over grid points n0 .. n0 + n_periods * spp, composed
-    from one RK4 pass over half a period.
-
-    At fixed insertion indices the plant is linear time-periodic and
-    commutes with the plant block H of ``HALF_WAVE_OPERATOR``, and rest
-    x_rest is H-invariant. The pass advances 13 columns from n0, rest with input v_dc (r)
-    and the identity with no input (Psi). Half period q runs from x_q as
-    H^q (r(s) + Psi(s) d_q), d_q = H^q x_q - x_rest, and
-    d_{q+1} = Phi d_q + g with Phi = H Psi(T/2), g = H r(T/2) - x_rest.
-    ``x0`` is the state at n0, or None for the periodic orbit
-    d* = (I - Phi)^-1 g. Each half period is checked for blow-up; from rest
-    at m = 0 every d_q is exactly zero.
-    """
+    from ``_half_period_maps``. The plant commutes with the half-wave
+    operator H, per phase, and x_rest = H x_rest: half period q runs from
+    x_q as x_rest + H^q (d_q + D_s (d_q, 1)), d_q = H^q x_q - x_rest, and
+    d_{q+1} = Phi d_q + g is H applied to its last row. ``x0`` is the state
+    at n0, or None for the orbit d* = (I - Phi)^-1 g. Each half period is
+    checked for blow-up; from rest at m = 0 every d_q is exactly zero."""
     _check_modulation(m)
-    half = spp // 2
-    dt = params.period / spp
-    scale = max(params.V_dc, 1.0)
+    half, dt = spp // 2, params.period / spp
     x_rest = default_initial_state(params)
-    H = HALF_WAVE_OPERATOR[:12, :12]
-    rhs = _open_loop_rhs(params, m, np.r_[params.V_dc, np.zeros(12)])
-    run = _rk4(rhs, np.hstack([x_rest[:, None], np.eye(12)]), n0, half, dt, spp, scale)
-    image = H @ run  # H applied at every step
-    phi, g = image[-1, :, 1:], image[-1, :, 0] - x_rest
-    d = _shooting_fixed_point(phi, g)[0] if x0 is None else x0 - x_rest
+    maps = _half_period_maps(params, m, spp, n0)
+    H = HALF_WAVE_OPERATOR[0:12:3, 0:12:3]  # one phase's block
+    if x0 is None:
+        phi = H @ (np.eye(4) + maps[:, -1, :, :4])  # per phase; Phi is block diagonal
+        phi = (np.eye(3)[:, None, :, None] * phi[:, :, None]).reshape(12, 12)
+        d = _shooting_fixed_point(phi, (H @ maps[:, -1, :, 4:]).ravel())[0].reshape(3, 4)
+    else:
+        d = (x0 - x_rest).reshape(4, 3).T
     states = np.empty((n_periods * spp + 1, 12))
-    for q in range(2 * n_periods):
-        rows = states[q * half : (q + 1) * half + 1]
-        basis = (run, image)[q % 2].reshape(-1, 13)
-        rows[:] = (basis @ np.concatenate(([1.0], d))).reshape(rows.shape)
-        _check_blowup(rows, scale, n0 + q * half, dt, spp)
-        d = phi @ d + g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in range(2 * n_periods):
+            rows = states[q * half : (q + 1) * half + 1]
+            z = np.append(d, np.ones((3, 1)), axis=1)[..., None]
+            dev = d[:, None] + (maps.reshape(3, -1, 5) @ z).reshape(3, -1, 4)
+            d = dev[:, -1] @ H.T
+            rows[:] = x_rest + (dev @ H.T if q % 2 else dev).transpose(1, 2, 0).reshape(-1, 12)
+            _check_blowup(rows, max(params.V_dc, 1.0), n0 + q * half, dt, spp)
     return Trajectory(dt, spp, n0, states)
 
 
@@ -289,18 +290,16 @@ def simulate_open_loop(
     x0: np.ndarray | None = None,
 ) -> Trajectory:
     """Open-loop transient from ``x0`` (default: rest) over the configured
-    run, every grid point composed from one RK4 pass over half a period."""
+    run (``_open_loop_periods``)."""
     x_init = default_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
     return _open_loop_periods(params, m, cfg.steps_per_period, 0, cfg.total_periods, x_init)
 
 
 def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) -> Trajectory:
-    """Periodic steady state of the open-loop plant by shooting (Aprille &
-    Trick 1972) on the last two periods of the configured grid, composed
-    from the fixed point of the affine half-wave map (``_open_loop_periods``).
-
-    The fixed point is solved as its deviation from rest, so the m = 0
-    equilibrium comes out exact. The orbit lies on the grid of a
+    """Periodic steady state of the open-loop plant on the last two periods
+    of the configured grid, at the fixed point of the affine half-wave map
+    (``_open_loop_periods``), solved as its deviation from rest, so the
+    m = 0 equilibrium comes out exact. The orbit lies on the grid of a
     ``simulate_open_loop`` run, so ``settling_profile`` measures the
     shooting defect.
 
@@ -337,9 +336,7 @@ def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.nda
 
     ``amps`` is (3,) for one 18-state vector, or (3, 1), shared, for an
     (18, k) block of state columns. Every operation is elementwise, so a
-    column of a block advances exactly as that column alone would. The
-    tests run blocks of columns as a reference for the float path and for
-    the shooting Jacobian (``_tangent_map``).
+    column of a block advances exactly as that column alone would.
     """
     w1 = params.omega1
     re, im = amps.real, amps.imag
@@ -379,16 +376,12 @@ def _closed_loop_run(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> n
 
 def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
     """``_rk4`` of ``_closed_loop_rhs`` from one real state vector, bit for
-    bit, run on Python floats one phase at a time.
-
-    The same equations (``_closed_loop_equations``) and the same RK4 stage
-    expressions are evaluated in the same order, so every double matches
-    the array run. Between the blow-up checks, once per period of steps,
-    each phase advances on its own, a segment of steps at a time
-    (``_float_segments``); the cosines and sines at the stage times are
-    shared by the three. A zero di_g denominator raises
-    NumericalBlowupError naming its step, where an array run would carry
-    inf to the next check.
+    bit (the same expressions in the same order), on Python floats. Between
+    the blow-up checks, once per period of steps, each phase advances on its
+    own, a segment of steps at a time (``_float_segments``); the three share
+    the cosines and sines at the stage times. A zero di_g denominator raises
+    NumericalBlowupError naming its step, where an array run would carry inf
+    to the next check.
     """
     spp = steps_per_period
     dt = params.period / spp
@@ -517,6 +510,22 @@ class PeriodicOrbit:
     multiplier: float           # largest full-period Floquet multiplier, max|eig(J)|²
 
 
+def _rk4_step_maps(a1, a2, a3, a4, dt):
+    """M - I for the RK4 steps of a linear y' = A(t) y from the stage
+    Jacobians A1 .. A4: M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A1,
+    K2 = A2 (I + dt/2 K1), K3 = A3 (I + dt/2 K2), K4 = A4 (I + dt K3).
+    Products are carried in this form, (I + B)(I + A) = I + A + B + BA, so
+    the identity is not rounded into the small entries: at sec3's rest
+    state with K_p = 2, against an extended-precision product, the closed
+    loop's products of M itself left one entry 1.5e-11 off relative to
+    itself, this form 9e-14, and the complex step of a whole run 1.5e-12."""
+    eye = np.eye(a1.shape[-1])
+    k2 = a2 @ (eye + 0.5 * dt * a1)
+    k3 = a3 @ (eye + 0.5 * dt * k2)
+    k4 = a4 @ (eye + dt * k3)
+    return dt / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
     """Jacobian of the closed-loop RK4 map from run[0] to run[-1], the
     states at grid points n0 .. n0 + n of one real run with reference
@@ -525,21 +534,13 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
     The phases share only the constant dc bus, so the Jacobian is block
     diagonal over them (``_PHASE_COLUMNS``). The four RK4 stage states of
     every step are recomputed from the run on (3, n) arrays, and every stage
-    Jacobian A = df/dy is taken by complex step in one call of
+    Jacobian is taken by complex step in one call of
     ``_closed_loop_equations`` on (3 phases, 4 stages, n steps) arguments
-    (``complex_step_jacobian``). Step i's matrix is the derivative of its RK4
-    update, M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A1,
-    K2 = A2 (I + dt/2 K1), K3 = A3 (I + dt/2 K2), K4 = A4 (I + dt K3), and
-    the steps are multiplied in pairs, about log2(n) batched products. The
-    products are carried as M - I, (I + B)(I + A) = I + A + B + BA, so the
-    identity is not rounded into the small entries. At sec3's rest state
-    with K_p = 2, against an extended-precision product, the products of M
-    itself left one entry 1.5e-11 off relative to itself; this form leaves
-    9e-14, and the complex step of a whole run 1.5e-12.
+    (``complex_step_jacobian``). The step matrices (``_rk4_step_maps``) are
+    multiplied in pairs, about log2(n) batched products.
     """
     dt = params.period / steps_per_period
     half = 0.5 * dt
-    sixth = dt / 6.0
     f = _closed_loop_equations(params, ctrl)
     n = run.shape[0] - 1
     t = n0 * dt + np.arange(n) * dt
@@ -550,7 +551,6 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
         return re * np.cos(w1 * times) - im * np.sin(w1 * times)
 
     v1, v2, v4 = v_star(t), v_star(t + half), v_star(t + dt)
-    eye = np.eye(6)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y1 = run[:-1, np.transpose(_PHASE_COLUMNS)].transpose(1, 2, 0)  # (6, 3, n)
         y2 = y1 + half * np.array(f(v1, *y1))
@@ -559,11 +559,7 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
         y = np.stack([y1, y2, y3, y4], axis=2)  # (6, 3, 4, n)
         v = np.stack([v1, v2, v2, v4], axis=1)
         a = complex_step_jacobian(f, (v, *y), range(1, 7))  # (3, 4, n, 6, 6)
-        k1 = a[:, 0]
-        k2 = a[:, 1] @ (eye + half * k1)
-        k3 = a[:, 2] @ (eye + half * k2)
-        k4 = a[:, 3] @ (eye + dt * k3)
-        d = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # M - I, (3, n, 6, 6)
+        d = _rk4_step_maps(a[:, 0], a[:, 1], a[:, 2], a[:, 3], dt)  # M - I, (3, n, 6, 6)
         while d.shape[1] > 1:
             if d.shape[1] % 2:
                 d = np.concatenate([d, np.zeros((3, 1, 6, 6))], axis=1)
@@ -571,7 +567,7 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
             d = earlier + later + later @ earlier
     jacobian = np.zeros((18, 18))
     for p, c in enumerate(_PHASE_COLUMNS):
-        jacobian[np.ix_(c, c)] = eye + d[p, 0]
+        jacobian[np.ix_(c, c)] = np.eye(6) + d[p, 0]
     return jacobian
 
 
@@ -584,27 +580,19 @@ def settled_closed_loop(
     x_guess: np.ndarray,
 ) -> PeriodicOrbit:
     """Periodic steady state of the closed loop by Newton shooting from grid
-    point ``n0`` on the half-wave map.
-
-    The references are constant phasors, so v*(t + T/2) = -v*(t), and the
-    closed loop commutes with the half-wave operator H
-    (``HALF_WAVE_OPERATOR``): the RK4 run from n0 + spp/2 started at H x is
-    H applied to the run from n0 started at x, up to rounding. With F_half
-    the RK4 map over half a period from ``n0``, the one-period map is G∘G
-    for the half-wave map G(x) = H F_half(x), so a fixed point of G is the
-    state on the attracting orbit. Each iteration is one real RK4 run over
-    half a period on floats (``_closed_loop_floats``), which gives G(x), and
-    the exact derivative of the RK4 map along it (``_tangent_map``), which
-    gives its Jacobian J = H dF_half/dx to rounding: the stage Jacobians
-    come from the equations by complex step, with no step-size trade-off
-    (Squire & Trapp 1998), and the phases give three 6 x 6 blocks. The
-    update solves (I - J) dx = G(x) - x through the same gated solve as
-    ``settled_open_loop``; the full-period monodromy matrix at the fixed
-    point is J², so the largest Floquet multiplier is max|eig(J)|². The
-    relative defect is max_i |G(x)_i - x_i| / RMS_i, with RMS_i the RMS of
-    state i over the period (1 where that is 0); Newton stops when it is at
-    or below ``SHOOTING_DEFECT_TOL``. The returned period is the last
-    half-period run followed by H applied to its rows.
+    point ``n0`` on the half-wave map G(x) = H F_half(x), F_half the RK4 map
+    over half a period from ``n0`` and H ``HALF_WAVE_OPERATOR``: the
+    one-period map is G∘G, so a fixed point of G is the state on the
+    attracting orbit. Each iteration is one real run over half a period on
+    floats (``_closed_loop_floats``), which gives G(x), and the exact
+    derivative of its RK4 map (``_tangent_map``), which gives the Jacobian
+    J = H dF_half/dx to rounding. The update solves (I - J) dx = G(x) - x
+    through the same gated solve as ``settled_open_loop``; the monodromy
+    matrix at the fixed point is J², so the largest Floquet multiplier is
+    max|eig(J)|². The relative defect is max_i |G(x)_i - x_i| / RMS_i, with
+    RMS_i the RMS of state i over the period (1 where that is 0); Newton
+    stops when it is at or below ``SHOOTING_DEFECT_TOL``; the period it
+    returns is a ``PeriodicOrbit``.
 
     Raises ValueError for an odd ``steps_per_period``, which has no grid
     point at half a period; ShootingError (carrying the iteration count and

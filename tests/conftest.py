@@ -42,10 +42,11 @@ def sequential_open_loop(params, m, cfg):
     ``simulate_open_loop`` and ``settled_open_loop``.
 
     Each phase advances on Python floats with ``plant_phase_equations``, the
-    stage expressions of ``_rk4`` and the indices of ``_open_loop_rhs``, a
-    period at a time, which gives ``_rk4``'s states bit for bit at a tenth
-    of its cost; the 12-state row is checked for blow-up at every period
-    start and at the end, as ``_rk4`` does.
+    stage expressions of ``_rk4`` and the indices of
+    ``test_simulate._open_loop_rhs``, a period at a time, which gives
+    ``_rk4``'s states bit for bit at a tenth of its cost; the 12-state row
+    is checked for blow-up at every period start and at the end, as
+    ``_rk4`` does.
     """
     spp = cfg.steps_per_period
     n_steps = cfg.n_steps()

@@ -93,9 +93,19 @@ class TestExitCodes:
         assert code == 2
         assert "h 0 cannot hold the fundamental of modulation index m 0.5" in capsys.readouterr().err
 
-    def test_zero_order_without_modulation(self, fast_config, tmp_path):
-        argv = ["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "0", "--m", "0"]
+    @pytest.mark.parametrize("scenario", ["steady", "smallsig"])
+    def test_zero_order_without_modulation(self, fast_config, tmp_path, scenario):
+        argv = [scenario, "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "0", "--m", "0"]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("scenario", ["simulate-closed", "verify-smallsig"])
+    def test_zero_order_has_no_reference_phasors(self, tmp_path, capsys, scenario):
+        # The references are the operating point's fundamental, which h = 0
+        # does not hold, even at m = 0.
+        config = fast_config_with_step(tmp_path, 5)
+        argv = [scenario, "--config", config, "--out", str(tmp_path / "o"), "--h", "0", "--m", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error: h 0 cannot hold the fundamental")
 
     def test_unbalanced_model_is_a_numerical_failure(self, fast_config, tmp_path, capsys, monkeypatch):
         _unbalance_smallsignal_models(monkeypatch)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from hssmmc.config import RunConfig, StepConfig, load_config
 from hssmmc.errors import ShootingError
 from hssmmc.harmonic import analyze
 from hssmmc.pipelines import SmallsigContext, reference_step_run, step_grid_index
-from hssmmc.plant import PHASES, STATE_VARIABLES
+from hssmmc.plant import PHASE_SHIFT, PHASE_STATES, PHASES, STATE_VARIABLES, plant_rhs
 from hssmmc.simulate import (
     HALF_WAVE_OPERATOR,
     SETTLE_FLOOR,
@@ -36,7 +37,7 @@ from hssmmc.simulate import (
     SHOOTING_DEFECT_TOL,
     _PHASE_COLUMNS,
     _closed_loop_run,
-    _open_loop_rhs,
+    _half_period_maps,
     _rk4,
     _shooting_fixed_point,
     _tangent_map,
@@ -55,6 +56,13 @@ W1 = 314.0
 # with the whole state, so each peak is floored at SETTLE_FLOOR of the
 # largest one, as in settling_profile.
 COMPOSED_RTOL = 1e-9
+
+# The batched half-period maps may differ from the 13-column RK4 pass, run
+# in extended precision, by rounding only: in each column, by at most this
+# share of each state's peak, floored at SETTLE_FLOOR of the column's
+# largest peak. Entries that vanish by symmetry at m = 0 carry about 1e-17
+# of their column's peak, which the floor reads as up to 1.1e-11.
+MAPS_RTOL = 1e-10
 
 # The shooting Jacobian from the tangent of the float run may differ from
 # the complex-step Jacobian of a 19-column block run by rounding only: by
@@ -94,6 +102,19 @@ def preset_closed_loop(preset, x_over_r, m=None):
         return operating_state_at(op, params, cfg.ctrl, refs, n * params.period / 400)
 
     return params, cfg.ctrl, refs, state_at
+
+
+def _open_loop_rhs(params, m, v_dc):
+    """Open-loop right-hand side with sinusoidal insertion indices, for
+    ``_rk4``: ``v_dc`` is a scalar for one 12-state vector, or one value per
+    column of a (12, k) state block."""
+    phi = np.array([PHASE_SHIFT[p] for p in PHASES]).reshape((3,) + (1,) * np.ndim(v_dc))
+
+    def rhs(t, x):
+        n_u = 0.5 - 0.5 * m * np.cos(params.omega1 * t - phi)
+        return plant_rhs(x, n_u, 1.0 - n_u, v_dc, params)
+
+    return rhs
 
 
 def composed_error(composed, reference):
@@ -176,6 +197,48 @@ class TestOpenLoop:
         sim = SimulationConfig(steps_per_period=200, total_periods=5, settle_periods=2)
         composed = simulate_open_loop(params, m, sim)
         assert composed_error(composed, sequential_open_loop(params, m, sim)) <= COMPOSED_RTOL
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        preset=st.sampled_from(["sec3-simulation", "table1-prototype"]),
+        m=st.floats(0.0, 1.0),
+        x_over_r=st.floats(0.0, 0.5),
+        n0=st.integers(0, 4000),
+    )
+    def test_half_period_maps_match_rk4_columns(self, preset, m, x_over_r, n0):
+        # The step-by-step pass: 13 columns over half a period, rest with
+        # input v_dc and the identity with none. In double precision its own
+        # rounding of the rest column reaches 5e-11 of i_c's peak at small m.
+        params = load_config(preset).params
+        params = dataclasses.replace(params, L_load=x_over_r * params.R_load / params.omega1)
+        spp = 400
+        x_rest = default_initial_state(params)
+        rhs = _open_loop_rhs(params, m, np.r_[params.V_dc, np.zeros(12)])
+        columns = np.hstack([x_rest[:, None], np.eye(12)])
+        run = _rk4(rhs, columns.astype(np.longdouble), n0, spp // 2, params.period / spp, spp, params.V_dc)
+        maps = _half_period_maps(params, m, spp, n0)
+        composed = np.broadcast_to(columns, run.shape).copy()
+        for p, rows in enumerate(np.array(PHASE_STATES)):
+            composed[:, rows, 0] += maps[p, ..., 4]
+            composed[:, rows[:, None], 1 + rows] += maps[p, ..., :4]
+        peak = np.max(np.abs(run), axis=0)
+        scale = np.maximum(peak, SETTLE_FLOOR * peak.max(axis=0))
+        assert np.max(np.abs(composed - run) / scale) <= MAPS_RTOL
+
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_settled_pass_memory(self, preset):
+        # The maps are built a segment at a time, so the pass holds little
+        # beyond its maps and the orbit: at most 2 MB at 2000 steps per period.
+        cfg = load_config(preset)
+        assert cfg.sim.steps_per_period == 2000
+        settled_open_loop(cfg.params, cfg.m, cfg.sim)  # first-call caches are not the pass's
+        tracemalloc.start()
+        try:
+            settled_open_loop(cfg.params, cfg.m, cfg.sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     def test_circulating_spectrum_structure(self, sec3_orbit, sec3_params):
         hv = settled_spectrum(sec3_orbit, "i_c", "a", 4, sec3_params.omega1)
