@@ -10,10 +10,11 @@ the Jacobian at ``harmonic.instants(h)`` instants of a period (Squire &
 Trapp 1998), and ``lift_phase_samples`` lifts its FFT coefficients to
 T(A) - I kron Q, as the alternating frequency-time method does (Cameron &
 Griffin 1989).
-``LiftedModel.sequence_blocks`` splits a lifted A into its phase-sequence
-blocks, and each of those into its two halves under the half-wave
-operator (``HALF_WAVE_IMAGE``): the eigenvalue screening decomposes four
-blocks of about a sixth of the size of A.
+``LiftedModel.phase_blocks`` checks that a lifted A is block diagonal over
+the phases, with phases b and c the T/3 shifts of phase a, and splits phase
+a's block into its two halves under the half-wave operator
+(``HALF_WAVE_IMAGE``): the eigenvalue screening decomposes two blocks of
+about a sixth of the size of A.
 
 Insertion indices are (3, 2h+1) coefficient arrays (n_u, n_l), one row per
 phase a, b, c.
@@ -72,11 +73,12 @@ HALF_WAVE_IMAGE = {
     "i_g": ("i_g", -1),
 }
 
-# Largest entry of an off-diagonal phase-sequence block, or of an
-# off-diagonal half-wave block, of a lifted A, relative to max|A|, for which
-# the model still counts as balanced over the three phases and half-wave
-# symmetric; a balanced lift meets it to round-off.
-SEQUENCE_DEFECT_RTOL = 1e-12
+# Largest entry of an off-phase block of a lifted A, of a phase block's
+# difference from the T/3 shift of phase a's, or of an off-diagonal
+# half-wave block, relative to max|A|, for which the model still counts as
+# balanced over the three phases and half-wave symmetric; a balanced lift
+# meets it to round-off.
+SYMMETRY_DEFECT_RTOL = 1e-12
 
 
 _STATE_INDEX = {label: i for i, label in enumerate(STATE_LABELS)}
@@ -281,36 +283,29 @@ class LiftedModel:
     state_labels: tuple[str, ...]
     input_labels: tuple[str, ...]
 
-    def sequence_blocks(self, half_wave: dict[str, tuple[str, int]]):
-        """Yield (r, block) for the half-wave halves of the phase-sequence
-        blocks r = 0, 1 of A: four blocks of about a sixth of its size.
+    def phase_blocks(self, half_wave: dict[str, tuple[str, int]]):
+        """The two half-wave halves of phase a's block of A, each of about a
+        sixth of its size: together they carry the spectrum of A once, and
+        A carries it three times.
 
-        A balanced three-phase model commutes with the 120-degree rotation
-        S that relabels the phases a -> b -> c and turns harmonic k by
-        exp(-j k 2 pi / 3): Fortescue's symmetrical components, applied per
-        harmonic. Sequence r has the orthonormal basis Q_r that puts
-        mu^p / sqrt(3), mu = exp(-j 2 pi (k + r) / 3), on phase p of each
-        (variable, k), and A is block diagonal over r = 0, 1, 2. Block r is
-        formed from three column and three row gathers of A, so it costs
-        O(n^2), and only one block is held at a time.
+        The phases share only the dc bus, so a balanced lift is block
+        diagonal over them, and phase b is phase a delayed by T/3 (phase c
+        advanced by T/3): with D = diag(exp(-j 2 pi k / 3)) over (variable,
+        k), A_b = D A_a D^H and A_c = D^H A_a D. The largest entry of the
+        off-phase blocks, and then of A_b - D A_a D^H and A_c - D^H A_a D,
+        relative to max|A|, is the rotation defect; each block is one
+        gather of A, and unless the defect is at most SYMMETRY_DEFECT_RTOL
+        (a NaN is not) PhaseImbalanceError is raised.
 
-        The off-diagonal blocks Q_s^H A Q_r, s != r, come from the same
-        gathers; their largest entry relative to max|A| is the rotation
-        defect, and unless it is at most SEQUENCE_DEFECT_RTOL (a NaN is
-        not) PhaseImbalanceError is raised. Block 2 is checked but not
-        yielded: A lifts real coefficients (J A J = conj A, J the harmonic
-        flip), which maps sequence 1 onto sequence 2, so the spectrum of
-        block 2 is the conjugate of block 1's.
-
-        The half-wave operator T2 commutes with S and acts on each (variable,
-        k) of a sequence block as the signed permutation ``half_wave`` gives
+        The half-wave operator T2 commutes with D and acts on each (variable,
+        k) of phase a's block as the signed permutation ``half_wave`` gives
         (``HALF_WAVE_IMAGE``); a state variable without an entry raises
         UnknownVariableError. Each pair of variables that T2 swaps is
         replaced in place by its normalized sum and difference, after which
         T2 is diagonal with entries +-1, and the block splits into the rows
         and columns of +1 and of -1, one gather each. The off-diagonal half
         blocks give the half-wave defect (a map that is no symmetry of A
-        shows there too), and unless it is at most SEQUENCE_DEFECT_RTOL
+        shows there too), and unless it is at most SYMMETRY_DEFECT_RTOL
         HalfWaveAsymmetryError is raised.
         """
         n_h = 2 * self.h + 1
@@ -321,56 +316,46 @@ class LiftedModel:
         if any(len(rows) != len(PHASES) for rows in phase_rows.values()):
             raise DimensionMismatchError("every state variable needs one block per phase")
         pairs, plus = _half_wave_basis(tuple(phase_rows), half_wave, self.h)
-        halves = (np.flatnonzero(plus), np.flatnonzero(~plus))
         # index[p]: the rows (and columns) of phase p in (variable, k) order.
         blocks = np.array([[rows[p] for p in PHASES] for rows in phase_rows.values()])
         index = (blocks.T[:, :, None] * n_h + np.arange(n_h)).reshape(len(PHASES), -1)
+        # The T/3 delay at each (variable, k), exponent reduced mod 3 so that
+        # the weights are exact at every k.
         k = np.tile(np.arange(-self.h, self.h + 1), len(phase_rows))
-        p = np.arange(len(PHASES))[:, None]
-
-        def mu_power(r):
-            # mu^p of sequence r, with the exponent reduced mod 3 so that the
-            # weights are exact at every k.
-            return np.exp(-2j * np.pi * (p * (k + r) % 3) / 3)
+        delay = np.exp(-2j * np.pi * (k % 3) / 3)
 
         scale = float(np.max(np.abs(self.A))) or 1.0
-        for r in range(3):
-            columns = _phase_sum(self.A, index, mu_power(r), axis=1)
-            for s in range(3):
-                if s == r:
-                    continue
-                off_diagonal = _phase_sum(columns, index, mu_power(s).conj(), axis=0)
-                defect = float(np.max(np.abs(off_diagonal))) / 3.0 / scale
-                if not defect <= SEQUENCE_DEFECT_RTOL:
-                    raise PhaseImbalanceError(
-                        f"lifted A is not balanced over the phases: 120-degree rotation "
-                        f"defect {defect:.3e} of max|A| exceeds {SEQUENCE_DEFECT_RTOL:.0e}",
-                        defect,
-                    )
-            if r < 2:
-                block = _phase_sum(columns, index, mu_power(r).conj(), axis=0)
-                del columns, off_diagonal
-                block /= 3.0
-                _sum_and_difference(block, pairs, n_h)
-                for rows, cols in (halves, halves[::-1]):
-                    off_diagonal = block[np.ix_(rows, cols)]
-                    defect = float(np.max(np.abs(off_diagonal), initial=0.0)) / scale
-                    if not defect <= SEQUENCE_DEFECT_RTOL:
-                        raise HalfWaveAsymmetryError(
-                            f"lifted A is not half-wave symmetric: defect {defect:.3e} "
-                            f"of max|A| exceeds {SEQUENCE_DEFECT_RTOL:.0e}",
-                            defect,
-                        )
-                del off_diagonal
-                for half in halves:
-                    yield r, block[np.ix_(half, half)]
-                del block
+
+        def check(deviation, error, what):
+            defect = float(np.max(np.abs(deviation), initial=0.0)) / scale
+            if not defect <= SYMMETRY_DEFECT_RTOL:
+                raise error(
+                    f"lifted A is not {what}: defect {defect:.3e} of max|A| "
+                    f"exceeds {SYMMETRY_DEFECT_RTOL:.0e}",
+                    defect,
+                )
+
+        balance = "balanced over the phases"
+        for p, rows in enumerate(index):
+            for q, cols in enumerate(index):
+                if p != q:
+                    check(self.A[np.ix_(rows, cols)], PhaseImbalanceError, balance)
+        block = self.A[np.ix_(index[0], index[0])]
+        for p, d in ((1, delay), (2, delay.conj())):
+            shifted = d[:, None] * block * d.conj()
+            check(shifted - self.A[np.ix_(index[p], index[p])], PhaseImbalanceError, balance)
+
+        _sum_and_difference(block, pairs, n_h)
+        halves = (np.flatnonzero(plus), np.flatnonzero(~plus))
+        for rows, cols in (halves, halves[::-1]):
+            check(block[np.ix_(rows, cols)], HalfWaveAsymmetryError, "half-wave symmetric")
+        return tuple(block[np.ix_(half, half)] for half in halves)
 
 
 def _half_wave_basis(variables, half_wave, h):
     """The pairs (j, i), j < i, of the positions in ``variables`` that the
     half-wave operator swaps, and the mask of its +1 eigenvectors over the
-    (variable, k) basis of a sequence block once each pair is replaced by
+    (variable, k) basis of a phase block once each pair is replaced by
     its sum (at j) and difference (at i).
 
     A variable that maps to itself, with sign s, is in the +1 half at the
@@ -404,17 +389,3 @@ def _sum_and_difference(block: np.ndarray, pairs, n_h: int):
             first, second = view[j * n_h : (j + 1) * n_h], view[i * n_h : (i + 1) * n_h]
             first[...], second[...] = scale * (first + second), scale * (first - second)
 
-
-def _phase_sum(matrix: np.ndarray, index: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over the phases p of the rows (axis 0) or columns (axis 1)
-    ``index[p]`` of ``matrix``, each scaled by ``weights[p]``, accumulated
-    in place. The weight of phase a is 1."""
-    out = np.take(matrix, index[0], axis=axis)
-    part = np.empty_like(out)
-    for p in (1, 2):
-        # The indices are in range; mode "clip" lets take write into ``part``
-        # without the temporary buffer it uses in the default mode.
-        np.take(matrix, index[p], axis=axis, out=part, mode="clip")
-        part *= weights[p] if axis == 1 else weights[p][:, None]
-        out += part
-    return out

@@ -19,11 +19,11 @@ lifted as the steady model is (``lift_phase_samples``) to an 18-block
 ``time_domain_linearized_A`` is that Jacobian at one instant.
 
 Eigenvalue screening (``eigenvalues``) uses two symmetries of the model:
-the lifted A is block diagonal over the three phase sequences and, within
-each, over the two halves of the half-wave operator
-(``LiftedModel.sequence_blocks``, with the controller states' images in
-``SMALLSIG_HALF_WAVE_IMAGE``). The spectrum comes from four numpy
-eigendecompositions of about a sixth of the size of A.
+the lifted A is block diagonal over the three phases, whose blocks are
+similar, and phase a's block is block diagonal over the two halves of the
+half-wave operator (``LiftedModel.phase_blocks``, with the controller
+states' images in ``SMALLSIG_HALF_WAVE_IMAGE``). The spectrum comes from
+two numpy eigendecompositions of about a sixth of the size of A.
 
 Envelope responses of this LTI model to a reference step are exact
 zero-order-hold propagations by its transition matrix, so they hold for
@@ -193,20 +193,17 @@ def eigenvalues(model: LiftedModel) -> np.ndarray:
     """Spectrum of the lifted A, sorted by real part descending, then by
     imaginary part.
 
-    Computed from the sequence x half-wave blocks of A
-    (``LiftedModel.sequence_blocks`` with ``SMALLSIG_HALF_WAVE_IMAGE``, which
+    Computed from the half-wave halves of phase a's block of A
+    (``LiftedModel.phase_blocks`` with ``SMALLSIG_HALF_WAVE_IMAGE``, which
     also covers the plant states of a steady model): one numpy
-    eigendecomposition of each half-wave half of sequences 0 and 1, about a
-    sixth of the size of A each, and the conjugates of sequence 1's spectra
-    for sequence 2. Raises PhaseImbalanceError when A is not balanced over
-    the three phases, and HalfWaveAsymmetryError when it does not commute
-    with the half-wave operator.
+    eigendecomposition of each, about a sixth of the size of A, whose
+    spectra together are repeated three times, once per phase. Raises
+    PhaseImbalanceError when A is not balanced over the three phases, and
+    HalfWaveAsymmetryError when it does not commute with the half-wave
+    operator.
     """
-    parts = []
-    for r, block in model.sequence_blocks(SMALLSIG_HALF_WAVE_IMAGE):
-        part = np.linalg.eigvals(block)
-        parts += [part, part.conj()] if r == 1 else [part]
-    eig = np.concatenate(parts)
+    halves = model.phase_blocks(SMALLSIG_HALF_WAVE_IMAGE)
+    eig = np.tile(np.concatenate([np.linalg.eigvals(half) for half in halves]), len(PHASES))
     order = np.lexsort((eig.imag, -eig.real))
     return eig[order]
 

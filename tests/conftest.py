@@ -17,6 +17,7 @@ from hssmmc.plant import (
     PHASES,
     complex_step_jacobian,
     plant_phase_equations,
+    split_phase,
 )
 from hssmmc.simulate import Trajectory, _check_blowup, default_initial_state, settled_open_loop
 
@@ -189,10 +190,29 @@ def half_wave_broken(model, rel=1e-6):
     return dataclasses.replace(model, A=A)
 
 
-def with_nan(model):
-    """``model`` with one NaN entry in A."""
+def phase_b_raised(model, rel=1e-6):
+    """``model`` with every entry of phase b's own diagonal block raised by
+    ``rel`` of max|A|: the off-phase blocks stay exactly zero, but phase b
+    is no longer the T/3 shift of phase a."""
+    import dataclasses
+
+    n = 2 * model.h + 1
+    rows = np.concatenate([
+        np.arange(i * n, (i + 1) * n)
+        for i, label in enumerate(model.state_labels)
+        if split_phase(label)[1] == "b"
+    ])
+    A = model.A.copy()
+    A[np.ix_(rows, rows)] += rel * np.max(np.abs(A))
+    return dataclasses.replace(model, A=A)
+
+
+def with_nan(model, entry=(5, 7)):
+    """``model`` with one NaN entry in A. The default entry is off-phase at
+    h = 3 (row i_ca, column i_cb); (0, 1) lies in phase a's own block at
+    every h >= 1."""
     import dataclasses
 
     A = model.A.copy()
-    A[5, 7] = np.nan
+    A[entry] = np.nan
     return dataclasses.replace(model, A=A)

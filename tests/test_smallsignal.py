@@ -42,7 +42,7 @@ from hssmmc.smallsignal import (
 )
 from hssmmc.simulate import _closed_loop_rhs
 
-from conftest import block, half_wave_broken, unbalanced, with_nan
+from conftest import block, half_wave_broken, phase_b_raised, unbalanced, with_nan
 
 W1 = 314.0
 
@@ -599,8 +599,8 @@ def _preset_model(preset, m=None, h=None, x_over_r=0.0):
 
 
 def assert_same_spectrum(model):
-    """``eigenvalues`` (sequence blocks) against the dense eigenvalues of
-    the whole lifted A, matched one to one."""
+    """``eigenvalues`` (phase a's half-wave blocks) against the dense
+    eigenvalues of the whole lifted A, matched one to one."""
     from scipy.optimize import linear_sum_assignment
 
     blocks = eigenvalues(model)
@@ -621,12 +621,12 @@ def assert_same_spectrum(model):
 @example(preset="table1-prototype", m=0.0, h=0, x_over_r=0.3)
 @example(preset="sec3-simulation", m=0.0, h=5, x_over_r=0.3)
 @example(preset="table1-prototype", m=0.0, h=4, x_over_r=0.0)
-def test_sequence_block_spectrum_matches_dense(preset, m, h, x_over_r):
+def test_phase_block_spectrum_matches_dense(preset, m, h, x_over_r):
     assert_same_spectrum(_preset_model(preset, m, h, x_over_r))
 
 
 @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
-def test_sequence_block_spectrum_matches_dense_at_h30(preset):
+def test_phase_block_spectrum_matches_dense_at_h30(preset):
     assert_same_spectrum(_preset_model(preset, h=30))
 
 
@@ -643,10 +643,21 @@ class TestPhaseBalanceGate:
         eigenvalues(steady)
         eigenvalues(unbalanced(_preset_model("sec3-simulation", h=3), rel=1e-14))
 
+    def test_phase_b_off_its_rotation_of_phase_a_raises(self):
+        # The off-phase blocks stay zero: only the rotation check can see it.
+        model = _preset_model("table1-prototype", h=3)
+        with pytest.raises(PhaseImbalanceError) as info:
+            eigenvalues(phase_b_raised(model))
+        assert 1e-7 < info.value.defect < 1e-5
+
     def test_non_finite_model_raises_the_gate_error(self):
         # A NaN compares false with every bound, so it must fail the gate.
         with pytest.raises(PhaseImbalanceError):
             eigenvalues(with_nan(_preset_model("sec3-simulation", h=3)))
+
+    def test_non_finite_entry_in_phase_a_block_raises_the_gate_error(self):
+        with pytest.raises(PhaseImbalanceError):
+            eigenvalues(with_nan(_preset_model("sec3-simulation", h=3), entry=(0, 1)))
 
     def test_half_wave_coupling_raises(self):
         model = half_wave_broken(_preset_model("sec3-simulation", h=3))
@@ -659,7 +670,7 @@ class TestPhaseBalanceGate:
         # The plant map names no controller state.
         model = _preset_model("sec3-simulation", h=3)
         with pytest.raises(UnknownVariableError, match="pr_1"):
-            next(model.sequence_blocks(HALF_WAVE_IMAGE))
+            model.phase_blocks(HALF_WAVE_IMAGE)
 
     def test_labels_name_their_phase(self):
         assert split_phase("v_cub") == ("v_cu", "b")
