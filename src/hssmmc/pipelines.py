@@ -383,8 +383,9 @@ class SmallsigContext:
 
     def compare(self, amplitude: float) -> SmallsigComparison:
         """The stepped run from the orbit's state at the step against the
-        lifted envelope; the nonlinear perturbation is that run minus the
-        orbit repeated over the window, the run without the step."""
+        lifted envelope of the stepped phase's model; the nonlinear
+        perturbation is that run minus the orbit repeated over the window,
+        the run without the step."""
         cfg = self.cfg
         phase = cfg.step.phase
         orbit = self.orbit.trajectory
@@ -394,10 +395,10 @@ class SmallsigContext:
         )
         t_step = self.n_step * self.dt
         delta = step_delta(self.refs, cfg.step, amplitude)
-        u_vec = lifted_reference_step(self.model, phase, delta)
+        model = self.model.for_phase(phase)
         env = envelope_response(
-            self.model,
-            u_vec,
+            model,
+            lifted_reference_step(model, phase, delta),
             t_end=t_step + self.window_steps * self.dt,
             dt=self.dt,
             t_start=t_step,

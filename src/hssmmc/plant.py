@@ -10,16 +10,19 @@ the Jacobian at ``harmonic.instants(h)`` instants of a period (Squire &
 Trapp 1998), and ``lift_phase_samples`` lifts its FFT coefficients to
 T(A) - I kron Q, as the alternating frequency-time method does (Cameron &
 Griffin 1989).
-``LiftedModel.phase_blocks`` checks that a lifted A is block diagonal over
-the phases, with phases b and c the T/3 shifts of phase a, and splits phase
-a's block into its two halves under the half-wave operator
-(``HALF_WAVE_IMAGE``): the eigenvalue screening decomposes two blocks of
-about a sixth of the size of A.
+A lifted model is one phase leg's: the phases share only the dc bus, and
+phases b and c are the T/3 rotations of phase a (``phase_rotation``), so
+``lift_phase_samples`` checks that balance once, on the coefficients of all
+three phases, and lifts phase a's alone; ``LiftedModel.for_phase`` rotates
+it onto phase b or c. ``LiftedModel.phase_blocks`` splits it into its two
+halves under the half-wave operator (``HALF_WAVE_IMAGE``): the eigenvalue
+screening decomposes two blocks of about half its size.
 
 Insertion indices are (3, 2h+1) coefficient arrays (n_u, n_l), one row per
 phase a, b, c.
 
-State ordering (fixed, identical to the lifted block ordering):
+State ordering (fixed; the lifted model's blocks are phase a's four in this
+order):
 
     [i_ca, i_cb, i_cc,
      v_cua, v_cub, v_cuc,
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     HalfWaveAsymmetryError,
     ModulationOutOfRangeError,
     OrderMismatchError,
@@ -73,11 +75,11 @@ HALF_WAVE_IMAGE = {
     "i_g": ("i_g", -1),
 }
 
-# Largest entry of an off-phase block of a lifted A, of a phase block's
-# difference from the T/3 shift of phase a's, or of an off-diagonal
-# half-wave block, relative to max|A|, for which the model still counts as
-# balanced over the three phases and half-wave symmetric; a balanced lift
-# meets it to round-off.
+# Largest deviation of phase b's or c's Jacobian coefficients from the T/3
+# rotation of phase a's, or largest entry of an off-diagonal half-wave
+# block, relative to max|A| of phase a's lifted A, for which the model still
+# counts as balanced over the three phases and half-wave symmetric; a
+# balanced lift meets it to round-off.
 SYMMETRY_DEFECT_RTOL = 1e-12
 
 
@@ -247,33 +249,70 @@ def complex_step_jacobian(f, args, wrt) -> np.ndarray:
     return d / np.stack(np.broadcast_arrays(*steps), axis=-1)[..., None, :]
 
 
-def lift_phase_samples(samples, states, inputs, h, omega1, state_labels, input_labels) -> LiftedModel:
-    """Lifted model of per-phase Jacobian samples (3, n, n + m, N) at the
-    instants t = j T / N: phase p's derivatives with respect to its n
-    states, at ``states[p]`` in the state vector, then to m inputs, at
-    ``inputs[p]`` in the input vector. Their coefficients k = -h..h
-    (``fourier``) are A(t) and B(t); A is ``lift`` of A(t) and B the block
-    Toeplitz lift of B(t)."""
+def phase_rotation(h: int, phase: str) -> np.ndarray:
+    """Weights d_k, k = -h..h, that turn phase a's harmonic k into
+    ``phase``'s: phase b is phase a delayed by T/3, d_k = exp(-j 2 pi k / 3),
+    phase c advanced by T/3, the conjugate, and phase a's weights are 1. The
+    exponent is reduced mod 3, so that the weights are exact at every k."""
+    d = np.exp(-2j * np.pi * (np.arange(-h, h + 1) % 3) / 3)
+    return {"a": np.ones_like(d), "b": d, "c": d.conj()}[phase]
+
+
+def _on_phase(label: str, phase: str) -> str:
+    """Phase a's block or input ``label`` on ``phase``: its phase letter,
+    the one ``split_phase`` finds or the one before a '_ref' suffix
+    ('v_ga_ref'), replaced. A label of no phase ('v_dc') is kept."""
+    stem = label.removesuffix("_ref")
+    i = len(stem) - (2 if stem[-1].isdigit() else 1)
+    return label[:i] + phase + label[i + 1 :] if stem[i] == "a" else label
+
+
+def _check_defect(deviation, scale: float, error, what: str):
+    """Raise ``error`` unless the largest entry of ``deviation``, relative to
+    ``scale``, is at most SYMMETRY_DEFECT_RTOL (a NaN is not)."""
+    defect = float(np.max(np.abs(deviation), initial=0.0)) / scale
+    if not defect <= SYMMETRY_DEFECT_RTOL:
+        raise error(
+            f"lifted A is not {what}: defect {defect:.3e} of max|A| "
+            f"exceeds {SYMMETRY_DEFECT_RTOL:.0e}",
+            defect,
+        )
+
+
+def lift_phase_samples(samples, h, omega1, state_labels, input_labels) -> LiftedModel:
+    """Lifted model of phase a's leg from per-phase Jacobian samples
+    (3, n, n + m, N) at the instants t = j T / N: phase p's derivatives with
+    respect to its n states, then to its m inputs, which ``state_labels`` and
+    ``input_labels`` name on phase a. Their coefficients k = -h..h
+    (``fourier``) are A(t) and B(t); A is ``lift`` of phase a's A(t) and B
+    the block Toeplitz lift of its B(t).
+
+    The phases share only the dc bus, so in a balanced model phases b and c
+    are the T/3 rotations of phase a (``LiftedModel.for_phase``): phase p's
+    coefficients at k are phase a's times ``phase_rotation``'s d_k. The
+    largest deviation from that, over every column and k, relative to
+    max|A|, is the balance defect, and unless it is at most
+    SYMMETRY_DEFECT_RTOL (a NaN is not) PhaseImbalanceError is raised.
+    """
     coeffs = fourier(samples, h)
     n = samples.shape[1]
-    shape = (len(state_labels), len(state_labels), 2 * h + 1)
-    A = np.zeros(shape, dtype=complex)
-    B = np.zeros((shape[0], len(input_labels), shape[2]), dtype=complex)
-    for p, rows in enumerate(states):
-        A[np.ix_(rows, rows)] = coeffs[p, :, :n]
-        B[np.ix_(rows, inputs[p])] = coeffs[p, :, n:]
+    A = lift(coeffs[0, :, :n], omega1)
+    scale = float(np.max(np.abs(A))) or 1.0
+    rotated = np.array([phase_rotation(h, phase) * coeffs[0] for phase in PHASES])
+    _check_defect(coeffs - rotated, scale, PhaseImbalanceError, "balanced over the phases")
     return LiftedModel(
-        h, omega1, lift(A, omega1), block_toeplitz(B), tuple(state_labels), tuple(input_labels)
+        h, omega1, A, block_toeplitz(coeffs[0, :, n:]), tuple(state_labels), tuple(input_labels)
     )
 
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Lifted LTI model dX/dt = A X + B U over harmonics k = -h..h.
+    """Lifted LTI model dX/dt = A X + B U of phase a's leg over harmonics
+    k = -h..h; ``for_phase`` gives the models of phases b and c.
 
     Block r of X holds the 2h+1 coefficients of ``state_labels[r]`` and
     block c of U those of ``input_labels[c]``. ``A`` and ``B`` are the dense
-    complex lifted arrays.
+    complex lifted arrays of the one phase.
     """
 
     h: int
@@ -283,72 +322,44 @@ class LiftedModel:
     state_labels: tuple[str, ...]
     input_labels: tuple[str, ...]
 
+    def for_phase(self, phase: str) -> LiftedModel:
+        """The model of ``phase``'s leg, A_p = D A D^H and B_p = D B D^H with
+        D = diag(d_k) over (block, k), d_k of ``phase_rotation``, and its
+        labels on that phase."""
+        d = phase_rotation(self.h, phase)
+        rows = np.tile(d, len(self.state_labels))[:, None]
+        cols = np.tile(d.conj(), len(self.input_labels))
+        return LiftedModel(
+            self.h, self.omega1, rows * self.A * rows.T.conj(), rows * self.B * cols,
+            tuple(_on_phase(label, phase) for label in self.state_labels),
+            tuple(_on_phase(label, phase) for label in self.input_labels),
+        )
+
     def phase_blocks(self, half_wave: dict[str, tuple[str, int]]):
-        """The two half-wave halves of phase a's block of A, each of about a
-        sixth of its size: together they carry the spectrum of A once, and
-        A carries it three times.
+        """The two half-wave halves of A, each of about half its size:
+        together they carry the spectrum of A.
 
-        The phases share only the dc bus, so a balanced lift is block
-        diagonal over them, and phase b is phase a delayed by T/3 (phase c
-        advanced by T/3): with D = diag(exp(-j 2 pi k / 3)) over (variable,
-        k), A_b = D A_a D^H and A_c = D^H A_a D. The largest entry of the
-        off-phase blocks, and then of A_b - D A_a D^H and A_c - D^H A_a D,
-        relative to max|A|, is the rotation defect; each block is one
-        gather of A, and unless the defect is at most SYMMETRY_DEFECT_RTOL
-        (a NaN is not) PhaseImbalanceError is raised.
-
-        The half-wave operator T2 commutes with D and acts on each (variable,
-        k) of phase a's block as the signed permutation ``half_wave`` gives
-        (``HALF_WAVE_IMAGE``); a state variable without an entry raises
-        UnknownVariableError. Each pair of variables that T2 swaps is
-        replaced in place by its normalized sum and difference, after which
-        T2 is diagonal with entries +-1, and the block splits into the rows
-        and columns of +1 and of -1, one gather each. The off-diagonal half
-        blocks give the half-wave defect (a map that is no symmetry of A
-        shows there too), and unless it is at most SYMMETRY_DEFECT_RTOL
+        The half-wave operator T2 acts on each (variable, k) of A as the
+        signed permutation ``half_wave`` gives (``HALF_WAVE_IMAGE``), the
+        variable of each block being its label's (``split_phase``); a state
+        variable without an entry raises UnknownVariableError. Each pair of
+        variables that T2 swaps is replaced by its normalized sum and
+        difference, after which T2 is diagonal with entries +-1, and A splits
+        into the rows and columns of +1 and of -1, one gather each. The
+        largest entry of the off-diagonal half blocks, relative to max|A|, is
+        the half-wave defect (a map that is no symmetry of A shows there too),
+        and unless it is at most SYMMETRY_DEFECT_RTOL (a NaN is not)
         HalfWaveAsymmetryError is raised.
         """
         n_h = 2 * self.h + 1
-        phase_rows = {}
-        for i, label in enumerate(self.state_labels):
-            variable, phase = split_phase(label)
-            phase_rows.setdefault(variable, {})[phase] = i
-        if any(len(rows) != len(PHASES) for rows in phase_rows.values()):
-            raise DimensionMismatchError("every state variable needs one block per phase")
-        pairs, plus = _half_wave_basis(tuple(phase_rows), half_wave, self.h)
-        # index[p]: the rows (and columns) of phase p in (variable, k) order.
-        blocks = np.array([[rows[p] for p in PHASES] for rows in phase_rows.values()])
-        index = (blocks.T[:, :, None] * n_h + np.arange(n_h)).reshape(len(PHASES), -1)
-        # The T/3 delay at each (variable, k), exponent reduced mod 3 so that
-        # the weights are exact at every k.
-        k = np.tile(np.arange(-self.h, self.h + 1), len(phase_rows))
-        delay = np.exp(-2j * np.pi * (k % 3) / 3)
-
+        variables = tuple(split_phase(label)[0] for label in self.state_labels)
+        pairs, plus = _half_wave_basis(variables, half_wave, self.h)
         scale = float(np.max(np.abs(self.A))) or 1.0
-
-        def check(deviation, error, what):
-            defect = float(np.max(np.abs(deviation), initial=0.0)) / scale
-            if not defect <= SYMMETRY_DEFECT_RTOL:
-                raise error(
-                    f"lifted A is not {what}: defect {defect:.3e} of max|A| "
-                    f"exceeds {SYMMETRY_DEFECT_RTOL:.0e}",
-                    defect,
-                )
-
-        balance = "balanced over the phases"
-        for p, rows in enumerate(index):
-            for q, cols in enumerate(index):
-                if p != q:
-                    check(self.A[np.ix_(rows, cols)], PhaseImbalanceError, balance)
-        block = self.A[np.ix_(index[0], index[0])]
-        for p, d in ((1, delay), (2, delay.conj())):
-            shifted = d[:, None] * block * d.conj()
-            check(shifted - self.A[np.ix_(index[p], index[p])], PhaseImbalanceError, balance)
-
+        block = self.A.copy()
         _sum_and_difference(block, pairs, n_h)
         halves = (np.flatnonzero(plus), np.flatnonzero(~plus))
         for rows, cols in (halves, halves[::-1]):
-            check(block[np.ix_(rows, cols)], HalfWaveAsymmetryError, "half-wave symmetric")
+            _check_defect(block[np.ix_(rows, cols)], scale, HalfWaveAsymmetryError, "half-wave symmetric")
         return tuple(block[np.ix_(half, half)] for half in halves)
 
 

@@ -14,16 +14,14 @@ with H_v(s) = K_p + K_r s / (s^2 + w1^2) realized per phase by two states:
 The lifted model derives from the closed-loop equations the simulator
 integrates (``_closed_loop_equations``): their complex-step Jacobian on the
 operating orbit at ``instants(h)`` instants (``_closed_loop_samples``),
-lifted as the steady model is (``lift_phase_samples``) to an 18-block
-``LiftedModel`` with inputs v_dc and the three voltage references.
-``time_domain_linearized_A`` is that Jacobian at one instant.
+lifted as the steady model is (``lift_phase_samples``) to phase a's 6-block
+``LiftedModel`` with inputs v_dc and phase a's voltage reference. Phases b
+and c are its T/3 rotations (``LiftedModel.for_phase``).
 
-Eigenvalue screening (``eigenvalues``) uses two symmetries of the model:
-the lifted A is block diagonal over the three phases, whose blocks are
-similar, and phase a's block is block diagonal over the two halves of the
-half-wave operator (``LiftedModel.phase_blocks``, with the controller
-states' images in ``SMALLSIG_HALF_WAVE_IMAGE``). The spectrum comes from
-two numpy eigendecompositions of about a sixth of the size of A.
+Eigenvalue screening (``eigenvalues``) splits the model by the half-wave
+operator (``LiftedModel.phase_blocks``, with the controller states' images
+in ``SMALLSIG_HALF_WAVE_IMAGE``): two numpy eigendecompositions of about
+half its size give phase a's spectrum, which the three phases share.
 
 Envelope responses of this LTI model to a reference step are exact
 zero-order-hold propagations by its transition matrix, so they hold for
@@ -56,11 +54,10 @@ from .plant import (
     lift_phase_samples,
     plant_phase_equations,
 )
-from .steady import OperatingPoint, plant_samples, solve_lifted
+from .steady import OperatingPoint, plant_samples
 
 PR_LABELS = ("pr_a1", "pr_a2", "pr_b1", "pr_b2", "pr_c1", "pr_c2")
 SMALLSIG_STATE_LABELS = STATE_LABELS + PR_LABELS
-SMALLSIG_INPUT_LABELS = ("v_dc", "v_ga_ref", "v_gb_ref", "v_gc_ref")
 
 # Half-wave images (``plant.HALF_WAVE_IMAGE``) of the closed-loop states:
 # the PR states are driven by the ac voltage error, which carries odd
@@ -172,9 +169,10 @@ def _closed_loop_samples(
 def assemble_smallsignal(
     op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams, h: int
 ) -> LiftedModel:
-    """Lifted closed-loop model about an operating point, derived from the
-    closed-loop equations (``_closed_loop_samples``). The v_dc input is the
-    plant's own dc-bus term, the steady model's input (``plant_samples``).
+    """Lifted closed-loop model of phase a about an operating point, derived
+    from the closed-loop equations (``_closed_loop_samples``), inputs v_dc
+    and v_ga_ref. The v_dc input is the plant's own dc-bus term, the steady
+    model's input (``plant_samples``).
     """
     if h != op.h:
         raise DimensionMismatchError(
@@ -184,23 +182,21 @@ def assemble_smallsignal(
     dc = np.zeros_like(closed[:, :, :1])
     dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
     return lift_phase_samples(
-        np.concatenate([closed, dc], axis=2), _PHASE_COLUMNS, [[1 + p, 0] for p in range(len(PHASES))],
-        h, params.omega1, SMALLSIG_STATE_LABELS, SMALLSIG_INPUT_LABELS,
+        np.concatenate([closed[:, :, :6], dc, closed[:, :, 6:]], axis=2), h, params.omega1,
+        [SMALLSIG_STATE_LABELS[i] for i in _PHASE_COLUMNS[0]], ("v_dc", "v_ga_ref"),
     )
 
 
 def eigenvalues(model: LiftedModel) -> np.ndarray:
-    """Spectrum of the lifted A, sorted by real part descending, then by
-    imaginary part.
+    """Spectrum of the lifted A of all three phases, sorted by real part
+    descending, then by imaginary part.
 
-    Computed from the half-wave halves of phase a's block of A
+    Computed from the two half-wave halves of phase a's A
     (``LiftedModel.phase_blocks`` with ``SMALLSIG_HALF_WAVE_IMAGE``, which
     also covers the plant states of a steady model): one numpy
-    eigendecomposition of each, about a sixth of the size of A, whose
-    spectra together are repeated three times, once per phase. Raises
-    PhaseImbalanceError when A is not balanced over the three phases, and
-    HalfWaveAsymmetryError when it does not commute with the half-wave
-    operator.
+    eigendecomposition of each, about half its size, whose spectra together
+    are repeated three times, once per phase. Raises HalfWaveAsymmetryError
+    when A does not commute with the half-wave operator.
     """
     halves = model.phase_blocks(SMALLSIG_HALF_WAVE_IMAGE)
     eig = np.tile(np.concatenate([np.linalg.eigvals(half) for half in halves]), len(PHASES))
@@ -285,22 +281,6 @@ def operating_state_at(
     )
 
 
-def time_domain_linearized_A(
-    op: OperatingPoint,
-    params: MmcParameters,
-    ctrl: ControllerParams,
-    t: float,
-) -> np.ndarray:
-    """Instantaneous 18x18 closed-loop Jacobian at time t on the operating
-    orbit: the complex-step Jacobian the lifted A is the lift of
-    (``_closed_loop_samples``), at one instant."""
-    a = _closed_loop_samples(op, params, ctrl, t)[:, :, :6, 0]
-    out = np.zeros((18, 18))
-    for p, c in enumerate(_PHASE_COLUMNS):
-        out[np.ix_(c, c)] = a[p]
-    return out
-
-
 @dataclass(frozen=True)
 class EnvelopeResponse:
     """Harmonic-coefficient envelopes of the small-signal states over time."""
@@ -318,9 +298,6 @@ class EnvelopeResponse:
             raise UnknownVariableError(f"no state block {label!r}") from None
         n = 2 * self.h + 1
         return self.states[:, i * n : (i + 1) * n]
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1].copy()
 
 
 def envelope_response(
@@ -419,28 +396,21 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def lifted_reference_step(
     model: LiftedModel, phase: str, delta_phasor: complex
 ) -> np.ndarray:
-    """Lifted input vector for a reference-amplitude step on one phase.
+    """Lifted input vector of ``model`` for a reference-amplitude step on
+    one phase, whose model ``model`` is (``LiftedModel.for_phase``).
 
     A fundamental-frequency step lives in the k = +/-1 slots of that
     phase's reference block, as a conjugate pair of half the phasor.
     """
-    if phase not in PHASES:
-        raise UnknownVariableError(f"unknown phase {phase!r}")
+    label = f"v_g{phase}_ref"
+    if label not in model.input_labels:
+        raise UnknownVariableError(f"model has no input {label!r}")
     n = 2 * model.h + 1
-    u = np.zeros(len(SMALLSIG_INPUT_LABELS) * n, dtype=complex)
-    col = SMALLSIG_INPUT_LABELS.index(f"v_g{phase}_ref")
+    u = np.zeros(len(model.input_labels) * n, dtype=complex)
+    col = model.input_labels.index(label)
     u[col * n + model.h + 1] = 0.5 * delta_phasor
     u[col * n + model.h - 1] = 0.5 * np.conj(delta_phasor)
     return u
-
-
-def settled_envelope_state(model: LiftedModel, delta_u_final: np.ndarray) -> np.ndarray:
-    """Algebraic settled state -A^-1 B dU of the small-signal model.
-
-    Raises SingularSystemError under the same condition and residual gates
-    as the steady solve.
-    """
-    return solve_lifted(model.A, -(model.B @ delta_u_final))[0]
 
 
 # Largest imaginary residual of a reconstructed perturbation, relative to its peak.

@@ -3,12 +3,13 @@ operating-point solver.
 
 The plant equations are differentiated by complex step at the insertion
 indices of ``instants(h)`` instants of a period (``plant_samples``) and
-lifted to truncation order h (``lift_phase_samples``), giving a
-12*(2h+1)-square complex matrix whose blocks are Toeplitz operators of the
+lifted to truncation order h (``lift_phase_samples``), giving phase a's
+4*(2h+1)-square complex matrix, whose blocks are Toeplitz operators of the
 periodic coefficients plus the diagonal differentiation terms. Setting the
-lifted derivative to zero yields the periodic operating point directly from
-one linear solve. The operating point keeps the solution as one
-(12, 2h+1) coefficient array in ``STATE_LABELS`` order.
+lifted derivative to zero yields phase a's periodic operating point from
+one linear solve, and phases b and c are its T/3 rotations. The operating
+point keeps the solution as one (12, 2h+1) coefficient array in
+``STATE_LABELS`` order.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .plant import (
     MmcParameters,
     complex_step_jacobian,
     lift_phase_samples,
+    phase_rotation,
     plant_phase_equations,
     state_position,
 )
@@ -84,11 +86,12 @@ def plant_samples(params: MmcParameters, indices: tuple[np.ndarray, np.ndarray],
 def assemble_steady(
     params: MmcParameters, indices: tuple[np.ndarray, np.ndarray], h: int
 ) -> LiftedModel:
-    """Lifted plant model at the insertion indices (n_u, n_l), input the
-    dc-bus voltage, derived from the plant equations (``plant_samples``)."""
+    """Lifted plant model of phase a at the insertion indices (n_u, n_l),
+    input the dc-bus voltage, derived from the plant equations
+    (``plant_samples``)."""
     return lift_phase_samples(
-        plant_samples(params, indices, h), PHASE_STATES, [[0]] * len(PHASES), h,
-        params.omega1, STATE_LABELS, ("v_dc",),
+        plant_samples(params, indices, h), h, params.omega1,
+        [STATE_LABELS[i] for i in PHASE_STATES[0]], ("v_dc",),
     )
 
 
@@ -184,16 +187,19 @@ def solve_lifted(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float
 def solve_steady_state(
     model: LiftedModel, u: np.ndarray, indices: tuple[np.ndarray, np.ndarray]
 ) -> OperatingPoint:
-    """Periodic operating point from the algebraic solve of the lifted model
-    assembled at ``indices``.
+    """Periodic operating point from the algebraic solve of phase a's lifted
+    model assembled at ``indices``, under the lifted constant dc-bus voltage
+    ``u`` (``dc_input_vector``). It drives the three phases alike, so phases
+    b and c are the T/3 rotations of phase a (``phase_rotation``).
 
     Raises SingularSystemError when the gated solve (``solve_lifted``)
-    rejects the lifted matrix or its solution.
+    rejects the lifted matrix or its solution, and ResidualImaginaryError
+    when a state's coefficients are not conjugate symmetric.
     """
-    rhs = model.B @ np.asarray(u, dtype=complex)
-    x_ss, condition, residual = solve_lifted(model.A, -rhs)
-
-    coeffs = x_ss.reshape(len(model.state_labels), 2 * model.h + 1)
+    x_a, condition, residual = solve_lifted(model.A, -(model.B @ np.asarray(u, dtype=complex)))
+    rotations = np.array([phase_rotation(model.h, phase) for phase in PHASES])
+    # STATE_LABELS runs over the three phases within each variable.
+    coeffs = (x_a.reshape(-1, 1, 2 * model.h + 1) * rotations).reshape(len(STATE_LABELS), -1)
     coeffs.flags.writeable = False
     peaks = np.max(np.abs(coeffs), axis=1)
     scale = np.maximum(peaks, SYMMETRY_FLOOR * float(peaks.max()))
@@ -202,7 +208,7 @@ def solve_steady_state(
     worst = int(np.argmax(defects))
     if not defects[worst] <= SYMMETRY_RTOL:  # a NaN defect fails too
         raise ResidualImaginaryError(
-            f"steady solution for {model.state_labels[worst]} violates conjugate symmetry "
+            f"steady solution for {STATE_LABELS[worst]} violates conjugate symmetry "
             f"(defect {defects[worst]:.3e})"
         )
     n_u, n_l = indices

@@ -10,16 +10,20 @@ import pytest
 
 from hssmmc import MmcParameters
 from hssmmc.config import load_config
+from hssmmc.harmonic import block_toeplitz, fourier, lift
 from hssmmc.pipelines import SmallsigContext, solve_operating_point
 from hssmmc.plant import (
     PHASE_SHIFT,
     PHASE_STATES,
     PHASES,
+    STATE_LABELS,
+    LiftedModel,
     complex_step_jacobian,
     plant_phase_equations,
-    split_phase,
 )
 from hssmmc.simulate import Trajectory, _check_blowup, default_initial_state, settled_open_loop
+from hssmmc.smallsignal import _PHASE_COLUMNS, SMALLSIG_STATE_LABELS, _closed_loop_samples
+from hssmmc.steady import dc_input_vector, plant_samples
 
 
 @pytest.fixture(scope="session")
@@ -162,57 +166,110 @@ def block(model, row, col=None):
     return matrix[rows, c * n : (c + 1) * n]
 
 
-def unbalanced(model, label="i_cb", rel=1e-6):
-    """``model`` with the whole block row of ``label`` raised by ``rel`` of
-    max|A|, which breaks its balance over the three phases."""
-    import dataclasses
+def dense_lift(samples, states, inputs, h, omega1, state_labels, input_labels):
+    """Lifted model of all three phases from per-phase Jacobian samples
+    (3, n, n + m, N): each phase's own coefficients placed on the diagonal,
+    at ``states[p]`` in the state vector and ``inputs[p]`` in the input
+    vector, with no rotation of phase a. An independent reference for the
+    phase-a model and its rotations (``LiftedModel.for_phase``)."""
+    coeffs = fourier(samples, h)
+    n = samples.shape[1]
+    shape = (len(state_labels), len(state_labels), 2 * h + 1)
+    A = np.zeros(shape, dtype=complex)
+    B = np.zeros((shape[0], len(input_labels), shape[2]), dtype=complex)
+    for p, rows in enumerate(states):
+        A[np.ix_(rows, rows)] = coeffs[p, :, :n]
+        B[np.ix_(rows, inputs[p])] = coeffs[p, :, n:]
+    return LiftedModel(
+        h, omega1, lift(A, omega1), block_toeplitz(B), tuple(state_labels), tuple(input_labels)
+    )
 
-    n = 2 * model.h + 1
-    r = model.state_labels.index(label)
-    A = model.A.copy()
-    A[r * n : (r + 1) * n] += rel * np.max(np.abs(A))
-    return dataclasses.replace(model, A=A)
+
+def dense_steady(params, indices, h):
+    """Three-phase reference of ``assemble_steady``: 12 state blocks, input v_dc."""
+    return dense_lift(
+        plant_samples(params, indices, h), PHASE_STATES, [[0]] * 3, h, params.omega1,
+        STATE_LABELS, ("v_dc",),
+    )
+
+
+def dense_steady_coeffs(params, indices, h):
+    """The (12, 2h+1) operating point of the dense reference, by one
+    ``numpy.linalg.solve``."""
+    model = dense_steady(params, indices, h)
+    x = np.linalg.solve(model.A, -(model.B @ dc_input_vector(params.V_dc, h)))
+    return x.reshape(len(STATE_LABELS), 2 * h + 1)
+
+
+DENSE_SMALLSIG_INPUT_LABELS = ("v_dc", "v_ga_ref", "v_gb_ref", "v_gc_ref")
+
+
+def dense_smallsignal(op, params, ctrl, h):
+    """Three-phase reference of ``assemble_smallsignal``: 18 state blocks,
+    inputs v_dc and the three voltage references."""
+    closed = _closed_loop_samples(op, params, ctrl)
+    dc = np.zeros_like(closed[:, :, :1])
+    dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
+    return dense_lift(
+        np.concatenate([closed, dc], axis=2), _PHASE_COLUMNS, [[1 + p, 0] for p in range(3)],
+        h, params.omega1, SMALLSIG_STATE_LABELS, DENSE_SMALLSIG_INPUT_LABELS,
+    )
+
+
+def settled_state(model, delta_u):
+    """Algebraic settled state -A^-1 B dU of a lifted small-signal model."""
+    return np.linalg.solve(model.A, -(model.B @ delta_u))
+
+
+def linearized_A(op, params, ctrl, t):
+    """Instantaneous 18x18 closed-loop Jacobian at time t on the operating
+    orbit: the complex-step Jacobian the lifted A is the lift of
+    (``_closed_loop_samples``), at one instant."""
+    a = _closed_loop_samples(op, params, ctrl, t)[:, :, :6, 0]
+    out = np.zeros((18, 18))
+    for p, c in enumerate(_PHASE_COLUMNS):
+        out[np.ix_(c, c)] = a[p]
+    return out
+
+
+def _phase_raised(samples, rows, cols, phase, rel):
+    """A copy of per-phase Jacobian samples with the entries (rows, cols) of
+    ``phase`` raised by ``rel`` of the largest sample at every instant."""
+    out = samples.copy()
+    out[phase, rows, cols] += rel * np.max(np.abs(samples))
+    return out
+
+
+def unbalanced(samples, rel=1e-6):
+    """Per-phase Jacobian samples (3, n, n + m, N) with phase b's i_c row,
+    state and input columns, raised by ``rel`` of the largest sample: phase b
+    is no longer the T/3 rotation of phase a."""
+    return _phase_raised(samples, 0, slice(None), 1, rel)
+
+
+def phase_b_raised(samples, rel=1e-6):
+    """Per-phase Jacobian samples with every entry of phase b's own state
+    columns raised by ``rel`` of the largest sample."""
+    n = samples.shape[1]
+    return _phase_raised(samples, slice(None), slice(0, n), 1, rel)
+
+
+def with_nan(samples, phase=1):
+    """Per-phase Jacobian samples with one NaN, in the i_c row and v_cu
+    column of ``phase`` at the first instant: by default phase b's."""
+    out = samples.copy()
+    out[phase, 0, 1, 0] = np.nan
+    return out
 
 
 def half_wave_broken(model, rel=1e-6):
-    """``model`` with the coupling of (i_c, k = 3) to (i_c, k = 0) raised by
-    ``rel`` of max|A| on all three phases: it keeps the balance over the
-    phases but couples an odd to an even harmonic of i_c, which breaks the
-    half-wave symmetry."""
+    """Phase a's ``model`` with the coupling of (i_c, k = 3) to (i_c, k = 0)
+    raised by ``rel`` of max|A|: it couples an odd to an even harmonic of
+    i_c, which breaks the half-wave symmetry."""
     import dataclasses
 
     n = 2 * model.h + 1
     A = model.A.copy()
-    delta = rel * np.max(np.abs(A))
-    for phase in "abc":
-        start = model.state_labels.index(f"i_c{phase}") * n + model.h
-        A[start + 3, start] += delta
-    return dataclasses.replace(model, A=A)
-
-
-def phase_b_raised(model, rel=1e-6):
-    """``model`` with every entry of phase b's own diagonal block raised by
-    ``rel`` of max|A|: the off-phase blocks stay exactly zero, but phase b
-    is no longer the T/3 shift of phase a."""
-    import dataclasses
-
-    n = 2 * model.h + 1
-    rows = np.concatenate([
-        np.arange(i * n, (i + 1) * n)
-        for i, label in enumerate(model.state_labels)
-        if split_phase(label)[1] == "b"
-    ])
-    A = model.A.copy()
-    A[np.ix_(rows, rows)] += rel * np.max(np.abs(A))
-    return dataclasses.replace(model, A=A)
-
-
-def with_nan(model, entry=(5, 7)):
-    """``model`` with one NaN entry in A. The default entry is off-phase at
-    h = 3 (row i_ca, column i_cb); (0, 1) lies in phase a's own block at
-    every h >= 1."""
-    import dataclasses
-
-    A = model.A.copy()
-    A[entry] = np.nan
+    start = model.state_labels.index("i_ca") * n + model.h
+    A[start + 3, start] += rel * np.max(np.abs(A))
     return dataclasses.replace(model, A=A)

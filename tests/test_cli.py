@@ -57,10 +57,21 @@ def _perturb_smallsignal_models(monkeypatch, perturb):
     )
 
 
+def _perturb_closed_loop_samples(monkeypatch, perturb):
+    """Pass the per-phase Jacobian samples of every small-signal model the
+    pipelines build through ``perturb`` before the lift."""
+    import hssmmc.smallsignal as smallsignal
+
+    samples = smallsignal._closed_loop_samples
+    monkeypatch.setattr(
+        smallsignal, "_closed_loop_samples", lambda *args: perturb(samples(*args))
+    )
+
+
 def _unbalance_smallsignal_models(monkeypatch):
     """Make every small-signal model the pipelines build unbalanced over
-    the phases (``conftest.unbalanced``: the i_cb block row perturbed)."""
-    _perturb_smallsignal_models(monkeypatch, unbalanced)
+    the phases (``conftest.unbalanced``: phase b's i_c row perturbed)."""
+    _perturb_closed_loop_samples(monkeypatch, unbalanced)
 
 
 class TestExitCodes:
@@ -119,7 +130,12 @@ class TestExitCodes:
     def test_asymmetric_or_non_finite_model_is_a_numerical_failure(
         self, fast_config, tmp_path, capsys, monkeypatch, perturb, error
     ):
-        _perturb_smallsignal_models(monkeypatch, perturb)
+        # half_wave_broken acts on phase a's model, with_nan on phase b's
+        # samples before the lift.
+        if perturb is half_wave_broken:
+            _perturb_smallsignal_models(monkeypatch, perturb)
+        else:
+            _perturb_closed_loop_samples(monkeypatch, perturb)
         assert main(["smallsig", "--config", fast_config, "--out", str(tmp_path / "o")]) == 3
         assert error in capsys.readouterr().err
 

@@ -10,7 +10,6 @@ from hssmmc import (
     ControllerParams,
     analyze,
     MmcParameters,
-    SingularSystemError,
     assemble_smallsignal,
     assemble_steady,
     dc_input_vector,
@@ -28,21 +27,31 @@ from hssmmc.errors import (
     ResidualImaginaryError,
     UnknownVariableError,
 )
+from hssmmc.pipelines import solve_operating_point
 from hssmmc.plant import HALF_WAVE_IMAGE, split_phase
 from hssmmc.smallsignal import (
     EnvelopeResponse,
     SMALLSIG_STATE_LABELS,
+    _PHASE_COLUMNS,
     lifted_reference_step,
     load_voltage_spectrum,
     operating_state_at,
     references_from_operating_point,
-    settled_envelope_state,
     _expm,
-    time_domain_linearized_A,
 )
 from hssmmc.simulate import _closed_loop_rhs
 
-from conftest import block, half_wave_broken, phase_b_raised, unbalanced, with_nan
+from conftest import (
+    block,
+    dense_smallsignal,
+    dense_steady,
+    half_wave_broken,
+    linearized_A,
+    phase_b_raised,
+    settled_state,
+    unbalanced,
+    with_nan,
+)
 
 W1 = 314.0
 
@@ -110,17 +119,19 @@ class TestFCoefficients:
         ctrl = ControllerParams(K_p=0.7, K_r=100.0, k_f=0.7)
         model = assemble_smallsignal(op, p, ctrl, 3)
         for i, ph in enumerate(("a", "b", "c")):
-            assert np.max(np.abs(coefficients(model, f"i_c{ph}", f"i_g{ph}"))) == 0.0
+            rotated = model.for_phase(ph)
+            assert np.max(np.abs(coefficients(rotated, f"i_c{ph}", f"i_g{ph}"))) == 0.0
             expected = (1.0 / (2 * p.C_arm)) * op.n_u[i]
-            assert_coefficients_equal(coefficients(model, f"v_cu{ph}", f"i_g{ph}"), expected)
+            assert_coefficients_equal(coefficients(rotated, f"v_cu{ph}", f"i_g{ph}"), expected)
 
     def test_zero_modulation_point(self):
         p = sec3_like()
         op = solve(p, 0.0, 3)
         model = assemble_smallsignal(op, p, ctrl_default(), 3)
         for ph in ("a", "b", "c"):
-            assert np.max(np.abs(coefficients(model, f"i_c{ph}", f"pr_{ph}1"))) <= 1e-12 / p.L
-            i2 = coefficients(model, f"i_g{ph}", f"pr_{ph}1")
+            rotated = model.for_phase(ph)
+            assert np.max(np.abs(coefficients(rotated, f"i_c{ph}", f"pr_{ph}1"))) <= 1e-12 / p.L
+            i2 = coefficients(rotated, f"i_g{ph}", f"pr_{ph}1")
             assert i2[3] == pytest.approx(2.0 / p.L, rel=1e-9)
             assert np.max(np.abs(np.delete(i2, 3))) <= 1e-9 / p.L
 
@@ -149,9 +160,11 @@ class TestFCoefficients:
 class TestAssembly:
     def test_dimensions_and_labels(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
-        assert model.A.shape == (18 * 7, 18 * 7)
-        assert model.B.shape == (18 * 7, 4 * 7)
-        assert model.state_labels == SMALLSIG_STATE_LABELS
+        assert model.A.shape == (6 * 7, 6 * 7)
+        assert model.B.shape == (6 * 7, 2 * 7)
+        assert model.state_labels == tuple(lbl for lbl in SMALLSIG_STATE_LABELS if split_phase(lbl)[1] == "a")
+        assert model.input_labels == ("v_dc", "v_ga_ref")
+        assert model.for_phase("c").input_labels == ("v_dc", "v_gc_ref")
 
     def test_pr_integrator_chain_blocks(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
@@ -169,7 +182,6 @@ class TestAssembly:
         assert np.allclose(i3, pr, rtol=1e-12, atol=1e-12 * np.max(np.abs(pr)))
         assert np.array_equal(block(model, "pr_a1", "v_ga_ref"), sec3_cfg.ctrl.K_r * np.eye(7))
         assert np.count_nonzero(block(model, "pr_a2", "v_ga_ref")) == 0
-        assert np.count_nonzero(block(model, "i_ga", "v_gb_ref")) == 0
 
     def test_zero_gains_about_equilibrium_reduce_to_open_loop(self):
         p = sec3_like()
@@ -177,8 +189,8 @@ class TestAssembly:
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
         model = assemble_smallsignal(op, p, ctrl, 2)
         steady = assemble_steady(p, open_loop_insertion_indices(0.0, 2), 2)
-        n12 = 12 * 5
-        assert np.allclose(model.A[:n12, :n12], steady.A, atol=1e-12)
+        n4 = 4 * 5
+        assert np.allclose(model.A[:n4, :n4], steady.A, atol=1e-12)
 
 
 class TestEigenvalues:
@@ -266,11 +278,11 @@ class TestEnvelope:
         model = smallsig_ctx.model
         delta = 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"]))
         u = lifted_reference_step(model, "a", delta)
-        x_alg = settled_envelope_state(model, u)
+        x_alg = settled_state(model, u)
         lam = np.max(np.abs(smallsig_ctx.eig))
         dt = 0.09 / lam
         env = envelope_response(model, u, t_end=2.8, dt=dt, store_every=2000)
-        err = np.linalg.norm(env.final_state() - x_alg) / np.linalg.norm(x_alg)
+        err = np.linalg.norm(env.states[-1] - x_alg) / np.linalg.norm(x_alg)
         assert err <= 1e-3
 
     def test_stores_t_end_when_store_every_does_not_divide_the_steps(self, smallsig_ctx):
@@ -283,7 +295,7 @@ class TestEnvelope:
         assert np.array_equal(thinned.t, every.t[stored])
         assert np.array_equal(thinned.states, every.states[stored])
         assert thinned.t[-1] == pytest.approx(0.0105, abs=1e-15)
-        assert np.array_equal(thinned.final_state(), every.final_state())
+        assert np.array_equal(thinned.states[-1], every.states[-1])
 
     def test_lifted_step_slots(self, smallsig_ctx):
         model = smallsig_ctx.model
@@ -329,16 +341,6 @@ class TestEnvelope:
         with pytest.raises(UnknownVariableError):
             reconstruct_perturbation(env, "i_q", "a")
 
-    def test_settled_state_rejects_singular_model(self, smallsig_ctx):
-        import dataclasses
-
-        model = smallsig_ctx.model
-        singular = dataclasses.replace(model, A=model.A.copy())
-        block(singular, "pr_a2")[:] = 0.0
-        u = lifted_reference_step(model, "a", 10e3)
-        with pytest.raises(SingularSystemError):
-            settled_envelope_state(singular, u)
-
 
 def zero_input(model):
     return np.zeros(model.B.shape[1], dtype=complex)
@@ -375,7 +377,7 @@ def small_model():
     scale=st.floats(-3.0, 3.0),
 )
 def test_envelope_properties(small_model, dt, n_steps, magnitude, angle, scale):
-    model = small_model
+    model = small_model.for_phase("b")
     t_end = n_steps * dt
 
     def response(phasor, step=dt, store_every=1):
@@ -441,7 +443,7 @@ def test_expm_matches_scipy(n, seed, log_norm):
 
 
 def assert_jacobian_matches_central_differences(op, params, ctrl):
-    """``time_domain_linearized_A`` against central differences of the
+    """``conftest.linearized_A`` against central differences of the
     simulator's closed-loop right-hand side at five instants on the
     operating orbit, row by row within 1e-5 relative."""
     refs = references_from_operating_point(op, params)
@@ -449,7 +451,7 @@ def assert_jacobian_matches_central_differences(op, params, ctrl):
     rng = np.random.default_rng(33)
     for t in rng.uniform(0.0, params.period, size=5):
         x_op = operating_state_at(op, params, ctrl, refs, t)
-        A_an = time_domain_linearized_A(op, params, ctrl, t)
+        A_an = linearized_A(op, params, ctrl, t)
         J = np.zeros((18, 18))
         for j in range(18):
             e = np.zeros(18)
@@ -493,7 +495,7 @@ class TestLinearizationPoint:
     def test_lift_of_sampled_jacobian_matches_assembly(self, sec3_cfg, h):
         # Fourier coefficients of the instantaneous Jacobian, lifted block by
         # block with toeplitz() and the frequency matrix, rebuild the
-        # assembled closed-loop A.
+        # assembled closed-loop A of phase a.
         import dataclasses
 
         from hssmmc.pipelines import solve_operating_point
@@ -505,16 +507,16 @@ class TestLinearizationPoint:
 
         n_samples = 4 * (2 * h + 1)
         ts = np.arange(n_samples) * params.period / n_samples
-        samples = np.array([time_domain_linearized_A(op, params, ctrl, t) for t in ts])
+        samples = np.array([linearized_A(op, params, ctrl, t) for t in ts])
         n = 2 * h + 1
         Q = np.diag(frequency_matrix(h, W1))
         lifted = np.zeros_like(ref)
-        for r in range(18):
-            for c in range(18):
+        for i, r in enumerate(_PHASE_COLUMNS[0]):
+            for j, c in enumerate(_PHASE_COLUMNS[0]):
                 lifted_rc = toeplitz(analyze(samples[:, r, c], h, W1))
                 if r == c:
                     lifted_rc = lifted_rc - Q
-                lifted[r * n : (r + 1) * n, c * n : (c + 1) * n] = lifted_rc
+                lifted[i * n : (i + 1) * n, j * n : (j + 1) * n] = lifted_rc
         assert np.max(np.abs(lifted - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -535,26 +537,26 @@ def _previous_phase(label):
     return label[:-1] + prev[label[-1]]
 
 
-def lift_symmetry_defects(model):
-    """Relative defects of the two structural symmetries of a lifted A.
+def conjugate_defect(model):
+    """Relative defect of J A J = conj(A), J the per-block harmonic flip."""
+    A = model.A
+    n = 2 * model.h + 1
+    flip = (np.arange(len(model.state_labels))[:, None] * n + np.arange(n)[::-1]).ravel()
+    return np.max(np.abs(A[np.ix_(flip, flip)] - np.conj(A))) / np.max(np.abs(A))
 
-    Conjugate symmetry: J A J = conj(A), J the per-block harmonic flip.
-    120-degree rotation: P A P^T = D A D*, P the relabelling a -> b -> c of
-    the state blocks and D = I kron diag(exp(+j k 2 pi / 3)).
-    """
+
+def rotation_defect(model):
+    """Relative defect of the 120-degree rotation of a three-phase lifted A:
+    P A P^T = D A D*, P the relabelling a -> b -> c of the state blocks and
+    D = I kron diag(exp(+j k 2 pi / 3))."""
     A = model.A
     n = 2 * model.h + 1
     labels = model.state_labels
-    start = np.arange(len(labels))[:, None] * n
-    flip = (start + np.arange(n)[::-1]).ravel()
     rotation = (
         np.array([labels.index(_previous_phase(lbl)) for lbl in labels])[:, None] * n + np.arange(n)
     ).ravel()
     d = np.tile(np.exp(2j * np.pi / 3 * np.arange(-model.h, model.h + 1)), len(labels))
-    scale = np.max(np.abs(A))
-    conjugate = np.max(np.abs(A[np.ix_(flip, flip)] - np.conj(A))) / scale
-    rotated = np.max(np.abs(A[np.ix_(rotation, rotation)] - d[:, None] * A * np.conj(d))) / scale
-    return conjugate, rotated
+    return np.max(np.abs(A[np.ix_(rotation, rotation)] - d[:, None] * A * np.conj(d))) / np.max(np.abs(A))
 
 
 @settings(max_examples=30, deadline=None)
@@ -565,46 +567,59 @@ def lift_symmetry_defects(model):
     x_over_r=st.floats(0.0, 0.5),
 )
 def test_lift_symmetries(preset, m, h, x_over_r):
+    # Conjugate symmetry on phase a's models; the rotation on the
+    # three-phase reference, each phase lifted from its own samples.
+    cfg = _preset_cfg(preset, m, h, x_over_r)
+    idx = open_loop_insertion_indices(m, h)
+    assert conjugate_defect(assemble_steady(cfg.params, idx, h)) <= 1e-13
+    assert rotation_defect(dense_steady(cfg.params, idx, h)) <= 1e-13
+
+    op = solve_operating_point(cfg)
+    assert conjugate_defect(assemble_smallsignal(op, cfg.params, cfg.ctrl, h)) <= 1e-13
+    assert rotation_defect(dense_smallsignal(op, cfg.params, cfg.ctrl, h)) <= 1e-13
+
+
+def _preset_cfg(preset, m=None, h=None, x_over_r=0.0):
     import dataclasses
 
     from hssmmc.config import load_config
-    from hssmmc.pipelines import solve_operating_point
 
     cfg = load_config(preset)
     params = dataclasses.replace(
         cfg.params, L_load=x_over_r * cfg.params.R_load / cfg.params.omega1
     )
-    steady = assemble_steady(params, open_loop_insertion_indices(m, h), h)
-    assert max(lift_symmetry_defects(steady)) <= 1e-13
-
-    op = solve_operating_point(dataclasses.replace(cfg, m=m, h=h, params=params))
-    model = assemble_smallsignal(op, params, cfg.ctrl, h)
-    assert max(lift_symmetry_defects(model)) <= 1e-13
+    return dataclasses.replace(
+        cfg, m=cfg.m if m is None else m, h=cfg.h if h is None else h, params=params
+    )
 
 
 def _preset_model(preset, m=None, h=None, x_over_r=0.0):
-    import dataclasses
-
-    from hssmmc.config import load_config
     from hssmmc.pipelines import build_smallsignal_model
 
-    cfg = load_config(preset)
-    params = dataclasses.replace(
-        cfg.params, L_load=x_over_r * cfg.params.R_load / cfg.params.omega1
-    )
-    cfg = dataclasses.replace(
-        cfg, m=cfg.m if m is None else m, h=cfg.h if h is None else h, params=params
-    )
-    return build_smallsignal_model(cfg)[1]
+    return build_smallsignal_model(_preset_cfg(preset, m, h, x_over_r))[1]
 
 
-def assert_same_spectrum(model):
+def _model_from_samples(preset, perturb, h=3):
+    """``_preset_model`` with its per-phase closed-loop Jacobian samples
+    passed through ``perturb`` before the lift."""
+    from unittest import mock
+
+    from hssmmc import smallsignal
+
+    samples = smallsignal._closed_loop_samples
+    with mock.patch.object(smallsignal, "_closed_loop_samples", lambda *args: perturb(samples(*args))):
+        return _preset_model(preset, h=h)
+
+
+def assert_same_spectrum(preset, m=None, h=None, x_over_r=0.0):
     """``eigenvalues`` (phase a's half-wave blocks) against the dense
-    eigenvalues of the whole lifted A, matched one to one."""
+    eigenvalues of the three-phase reference, matched one to one."""
     from scipy.optimize import linear_sum_assignment
 
-    blocks = eigenvalues(model)
-    dense = scipy.linalg.eigvals(model.A)
+    cfg = _preset_cfg(preset, m, h, x_over_r)
+    op = solve_operating_point(cfg)
+    blocks = eigenvalues(assemble_smallsignal(op, cfg.params, cfg.ctrl, cfg.h))
+    dense = scipy.linalg.eigvals(dense_smallsignal(op, cfg.params, cfg.ctrl, cfg.h).A)
     assert blocks.shape == dense.shape
     rows, cols = linear_sum_assignment(np.abs(blocks[:, None] - dense[None, :]))
     assert np.max(np.abs(blocks[rows] - dense[cols])) <= 1e-12 * np.max(np.abs(dense))
@@ -622,42 +637,68 @@ def assert_same_spectrum(model):
 @example(preset="sec3-simulation", m=0.0, h=5, x_over_r=0.3)
 @example(preset="table1-prototype", m=0.0, h=4, x_over_r=0.0)
 def test_phase_block_spectrum_matches_dense(preset, m, h, x_over_r):
-    assert_same_spectrum(_preset_model(preset, m, h, x_over_r))
+    assert_same_spectrum(preset, m, h, x_over_r)
 
 
 @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
 def test_phase_block_spectrum_matches_dense_at_h30(preset):
-    assert_same_spectrum(_preset_model(preset, h=30))
+    assert_same_spectrum(preset, h=30)
+
+
+@pytest.mark.parametrize("phase", ["a", "b", "c"])
+def test_envelope_of_each_phase_matches_the_three_phase_reference(smallsig_ctx, phase):
+    # A step on one phase, propagated on that phase's rotation of phase a's
+    # model and on the three-phase reference, over 5 periods at 400 steps
+    # per period; the reference's other phases stay at rest.
+    ctx = smallsig_ctx
+    cfg = ctx.cfg
+    model = ctx.model.for_phase(phase)
+    dense = dense_smallsignal(ctx.op, cfg.params, cfg.ctrl, cfg.h)
+    delta = 10e3 * np.exp(1j * np.angle(ctx.refs[phase]))
+    dt = cfg.params.period / 400
+    env = envelope_response(model, lifted_reference_step(model, phase, delta), t_end=2000 * dt, dt=dt)
+    ref = envelope_response(dense, lifted_reference_step(dense, phase, delta), t_end=2000 * dt, dt=dt)
+    peak = np.max(np.abs(ref.states))
+    for label in dense.state_labels:
+        expected = ref.block(label)
+        actual = env.block(label) if label in model.state_labels else 0.0
+        assert np.max(np.abs(actual - expected)) <= 1e-10 * peak
 
 
 class TestPhaseBalanceGate:
     def test_perturbed_phase_row_raises(self):
-        model = _preset_model("table1-prototype", h=3)
         with pytest.raises(PhaseImbalanceError) as info:
-            eigenvalues(unbalanced(model))
+            _model_from_samples("table1-prototype", unbalanced)
         assert 1e-7 < info.value.defect < 1e-5
 
     def test_balanced_models_pass(self):
         # The steady lift has the same symmetry as the closed-loop one.
         steady = assemble_steady(sec3_like(), open_loop_insertion_indices(0.7, 4), 4)
         eigenvalues(steady)
-        eigenvalues(unbalanced(_preset_model("sec3-simulation", h=3), rel=1e-14))
+        eigenvalues(_model_from_samples("sec3-simulation", lambda s: unbalanced(s, rel=1e-14)))
 
     def test_phase_b_off_its_rotation_of_phase_a_raises(self):
-        # The off-phase blocks stay zero: only the rotation check can see it.
-        model = _preset_model("table1-prototype", h=3)
         with pytest.raises(PhaseImbalanceError) as info:
-            eigenvalues(phase_b_raised(model))
+            _model_from_samples("table1-prototype", phase_b_raised)
         assert 1e-7 < info.value.defect < 1e-5
 
     def test_non_finite_model_raises_the_gate_error(self):
         # A NaN compares false with every bound, so it must fail the gate.
         with pytest.raises(PhaseImbalanceError):
-            eigenvalues(with_nan(_preset_model("sec3-simulation", h=3)))
+            _model_from_samples("sec3-simulation", with_nan)
 
     def test_non_finite_entry_in_phase_a_block_raises_the_gate_error(self):
         with pytest.raises(PhaseImbalanceError):
-            eigenvalues(with_nan(_preset_model("sec3-simulation", h=3), entry=(0, 1)))
+            _model_from_samples("sec3-simulation", lambda s: with_nan(s, phase=0))
+
+    def test_non_finite_entry_in_a_built_model_raises(self):
+        import dataclasses
+
+        model = _preset_model("sec3-simulation", h=3)
+        A = model.A.copy()
+        A[0, 1] = np.nan
+        with pytest.raises(HalfWaveAsymmetryError):
+            eigenvalues(dataclasses.replace(model, A=A))
 
     def test_half_wave_coupling_raises(self):
         model = half_wave_broken(_preset_model("sec3-simulation", h=3))

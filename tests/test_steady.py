@@ -19,9 +19,10 @@ from hssmmc import (
     synthesize,
     toeplitz,
 )
-from hssmmc.plant import HALF_WAVE_IMAGE, PHASES, STATE_LABELS, plant_rhs
+from hssmmc.errors import PhaseImbalanceError
+from hssmmc.plant import HALF_WAVE_IMAGE, PHASE_STATES, PHASES, STATE_LABELS, plant_rhs
 
-from conftest import block, state_space_at
+from conftest import block, dense_steady_coeffs, state_space_at
 
 W1 = 314.0
 
@@ -42,22 +43,23 @@ class TestAssembly:
     def test_dimensions(self):
         p = sec3_like()
         model = assemble_steady(p, open_loop_insertion_indices(0.5, 3), 3)
-        assert model.A.shape == (12 * 7, 12 * 7)
-        assert model.B.shape == (12 * 7, 7)
+        assert model.A.shape == (4 * 7, 4 * 7)
+        assert model.B.shape == (4 * 7, 7)
+        assert model.state_labels == ("i_ca", "v_cua", "v_cla", "i_ga")
 
     def test_dc_only_reduces_to_instantaneous_matrix(self):
         p = sec3_like()
         model = assemble_steady(p, open_loop_insertion_indices(0.0, 0), 0)
         half = np.full(3, 0.5)
         expected, _ = state_space_at(p, half, half)
-        assert np.array_equal(model.A, expected)
+        assert np.array_equal(model.A, expected[np.ix_(PHASE_STATES[0], PHASE_STATES[0])])
         assert np.max(np.abs(model.A.imag)) == 0.0
 
     def test_capacitor_diagonals_are_pure_frequency_blocks(self):
         p = sec3_like()
         model = assemble_steady(p, open_loop_insertion_indices(0.6, 3), 3)
         Q = np.diag(frequency_matrix(3, W1))
-        for lbl in ("v_cua", "v_cub", "v_clc"):
+        for lbl in ("v_cua", "v_cla"):
             assert np.array_equal(block(model, lbl, lbl), -Q)
 
     def test_circulating_capacitor_coupling(self):
@@ -71,10 +73,11 @@ class TestAssembly:
         p = sec3_like()
         model = assemble_steady(p, open_loop_insertion_indices(0.8, 3), 3)
         eye = np.eye(7)
-        for lbl in ("i_ca", "i_cb", "i_cc"):
-            assert np.allclose(block(model, lbl, "v_dc"), eye / (2 * p.L))
-        for lbl in ("v_cua", "v_clb", "i_gc"):
-            assert np.count_nonzero(block(model, lbl, "v_dc")) == 0
+        for ph in PHASES:
+            rotated = model.for_phase(ph)
+            assert np.allclose(block(rotated, f"i_c{ph}", "v_dc"), eye / (2 * p.L))
+            for var in ("v_cu", "v_cl", "i_g"):
+                assert np.count_nonzero(block(rotated, f"{var}{ph}", "v_dc")) == 0
 
     def test_per_harmonic_load_impedance(self):
         p = MmcParameters(
@@ -185,6 +188,38 @@ class TestSolve:
         idx[arm][:, 4] *= 1.01
         with pytest.raises(ResidualImaginaryError, match="insertion indices"):
             assemble_steady(p, tuple(idx), 3)
+
+    def test_phase_b_index_off_its_rotation_raises(self):
+        # The phases must be the T/3 rotations of phase a: unbalanced
+        # operation is a typed error, not a rotated phase-a answer.
+        p = sec3_like()
+        n_u, n_l = open_loop_insertion_indices(0.5, 3)
+        n_u = n_u.copy()
+        n_u[1] *= 1.0 + 1e-6
+        with pytest.raises(PhaseImbalanceError) as info:
+            assemble_steady(p, (n_u, n_l), 3)
+        assert 1e-7 < info.value.defect < 1e-5
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        preset=st.sampled_from(["sec3-simulation", "table1-prototype"]),
+        m=st.floats(0.0, 1.0),
+        h=st.integers(1, 10),
+        x_over_r=st.floats(0.0, 0.5),
+    )
+    def test_matches_the_three_phase_reference(self, preset, m, h, x_over_r):
+        # Phase a's solve and its rotations against one dense solve of the
+        # three phases, each lifted from its own samples.
+        import dataclasses
+
+        from hssmmc.config import load_config
+
+        params = load_config(preset).params
+        params = dataclasses.replace(params, L_load=x_over_r * params.R_load / params.omega1)
+        idx = open_loop_insertion_indices(m, h)
+        op = solve_steady_state(assemble_steady(params, idx, h), dc_input_vector(params.V_dc, h), idx)
+        reference = dense_steady_coeffs(params, idx, h)
+        assert np.max(np.abs(op.coeffs - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     @pytest.mark.filterwarnings("error")
     def test_singular_system_detected(self):
