@@ -33,7 +33,6 @@ from .plant import (
     LiftedModel,
     MmcParameters,
     open_loop_insertion_indices,
-    plant_rhs,
 )
 from .steady import (
     OperatingPoint,

@@ -8,7 +8,7 @@ variable overrides the default output directory when neither --out nor the
 configuration specify one.
 
 Exit codes: 0 all thresholds met, 1 threshold failure, 2 configuration
-error, 3 numerical failure.
+error, 3 numerical failure (any other ``HssError``).
 """
 
 from __future__ import annotations
@@ -20,30 +20,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import SCENARIOS, SweepConfig, apply_sweep_value, load_config
-from .errors import (
-    HalfWaveAsymmetryError,
-    NotSettledError,
-    NumericalBlowupError,
-    PhaseImbalanceError,
-    ResidualImaginaryError,
-    SchemaViolationError,
-    SingularSystemError,
-)
+from .errors import HssError, SchemaViolationError
 from .pipelines import SCENARIO_RUNNERS
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (
-    NumericalBlowupError,
-    SingularSystemError,
-    NotSettledError,
-    ResidualImaginaryError,
-    PhaseImbalanceError,
-    HalfWaveAsymmetryError,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +85,7 @@ def main(argv=None) -> int:
     except SchemaViolationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except HssError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if code == EXIT_OK:

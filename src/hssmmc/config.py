@@ -3,7 +3,7 @@
 Sections and keys
 -----------------
 [params]      R, L, C_sm, N, V_dc, omega1, R_load, L_load (optional, default 0)
-[run]         m, h, scenario (optional), output_dir (optional)
+[run]         m, h, output_dir (optional)
 [controller]  K_p, K_r, k_f           (required for closed-loop scenarios)
 [sim]         steps_per_period, total_periods,
               settle_periods          (optional, default 40)
@@ -14,7 +14,10 @@ Time is given on the fundamental-period grid only: ``steps_per_period``
 RK4 steps per period, an even number so that half a period is a grid point,
 and run lengths, the step instant and the comparison window in whole
 periods. Without [sim] a run lasts 42 periods of 2000
-steps.
+steps. ``settle_periods`` changes no computation: it only bounds
+``total_periods`` from below and is printed in the report's settled line.
+It stays a key because existing configurations set it, those that
+``perfbench/workloads.py`` writes among them.
 
 Unknown sections or keys are rejected. Two presets ship with the package:
 ``sec3-simulation`` (50 MW / 320 kV transmission-scale case) and
@@ -45,7 +48,7 @@ SCENARIOS = (
 
 _SCHEMA = {
     "params": {"R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load"},
-    "run": {"m", "h", "scenario", "output_dir"},
+    "run": {"m", "h", "output_dir"},
     "controller": {"K_p", "K_r", "k_f"},
     "sim": {"steps_per_period", "total_periods", "settle_periods"},
     "step": {"period", "phase", "amplitude", "window_periods"},
@@ -105,7 +108,6 @@ class RunConfig:
     ctrl: ControllerParams | None = None
     step: StepConfig | None = None
     sweep: SweepConfig | None = None
-    scenario: str | None = None
     output_dir: str | None = None
 
 
@@ -191,11 +193,6 @@ def parse_config(text: str) -> RunConfig:
     m = _modulation_index(r.get_float("m"))
     h = _harmonic_order(r.get_int("h"))
 
-    scenario = None
-    if "scenario" in r:
-        scenario = r.get_str("scenario")
-        if scenario not in SCENARIOS:
-            raise _fail("run", "scenario", f"unknown scenario {scenario!r}")
     output_dir = r.get_str("output_dir") if "output_dir" in r else None
 
     ctrl = None
@@ -222,7 +219,6 @@ def parse_config(text: str) -> RunConfig:
         ctrl=ctrl,
         step=step,
         sweep=sweep,
-        scenario=scenario,
         output_dir=output_dir,
     )
 

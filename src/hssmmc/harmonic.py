@@ -71,12 +71,6 @@ class HarmonicVector:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def constant(cls, value: complex, order: int, base_frequency: float) -> "HarmonicVector":
-        c = np.zeros(2 * order + 1, dtype=complex)
-        c[order] = value
-        return cls(order, base_frequency, c)
-
-    @classmethod
     def from_dict(cls, entries: dict[int, complex], order: int, base_frequency: float) -> "HarmonicVector":
         c = np.zeros(2 * order + 1, dtype=complex)
         for k, v in entries.items():
@@ -85,35 +79,12 @@ class HarmonicVector:
             c[k + order] = v
         return cls(order, base_frequency, c)
 
-    # -- indexing and algebra ----------------------------------------
+    # -- indexing -----------------------------------------------------
 
     def __getitem__(self, k: int) -> complex:
         if abs(k) > self.order:
             raise OrderMismatchError(f"harmonic index {k} exceeds order {self.order}")
         return complex(self.coeffs[k + self.order])
-
-    def _check_compatible(self, other: "HarmonicVector"):
-        if self.order != other.order or self.base_frequency != other.base_frequency:
-            raise OrderMismatchError(
-                f"incompatible grids: (h={self.order}, w1={self.base_frequency}) vs "
-                f"(h={other.order}, w1={other.base_frequency})"
-            )
-
-    def __add__(self, other: "HarmonicVector") -> "HarmonicVector":
-        self._check_compatible(other)
-        return HarmonicVector(self.order, self.base_frequency, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "HarmonicVector") -> "HarmonicVector":
-        self._check_compatible(other)
-        return HarmonicVector(self.order, self.base_frequency, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "HarmonicVector":
-        return HarmonicVector(self.order, self.base_frequency, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HarmonicVector":
-        return HarmonicVector(self.order, self.base_frequency, -self.coeffs)
 
     # -- properties ---------------------------------------------------
 
@@ -129,13 +100,10 @@ class HarmonicVector:
         defect = float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))
         return defect / scale
 
-    def is_real_signal(self, rtol: float = SYMMETRY_RTOL) -> bool:
-        return self.conjugate_symmetry_defect() <= rtol
 
-
-def toeplitz(src) -> np.ndarray:
-    """Toeplitz convolution operator of a HarmonicVector or of a stack
-    (..., 2h+1) of coefficient arrays.
+def toeplitz(coeffs) -> np.ndarray:
+    """Toeplitz convolution operator of a stack (..., 2h+1) of coefficient
+    arrays.
 
     Entry (i, j) is the coefficient of harmonic i - j, zero beyond the
     retained band. Multiplying the result by another vector's coefficient
@@ -143,7 +111,7 @@ def toeplitz(src) -> np.ndarray:
     product of the two signals. The result is a read-only view: row i is a
     reversed window of the zero-padded coefficients.
     """
-    coeffs = src.coeffs if isinstance(src, HarmonicVector) else np.asarray(src)
+    coeffs = np.asarray(coeffs)
     n = coeffs.shape[-1]
     h = n // 2
     padded = np.zeros(coeffs.shape[:-1] + (2 * n - 1,), dtype=complex)

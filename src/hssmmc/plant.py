@@ -2,8 +2,8 @@
 insertion indices, the plant equations and the lifted model.
 
 ``plant_phase_equations`` is the one encoding of the plant, one phase leg
-written once and elementwise: on floats for one phase, on arrays for all
-three (``plant_rhs`` on the 12 states). The simulator integrates it, and
+written once and elementwise: on floats for one phase, on (3,) or (3, k)
+arrays for all three. The simulator integrates it, and
 both lifted models derive from it (the closed loop through
 ``smallsignal._closed_loop_equations``): ``complex_step_jacobian`` samples
 the Jacobian at ``harmonic.instants(h)`` instants of a period (Squire &
@@ -171,29 +171,6 @@ def open_loop_insertion_indices(m: float, h: int) -> tuple[np.ndarray, np.ndarra
             arm[:, h + 1] = 0.5 * amplitude * np.exp(-1j * phi)
             arm[:, h - 1] = 0.5 * amplitude * np.exp(+1j * phi)
     return n_u, n_l
-
-
-def plant_rhs(
-    state: np.ndarray,
-    n_u: np.ndarray,
-    n_l: np.ndarray,
-    v_dc: float,
-    params: MmcParameters,
-) -> np.ndarray:
-    """Time derivative of the 12 plant states for given insertion indices.
-
-    ``state`` is one 12-vector or a (12, k) block of k state columns, real
-    or complex; the insertion indices broadcast against the (3,) or (3, k)
-    state slices and ``v_dc`` is a scalar or one value per column. The
-    equations are those of ``plant_phase_equations``, on all three phases
-    at once.
-    """
-    x = np.asarray(state)
-    d = np.empty(x.shape, np.result_type(x, float))
-    d[0:3], d[3:6], d[6:9], d[9:12] = plant_phase_equations(params)(
-        x[0:3], x[3:6], x[6:9], x[9:12], n_u, n_l, v_dc
-    )
-    return d
 
 
 def plant_phase_equations(params: MmcParameters):

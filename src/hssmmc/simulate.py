@@ -27,10 +27,10 @@ so its steps are exact affine maps, and a transient
 (``simulate_open_loop``) or the periodic orbit at G's fixed point
 (``settled_open_loop``) is composed from the maps of half a period
 (``_open_loop_periods``). The closed loop runs on Python floats, one
-phase at a time (``_closed_loop_floats``; ``_rk4`` advances blocks of
-columns on arrays), and is shot by Newton (``settled_closed_loop``) with
-the exact derivative of each run's RK4 map (``_tangent_map``). A
-reference step joins two runs (``pipelines.reference_step_run``).
+phase at a time (``_closed_loop_floats``), and is shot by Newton
+(``settled_closed_loop``) with the exact derivative of each run's RK4 map
+(``_tangent_map``). A reference step joins two runs
+(``pipelines.reference_step_run``).
 """
 
 from __future__ import annotations
@@ -148,39 +148,6 @@ def _check_blowup(rows: np.ndarray, scale: float, n0: int, dt: float, steps_per_
             f"state magnitude {size[i]:.3e} left the plausible range at step {step} "
             f"(period {step // steps_per_period}, t = {step * dt:.6g} s)"
         )
-
-
-def _rk4(
-    rhs, x0: np.ndarray, n0: int, n_steps: int, dt: float, steps_per_period: int, scale: float
-) -> np.ndarray:
-    """Fixed-step RK4 from grid point ``n0``; returns all n_steps+1 states
-    including the initial one. ``x0`` is one state vector or a block of
-    state columns that ``rhs`` advances together; a complex ``x0`` runs
-    complex. The state is checked for blow-up (``_check_blowup``) once per
-    period of steps and at the end.
-    """
-    x = np.asarray(x0)
-    x = x.astype(np.result_type(x, float))
-    out = np.empty((n_steps + 1,) + x.shape, x.dtype)
-    out[0] = x
-    t0 = n0 * dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    # A run that blows up overflows before its next check; the check, not
-    # numpy's warnings, reports it.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(n_steps):
-            t = t0 + n * dt
-            if n % steps_per_period == 0:
-                _check_blowup(x[None], scale, n0 + n, dt, steps_per_period)
-            k1 = rhs(t, x)
-            k2 = rhs(t + half, x + half * k1)
-            k3 = rhs(t + half, x + half * k2)
-            k4 = rhs(t + dt, x + dt * k3)
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[n + 1] = x
-    _check_blowup(x[None], scale, n0 + n_steps, dt, steps_per_period)
-    return out
 
 
 def default_initial_state(params: MmcParameters) -> np.ndarray:
@@ -330,58 +297,21 @@ def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, f
     return x, multiplier
 
 
-def _closed_loop_rhs(params: MmcParameters, ctrl: ControllerParams, amps: np.ndarray):
-    """Right-hand side of the 18-state closed-loop model with constant
-    per-phase reference phasors ``amps``.
-
-    ``amps`` is (3,) for one 18-state vector, or (3, 1), shared, for an
-    (18, k) block of state columns. Every operation is elementwise, so a
-    column of a block advances exactly as that column alone would.
-    """
-    w1 = params.omega1
-    re, im = amps.real, amps.imag
-    derivatives = _closed_loop_equations(params, ctrl)
-
-    def rhs(t, x):
-        # Scalar t: math.cos costs a fraction of np.cos per call.
-        v_star = re * math.cos(w1 * t) - im * math.sin(w1 * t)
-        d = np.empty(x.shape, x.dtype)
-        d[0:3], d[3:6], d[6:9], d[9:12], d[12:18:2], d[13:18:2] = derivatives(
-            v_star, x[0:3], x[3:6], x[6:9], x[9:12], x[12:18:2], x[13:18:2]
-        )
-        return d
-
-    return rhs
-
-
 def _reference_amps(refs: dict[str, complex]) -> np.ndarray:
     return np.array([refs[p] for p in PHASES], dtype=complex)
 
 
-def _closed_loop_run(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
-    """Closed-loop RK4 states at grid points n0 .. n0 + n_steps.
-
-    One real state vector advances phase by phase on Python floats
-    (``_closed_loop_floats``): the phases share only the constant dc bus,
-    and numpy's cost per call on 3-element slices is most of a step. A
-    block of state columns, or a complex state, advances in ``_rk4``; the
-    tests use it as an independent reference."""
-    x0 = np.asarray(x0)
-    if x0.ndim == 1 and not np.iscomplexobj(x0):
-        return _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0)
-    dt = params.period / steps_per_period
-    rhs = _closed_loop_rhs(params, ctrl, amps)
-    return _rk4(rhs, x0, n0, n_steps, dt, steps_per_period, max(params.V_dc, 1.0))
-
-
 def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
-    """``_rk4`` of ``_closed_loop_rhs`` from one real state vector, bit for
-    bit (the same expressions in the same order), on Python floats. Between
-    the blow-up checks, once per period of steps, each phase advances on its
-    own, a segment of steps at a time (``_float_segments``); the three share
-    the cosines and sines at the stage times. A zero di_g denominator raises
-    NumericalBlowupError naming its step, where an array run would carry inf
-    to the next check.
+    """Closed-loop RK4 states at grid points n0 .. n0 + n_steps from one
+    real 18-state vector ``x0``, with reference phasors ``amps`` (3,).
+
+    The run is on Python floats: the phases share only the constant dc bus,
+    and numpy's cost per call on 3-element slices would be most of a step.
+    Between the blow-up checks (``_check_blowup``), once per period of steps
+    and at the end, each phase advances on its own, a segment of steps at a
+    time (``_float_segments``); the three share the cosines and sines at the
+    stage times. A zero di_g denominator raises NumericalBlowupError naming
+    its step.
     """
     spp = steps_per_period
     dt = params.period / spp
@@ -445,8 +375,7 @@ def _float_segments(n_steps: int, spp: int):
 
 def _phase_rk4_step(f, x, v1, v2, v4, half, dt, sixth):
     """One RK4 step of one phase's six closed-loop states ``x`` on floats,
-    with the references v1, v2, v4 at the start, middle and end of the step:
-    the stage expressions of ``_rk4``."""
+    with the references v1, v2, v4 at the start, middle and end of the step."""
     i_c, v_cu, v_cl, i_g, x1, x2 = x
     a1, b1, c1, d1, e1, f1 = f(v1, i_c, v_cu, v_cl, i_g, x1, x2)
     a2, b2, c2, d2, e2, f2 = f(
@@ -485,12 +414,18 @@ def simulate_closed_loop(
     ``refs[p]`` is the complex fundamental phasor of phase p's voltage
     reference, v*(t) = Re(refs[p] * exp(j w1 t)), constant over the run.
     The run takes ``n_steps`` steps of a ``steps_per_period`` grid from grid
-    point ``n0``; the default start is the cold start of
-    ``default_initial_state`` with zero controller states.
+    point ``n0`` on Python floats (``_closed_loop_floats``); the default
+    start is the cold start of ``default_initial_state`` with zero
+    controller states.
+
+    Raises ValueError when ``x0`` is not one real 18-state vector.
     """
     if x0 is None:
         x0 = np.concatenate([default_initial_state(params), np.zeros(6)])
-    states = _closed_loop_run(
+    x0 = np.asarray(x0)
+    if x0.shape != (18,) or np.iscomplexobj(x0):
+        raise ValueError(f"x0 must be one real 18-state vector, got {x0.dtype} of shape {x0.shape}")
+    states = _closed_loop_floats(
         params, ctrl, _reference_amps(refs), steps_per_period, n_steps, x0, n0
     )
     return Trajectory(params.period / steps_per_period, steps_per_period, n0, states)
@@ -707,14 +642,6 @@ class ComparisonReport:
     @property
     def harmonic_indices(self) -> np.ndarray:
         return np.arange(-self.h, self.h + 1)
-
-    def max_rel_error_dominant(self) -> float:
-        if not np.any(self.dominant):
-            return 0.0
-        return float(np.max(self.rel_error[self.dominant]))
-
-    def max_rel_error(self) -> float:
-        return float(np.max(self.rel_error))
 
 
 def compare_spectra(

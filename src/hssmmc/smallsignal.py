@@ -156,7 +156,7 @@ def _closed_loop_samples(
     order-0 point lacks.
     """
     prs = operating_controller_states(op, params, ctrl, {p: 0.0 for p in PHASES})
-    rows = np.concatenate([op.coeffs, [prs[p][i].coeffs for p in PHASES for i in (0, 1)]])
+    rows = np.concatenate([op.coeffs, prs])
     k = np.arange(-op.h, op.h + 1)
     x = sample(rows * np.exp(1j * k * params.omega1 * t0), instants(op.h))
     y = x[np.transpose(_PHASE_COLUMNS)]  # (6, 3, N)
@@ -226,43 +226,38 @@ def references_from_operating_point(op: OperatingPoint, params: MmcParameters) -
     return refs
 
 
-def reference_spectrum(phasor: complex, h: int, omega1: float) -> HarmonicVector:
-    """Fundamental-only harmonic vector of Re(phasor * exp(j w1 t)),
-    truncated at order h: zero at h = 0."""
-    pair = {+1: 0.5 * phasor, -1: 0.5 * np.conj(phasor)} if h >= 1 else {}
-    return HarmonicVector.from_dict(pair, h, omega1)
-
-
 def operating_controller_states(
     op: OperatingPoint,
     params: MmcParameters,
     ctrl: ControllerParams,
     refs: dict[str, complex],
-) -> dict[str, tuple[HarmonicVector, HarmonicVector]]:
-    """Periodic resonant-controller states consistent with the operating point.
+) -> np.ndarray:
+    """Periodic resonant-controller states consistent with the operating
+    point: (6, 2h+1) coefficient rows in ``PR_LABELS`` order.
 
-    The first state is fixed by requiring the controller output to
-    reproduce the operating-point insertion indices; the second follows
-    from its integrator relation (dc slot from the first state's own
-    equation). Used to place linearization checks on the closed-loop
-    trajectory.
+    The first state of each phase is fixed by requiring the controller
+    output to reproduce the operating-point insertion indices; the second
+    follows from its integrator relation (dc slot from the first state's own
+    equation). ``refs[p]`` is phase p's fundamental reference phasor. Used
+    to place linearization checks on the closed-loop trajectory.
     """
-    out = {}
-    for i, p in enumerate(PHASES):
-        v_g = load_voltage_spectrum(op, params, p)
-        v_ref = reference_spectrum(refs[p], op.h, op.omega1)
-        err = v_ref - v_g
-        # Modulation voltage that generates the operating-point indices.
-        n_u = HarmonicVector(op.h, op.omega1, op.n_u[i])
-        v_mod = (HarmonicVector.constant(0.5, op.h, op.omega1) - n_u) * params.V_dc
-        x1 = v_mod - ctrl.K_p * err - ctrl.k_f * v_g
-        k = x1.harmonic_indices
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c2 = np.where(k != 0, x1.coeffs / (1j * k * op.omega1), 0.0)
-        c2[op.h] = ctrl.K_r * err[0] / params.omega1 ** 2
-        x2 = HarmonicVector(op.h, op.omega1, c2)
-        out[p] = (x1, x2)
-    return out
+    h = op.h
+    k = np.arange(-h, h + 1)
+    v_g = np.array([load_voltage_spectrum(op, params, p).coeffs for p in PHASES])
+    v_ref = np.zeros_like(v_g)
+    if h >= 1:
+        for i, p in enumerate(PHASES):
+            v_ref[i, h + 1] = 0.5 * refs[p]
+            v_ref[i, h - 1] = 0.5 * np.conj(refs[p])
+    err = v_ref - v_g
+    # Modulation voltage that generates the operating-point indices.
+    v_mod = (np.where(k == 0, 0.5, 0.0) - op.n_u) * params.V_dc
+    x1 = v_mod - ctrl.K_p * err - ctrl.k_f * v_g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x2 = np.where(k != 0, x1 / (1j * k * op.omega1), 0.0)
+    # Python complex arithmetic: numpy's complex division differs by an ulp.
+    x2[:, h] = [ctrl.K_r * complex(e) / params.omega1 ** 2 for e in err[:, h]]
+    return np.stack([x1, x2], axis=1).reshape(2 * len(PHASES), 2 * h + 1)
 
 
 def operating_state_at(
@@ -277,7 +272,7 @@ def operating_state_at(
     controller states of ``operating_controller_states``."""
     prs = operating_controller_states(op, params, ctrl, refs)
     return np.concatenate(
-        [op.state_vector_at(t), [synthesize(prs[p][i], t) for p in PHASES for i in (0, 1)]]
+        [op.state_vector_at(t), [synthesize(HarmonicVector(op.h, op.omega1, c), t) for c in prs]]
     )
 
 
@@ -306,7 +301,6 @@ def envelope_response(
     t_end: float,
     dt: float,
     t_start: float = 0.0,
-    store_every: int = 1,
 ) -> EnvelopeResponse:
     """Exact zero-order-hold response of the lifted small-signal model to
     the lifted input vector ``delta_u``, active from ``t_start`` on.
@@ -314,8 +308,7 @@ def envelope_response(
     The state starts at zero at ``t_start`` and steps as x <- Phi x + Gamma u,
     where Phi and Gamma are the top blocks of expm([[A dt, B dt], [0, 0]])
     (Van Loan 1978, with ``_expm``), so the grid values are exact for any
-    ``dt``. Every ``store_every``-th grid point is stored, and the last one,
-    at ``t_end``, always is.
+    ``dt``. Every grid point from ``t_start`` to ``t_end`` is stored.
     """
     A = model.A
     Bd = model.B
@@ -335,23 +328,15 @@ def envelope_response(
     gu = gamma @ delta_u
 
     x = np.zeros(dim, dtype=complex)
-    n_store = -(-n_steps // store_every) + 1
-    out = np.empty((n_store, dim), dtype=complex)
-    t_out = np.empty(n_store)
+    out = np.empty((n_steps + 1, dim), dtype=complex)
     out[0] = x
-    t_out[0] = t_start
-    j = 1
-
     for n in range(n_steps):
         x = phi @ x + gu
-        if (n + 1) % store_every == 0 or n + 1 == n_steps:
-            out[j] = x
-            t_out[j] = t_start + (n + 1) * dt
-            j += 1
+        out[n + 1] = x
 
     return EnvelopeResponse(
-        t=t_out[:j],
-        states=out[:j],
+        t=t_start + np.arange(n_steps + 1) * dt,
+        states=out,
         h=model.h,
         omega1=model.omega1,
         labels=model.state_labels,

@@ -22,7 +22,12 @@ from hssmmc.plant import (
     plant_phase_equations,
 )
 from hssmmc.simulate import Trajectory, _check_blowup, default_initial_state, settled_open_loop
-from hssmmc.smallsignal import _PHASE_COLUMNS, SMALLSIG_STATE_LABELS, _closed_loop_samples
+from hssmmc.smallsignal import (
+    _PHASE_COLUMNS,
+    SMALLSIG_STATE_LABELS,
+    _closed_loop_equations,
+    _closed_loop_samples,
+)
 from hssmmc.steady import dc_input_vector, plant_samples
 
 
@@ -41,17 +46,93 @@ def sec3_op(sec3_cfg):
     return solve_operating_point(sec3_cfg)
 
 
+def rk4(rhs, x0, n0, n_steps, dt, steps_per_period, scale):
+    """Fixed-step RK4 from grid point ``n0`` on numpy arrays; returns all
+    n_steps+1 states including the initial one. ``x0`` is one state vector
+    or a block of state columns that ``rhs`` advances together; a complex
+    ``x0`` runs complex. The state is checked for blow-up
+    (``simulate._check_blowup``) once per period of steps and at the end.
+    The array reference for the simulator's float and composed runs.
+    """
+    x = np.asarray(x0)
+    x = x.astype(np.result_type(x, float))
+    out = np.empty((n_steps + 1,) + x.shape, x.dtype)
+    out[0] = x
+    t0 = n0 * dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    # A run that blows up overflows before its next check; the check, not
+    # numpy's warnings, reports it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(n_steps):
+            t = t0 + n * dt
+            if n % steps_per_period == 0:
+                _check_blowup(x[None], scale, n0 + n, dt, steps_per_period)
+            k1 = rhs(t, x)
+            k2 = rhs(t + half, x + half * k1)
+            k3 = rhs(t + half, x + half * k2)
+            k4 = rhs(t + dt, x + dt * k3)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[n + 1] = x
+    _check_blowup(x[None], scale, n0 + n_steps, dt, steps_per_period)
+    return out
+
+
+def plant_derivatives(params, x, n_u, n_l, v_dc):
+    """Time derivative of the 12 plant states ``x``, or of a (12, k) block
+    of state columns, real or complex: ``plant_phase_equations`` on the (3,)
+    or (3, k) slices. The insertion indices broadcast against the slices,
+    and ``v_dc`` is a scalar or one value per column."""
+    return np.concatenate(
+        plant_phase_equations(params)(x[0:3], x[3:6], x[6:9], x[9:12], n_u, n_l, v_dc)
+    )
+
+
+def closed_loop_rhs(params, ctrl, amps):
+    """Right-hand side of the 18-state closed-loop model with constant
+    per-phase reference phasors ``amps``, for ``rk4``.
+
+    ``amps`` is (3,) for one 18-state vector, or (3, 1), shared, for an
+    (18, k) block of state columns. Every operation is elementwise, so a
+    column of a block advances exactly as that column alone would.
+    """
+    w1 = params.omega1
+    re, im = amps.real, amps.imag
+    derivatives = _closed_loop_equations(params, ctrl)
+
+    def rhs(t, x):
+        # Scalar t: math.cos costs a fraction of np.cos per call.
+        v_star = re * math.cos(w1 * t) - im * math.sin(w1 * t)
+        d = np.empty(x.shape, x.dtype)
+        d[0:3], d[3:6], d[6:9], d[9:12], d[12:18:2], d[13:18:2] = derivatives(
+            v_star, x[0:3], x[3:6], x[6:9], x[9:12], x[12:18:2], x[13:18:2]
+        )
+        return d
+
+    return rhs
+
+
+def closed_loop_block(params, ctrl, refs, spp, n_steps, columns, n0):
+    """Closed-loop RK4 states at grid points n0 .. n0 + n_steps of an
+    (18, k) block of state columns, real or complex, with the reference
+    phasors ``refs``: the array reference for ``simulate_closed_loop``'s
+    run on Python floats."""
+    amps = np.array([refs[p] for p in PHASES], dtype=complex)[:, None]
+    rhs = closed_loop_rhs(params, ctrl, amps)
+    return rk4(rhs, columns, n0, n_steps, params.period / spp, spp, max(params.V_dc, 1.0))
+
+
 def sequential_open_loop(params, m, cfg):
     """Open-loop run from rest, integrated step by step rather than composed
     from the half-wave map: an independent reference for
     ``simulate_open_loop`` and ``settled_open_loop``.
 
     Each phase advances on Python floats with ``plant_phase_equations``, the
-    stage expressions of ``_rk4`` and the indices of
+    stage expressions of ``rk4`` and the indices of
     ``test_simulate._open_loop_rhs``, a period at a time, which gives
-    ``_rk4``'s states bit for bit at a tenth of its cost; the 12-state row
+    ``rk4``'s states bit for bit at a tenth of its cost; the 12-state row
     is checked for blow-up at every period start and at the end, as
-    ``_rk4`` does.
+    ``rk4`` does.
     """
     spp = cfg.steps_per_period
     n_steps = cfg.n_steps()

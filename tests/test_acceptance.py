@@ -32,7 +32,6 @@ from hssmmc.pipelines import (
 )
 from hssmmc.plant import PHASES, STATE_VARIABLES
 from hssmmc.simulate import (
-    _closed_loop_rhs,
     settled_open_loop,
     settled_spectrum,
     total_harmonic_distortion,
@@ -44,7 +43,7 @@ from hssmmc.smallsignal import (
     references_from_operating_point,
 )
 
-from conftest import linearized_A, settled_state
+from conftest import closed_loop_rhs, linearized_A, settled_state
 
 
 def report_line(number: int, name: str, ok: bool, detail: str) -> None:
@@ -198,7 +197,7 @@ def test_criterion_6_analytic_jacobian_check(sec3_cfg, sec3_op):
     params, ctrl = sec3_cfg.params, sec3_cfg.ctrl
     refs = references_from_operating_point(sec3_op, params)
     base = np.array([refs[p] for p in PHASES])
-    rhs = _closed_loop_rhs(params, ctrl, base)
+    rhs = closed_loop_rhs(params, ctrl, base)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for t in rng.uniform(0.0, params.period, size=50):
@@ -285,7 +284,7 @@ def test_criterion_8_invariant_suite(sec3_cfg, sec3_op, smallsig_ctx):
     u = lifted_reference_step(model, "a", delta)
     x_alg = settled_state(model, u)
     dt = 0.09 / np.max(np.abs(smallsig_ctx.eig))
-    env = envelope_response(model, u, t_end=2.8, dt=dt, store_every=2000)
+    env = envelope_response(model, u, t_end=2.8, dt=dt)
     env_err = float(np.linalg.norm(env.states[-1] - x_alg) / np.linalg.norm(x_alg))
 
     ok = (

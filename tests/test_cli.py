@@ -139,6 +139,24 @@ class TestExitCodes:
         assert main(["smallsig", "--config", fast_config, "--out", str(tmp_path / "o")]) == 3
         assert error in capsys.readouterr().err
 
+    def test_every_toolkit_error_is_a_numerical_failure(self, tmp_path, capsys):
+        # 80 steps per period cannot resolve the 10 harmonics verify-steady
+        # compares: InsufficientSamplesError, reported without a traceback.
+        from importlib import resources
+
+        preset = resources.files("hssmmc") / "presets" / "sec3-simulation.ini"
+        path = tmp_path / "coarse.ini"
+        path.write_text(
+            preset.read_text(encoding="utf-8").replace(
+                "steps_per_period = 2000", "steps_per_period = 80"
+            ),
+            encoding="utf-8",
+        )
+        assert main(["verify-steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: InsufficientSamplesError" in err
+        assert "Traceback" not in err
+
     def test_negative_order_override(self, fast_config, tmp_path, capsys):
         code = main(["steady", "--config", fast_config, "--out", str(tmp_path / "o"), "--h", "-1"])
         assert code == 2

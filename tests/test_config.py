@@ -36,6 +36,9 @@ class TestParse:
     def test_unknown_key(self):
         with pytest.raises(SchemaViolationError, match="unknown key"):
             parse_config(GOOD + "\n[sim]\nfoo = 1\nsteps_per_period = 1000\ntotal_periods = 20\n")
+        # The CLI positional names the scenario; [run] has no key for it.
+        with pytest.raises(SchemaViolationError, match=r"\[run\] scenario: unknown key"):
+            parse_config(GOOD + "scenario = steady\n")
 
     def test_unknown_section(self):
         with pytest.raises(SchemaViolationError, match=r"unknown section"):

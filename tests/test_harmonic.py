@@ -16,7 +16,7 @@ from hssmmc import (
     synthesize,
     toeplitz,
 )
-from hssmmc.harmonic import fourier, instants, sample
+from hssmmc.harmonic import SYMMETRY_RTOL, fourier, instants, sample
 
 from conftest import random_real_vector
 
@@ -46,27 +46,21 @@ class TestHarmonicVector:
     def test_conjugate_symmetry_detection(self):
         rng = np.random.default_rng(1)
         hv = random_real_vector(rng, 4, W1)
-        assert hv.is_real_signal()
+        assert hv.conjugate_symmetry_defect() <= SYMMETRY_RTOL
         broken = HarmonicVector.from_dict({1: 1.0}, 2, W1)
-        assert not broken.is_real_signal()
+        assert broken.conjugate_symmetry_defect() > SYMMETRY_RTOL
 
     def test_immutability(self):
         hv = HarmonicVector(2, W1, np.zeros(5))
         with pytest.raises(ValueError):
             hv.coeffs[0] = 1.0
 
-    def test_arithmetic_requires_same_grid(self):
-        a = HarmonicVector(2, W1, np.zeros(5))
-        b = HarmonicVector(3, W1, np.zeros(7))
-        with pytest.raises(OrderMismatchError):
-            a + b
-
 
 class TestToeplitz:
     def test_structure(self):
         rng = np.random.default_rng(2)
         hv = random_real_vector(rng, 3, W1)
-        T = toeplitz(hv)
+        T = toeplitz(hv.coeffs)
         h = 3
         for i in range(7):
             for j in range(7):
@@ -74,14 +68,15 @@ class TestToeplitz:
                 assert T[i, j] == expected
 
     def test_constant_gives_identity_scaling(self):
-        hv = HarmonicVector.constant(2.5, 3, W1)
-        assert np.array_equal(toeplitz(hv), 2.5 * np.eye(7))
+        c = np.zeros(7, dtype=complex)
+        c[3] = 2.5
+        assert np.array_equal(toeplitz(c), 2.5 * np.eye(7))
 
     def test_open_loop_index_fixture(self):
         # 1/2 - (m/2)cos(w t): diagonal 1/2, first off-diagonals -m/4.
         m = 0.8
         hv = HarmonicVector.from_dict({0: 0.5, 1: -m / 4, -1: -m / 4}, 3, W1)
-        T = toeplitz(hv)
+        T = toeplitz(hv.coeffs)
         assert np.allclose(np.diag(T), 0.5, atol=1e-15)
         assert np.allclose(np.diag(T, 1), -m / 4, atol=1e-15)
         assert np.allclose(np.diag(T, -1), -m / 4, atol=1e-15)
@@ -90,7 +85,7 @@ class TestToeplitz:
     def test_product_matches_time_domain(self):
         # cos * cos = 1/2 + cos(2 w t)/2
         c = HarmonicVector.from_dict({1: 0.5, -1: 0.5}, 3, W1)
-        out = HarmonicVector(3, W1, toeplitz(c) @ c.coeffs)
+        out = HarmonicVector(3, W1, toeplitz(c.coeffs) @ c.coeffs)
         assert out[0] == pytest.approx(0.5, abs=1e-15)
         assert out[2] == pytest.approx(0.25, abs=1e-15)
         assert out[-2] == pytest.approx(0.25, abs=1e-15)
@@ -99,8 +94,8 @@ class TestToeplitz:
     def test_linearity(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            a = random_real_vector(rng, 3, W1)
-            b = random_real_vector(rng, 3, W1)
+            a = random_real_vector(rng, 3, W1).coeffs
+            b = random_real_vector(rng, 3, W1).coeffs
             alpha, beta = rng.normal(size=2)
             lhs = toeplitz(alpha * a + beta * b)
             rhs = alpha * toeplitz(a) + beta * toeplitz(b)
@@ -208,7 +203,7 @@ def test_product_routes_agree(h, seed):
     rng = np.random.default_rng(seed)
     a = zero_padded(random_real_vector(rng, h // 2, W1), h)
     b = zero_padded(random_real_vector(rng, h // 2, W1), h)
-    via_toeplitz = toeplitz(a) @ b.coeffs
+    via_toeplitz = toeplitz(a.coeffs) @ b.coeffs
     n = 4 * (2 * h + 1)
     t = np.arange(n) * (2 * np.pi / W1) / n
     via_samples = analyze(synthesize(a, t) * synthesize(b, t), h, W1).coeffs

@@ -8,13 +8,12 @@ from hssmmc import (
     MmcParameters,
     ModulationOutOfRangeError,
     open_loop_insertion_indices,
-    plant_rhs,
     synthesize,
     toeplitz,
 )
 from hssmmc.plant import PHASES, state_position
 
-from conftest import state_space_at
+from conftest import plant_derivatives, state_space_at
 
 W1 = 314.0
 
@@ -115,12 +114,12 @@ class TestPlantRhs:
         x = np.zeros(12)
         x[3:9] = p.V_dc
         n = np.full(3, 0.5)
-        d = plant_rhs(x, n, n, p.V_dc, p)
+        d = plant_derivatives(p, x, n, n, p.V_dc)
         assert np.allclose(d, 0.0, atol=1e-9)
 
     def test_zero_state_circulating_drive(self):
         p = sec3_like()
-        d = plant_rhs(np.zeros(12), np.full(3, 0.5), np.full(3, 0.5), p.V_dc, p)
+        d = plant_derivatives(p, np.zeros(12), np.full(3, 0.5), np.full(3, 0.5), p.V_dc)
         assert np.allclose(d[0:3], p.V_dc / (2 * p.L))
         assert d[0] == pytest.approx(444444.44, rel=1e-6)
         assert np.allclose(d[3:12], 0.0)
@@ -132,7 +131,7 @@ class TestPlantRhs:
             x = rng.normal(scale=1e3, size=12)
             n_u = rng.uniform(0, 1, size=3)
             n_l = rng.uniform(0, 1, size=3)
-            direct = plant_rhs(x, n_u, n_l, p.V_dc, p)
+            direct = plant_derivatives(p, x, n_u, n_l, p.V_dc)
             A, B = state_space_at(p, n_u, n_l)
             matrix = A @ x + B[:, 0] * p.V_dc
             scale = np.max(np.abs(direct)) or 1.0
@@ -151,8 +150,8 @@ class TestPlantRhs:
             step = max(abs(x[j]), 1.0) * 1e-6
             e[j] = step
             J[:, j] = (
-                plant_rhs(x + e, n_u, n_l, p.V_dc, p)
-                - plant_rhs(x - e, n_u, n_l, p.V_dc, p)
+                plant_derivatives(p, x + e, n_u, n_l, p.V_dc)
+                - plant_derivatives(p, x - e, n_u, n_l, p.V_dc)
             ) / (2 * step)
         for i in range(12):
             denom = np.linalg.norm(A[i]) or 1.0
@@ -188,13 +187,13 @@ class TestPlantRhs:
         x = rng.normal(scale=1e3, size=12)
         n_u = rng.uniform(0, 1, size=3)
         n_l = rng.uniform(0, 1, size=3)
-        d = plant_rhs(x, n_u, n_l, p.V_dc, p)
+        d = plant_derivatives(p, x, n_u, n_l, p.V_dc)
 
         # Rotate phase labels a->b->c within every three-entry block.
         x_rot = x.copy()
         for blk in range(4):
             x_rot[3 * blk : 3 * blk + 3] = x[3 * blk : 3 * blk + 3][[2, 0, 1]]
-        d_rot = plant_rhs(x_rot, n_u[[2, 0, 1]], n_l[[2, 0, 1]], p.V_dc, p)
+        d_rot = plant_derivatives(p, x_rot, n_u[[2, 0, 1]], n_l[[2, 0, 1]], p.V_dc)
         for blk in range(4):
             assert np.allclose(
                 d_rot[3 * blk : 3 * blk + 3], d[3 * blk : 3 * blk + 3][[2, 0, 1]]

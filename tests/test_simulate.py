@@ -29,16 +29,14 @@ from hssmmc.config import RunConfig, StepConfig, load_config
 from hssmmc.errors import ShootingError
 from hssmmc.harmonic import analyze
 from hssmmc.pipelines import SmallsigContext, reference_step_run, step_grid_index
-from hssmmc.plant import PHASE_SHIFT, PHASE_STATES, PHASES, STATE_VARIABLES, plant_rhs
+from hssmmc.plant import PHASE_SHIFT, PHASE_STATES, PHASES, STATE_VARIABLES
 from hssmmc.simulate import (
     HALF_WAVE_OPERATOR,
     SETTLE_FLOOR,
     SETTLE_RTOL,
     SHOOTING_DEFECT_TOL,
     _PHASE_COLUMNS,
-    _closed_loop_run,
     _half_period_maps,
-    _rk4,
     _shooting_fixed_point,
     _tangent_map,
     default_initial_state,
@@ -47,7 +45,7 @@ from hssmmc.simulate import (
     settling_profile,
 )
 
-from conftest import sequential_open_loop
+from conftest import closed_loop_block, plant_derivatives, rk4, sequential_open_loop
 
 W1 = 314.0
 
@@ -106,13 +104,13 @@ def preset_closed_loop(preset, x_over_r, m=None):
 
 def _open_loop_rhs(params, m, v_dc):
     """Open-loop right-hand side with sinusoidal insertion indices, for
-    ``_rk4``: ``v_dc`` is a scalar for one 12-state vector, or one value per
+    ``rk4``: ``v_dc`` is a scalar for one 12-state vector, or one value per
     column of a (12, k) state block."""
     phi = np.array([PHASE_SHIFT[p] for p in PHASES]).reshape((3,) + (1,) * np.ndim(v_dc))
 
     def rhs(t, x):
         n_u = 0.5 - 0.5 * m * np.cos(params.omega1 * t - phi)
-        return plant_rhs(x, n_u, 1.0 - n_u, v_dc, params)
+        return plant_derivatives(params, x, n_u, 1.0 - n_u, v_dc)
 
     return rhs
 
@@ -215,7 +213,7 @@ class TestOpenLoop:
         x_rest = default_initial_state(params)
         rhs = _open_loop_rhs(params, m, np.r_[params.V_dc, np.zeros(12)])
         columns = np.hstack([x_rest[:, None], np.eye(12)])
-        run = _rk4(rhs, columns.astype(np.longdouble), n0, spp // 2, params.period / spp, spp, params.V_dc)
+        run = rk4(rhs, columns.astype(np.longdouble), n0, spp // 2, params.period / spp, spp, params.V_dc)
         maps = _half_period_maps(params, m, spp, n0)
         composed = np.broadcast_to(columns, run.shape).copy()
         for p, rows in enumerate(np.array(PHASE_STATES)):
@@ -404,9 +402,8 @@ class TestClosedLoop:
 
 def block_run(params, ctrl, refs, spp, n_steps, x0, n0):
     """The closed-loop run of the state ``x0`` as a one-column block, which
-    advances in ``_rk4`` on arrays, not on floats."""
-    amps = np.array([refs[p] for p in PHASES])
-    return _closed_loop_run(params, ctrl, amps[:, None], spp, n_steps, x0[:, None], n0)[:, :, 0]
+    advances in ``rk4`` on arrays, not on floats."""
+    return closed_loop_block(params, ctrl, refs, spp, n_steps, x0[:, None], n0)[:, :, 0]
 
 
 def blowup_message(run):
@@ -421,7 +418,7 @@ def blowup_message(run):
 class TestClosedLoopFloatPath:
     """``simulate_closed_loop`` advances one real state on Python floats,
     phase by phase; a block of columns runs the same equations on arrays in
-    ``_rk4``. The two give the same doubles."""
+    ``conftest.rk4``. The two give the same doubles."""
 
     @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
     @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
@@ -451,6 +448,13 @@ class TestClosedLoopFloatPath:
         x0 = guess_at(n0)
         run = simulate_closed_loop(params, ctrl, refs, spp, n_steps, x0=x0, n0=n0)
         assert np.array_equal(run.states, block_run(params, ctrl, refs, spp, n_steps, x0, n0))
+
+    def test_rejects_a_block_or_a_complex_state(self, fast_params):
+        ctrl, refs = tracking_loop()
+        x0 = closed_loop_rest(fast_params)
+        for bad in (x0[:, None], x0 + 0j, x0[:12]):
+            with pytest.raises(ValueError, match="one real 18-state vector"):
+                simulate_closed_loop(fast_params, ctrl, refs, 400, 10, x0=bad)
 
     def test_blowup_names_the_same_step_on_both_paths(self, fast_params):
         # A negative arm resistance makes the closed loop unstable. The
@@ -484,8 +488,7 @@ def block_jacobian(params, ctrl, refs, spp, n0, x):
     the shooting Jacobian as a whole-run complex pass builds it."""
     steps = 1e-30 * np.maximum(np.abs(x), 1.0)
     columns = np.hstack([x[:, None], x[:, None] + 1j * np.diag(steps)])
-    amps = np.array([refs[p] for p in PHASES])[:, None]
-    return _closed_loop_run(params, ctrl, amps, spp, spp // 2, columns, n0)[-1][:, 1:].imag / steps
+    return closed_loop_block(params, ctrl, refs, spp, spp // 2, columns, n0)[-1][:, 1:].imag / steps
 
 
 def tangent_error(params, ctrl, refs, spp, n0, x):
@@ -571,8 +574,7 @@ class TestClosedLoopShooting:
         x = shot[0]
         columns = np.hstack([x[:, None], x[:, None] + np.diag(1e-6 * np.maximum(np.abs(x), 1.0))])
         steps = np.diag(columns[:, 1:]) - x
-        amps = np.array([refs[p] for p in PHASES])[:, None]
-        end = _closed_loop_run(params, ctrl, amps, spp, spp, columns, n0)[-1]
+        end = closed_loop_block(params, ctrl, refs, spp, spp, columns, n0)[-1]
         monodromy = (end[:, 1:] - end[:, :1]) / steps
         multiplier = np.max(np.abs(np.linalg.eigvals(monodromy)))
         assert orbit.multiplier == pytest.approx(multiplier, rel=1e-6)
@@ -592,8 +594,7 @@ class TestClosedLoopShooting:
         step = np.diag(1e-5 * np.maximum(np.abs(x), 1.0))
         columns = np.hstack([x[:, None] + step, x[:, None] - step])
         steps = np.diag(columns[:, :18]) - np.diag(columns[:, 18:])
-        amps = np.array([refs[p] for p in PHASES])[:, None]
-        end = _closed_loop_run(params, ctrl, amps, spp, spp, columns, n0)[-1]
+        end = closed_loop_block(params, ctrl, refs, spp, spp, columns, n0)[-1]
         monodromy = (end[:, :18] - end[:, 18:]) / steps
         multiplier = np.max(np.abs(np.linalg.eigvals(monodromy)))
         assert orbit.multiplier == pytest.approx(multiplier, rel=1e-7)
@@ -690,8 +691,8 @@ def test_open_loop_commutes_with_the_half_wave_operator(preset, m, x_over_r, n0)
     H = HALF_WAVE_OPERATOR[:12, :12]
     rhs = _open_loop_rhs(params, m, params.V_dc)
     x = guess_at(n0)[:12]
-    image = _rk4(rhs, x, n0, spp, dt, spp, params.V_dc) @ H.T
-    shifted = _rk4(rhs, H @ x, n0 + spp // 2, spp, dt, spp, params.V_dc)
+    image = rk4(rhs, x, n0, spp, dt, spp, params.V_dc) @ H.T
+    shifted = rk4(rhs, H @ x, n0 + spp // 2, spp, dt, spp, params.V_dc)
     peak = np.max(np.abs(image), axis=0)
     scale = np.maximum(peak, SETTLE_FLOOR * peak.max())
     assert np.max(np.abs(shifted - image) / scale) <= 1e-10
@@ -707,7 +708,7 @@ class TestBlowupCheck:
             return np.full_like(x, np.nan) if t >= t_nan else -x
 
         with pytest.raises(NumericalBlowupError) as info:
-            _rk4(rhs, np.ones(3), 0, 1000, dt, 100, 1.0)
+            rk4(rhs, np.ones(3), 0, 1000, dt, 100, 1.0)
         step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
         assert t_nan <= step * dt <= t_nan + period
 
@@ -729,18 +730,18 @@ class TestSettledSpectrum:
         for var in ("i_c", "v_cu", "i_g"):
             sim_hv = settled_spectrum(sec3_orbit, var, "a", 3, sec3_params.omega1)
             report = compare_spectra(sec3_op.spectrum(var, "a"), sim_hv)
-            assert report.max_rel_error_dominant() <= 0.02
+            assert np.max(report.rel_error[report.dominant]) <= 0.02
 
 
 class TestCompareSpectra:
     def test_equal_spectra(self):
         hv = HarmonicVector.from_dict({0: 2.0, 1: 1.0, -1: 1.0}, 2, W1)
         report = compare_spectra(hv, hv)
-        assert report.max_rel_error() == 0.0
+        assert np.max(report.rel_error) == 0.0
 
     def test_factor_two(self):
         b = HarmonicVector.from_dict({0: 2.0, 1: 1.0, -1: 1.0}, 2, W1)
-        a = 2.0 * b
+        a = HarmonicVector(2, W1, 2.0 * b.coeffs)
         report = compare_spectra(a, b)
         nonzero = np.abs(b.coeffs) > 0
         assert np.allclose(report.rel_error[nonzero], 0.5)

@@ -39,10 +39,9 @@ from hssmmc.smallsignal import (
     references_from_operating_point,
     _expm,
 )
-from hssmmc.simulate import _closed_loop_rhs
-
 from conftest import (
     block,
+    closed_loop_rhs,
     dense_smallsignal,
     dense_steady,
     half_wave_broken,
@@ -144,8 +143,8 @@ class TestFCoefficients:
         unit = np.zeros(7, dtype=complex)
         unit[3] = 1.0
         response = gamma @ unit
-        imbalance = sec3_op.spectrum("v_cu", "a") - sec3_op.spectrum("v_cl", "a")
-        expected = imbalance.coeffs / (2 * p.L * p.V_dc)
+        imbalance = sec3_op.spectrum("v_cu", "a").coeffs - sec3_op.spectrum("v_cl", "a").coeffs
+        expected = imbalance / (2 * p.L * p.V_dc)
         assert_coefficients_equal(response, expected)
 
     def test_gains_zero_lower_capacitor_column_matches_open_loop(self):
@@ -257,9 +256,10 @@ class TestEnvelope:
         model = smallsig_ctx.model
         u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
         coarse = envelope_response(model, u, t_end=0.1, dt=1e-3)
-        fine = envelope_response(model, u, t_end=0.1, dt=1e-4, store_every=10)
-        assert np.allclose(coarse.t, fine.t, rtol=0.0, atol=1e-12)
-        err = np.max(np.abs(coarse.states - fine.states)) / np.max(np.abs(fine.states))
+        fine = envelope_response(model, u, t_end=0.1, dt=1e-4)
+        fine_t, fine_states = fine.t[::10], fine.states[::10]
+        assert np.allclose(coarse.t, fine_t, rtol=0.0, atol=1e-12)
+        err = np.max(np.abs(coarse.states - fine_states)) / np.max(np.abs(fine_states))
         assert err <= 1e-9
 
     def test_matches_rk4_reference(self, smallsig_ctx, sec3_cfg):
@@ -281,21 +281,9 @@ class TestEnvelope:
         x_alg = settled_state(model, u)
         lam = np.max(np.abs(smallsig_ctx.eig))
         dt = 0.09 / lam
-        env = envelope_response(model, u, t_end=2.8, dt=dt, store_every=2000)
+        env = envelope_response(model, u, t_end=2.8, dt=dt)
         err = np.linalg.norm(env.states[-1] - x_alg) / np.linalg.norm(x_alg)
         assert err <= 1e-3
-
-    def test_stores_t_end_when_store_every_does_not_divide_the_steps(self, smallsig_ctx):
-        model = smallsig_ctx.model
-        u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
-        every = envelope_response(model, u, t_end=0.0105, dt=1e-4)
-        thinned = envelope_response(model, u, t_end=0.0105, dt=1e-4, store_every=10)
-        assert every.t.size == 106
-        stored = list(range(0, 105, 10)) + [105]
-        assert np.array_equal(thinned.t, every.t[stored])
-        assert np.array_equal(thinned.states, every.states[stored])
-        assert thinned.t[-1] == pytest.approx(0.0105, abs=1e-15)
-        assert np.array_equal(thinned.states[-1], every.states[-1])
 
     def test_lifted_step_slots(self, smallsig_ctx):
         model = smallsig_ctx.model
@@ -380,9 +368,9 @@ def test_envelope_properties(small_model, dt, n_steps, magnitude, angle, scale):
     model = small_model.for_phase("b")
     t_end = n_steps * dt
 
-    def response(phasor, step=dt, store_every=1):
+    def response(phasor, step=dt):
         u = lifted_reference_step(model, "b", phasor)
-        return envelope_response(model, u, t_end=t_end, dt=step, store_every=store_every)
+        return envelope_response(model, u, t_end=t_end, dt=step)
 
     phasor = magnitude * np.exp(1j * angle)
     env = response(phasor)
@@ -390,8 +378,8 @@ def test_envelope_properties(small_model, dt, n_steps, magnitude, angle, scale):
     assert peak > 0.0
 
     # Exact on any grid: a grid twice as fine lands on the same points.
-    halved = response(phasor, dt / 2, store_every=2)
-    assert np.max(np.abs(halved.states - env.states)) <= 1e-9 * peak
+    halved = response(phasor, dt / 2).states[::2]
+    assert np.max(np.abs(halved - env.states)) <= 1e-9 * peak
 
     # Real-linear in the phasor (the step also fills the k = -1 slot).
     other = 0.5 * magnitude * np.exp(1j * (angle + 1.0))
@@ -447,7 +435,7 @@ def assert_jacobian_matches_central_differences(op, params, ctrl):
     simulator's closed-loop right-hand side at five instants on the
     operating orbit, row by row within 1e-5 relative."""
     refs = references_from_operating_point(op, params)
-    rhs = _closed_loop_rhs(params, ctrl, np.array([refs[p] for p in ("a", "b", "c")]))
+    rhs = closed_loop_rhs(params, ctrl, np.array([refs[p] for p in ("a", "b", "c")]))
     rng = np.random.default_rng(33)
     for t in rng.uniform(0.0, params.period, size=5):
         x_op = operating_state_at(op, params, ctrl, refs, t)
@@ -491,6 +479,38 @@ class TestLinearizationPoint:
         op = solve_operating_point(dataclasses.replace(cfg, params=params))
         assert_jacobian_matches_central_differences(op, params, cfg.ctrl)
 
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_controller_reproduces_the_operating_point_indices(self, preset):
+        # At X/R = 0 the PR states of operating_controller_states invert the
+        # controller exactly: on the orbit, with the operating point's own
+        # references, the closed loop's plant rows are the plant equations at
+        # the point's insertion indices, to rounding. Each derivative is
+        # compared with the peak of that variable's over the orbit.
+        import dataclasses
+
+        from hssmmc.config import load_config
+        from hssmmc.harmonic import instants, sample
+        from hssmmc.plant import PHASES, plant_phase_equations
+        from hssmmc.smallsignal import _closed_loop_equations
+
+        cfg = load_config(preset)
+        params = dataclasses.replace(cfg.params, L_load=0.0)
+        op = solve_operating_point(dataclasses.replace(cfg, params=params))
+        refs = references_from_operating_point(op, params)
+        amps = np.array([refs[p] for p in PHASES])
+        n = instants(op.h)
+        ts = np.arange(n) * params.period / n
+        x = np.array([operating_state_at(op, params, cfg.ctrl, refs, t) for t in ts]).T
+        v_star = (amps[:, None] * np.exp(1j * params.omega1 * ts)).real
+        closed = _closed_loop_equations(params, cfg.ctrl)(
+            v_star, x[0:3], x[3:6], x[6:9], x[9:12], x[12:18:2], x[13:18:2]
+        )[:4]
+        plant = plant_phase_equations(params)(
+            x[0:3], x[3:6], x[6:9], x[9:12], sample(op.n_u, n), sample(op.n_l, n), params.V_dc
+        )
+        for c, d in zip(closed, plant):
+            assert np.max(np.abs(c - d)) <= 1e-12 * np.max(np.abs(d))
+
     @pytest.mark.parametrize("h", [3, 15])
     def test_lift_of_sampled_jacobian_matches_assembly(self, sec3_cfg, h):
         # Fourier coefficients of the instantaneous Jacobian, lifted block by
@@ -513,7 +533,7 @@ class TestLinearizationPoint:
         lifted = np.zeros_like(ref)
         for i, r in enumerate(_PHASE_COLUMNS[0]):
             for j, c in enumerate(_PHASE_COLUMNS[0]):
-                lifted_rc = toeplitz(analyze(samples[:, r, c], h, W1))
+                lifted_rc = toeplitz(analyze(samples[:, r, c], h, W1).coeffs)
                 if r == c:
                     lifted_rc = lifted_rc - Q
                 lifted[i * n : (i + 1) * n, j * n : (j + 1) * n] = lifted_rc

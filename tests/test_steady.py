@@ -20,9 +20,9 @@ from hssmmc import (
     toeplitz,
 )
 from hssmmc.errors import PhaseImbalanceError
-from hssmmc.plant import HALF_WAVE_IMAGE, PHASE_STATES, PHASES, STATE_LABELS, plant_rhs
+from hssmmc.plant import HALF_WAVE_IMAGE, PHASE_STATES, PHASES, STATE_LABELS
 
-from conftest import block, dense_steady_coeffs, state_space_at
+from conftest import block, dense_steady_coeffs, plant_derivatives, state_space_at
 
 W1 = 314.0
 
@@ -273,7 +273,7 @@ class TestSolve:
         n_l = np.array([synthesize(HarmonicVector(5, W1, c), ts) for c in op.n_l])
         residual = np.empty_like(deriv)
         for i, t in enumerate(ts):
-            rhs = plant_rhs(states[:, i], n_u[:, i], n_l[:, i], p.V_dc, p)
+            rhs = plant_derivatives(p, states[:, i], n_u[:, i], n_l[:, i], p.V_dc)
             residual[:, i] = deriv[:, i] - rhs
         for row, (var, ph) in enumerate(labels):
             rms_residual = np.sqrt(np.mean(residual[row] ** 2))
