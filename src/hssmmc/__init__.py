@@ -21,8 +21,6 @@ from .errors import (
     UnknownVariableError,
 )
 from .harmonic import (
-    HarmonicVector,
-    analyze,
     frequency_matrix,
     synthesize,
     toeplitz,
@@ -50,7 +48,6 @@ from .smallsignal import (
     references_from_operating_point,
 )
 from .simulate import (
-    ComparisonReport,
     SimulationConfig,
     Trajectory,
     compare_spectra,

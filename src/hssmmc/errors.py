@@ -6,7 +6,9 @@ class HssError(Exception):
 
 
 class OrderMismatchError(HssError):
-    """Two harmonic quantities have different truncation order or base frequency."""
+    """Two spectra have different truncation orders, or a spectrum does not
+    reach the harmonic an operation needs. A spectrum is a bare coefficient
+    row, so no base frequency is compared."""
 
 
 class InsufficientSamplesError(HssError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, StepConfig, apply_sweep_value
 from .errors import HssError, SchemaViolationError
-from .harmonic import HarmonicVector, synthesize
+from .harmonic import synthesize
 from .plant import PHASES, STATE_LABELS, STATE_VARIABLES, LiftedModel, open_loop_insertion_indices
 from .reports import (
     write_csv,
@@ -28,6 +28,7 @@ from .reports import (
     write_waveform_csv,
 )
 from .simulate import (
+    DOMINANT_FRACTION,
     PeriodicOrbit,
     Trajectory,
     compare_spectra,
@@ -60,7 +61,6 @@ from .steady import (
 )
 
 # Verification gates.
-DOMINANT_FRACTION = 0.002      # component counts as dominant above this share of the family peak
 DOMINANT_REL_TOL = 0.02        # lifted vs simulated dominant components
 WAVEFORM_NRMSE_TOL = 0.03      # reconstructed one-period waveforms
 SMALLSIG_NRMSE_TOL = 0.10      # perturbation reconstruction vs nonlinear
@@ -169,8 +169,8 @@ def run_simulate_open(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     if settled:
         for var in STATE_VARIABLES:
             for p in PHASES:
-                hv = settled_spectrum(traj, var, p, cfg.h, cfg.params.omega1)
-                write_spectrum_csv(out / f"spectrum_sim_{var}_{p}.csv", hv, timestamp)
+                c = settled_spectrum(traj, var, p, cfg.h, cfg.params.omega1)
+                write_spectrum_csv(out / f"spectrum_sim_{var}_{p}.csv", c, timestamp)
     checks = [("settled", settled, f"{cfg.sim.settle_periods} settle periods requested")]
     write_report(out / "report.txt", f"open-loop simulation (m={cfg.m})", checks, timestamp)
     return 0
@@ -245,14 +245,14 @@ def run_verify_steady(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     # Dominant-component agreement and one-period waveform match.
     for var in STATE_VARIABLES:
         for p in PHASES:
-            hss_hv = op.spectrum(var, p)
-            sim_hv = settled_spectrum(traj, var, p, cfg.h, w1)
-            write_spectrum_csv(out / f"spectrum_hss_{var}_{p}.csv", hss_hv, timestamp)
-            write_spectrum_csv(out / f"spectrum_sim_{var}_{p}.csv", sim_hv, timestamp)
+            hss = op.spectrum(var, p)
+            sim = settled_spectrum(traj, var, p, cfg.h, w1)
+            write_spectrum_csv(out / f"spectrum_hss_{var}_{p}.csv", hss, timestamp)
+            write_spectrum_csv(out / f"spectrum_sim_{var}_{p}.csv", sim, timestamp)
 
-            report = compare_spectra(hss_hv, sim_hv, dominant_fraction=DOMINANT_FRACTION)
-            mask = report.dominant & (np.abs(report.harmonic_indices) <= 3)
-            worst = float(np.max(report.rel_error[mask])) if np.any(mask) else 0.0
+            rel_error, dominant = compare_spectra(hss, sim)
+            mask = dominant & (np.abs(np.arange(-cfg.h, cfg.h + 1)) <= 3)
+            worst = float(np.max(rel_error[mask])) if np.any(mask) else 0.0
             checks.append(
                 (
                     f"dominant {var} {p}",
@@ -261,7 +261,7 @@ def run_verify_steady(cfg: RunConfig, out: Path, timestamp: bool) -> int:
                 )
             )
 
-            wave_hss = synthesize(hss_hv, t_grid, floor=op.symmetry_floor)
+            wave_hss = synthesize(hss, w1, t_grid, floor=op.symmetry_floor)
             wave_sim = traj.series(var, p)[-spp - 1 : -1]
             err = nrmse(wave_sim, wave_hss)
             write_waveform_csv(out / f"waveform_{var}_{p}.csv", t_grid, wave_hss, wave_sim, timestamp)
@@ -289,11 +289,12 @@ def spectral_content_checks(traj: Trajectory, cfg: RunConfig) -> list[tuple[str,
     dominated by their first three harmonics, ac currents are near-sinusoidal.
     """
     w1 = cfg.params.omega1
+    h = CLAIMS_ORDER
     checks = []
     for p in PHASES:
-        ic = settled_spectrum(traj, "i_c", p, CLAIMS_ORDER, w1)
-        even = min(abs(ic[0]), abs(ic[2]))
-        odd = max(abs(ic[1]), abs(ic[3]))
+        ic = settled_spectrum(traj, "i_c", p, h, w1)
+        even = min(abs(ic[h]), abs(ic[h + 2]))
+        odd = max(abs(ic[h + 1]), abs(ic[h + 3]))
         checks.append(
             (
                 f"circulating dc/2nd dominance {p}",
@@ -303,20 +304,20 @@ def spectral_content_checks(traj: Trajectory, cfg: RunConfig) -> list[tuple[str,
         )
     for var in ("v_cu", "v_cl"):
         for p in PHASES:
-            vc = settled_spectrum(traj, var, p, CLAIMS_ORDER, w1)
-            floor = 1e-6 * max(abs(vc[k]) for k in range(0, CLAIMS_ORDER + 1))
-            low_ok = all(abs(vc[k]) > floor for k in (0, 1, 2, 3))
-            high = max(abs(vc[k]) for k in range(4, CLAIMS_ORDER + 1))
-            high_ok = high < HIGH_HARMONIC_FRACTION * abs(vc[3])
+            vc = np.abs(settled_spectrum(traj, var, p, h, w1)[h:])
+            floor = 1e-6 * vc.max()
+            low_ok = all(vc[:4] > floor)
+            high = vc[4:].max()
+            high_ok = high < HIGH_HARMONIC_FRACTION * vc[3]
             checks.append(
                 (
                     f"capacitor harmonic content {var} {p}",
                     low_ok and high_ok,
-                    f"4th+ max {high:.4g} V vs {HIGH_HARMONIC_FRACTION:.0%} of 3rd {abs(vc[3]):.4g} V",
+                    f"4th+ max {high:.4g} V vs {HIGH_HARMONIC_FRACTION:.0%} of 3rd {vc[3]:.4g} V",
                 )
             )
     for p in PHASES:
-        ig = settled_spectrum(traj, "i_g", p, max(CLAIMS_ORDER, 10), w1)
+        ig = settled_spectrum(traj, "i_g", p, max(h, 10), w1)
         thd = total_harmonic_distortion(ig, k_max=10)
         checks.append(
             (
@@ -335,12 +336,10 @@ def spectral_content_checks(traj: Trajectory, cfg: RunConfig) -> list[tuple[str,
 class SmallsigComparison:
     """Perturbation trajectories of one step amplitude over the window."""
 
-    amplitude: float
     t: np.ndarray
     nonlinear: dict[str, np.ndarray]      # keyed 'i_c', 'i_g' (phase of the step)
     reconstructed: dict[str, np.ndarray]
     nrmse: dict[str, float]
-    peak_error: dict[str, float]
     pre_step_peak: dict[str, float]
     post_step_peak: dict[str, float]
     envelope: EnvelopeResponse
@@ -408,7 +407,6 @@ class SmallsigContext:
         nonlinear = {}
         reconstructed = {}
         nrmse_map = {}
-        peak_error = {}
         pre_peak = {}
         post_peak = {}
         for var in ("i_c", "i_g"):
@@ -418,17 +416,14 @@ class SmallsigContext:
             nonlinear[var] = d_nl
             reconstructed[var] = d_hss
             nrmse_map[var] = nrmse(d_nl, d_hss)
-            peak_error[var] = float(np.max(np.abs(d_hss - d_nl)))
             pre_peak[var] = float(np.max(np.abs(periodic)))
             post_peak[var] = float(np.max(np.abs(stepped.series(var, phase)[-self.spp - 1 :])))
 
         return SmallsigComparison(
-            amplitude=amplitude,
             t=t,
             nonlinear=nonlinear,
             reconstructed=reconstructed,
             nrmse=nrmse_map,
-            peak_error=peak_error,
             pre_step_peak=pre_peak,
             post_step_peak=post_peak,
             envelope=env,
@@ -511,8 +506,10 @@ STEADY_SWEEP_COLUMNS = (
 SMALLSIG_SWEEP_COLUMNS = ("value", "max_eig_real", "error")
 
 
-def _mag(hv: HarmonicVector, k: int) -> float:
-    return abs(hv[k]) if abs(k) <= hv.order else 0.0
+def _mag(c: np.ndarray, k: int) -> float:
+    """|c_k| of the coefficient row ``c``, 0 beyond its order."""
+    h = c.size // 2
+    return abs(c[h + k]) if k <= h else 0.0
 
 
 def steady_sweep_row(cfg: RunConfig) -> list[float]:

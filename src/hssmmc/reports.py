@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .harmonic import HarmonicVector
 from .simulate import Trajectory
 
 SPECTRUM_COLUMNS = ("k", "real", "imag", "magnitude", "phase_deg")
@@ -45,11 +44,13 @@ def _write_lines(path: Path, columns, lines, timestamp: bool) -> None:
         f.writelines(lines)
 
 
-def write_spectrum_csv(path: Path, hv: HarmonicVector, timestamp: bool) -> None:
-    rows = []
-    for k in range(-hv.order, hv.order + 1):
-        c = hv[k]
-        rows.append((k, c.real, c.imag, abs(c), float(np.degrees(np.angle(c)))))
+def write_spectrum_csv(path: Path, coeffs: np.ndarray, timestamp: bool) -> None:
+    """One line per harmonic k = -h..h of the coefficient row ``coeffs``."""
+    h = coeffs.size // 2
+    rows = (
+        (k, c.real, c.imag, abs(c), float(np.degrees(np.angle(c))))
+        for k, c in zip(range(-h, h + 1), coeffs.tolist())
+    )
     write_csv(path, SPECTRUM_COLUMNS, rows, timestamp)
 
 

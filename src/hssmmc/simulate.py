@@ -47,7 +47,7 @@ from .errors import (
     OrderMismatchError,
     ShootingError,
 )
-from .harmonic import HarmonicVector, analyze
+from .harmonic import fourier
 from .plant import (
     PHASES,
     PHASE_SHIFT,
@@ -613,79 +613,59 @@ def settled_spectrum(
     phase: str,
     h: int,
     omega1: float,
-) -> HarmonicVector:
-    """Fourier coefficients of one state over the final fundamental period."""
+) -> np.ndarray:
+    """Coefficients k = -h..h of one state over the final fundamental
+    period, referred to t = 0: the ``fourier`` row of the period's samples,
+    shifted by its start time t0."""
     if not is_settled(traj):
         worst = float(np.max(settling_profile(traj, n_periods=1)[0]))
         raise NotSettledError(
             f"last-two-period RMS change {worst:.3e} exceeds {SETTLE_RTOL:.1e}"
         )
     spp = traj.steps_per_period
-    series = traj.series(variable, phase)
-    samples = series[-spp - 1 : -1]
+    samples = traj.series(variable, phase)[-spp - 1 : -1]
     t0 = float(traj.t[-spp - 1])
-    return analyze(samples, h, omega1, t0=t0)
+    return fourier(samples, h) * np.exp(-1j * np.arange(-h, h + 1) * omega1 * t0)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-harmonic comparison of two spectra of equal order."""
-
-    h: int
-    a_mag: np.ndarray
-    b_mag: np.ndarray
-    abs_error: np.ndarray
-    rel_error: np.ndarray
-    floor: float
-    dominant: np.ndarray            # bool mask over k = -h..h
-
-    @property
-    def harmonic_indices(self) -> np.ndarray:
-        return np.arange(-self.h, self.h + 1)
+# Components at or above this share of the larger spectrum's peak form
+# compare_spectra's dominant set.
+DOMINANT_FRACTION = 0.002
 
 
-def compare_spectra(
-    a: HarmonicVector,
-    b: HarmonicVector,
-    dominant_fraction: float = 0.01,
-) -> ComparisonReport:
-    """Symmetric spectral comparison with a floored relative error.
+def compare_spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric spectral comparison of two coefficient rows of equal order
+    with a floored relative error.
 
-    Relative error is |a_k - b_k| / max(|a_k|, |b_k|, floor); the floor is
-    1e-6 of the largest component so negligible harmonics cannot produce
-    meaningless percentages. Components within ``dominant_fraction``
-    of the largest one form the dominant set.
+    Returns ``(rel_error, dominant)`` over k = -h..h. The relative error is
+    |a_k - b_k| / max(|a_k|, |b_k|, floor); the floor is 1e-6 of the
+    largest component so negligible harmonics cannot produce meaningless
+    percentages. ``dominant`` marks the components within
+    ``DOMINANT_FRACTION`` of the largest one.
     """
-    if a.order != b.order:
-        raise OrderMismatchError(f"orders differ: {a.order} vs {b.order}")
-    a_mag = np.abs(a.coeffs)
-    b_mag = np.abs(b.coeffs)
+    if a.shape != b.shape:
+        raise OrderMismatchError(f"orders differ: {a.size // 2} vs {b.size // 2}")
+    a_mag = np.abs(a)
+    b_mag = np.abs(b)
     peak = max(float(a_mag.max()), float(b_mag.max()))
     floor = 1e-6 * peak if peak > 0 else 1e-30
-    abs_err = np.abs(a.coeffs - b.coeffs)
-    denom = np.maximum(np.maximum(a_mag, b_mag), floor)
-    rel_err = abs_err / denom
-    dominant = np.maximum(a_mag, b_mag) >= dominant_fraction * peak if peak > 0 else np.zeros_like(a_mag, bool)
-    return ComparisonReport(
-        h=a.order,
-        a_mag=a_mag,
-        b_mag=b_mag,
-        abs_error=abs_err,
-        rel_error=rel_err,
-        floor=float(floor),
-        dominant=dominant,
-    )
+    larger = np.maximum(a_mag, b_mag)
+    rel_err = np.abs(a - b) / np.maximum(larger, floor)
+    dominant = larger >= DOMINANT_FRACTION * peak if peak > 0 else np.zeros_like(larger, bool)
+    return rel_err, dominant
 
 
-def total_harmonic_distortion(hv: HarmonicVector, k_max: int | None = None) -> float:
-    """RMS of harmonics 2..k_max relative to the fundamental."""
-    if hv.order < 1:
+def total_harmonic_distortion(coeffs: np.ndarray, k_max: int | None = None) -> float:
+    """RMS of harmonics 2..k_max relative to the fundamental, from the
+    coefficient row ``coeffs`` (k = -h..h)."""
+    h = coeffs.size // 2
+    if h < 1:
         raise OrderMismatchError("need at least the fundamental to compute distortion")
-    k_max = hv.order if k_max is None else min(k_max, hv.order)
-    fund = abs(hv[1])
+    k_max = h if k_max is None else min(k_max, h)
+    fund = abs(coeffs[h + 1])
     if fund == 0.0:
         return np.inf
-    num = np.sqrt(sum(abs(hv[k]) ** 2 for k in range(2, k_max + 1)))
+    num = np.sqrt(sum(abs(coeffs[h + k]) ** 2 for k in range(2, k_max + 1)))
     return float(num / fund)
 
 

@@ -42,7 +42,7 @@ from .errors import (
     ResidualImaginaryError,
     UnknownVariableError,
 )
-from .harmonic import HarmonicVector, instants, sample, synthesize
+from .harmonic import instants, sample, synthesize
 from .plant import (
     HALF_WAVE_IMAGE,
     PHASE_STATES,
@@ -204,11 +204,9 @@ def eigenvalues(model: LiftedModel) -> np.ndarray:
     return eig[order]
 
 
-def load_voltage_spectrum(op: OperatingPoint, params: MmcParameters, phase: str) -> HarmonicVector:
-    """Spectrum of the ac terminal voltage v_g = Z_load(k) * i_g per harmonic."""
-    i_g = op.spectrum("i_g", phase)
-    k = i_g.harmonic_indices
-    return HarmonicVector(op.h, op.omega1, params.load_impedance(k) * i_g.coeffs)
+def load_voltage_spectrum(op: OperatingPoint, params: MmcParameters, phase: str) -> np.ndarray:
+    """Coefficient row of the ac terminal voltage v_g = Z_load(k) * i_g."""
+    return params.load_impedance(np.arange(-op.h, op.h + 1)) * op.spectrum("i_g", phase)
 
 
 def references_from_operating_point(op: OperatingPoint, params: MmcParameters) -> dict[str, complex]:
@@ -222,7 +220,7 @@ def references_from_operating_point(op: OperatingPoint, params: MmcParameters) -
     refs = {}
     for p in PHASES:
         v_g = load_voltage_spectrum(op, params, p)
-        refs[p] = 2.0 * v_g[1]
+        refs[p] = 2.0 * complex(v_g[op.h + 1])
     return refs
 
 
@@ -243,7 +241,7 @@ def operating_controller_states(
     """
     h = op.h
     k = np.arange(-h, h + 1)
-    v_g = np.array([load_voltage_spectrum(op, params, p).coeffs for p in PHASES])
+    v_g = np.array([load_voltage_spectrum(op, params, p) for p in PHASES])
     v_ref = np.zeros_like(v_g)
     if h >= 1:
         for i, p in enumerate(PHASES):
@@ -272,7 +270,7 @@ def operating_state_at(
     controller states of ``operating_controller_states``."""
     prs = operating_controller_states(op, params, ctrl, refs)
     return np.concatenate(
-        [op.state_vector_at(t), [synthesize(HarmonicVector(op.h, op.omega1, c), t) for c in prs]]
+        [op.state_vector_at(t), [synthesize(c, op.omega1, t) for c in prs]]
     )
 
 

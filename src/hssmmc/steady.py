@@ -24,7 +24,7 @@ from .errors import (
     SingularSystemError,
     UnknownVariableError,
 )
-from .harmonic import SYMMETRY_RTOL, HarmonicVector, instants, sample, synthesize
+from .harmonic import SYMMETRY_RTOL, instants, sample, synthesize
 from .plant import (
     PHASE_STATES,
     PHASES,
@@ -119,14 +119,17 @@ class OperatingPoint:
     condition: float
     residual: float
 
-    def spectrum(self, variable: str, phase: str) -> HarmonicVector:
+    def spectrum(self, variable: str, phase: str) -> np.ndarray:
+        """Read-only view of the coefficient row of ``variable`` on ``phase``."""
         if variable not in STATE_VARIABLES:
             raise UnknownVariableError(
                 f"unknown variable {variable!r}; expected one of {STATE_VARIABLES}"
             )
         if phase not in PHASES:
             raise UnknownVariableError(f"unknown phase {phase!r}")
-        return HarmonicVector(self.h, self.omega1, self.coeffs[state_position(variable, phase)])
+        row = self.coeffs[state_position(variable, phase)]
+        row.flags.writeable = False
+        return row
 
     @property
     def symmetry_floor(self) -> float:
@@ -139,7 +142,7 @@ class OperatingPoint:
         """Synthesized 12-state plant vector at time(s) t."""
         floor = self.symmetry_floor
         return np.array(
-            [synthesize(HarmonicVector(self.h, self.omega1, c), t, floor=floor) for c in self.coeffs]
+            [synthesize(c, self.omega1, t, floor=floor) for c in self.coeffs]
         )
 
     def power_balance(self, params: MmcParameters) -> dict[str, float]:

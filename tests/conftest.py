@@ -209,13 +209,35 @@ def fast_params():
     )
 
 
-def random_real_vector(rng, h, omega1, scale=1.0):
-    """Random conjugate-symmetric harmonic coefficient array."""
-    from hssmmc import HarmonicVector
-
+def random_real_vector(rng, h, scale=1.0):
+    """Random conjugate-symmetric coefficient row of order h."""
     c = rng.normal(size=2 * h + 1) + 1j * rng.normal(size=2 * h + 1)
-    c = 0.5 * (c + np.conj(c[::-1])) * scale
-    return HarmonicVector(h, omega1, c)
+    return 0.5 * (c + np.conj(c[::-1])) * scale
+
+
+def peak_error(comparison, var: str) -> float:
+    """Largest |reconstructed - nonlinear| of ``var`` over a
+    ``SmallsigComparison``'s window."""
+    return float(np.max(np.abs(comparison.reconstructed[var] - comparison.nonlinear[var])))
+
+
+def coefficient_row(entries: dict[int, complex], h: int) -> np.ndarray:
+    """Coefficient row k = -h..h with ``entries[k]`` at position h + k and
+    zeros elsewhere."""
+    c = np.zeros(2 * h + 1, dtype=complex)
+    for k, v in entries.items():
+        assert abs(k) <= h, f"harmonic index {k} exceeds order {h}"
+        c[h + k] = v
+    return c
+
+
+def conjugate_symmetry_defect(coeffs) -> float:
+    """Max |c[-k] - conj(c[k])| of a coefficient row, relative to its
+    largest coefficient; 0 for a zero row."""
+    scale = float(np.max(np.abs(coeffs)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(coeffs[::-1] - np.conj(coeffs)))) / scale
 
 
 def state_space_at(p, n_u, n_l):

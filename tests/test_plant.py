@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hssmmc import (
-    HarmonicVector,
     MmcParameters,
     ModulationOutOfRangeError,
     open_loop_insertion_indices,
@@ -95,16 +94,14 @@ class TestInsertionIndices:
         n_u, n_l = open_loop_insertion_indices(0.7, 3)
         ts = np.linspace(0.0, 2 * np.pi / W1, 50)
         for i in range(3):
-            total = synthesize(HarmonicVector(3, W1, n_u[i]), ts) + synthesize(
-                HarmonicVector(3, W1, n_l[i]), ts
-            )
+            total = synthesize(n_u[i], W1, ts) + synthesize(n_l[i], W1, ts)
             assert np.allclose(total, 1.0, atol=1e-12)
 
     def test_bounds(self):
         n_u, _ = open_loop_insertion_indices(1.0, 3)
         ts = np.linspace(0.0, 2 * np.pi / W1, 2000)
         for i in range(3):
-            vals = synthesize(HarmonicVector(3, W1, n_u[i]), ts)
+            vals = synthesize(n_u[i], W1, ts)
             assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
 
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from hssmmc import (
     ControllerParams,
-    HarmonicVector,
     NotSettledError,
     NumericalBlowupError,
     OrderMismatchError,
     SimulationConfig,
     SingularSystemError,
+    Trajectory,
     compare_spectra,
     settled_open_loop,
     settled_spectrum,
@@ -27,10 +27,11 @@ from hssmmc import (
 )
 from hssmmc.config import RunConfig, StepConfig, load_config
 from hssmmc.errors import ShootingError
-from hssmmc.harmonic import analyze
+from hssmmc.harmonic import fourier, sample
 from hssmmc.pipelines import SmallsigContext, reference_step_run, step_grid_index
-from hssmmc.plant import PHASE_SHIFT, PHASE_STATES, PHASES, STATE_VARIABLES
+from hssmmc.plant import PHASE_SHIFT, PHASE_STATES, PHASES, STATE_LABELS, STATE_VARIABLES
 from hssmmc.simulate import (
+    DOMINANT_FRACTION,
     HALF_WAVE_OPERATOR,
     SETTLE_FLOOR,
     SETTLE_RTOL,
@@ -45,7 +46,14 @@ from hssmmc.simulate import (
     settling_profile,
 )
 
-from conftest import closed_loop_block, plant_derivatives, rk4, sequential_open_loop
+from conftest import (
+    closed_loop_block,
+    coefficient_row,
+    plant_derivatives,
+    random_real_vector,
+    rk4,
+    sequential_open_loop,
+)
 
 W1 = 314.0
 
@@ -239,12 +247,12 @@ class TestOpenLoop:
         assert peak <= 2e6
 
     def test_circulating_spectrum_structure(self, sec3_orbit, sec3_params):
-        hv = settled_spectrum(sec3_orbit, "i_c", "a", 4, sec3_params.omega1)
-        assert min(abs(hv[0]), abs(hv[2])) >= 10 * max(abs(hv[1]), abs(hv[3]))
+        ic = settled_spectrum(sec3_orbit, "i_c", "a", 4, sec3_params.omega1)
+        assert min(abs(ic[4]), abs(ic[4 + 2])) >= 10 * max(abs(ic[4 + 1]), abs(ic[4 + 3]))
 
     def test_ac_current_distortion(self, sec3_orbit, sec3_params):
-        hv = settled_spectrum(sec3_orbit, "i_g", "a", 10, sec3_params.omega1)
-        assert total_harmonic_distortion(hv) < 0.01
+        ig = settled_spectrum(sec3_orbit, "i_g", "a", 10, sec3_params.omega1)
+        assert total_harmonic_distortion(ig) < 0.01
 
     def test_settling_monotonicity(self, sec3_traj, sec3_params):
         profile = settling_profile(sec3_traj, n_periods=5)
@@ -263,7 +271,7 @@ class TestShooting:
         state family's peak; what is left is the brute-force transient."""
         def family(traj, var):
             return np.array([
-                settled_spectrum(traj, var, p, sec3_cfg.h, sec3_cfg.params.omega1).coeffs
+                settled_spectrum(traj, var, p, sec3_cfg.h, sec3_cfg.params.omega1)
                 for p in PHASES
             ])
 
@@ -294,8 +302,8 @@ class TestShooting:
         orbit = settled_open_loop(params, 1e-6, sec3_cfg.sim)
         assert np.max(np.sqrt(np.mean(orbit.series("i_c", "a") ** 2))) < 1e-9
         assert np.max(settling_profile(orbit, n_periods=1)) <= 1e-6 * SETTLE_RTOL
-        hv = settled_spectrum(orbit, "i_g", "a", 3, params.omega1)
-        assert abs(hv[1]) > 0.0
+        ig = settled_spectrum(orbit, "i_g", "a", 3, params.omega1)
+        assert abs(ig[3 + 1]) > 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -334,8 +342,8 @@ class TestClosedLoop:
         orbit = settled_closed_loop(
             fast_params, ctrl, refs, spp, 30 * spp, closed_loop_rest(fast_params)
         ).trajectory
-        i_g = analyze(orbit.series("i_g", "a")[:-1], 3, W1, t0=float(orbit.t[0]))
-        achieved = 2 * abs(i_g[1]) * fast_params.R_load
+        i_g = fourier(orbit.series("i_g", "a")[:-1], 3)
+        achieved = 2 * abs(i_g[3 + 1]) * fast_params.R_load
         assert achieved == pytest.approx(abs(refs["a"]), rel=0.02)
 
     def test_reference_step_event_grows_amplitude(self, fast_params):
@@ -716,9 +724,23 @@ class TestBlowupCheck:
 class TestSettledSpectrum:
     def test_constant_trajectory(self, fast_params):
         traj = simulate_open_loop(fast_params, 0.0, fast_cfg(fast_params))
-        hv = settled_spectrum(traj, "v_cu", "a", 3, W1)
-        assert hv[0] == pytest.approx(fast_params.V_dc)
-        assert np.max(np.abs(np.delete(hv.coeffs, 3))) < 1e-9
+        vc = settled_spectrum(traj, "v_cu", "a", 3, W1)
+        assert vc[3] == pytest.approx(fast_params.V_dc)
+        assert np.max(np.abs(np.delete(vc, 3))) < 1e-9
+
+    def test_offset_start_time(self):
+        # The final period starts at t0, part way into a period: the
+        # coefficients come back referred to t = 0.
+        rng = np.random.default_rng(6)
+        coeffs = np.stack([random_real_vector(rng, 3) for _ in STATE_LABELS])
+        spp, n0 = 80, 37
+        n = 3 * spp + 1
+        values = sample(coeffs, spp)[:, (n0 + np.arange(n)) % spp]
+        traj = Trajectory(2 * np.pi / W1 / spp, spp, n0, values.T)
+        assert traj.t[-spp - 1] % (2 * np.pi / W1) > 0.1 * (2 * np.pi / W1)
+        for r, label in enumerate(STATE_LABELS):
+            back = settled_spectrum(traj, label[:-1], label[-1], 3, W1)
+            assert np.max(np.abs(back - coeffs[r])) < 1e-9
 
     def test_not_settled_raises(self, sec3_params):
         cfg = SimulationConfig(steps_per_period=2000, total_periods=6, settle_periods=3)
@@ -728,47 +750,52 @@ class TestSettledSpectrum:
 
     def test_matches_steady_solve(self, sec3_orbit, sec3_op, sec3_params):
         for var in ("i_c", "v_cu", "i_g"):
-            sim_hv = settled_spectrum(sec3_orbit, var, "a", 3, sec3_params.omega1)
-            report = compare_spectra(sec3_op.spectrum(var, "a"), sim_hv)
-            assert np.max(report.rel_error[report.dominant]) <= 0.02
+            sim = settled_spectrum(sec3_orbit, var, "a", 3, sec3_params.omega1)
+            rel_error, dominant = compare_spectra(sec3_op.spectrum(var, "a"), sim)
+            assert np.max(rel_error[dominant]) <= 0.02
 
 
 class TestCompareSpectra:
     def test_equal_spectra(self):
-        hv = HarmonicVector.from_dict({0: 2.0, 1: 1.0, -1: 1.0}, 2, W1)
-        report = compare_spectra(hv, hv)
-        assert np.max(report.rel_error) == 0.0
+        c = coefficient_row({0: 2.0, 1: 1.0, -1: 1.0}, 2)
+        rel_error, _ = compare_spectra(c, c)
+        assert np.max(rel_error) == 0.0
 
     def test_factor_two(self):
-        b = HarmonicVector.from_dict({0: 2.0, 1: 1.0, -1: 1.0}, 2, W1)
-        a = HarmonicVector(2, W1, 2.0 * b.coeffs)
-        report = compare_spectra(a, b)
-        nonzero = np.abs(b.coeffs) > 0
-        assert np.allclose(report.rel_error[nonzero], 0.5)
+        b = coefficient_row({0: 2.0, 1: 1.0, -1: 1.0}, 2)
+        rel_error, _ = compare_spectra(2.0 * b, b)
+        nonzero = np.abs(b) > 0
+        assert np.allclose(rel_error[nonzero], 0.5)
 
     def test_floor_suppresses_negligible_harmonics(self):
-        a = HarmonicVector.from_dict({0: 1.0, 2: 1e-14}, 2, W1)
-        b = HarmonicVector.from_dict({0: 1.0, 2: 3e-14}, 2, W1)
-        report = compare_spectra(a, b)
-        assert report.rel_error[report.harmonic_indices == 2] < 1e-6
+        a = coefficient_row({0: 1.0, 2: 1e-14}, 2)
+        b = coefficient_row({0: 1.0, 2: 3e-14}, 2)
+        rel_error, _ = compare_spectra(a, b)
+        assert rel_error[2 + 2] < 1e-6
+
+    def test_dominant_set(self):
+        # At or above DOMINANT_FRACTION of the peak is dominant.
+        c = coefficient_row({0: 1.0, 1: DOMINANT_FRACTION, 2: 0.99 * DOMINANT_FRACTION}, 2)
+        _, dominant = compare_spectra(c, c)
+        assert dominant.tolist() == [False, False, True, True, False]
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
-            compare_spectra(HarmonicVector(2, W1, np.zeros(5)), HarmonicVector(3, W1, np.zeros(7)))
+            compare_spectra(np.zeros(5, dtype=complex), np.zeros(7, dtype=complex))
 
 
 class TestDistortion:
     def test_pure_fundamental(self):
-        hv = HarmonicVector.from_dict({1: 1.0, -1: 1.0}, 5, W1)
-        assert total_harmonic_distortion(hv) == 0.0
+        c = coefficient_row({1: 1.0, -1: 1.0}, 5)
+        assert total_harmonic_distortion(c) == 0.0
 
     def test_known_ratio(self):
-        hv = HarmonicVector.from_dict({1: 1.0, -1: 1.0, 3: 0.05, -3: 0.05}, 5, W1)
-        assert total_harmonic_distortion(hv) == pytest.approx(0.05)
+        c = coefficient_row({1: 1.0, -1: 1.0, 3: 0.05, -3: 0.05}, 5)
+        assert total_harmonic_distortion(c) == pytest.approx(0.05)
 
     def test_requires_fundamental(self):
         with pytest.raises(OrderMismatchError):
-            total_harmonic_distortion(HarmonicVector(0, W1, np.zeros(1)))
+            total_harmonic_distortion(np.zeros(1, dtype=complex))
 
 
 def test_trajectory_series_accessor(fast_params):
