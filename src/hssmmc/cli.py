@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import SCENARIOS, SweepConfig, apply_sweep_value, load_config
+from .config import SweepConfig, apply_sweep_value, load_config
 from .errors import HssError, SchemaViolationError
 from .pipelines import SCENARIO_RUNNERS
 
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hssmmc",
         description="Harmonic state-space modeling toolkit for the three-phase MMC",
     )
-    parser.add_argument("scenario", choices=SCENARIOS)
+    parser.add_argument("scenario", choices=SCENARIO_RUNNERS)
     parser.add_argument("--config", required=True, help="configuration file or bundled preset name")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--no-timestamp", action="store_true", help="omit timestamp header lines")

@@ -1,20 +1,18 @@
 """Run configuration: INI-style ``key = value`` sections, strictly validated.
 
-Sections and keys
------------------
-[params]      R, L, C_sm, N, V_dc, omega1, R_load, L_load (optional, default 0)
-[run]         m, h, output_dir (optional)
-[controller]  K_p, K_r, k_f           (required for closed-loop scenarios)
-[sim]         steps_per_period, total_periods,
-              settle_periods          (optional, default 40)
-[step]        period, phase, amplitude, window_periods (optional, default 10)
-[sweep]       key, values, scenario   (scenario: steady or smallsig)
+Each section but [run] is the dataclass it builds: [params] is
+``MmcParameters``, [controller] ``ControllerParams`` (required for
+closed-loop scenarios), [sim] ``SimulationConfig``, [step] ``StepConfig``
+and [sweep] ``SweepConfig``. A section's keys are its dataclass's fields, a
+field with a default is an optional key, and the field's type picks the
+parser: ``float``, ``int``, ``str`` or a comma-separated
+``tuple[float, ...]``. [run] holds ``m``, ``h`` and an optional ``output_dir``.
 
 Time is given on the fundamental-period grid only: ``steps_per_period``
 RK4 steps per period, an even number so that half a period is a grid point,
 and run lengths, the step instant and the comparison window in whole
-periods. Without [sim] a run lasts 42 periods of 2000
-steps. ``settle_periods`` changes no computation: it only bounds
+periods. Without [sim] a run lasts 42 periods of 2000 steps.
+``settle_periods`` changes no computation: it only bounds
 ``total_periods`` from below and is printed in the report's settled line.
 It stays a key because existing configurations set it, those that
 ``perfbench/workloads.py`` writes among them.
@@ -27,42 +25,15 @@ Unknown sections or keys are rejected. Two presets ship with the package:
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import SchemaViolationError
 from .plant import PHASES, MmcParameters
 from .simulate import SimulationConfig
 from .smallsignal import ControllerParams
-
-SCENARIOS = (
-    "steady",
-    "smallsig",
-    "simulate-open",
-    "simulate-closed",
-    "verify-steady",
-    "verify-smallsig",
-    "sweep",
-)
-
-_SCHEMA = {
-    "params": {"R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load"},
-    "run": {"m", "h", "output_dir"},
-    "controller": {"K_p", "K_r", "k_f"},
-    "sim": {"steps_per_period", "total_periods", "settle_periods"},
-    "step": {"period", "phase", "amplitude", "window_periods"},
-    "sweep": {"key", "values", "scenario"},
-}
-
-_REQUIRED = {
-    "params": {"R", "L", "C_sm", "N", "V_dc", "omega1", "R_load"},
-    "run": {"m", "h"},
-    "controller": {"K_p", "K_r", "k_f"},
-    "sim": {"steps_per_period", "total_periods"},
-    "step": {"period", "phase", "amplitude"},
-    "sweep": {"key", "values"},
-}
 
 
 @dataclass(frozen=True)
@@ -75,24 +46,32 @@ class StepConfig:
     amplitude: float            # volts added along the existing reference phasor
     window_periods: int = 10
 
+    def __post_init__(self):
+        if self.period < 1:
+            raise _fail("step", "period", "must be >= 1")
+        if self.phase not in PHASES:
+            raise _fail("step", "phase", f"phase must be one of {PHASES}")
+        if self.window_periods < 1:
+            raise _fail("step", "window_periods", "must be >= 1")
 
-SWEEPABLE_KEYS = {
-    "m", "h",
-    "R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load",
-    "K_p", "K_r", "k_f",
+
+SWEEPABLE_KEYS = {"m", "h"} | {
+    f.name for cls in (MmcParameters, ControllerParams) for f in fields(cls)
 }
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Swept key and values; the key is checked here, so a configuration
-    file and a command-line override are held to the same rule."""
+    """Swept key and values; checked here, so a configuration file and a
+    command-line override are held to the same rule."""
 
     key: str
     values: tuple[float, ...]
     scenario: str = "steady"
 
     def __post_init__(self):
+        if self.scenario not in ("steady", "smallsig"):
+            raise _fail("sweep", "scenario", "sweep scenario must be steady or smallsig")
         if self.key not in SWEEPABLE_KEYS:
             raise _fail("sweep", "key", f"key must be one of {sorted(SWEEPABLE_KEYS)}")
 
@@ -111,37 +90,52 @@ class RunConfig:
     output_dir: str | None = None
 
 
-def _fail(section: str, key: str | None, message: str) -> SchemaViolationError:
-    where = f"[{section}]" + (f" {key}" if key else "")
-    return SchemaViolationError(f"{where}: {message}")
+_SECTIONS = {
+    "params": MmcParameters,
+    "controller": ControllerParams,
+    "sim": SimulationConfig,
+    "step": StepConfig,
+    "sweep": SweepConfig,
+}
+
+# [run] builds no dataclass of its own: key -> (type, required).
+_RUN_KEYS = {"m": (float, True), "h": (int, True), "output_dir": (str, False)}
 
 
-class _Section:
-    def __init__(self, name: str, items: dict[str, str]):
-        self.name = name
-        self.items = items
+def _fail(section: str, key: str, message: str) -> SchemaViolationError:
+    return SchemaViolationError(f"[{section}] {key}: {message}")
 
-    def get_float(self, key: str) -> float:
-        try:
-            return float(self.items[key])
-        except ValueError:
-            raise _fail(self.name, key, f"not a number: {self.items[key]!r}") from None
 
-    def get_int(self, key: str) -> int:
-        raw = self.items[key]
-        try:
-            value = float(raw)
-        except ValueError:
-            raise _fail(self.name, key, f"not an integer: {raw!r}") from None
-        if value != int(value):
-            raise _fail(self.name, key, f"not an integer: {raw!r}")
-        return int(value)
+def _keys(section: str) -> dict[str, tuple[type, bool]]:
+    """Each key of ``section`` with its type and whether it is required."""
+    if section == "run":
+        return _RUN_KEYS
+    cls = _SECTIONS[section]
+    types = get_type_hints(cls)
+    return {f.name: (types[f.name], f.default is MISSING) for f in fields(cls)}
 
-    def get_str(self, key: str) -> str:
-        return self.items[key].strip()
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.items
+def _integer(raw: str) -> int:
+    """``raw`` as an int: ``20`` and ``2e1`` are integers, ``inf`` is not."""
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(raw)
+    return int(value)
+
+
+_PARSERS = {float: (float, "a number"), int: (_integer, "an integer"), str: (str.strip, None)}
+
+
+def _parse(section: str, key: str, kind, raw: str):
+    """``raw`` as a value of the field type ``kind``."""
+    if kind == tuple[float, ...]:
+        tokens = (tok.strip() for tok in raw.split(","))
+        return tuple(_parse(section, key, float, tok) for tok in tokens if tok)
+    parse, noun = _PARSERS[kind]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise _fail(section, key, f"not {noun}: {raw!r}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -157,121 +151,51 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise SchemaViolationError(f"malformed configuration: {exc}") from None
 
-    sections: dict[str, _Section] = {}
+    sections: dict[str, dict[str, tuple[type, str]]] = {}  # key -> (type, raw value)
     for name in parser.sections():
-        if name not in _SCHEMA:
+        if name != "run" and name not in _SECTIONS:
             raise SchemaViolationError(f"unknown section [{name}]")
+        keys = _keys(name)
         items = dict(parser.items(name))
-        unknown = set(items) - _SCHEMA[name]
+        unknown = set(items) - set(keys)
         if unknown:
             raise _fail(name, sorted(unknown)[0], "unknown key")
-        missing = _REQUIRED.get(name, set()) - set(items)
+        missing = {key for key, (_, required) in keys.items() if required} - set(items)
         if missing:
             raise _fail(name, sorted(missing)[0], "required key missing")
-        sections[name] = _Section(name, items)
+        sections[name] = {key: (kind, items[key]) for key, (kind, _) in keys.items() if key in items}
 
     for required_section in ("params", "run"):
         if required_section not in sections:
             raise SchemaViolationError(f"required section [{required_section}] missing")
 
-    p = sections["params"]
-    try:
-        params = MmcParameters(
-            R=p.get_float("R"),
-            L=p.get_float("L"),
-            C_sm=p.get_float("C_sm"),
-            N=p.get_int("N"),
-            V_dc=p.get_float("V_dc"),
-            omega1=p.get_float("omega1"),
-            R_load=p.get_float("R_load"),
-            L_load=p.get_float("L_load") if "L_load" in p else 0.0,
-        )
-    except ValueError as exc:
-        raise SchemaViolationError(f"[params]: {exc}") from None
+    def values(name: str) -> dict:
+        return {key: _parse(name, key, kind, raw) for key, (kind, raw) in sections[name].items()}
 
-    r = sections["run"]
-    m = _modulation_index(r.get_float("m"))
-    h = _harmonic_order(r.get_int("h"))
-
-    output_dir = r.get_str("output_dir") if "output_dir" in r else None
-
-    ctrl = None
-    if "controller" in sections:
-        c = sections["controller"]
+    def build(name: str):
+        if name not in sections:
+            return None
         try:
-            ctrl = ControllerParams(
-                K_p=c.get_float("K_p"),
-                K_r=c.get_float("K_r"),
-                k_f=c.get_float("k_f"),
-            )
+            return _SECTIONS[name](**values(name))
         except ValueError as exc:
-            raise SchemaViolationError(f"[controller]: {exc}") from None
+            raise SchemaViolationError(f"[{name}]: {exc}") from None
 
-    sim = _parse_sim(sections.get("sim"))
-    step = _parse_step(sections.get("step"))
-    sweep = _parse_sweep(sections.get("sweep"))
-
+    # Values are checked a section at a time, in the order written here
+    # (keyword arguments are evaluated left to right).
+    params = build("params")
+    run = values("run")
+    m = _modulation_index(run["m"])
+    h = _harmonic_order(run["h"])
     return RunConfig(
         params=params,
         m=m,
         h=h,
-        sim=sim,
-        ctrl=ctrl,
-        step=step,
-        sweep=sweep,
-        output_dir=output_dir,
+        ctrl=build("controller"),
+        sim=build("sim") or SimulationConfig(steps_per_period=2000, total_periods=42),
+        step=build("step"),
+        sweep=build("sweep"),
+        output_dir=run.get("output_dir"),
     )
-
-
-def _parse_sim(s: _Section | None) -> SimulationConfig:
-    if s is None:
-        return SimulationConfig(steps_per_period=2000, total_periods=42, settle_periods=40)
-    try:
-        return SimulationConfig(
-            steps_per_period=s.get_int("steps_per_period"),
-            total_periods=s.get_int("total_periods"),
-            settle_periods=s.get_int("settle_periods") if "settle_periods" in s else 40,
-        )
-    except ValueError as exc:
-        raise SchemaViolationError(f"[sim]: {exc}") from None
-
-
-def _parse_step(s: _Section | None) -> StepConfig | None:
-    if s is None:
-        return None
-    period = s.get_int("period")
-    if period < 1:
-        raise _fail("step", "period", "must be >= 1")
-    phase = s.get_str("phase")
-    if phase not in PHASES:
-        raise _fail("step", "phase", f"phase must be one of {PHASES}")
-    window = s.get_int("window_periods") if "window_periods" in s else 10
-    if window < 1:
-        raise _fail("step", "window_periods", "must be >= 1")
-    return StepConfig(
-        period=period, phase=phase, amplitude=s.get_float("amplitude"), window_periods=window
-    )
-
-
-def _parse_sweep(s: _Section | None) -> SweepConfig | None:
-    if s is None:
-        return None
-    key = s.get_str("key")
-    raw = s.get_str("values")
-    values = []
-    if raw:
-        for tok in raw.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise _fail("sweep", "values", f"not a number: {tok!r}") from None
-    scenario = s.get_str("scenario") if "scenario" in s else "steady"
-    if scenario not in ("steady", "smallsig"):
-        raise _fail("sweep", "scenario", "sweep scenario must be steady or smallsig")
-    return SweepConfig(key=key, values=tuple(values), scenario=scenario)
 
 
 def _modulation_index(value: float) -> float:
@@ -295,22 +219,17 @@ def apply_sweep_value(cfg: RunConfig, key: str, value: float) -> RunConfig:
         return replace(cfg, m=_modulation_index(value))
     if key == "h":
         return replace(cfg, h=_harmonic_order(value))
-    if key in ("R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load"):
-        if key == "N":
-            if value != int(value):
-                raise SchemaViolationError(f"swept N {value} is not an integer")
-            kwargs = {key: int(value)}
-        else:
-            kwargs = {key: float(value)}
-        try:
-            return replace(cfg, params=replace(cfg.params, **kwargs))
-        except ValueError as exc:
-            raise SchemaViolationError(str(exc)) from None
-    if key in ("K_p", "K_r", "k_f"):
-        if cfg.ctrl is None:
+    for attr, cls in (("params", MmcParameters), ("ctrl", ControllerParams)):
+        kind = get_type_hints(cls).get(key)
+        if kind is None:
+            continue
+        section = getattr(cfg, attr)
+        if section is None:
             raise SchemaViolationError("cannot sweep controller gains without [controller]")
+        if kind is int and not float(value).is_integer():
+            raise SchemaViolationError(f"swept {key} {value} is not an integer")
         try:
-            return replace(cfg, ctrl=replace(cfg.ctrl, **{key: float(value)}))
+            return replace(cfg, **{attr: replace(section, **{key: kind(value)})})
         except ValueError as exc:
             raise SchemaViolationError(str(exc)) from None
     raise SchemaViolationError(f"unsweepable key {key!r}")

@@ -55,14 +55,14 @@ def frequency_matrix(h: int, base_frequency: float) -> np.ndarray:
     return 1j * np.arange(-h, h + 1) * base_frequency
 
 
-def synthesize(coeffs, omega1: float, t, rtol: float = SYMMETRY_RTOL, floor: float = 0.0):
+def synthesize(coeffs, omega1: float, t, floor: float = 0.0):
     """Evaluate the real signal with the coefficient row ``coeffs``
     (k = -h..h) and fundamental ``omega1`` at time(s) ``t``.
 
     Raises ResidualImaginaryError when the reconstruction is not real to
-    within ``rtol`` relative to the largest coefficient, or to ``floor``
-    when that is larger, which signals a row that does not describe a
-    real signal. A spectrum taken from a larger solution carries that
+    within ``SYMMETRY_RTOL`` relative to the largest coefficient, or to
+    ``floor`` when that is larger, which signals a row that does not
+    describe a real signal. A spectrum taken from a larger solution carries that
     solution's rounding, so its caller passes a floor scaled to it.
     """
     coeffs = np.asarray(coeffs)
@@ -72,9 +72,9 @@ def synthesize(coeffs, omega1: float, t, rtol: float = SYMMETRY_RTOL, floor: flo
     values = phases @ coeffs
     scale = max(float(np.max(np.abs(coeffs))), floor) or 1.0
     max_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if max_imag > rtol * scale:
+    if max_imag > SYMMETRY_RTOL * scale:
         raise ResidualImaginaryError(
-            f"imaginary residual {max_imag:.3e} exceeds {rtol:.1e} * {scale:.3e}"
+            f"imaginary residual {max_imag:.3e} exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
         )
     out = values.real
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out

@@ -151,6 +151,12 @@ class MmcParameters:
         return self.R_load + 1j * k * self.omega1 * self.L_load
 
 
+def check_modulation_index(m: float):
+    """The library's rule for a modulation index: 0 <= m <= 1."""
+    if not 0.0 <= m <= 1.0:
+        raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
+
+
 def open_loop_insertion_indices(m: float, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Sinusoidal open-loop insertion indices for modulation index m.
 
@@ -158,8 +164,7 @@ def open_loop_insertion_indices(m: float, h: int) -> tuple[np.ndarray, np.ndarra
     with phi = 0, +2pi/3, -2pi/3 for phases a, b, c. Returns the (3, 2h+1)
     coefficient arrays (n_u, n_l), phases a, b, c.
     """
-    if not 0.0 <= m <= 1.0:
-        raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
+    check_modulation_index(m)
     if h < 1 and m != 0.0:
         raise OrderMismatchError("order >= 1 required for a fundamental component")
     phi = np.array([PHASE_SHIFT[p] for p in PHASES])

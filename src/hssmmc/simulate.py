@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ModulationOutOfRangeError,
     NotSettledError,
     NumericalBlowupError,
     OrderMismatchError,
@@ -52,6 +51,7 @@ from .plant import (
     PHASES,
     PHASE_SHIFT,
     MmcParameters,
+    check_modulation_index,
     complex_step_jacobian,
     plant_phase_equations,
     split_phase,
@@ -94,7 +94,7 @@ class SimulationConfig:
 
     steps_per_period: int
     total_periods: int
-    settle_periods: int
+    settle_periods: int = 40
 
     def __post_init__(self):
         if self.steps_per_period < 4:
@@ -155,11 +155,6 @@ def default_initial_state(params: MmcParameters) -> np.ndarray:
     x0 = np.zeros(12)
     x0[3:9] = params.V_dc
     return x0
-
-
-def _check_modulation(m: float):
-    if not 0.0 <= m <= 1.0:
-        raise ModulationOutOfRangeError(f"modulation index {m} outside [0, 1]")
 
 
 def _half_wave_operator() -> np.ndarray:
@@ -227,7 +222,7 @@ def _open_loop_periods(
     d_{q+1} = Phi d_q + g is H applied to its last row. ``x0`` is the state
     at n0, or None for the orbit d* = (I - Phi)^-1 g. Each half period is
     checked for blow-up; from rest at m = 0 every d_q is exactly zero."""
-    _check_modulation(m)
+    check_modulation_index(m)
     half, dt = spp // 2, params.period / spp
     x_rest = default_initial_state(params)
     maps = _half_period_maps(params, m, spp, n0)

@@ -4,8 +4,16 @@ import dataclasses
 
 import pytest
 
-from hssmmc import ControllerParams, SchemaViolationError, SimulationConfig
-from hssmmc.config import StepConfig, apply_sweep_value, load_config, parse_config, preset_names
+from hssmmc import ControllerParams, MmcParameters, SchemaViolationError, SimulationConfig
+from hssmmc.config import (
+    SWEEPABLE_KEYS,
+    StepConfig,
+    SweepConfig,
+    apply_sweep_value,
+    load_config,
+    parse_config,
+    preset_names,
+)
 
 GOOD = """
 [params]
@@ -122,6 +130,93 @@ class TestParse:
     def test_controller_section(self):
         cfg = parse_config(GOOD + "\n[controller]\nK_p = 0.5\nK_r = 100\nk_f = 1\n")
         assert cfg.ctrl == ControllerParams(K_p=0.5, K_r=100.0, k_f=1.0)
+
+
+# Every key of every section, each value away from the field's default, and
+# the object each section builds from them.
+ALL_KEYS = {
+    "params": {
+        "R": "1.0", "L": "0.36", "C_sm": "140e-6", "N": "20", "V_dc": "320e3",
+        "omega1": "314.0", "R_load": "551.12", "L_load": "0.01",
+    },
+    "run": {"m": "0.5", "h": "3", "output_dir": "out"},
+    "controller": {"K_p": "0.5", "K_r": "100", "k_f": "1"},
+    "sim": {"steps_per_period": "1000", "total_periods": "50", "settle_periods": "20"},
+    "step": {"period": "10", "phase": "b", "amplitude": "5e3", "window_periods": "4"},
+    "sweep": {"key": "m", "values": "0.1, 0.2", "scenario": "smallsig"},
+}
+SECTION_CLASSES = {
+    "params": ("params", MmcParameters(1.0, 0.36, 140e-6, 20, 320e3, 314.0, 551.12, 0.01)),
+    "controller": ("ctrl", ControllerParams(K_p=0.5, K_r=100.0, k_f=1.0)),
+    "sim": ("sim", SimulationConfig(steps_per_period=1000, total_periods=50, settle_periods=20)),
+    "step": ("step", StepConfig(period=10, phase="b", amplitude=5e3, window_periods=4)),
+    "sweep": ("sweep", SweepConfig(key="m", values=(0.1, 0.2), scenario="smallsig")),
+}
+
+
+def _document(sections: dict[str, dict[str, str]]) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {raw}\n" for key, raw in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+class TestSectionSchema:
+    """Each section's keys, required keys and defaults are its dataclass's fields."""
+
+    @pytest.mark.parametrize("section", sorted(SECTION_CLASSES))
+    def test_keys_are_the_dataclass_fields(self, section):
+        attr, built = SECTION_CLASSES[section]
+        names = [f.name for f in dataclasses.fields(built)]
+        assert list(ALL_KEYS[section]) == names
+        assert getattr(parse_config(_document(ALL_KEYS)), attr) == built
+
+        for f in dataclasses.fields(built):
+            keys = {name: dict(items) for name, items in ALL_KEYS.items()}
+            del keys[section][f.name]
+            if f.default is dataclasses.MISSING:
+                message = rf"^\[{section}\] {f.name}: required key missing$"
+                with pytest.raises(SchemaViolationError, match=message):
+                    parse_config(_document(keys))
+            else:
+                parsed = getattr(parse_config(_document(keys)), attr)
+                assert parsed == dataclasses.replace(built, **{f.name: f.default})
+
+    def test_step_built_in_code_is_held_to_the_file_rule(self):
+        for kwargs, message in (
+            ({"period": 0}, r"^\[step\] period: must be >= 1$"),
+            ({"phase": "q"}, r"^\[step\] phase: phase must be one of"),
+            ({"window_periods": 0}, r"^\[step\] window_periods: must be >= 1$"),
+        ):
+            with pytest.raises(SchemaViolationError, match=message):
+                StepConfig(**{"period": 1, "phase": "a", "amplitude": 1.0, **kwargs})
+        with pytest.raises(SchemaViolationError, match=r"^\[sweep\] scenario: "):
+            SweepConfig(key="h", values=(), scenario="verify-steady")
+
+    def test_sweepable_keys(self):
+        fields = {f.name for cls in (MmcParameters, ControllerParams) for f in dataclasses.fields(cls)}
+        assert SWEEPABLE_KEYS == {"m", "h"} | fields
+        assert SWEEPABLE_KEYS == {
+            "m", "h", "R", "L", "C_sm", "N", "V_dc", "omega1", "R_load", "L_load", "K_p", "K_r", "k_f",
+        }
+
+    def test_error_order(self):
+        # Key checks of every section, then missing sections, then values
+        # section by section: params, run, controller, sim, step, sweep.
+        text = GOOD.split("[run]")[0].replace("R = 1.0", "R = one")
+        with pytest.raises(SchemaViolationError, match=r"^required section \[run\] missing$"):
+            parse_config(text)
+        text = GOOD + "[sweep]\nkey = h\nvalues = x\n[controller]\nK_p = y\nK_r = 1\nk_f = 1\n"
+        with pytest.raises(SchemaViolationError, match=r"^\[controller\] K_p: not a number: 'y'$"):
+            parse_config(text)
+        with pytest.raises(SchemaViolationError, match=r"^\[step\] window: unknown key$"):
+            parse_config(text + "[step]\nwindow = 1\n")
+
+    def test_infinite_integer_is_not_an_integer(self):
+        with pytest.raises(SchemaViolationError, match=r"^\[params\] N: not an integer: 'inf'$"):
+            parse_config(GOOD.replace("N = 20", "N = inf"))
+        with pytest.raises(SchemaViolationError, match="^swept N inf is not an integer$"):
+            apply_sweep_value(parse_config(GOOD), "N", float("inf"))
 
 
 class TestPresets:

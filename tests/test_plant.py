@@ -6,7 +6,9 @@ import pytest
 from hssmmc import (
     MmcParameters,
     ModulationOutOfRangeError,
+    SimulationConfig,
     open_loop_insertion_indices,
+    simulate_open_loop,
     synthesize,
     toeplitz,
 )
@@ -65,10 +67,13 @@ class TestInsertionIndices:
             assert np.allclose(np.delete(n_u[i], 3), 0.0)
 
     def test_out_of_range(self):
-        with pytest.raises(ModulationOutOfRangeError):
-            open_loop_insertion_indices(1.2, 3)
-        with pytest.raises(ModulationOutOfRangeError):
-            open_loop_insertion_indices(-0.1, 3)
+        # The indices and the open-loop simulator hold m to one rule.
+        sim = SimulationConfig(steps_per_period=4, total_periods=3, settle_periods=2)
+        for m in (1.2, -0.1):
+            with pytest.raises(ModulationOutOfRangeError, match=f"^modulation index {m} outside"):
+                open_loop_insertion_indices(m, 3)
+            with pytest.raises(ModulationOutOfRangeError, match=f"^modulation index {m} outside"):
+                simulate_open_loop(sec3_like(), m, sim)
 
     def test_phase_b_upper_coefficient(self):
         n_u, _ = open_loop_insertion_indices(0.8, 3)
