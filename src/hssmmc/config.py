@@ -25,6 +25,7 @@ Unknown sections or keys are rejected. Two presets ship with the package:
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -51,6 +52,8 @@ class StepConfig:
             raise _fail("step", "period", "must be >= 1")
         if self.phase not in PHASES:
             raise _fail("step", "phase", f"phase must be one of {PHASES}")
+        if not math.isfinite(self.amplitude):
+            raise _fail("step", "amplitude", "must be finite")
         if self.window_periods < 1:
             raise _fail("step", "window_periods", "must be >= 1")
 

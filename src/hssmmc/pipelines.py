@@ -28,7 +28,6 @@ from .reports import (
     write_waveform_csv,
 )
 from .simulate import (
-    DOMINANT_FRACTION,
     PeriodicOrbit,
     Trajectory,
     compare_spectra,

@@ -15,14 +15,15 @@ phases b and c are the T/3 rotations of phase a (``phase_rotation``), so
 ``lift_phase_samples`` checks that balance once, on the coefficients of all
 three phases, and lifts phase a's alone; ``LiftedModel.for_phase`` rotates
 it onto phase b or c. ``LiftedModel.phase_blocks`` splits it into its two
-halves under the half-wave operator (``HALF_WAVE_IMAGE``): the eigenvalue
-screening decomposes two blocks of about half its size.
+halves under the half-wave operator (``smallsignal.LEG_HALF_WAVE``): the
+eigenvalue screening decomposes two blocks of about half its size.
 
 Insertion indices are (3, 2h+1) coefficient arrays (n_u, n_l), one row per
 phase a, b, c.
 
-State ordering (fixed; the lifted model's blocks are phase a's four in this
-order):
+State ordering (fixed): every state vector is variable-major with the phase
+fastest, entry 3 v + p being leg variable v of phase p, so
+``x.reshape(-1, 3)`` is indexed (variable, phase). The 12 plant states are
 
     [i_ca, i_cb, i_cc,
      v_cua, v_cub, v_cuc,
@@ -30,21 +31,24 @@ order):
      i_ga, i_gb, i_gc]
 
 where i_c are circulating currents, v_cu / v_cl the upper / lower arm sum
-capacitor voltages, and i_g the ac phase currents.
+capacitor voltages, and i_g the ac phase currents; the 18 closed-loop
+states append the PR controller states [pr_a1, pr_b1, pr_c1, pr_a2, pr_b2,
+pr_c2]. A lifted model's blocks are one phase's variables in this order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     HalfWaveAsymmetryError,
     ModulationOutOfRangeError,
     OrderMismatchError,
     PhaseImbalanceError,
-    UnknownVariableError,
 )
 from .harmonic import block_toeplitz, fourier, lift
 
@@ -53,14 +57,9 @@ PHASES = ("a", "b", "c")
 # Phase displacement of the fundamental for each leg, a leading.
 PHASE_SHIFT = {"a": 0.0, "b": 2.0 * np.pi / 3.0, "c": -2.0 * np.pi / 3.0}
 
-STATE_LABELS = (
-    "i_ca", "i_cb", "i_cc",
-    "v_cua", "v_cub", "v_cuc",
-    "v_cla", "v_clb", "v_clc",
-    "i_ga", "i_gb", "i_gc",
-)
-
 STATE_VARIABLES = ("i_c", "v_cu", "v_cl", "i_g")
+
+STATE_LABELS = tuple(variable + phase for variable in STATE_VARIABLES for phase in PHASES)
 
 # The half-wave operator T2 shifts the states by half a period and swaps
 # the upper and lower arms. Each state variable maps to (image, sign):
@@ -83,29 +82,22 @@ HALF_WAVE_IMAGE = {
 SYMMETRY_DEFECT_RTOL = 1e-12
 
 
-_STATE_INDEX = {label: i for i, label in enumerate(STATE_LABELS)}
-
-# The positions in the state vector of each phase's states, in the argument
-# order of plant_phase_equations: i_c, v_cu, v_cl, i_g.
-PHASE_STATES = [[_STATE_INDEX[variable + phase] for variable in STATE_VARIABLES] for phase in PHASES]
-
-
 def state_position(variable: str, phase: str) -> int:
-    """Index of (variable, phase) in the plant state vector, e.g. ('i_c','a') -> 0."""
+    """Index of (variable, phase) in the plant state vector, 3 v + p, e.g.
+    ('v_cl', 'b') -> 7."""
     try:
-        return _STATE_INDEX[f"{variable}{phase}"]
-    except KeyError:
+        return len(PHASES) * STATE_VARIABLES.index(variable) + PHASES.index(phase)
+    except ValueError:
         raise KeyError(f"no state {variable!r} phase {phase!r}") from None
 
 
-def split_phase(label: str) -> tuple[str, str]:
-    """(variable, phase) of a per-phase state label. The phase letter ends
-    the label ('v_cub' -> ('v_cu', 'b')) or comes before a trailing state
-    number ('pr_a1' -> ('pr_1', 'a'))."""
-    i = len(label) - (2 if label[-1].isdigit() else 1)
-    if i < 0 or label[i] not in PHASES:
-        raise UnknownVariableError(f"state label {label!r} names no phase")
-    return label[:i] + label[i + 1 :], label[i]
+def check_finite(obj):
+    """Raise ValueError naming the first field of the dataclass ``obj`` that
+    is not a finite number: a nan or inf gain or constant reaches no
+    physical model."""
+    for f in fields(obj):
+        if not math.isfinite(getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,7 @@ class MmcParameters:
     L_load: float = 0.0  # ac-side load inductance, H
 
     def __post_init__(self):
+        check_finite(self)
         if self.L <= 0:
             raise ValueError("arm inductance L must be > 0")
         if self.N < 1:
@@ -242,8 +235,9 @@ def phase_rotation(h: int, phase: str) -> np.ndarray:
 
 def _on_phase(label: str, phase: str) -> str:
     """Phase a's block or input ``label`` on ``phase``: its phase letter,
-    the one ``split_phase`` finds or the one before a '_ref' suffix
-    ('v_ga_ref'), replaced. A label of no phase ('v_dc') is kept."""
+    which ends the label ('v_cua'), comes before a trailing state number
+    ('pr_a1') or before a '_ref' suffix ('v_ga_ref'), replaced. A label of
+    no phase ('v_dc') is kept."""
     stem = label.removesuffix("_ref")
     i = len(stem) - (2 if stem[-1].isdigit() else 1)
     return label[:i] + phase + label[i + 1 :] if stem[i] == "a" else label
@@ -317,25 +311,28 @@ class LiftedModel:
             tuple(_on_phase(label, phase) for label in self.input_labels),
         )
 
-    def phase_blocks(self, half_wave: dict[str, tuple[str, int]]):
+    def phase_blocks(self, half_wave: tuple[tuple[int, int], ...]):
         """The two half-wave halves of A, each of about half its size:
         together they carry the spectrum of A.
 
         The half-wave operator T2 acts on each (variable, k) of A as the
-        signed permutation ``half_wave`` gives (``HALF_WAVE_IMAGE``), the
-        variable of each block being its label's (``split_phase``); a state
-        variable without an entry raises UnknownVariableError. Each pair of
-        variables that T2 swaps is replaced by its normalized sum and
-        difference, after which T2 is diagonal with entries +-1, and A splits
-        into the rows and columns of +1 and of -1, one gather each. The
-        largest entry of the off-diagonal half blocks, relative to max|A|, is
-        the half-wave defect (a map that is no symmetry of A shows there too),
-        and unless it is at most SYMMETRY_DEFECT_RTOL (a NaN is not)
-        HalfWaveAsymmetryError is raised.
+        signed permutation ``half_wave`` gives, one (image, sign) per state
+        block: block j of T2 X is sign times block ``image`` half a period
+        on (``smallsignal.LEG_HALF_WAVE``). Any other count of entries raises
+        DimensionMismatchError. Each pair of blocks that T2 swaps is replaced
+        by its normalized sum and difference, after which T2 is diagonal with
+        entries +-1, and A splits into the rows and columns of +1 and of -1,
+        one gather each. The largest entry of the off-diagonal half blocks,
+        relative to max|A|, is the half-wave defect (a map that is no
+        symmetry of A shows there too), and unless it is at most
+        SYMMETRY_DEFECT_RTOL (a NaN is not) HalfWaveAsymmetryError is raised.
         """
+        if len(half_wave) != len(self.state_labels):
+            raise DimensionMismatchError(
+                f"{len(half_wave)} half-wave images for {len(self.state_labels)} state blocks"
+            )
         n_h = 2 * self.h + 1
-        variables = tuple(split_phase(label)[0] for label in self.state_labels)
-        pairs, plus = _half_wave_basis(variables, half_wave, self.h)
+        pairs, plus = _half_wave_basis(half_wave, self.h)
         scale = float(np.max(np.abs(self.A))) or 1.0
         block = self.A.copy()
         _sum_and_difference(block, pairs, n_h)
@@ -345,27 +342,19 @@ class LiftedModel:
         return tuple(block[np.ix_(half, half)] for half in halves)
 
 
-def _half_wave_basis(variables, half_wave, h):
-    """The pairs (j, i), j < i, of the positions in ``variables`` that the
-    half-wave operator swaps, and the mask of its +1 eigenvectors over the
-    (variable, k) basis of a phase block once each pair is replaced by
-    its sum (at j) and difference (at i).
+def _half_wave_basis(half_wave, h):
+    """The pairs (j, i), j < i, of the blocks that the half-wave operator
+    swaps, and the mask of its +1 eigenvectors over the (block, k) basis of
+    a phase block once each pair is replaced by its sum (at j) and
+    difference (at i).
 
-    A variable that maps to itself, with sign s, is in the +1 half at the
+    A block that maps to itself, with sign s, is in the +1 half at the
     harmonics k with s (-1)^k = 1. The sum of a pair swapped with sign s is
     there at the same harmonics, and the difference at the others.
     """
-    position = {v: j for j, v in enumerate(variables)}
     odd = np.arange(-h, h + 1) % 2 == 1
     pairs, plus = [], []
-    for j, variable in enumerate(variables):
-        try:
-            image, sign = half_wave[variable]
-            i = position[image]
-        except KeyError:
-            raise UnknownVariableError(
-                f"state variable {variable!r} has no half-wave image among the states"
-            ) from None
+    for j, (i, sign) in enumerate(half_wave):
         if j < i:
             pairs.append((j, i))
         plus.append(odd if (sign < 0) != (j > i) else ~odd)

@@ -15,7 +15,9 @@ point and window is a whole number of those steps. Every run is a
 ``Trajectory``: one state array on the grid t = (n0 + i)·dt, so runs that
 continue one another lie on one grid and join by concatenation.
 
-Both loops commute with the half-wave operator H (``HALF_WAVE_OPERATOR``:
+Every state vector is variable-major with the phase fastest (``plant``),
+so phase p's leg is column p of ``x.reshape(-1, 3)``. Both loops commute with the half-wave operator H, one signed
+permutation per leg (``LEG_HALF_WAVE_OPERATOR``, from ``LEG_HALF_WAVE``:
 half a period on, arms swapped, ac quantities negated), so both shoot
 (Aprille & Trick 1972) on the half-wave map G = H F_half, F_half the RK4
 map over half a period, and the second half of a period is H applied to
@@ -54,16 +56,9 @@ from .plant import (
     check_modulation_index,
     complex_step_jacobian,
     plant_phase_equations,
-    split_phase,
     state_position,
 )
-from .smallsignal import (
-    _PHASE_COLUMNS,
-    SMALLSIG_HALF_WAVE_IMAGE,
-    SMALLSIG_STATE_LABELS,
-    ControllerParams,
-    _closed_loop_equations,
-)
+from .smallsignal import LEG_HALF_WAVE, ControllerParams, _closed_loop_equations
 from .steady import solve_lifted
 
 # A simulated state magnitude beyond this multiple of the dc-bus voltage
@@ -157,24 +152,20 @@ def default_initial_state(params: MmcParameters) -> np.ndarray:
     return x0
 
 
-def _half_wave_operator() -> np.ndarray:
-    """The half-wave operator H on the closed-loop states as an 18 x 18
-    signed permutation matrix, (H x)_v = sign * x_image for each state v,
-    from ``SMALLSIG_HALF_WAVE_IMAGE``: i_c stays, v_cu and v_cl swap, and
-    i_g and the PR states change sign. With references that are pure
-    fundamentals, v*(t + T/2) = -v*(t), so a closed-loop run started at
-    H x half a period on is H applied to the run started at x; an
-    open-loop run does the same under the 12 x 12 plant block."""
-    position = {split_phase(label): i for i, label in enumerate(SMALLSIG_STATE_LABELS)}
-    H = np.zeros((len(position), len(position)))
-    for i, label in enumerate(SMALLSIG_STATE_LABELS):
-        variable, phase = split_phase(label)
-        image, sign = SMALLSIG_HALF_WAVE_IMAGE[variable]
-        H[i, position[image, phase]] = sign
-    return H
+# The half-wave operator H on one phase leg's six closed-loop states, the
+# signed permutation (H x)_v = sign * x_image of ``LEG_HALF_WAVE``: i_c
+# stays, v_cu and v_cl swap, and i_g and the PR states change sign. With
+# references that are pure fundamentals, v*(t + T/2) = -v*(t), so a
+# closed-loop run started at H x half a period on is H applied to the run
+# started at x; an open-loop run does the same under the 4 x 4 plant block.
+LEG_HALF_WAVE_OPERATOR = np.array(
+    [[sign * (j == image) for j in range(len(LEG_HALF_WAVE))] for image, sign in LEG_HALF_WAVE],
+    dtype=float,
+)
 
-
-HALF_WAVE_OPERATOR = _half_wave_operator()
+# H on the 18 variable-major closed-loop states: the leg operator on each
+# phase; its leading 12 x 12 block acts on the plant states.
+HALF_WAVE_OPERATOR = np.kron(LEG_HALF_WAVE_OPERATOR, np.eye(3))
 
 
 # The open-loop pass builds its step maps this many steps at a time, which
@@ -226,11 +217,10 @@ def _open_loop_periods(
     half, dt = spp // 2, params.period / spp
     x_rest = default_initial_state(params)
     maps = _half_period_maps(params, m, spp, n0)
-    H = HALF_WAVE_OPERATOR[0:12:3, 0:12:3]  # one phase's block
+    H = LEG_HALF_WAVE_OPERATOR[:4, :4]  # the plant's block
     if x0 is None:
         phi = H @ (np.eye(4) + maps[:, -1, :, :4])  # per phase; Phi is block diagonal
-        phi = (np.eye(3)[:, None, :, None] * phi[:, :, None]).reshape(12, 12)
-        d = _shooting_fixed_point(phi, (H @ maps[:, -1, :, 4:]).ravel())[0].reshape(3, 4)
+        d = _shooting_fixed_point(phi, (H @ maps[:, -1, :, 4:])[..., 0])[0]
     else:
         d = (x0 - x_rest).reshape(4, 3).T
     states = np.empty((n_periods * spp + 1, 12))
@@ -273,23 +263,28 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
 
 
 def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Fixed point of the half-wave map x -> phi x + g, and the largest
-    Floquet multiplier: one period is two half-wave maps, so it is the
-    largest eigenvalue magnitude of phi, squared.
+    """Fixed point (3, n) of the half-wave map x -> Phi x + g of the three
+    phases, from the (3, n, n) phase blocks ``phi`` of Phi and the (3, n)
+    offsets ``g``, and the largest Floquet multiplier: one period is two
+    half-wave maps, so it is the largest eigenvalue magnitude of Phi,
+    squared. The phases share only the constant dc bus, so Phi is block
+    diagonal over them; it is assembled phase by phase and solved once.
 
     Raises SingularSystemError when the gated solve (``steady.solve_lifted``)
-    rejects I - phi, and NotSettledError when the largest Floquet multiplier
+    rejects I - Phi, and NotSettledError when the largest Floquet multiplier
     is not below one: the fixed point then exists but no transient settles
     onto it.
     """
-    x, _, _ = solve_lifted(np.eye(g.size) - phi, g)
+    p, n = g.shape
+    phi = (np.eye(p)[:, None, :, None] * phi[:, :, None]).reshape(p * n, p * n)
+    x, _, _ = solve_lifted(np.eye(p * n) - phi, g.ravel())
     multiplier = float(np.max(np.abs(np.linalg.eigvals(phi)))) ** 2
     if multiplier >= 1.0:
         raise NotSettledError(
             f"largest Floquet multiplier {multiplier:.6g} is not below 1: "
             "the periodic orbit is not attracting"
         )
-    return x, multiplier
+    return x.reshape(p, n), multiplier
 
 
 def _reference_amps(refs: dict[str, complex]) -> np.ndarray:
@@ -318,7 +313,7 @@ def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -
     sixth = dt / 6.0
     out = np.empty((n_steps + 1, x0.size))
     out[0] = x0
-    states = [tuple(out[0, c].tolist()) for c in _PHASE_COLUMNS]
+    states = [tuple(leg) for leg in out[0].reshape(-1, 3).T.tolist()]
     refs = list(zip(amps.real.tolist(), amps.imag.tolist()))
     for start, stop in _float_segments(n_steps, spp):
         if start % spp == 0:
@@ -348,7 +343,7 @@ def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -
                     f"at step {step} (period {step // spp}, t = {step * dt:.6g} s)"
                 ) from None
             states[p] = x
-            out[start + 1 : stop + 1, _PHASE_COLUMNS[p]] = np.array(rows).reshape(-1, len(x))
+            out[start + 1 : stop + 1, p::3] = np.array(rows).reshape(-1, len(x))
     _check_blowup(out[n_steps][None], scale, n0 + n_steps, dt, spp)
     return out
 
@@ -459,15 +454,16 @@ def _rk4_step_maps(a1, a2, a3, a4, dt):
 def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
     """Jacobian of the closed-loop RK4 map from run[0] to run[-1], the
     states at grid points n0 .. n0 + n of one real run with reference
-    phasors ``amps`` (3,), as an 18 x 18 matrix.
+    phasors ``amps`` (3,), as its (3, 6, 6) phase blocks.
 
     The phases share only the constant dc bus, so the Jacobian is block
-    diagonal over them (``_PHASE_COLUMNS``). The four RK4 stage states of
-    every step are recomputed from the run on (3, n) arrays, and every stage
-    Jacobian is taken by complex step in one call of
-    ``_closed_loop_equations`` on (3 phases, 4 stages, n steps) arguments
-    (``complex_step_jacobian``). The step matrices (``_rk4_step_maps``) are
-    multiplied in pairs, about log2(n) batched products.
+    diagonal over them, block p over phase p's six leg variables. The four
+    RK4 stage states of every step are recomputed from the run, read as
+    (6, 3, n) arrays, and every stage Jacobian is taken by complex step in
+    one call of ``_closed_loop_equations`` on (3 phases, 4 stages, n steps)
+    arguments (``complex_step_jacobian``). The step matrices
+    (``_rk4_step_maps``) are multiplied in pairs, about log2(n) batched
+    products.
     """
     dt = params.period / steps_per_period
     half = 0.5 * dt
@@ -482,7 +478,7 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
 
     v1, v2, v4 = v_star(t), v_star(t + half), v_star(t + dt)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y1 = run[:-1, np.transpose(_PHASE_COLUMNS)].transpose(1, 2, 0)  # (6, 3, n)
+        y1 = run[:-1].T.reshape(-1, 3, n)  # (6 leg variables, 3 phases, n)
         y2 = y1 + half * np.array(f(v1, *y1))
         y3 = y1 + half * np.array(f(v2, *y2))
         y4 = y1 + dt * np.array(f(v2, *y3))
@@ -495,10 +491,7 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
                 d = np.concatenate([d, np.zeros((3, 1, 6, 6))], axis=1)
             earlier, later = d[:, 0::2], d[:, 1::2]
             d = earlier + later + later @ earlier
-    jacobian = np.zeros((18, 18))
-    for p, c in enumerate(_PHASE_COLUMNS):
-        jacobian[np.ix_(c, c)] = np.eye(6) + d[p, 0]
-    return jacobian
+    return np.eye(6) + d[:, 0]
 
 
 def settled_closed_loop(
@@ -545,9 +538,10 @@ def settled_closed_loop(
         end = H @ first_half[-1]
         rms = np.sqrt(np.mean(orbit[:-1] ** 2, axis=0))
         defect = float(np.max(np.abs(end - x) / np.where(rms > 0, rms, 1.0)))
-        jacobian = H @ _tangent_map(params, ctrl, amps, steps_per_period, n0, first_half)
+        tangent = _tangent_map(params, ctrl, amps, steps_per_period, n0, first_half)
+        jacobian = LEG_HALF_WAVE_OPERATOR @ tangent  # per phase
         try:
-            dx, multiplier = _shooting_fixed_point(jacobian, end - x)
+            dx, multiplier = _shooting_fixed_point(jacobian, (end - x).reshape(-1, 3).T)
         except NotSettledError as exc:
             raise ShootingError(
                 f"after {iteration} Newton iterations (relative defect {defect:.3e}): {exc}",
@@ -557,7 +551,7 @@ def settled_closed_loop(
         if defect <= SHOOTING_DEFECT_TOL:
             trajectory = Trajectory(params.period / steps_per_period, steps_per_period, n0, orbit)
             return PeriodicOrbit(trajectory, iteration, defect, multiplier)
-        x = x + dx
+        x = x + dx.T.ravel()
     raise ShootingError(
         f"Newton shooting left a relative defect {defect:.3e} above "
         f"{SHOOTING_DEFECT_TOL:.0e} after {SHOOTING_MAX_ITERATIONS} iterations",

@@ -19,8 +19,8 @@ lifted as the steady model is (``lift_phase_samples``) to phase a's 6-block
 and c are its T/3 rotations (``LiftedModel.for_phase``).
 
 Eigenvalue screening (``eigenvalues``) splits the model by the half-wave
-operator (``LiftedModel.phase_blocks``, with the controller states' images
-in ``SMALLSIG_HALF_WAVE_IMAGE``): two numpy eigendecompositions of about
+operator (``LiftedModel.phase_blocks``, with the image of each leg
+variable in ``LEG_HALF_WAVE``): two numpy eigendecompositions of about
 half its size give phase a's spectrum, which the three phases share.
 
 Envelope responses of this LTI model to a reference step are exact
@@ -45,24 +45,36 @@ from .errors import (
 from .harmonic import instants, sample, synthesize
 from .plant import (
     HALF_WAVE_IMAGE,
-    PHASE_STATES,
     PHASES,
     STATE_LABELS,
+    STATE_VARIABLES,
     LiftedModel,
     MmcParameters,
+    check_finite,
     complex_step_jacobian,
     lift_phase_samples,
     plant_phase_equations,
 )
 from .steady import OperatingPoint, plant_samples
 
-PR_LABELS = ("pr_a1", "pr_a2", "pr_b1", "pr_b2", "pr_c1", "pr_c2")
+# The closed-loop leg variables, in the argument order of
+# _closed_loop_equations; the 18 states are variable-major like the plant's
+# (``plant.STATE_LABELS``), entry 3 v + p being variable v of phase p.
+SMALLSIG_VARIABLES = STATE_VARIABLES + ("pr_1", "pr_2")
+PR_LABELS = ("pr_a1", "pr_b1", "pr_c1", "pr_a2", "pr_b2", "pr_c2")
 SMALLSIG_STATE_LABELS = STATE_LABELS + PR_LABELS
 
 # Half-wave images (``plant.HALF_WAVE_IMAGE``) of the closed-loop states:
 # the PR states are driven by the ac voltage error, which carries odd
 # harmonics, so they flip sign with i_g.
 SMALLSIG_HALF_WAVE_IMAGE = {**HALF_WAVE_IMAGE, "pr_1": ("pr_1", -1), "pr_2": ("pr_2", -1)}
+
+# The same images by position, (image index, sign) per leg variable of
+# SMALLSIG_VARIABLES; the first four are the plant's.
+LEG_HALF_WAVE = tuple(
+    (SMALLSIG_VARIABLES.index(image), sign)
+    for image, sign in map(SMALLSIG_HALF_WAVE_IMAGE.get, SMALLSIG_VARIABLES)
+)
 
 
 @dataclass(frozen=True)
@@ -75,13 +87,9 @@ class ControllerParams:
     k_f: float          # measured-voltage feedforward gain, dimensionless
 
     def __post_init__(self):
+        check_finite(self)
         if self.K_p < 0 or self.K_r < 0:
             raise ValueError("K_p and K_r must be >= 0")
-
-
-# The positions in the 18-state vector of each phase's six states, in the
-# argument order of _closed_loop_equations: i_c, v_cu, v_cl, i_g, x1, x2.
-_PHASE_COLUMNS = [PHASE_STATES[p] + [12 + 2 * p, 13 + 2 * p] for p in range(len(PHASES))]
 
 
 def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
@@ -146,7 +154,7 @@ def _closed_loop_samples(
 ) -> np.ndarray:
     """Complex-step Jacobian samples (3, 6, 7, N) of
     ``_closed_loop_equations`` per phase with respect to its six states
-    (``_PHASE_COLUMNS`` order) and v*, on the operating orbit at the N =
+    (``SMALLSIG_VARIABLES`` order) and v*, on the operating orbit at the N =
     ``instants(op.h)`` instants t0 + j T / N, all 18 rows sampled by one
     inverse FFT.
 
@@ -159,7 +167,7 @@ def _closed_loop_samples(
     rows = np.concatenate([op.coeffs, prs])
     k = np.arange(-op.h, op.h + 1)
     x = sample(rows * np.exp(1j * k * params.omega1 * t0), instants(op.h))
-    y = x[np.transpose(_PHASE_COLUMNS)]  # (6, 3, N)
+    y = x.reshape(len(SMALLSIG_VARIABLES), len(PHASES), -1)
     jacobian = complex_step_jacobian(
         _closed_loop_equations(params, ctrl), (np.zeros_like(y[0]), *y), (1, 2, 3, 4, 5, 6, 0)
     )
@@ -183,7 +191,7 @@ def assemble_smallsignal(
     dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
     return lift_phase_samples(
         np.concatenate([closed[:, :, :6], dc, closed[:, :, 6:]], axis=2), h, params.omega1,
-        [SMALLSIG_STATE_LABELS[i] for i in _PHASE_COLUMNS[0]], ("v_dc", "v_ga_ref"),
+        SMALLSIG_STATE_LABELS[:: len(PHASES)], ("v_dc", "v_ga_ref"),
     )
 
 
@@ -192,13 +200,13 @@ def eigenvalues(model: LiftedModel) -> np.ndarray:
     descending, then by imaginary part.
 
     Computed from the two half-wave halves of phase a's A
-    (``LiftedModel.phase_blocks`` with ``SMALLSIG_HALF_WAVE_IMAGE``, which
-    also covers the plant states of a steady model): one numpy
+    (``LiftedModel.phase_blocks`` with ``LEG_HALF_WAVE``, whose first four
+    entries are the plant's, the blocks of a steady model): one numpy
     eigendecomposition of each, about half its size, whose spectra together
     are repeated three times, once per phase. Raises HalfWaveAsymmetryError
     when A does not commute with the half-wave operator.
     """
-    halves = model.phase_blocks(SMALLSIG_HALF_WAVE_IMAGE)
+    halves = model.phase_blocks(LEG_HALF_WAVE[: len(model.state_labels)])
     eig = np.tile(np.concatenate([np.linalg.eigvals(half) for half in halves]), len(PHASES))
     order = np.lexsort((eig.imag, -eig.real))
     return eig[order]
@@ -231,7 +239,8 @@ def operating_controller_states(
     refs: dict[str, complex],
 ) -> np.ndarray:
     """Periodic resonant-controller states consistent with the operating
-    point: (6, 2h+1) coefficient rows in ``PR_LABELS`` order.
+    point: (6, 2h+1) coefficient rows in ``PR_LABELS`` order, the first
+    state of phases a, b, c, then the second.
 
     The first state of each phase is fixed by requiring the controller
     output to reproduce the operating-point insertion indices; the second
@@ -255,7 +264,7 @@ def operating_controller_states(
         x2 = np.where(k != 0, x1 / (1j * k * op.omega1), 0.0)
     # Python complex arithmetic: numpy's complex division differs by an ulp.
     x2[:, h] = [ctrl.K_r * complex(e) / params.omega1 ** 2 for e in err[:, h]]
-    return np.stack([x1, x2], axis=1).reshape(2 * len(PHASES), 2 * h + 1)
+    return np.concatenate([x1, x2])
 
 
 def operating_state_at(

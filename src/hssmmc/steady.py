@@ -26,7 +26,6 @@ from .errors import (
 )
 from .harmonic import SYMMETRY_RTOL, instants, sample, synthesize
 from .plant import (
-    PHASE_STATES,
     PHASES,
     STATE_LABELS,
     STATE_VARIABLES,
@@ -91,7 +90,7 @@ def assemble_steady(
     (``plant_samples``)."""
     return lift_phase_samples(
         plant_samples(params, indices, h), h, params.omega1,
-        [STATE_LABELS[i] for i in PHASE_STATES[0]], ("v_dc",),
+        STATE_LABELS[:: len(PHASES)], ("v_dc",),
     )
 
 

@@ -14,7 +14,6 @@ from hssmmc.harmonic import block_toeplitz, fourier, lift
 from hssmmc.pipelines import SmallsigContext, solve_operating_point
 from hssmmc.plant import (
     PHASE_SHIFT,
-    PHASE_STATES,
     PHASES,
     STATE_LABELS,
     LiftedModel,
@@ -23,12 +22,17 @@ from hssmmc.plant import (
 )
 from hssmmc.simulate import Trajectory, _check_blowup, default_initial_state, settled_open_loop
 from hssmmc.smallsignal import (
-    _PHASE_COLUMNS,
     SMALLSIG_STATE_LABELS,
     _closed_loop_equations,
     _closed_loop_samples,
 )
 from hssmmc.steady import dc_input_vector, plant_samples
+
+
+def phase_columns(n_states):
+    """The positions of each phase's leg variables in a variable-major state
+    vector of ``n_states`` entries, phase p's at p, p + 3, ..., as index lists."""
+    return [list(range(p, n_states, len(PHASES))) for p in range(len(PHASES))]
 
 
 @pytest.fixture(scope="session")
@@ -104,8 +108,8 @@ def closed_loop_rhs(params, ctrl, amps):
         # Scalar t: math.cos costs a fraction of np.cos per call.
         v_star = re * math.cos(w1 * t) - im * math.sin(w1 * t)
         d = np.empty(x.shape, x.dtype)
-        d[0:3], d[3:6], d[6:9], d[9:12], d[12:18:2], d[13:18:2] = derivatives(
-            v_star, x[0:3], x[3:6], x[6:9], x[9:12], x[12:18:2], x[13:18:2]
+        d[0:3], d[3:6], d[6:9], d[9:12], d[12:15], d[15:18] = derivatives(
+            v_star, x[0:3], x[3:6], x[6:9], x[9:12], x[12:15], x[15:18]
         )
         return d
 
@@ -248,7 +252,7 @@ def state_space_at(p, n_u, n_l):
     args = (zero, zero, zero, zero, np.asarray(n_u, float), np.asarray(n_l, float), p.V_dc)
     jacobian = complex_step_jacobian(plant_phase_equations(p), args, (0, 1, 2, 3, 6))
     A, B = np.zeros((12, 12)), np.zeros((12, 1))
-    for phase, rows in enumerate(PHASE_STATES):
+    for phase, rows in enumerate(phase_columns(12)):
         A[np.ix_(rows, rows)] = jacobian[phase, :, :4]
         B[rows, 0] = jacobian[phase, :, 4]
     return A, B
@@ -291,7 +295,7 @@ def dense_lift(samples, states, inputs, h, omega1, state_labels, input_labels):
 def dense_steady(params, indices, h):
     """Three-phase reference of ``assemble_steady``: 12 state blocks, input v_dc."""
     return dense_lift(
-        plant_samples(params, indices, h), PHASE_STATES, [[0]] * 3, h, params.omega1,
+        plant_samples(params, indices, h), phase_columns(12), [[0]] * 3, h, params.omega1,
         STATE_LABELS, ("v_dc",),
     )
 
@@ -314,7 +318,7 @@ def dense_smallsignal(op, params, ctrl, h):
     dc = np.zeros_like(closed[:, :, :1])
     dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
     return dense_lift(
-        np.concatenate([closed, dc], axis=2), _PHASE_COLUMNS, [[1 + p, 0] for p in range(3)],
+        np.concatenate([closed, dc], axis=2), phase_columns(18), [[1 + p, 0] for p in range(3)],
         h, params.omega1, SMALLSIG_STATE_LABELS, DENSE_SMALLSIG_INPUT_LABELS,
     )
 
@@ -330,7 +334,7 @@ def linearized_A(op, params, ctrl, t):
     (``_closed_loop_samples``), at one instant."""
     a = _closed_loop_samples(op, params, ctrl, t)[:, :, :6, 0]
     out = np.zeros((18, 18))
-    for p, c in enumerate(_PHASE_COLUMNS):
+    for p, c in enumerate(phase_columns(18)):
         out[np.ix_(c, c)] = a[p]
     return out
 

@@ -302,7 +302,10 @@ class TestSimulateScenarios:
         out = tmp_path / "out"
         assert main(["simulate-closed", "--config", fast_config, "--out", str(out), "--no-timestamp"]) == 0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
-        assert header.endswith("pr_a1,pr_a2,pr_b1,pr_b2,pr_c1,pr_c2")
+        assert header == (
+            "time,i_ca,i_cb,i_cc,v_cua,v_cub,v_cuc,v_cla,v_clb,v_clc,i_ga,i_gb,i_gc,"
+            "pr_a1,pr_b1,pr_c1,pr_a2,pr_b2,pr_c2"
+        )
 
     def test_trajectory_csv_writes_each_value_as_format_12g(self, tmp_path):
         import numpy as np

@@ -1,10 +1,13 @@
 """Configuration parsing, presets, and sweep-value application."""
 
 import dataclasses
+import re
+from importlib import resources
 
 import pytest
 
 from hssmmc import ControllerParams, MmcParameters, SchemaViolationError, SimulationConfig
+from hssmmc.cli import main
 from hssmmc.config import (
     SWEEPABLE_KEYS,
     StepConfig,
@@ -217,6 +220,42 @@ class TestSectionSchema:
             parse_config(GOOD.replace("N = 20", "N = inf"))
         with pytest.raises(SchemaViolationError, match="^swept N inf is not an integer$"):
             apply_sweep_value(parse_config(GOOD), "N", float("inf"))
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("R", "nan", "[params]: R must be finite"),
+            ("K_p", "inf", "[controller]: K_p must be finite"),
+            ("k_f", "nan", "[controller]: k_f must be finite"),
+            ("amplitude", "-inf", "[step] amplitude: must be finite"),
+        ],
+    )
+    def test_file_value_is_a_configuration_error(self, tmp_path, capsys, key, raw, message):
+        # nan and inf compare false with every bound, so each needs its own check.
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {raw}", _preset_text(), flags=re.M)
+        assert count == 1
+        path = tmp_path / "sec3.ini"
+        path.write_text(text, encoding="utf-8")
+        code = main(["steady", "--config", str(path), "--out", str(tmp_path / "out"), "--no-timestamp"])
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_sweep_value_is_a_recorded_row(self, tmp_path):
+        path = tmp_path / "sweep.ini"
+        sweep = "\n[sweep]\nkey = K_p\nvalues = 0.6, inf\nscenario = smallsig\n"
+        path.write_text(_preset_text() + sweep, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--no-timestamp"]) == 1
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert rows[0].endswith(",")
+        assert rows[1] == "inf,,K_p must be finite"
+
+
+def _preset_text(name="sec3-simulation"):
+    return resources.files("hssmmc").joinpath("presets", f"{name}.ini").read_text(encoding="utf-8")
 
 
 class TestPresets:

@@ -29,14 +29,13 @@ from hssmmc.config import RunConfig, StepConfig, load_config
 from hssmmc.errors import ShootingError
 from hssmmc.harmonic import fourier, sample
 from hssmmc.pipelines import SmallsigContext, reference_step_run, step_grid_index
-from hssmmc.plant import PHASE_SHIFT, PHASE_STATES, PHASES, STATE_LABELS, STATE_VARIABLES
+from hssmmc.plant import PHASE_SHIFT, PHASES, STATE_LABELS, STATE_VARIABLES
 from hssmmc.simulate import (
     DOMINANT_FRACTION,
     HALF_WAVE_OPERATOR,
     SETTLE_FLOOR,
     SETTLE_RTOL,
     SHOOTING_DEFECT_TOL,
-    _PHASE_COLUMNS,
     _half_period_maps,
     _shooting_fixed_point,
     _tangent_map,
@@ -49,6 +48,7 @@ from hssmmc.simulate import (
 from conftest import (
     closed_loop_block,
     coefficient_row,
+    phase_columns,
     plant_derivatives,
     random_real_vector,
     rk4,
@@ -224,7 +224,7 @@ class TestOpenLoop:
         run = rk4(rhs, columns.astype(np.longdouble), n0, spp // 2, params.period / spp, spp, params.V_dc)
         maps = _half_period_maps(params, m, spp, n0)
         composed = np.broadcast_to(columns, run.shape).copy()
-        for p, rows in enumerate(np.array(PHASE_STATES)):
+        for p, rows in enumerate(np.array(phase_columns(12))):
             composed[:, rows, 0] += maps[p, ..., 4]
             composed[:, rows[:, None], 1 + rows] += maps[p, ..., :4]
         peak = np.max(np.abs(run), axis=0)
@@ -285,14 +285,14 @@ class TestShooting:
 
     def test_unstable_map_raises_not_settled(self):
         # phi is a half-wave map: the one-period multiplier is 1.2².
-        phi = np.diag([1.2] + [0.5] * 11)
+        phi = np.diag([1.2] + [0.5] * 11).reshape(3, 4, 3, 4)[range(3), :, range(3)]
         with pytest.raises(NotSettledError, match="1.44"):
-            _shooting_fixed_point(phi, np.ones(12))
+            _shooting_fixed_point(phi, np.ones((3, 4)))
 
     @pytest.mark.filterwarnings("error")
     def test_singular_map_raises(self):
         with pytest.raises(SingularSystemError, match="condition number inf"):
-            _shooting_fixed_point(np.eye(12), np.ones(12))
+            _shooting_fixed_point(np.array([np.eye(4)] * 3), np.ones((3, 4)))
 
     def test_small_modulation_orbit_is_settled(self, sec3_cfg):
         # At m = 1e-6 the circulating currents are about 1e-10 A, at the
@@ -504,16 +504,15 @@ def tangent_error(params, ctrl, refs, spp, n0, x):
     and ``block_jacobian``, both scaled by the state sizes max(|x|, 1),
     relative to the largest scaled entry. The block Jacobian's off-phase
     blocks must be exactly zero."""
-    reference = block_jacobian(params, ctrl, refs, spp, n0, x)
-    off_phase = np.ones((18, 18), bool)
-    for c in _PHASE_COLUMNS:
-        off_phase[np.ix_(c, c)] = False
-    assert np.all(reference[off_phase] == 0.0)
+    # (row phase, column phase, row variable, column variable)
+    reference = block_jacobian(params, ctrl, refs, spp, n0, x).reshape(6, 3, 6, 3).transpose(1, 3, 0, 2)
+    assert np.all(reference[~np.eye(3, dtype=bool)] == 0.0)
+    reference = reference[range(3), range(3)]
     run = simulate_closed_loop(params, ctrl, refs, spp, spp // 2, x0=x, n0=n0).states
     amps = np.array([refs[p] for p in PHASES])
     tangent = _tangent_map(params, ctrl, amps, spp, n0, run)
-    size = np.maximum(np.abs(x), 1.0)
-    scale = size[None, :] / size[:, None]
+    size = np.maximum(np.abs(x), 1.0).reshape(6, 3).T
+    scale = size[:, None, :] / size[:, :, None]
     reference, tangent = reference * scale, tangent * scale
     return float(np.max(np.abs(tangent - reference)) / np.max(np.abs(reference)))
 

@@ -21,6 +21,7 @@ from hssmmc import (
     toeplitz,
 )
 from hssmmc.errors import (
+    DimensionMismatchError,
     HalfWaveAsymmetryError,
     PhaseImbalanceError,
     ResidualImaginaryError,
@@ -28,11 +29,12 @@ from hssmmc.errors import (
 )
 from hssmmc.harmonic import fourier
 from hssmmc.pipelines import solve_operating_point
-from hssmmc.plant import HALF_WAVE_IMAGE, split_phase
+from hssmmc.plant import PHASES, STATE_VARIABLES, state_position
 from hssmmc.smallsignal import (
+    LEG_HALF_WAVE,
     EnvelopeResponse,
     SMALLSIG_STATE_LABELS,
-    _PHASE_COLUMNS,
+    SMALLSIG_VARIABLES,
     lifted_reference_step,
     load_voltage_spectrum,
     operating_state_at,
@@ -48,6 +50,7 @@ from conftest import (
     linearized_A,
     peak_error,
     phase_b_raised,
+    phase_columns,
     settled_state,
     unbalanced,
     with_nan,
@@ -158,11 +161,23 @@ class TestFCoefficients:
 
 
 class TestAssembly:
+    def test_states_are_variable_major(self):
+        # Entry 3 v + p of every state vector is leg variable v of phase p.
+        assert len(SMALLSIG_STATE_LABELS) == 3 * len(SMALLSIG_VARIABLES)
+        for v, variable in enumerate(SMALLSIG_VARIABLES):
+            for p, phase in enumerate(PHASES):
+                if variable in STATE_VARIABLES:
+                    label = variable + phase
+                    assert state_position(variable, phase) == 3 * v + p
+                else:
+                    label = f"pr_{phase}{variable[-1]}"
+                assert SMALLSIG_STATE_LABELS[3 * v + p] == label
+
     def test_dimensions_and_labels(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
         assert model.A.shape == (6 * 7, 6 * 7)
         assert model.B.shape == (6 * 7, 2 * 7)
-        assert model.state_labels == tuple(lbl for lbl in SMALLSIG_STATE_LABELS if split_phase(lbl)[1] == "a")
+        assert model.state_labels == ("i_ca", "v_cua", "v_cla", "i_ga", "pr_a1", "pr_a2")
         assert model.input_labels == ("v_dc", "v_ga_ref")
         assert model.for_phase("c").input_labels == ("v_dc", "v_gc_ref")
 
@@ -504,7 +519,7 @@ class TestLinearizationPoint:
         x = np.array([operating_state_at(op, params, cfg.ctrl, refs, t) for t in ts]).T
         v_star = (amps[:, None] * np.exp(1j * params.omega1 * ts)).real
         closed = _closed_loop_equations(params, cfg.ctrl)(
-            v_star, x[0:3], x[3:6], x[6:9], x[9:12], x[12:18:2], x[13:18:2]
+            v_star, x[0:3], x[3:6], x[6:9], x[9:12], x[12:15], x[15:18]
         )[:4]
         plant = plant_phase_equations(params)(
             x[0:3], x[3:6], x[6:9], x[9:12], sample(op.n_u, n), sample(op.n_l, n), params.V_dc
@@ -532,8 +547,8 @@ class TestLinearizationPoint:
         n = 2 * h + 1
         Q = np.diag(frequency_matrix(h, W1))
         lifted = np.zeros_like(ref)
-        for i, r in enumerate(_PHASE_COLUMNS[0]):
-            for j, c in enumerate(_PHASE_COLUMNS[0]):
+        for i, r in enumerate(phase_columns(18)[0]):
+            for j, c in enumerate(phase_columns(18)[0]):
                 lifted_rc = toeplitz(fourier(samples[:, r, c], h))
                 if r == c:
                     lifted_rc = lifted_rc - Q
@@ -729,16 +744,10 @@ class TestPhaseBalanceGate:
         assert 1e-7 < info.value.defect < 1e-5
 
     def test_every_state_variable_needs_a_half_wave_image(self):
-        # The plant map names no controller state.
+        # The plant's four images name no controller state.
         model = _preset_model("sec3-simulation", h=3)
-        with pytest.raises(UnknownVariableError, match="pr_1"):
-            model.phase_blocks(HALF_WAVE_IMAGE)
-
-    def test_labels_name_their_phase(self):
-        assert split_phase("v_cub") == ("v_cu", "b")
-        assert split_phase("pr_c2") == ("pr_2", "c")
-        with pytest.raises(UnknownVariableError):
-            split_phase("i_gx")
+        with pytest.raises(DimensionMismatchError, match="4 half-wave images for 6 state blocks"):
+            model.phase_blocks(LEG_HALF_WAVE[:4])
 
 
 # Largest difference of a lifted A sampled at instants(h) from the same A

@@ -19,7 +19,7 @@ from hssmmc import (
     toeplitz,
 )
 from hssmmc.errors import PhaseImbalanceError
-from hssmmc.plant import HALF_WAVE_IMAGE, PHASE_STATES, PHASES, STATE_LABELS
+from hssmmc.plant import HALF_WAVE_IMAGE, PHASES, STATE_LABELS
 
 from conftest import (
     block,
@@ -57,7 +57,7 @@ class TestAssembly:
         model = assemble_steady(p, open_loop_insertion_indices(0.0, 0), 0)
         half = np.full(3, 0.5)
         expected, _ = state_space_at(p, half, half)
-        assert np.array_equal(model.A, expected[np.ix_(PHASE_STATES[0], PHASE_STATES[0])])
+        assert np.array_equal(model.A, expected[0::3, 0::3])
         assert np.max(np.abs(model.A.imag)) == 0.0
 
     def test_capacitor_diagonals_are_pure_frequency_blocks(self):
