@@ -31,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import SchemaViolationError
+from .errors import FieldValueError, SchemaViolationError
 from .plant import PHASES, MmcParameters
 from .simulate import SimulationConfig
 from .smallsignal import ControllerParams
@@ -180,6 +180,8 @@ def parse_config(text: str) -> RunConfig:
             return None
         try:
             return _SECTIONS[name](**values(name))
+        except FieldValueError as exc:
+            raise _fail(name, exc.key, exc.message) from None
         except ValueError as exc:
             raise SchemaViolationError(f"[{name}]: {exc}") from None
 

@@ -74,5 +74,15 @@ class NumericalBlowupError(HssError):
     """A simulated state left the physically plausible range."""
 
 
+class FieldValueError(ValueError):
+    """A dataclass field holds a value no model can use; ``key`` names the
+    field, and ``message`` says what is wrong without naming it."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key} {message}")
+        self.key = key
+        self.message = message
+
+
 class SchemaViolationError(HssError):
     """Configuration file is malformed, has unknown keys, or fails an invariant."""

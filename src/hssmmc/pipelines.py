@@ -357,13 +357,16 @@ class SmallsigContext:
 
     Builds the operating point, the lifted model and the closed-loop
     periodic orbit at the step's grid point once; individual step amplitudes
-    reuse them. The orbit comes from Newton shooting (``settled_closed_loop``)
-    started from the operating point with its controller states at the step
-    instant, and is found on first use, so an unstable model is reported
-    without it. Repeated, it is the run without the step. The step comes at
-    a whole-period grid point and the comparison window lasts
-    ``window_periods`` whole periods of the ``cfg.sim`` grid, the same grid
-    the lifted envelope is sampled on.
+    reuse them. The comparison reads the stepped phase alone, and the phase
+    legs share only the constant dc bus, so the orbit and the stepped runs
+    cover that phase's leg alone (``leg_refs``): its numbers are those of
+    the three-leg run. The orbit comes from Newton shooting
+    (``settled_closed_loop``) started from the stepped leg of the operating
+    point with its controller states at the step instant, and is found on
+    first use, so an unstable model is reported without it. Repeated, it is
+    the run without the step. The step comes at a whole-period grid point
+    and the comparison window lasts ``window_periods`` whole periods of the
+    ``cfg.sim`` grid, the same grid the lifted envelope is sampled on.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -373,6 +376,7 @@ class SmallsigContext:
         self.cfg = cfg
         self.op, self.model = build_smallsignal_model(cfg)
         self.refs = references_from_operating_point(self.op, cfg.params)
+        self.leg_refs = {cfg.step.phase: self.refs[cfg.step.phase]}
         self.eig = eigenvalues(self.model)
         self.spp = cfg.sim.steps_per_period
         self.dt = cfg.params.period / self.spp
@@ -381,22 +385,23 @@ class SmallsigContext:
 
     @cached_property
     def orbit(self) -> PeriodicOrbit:
-        """The closed-loop orbit with the unstepped references, one period
-        from the step's grid point."""
+        """The stepped leg's closed-loop orbit with the unstepped reference,
+        one period from the step's grid point."""
         cfg = self.cfg
         guess = operating_state_at(self.op, cfg.params, cfg.ctrl, self.refs, self.n_step * self.dt)
-        return settled_closed_loop(cfg.params, cfg.ctrl, self.refs, self.spp, self.n_step, guess)
+        leg = guess.reshape(-1, len(PHASES))[:, PHASES.index(cfg.step.phase)]
+        return settled_closed_loop(cfg.params, cfg.ctrl, self.leg_refs, self.spp, self.n_step, leg)
 
     def compare(self, amplitude: float) -> SmallsigComparison:
-        """The stepped run from the orbit's state at the step against the
-        lifted envelope of the stepped phase's model; the nonlinear
+        """The stepped leg's run from the orbit's state at the step against
+        the lifted envelope of the stepped phase's model; the nonlinear
         perturbation is that run minus the orbit repeated over the window,
         the run without the step."""
         cfg = self.cfg
         phase = cfg.step.phase
         orbit = self.orbit.trajectory
         stepped = simulate_closed_loop(
-            cfg.params, cfg.ctrl, stepped_references(self.refs, cfg.step, amplitude),
+            cfg.params, cfg.ctrl, stepped_references(self.leg_refs, cfg.step, amplitude),
             self.spp, self.window_steps, x0=orbit.states[0], n0=self.n_step,
         )
         t_step = self.n_step * self.dt

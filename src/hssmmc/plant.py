@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FieldValueError,
     HalfWaveAsymmetryError,
     ModulationOutOfRangeError,
     OrderMismatchError,
@@ -82,22 +83,22 @@ HALF_WAVE_IMAGE = {
 SYMMETRY_DEFECT_RTOL = 1e-12
 
 
-def state_position(variable: str, phase: str) -> int:
-    """Index of (variable, phase) in the plant state vector, 3 v + p, e.g.
-    ('v_cl', 'b') -> 7."""
+def state_position(variable: str, phase: str, phases: tuple[str, ...] = PHASES) -> int:
+    """Index of (variable, phase) in a state vector of the legs ``phases``,
+    L v + p with L legs, e.g. ('v_cl', 'b') -> 7 over all three."""
     try:
-        return len(PHASES) * STATE_VARIABLES.index(variable) + PHASES.index(phase)
+        return len(phases) * STATE_VARIABLES.index(variable) + phases.index(phase)
     except ValueError:
         raise KeyError(f"no state {variable!r} phase {phase!r}") from None
 
 
 def check_finite(obj):
-    """Raise ValueError naming the first field of the dataclass ``obj`` that
-    is not a finite number: a nan or inf gain or constant reaches no
+    """Raise FieldValueError naming the first field of the dataclass ``obj``
+    that is not a finite number: a nan or inf gain or constant reaches no
     physical model."""
     for f in fields(obj):
         if not math.isfinite(getattr(obj, f.name)):
-            raise ValueError(f"{f.name} must be finite")
+            raise FieldValueError(f.name, "must be finite")
 
 
 @dataclass(frozen=True)

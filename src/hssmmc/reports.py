@@ -55,8 +55,13 @@ def write_spectrum_csv(path: Path, coeffs: np.ndarray, timestamp: bool) -> None:
 
 
 def write_waveform_csv(path: Path, t, value_hss, value_sim, timestamp: bool) -> None:
-    rows = zip(t, value_hss, value_sim, np.abs(np.asarray(value_hss) - np.asarray(value_sim)))
-    write_csv(path, WAVEFORM_COLUMNS, rows, timestamp)
+    """One line per sample of two real series on the times ``t``, with
+    their absolute difference."""
+    t, hss, sim = (np.asarray(a, dtype=float) for a in (t, value_hss, value_sim))
+    # One %-format per row, as in write_trajectory_csv.
+    columns = (t.tolist(), hss.tolist(), sim.tolist(), np.abs(hss - sim).tolist())
+    lines = ("%.12g,%.12g,%.12g,%.12g\n" % row for row in zip(*columns))
+    _write_lines(path, WAVEFORM_COLUMNS, lines, timestamp)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, labels, timestamp: bool) -> None:

@@ -16,9 +16,11 @@ point and window is a whole number of those steps. Every run is a
 continue one another lie on one grid and join by concatenation.
 
 Every state vector is variable-major with the phase fastest (``plant``),
-so phase p's leg is column p of ``x.reshape(-1, 3)``. Both loops commute with the half-wave operator H, one signed
-permutation per leg (``LEG_HALF_WAVE_OPERATOR``, from ``LEG_HALF_WAVE``:
-half a period on, arms swapped, ac quantities negated), so both shoot
+so phase p's leg is column p of ``x.reshape(-1, 3)``, and of a run of L
+legs column p of ``x.reshape(-1, L)``. Both loops commute with the
+half-wave operator H, one signed permutation per leg
+(``LEG_HALF_WAVE_OPERATOR``, from ``LEG_HALF_WAVE``: half a period on,
+arms swapped, ac quantities negated), so both shoot
 (Aprille & Trick 1972) on the half-wave map G = H F_half, F_half the RK4
 map over half a period, and the second half of a period is H applied to
 the first; ``steps_per_period`` is even so that T/2 is a grid point.
@@ -29,10 +31,13 @@ so its steps are exact affine maps, and a transient
 (``simulate_open_loop``) or the periodic orbit at G's fixed point
 (``settled_open_loop``) is composed from the maps of half a period
 (``_open_loop_periods``). The closed loop runs on Python floats, one
-phase at a time (``_closed_loop_floats``), and is shot by Newton
+phase leg at a time (``_closed_loop_floats``), and is shot by Newton
 (``settled_closed_loop``) with the exact derivative of each run's RK4 map
-(``_tangent_map``). A reference step joins two runs
-(``pipelines.reference_step_run``).
+(``_tangent_map``). The legs share only the constant dc bus, so a
+closed-loop run covers the legs whose reference phasors it is given: all
+three for an exported transient, or the stepped phase's leg alone for the
+small-signal check, which reads nothing else. A reference step joins two
+runs (``pipelines.reference_step_run``).
 """
 
 from __future__ import annotations
@@ -113,20 +118,24 @@ class Trajectory:
 
     ``states`` is (n, 12) in ``STATE_LABELS`` order for an open-loop run and
     (n, 18) in ``SMALLSIG_STATE_LABELS`` order, the plant states followed by
-    the PR controller states, for a closed-loop run.
+    the PR controller states, for a closed-loop run. A closed-loop run of
+    fewer legs holds the same variables of the legs ``phases`` only,
+    variable-major in ``PHASES`` order, (n, 6 L) for L legs.
     """
 
     dt: float
     steps_per_period: int
     n0: int
     states: np.ndarray
+    phases: tuple[str, ...] = PHASES
     t: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.t = (self.n0 + np.arange(self.states.shape[0])) * self.dt
 
     def series(self, variable: str, phase: str) -> np.ndarray:
-        return self.states[:, state_position(variable, phase)]
+        """One plant state over the run; KeyError for a phase the run lacks."""
+        return self.states[:, state_position(variable, phase, self.phases)]
 
 
 def _check_blowup(rows: np.ndarray, scale: float, n0: int, dt: float, steps_per_period: int):
@@ -158,14 +167,11 @@ def default_initial_state(params: MmcParameters) -> np.ndarray:
 # references that are pure fundamentals, v*(t + T/2) = -v*(t), so a
 # closed-loop run started at H x half a period on is H applied to the run
 # started at x; an open-loop run does the same under the 4 x 4 plant block.
+# On the 6 L variable-major states of L legs, H is kron(H_leg, I_L).
 LEG_HALF_WAVE_OPERATOR = np.array(
     [[sign * (j == image) for j in range(len(LEG_HALF_WAVE))] for image, sign in LEG_HALF_WAVE],
     dtype=float,
 )
-
-# H on the 18 variable-major closed-loop states: the leg operator on each
-# phase; its leading 12 x 12 block acts on the plant states.
-HALF_WAVE_OPERATOR = np.kron(LEG_HALF_WAVE_OPERATOR, np.eye(3))
 
 
 # The open-loop pass builds its step maps this many steps at a time, which
@@ -263,12 +269,12 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
 
 
 def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Fixed point (3, n) of the half-wave map x -> Phi x + g of the three
-    phases, from the (3, n, n) phase blocks ``phi`` of Phi and the (3, n)
+    """Fixed point (L, n) of the half-wave map x -> Phi x + g of L phase
+    legs, from the (L, n, n) leg blocks ``phi`` of Phi and the (L, n)
     offsets ``g``, and the largest Floquet multiplier: one period is two
     half-wave maps, so it is the largest eigenvalue magnitude of Phi,
-    squared. The phases share only the constant dc bus, so Phi is block
-    diagonal over them; it is assembled phase by phase and solved once.
+    squared. The legs share only the constant dc bus, so Phi is block
+    diagonal over them; it is assembled leg by leg and solved once.
 
     Raises SingularSystemError when the gated solve (``steady.solve_lifted``)
     rejects I - Phi, and NotSettledError when the largest Floquet multiplier
@@ -287,21 +293,25 @@ def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, f
     return x.reshape(p, n), multiplier
 
 
-def _reference_amps(refs: dict[str, complex]) -> np.ndarray:
-    return np.array([refs[p] for p in PHASES], dtype=complex)
+def _leg_references(refs: dict[str, complex]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The phases ``refs`` names, in ``PHASES`` order, and their reference
+    phasors (L,): the legs of a closed-loop run."""
+    phases = tuple(p for p in PHASES if p in refs)
+    return phases, np.array([refs[p] for p in phases], dtype=complex)
 
 
 def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
     """Closed-loop RK4 states at grid points n0 .. n0 + n_steps from one
-    real 18-state vector ``x0``, with reference phasors ``amps`` (3,).
+    real vector ``x0`` of L legs' 6 L states, with the legs' reference
+    phasors ``amps`` (L,).
 
-    The run is on Python floats: the phases share only the constant dc bus,
-    and numpy's cost per call on 3-element slices would be most of a step.
-    Between the blow-up checks (``_check_blowup``), once per period of steps
-    and at the end, each phase advances on its own, a segment of steps at a
-    time (``_float_segments``); the three share the cosines and sines at the
-    stage times. A zero di_g denominator raises NumericalBlowupError naming
-    its step.
+    The run is on Python floats: the legs share only the constant dc bus,
+    and numpy's cost per call on slices of a few elements would be most of a
+    step. Between the blow-up checks (``_check_blowup``), once per period of steps
+    and at the end, each leg advances on its own, a segment of steps at a
+    time (``_float_segments``); the legs share the cosines and sines at the
+    stage times, so a leg's run is the same doubles whichever legs run with
+    it. A zero di_g denominator raises NumericalBlowupError naming its step.
     """
     spp = steps_per_period
     dt = params.period / spp
@@ -313,7 +323,8 @@ def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -
     sixth = dt / 6.0
     out = np.empty((n_steps + 1, x0.size))
     out[0] = x0
-    states = [tuple(leg) for leg in out[0].reshape(-1, 3).T.tolist()]
+    legs = amps.size
+    states = [tuple(leg) for leg in out[0].reshape(-1, legs).T.tolist()]
     refs = list(zip(amps.real.tolist(), amps.imag.tolist()))
     for start, stop in _float_segments(n_steps, spp):
         if start % spp == 0:
@@ -343,13 +354,13 @@ def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -
                     f"at step {step} (period {step // spp}, t = {step * dt:.6g} s)"
                 ) from None
             states[p] = x
-            out[start + 1 : stop + 1, p::3] = np.array(rows).reshape(-1, len(x))
+            out[start + 1 : stop + 1, p::legs] = np.array(rows).reshape(-1, len(x))
     _check_blowup(out[n_steps][None], scale, n0 + n_steps, dt, spp)
     return out
 
 
-# A float run advances each phase over at most this many steps before the
-# next phase, which keeps its lists of Python floats small.
+# A float run advances each leg over at most this many steps before the
+# next leg, which keeps its lists of Python floats small.
 _FLOAT_SEGMENT_STEPS = 250
 
 
@@ -403,22 +414,27 @@ def simulate_closed_loop(
 
     ``refs[p]`` is the complex fundamental phasor of phase p's voltage
     reference, v*(t) = Re(refs[p] * exp(j w1 t)), constant over the run.
-    The run takes ``n_steps`` steps of a ``steps_per_period`` grid from grid
-    point ``n0`` on Python floats (``_closed_loop_floats``); the default
-    start is the cold start of ``default_initial_state`` with zero
-    controller states.
+    The run covers the legs of the phases ``refs`` names
+    (``_leg_references``): all three, or one phase's leg alone, whose run is
+    that leg's columns of the three-leg run, bit for bit. It takes
+    ``n_steps`` steps of a ``steps_per_period`` grid from grid point ``n0``
+    on Python floats (``_closed_loop_floats``); the default start is the
+    cold start, the capacitor sums at the dc-bus voltage
+    (``default_initial_state``) and every current and controller state zero.
 
-    Raises ValueError when ``x0`` is not one real 18-state vector.
+    Raises ValueError when ``x0`` is not one real vector of 6 states per leg.
     """
+    phases, amps = _leg_references(refs)
     if x0 is None:
-        x0 = np.concatenate([default_initial_state(params), np.zeros(6)])
+        x0 = np.repeat([0.0, params.V_dc, params.V_dc, 0.0, 0.0, 0.0], len(phases))
     x0 = np.asarray(x0)
-    if x0.shape != (18,) or np.iscomplexobj(x0):
-        raise ValueError(f"x0 must be one real 18-state vector, got {x0.dtype} of shape {x0.shape}")
-    states = _closed_loop_floats(
-        params, ctrl, _reference_amps(refs), steps_per_period, n_steps, x0, n0
-    )
-    return Trajectory(params.period / steps_per_period, steps_per_period, n0, states)
+    size = 6 * len(phases)
+    if x0.shape != (size,) or np.iscomplexobj(x0):
+        raise ValueError(
+            f"x0 must be one real {size}-state vector, got {x0.dtype} of shape {x0.shape}"
+        )
+    states = _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0)
+    return Trajectory(params.period / steps_per_period, steps_per_period, n0, states, phases)
 
 
 @dataclass(frozen=True)
@@ -453,14 +469,14 @@ def _rk4_step_maps(a1, a2, a3, a4, dt):
 
 def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
     """Jacobian of the closed-loop RK4 map from run[0] to run[-1], the
-    states at grid points n0 .. n0 + n of one real run with reference
-    phasors ``amps`` (3,), as its (3, 6, 6) phase blocks.
+    states at grid points n0 .. n0 + n of one real run of L legs with
+    reference phasors ``amps`` (L,), as its (L, 6, 6) leg blocks.
 
-    The phases share only the constant dc bus, so the Jacobian is block
-    diagonal over them, block p over phase p's six leg variables. The four
-    RK4 stage states of every step are recomputed from the run, read as
-    (6, 3, n) arrays, and every stage Jacobian is taken by complex step in
-    one call of ``_closed_loop_equations`` on (3 phases, 4 stages, n steps)
+    The legs share only the constant dc bus, so the Jacobian is block
+    diagonal over them, block p over leg p's six variables. The four RK4
+    stage states of every step are recomputed from the run, read as
+    (6, L, n) arrays, and every stage Jacobian is taken by complex step in
+    one call of ``_closed_loop_equations`` on (L legs, 4 stages, n steps)
     arguments (``complex_step_jacobian``). The step matrices
     (``_rk4_step_maps``) are multiplied in pairs, about log2(n) batched
     products.
@@ -468,7 +484,7 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
     dt = params.period / steps_per_period
     half = 0.5 * dt
     f = _closed_loop_equations(params, ctrl)
-    n = run.shape[0] - 1
+    n, legs = run.shape[0] - 1, amps.size
     t = n0 * dt + np.arange(n) * dt
     w1 = params.omega1
     re, im = amps.real[:, None], amps.imag[:, None]
@@ -478,17 +494,17 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
 
     v1, v2, v4 = v_star(t), v_star(t + half), v_star(t + dt)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y1 = run[:-1].T.reshape(-1, 3, n)  # (6 leg variables, 3 phases, n)
+        y1 = run[:-1].T.reshape(-1, legs, n)  # (6 leg variables, L legs, n)
         y2 = y1 + half * np.array(f(v1, *y1))
         y3 = y1 + half * np.array(f(v2, *y2))
         y4 = y1 + dt * np.array(f(v2, *y3))
         y = np.stack([y1, y2, y3, y4], axis=2)  # (6, 3, 4, n)
         v = np.stack([v1, v2, v2, v4], axis=1)
-        a = complex_step_jacobian(f, (v, *y), range(1, 7))  # (3, 4, n, 6, 6)
-        d = _rk4_step_maps(a[:, 0], a[:, 1], a[:, 2], a[:, 3], dt)  # M - I, (3, n, 6, 6)
+        a = complex_step_jacobian(f, (v, *y), range(1, 7))  # (L, 4, n, 6, 6)
+        d = _rk4_step_maps(a[:, 0], a[:, 1], a[:, 2], a[:, 3], dt)  # M - I, (L, n, 6, 6)
         while d.shape[1] > 1:
             if d.shape[1] % 2:
-                d = np.concatenate([d, np.zeros((3, 1, 6, 6))], axis=1)
+                d = np.concatenate([d, np.zeros((legs, 1, 6, 6))], axis=1)
             earlier, later = d[:, 0::2], d[:, 1::2]
             d = earlier + later + later @ earlier
     return np.eye(6) + d[:, 0]
@@ -504,11 +520,15 @@ def settled_closed_loop(
 ) -> PeriodicOrbit:
     """Periodic steady state of the closed loop by Newton shooting from grid
     point ``n0`` on the half-wave map G(x) = H F_half(x), F_half the RK4 map
-    over half a period from ``n0`` and H ``HALF_WAVE_OPERATOR``: the
-    one-period map is G∘G, so a fixed point of G is the state on the
-    attracting orbit. Each iteration is one real run over half a period on
-    floats (``_closed_loop_floats``), which gives G(x), and the exact
-    derivative of its RK4 map (``_tangent_map``), which gives the Jacobian
+    over half a period from ``n0`` and H the half-wave operator of the run's
+    L legs, kron(``LEG_HALF_WAVE_OPERATOR``, I_L): the one-period map is
+    G∘G, so a fixed point of G is the state on the attracting orbit. The
+    legs are those of the phases ``refs`` names, as in
+    ``simulate_closed_loop``, and ``x_guess`` holds their 6 L states; one
+    leg shoots its own orbit alone, since the legs share only the constant
+    dc bus. Each iteration is one real run over half a period on floats
+    (``_closed_loop_floats``), which gives G(x), and the exact derivative of
+    its RK4 map (``_tangent_map``), which gives the Jacobian
     J = H dF_half/dx to rounding. The update solves (I - J) dx = G(x) - x
     through the same gated solve as ``settled_open_loop``; the monodromy
     matrix at the fixed point is J², so the largest Floquet multiplier is
@@ -518,7 +538,8 @@ def settled_closed_loop(
     returns is a ``PeriodicOrbit``.
 
     Raises ValueError for an odd ``steps_per_period``, which has no grid
-    point at half a period; ShootingError (carrying the iteration count and
+    point at half a period, and for an ``x_guess`` of another size;
+    ShootingError (carrying the iteration count and
     the defect) when the orbit is not attracting or the defect is still
     above the tolerance after ``SHOOTING_MAX_ITERATIONS`` updates; and
     SingularSystemError when the gated solve rejects I - J.
@@ -527,9 +548,12 @@ def settled_closed_loop(
         raise ValueError(
             f"steps_per_period must be even for half-wave shooting, got {steps_per_period}"
         )
-    H = HALF_WAVE_OPERATOR
-    amps = _reference_amps(refs)
+    phases, amps = _leg_references(refs)
+    legs = len(phases)
+    H = np.kron(LEG_HALF_WAVE_OPERATOR, np.eye(legs))
     x = np.array(x_guess, dtype=float)
+    if x.shape != (6 * legs,):
+        raise ValueError(f"x_guess must be one vector of {6 * legs} states, got shape {x.shape}")
     for iteration in range(SHOOTING_MAX_ITERATIONS + 1):
         first_half = _closed_loop_floats(
             params, ctrl, amps, steps_per_period, steps_per_period // 2, x, n0
@@ -539,9 +563,9 @@ def settled_closed_loop(
         rms = np.sqrt(np.mean(orbit[:-1] ** 2, axis=0))
         defect = float(np.max(np.abs(end - x) / np.where(rms > 0, rms, 1.0)))
         tangent = _tangent_map(params, ctrl, amps, steps_per_period, n0, first_half)
-        jacobian = LEG_HALF_WAVE_OPERATOR @ tangent  # per phase
+        jacobian = LEG_HALF_WAVE_OPERATOR @ tangent  # per leg
         try:
-            dx, multiplier = _shooting_fixed_point(jacobian, (end - x).reshape(-1, 3).T)
+            dx, multiplier = _shooting_fixed_point(jacobian, (end - x).reshape(-1, legs).T)
         except NotSettledError as exc:
             raise ShootingError(
                 f"after {iteration} Newton iterations (relative defect {defect:.3e}): {exc}",
@@ -549,7 +573,8 @@ def settled_closed_loop(
                 defect,
             ) from exc
         if defect <= SHOOTING_DEFECT_TOL:
-            trajectory = Trajectory(params.period / steps_per_period, steps_per_period, n0, orbit)
+            dt = params.period / steps_per_period
+            trajectory = Trajectory(dt, steps_per_period, n0, orbit, phases)
             return PeriodicOrbit(trajectory, iteration, defect, multiplier)
         x = x + dx.T.ravel()
     raise ShootingError(

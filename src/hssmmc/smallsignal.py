@@ -312,28 +312,16 @@ def envelope_response(
     """Exact zero-order-hold response of the lifted small-signal model to
     the lifted input vector ``delta_u``, active from ``t_start`` on.
 
-    The state starts at zero at ``t_start`` and steps as x <- Phi x + Gamma u,
-    where Phi and Gamma are the top blocks of expm([[A dt, B dt], [0, 0]])
-    (Van Loan 1978, with ``_expm``), so the grid values are exact for any
-    ``dt``. Every grid point from ``t_start`` to ``t_end`` is stored.
+    The state starts at zero at ``t_start`` and steps as x <- Phi x + Gamma u
+    (``_zero_order_hold_step``), so the grid values are exact for any ``dt``.
+    Every grid point from ``t_start`` to ``t_end`` is stored.
     """
-    A = model.A
-    Bd = model.B
-    dim, n_in = Bd.shape
-    delta_u = np.asarray(delta_u, dtype=complex)
-    if delta_u.shape != (n_in,):
-        raise DimensionMismatchError(f"input vector must have shape ({n_in},)")
+    phi, gu = _zero_order_hold_step(model, delta_u, dt)
     n_steps = int(round((t_end - t_start) / dt))
     if n_steps < 1:
         raise ValueError("t_end must lie at least one step after t_start")
 
-    augmented = np.zeros((dim + n_in, dim + n_in), dtype=complex)
-    augmented[:dim, :dim] = A * dt
-    augmented[:dim, dim:] = Bd * dt
-    top = _expm(augmented)[:dim]
-    phi, gamma = top[:, :dim], top[:, dim:]
-    gu = gamma @ delta_u
-
+    dim = phi.shape[0]
     x = np.zeros(dim, dtype=complex)
     out = np.empty((n_steps + 1, dim), dtype=complex)
     out[0] = x
@@ -348,6 +336,23 @@ def envelope_response(
         omega1=model.omega1,
         labels=model.state_labels,
     )
+
+
+def _zero_order_hold_step(
+    model: LiftedModel, delta_u: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phi and Gamma u of one exact zero-order-hold step of length ``dt``,
+    x <- Phi x + Gamma u, with the lifted input vector ``delta_u``: the top
+    blocks of expm([[A dt, B dt], [0, 0]]) (Van Loan 1978)."""
+    dim, n_in = model.B.shape
+    delta_u = np.asarray(delta_u, dtype=complex)
+    if delta_u.shape != (n_in,):
+        raise DimensionMismatchError(f"input vector must have shape ({n_in},)")
+    augmented = np.zeros((dim + n_in, dim + n_in), dtype=complex)
+    augmented[:dim, :dim] = model.A * dt
+    augmented[:dim, dim:] = model.B * dt
+    top = _expm(augmented)[:dim]
+    return top[:, :dim], top[:, dim:] @ delta_u
 
 
 # Coefficients b_0..b_13 of the [13/13] Padé approximant of exp, and the

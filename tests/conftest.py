@@ -25,6 +25,7 @@ from hssmmc.smallsignal import (
     SMALLSIG_STATE_LABELS,
     _closed_loop_equations,
     _closed_loop_samples,
+    _zero_order_hold_step,
 )
 from hssmmc.steady import dc_input_vector, plant_samples
 
@@ -326,6 +327,22 @@ def dense_smallsignal(op, params, ctrl, h):
 def settled_state(model, delta_u):
     """Algebraic settled state -A^-1 B dU of a lifted small-signal model."""
     return np.linalg.solve(model.A, -(model.B @ delta_u))
+
+
+def envelope_final_state(model, delta_u, t_end, dt):
+    """The last state of ``envelope_response(model, delta_u, t_end, dt)``
+    without storing the run: from zero, n steps x <- Phi x + Gamma u compose
+    by binary powers, x_(a+b) = Phi^b x_a + x_b."""
+    phi, x_step = _zero_order_hold_step(model, delta_u, dt)
+    x = np.zeros_like(x_step)
+    n = int(round(t_end / dt))
+    while n:
+        if n & 1:
+            x = phi @ x + x_step
+        x_step = phi @ x_step + x_step
+        phi = phi @ phi
+        n >>= 1
+    return x
 
 
 def linearized_A(op, params, ctrl, t):

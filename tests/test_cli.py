@@ -325,6 +325,22 @@ class TestSimulateScenarios:
         header = ",".join(["time"] + [f"x{i}" for i in range(len(values))])
         assert path.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
 
+    def test_waveform_csv_writes_each_value_as_format_12g(self, tmp_path):
+        import numpy as np
+
+        from hssmmc.reports import write_waveform_csv
+
+        t = np.arange(8) * (1.0 / 3.0)
+        hss = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0 / 3.0, -123456789012.5, 1e22, 5e-324])
+        sim = np.array([-0.0, 0.0, 0.0, 1e-300, 0.25, 6.02214076e-23, -1e22, 0.0])
+        path = tmp_path / "waveform.csv"
+        write_waveform_csv(path, t, hss, sim, False)
+        rows = [
+            ",".join(format(float(v), ".12g") for v in row)
+            for row in zip(t, hss, sim, np.abs(hss - sim))
+        ]
+        assert path.read_bytes() == ("\n".join(["t,value_hss,value_sim,abs_error", *rows]) + "\n").encode()
+
     def test_closed_loop_step_shares_the_smallsig_grid(self, tmp_path, monkeypatch):
         # simulate-closed exports the transient from the cold start, while
         # verify-smallsig starts its stepped run on the periodic orbit at the
@@ -345,7 +361,7 @@ class TestSimulateScenarios:
         cfg = load_config(cfgp)
         ctx = pipelines.SmallsigContext(cfg)
         stepped = simulate_closed_loop(
-            cfg.params, cfg.ctrl, pipelines.stepped_references(ctx.refs, cfg.step, cfg.step.amplitude),
+            cfg.params, cfg.ctrl, pipelines.stepped_references(ctx.leg_refs, cfg.step, cfg.step.amplitude),
             ctx.spp, ctx.window_steps, x0=ctx.orbit.trajectory.states[0], n0=ctx.n_step,
         )
 

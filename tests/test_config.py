@@ -226,9 +226,9 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize(
         "key, raw, message",
         [
-            ("R", "nan", "[params]: R must be finite"),
-            ("K_p", "inf", "[controller]: K_p must be finite"),
-            ("k_f", "nan", "[controller]: k_f must be finite"),
+            ("R", "nan", "[params] R: must be finite"),
+            ("K_p", "inf", "[controller] K_p: must be finite"),
+            ("k_f", "nan", "[controller] k_f: must be finite"),
             ("amplitude", "-inf", "[step] amplitude: must be finite"),
         ],
     )

@@ -1,6 +1,7 @@
 """Nonlinear reference simulator: integration, settling, spectra, comparisons."""
 
 import dataclasses
+import functools
 import re
 import tracemalloc
 import warnings
@@ -32,7 +33,7 @@ from hssmmc.pipelines import SmallsigContext, reference_step_run, step_grid_inde
 from hssmmc.plant import PHASE_SHIFT, PHASES, STATE_LABELS, STATE_VARIABLES
 from hssmmc.simulate import (
     DOMINANT_FRACTION,
-    HALF_WAVE_OPERATOR,
+    LEG_HALF_WAVE_OPERATOR,
     SETTLE_FLOOR,
     SETTLE_RTOL,
     SHOOTING_DEFECT_TOL,
@@ -56,6 +57,10 @@ from conftest import (
 )
 
 W1 = 314.0
+
+# The half-wave operator on the 18 variable-major closed-loop states of all
+# three legs; its leading 12 x 12 block acts on the plant states.
+HALF_WAVE_OPERATOR = np.kron(LEG_HALF_WAVE_OPERATOR, np.eye(3))
 
 # A composed open-loop run may differ from the step-by-step RK4 run by
 # rounding only: by at most this share of each state's peak. Rounding scales
@@ -608,9 +613,9 @@ class TestClosedLoopShooting:
 
     @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
     def test_orbit_repeated_is_the_rk4_continuation(self, preset):
-        # verify-smallsig measures its step against the orbit repeated over
-        # the comparison window, in place of an unstepped run; the two agree
-        # to the shooting tolerance.
+        # verify-smallsig measures its step against the stepped leg's orbit
+        # repeated over the comparison window, in place of an unstepped run;
+        # the two agree to the shooting tolerance.
         cfg = load_config(preset)
         cfg = dataclasses.replace(
             cfg,
@@ -618,9 +623,10 @@ class TestClosedLoopShooting:
             step=dataclasses.replace(cfg.step, period=15, window_periods=5),
         )
         ctx = SmallsigContext(cfg)
+        assert ctx.orbit.trajectory.phases == (cfg.step.phase,)
         orbit = ctx.orbit.trajectory.states
         run = simulate_closed_loop(
-            cfg.params, cfg.ctrl, ctx.refs, ctx.spp, ctx.window_steps, x0=orbit[0], n0=ctx.n_step
+            cfg.params, cfg.ctrl, ctx.leg_refs, ctx.spp, ctx.window_steps, x0=orbit[0], n0=ctx.n_step
         )
         repeated = np.resize(orbit[:-1], run.states.shape)
         peak = np.max(np.abs(orbit), axis=0)
@@ -650,6 +656,90 @@ class TestClosedLoopShooting:
             settled_closed_loop(fast_params, ctrl, refs, 200, 200, closed_loop_rest(fast_params))
         assert info.value.iterations == 1
         assert info.value.defect > SHOOTING_DEFECT_TOL
+
+
+@functools.cache
+def three_leg_orbit(preset):
+    """A preset's closed loop and its three-leg orbit at the benchmark's
+    length: 400 steps per period, from period 15."""
+    params, ctrl, refs, guess_at = preset_closed_loop(preset, 0.0)
+    n0 = 15 * 400
+    orbit = settled_closed_loop(params, ctrl, refs, 400, n0, guess_at(n0))
+    return params, ctrl, refs, guess_at(n0), orbit
+
+
+class TestLegRuns:
+    """The legs share only the constant dc bus, so one leg's closed-loop run
+    is that leg's columns of the three-leg run."""
+
+    @pytest.mark.parametrize("phase", PHASES)
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_window_run_is_the_three_leg_columns(self, preset, phase):
+        # From the orbit state, with the phase's reference stepped, over the
+        # benchmark's 5-period window: the same doubles.
+        params, ctrl, refs, _, orbit = three_leg_orbit(preset)
+        p = PHASES.index(phase)
+        x = orbit.trajectory.states[0]
+        stepped = {**refs, phase: 1.05 * refs[phase]}
+        three = simulate_closed_loop(params, ctrl, stepped, 400, 5 * 400, x0=x, n0=orbit.trajectory.n0)
+        one = simulate_closed_loop(
+            params, ctrl, {phase: stepped[phase]}, 400, 5 * 400,
+            x0=x.reshape(6, 3)[:, p], n0=orbit.trajectory.n0,
+        )
+        assert one.phases == (phase,)
+        assert np.array_equal(one.t, three.t)
+        assert np.array_equal(one.states, three.states.reshape(-1, 6, 3)[:, :, p])
+        for var in STATE_VARIABLES:
+            assert np.array_equal(one.series(var, phase), three.series(var, phase))
+
+    @pytest.mark.parametrize("phase", PHASES)
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_leg_orbit_is_the_three_leg_columns(self, preset, phase):
+        params, ctrl, refs, guess, three = three_leg_orbit(preset)
+        p = PHASES.index(phase)
+        one = settled_closed_loop(
+            params, ctrl, {phase: refs[phase]}, 400, three.trajectory.n0, guess.reshape(6, 3)[:, p]
+        )
+        assert one.defect <= SHOOTING_DEFECT_TOL
+        assert np.array_equal(one.trajectory.t, three.trajectory.t)
+        # Each orbit stops at a half-wave defect of at most
+        # SHOOTING_DEFECT_TOL of each state's RMS. Along the half-wave map's
+        # slowest mode, whose eigenvalue is the square root of the Floquet
+        # multiplier mu, that defect leaves the state defect / (1 - sqrt(mu))
+        # from the fixed point, so the two orbits may differ by twice that.
+        columns = three.trajectory.states.reshape(-1, 6, 3)[:, :, p]
+        rms = np.sqrt(np.mean(columns[:-1] ** 2, axis=0))
+        bound = 2.0 * SHOOTING_DEFECT_TOL / (1.0 - np.sqrt(three.multiplier))
+        assert np.all(np.abs(one.trajectory.states - columns) <= bound * rms)
+        # The leg's monodromy is a block of the three legs', and balanced
+        # legs share their multipliers. A defect of 1e-10 moves a multiplier
+        # by about that much relative, so 1e-8 leaves a hundredfold margin.
+        assert one.multiplier == pytest.approx(three.multiplier, rel=1e-8)
+
+    def test_series_of_a_missing_leg_is_a_key_error(self):
+        params, ctrl, refs, guess, three = three_leg_orbit("sec3-simulation")
+        one = simulate_closed_loop(params, ctrl, {"b": refs["b"]}, 400, 10, x0=guess.reshape(6, 3)[:, 1])
+        assert one.series("i_c", "b").shape == (11,)
+        for phase in ("a", "c"):
+            with pytest.raises(KeyError):
+                one.series("i_c", phase)
+        with pytest.raises(KeyError):
+            three.trajectory.series("i_c", "d")
+
+    def test_rejects_a_three_leg_state_for_one_leg(self):
+        params, ctrl, refs, guess, _ = three_leg_orbit("sec3-simulation")
+        with pytest.raises(ValueError, match="one real 6-state vector"):
+            simulate_closed_loop(params, ctrl, {"a": refs["a"]}, 400, 10, x0=guess)
+        with pytest.raises(ValueError, match="one vector of 6 states"):
+            settled_closed_loop(params, ctrl, {"a": refs["a"]}, 400, 0, guess)
+
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_cold_start_of_one_leg_is_the_three_leg_columns(self, preset):
+        params, ctrl, refs, _, _ = three_leg_orbit(preset)
+        three = simulate_closed_loop(params, ctrl, refs, 400, 400)
+        for p, phase in enumerate(PHASES):
+            one = simulate_closed_loop(params, ctrl, {phase: refs[phase]}, 400, 400)
+            assert np.array_equal(one.states, three.states.reshape(-1, 6, 3)[:, :, p])
 
 
 @settings(max_examples=20, deadline=None)

@@ -46,6 +46,7 @@ from conftest import (
     closed_loop_rhs,
     dense_smallsignal,
     dense_steady,
+    envelope_final_state,
     half_wave_broken,
     linearized_A,
     peak_error,
@@ -297,9 +298,19 @@ class TestEnvelope:
         x_alg = settled_state(model, u)
         lam = np.max(np.abs(smallsig_ctx.eig))
         dt = 0.09 / lam
-        env = envelope_response(model, u, t_end=2.8, dt=dt)
-        err = np.linalg.norm(env.states[-1] - x_alg) / np.linalg.norm(x_alg)
+        x_end = envelope_final_state(model, u, t_end=2.8, dt=dt)
+        err = np.linalg.norm(x_end - x_alg) / np.linalg.norm(x_alg)
         assert err <= 1e-3
+
+    def test_final_state_is_the_last_envelope_point(self, smallsig_ctx):
+        # envelope_final_state composes the steps by binary powers; over an
+        # odd step count it meets the stored run's last point to rounding.
+        model = smallsig_ctx.model
+        u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
+        dt = 0.09 / np.max(np.abs(smallsig_ctx.eig))
+        last = envelope_response(model, u, t_end=1001 * dt, dt=dt).states[-1]
+        x_end = envelope_final_state(model, u, t_end=1001 * dt, dt=dt)
+        assert np.max(np.abs(x_end - last)) <= 1e-12 * np.max(np.abs(last))
 
     def test_lifted_step_slots(self, smallsig_ctx):
         model = smallsig_ctx.model
