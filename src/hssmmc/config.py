@@ -182,8 +182,6 @@ def parse_config(text: str) -> RunConfig:
             return _SECTIONS[name](**values(name))
         except FieldValueError as exc:
             raise _fail(name, exc.key, exc.message) from None
-        except ValueError as exc:
-            raise SchemaViolationError(f"[{name}]: {exc}") from None
 
     # Values are checked a section at a time, in the order written here
     # (keyword arguments are evaluated left to right).

@@ -409,7 +409,7 @@ class SmallsigContext:
         model = self.model.for_phase(phase)
         env = envelope_response(
             model,
-            lifted_reference_step(model, phase, delta),
+            lifted_reference_step(model, delta),
             t_end=t_step + self.window_steps * self.dt,
             dt=self.dt,
             t_start=t_step,
@@ -424,7 +424,7 @@ class SmallsigContext:
         for var in ("i_c", "i_g"):
             periodic = orbit.series(var, phase)
             d_nl = stepped.series(var, phase) - np.resize(periodic[:-1], self.window_steps + 1)
-            d_hss = reconstruct_perturbation(env, var, phase)
+            d_hss = reconstruct_perturbation(env, var)
             nonlinear[var] = d_nl
             reconstructed[var] = d_hss
             nrmse_map[var] = nrmse(d_nl, d_hss)
@@ -478,7 +478,7 @@ def run_verify_smallsig(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     _write_envelope_csv(
         out / f"envelope_i_c_{cfg.step.phase}.csv",
         comp.envelope,
-        f"i_c{cfg.step.phase}",
+        "i_c",
         max(1, ctx.spp // 8),
         timestamp,
     )
@@ -493,10 +493,10 @@ def run_verify_smallsig(cfg: RunConfig, out: Path, timestamp: bool) -> int:
 
 
 def _write_envelope_csv(
-    path: Path, env: EnvelopeResponse, label: str, thin: int, timestamp: bool
+    path: Path, env: EnvelopeResponse, variable: str, thin: int, timestamp: bool
 ):
-    """Envelopes of one state block at every ``thin``-th grid point."""
-    block = env.block(label)[::thin]
+    """Envelopes of one leg variable at every ``thin``-th grid point."""
+    block = env.block(variable)[::thin]
     columns = ["t"]
     for k in range(-env.h, env.h + 1):
         columns += [f"re_k{k}", f"im_k{k}"]

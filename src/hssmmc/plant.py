@@ -14,9 +14,11 @@ A lifted model is one phase leg's: the phases share only the dc bus, and
 phases b and c are the T/3 rotations of phase a (``phase_rotation``), so
 ``lift_phase_samples`` checks that balance once, on the coefficients of all
 three phases, and lifts phase a's alone; ``LiftedModel.for_phase`` rotates
-it onto phase b or c. ``LiftedModel.phase_blocks`` splits it into its two
-halves under the half-wave operator (``smallsignal.LEG_HALF_WAVE``): the
-eigenvalue screening decomposes two blocks of about half its size.
+it onto phase b or c. Its blocks are addressed by position, state block v
+being leg variable v (``LiftedModel``). ``LiftedModel.phase_blocks`` splits
+it into its two halves under the half-wave operator
+(``smallsignal.LEG_HALF_WAVE``): the eigenvalue screening decomposes two
+blocks of about half its size.
 
 Insertion indices are (3, 2h+1) coefficient arrays (n_u, n_l), one row per
 phase a, b, c.
@@ -33,7 +35,8 @@ fastest, entry 3 v + p being leg variable v of phase p, so
 where i_c are circulating currents, v_cu / v_cl the upper / lower arm sum
 capacitor voltages, and i_g the ac phase currents; the 18 closed-loop
 states append the PR controller states [pr_a1, pr_b1, pr_c1, pr_a2, pr_b2,
-pr_c2]. A lifted model's blocks are one phase's variables in this order.
+pr_c2]. The label strings name the states at the boundaries only: CSV
+headers and report lines.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .errors import (
     ModulationOutOfRangeError,
     OrderMismatchError,
     PhaseImbalanceError,
+    UnknownVariableError,
 )
 from .harmonic import block_toeplitz, fourier, lift
 
@@ -62,19 +66,6 @@ STATE_VARIABLES = ("i_c", "v_cu", "v_cl", "i_g")
 
 STATE_LABELS = tuple(variable + phase for variable in STATE_VARIABLES for phase in PHASES)
 
-# The half-wave operator T2 shifts the states by half a period and swaps
-# the upper and lower arms. Each state variable maps to (image, sign):
-# variable v of T2 x at t is sign * x_image(t + T/2), so its harmonic k is
-# sign * (-1)^k times harmonic k of the image. The plant commutes with T2,
-# and its orbit is invariant: i_c and v_cu + v_cl carry dc and even
-# harmonics, i_g and v_cu - v_cl odd ones.
-HALF_WAVE_IMAGE = {
-    "i_c": ("i_c", 1),
-    "v_cu": ("v_cl", 1),
-    "v_cl": ("v_cu", 1),
-    "i_g": ("i_g", -1),
-}
-
 # Largest deviation of phase b's or c's Jacobian coefficients from the T/3
 # rotation of phase a's, or largest entry of an off-diagonal half-wave
 # block, relative to max|A| of phase a's lifted A, for which the model still
@@ -85,11 +76,12 @@ SYMMETRY_DEFECT_RTOL = 1e-12
 
 def state_position(variable: str, phase: str, phases: tuple[str, ...] = PHASES) -> int:
     """Index of (variable, phase) in a state vector of the legs ``phases``,
-    L v + p with L legs, e.g. ('v_cl', 'b') -> 7 over all three."""
+    L v + p with L legs, e.g. ('v_cl', 'b') -> 7 over all three.
+    UnknownVariableError for a variable or phase they do not hold."""
     try:
         return len(phases) * STATE_VARIABLES.index(variable) + phases.index(phase)
     except ValueError:
-        raise KeyError(f"no state {variable!r} phase {phase!r}") from None
+        raise UnknownVariableError(f"no state {variable!r} phase {phase!r}") from None
 
 
 def check_finite(obj):
@@ -120,17 +112,14 @@ class MmcParameters:
 
     def __post_init__(self):
         check_finite(self)
-        if self.L <= 0:
-            raise ValueError("arm inductance L must be > 0")
+        for name in ("L", "C_sm", "omega1"):
+            if getattr(self, name) <= 0:
+                raise FieldValueError(name, "must be > 0")
         if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.C_sm <= 0:
-            raise ValueError("C_sm must be > 0")
-        for name in ("R", "V_dc", "omega1", "R_load", "L_load"):
+            raise FieldValueError("N", "must be >= 1")
+        for name in ("R", "V_dc", "R_load", "L_load"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.omega1 <= 0:
-            raise ValueError("omega1 must be > 0")
+                raise FieldValueError(name, "must be >= 0")
 
     @property
     def C_arm(self) -> float:
@@ -234,16 +223,6 @@ def phase_rotation(h: int, phase: str) -> np.ndarray:
     return {"a": np.ones_like(d), "b": d, "c": d.conj()}[phase]
 
 
-def _on_phase(label: str, phase: str) -> str:
-    """Phase a's block or input ``label`` on ``phase``: its phase letter,
-    which ends the label ('v_cua'), comes before a trailing state number
-    ('pr_a1') or before a '_ref' suffix ('v_ga_ref'), replaced. A label of
-    no phase ('v_dc') is kept."""
-    stem = label.removesuffix("_ref")
-    i = len(stem) - (2 if stem[-1].isdigit() else 1)
-    return label[:i] + phase + label[i + 1 :] if stem[i] == "a" else label
-
-
 def _check_defect(deviation, scale: float, error, what: str):
     """Raise ``error`` unless the largest entry of ``deviation``, relative to
     ``scale``, is at most SYMMETRY_DEFECT_RTOL (a NaN is not)."""
@@ -256,11 +235,11 @@ def _check_defect(deviation, scale: float, error, what: str):
         )
 
 
-def lift_phase_samples(samples, h, omega1, state_labels, input_labels) -> LiftedModel:
+def lift_phase_samples(samples, h, omega1) -> LiftedModel:
     """Lifted model of phase a's leg from per-phase Jacobian samples
     (3, n, n + m, N) at the instants t = j T / N: phase p's derivatives with
-    respect to its n states, then to its m inputs, which ``state_labels`` and
-    ``input_labels`` name on phase a. Their coefficients k = -h..h
+    respect to its n leg variables, then to its m inputs, in the block order
+    of ``LiftedModel``. Their coefficients k = -h..h
     (``fourier``) are A(t) and B(t); A is ``lift`` of phase a's A(t) and B
     the block Toeplitz lift of its B(t).
 
@@ -277,39 +256,36 @@ def lift_phase_samples(samples, h, omega1, state_labels, input_labels) -> Lifted
     scale = float(np.max(np.abs(A))) or 1.0
     rotated = np.array([phase_rotation(h, phase) * coeffs[0] for phase in PHASES])
     _check_defect(coeffs - rotated, scale, PhaseImbalanceError, "balanced over the phases")
-    return LiftedModel(
-        h, omega1, A, block_toeplitz(coeffs[0, :, n:]), tuple(state_labels), tuple(input_labels)
-    )
+    return LiftedModel(h, omega1, A, block_toeplitz(coeffs[0, :, n:]), "a")
 
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Lifted LTI model dX/dt = A X + B U of phase a's leg over harmonics
-    k = -h..h; ``for_phase`` gives the models of phases b and c.
+    """Lifted LTI model dX/dt = A X + B U of the leg of ``phase`` over
+    harmonics k = -h..h; ``for_phase`` turns phase a's into phase b's or c's.
 
-    Block r of X holds the 2h+1 coefficients of ``state_labels[r]`` and
-    block c of U those of ``input_labels[c]``. ``A`` and ``B`` are the dense
-    complex lifted arrays of the one phase.
+    Block v of X holds the 2h+1 coefficients of leg variable v, in
+    ``smallsignal.SMALLSIG_VARIABLES`` order: a steady model has the first
+    four, the plant's. Block 0 of U is v_dc and block 1, in a closed-loop
+    model, the phase's voltage reference. ``A`` and ``B`` are the dense
+    complex lifted arrays of the one leg.
     """
 
     h: int
     omega1: float
     A: np.ndarray
     B: np.ndarray
-    state_labels: tuple[str, ...]
-    input_labels: tuple[str, ...]
+    phase: str
 
     def for_phase(self, phase: str) -> LiftedModel:
-        """The model of ``phase``'s leg, A_p = D A D^H and B_p = D B D^H with
-        D = diag(d_k) over (block, k), d_k of ``phase_rotation``, and its
-        labels on that phase."""
+        """The model of ``phase``'s leg from phase a's, A_p = D A D^H and
+        B_p = D B D^H with D = diag(d_k) over (block, k), d_k of
+        ``phase_rotation``."""
         d = phase_rotation(self.h, phase)
-        rows = np.tile(d, len(self.state_labels))[:, None]
-        cols = np.tile(d.conj(), len(self.input_labels))
+        rows = np.tile(d, self.A.shape[0] // d.size)[:, None]
+        cols = np.tile(d.conj(), self.B.shape[1] // d.size)
         return LiftedModel(
-            self.h, self.omega1, rows * self.A * rows.T.conj(), rows * self.B * cols,
-            tuple(_on_phase(label, phase) for label in self.state_labels),
-            tuple(_on_phase(label, phase) for label in self.input_labels),
+            self.h, self.omega1, rows * self.A * rows.T.conj(), rows * self.B * cols, phase
         )
 
     def phase_blocks(self, half_wave: tuple[tuple[int, int], ...]):
@@ -328,11 +304,11 @@ class LiftedModel:
         symmetry of A shows there too), and unless it is at most
         SYMMETRY_DEFECT_RTOL (a NaN is not) HalfWaveAsymmetryError is raised.
         """
-        if len(half_wave) != len(self.state_labels):
-            raise DimensionMismatchError(
-                f"{len(half_wave)} half-wave images for {len(self.state_labels)} state blocks"
-            )
         n_h = 2 * self.h + 1
+        if len(half_wave) != self.A.shape[0] // n_h:
+            raise DimensionMismatchError(
+                f"{len(half_wave)} half-wave images for {self.A.shape[0] // n_h} state blocks"
+            )
         pairs, plus = _half_wave_basis(half_wave, self.h)
         scale = float(np.max(np.abs(self.A))) or 1.0
         block = self.A.copy()

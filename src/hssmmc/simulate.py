@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    FieldValueError,
     NotSettledError,
     NumericalBlowupError,
     OrderMismatchError,
@@ -98,13 +99,13 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.steps_per_period < 4:
-            raise ValueError("steps_per_period must be >= 4")
+            raise FieldValueError("steps_per_period", "must be >= 4")
         if self.steps_per_period % 2:
-            raise ValueError("steps_per_period must be even")
+            raise FieldValueError("steps_per_period", "must be even")
         if self.settle_periods < 2:
-            raise ValueError("settle_periods must be >= 2")
+            raise FieldValueError("settle_periods", "must be >= 2")
         if self.total_periods <= self.settle_periods:
-            raise ValueError("total_periods must exceed settle_periods")
+            raise FieldValueError("total_periods", "must exceed settle_periods")
 
     def n_steps(self) -> int:
         return self.total_periods * self.steps_per_period
@@ -134,7 +135,8 @@ class Trajectory:
         self.t = (self.n0 + np.arange(self.states.shape[0])) * self.dt
 
     def series(self, variable: str, phase: str) -> np.ndarray:
-        """One plant state over the run; KeyError for a phase the run lacks."""
+        """One plant state over the run; UnknownVariableError for a phase
+        the run lacks."""
         return self.states[:, state_position(variable, phase, self.phases)]
 
 

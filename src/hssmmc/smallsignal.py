@@ -15,13 +15,14 @@ The lifted model derives from the closed-loop equations the simulator
 integrates (``_closed_loop_equations``): their complex-step Jacobian on the
 operating orbit at ``instants(h)`` instants (``_closed_loop_samples``),
 lifted as the steady model is (``lift_phase_samples``) to phase a's 6-block
-``LiftedModel`` with inputs v_dc and phase a's voltage reference. Phases b
-and c are its T/3 rotations (``LiftedModel.for_phase``).
+``LiftedModel``, block v leg variable v of ``SMALLSIG_VARIABLES``, with
+input blocks v_dc and phase a's voltage reference. Phases b and c are its
+T/3 rotations (``LiftedModel.for_phase``).
 
 Eigenvalue screening (``eigenvalues``) splits the model by the half-wave
 operator (``LiftedModel.phase_blocks``, with the image of each leg
 variable in ``LEG_HALF_WAVE``): two numpy eigendecompositions of about
-half its size give phase a's spectrum, which the three phases share.
+half its size give phase a's spectrum, which each phase has.
 
 Envelope responses of this LTI model to a reference step are exact
 zero-order-hold propagations by its transition matrix, so they hold for
@@ -39,12 +40,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FieldValueError,
     ResidualImaginaryError,
     UnknownVariableError,
 )
 from .harmonic import instants, sample, synthesize
 from .plant import (
-    HALF_WAVE_IMAGE,
     PHASES,
     STATE_LABELS,
     STATE_VARIABLES,
@@ -64,16 +65,20 @@ SMALLSIG_VARIABLES = STATE_VARIABLES + ("pr_1", "pr_2")
 PR_LABELS = ("pr_a1", "pr_b1", "pr_c1", "pr_a2", "pr_b2", "pr_c2")
 SMALLSIG_STATE_LABELS = STATE_LABELS + PR_LABELS
 
-# Half-wave images (``plant.HALF_WAVE_IMAGE``) of the closed-loop states:
-# the PR states are driven by the ac voltage error, which carries odd
-# harmonics, so they flip sign with i_g.
-SMALLSIG_HALF_WAVE_IMAGE = {**HALF_WAVE_IMAGE, "pr_1": ("pr_1", -1), "pr_2": ("pr_2", -1)}
-
-# The same images by position, (image index, sign) per leg variable of
-# SMALLSIG_VARIABLES; the first four are the plant's.
-LEG_HALF_WAVE = tuple(
-    (SMALLSIG_VARIABLES.index(image), sign)
-    for image, sign in map(SMALLSIG_HALF_WAVE_IMAGE.get, SMALLSIG_VARIABLES)
+# The half-wave operator T2 shifts the states by half a period and swaps
+# the upper and lower arms. Each leg variable v of SMALLSIG_VARIABLES maps
+# to (image, sign), image a position there: variable v of T2 x at t is
+# sign * x_image(t + T/2), so its harmonic k is sign * (-1)^k times harmonic
+# k of the image. Both loops commute with T2, and the plant's orbit is
+# invariant: i_c and v_cu + v_cl carry dc and even harmonics, i_g and
+# v_cu - v_cl odd ones. The first four entries are the plant's.
+LEG_HALF_WAVE = (
+    (0, 1),   # i_c: itself
+    (2, 1),   # v_cu: v_cl, the arms swap
+    (1, 1),   # v_cl: v_cu
+    (3, -1),  # i_g: itself, negated
+    (4, -1),  # pr_1: itself, negated: driven by the ac voltage error, odd like i_g
+    (5, -1),  # pr_2: itself, negated, as pr_1
 )
 
 
@@ -88,8 +93,9 @@ class ControllerParams:
 
     def __post_init__(self):
         check_finite(self)
-        if self.K_p < 0 or self.K_r < 0:
-            raise ValueError("K_p and K_r must be >= 0")
+        for name in ("K_p", "K_r"):
+            if getattr(self, name) < 0:
+                raise FieldValueError(name, "must be >= 0")
 
 
 def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
@@ -178,9 +184,10 @@ def assemble_smallsignal(
     op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams, h: int
 ) -> LiftedModel:
     """Lifted closed-loop model of phase a about an operating point, derived
-    from the closed-loop equations (``_closed_loop_samples``), inputs v_dc
-    and v_ga_ref. The v_dc input is the plant's own dc-bus term, the steady
-    model's input (``plant_samples``).
+    from the closed-loop equations (``_closed_loop_samples``): six state
+    blocks, input blocks v_dc and phase a's voltage reference. The v_dc
+    input is the plant's own dc-bus term, the steady model's input
+    (``plant_samples``).
     """
     if h != op.h:
         raise DimensionMismatchError(
@@ -190,24 +197,24 @@ def assemble_smallsignal(
     dc = np.zeros_like(closed[:, :, :1])
     dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
     return lift_phase_samples(
-        np.concatenate([closed[:, :, :6], dc, closed[:, :, 6:]], axis=2), h, params.omega1,
-        SMALLSIG_STATE_LABELS[:: len(PHASES)], ("v_dc", "v_ga_ref"),
+        np.concatenate([closed[:, :, :6], dc, closed[:, :, 6:]], axis=2), h, params.omega1
     )
 
 
 def eigenvalues(model: LiftedModel) -> np.ndarray:
-    """Spectrum of the lifted A of all three phases, sorted by real part
-    descending, then by imaginary part.
+    """Spectrum of the lifted A of one phase leg, sorted by real part
+    descending, then by imaginary part. The three legs are rotations of one
+    another (``LiftedModel.for_phase``), so each has this spectrum, and the
+    three-phase model has each eigenvalue three times.
 
-    Computed from the two half-wave halves of phase a's A
-    (``LiftedModel.phase_blocks`` with ``LEG_HALF_WAVE``, whose first four
-    entries are the plant's, the blocks of a steady model): one numpy
-    eigendecomposition of each, about half its size, whose spectra together
-    are repeated three times, once per phase. Raises HalfWaveAsymmetryError
-    when A does not commute with the half-wave operator.
+    Computed from the two half-wave halves of A (``LiftedModel.phase_blocks``
+    with the first entries of ``LEG_HALF_WAVE``, one per state block): one
+    numpy eigendecomposition of each, about half its size. Raises
+    HalfWaveAsymmetryError when A does not commute with the half-wave
+    operator.
     """
-    halves = model.phase_blocks(LEG_HALF_WAVE[: len(model.state_labels)])
-    eig = np.tile(np.concatenate([np.linalg.eigvals(half) for half in halves]), len(PHASES))
+    halves = model.phase_blocks(LEG_HALF_WAVE[: model.A.shape[0] // (2 * model.h + 1)])
+    eig = np.concatenate([np.linalg.eigvals(half) for half in halves])
     order = np.lexsort((eig.imag, -eig.real))
     return eig[order]
 
@@ -285,20 +292,22 @@ def operating_state_at(
 
 @dataclass(frozen=True)
 class EnvelopeResponse:
-    """Harmonic-coefficient envelopes of the small-signal states over time."""
+    """Harmonic-coefficient envelopes of the small-signal states of the leg
+    of ``phase`` over time, in the model's block order."""
 
     t: np.ndarray
     states: np.ndarray              # (n_times, n_blocks*(2h+1)) complex
     h: int
     omega1: float
-    labels: tuple[str, ...]
+    phase: str
 
-    def block(self, label: str) -> np.ndarray:
-        try:
-            i = self.labels.index(label)
-        except ValueError:
-            raise UnknownVariableError(f"no state block {label!r}") from None
+    def block(self, variable: str) -> np.ndarray:
+        """Envelopes of leg variable ``variable`` (``SMALLSIG_VARIABLES``);
+        UnknownVariableError for one the model does not hold."""
         n = 2 * self.h + 1
+        if variable not in SMALLSIG_VARIABLES[: self.states.shape[1] // n]:
+            raise UnknownVariableError(f"no state block {variable!r}")
+        i = SMALLSIG_VARIABLES.index(variable)
         return self.states[:, i * n : (i + 1) * n]
 
 
@@ -334,7 +343,7 @@ def envelope_response(
         states=out,
         h=model.h,
         omega1=model.omega1,
-        labels=model.state_labels,
+        phase=model.phase,
     )
 
 
@@ -390,23 +399,21 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def lifted_reference_step(
-    model: LiftedModel, phase: str, delta_phasor: complex
-) -> np.ndarray:
+def lifted_reference_step(model: LiftedModel, delta_phasor: complex) -> np.ndarray:
     """Lifted input vector of ``model`` for a reference-amplitude step on
-    one phase, whose model ``model`` is (``LiftedModel.for_phase``).
+    its phase (``LiftedModel.for_phase``).
 
-    A fundamental-frequency step lives in the k = +/-1 slots of that
-    phase's reference block, as a conjugate pair of half the phasor.
+    A fundamental-frequency step lives in the k = +/-1 slots of the
+    reference block, input block 1, as a conjugate pair of half the phasor.
+    DimensionMismatchError for a model without a reference input, such as
+    a steady one.
     """
-    label = f"v_g{phase}_ref"
-    if label not in model.input_labels:
-        raise UnknownVariableError(f"model has no input {label!r}")
     n = 2 * model.h + 1
-    u = np.zeros(len(model.input_labels) * n, dtype=complex)
-    col = model.input_labels.index(label)
-    u[col * n + model.h + 1] = 0.5 * delta_phasor
-    u[col * n + model.h - 1] = 0.5 * np.conj(delta_phasor)
+    if model.B.shape[1] < 2 * n:
+        raise DimensionMismatchError("model has no voltage-reference input")
+    u = np.zeros(model.B.shape[1], dtype=complex)
+    u[n + model.h + 1] = 0.5 * delta_phasor
+    u[n + model.h - 1] = 0.5 * np.conj(delta_phasor)
     return u
 
 
@@ -414,21 +421,15 @@ def lifted_reference_step(
 RECONSTRUCT_RTOL = 1e-6
 
 
-def reconstruct_perturbation(env: EnvelopeResponse, variable: str, phase: str) -> np.ndarray:
-    """Real time series of one state's perturbation from its envelopes.
+def reconstruct_perturbation(env: EnvelopeResponse, variable: str) -> np.ndarray:
+    """Real time series of the perturbation of leg variable ``variable``
+    (``SMALLSIG_VARIABLES``) of the envelope's phase from its envelopes.
 
     The imaginary residual of the reconstruction is checked against
     ``RECONSTRUCT_RTOL`` times the series scale; a violation signals
     envelopes that do not describe a real signal.
     """
-    if variable in ("pr1", "pr2"):
-        label = f"pr_{phase}{variable[-1]}"
-    else:
-        label = f"{variable}{phase}"
-    if label not in env.labels:
-        raise UnknownVariableError(f"no state {variable!r} phase {phase!r}")
-
-    coeffs = env.block(label)
+    coeffs = env.block(variable)
     k = np.arange(-env.h, env.h + 1)
     phases_mat = np.exp(1j * np.outer(env.t, k) * env.omega1)
     series = np.sum(coeffs * phases_mat, axis=1)

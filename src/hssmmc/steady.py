@@ -22,13 +22,11 @@ from .errors import (
     DimensionMismatchError,
     ResidualImaginaryError,
     SingularSystemError,
-    UnknownVariableError,
 )
 from .harmonic import SYMMETRY_RTOL, instants, sample, synthesize
 from .plant import (
     PHASES,
     STATE_LABELS,
-    STATE_VARIABLES,
     LiftedModel,
     MmcParameters,
     complex_step_jacobian,
@@ -85,13 +83,10 @@ def plant_samples(params: MmcParameters, indices: tuple[np.ndarray, np.ndarray],
 def assemble_steady(
     params: MmcParameters, indices: tuple[np.ndarray, np.ndarray], h: int
 ) -> LiftedModel:
-    """Lifted plant model of phase a at the insertion indices (n_u, n_l),
-    input the dc-bus voltage, derived from the plant equations
-    (``plant_samples``)."""
-    return lift_phase_samples(
-        plant_samples(params, indices, h), h, params.omega1,
-        STATE_LABELS[:: len(PHASES)], ("v_dc",),
-    )
+    """Lifted plant model of phase a at the insertion indices (n_u, n_l):
+    four state blocks, input block the dc-bus voltage, derived from the
+    plant equations (``plant_samples``)."""
+    return lift_phase_samples(plant_samples(params, indices, h), h, params.omega1)
 
 
 def dc_input_vector(v_dc: float, h: int) -> np.ndarray:
@@ -119,13 +114,8 @@ class OperatingPoint:
     residual: float
 
     def spectrum(self, variable: str, phase: str) -> np.ndarray:
-        """Read-only view of the coefficient row of ``variable`` on ``phase``."""
-        if variable not in STATE_VARIABLES:
-            raise UnknownVariableError(
-                f"unknown variable {variable!r}; expected one of {STATE_VARIABLES}"
-            )
-        if phase not in PHASES:
-            raise UnknownVariableError(f"unknown phase {phase!r}")
+        """Read-only view of the coefficient row of ``variable`` on ``phase``;
+        UnknownVariableError for a variable or phase there is not."""
         row = self.coeffs[state_position(variable, phase)]
         row.flags.writeable = False
         return row

@@ -22,7 +22,7 @@ from hssmmc.plant import (
 )
 from hssmmc.simulate import Trajectory, _check_blowup, default_initial_state, settled_open_loop
 from hssmmc.smallsignal import (
-    SMALLSIG_STATE_LABELS,
+    SMALLSIG_VARIABLES,
     _closed_loop_equations,
     _closed_loop_samples,
     _zero_order_hold_step,
@@ -259,45 +259,57 @@ def state_space_at(p, n_u, n_l):
     return A, B
 
 
+# Input blocks of a leg model: the dc bus, then the phase's voltage reference.
+V_DC, V_REF = 0, 1
+
+
 def block(model, row, col=None):
-    """View of one block of a lifted model: block (row, col) of A, or of B
-    when ``col`` is an input label; with no ``col``, the whole block row of A."""
+    """View of one block of a leg model: block (row, col) of A for leg
+    variables ``row`` and ``col`` (``SMALLSIG_VARIABLES``), or of B for an
+    input block number ``col``; with no ``col``, the whole block row of A."""
     n = 2 * model.h + 1
-    r = model.state_labels.index(row)
+    r = SMALLSIG_VARIABLES.index(row)
     rows = slice(r * n, (r + 1) * n)
     if col is None:
         return model.A[rows]
-    if col in model.input_labels:
-        c, matrix = model.input_labels.index(col), model.B
-    else:
-        c, matrix = model.state_labels.index(col), model.A
-    return matrix[rows, c * n : (c + 1) * n]
+    if isinstance(col, int):
+        return model.B[rows, col * n : (col + 1) * n]
+    c = SMALLSIG_VARIABLES.index(col)
+    return model.A[rows, c * n : (c + 1) * n]
 
 
-def dense_lift(samples, states, inputs, h, omega1, state_labels, input_labels):
+def dense_block(array, variable, phase, h):
+    """Block (variable, phase) along the last axis of ``array``, a state
+    vector or run of a three-phase reference, whose block 3 v + p is leg
+    variable v of phase p (``state_position`` for the plant's variables)."""
+    n = 2 * h + 1
+    i = len(PHASES) * SMALLSIG_VARIABLES.index(variable) + PHASES.index(phase)
+    return array[..., i * n : (i + 1) * n]
+
+
+def dense_lift(samples, states, inputs, h, omega1):
     """Lifted model of all three phases from per-phase Jacobian samples
     (3, n, n + m, N): each phase's own coefficients placed on the diagonal,
     at ``states[p]`` in the state vector and ``inputs[p]`` in the input
     vector, with no rotation of phase a. An independent reference for the
-    phase-a model and its rotations (``LiftedModel.for_phase``)."""
+    phase-a model and its rotations (``LiftedModel.for_phase``). Its blocks
+    are variable-major, block 3 v + p being leg variable v of phase p, so
+    its ``phase`` is None."""
     coeffs = fourier(samples, h)
     n = samples.shape[1]
-    shape = (len(state_labels), len(state_labels), 2 * h + 1)
+    shape = (3 * n, 3 * n, 2 * h + 1)
     A = np.zeros(shape, dtype=complex)
-    B = np.zeros((shape[0], len(input_labels), shape[2]), dtype=complex)
+    B = np.zeros((shape[0], 1 + max(map(max, inputs)), shape[2]), dtype=complex)
     for p, rows in enumerate(states):
         A[np.ix_(rows, rows)] = coeffs[p, :, :n]
         B[np.ix_(rows, inputs[p])] = coeffs[p, :, n:]
-    return LiftedModel(
-        h, omega1, lift(A, omega1), block_toeplitz(B), tuple(state_labels), tuple(input_labels)
-    )
+    return LiftedModel(h, omega1, lift(A, omega1), block_toeplitz(B), None)
 
 
 def dense_steady(params, indices, h):
     """Three-phase reference of ``assemble_steady``: 12 state blocks, input v_dc."""
     return dense_lift(
-        plant_samples(params, indices, h), phase_columns(12), [[0]] * 3, h, params.omega1,
-        STATE_LABELS, ("v_dc",),
+        plant_samples(params, indices, h), phase_columns(12), [[0]] * 3, h, params.omega1
     )
 
 
@@ -309,18 +321,15 @@ def dense_steady_coeffs(params, indices, h):
     return x.reshape(len(STATE_LABELS), 2 * h + 1)
 
 
-DENSE_SMALLSIG_INPUT_LABELS = ("v_dc", "v_ga_ref", "v_gb_ref", "v_gc_ref")
-
-
 def dense_smallsignal(op, params, ctrl, h):
     """Three-phase reference of ``assemble_smallsignal``: 18 state blocks,
-    inputs v_dc and the three voltage references."""
+    input blocks v_dc and the voltage references of phases a, b and c."""
     closed = _closed_loop_samples(op, params, ctrl)
     dc = np.zeros_like(closed[:, :, :1])
     dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
     return dense_lift(
         np.concatenate([closed, dc], axis=2), phase_columns(18), [[1 + p, 0] for p in range(3)],
-        h, params.omega1, SMALLSIG_STATE_LABELS, DENSE_SMALLSIG_INPUT_LABELS,
+        h, params.omega1,
     )
 
 
@@ -394,6 +403,6 @@ def half_wave_broken(model, rel=1e-6):
 
     n = 2 * model.h + 1
     A = model.A.copy()
-    start = model.state_labels.index("i_ca") * n + model.h
+    start = SMALLSIG_VARIABLES.index("i_c") * n + model.h
     A[start + 3, start] += rel * np.max(np.abs(A))
     return dataclasses.replace(model, A=A)

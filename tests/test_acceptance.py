@@ -287,7 +287,7 @@ def test_criterion_8_invariant_suite(sec3_cfg, sec3_op, smallsig_ctx):
 
     model = smallsig_ctx.model
     delta = 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"]))
-    u = lifted_reference_step(model, "a", delta)
+    u = lifted_reference_step(model, delta)
     x_alg = settled_state(model, u)
     dt = 0.09 / np.max(np.abs(smallsig_ctx.eig))
     x_end = envelope_final_state(model, u, t_end=2.8, dt=dt)

@@ -69,7 +69,7 @@ class TestParse:
             parse_config(GOOD.replace("m = 0.5", "m = 1.5"))
 
     def test_degenerate_inductance_rejected_at_parse(self):
-        with pytest.raises(SchemaViolationError, match="inductance"):
+        with pytest.raises(SchemaViolationError, match=r"^\[params\] L: must be > 0$"):
             parse_config(GOOD.replace("L = 0.36", "L = 0.0"))
 
     def test_malformed_number(self):
@@ -98,7 +98,7 @@ class TestParse:
     def test_sim_grid_rules(self):
         for body, key in (
             ("steps_per_period = 3\ntotal_periods = 50", "steps_per_period"),
-            ("steps_per_period = 401\ntotal_periods = 50", "steps_per_period must be even"),
+            ("steps_per_period = 401\ntotal_periods = 50", "steps_per_period: must be even"),
             ("steps_per_period = 400\ntotal_periods = 10\nsettle_periods = 1", "settle_periods"),
             ("steps_per_period = 400\ntotal_periods = 10\nsettle_periods = 10", "total_periods"),
             ("steps_per_period = 400.5\ntotal_periods = 10", "steps_per_period"),
@@ -234,24 +234,55 @@ class TestNonFiniteValues:
     )
     def test_file_value_is_a_configuration_error(self, tmp_path, capsys, key, raw, message):
         # nan and inf compare false with every bound, so each needs its own check.
-        text, count = re.subn(rf"^{key} = .*$", f"{key} = {raw}", _preset_text(), flags=re.M)
-        assert count == 1
-        path = tmp_path / "sec3.ini"
-        path.write_text(text, encoding="utf-8")
-        code = main(["steady", "--config", str(path), "--out", str(tmp_path / "out"), "--no-timestamp"])
-        assert code == 2
+        assert _steady_with(tmp_path, key, raw) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_sweep_value_is_a_recorded_row(self, tmp_path):
-        path = tmp_path / "sweep.ini"
-        sweep = "\n[sweep]\nkey = K_p\nvalues = 0.6, inf\nscenario = smallsig\n"
-        path.write_text(_preset_text() + sweep, encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(path), "--out", str(out), "--no-timestamp"]) == 1
-        rows = (out / "sweep.csv").read_text().splitlines()[1:]
-        assert len(rows) == 2
-        assert rows[0].endswith(",")
-        assert rows[1] == "inf,,K_p must be finite"
+        assert _smallsig_sweep_rows(tmp_path, "K_p", "0.6, inf")[1] == "inf,,K_p must be finite"
+
+
+class TestRangeErrors:
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("L", "-1", "[params] L: must be > 0"),
+            ("N", "0", "[params] N: must be >= 1"),
+            ("R_load", "-1", "[params] R_load: must be >= 0"),
+            ("K_p", "-0.1", "[controller] K_p: must be >= 0"),
+            ("K_r", "-1", "[controller] K_r: must be >= 0"),
+            ("steps_per_period", "2", "[sim] steps_per_period: must be >= 4"),
+            ("total_periods", "120", "[sim] total_periods: must exceed settle_periods"),
+        ],
+    )
+    def test_file_value_names_its_key(self, tmp_path, capsys, key, raw, message):
+        assert _steady_with(tmp_path, key, raw) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_sweep_value_is_a_recorded_row(self, tmp_path):
+        assert _smallsig_sweep_rows(tmp_path, "K_r", "300, -1")[1] == "-1,,K_r must be >= 0"
+
+
+def _steady_with(tmp_path, key, raw):
+    """Exit code of ``steady`` on sec3-simulation with ``key`` set to ``raw``."""
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {raw}", _preset_text(), flags=re.M)
+    assert count == 1
+    path = tmp_path / "sec3.ini"
+    path.write_text(text, encoding="utf-8")
+    return main(["steady", "--config", str(path), "--out", str(tmp_path / "out"), "--no-timestamp"])
+
+
+def _smallsig_sweep_rows(tmp_path, key, values):
+    """The two data rows of a small-signal sweep of sec3-simulation over
+    ``key``, whose first value is valid and second is not."""
+    path = tmp_path / "sweep.ini"
+    sweep = f"\n[sweep]\nkey = {key}\nvalues = {values}\nscenario = smallsig\n"
+    path.write_text(_preset_text() + sweep, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out), "--no-timestamp"]) == 1
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert rows[0].endswith(",")
+    return rows
 
 
 def _preset_text(name="sec3-simulation"):

@@ -7,6 +7,7 @@ from hssmmc import (
     MmcParameters,
     ModulationOutOfRangeError,
     SimulationConfig,
+    UnknownVariableError,
     open_loop_insertion_indices,
     simulate_open_loop,
     synthesize,
@@ -206,5 +207,5 @@ def test_state_position():
     assert state_position("i_c", "a") == 0
     assert state_position("v_cl", "b") == 7
     assert state_position("i_g", "c") == 11
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownVariableError):
         state_position("q", "a")

@@ -27,7 +27,7 @@ from hssmmc import (
     total_harmonic_distortion,
 )
 from hssmmc.config import RunConfig, StepConfig, load_config
-from hssmmc.errors import ShootingError
+from hssmmc.errors import ShootingError, UnknownVariableError
 from hssmmc.harmonic import fourier, sample
 from hssmmc.pipelines import SmallsigContext, reference_step_run, step_grid_index
 from hssmmc.plant import PHASE_SHIFT, PHASES, STATE_LABELS, STATE_VARIABLES
@@ -716,14 +716,14 @@ class TestLegRuns:
         # by about that much relative, so 1e-8 leaves a hundredfold margin.
         assert one.multiplier == pytest.approx(three.multiplier, rel=1e-8)
 
-    def test_series_of_a_missing_leg_is_a_key_error(self):
+    def test_series_of_a_missing_leg_is_an_unknown_variable_error(self):
         params, ctrl, refs, guess, three = three_leg_orbit("sec3-simulation")
         one = simulate_closed_loop(params, ctrl, {"b": refs["b"]}, 400, 10, x0=guess.reshape(6, 3)[:, 1])
         assert one.series("i_c", "b").shape == (11,)
         for phase in ("a", "c"):
-            with pytest.raises(KeyError):
+            with pytest.raises(UnknownVariableError):
                 one.series("i_c", phase)
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownVariableError):
             three.trajectory.series("i_c", "d")
 
     def test_rejects_a_three_leg_state_for_one_leg(self):
@@ -890,5 +890,5 @@ class TestDistortion:
 def test_trajectory_series_accessor(fast_params):
     traj = simulate_open_loop(fast_params, 0.0, fast_cfg(fast_params, periods=4, settle=2))
     assert np.all(traj.series("v_cu", "a") == fast_params.V_dc)
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownVariableError):
         traj.series("v_cu", "x")

@@ -42,8 +42,10 @@ from hssmmc.smallsignal import (
     _expm,
 )
 from conftest import (
+    V_REF,
     block,
     closed_loop_rhs,
+    dense_block,
     dense_smallsignal,
     dense_steady,
     envelope_final_state,
@@ -101,7 +103,7 @@ class TestControllerParams:
 
 def coefficients(model, row, col):
     """Coefficients k = -h..h of entry (row, col) of the periodic A(t) the
-    lifted A is the lift of, or of B(t) for an input label: the k = 0
+    lifted A is the lift of, or of B(t) for an input block: the k = 0
     column of its lifted block, a Toeplitz operator there (the frequency
     matrix is zero at k = 0)."""
     return block(model, row, col)[:, model.h]
@@ -124,9 +126,9 @@ class TestFCoefficients:
         model = assemble_smallsignal(op, p, ctrl, 3)
         for i, ph in enumerate(("a", "b", "c")):
             rotated = model.for_phase(ph)
-            assert np.max(np.abs(coefficients(rotated, f"i_c{ph}", f"i_g{ph}"))) == 0.0
+            assert np.max(np.abs(coefficients(rotated, "i_c", "i_g"))) == 0.0
             expected = (1.0 / (2 * p.C_arm)) * op.n_u[i]
-            assert_coefficients_equal(coefficients(rotated, f"v_cu{ph}", f"i_g{ph}"), expected)
+            assert_coefficients_equal(coefficients(rotated, "v_cu", "i_g"), expected)
 
     def test_zero_modulation_point(self):
         p = sec3_like()
@@ -134,8 +136,8 @@ class TestFCoefficients:
         model = assemble_smallsignal(op, p, ctrl_default(), 3)
         for ph in ("a", "b", "c"):
             rotated = model.for_phase(ph)
-            assert np.max(np.abs(coefficients(rotated, f"i_c{ph}", f"pr_{ph}1"))) <= 1e-12 / p.L
-            i2 = coefficients(rotated, f"i_g{ph}", f"pr_{ph}1")
+            assert np.max(np.abs(coefficients(rotated, "i_c", "pr_1"))) <= 1e-12 / p.L
+            i2 = coefficients(rotated, "i_g", "pr_1")
             assert i2[3] == pytest.approx(2.0 / p.L, rel=1e-9)
             assert np.max(np.abs(np.delete(i2, 3))) <= 1e-9 / p.L
 
@@ -144,7 +146,7 @@ class TestFCoefficients:
         # with the capacitor voltage imbalance spectrum.
         p = sec3_like()
         model = assemble_smallsignal(sec3_op, p, ctrl_default(), 3)
-        gamma = block(model, "i_ca", "pr_a1")
+        gamma = block(model, "i_c", "pr_1")
         unit = np.zeros(7, dtype=complex)
         unit[3] = 1.0
         response = gamma @ unit
@@ -158,7 +160,7 @@ class TestFCoefficients:
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
         model = assemble_smallsignal(op, p, ctrl, 3)
         expected = (-1.0 / (2 * p.C_arm)) * op.n_l[0]
-        assert_coefficients_equal(coefficients(model, "v_cla", "i_ga"), expected)
+        assert_coefficients_equal(coefficients(model, "v_cl", "i_g"), expected)
 
 
 class TestAssembly:
@@ -174,30 +176,29 @@ class TestAssembly:
                     label = f"pr_{phase}{variable[-1]}"
                 assert SMALLSIG_STATE_LABELS[3 * v + p] == label
 
-    def test_dimensions_and_labels(self, sec3_op, sec3_params, sec3_cfg):
+    def test_dimensions_and_phase(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
         assert model.A.shape == (6 * 7, 6 * 7)
         assert model.B.shape == (6 * 7, 2 * 7)
-        assert model.state_labels == ("i_ca", "v_cua", "v_cla", "i_ga", "pr_a1", "pr_a2")
-        assert model.input_labels == ("v_dc", "v_ga_ref")
-        assert model.for_phase("c").input_labels == ("v_dc", "v_gc_ref")
+        assert model.phase == "a"
+        assert model.for_phase("c").phase == "c"
 
     def test_pr_integrator_chain_blocks(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
         Q = np.diag(frequency_matrix(3, W1))
-        assert np.array_equal(block(model, "pr_a2", "pr_a1"), np.eye(7))
-        assert np.array_equal(block(model, "pr_a2", "pr_a2"), -Q)
-        assert np.array_equal(block(model, "pr_a1", "pr_a2"), -(W1**2) * np.eye(7))
+        assert np.array_equal(block(model, "pr_2", "pr_1"), np.eye(7))
+        assert np.array_equal(block(model, "pr_2", "pr_2"), -Q)
+        assert np.array_equal(block(model, "pr_1", "pr_2"), -(W1**2) * np.eye(7))
 
     def test_reference_input_couplings(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
-        i3 = coefficients(model, "i_ga", "v_ga_ref")
-        assert np.allclose(block(model, "i_ga", "v_ga_ref"), toeplitz(i3))
+        i3 = coefficients(model, "i_g", V_REF)
+        assert np.allclose(block(model, "i_g", V_REF), toeplitz(i3))
         # The plant rows see v* only through K_p v* + x1.
-        pr = sec3_cfg.ctrl.K_p * coefficients(model, "i_ga", "pr_a1")
+        pr = sec3_cfg.ctrl.K_p * coefficients(model, "i_g", "pr_1")
         assert np.allclose(i3, pr, rtol=1e-12, atol=1e-12 * np.max(np.abs(pr)))
-        assert np.array_equal(block(model, "pr_a1", "v_ga_ref"), sec3_cfg.ctrl.K_r * np.eye(7))
-        assert np.count_nonzero(block(model, "pr_a2", "v_ga_ref")) == 0
+        assert np.array_equal(block(model, "pr_1", V_REF), sec3_cfg.ctrl.K_r * np.eye(7))
+        assert np.count_nonzero(block(model, "pr_2", V_REF)) == 0
 
     def test_zero_gains_about_equilibrium_reduce_to_open_loop(self):
         p = sec3_like()
@@ -271,7 +272,7 @@ class TestEnvelope:
         # dt * max|eig| is about 1.5 here; zero-order-hold propagation is
         # exact on any grid, so a 10x finer grid lands on the same points.
         model = smallsig_ctx.model
-        u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
+        u = lifted_reference_step(model, 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
         coarse = envelope_response(model, u, t_end=0.1, dt=1e-3)
         fine = envelope_response(model, u, t_end=0.1, dt=1e-4)
         fine_t, fine_states = fine.t[::10], fine.states[::10]
@@ -282,7 +283,7 @@ class TestEnvelope:
     def test_matches_rk4_reference(self, smallsig_ctx, sec3_cfg):
         # At the preset's step the two methods differ by RK4's truncation error.
         model = smallsig_ctx.model
-        u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
+        u = lifted_reference_step(model, 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
         dt = smallsig_ctx.dt
         assert 0.01 <= dt * np.max(np.abs(smallsig_ctx.eig)) <= 0.02
         t_end = 10 * sec3_cfg.params.period
@@ -294,7 +295,7 @@ class TestEnvelope:
     def test_settled_state_matches_algebraic_solve(self, smallsig_ctx):
         model = smallsig_ctx.model
         delta = 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"]))
-        u = lifted_reference_step(model, "a", delta)
+        u = lifted_reference_step(model, delta)
         x_alg = settled_state(model, u)
         lam = np.max(np.abs(smallsig_ctx.eig))
         dt = 0.09 / lam
@@ -306,7 +307,7 @@ class TestEnvelope:
         # envelope_final_state composes the steps by binary powers; over an
         # odd step count it meets the stored run's last point to rounding.
         model = smallsig_ctx.model
-        u = lifted_reference_step(model, "a", 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
+        u = lifted_reference_step(model, 10e3 * np.exp(1j * np.angle(smallsig_ctx.refs["a"])))
         dt = 0.09 / np.max(np.abs(smallsig_ctx.eig))
         last = envelope_response(model, u, t_end=1001 * dt, dt=dt).states[-1]
         x_end = envelope_final_state(model, u, t_end=1001 * dt, dt=dt)
@@ -314,47 +315,47 @@ class TestEnvelope:
 
     def test_lifted_step_slots(self, smallsig_ctx):
         model = smallsig_ctx.model
-        u = lifted_reference_step(model, "a", 10e3)
+        u = lifted_reference_step(model, 10e3)
         n = 2 * model.h + 1
-        col = 1  # v_ga_ref block
-        assert u[col * n + model.h + 1] == 5e3
-        assert u[col * n + model.h - 1] == 5e3
+        assert u[V_REF * n + model.h + 1] == 5e3
+        assert u[V_REF * n + model.h - 1] == 5e3
         assert np.count_nonzero(u) == 2
+
+    def test_lifted_step_needs_a_reference_input(self):
+        steady = assemble_steady(sec3_like(), open_loop_insertion_indices(0.5, 3), 3)
+        with pytest.raises(DimensionMismatchError, match="no voltage-reference input"):
+            lifted_reference_step(steady, 10e3)
 
     def test_reconstruct_zero(self, smallsig_ctx):
         model = smallsig_ctx.model
         env = envelope_response(model, zero_input(model), t_end=0.005, dt=1e-5)
-        series = reconstruct_perturbation(env, "i_c", "a")
+        series = reconstruct_perturbation(env, "i_c")
         assert np.max(np.abs(series)) == 0.0
 
     def test_reconstruct_dc_only_envelope(self):
         t = np.linspace(0.0, 0.01, 11)
         n = 7
-        states = np.zeros((11, 18 * n), dtype=complex)
+        states = np.zeros((11, 6 * n), dtype=complex)
         ramp = np.linspace(0.0, 2.0, 11)
         states[:, 0 * n + 3] = ramp  # dc slot of the first block
-        env = EnvelopeResponse(
-            t=t, states=states, h=3, omega1=W1, labels=SMALLSIG_STATE_LABELS
-        )
-        series = reconstruct_perturbation(env, "i_c", "a")
+        env = EnvelopeResponse(t=t, states=states, h=3, omega1=W1, phase="a")
+        series = reconstruct_perturbation(env, "i_c")
         assert np.allclose(series, ramp)
 
     def test_reconstruct_rejects_complex_envelope(self):
         t = np.linspace(0.0, 0.01, 5)
         n = 7
-        states = np.zeros((5, 18 * n), dtype=complex)
+        states = np.zeros((5, 6 * n), dtype=complex)
         states[:, 0 * n + 4] = 1.0  # k=+1 slot only: not a real signal
-        env = EnvelopeResponse(
-            t=t, states=states, h=3, omega1=W1, labels=SMALLSIG_STATE_LABELS
-        )
+        env = EnvelopeResponse(t=t, states=states, h=3, omega1=W1, phase="a")
         with pytest.raises(ResidualImaginaryError):
-            reconstruct_perturbation(env, "i_c", "a")
+            reconstruct_perturbation(env, "i_c")
 
     def test_reconstruct_unknown_variable(self, smallsig_ctx):
         model = smallsig_ctx.model
         env = envelope_response(model, zero_input(model), t_end=0.002, dt=1e-5)
         with pytest.raises(UnknownVariableError):
-            reconstruct_perturbation(env, "i_q", "a")
+            reconstruct_perturbation(env, "i_q")
 
 
 def zero_input(model):
@@ -396,7 +397,7 @@ def test_envelope_properties(small_model, dt, n_steps, magnitude, angle, scale):
     t_end = n_steps * dt
 
     def response(phasor, step=dt):
-        u = lifted_reference_step(model, "b", phasor)
+        u = lifted_reference_step(model, phasor)
         return envelope_response(model, u, t_end=t_end, dt=step)
 
     phasor = magnitude * np.exp(1j * angle)
@@ -415,8 +416,8 @@ def test_envelope_properties(small_model, dt, n_steps, magnitude, angle, scale):
     assert np.max(np.abs(combined - expected)) <= 1e-9 * np.max(np.abs(expected), initial=peak)
 
     # The envelopes describe a real signal.
-    for var in ("i_c", "v_cu", "i_g", "pr1"):
-        reconstruct_perturbation(env, var, "b")
+    for var in SMALLSIG_VARIABLES:
+        reconstruct_perturbation(env, var)
 
 
 def expm_error(a):
@@ -575,34 +576,25 @@ class TestFirstOrderConvergence:
             assert ratio >= 1.8
 
 
-def _previous_phase(label):
-    """Label of the same state one phase back: the block that relabelling
-    the phases a -> b -> c moves onto ``label``."""
-    prev = {"a": "c", "b": "a", "c": "b"}
-    if label.startswith("pr_"):
-        return f"pr_{prev[label[3]]}{label[4]}"
-    return label[:-1] + prev[label[-1]]
-
-
 def conjugate_defect(model):
     """Relative defect of J A J = conj(A), J the per-block harmonic flip."""
     A = model.A
     n = 2 * model.h + 1
-    flip = (np.arange(len(model.state_labels))[:, None] * n + np.arange(n)[::-1]).ravel()
+    flip = (np.arange(A.shape[0] // n)[:, None] * n + np.arange(n)[::-1]).ravel()
     return np.max(np.abs(A[np.ix_(flip, flip)] - np.conj(A))) / np.max(np.abs(A))
 
 
 def rotation_defect(model):
     """Relative defect of the 120-degree rotation of a three-phase lifted A:
     P A P^T = D A D*, P the relabelling a -> b -> c of the state blocks and
-    D = I kron diag(exp(+j k 2 pi / 3))."""
+    D = I kron diag(exp(+j k 2 pi / 3)). Block 3 v + p is leg variable v of
+    phase p, so P moves block 3 v + (p - 1) mod 3 onto it."""
     A = model.A
     n = 2 * model.h + 1
-    labels = model.state_labels
-    rotation = (
-        np.array([labels.index(_previous_phase(lbl)) for lbl in labels])[:, None] * n + np.arange(n)
-    ).ravel()
-    d = np.tile(np.exp(2j * np.pi / 3 * np.arange(-model.h, model.h + 1)), len(labels))
+    blocks = np.arange(A.shape[0] // n)
+    previous = blocks - blocks % 3 + (blocks - 1) % 3
+    rotation = (previous[:, None] * n + np.arange(n)).ravel()
+    d = np.tile(np.exp(2j * np.pi / 3 * np.arange(-model.h, model.h + 1)), blocks.size)
     return np.max(np.abs(A[np.ix_(rotation, rotation)] - d[:, None] * A * np.conj(d))) / np.max(np.abs(A))
 
 
@@ -659,13 +651,14 @@ def _model_from_samples(preset, perturb, h=3):
 
 
 def assert_same_spectrum(preset, m=None, h=None, x_over_r=0.0):
-    """``eigenvalues`` (phase a's half-wave blocks) against the dense
-    eigenvalues of the three-phase reference, matched one to one."""
+    """``eigenvalues`` (phase a's half-wave blocks), each taken three
+    times, once per phase, against the dense eigenvalues of the three-phase
+    reference, matched one to one."""
     from scipy.optimize import linear_sum_assignment
 
     cfg = _preset_cfg(preset, m, h, x_over_r)
     op = solve_operating_point(cfg)
-    blocks = eigenvalues(assemble_smallsignal(op, cfg.params, cfg.ctrl, cfg.h))
+    blocks = np.tile(eigenvalues(assemble_smallsignal(op, cfg.params, cfg.ctrl, cfg.h)), len(PHASES))
     dense = scipy.linalg.eigvals(dense_smallsignal(op, cfg.params, cfg.ctrl, cfg.h).A)
     assert blocks.shape == dense.shape
     rows, cols = linear_sum_assignment(np.abs(blocks[:, None] - dense[None, :]))
@@ -697,19 +690,45 @@ def test_envelope_of_each_phase_matches_the_three_phase_reference(smallsig_ctx, 
     # A step on one phase, propagated on that phase's rotation of phase a's
     # model and on the three-phase reference, over 5 periods at 400 steps
     # per period; the reference's other phases stay at rest.
-    ctx = smallsig_ctx
+    env, ref = _envelopes_on_leg_and_reference(smallsig_ctx, phase)
+    peak = np.max(np.abs(ref.states))
+    for variable in SMALLSIG_VARIABLES:
+        for other in PHASES:
+            expected = dense_block(ref.states, variable, other, ref.h)
+            actual = env.block(variable) if other == phase else 0.0
+            assert np.max(np.abs(actual - expected)) <= 1e-10 * peak
+
+
+def _envelopes_on_leg_and_reference(ctx, phase):
+    """The envelopes of a 10 kV step on ``phase``'s reference over 5 periods
+    at 400 steps per period, on that phase's model and on the three-phase
+    reference, whose input block 1 + p is phase p's reference."""
     cfg = ctx.cfg
     model = ctx.model.for_phase(phase)
     dense = dense_smallsignal(ctx.op, cfg.params, cfg.ctrl, cfg.h)
     delta = 10e3 * np.exp(1j * np.angle(ctx.refs[phase]))
+    u = lifted_reference_step(model, delta)
+    n = 2 * cfg.h + 1
+    u_dense = np.zeros(dense.B.shape[1], dtype=complex)
+    p = PHASES.index(phase)
+    u_dense[(1 + p) * n : (2 + p) * n] = u[V_REF * n : (V_REF + 1) * n]
     dt = cfg.params.period / 400
-    env = envelope_response(model, lifted_reference_step(model, phase, delta), t_end=2000 * dt, dt=dt)
-    ref = envelope_response(dense, lifted_reference_step(dense, phase, delta), t_end=2000 * dt, dt=dt)
-    peak = np.max(np.abs(ref.states))
-    for label in dense.state_labels:
-        expected = ref.block(label)
-        actual = env.block(label) if label in model.state_labels else 0.0
-        assert np.max(np.abs(actual - expected)) <= 1e-10 * peak
+    return (
+        envelope_response(model, u, t_end=2000 * dt, dt=dt),
+        envelope_response(dense, u_dense, t_end=2000 * dt, dt=dt),
+    )
+
+
+def test_reconstruction_of_every_leg_variable_matches_the_three_phase_reference(smallsig_ctx):
+    # Every leg variable, the PR states too, read by name from phase b's
+    # envelopes, against the same variable's block of the reference.
+    env, ref = _envelopes_on_leg_and_reference(smallsig_ctx, "b")
+    k = np.arange(-ref.h, ref.h + 1)
+    rotating = np.exp(1j * np.outer(ref.t, k) * ref.omega1)
+    for variable in SMALLSIG_VARIABLES:
+        expected = np.sum(dense_block(ref.states, variable, "b", ref.h) * rotating, axis=1).real
+        actual = reconstruct_perturbation(env, variable)
+        assert np.max(np.abs(actual - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 class TestPhaseBalanceGate:
@@ -807,7 +826,7 @@ def centred_abscissa(model):
     eigenvector has its harmonic centre of mass within half a harmonic of
     k = 0: one copy of each Floquet exponent."""
     eig, vectors = np.linalg.eig(model.A)
-    weight = np.abs(vectors.reshape(len(model.state_labels), 2 * model.h + 1, -1)) ** 2
+    weight = np.abs(vectors.reshape(-1, 2 * model.h + 1, vectors.shape[1])) ** 2
     k = np.arange(-model.h, model.h + 1)[None, :, None]
     centre = np.sum(k * weight, axis=(0, 1)) / np.sum(weight, axis=(0, 1))
     return float(np.max(eig.real[np.abs(centre) < 0.5]))
