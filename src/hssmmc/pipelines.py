@@ -57,6 +57,7 @@ from .steady import (
     dc_input_vector,
     solve_steady_state,
 )
+from .workers import fork_map, shared_empty
 
 # Verification gates.
 DOMINANT_REL_TOL = 0.02        # lifted vs simulated dominant components
@@ -189,11 +190,9 @@ def run_simulate_closed(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     op = solve_operating_point(cfg)
     refs = references_from_operating_point(op, cfg.params)
     n_end = cfg.sim.n_steps()
-    if cfg.step is None:
-        traj = simulate_closed_loop(cfg.params, cfg.ctrl, refs, cfg.sim.steps_per_period, n_end)
-    else:
-        # A step at or after the end of the run leaves the whole run before it.
-        traj = reference_step_run(cfg, refs, min(step_grid_index(cfg), n_end), n_end)
+    # No step, or one at or after the end of the run, leaves the whole run before it.
+    n_step = n_end if cfg.step is None else min(step_grid_index(cfg), n_end)
+    traj = reference_step_run(cfg, refs, n_step, n_end)
     write_trajectory_csv(out / "trajectory.csv", traj, SMALLSIG_STATE_LABELS, timestamp)
     checks = [("completed", True, f"{traj.t.size - 1} steps")]
     write_report(out / "report.txt", "closed-loop simulation", checks, timestamp)
@@ -225,16 +224,40 @@ def reference_step_run(
     """The closed-loop transient over grid points 0..n_end that
     ``simulate-closed`` exports: a run from the cold start to grid point
     ``n_step`` with ``refs``, continued from its final state with
-    ``stepped_references``. The step is active from the first interval that
-    starts at its grid point, as the lifted envelope's input is, and both
-    runs lie on the ``cfg.sim`` grid, so the join is a concatenation."""
+    ``stepped_references``, or with ``refs`` when ``cfg`` has no step. The
+    step is active from the first interval that starts at its grid point,
+    as the lifted envelope's input is, and both runs lie on the ``cfg.sim``
+    grid, so the join is a concatenation.
+
+    The legs share only the constant dc bus, and one leg's run is that
+    leg's columns of the three-leg run, bit for bit. So each leg's two runs
+    are one item of ``workers.fork_map``: legs b and c run in forked
+    workers while this process runs leg a, on Linux with more than one
+    usable CPU in a single-threaded process (for example one whose BLAS
+    runs with OPENBLAS_NUM_THREADS=1), and all three run here in turn
+    elsewhere. Each writes its columns of one shared array, and the
+    trajectory is the same doubles either way. Every leg's run is split at
+    ``n_step``, as the three-leg run is: t = n0·dt + n·dt rounds with n0,
+    so a run straight through that grid point differs in the last digits.
+    A leg that fails raises its error here, the first failing leg in
+    ``PHASES`` order.
+    """
     spp = cfg.sim.steps_per_period
-    pre = simulate_closed_loop(cfg.params, cfg.ctrl, refs, spp, n_step)
-    after = simulate_closed_loop(
-        cfg.params, cfg.ctrl, stepped_references(refs, cfg.step, cfg.step.amplitude),
-        spp, n_end - n_step, x0=pre.states[-1], n0=n_step,
-    )
-    return Trajectory(pre.dt, spp, 0, np.concatenate([pre.states[:-1], after.states]))
+    stepped = refs if cfg.step is None else stepped_references(refs, cfg.step, cfg.step.amplitude)
+    states = shared_empty((n_end + 1, 6 * len(PHASES)))
+
+    def leg_transient(leg: int):
+        phase = PHASES[leg]
+        pre = simulate_closed_loop(cfg.params, cfg.ctrl, {phase: refs[phase]}, spp, n_step)
+        after = simulate_closed_loop(
+            cfg.params, cfg.ctrl, {phase: stepped[phase]},
+            spp, n_end - n_step, x0=pre.states[-1], n0=n_step,
+        )
+        states[: n_step + 1, leg :: len(PHASES)] = pre.states
+        states[n_step:, leg :: len(PHASES)] = after.states
+
+    fork_map(leg_transient, range(len(PHASES)))
+    return Trajectory(cfg.params.period / spp, spp, 0, states)
 
 
 # ----------------------------------------------------------- verify-steady

@@ -218,7 +218,10 @@ def phase_rotation(h: int, phase: str) -> np.ndarray:
     """Weights d_k, k = -h..h, that turn phase a's harmonic k into
     ``phase``'s: phase b is phase a delayed by T/3, d_k = exp(-j 2 pi k / 3),
     phase c advanced by T/3, the conjugate, and phase a's weights are 1. The
-    exponent is reduced mod 3, so that the weights are exact at every k."""
+    exponent is reduced mod 3, so that the weights are exact at every k.
+    Any other ``phase`` raises UnknownVariableError."""
+    if phase not in PHASES:
+        raise UnknownVariableError(f"no phase {phase!r}; the phases are {PHASES}")
     d = np.exp(-2j * np.pi * (np.arange(-h, h + 1) % 3) / 3)
     return {"a": np.ones_like(d), "b": d, "c": d.conj()}[phase]
 
@@ -262,7 +265,7 @@ def lift_phase_samples(samples, h, omega1) -> LiftedModel:
 @dataclass(frozen=True)
 class LiftedModel:
     """Lifted LTI model dX/dt = A X + B U of the leg of ``phase`` over
-    harmonics k = -h..h; ``for_phase`` turns phase a's into phase b's or c's.
+    harmonics k = -h..h; ``for_phase`` turns it into another phase's.
 
     Block v of X holds the 2h+1 coefficients of leg variable v, in
     ``smallsignal.SMALLSIG_VARIABLES`` order: a steady model has the first
@@ -278,10 +281,15 @@ class LiftedModel:
     phase: str
 
     def for_phase(self, phase: str) -> LiftedModel:
-        """The model of ``phase``'s leg from phase a's, A_p = D A D^H and
-        B_p = D B D^H with D = diag(d_k) over (block, k), d_k of
-        ``phase_rotation``."""
-        d = phase_rotation(self.h, phase)
+        """The model of ``phase``'s leg from this one's, A_p = D A D^H and
+        B_p = D B D^H with D = diag(d_k) over (block, k): d_k is
+        ``phase_rotation``'s weight for ``phase`` times the conjugate of the
+        weight for this model's ``phase``, which undoes that rotation. From
+        phase a, d_k is the first weight exactly. A model whose
+        ``phase`` is None, or any other than ``PHASES`` holds, raises
+        UnknownVariableError, as ``phase_rotation`` does.
+        """
+        d = phase_rotation(self.h, phase) * phase_rotation(self.h, self.phase).conj()
         rows = np.tile(d, self.A.shape[0] // d.size)[:, None]
         cols = np.tile(d.conj(), self.B.shape[1] // d.size)
         return LiftedModel(

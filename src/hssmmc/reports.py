@@ -8,14 +8,20 @@ line with the generation timestamp precedes the header.
 from __future__ import annotations
 
 import datetime
+import shutil
 from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .simulate import Trajectory
 
 SPECTRUM_COLUMNS = ("k", "real", "imag", "magnitude", "phase_deg")
 WAVEFORM_COLUMNS = ("t", "value_hss", "value_sim", "abs_error")
+
+# trajectory.csv is formatted in at most this many row ranges at once. Two
+# were timed, on 2 vCPUs; whether more pay for their forks is unmeasured.
+TRAJECTORY_ROW_RANGES = 2
 
 
 def _fmt(value) -> str:
@@ -65,12 +71,43 @@ def write_waveform_csv(path: Path, t, value_hss, value_sim, timestamp: bool) -> 
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, labels, timestamp: bool) -> None:
-    """``labels`` names the state columns, in ``traj.states`` order."""
+    """``labels`` names the state columns, in ``traj.states`` order.
+
+    The rows are formatted in ``TRAJECTORY_ROW_RANGES`` contiguous ranges
+    where more than one CPU is usable (``workers.usable_cpus``), each after
+    the first by a forked worker (``workers.fork_map``) into a part file
+    beside ``path``, and in one range elsewhere. The parts are
+    appended in order and removed, also on failure, so the file is the same
+    bytes however many ranges it was written in. Workers run on Linux with
+    more than one usable CPU in a single-threaded process, for example one
+    whose BLAS runs with OPENBLAS_NUM_THREADS=1.
+    """
     # One %-format per row, as format(v, ".12g") writes each value. Rows
     # read time and states in place; stacking them would copy the run.
     line = ",".join(["%.12g"] * (1 + traj.states.shape[1])) + "\n"
-    lines = (line % (float(t), *x.tolist()) for t, x in zip(traj.t, traj.states))
-    _write_lines(path, ("time", *labels), lines, timestamp)
+    n, ranges = traj.t.size, min(workers.usable_cpus(), TRAJECTORY_ROW_RANGES)
+    bounds = [n * i // ranges for i in range(ranges + 1)]
+    parts = [path.with_name(f"{path.name}.part{i}") for i in range(1, ranges)]
+
+    def write_range(i: int):
+        rows = slice(bounds[i], bounds[i + 1])
+        lines = (line % (float(t), *x.tolist()) for t, x in zip(traj.t[rows], traj.states[rows]))
+        if i == 0:
+            _write_lines(path, ("time", *labels), lines, timestamp)
+        else:
+            with parts[i - 1].open("w", encoding="utf-8", newline="\n") as f:
+                f.writelines(lines)
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        workers.fork_map(write_range, range(ranges))
+        with path.open("ab") as f:
+            for part in parts:
+                with part.open("rb") as src:
+                    shutil.copyfileobj(src, f)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def write_eigenvalue_csv(path: Path, eig: np.ndarray, timestamp: bool) -> None:

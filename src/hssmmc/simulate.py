@@ -34,10 +34,16 @@ so its steps are exact affine maps, and a transient
 phase leg at a time (``_closed_loop_floats``), and is shot by Newton
 (``settled_closed_loop``) with the exact derivative of each run's RK4 map
 (``_tangent_map``). The legs share only the constant dc bus, so a
-closed-loop run covers the legs whose reference phasors it is given: all
-three for an exported transient, or the stepped phase's leg alone for the
-small-signal check, which reads nothing else. A reference step joins two
-runs (``pipelines.reference_step_run``).
+closed-loop run covers the legs whose reference phasors it is given, and
+one leg's run is the same doubles whichever legs run with it. The library
+runs all three legs in one run, the small-signal check the stepped phase's
+leg alone, since it reads nothing else, and the exported transient one
+leg per call (``pipelines.reference_step_run``), where a reference step
+joins two runs. That transient runs legs b and c in forked workers
+(``workers.fork_map``) on Linux with more than one usable CPU in a
+single-threaded process, for example one whose BLAS runs with
+OPENBLAS_NUM_THREADS=1, and its export is byte-identical either way. This
+module itself forks nothing.
 """
 
 from __future__ import annotations
@@ -423,6 +429,11 @@ def simulate_closed_loop(
     on Python floats (``_closed_loop_floats``); the default start is the
     cold start, the capacitor sums at the dc-bus voltage
     (``default_initial_state``) and every current and controller state zero.
+    The run stays in the calling process. ``simulate-closed`` instead runs
+    each leg as one call of its own (``pipelines.reference_step_run``), in
+    forked workers on Linux with more than one usable CPU in a
+    single-threaded process, for example with OPENBLAS_NUM_THREADS=1; its
+    trajectory is the same doubles either way.
 
     Raises ValueError when ``x0`` is not one real vector of 6 states per leg.
     """

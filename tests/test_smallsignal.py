@@ -1,5 +1,7 @@
 """Closed-loop linearization: gain vectors, lifted assembly, envelopes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -182,6 +184,23 @@ class TestAssembly:
         assert model.B.shape == (6 * 7, 2 * 7)
         assert model.phase == "a"
         assert model.for_phase("c").phase == "c"
+
+    def test_for_phase_rotates_from_the_model_own_phase(self, sec3_op, sec3_params, sec3_cfg):
+        # Rotating phase b's model lands on the phase's own model, not on
+        # phase a's rotated twice. Tolerance: 1e-12 of max|A|.
+        model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, sec3_cfg.h)
+        tol = 1e-12 * np.max(np.abs(model.A))
+        b = model.for_phase("b")
+        assert np.max(np.abs(b.for_phase("c").A - model.for_phase("c").A)) <= tol
+        assert np.max(np.abs(b.for_phase("a").A - model.A)) <= tol
+        assert np.max(np.abs(b.for_phase("b").A - b.A)) <= tol
+
+    def test_for_phase_without_a_phase_is_an_unknown_variable_error(self, sec3_op, sec3_params, sec3_cfg):
+        model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
+        with pytest.raises(UnknownVariableError):
+            dataclasses.replace(model, phase=None).for_phase("b")
+        with pytest.raises(UnknownVariableError):
+            model.for_phase("d")
 
     def test_pr_integrator_chain_blocks(self, sec3_op, sec3_params, sec3_cfg):
         model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
