@@ -66,6 +66,7 @@ SMALLSIG_NRMSE_TOL = 0.10      # perturbation reconstruction vs nonlinear
 ENERGY_BALANCE_TOL = 0.01      # dc input vs dissipation
 ODD_HARMONIC_RATIO = 10.0      # circulating dc/2nd over odd components
 HIGH_HARMONIC_FRACTION = 0.2   # capacitor 4th-and-above vs 3rd
+LOW_HARMONICS = ("dc", "1st", "2nd", "3rd")  # each above 1e-6 of the peak
 AC_CURRENT_THD_MAX = 0.01
 
 # Analysis order used for the spectral-content claims.
@@ -229,18 +230,17 @@ def reference_step_run(
     as the lifted envelope's input is, and both runs lie on the ``cfg.sim``
     grid, so the join is a concatenation.
 
-    The legs share only the constant dc bus, and one leg's run is that
-    leg's columns of the three-leg run, bit for bit. So each leg's two runs
-    are one item of ``workers.fork_map``: legs b and c run in forked
-    workers while this process runs leg a, on Linux with more than one
-    usable CPU in a single-threaded process (for example one whose BLAS
-    runs with OPENBLAS_NUM_THREADS=1), and all three run here in turn
-    elsewhere. Each writes its columns of one shared array, and the
-    trajectory is the same doubles either way. Every leg's run is split at
-    ``n_step``, as the three-leg run is: t = n0·dt + n·dt rounds with n0,
-    so a run straight through that grid point differs in the last digits.
-    A leg that fails raises its error here, the first failing leg in
-    ``PHASES`` order.
+    The legs share only the constant dc bus, so each phase's leg runs on
+    its own (``simulate_closed_loop``), and its two runs are one item of
+    ``workers.fork_map``: legs b and c run in forked workers while this
+    process runs leg a, on Linux with more than one usable CPU in a
+    single-threaded process (for example one whose BLAS runs with
+    OPENBLAS_NUM_THREADS=1), and all three run here in turn elsewhere. Each
+    writes its columns of one shared array, and the trajectory is the same
+    doubles either way. Every leg's run is split at ``n_step``: t = n0·dt +
+    n·dt rounds with n0, so a run straight through that grid point differs
+    in the last digits. A leg that fails raises its error here, the first
+    failing leg in ``PHASES`` order.
     """
     spp = cfg.sim.steps_per_period
     stepped = refs if cfg.step is None else stepped_references(refs, cfg.step, cfg.step.amplitude)
@@ -248,9 +248,9 @@ def reference_step_run(
 
     def leg_transient(leg: int):
         phase = PHASES[leg]
-        pre = simulate_closed_loop(cfg.params, cfg.ctrl, {phase: refs[phase]}, spp, n_step)
+        pre = simulate_closed_loop(cfg.params, cfg.ctrl, phase, refs[phase], spp, n_step)
         after = simulate_closed_loop(
-            cfg.params, cfg.ctrl, {phase: stepped[phase]},
+            cfg.params, cfg.ctrl, phase, stepped[phase],
             spp, n_end - n_step, x0=pre.states[-1], n0=n_step,
         )
         states[: n_step + 1, leg :: len(PHASES)] = pre.states
@@ -336,14 +336,16 @@ def spectral_content_checks(traj: Trajectory, cfg: RunConfig) -> list[tuple[str,
         for p in PHASES:
             vc = np.abs(settled_spectrum(traj, var, p, h, w1)[h:])
             floor = 1e-6 * vc.max()
-            low_ok = all(vc[:4] > floor)
+            under = [f"{name} {v:.4g} V" for name, v in zip(LOW_HARMONICS, vc) if not v > floor]
             high = vc[4:].max()
-            high_ok = high < HIGH_HARMONIC_FRACTION * vc[3]
+            limit = HIGH_HARMONIC_FRACTION * vc[3]
             checks.append(
                 (
                     f"capacitor harmonic content {var} {p}",
-                    low_ok and high_ok,
-                    f"4th+ max {high:.4g} V vs {HIGH_HARMONIC_FRACTION:.0%} of 3rd {vc[3]:.4g} V",
+                    not under and high < limit,
+                    f"4th+ max {high:.4g} V vs {HIGH_HARMONIC_FRACTION:.0%} of 3rd = {limit:.4g} V; "
+                    f"{', '.join(under) + ' under' if under else 'dc to 3rd above'} "
+                    f"the floor {floor:.4g} V",
                 )
             )
     for p in PHASES:
@@ -382,8 +384,7 @@ class SmallsigContext:
     periodic orbit at the step's grid point once; individual step amplitudes
     reuse them. The comparison reads the stepped phase alone, and the phase
     legs share only the constant dc bus, so the orbit and the stepped runs
-    cover that phase's leg alone (``leg_refs``): its numbers are those of
-    the three-leg run. The orbit comes from Newton shooting
+    cover that phase's leg alone. The orbit comes from Newton shooting
     (``settled_closed_loop``) started from the stepped leg of the operating
     point with its controller states at the step instant, and is found on
     first use, so an unstable model is reported without it. Repeated, it is
@@ -399,7 +400,6 @@ class SmallsigContext:
         self.cfg = cfg
         self.op, self.model = build_smallsignal_model(cfg)
         self.refs = references_from_operating_point(self.op, cfg.params)
-        self.leg_refs = {cfg.step.phase: self.refs[cfg.step.phase]}
         self.eig = eigenvalues(self.model)
         self.spp = cfg.sim.steps_per_period
         self.dt = cfg.params.period / self.spp
@@ -412,8 +412,11 @@ class SmallsigContext:
         one period from the step's grid point."""
         cfg = self.cfg
         guess = operating_state_at(self.op, cfg.params, cfg.ctrl, self.refs, self.n_step * self.dt)
-        leg = guess.reshape(-1, len(PHASES))[:, PHASES.index(cfg.step.phase)]
-        return settled_closed_loop(cfg.params, cfg.ctrl, self.leg_refs, self.spp, self.n_step, leg)
+        phase = cfg.step.phase
+        leg = guess.reshape(-1, len(PHASES))[:, PHASES.index(phase)]
+        return settled_closed_loop(
+            cfg.params, cfg.ctrl, phase, self.refs[phase], self.spp, self.n_step, leg
+        )
 
     def compare(self, amplitude: float) -> SmallsigComparison:
         """The stepped leg's run from the orbit's state at the step against
@@ -423,12 +426,12 @@ class SmallsigContext:
         cfg = self.cfg
         phase = cfg.step.phase
         orbit = self.orbit.trajectory
+        delta = step_delta(self.refs, cfg.step, amplitude)
         stepped = simulate_closed_loop(
-            cfg.params, cfg.ctrl, stepped_references(self.leg_refs, cfg.step, amplitude),
+            cfg.params, cfg.ctrl, phase, self.refs[phase] + delta,
             self.spp, self.window_steps, x0=orbit.states[0], n0=self.n_step,
         )
         t_step = self.n_step * self.dt
-        delta = step_delta(self.refs, cfg.step, amplitude)
         model = self.model.for_phase(phase)
         env = envelope_response(
             model,

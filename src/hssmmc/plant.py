@@ -214,14 +214,19 @@ def complex_step_jacobian(f, args, wrt) -> np.ndarray:
     return d / np.stack(np.broadcast_arrays(*steps), axis=-1)[..., None, :]
 
 
+def check_phase(phase: str):
+    """Raise UnknownVariableError for a phase outside ``PHASES``."""
+    if phase not in PHASES:
+        raise UnknownVariableError(f"no phase {phase!r}; the phases are {PHASES}")
+
+
 def phase_rotation(h: int, phase: str) -> np.ndarray:
     """Weights d_k, k = -h..h, that turn phase a's harmonic k into
     ``phase``'s: phase b is phase a delayed by T/3, d_k = exp(-j 2 pi k / 3),
     phase c advanced by T/3, the conjugate, and phase a's weights are 1. The
     exponent is reduced mod 3, so that the weights are exact at every k.
     Any other ``phase`` raises UnknownVariableError."""
-    if phase not in PHASES:
-        raise UnknownVariableError(f"no phase {phase!r}; the phases are {PHASES}")
+    check_phase(phase)
     d = np.exp(-2j * np.pi * (np.arange(-h, h + 1) % 3) / 3)
     return {"a": np.ones_like(d), "b": d, "c": d.conj()}[phase]
 

@@ -15,34 +15,32 @@ point and window is a whole number of those steps. Every run is a
 ``Trajectory``: one state array on the grid t = (n0 + i)·dt, so runs that
 continue one another lie on one grid and join by concatenation.
 
-Every state vector is variable-major with the phase fastest (``plant``),
-so phase p's leg is column p of ``x.reshape(-1, 3)``, and of a run of L
-legs column p of ``x.reshape(-1, L)``. Both loops commute with the
-half-wave operator H, one signed permutation per leg
-(``LEG_HALF_WAVE_OPERATOR``, from ``LEG_HALF_WAVE``: half a period on,
-arms swapped, ac quantities negated), so both shoot
-(Aprille & Trick 1972) on the half-wave map G = H F_half, F_half the RK4
-map over half a period, and the second half of a period is H applied to
-the first; ``steps_per_period`` is even so that T/2 is a grid point.
-Stage Jacobians by complex step (Squire & Trapp 1998), many steps per
-array call as for the lifted models, give each step's RK4 matrix
-(``_rk4_step_maps``). The open loop is linear at fixed insertion indices,
-so its steps are exact affine maps, and a transient
+An open-loop state vector is variable-major with the phase fastest
+(``plant``), so phase p's leg is column p of ``x.reshape(-1, 3)``. The
+phase legs share only the constant dc bus, so a closed-loop run is one
+phase leg: its six variables in ``SMALLSIG_VARIABLES`` order, driven by
+that phase's reference phasor. Both loops commute with the half-wave
+operator H, one signed permutation per leg (``LEG_HALF_WAVE_OPERATOR``,
+from ``LEG_HALF_WAVE``: half a period on, arms swapped, ac quantities
+negated), so both shoot (Aprille & Trick 1972) on the half-wave map
+G = H F_half, F_half the RK4 map over half a period, and the second half
+of a period is H applied to the first; ``steps_per_period`` is even so
+that T/2 is a grid point. Stage Jacobians by complex step (Squire & Trapp
+1998), many steps per array call as for the lifted models, give each
+step's RK4 matrix (``_rk4_step_maps``). The open loop is linear at fixed
+insertion indices, so its steps are exact affine maps, and a transient
 (``simulate_open_loop``) or the periodic orbit at G's fixed point
 (``settled_open_loop``) is composed from the maps of half a period
-(``_open_loop_periods``). The closed loop runs on Python floats, one
-phase leg at a time (``_closed_loop_floats``), and is shot by Newton
-(``settled_closed_loop``) with the exact derivative of each run's RK4 map
-(``_tangent_map``). The legs share only the constant dc bus, so a
-closed-loop run covers the legs whose reference phasors it is given, and
-one leg's run is the same doubles whichever legs run with it. The library
-runs all three legs in one run, the small-signal check the stepped phase's
-leg alone, since it reads nothing else, and the exported transient one
-leg per call (``pipelines.reference_step_run``), where a reference step
-joins two runs. That transient runs legs b and c in forked workers
+(``_open_loop_periods``). The closed loop runs on Python floats
+(``_closed_loop_floats``) and is shot by Newton (``settled_closed_loop``)
+with the exact derivative of each run's RK4 map (``_tangent_map``). The
+small-signal check runs the stepped phase's leg alone, since it reads
+nothing else. The exported three-phase transient
+(``pipelines.reference_step_run``) runs each phase's leg on its own and
+places it in that phase's columns, with legs b and c in forked workers
 (``workers.fork_map``) on Linux with more than one usable CPU in a
 single-threaded process, for example one whose BLAS runs with
-OPENBLAS_NUM_THREADS=1, and its export is byte-identical either way. This
+OPENBLAS_NUM_THREADS=1; its export is byte-identical either way. This
 module itself forks nothing.
 """
 
@@ -66,6 +64,7 @@ from .plant import (
     PHASE_SHIFT,
     MmcParameters,
     check_modulation_index,
+    check_phase,
     complex_step_jacobian,
     plant_phase_equations,
     state_position,
@@ -123,11 +122,12 @@ class Trajectory:
     t = (n0 + i)·dt, on a grid of ``steps_per_period`` steps per
     fundamental period.
 
-    ``states`` is (n, 12) in ``STATE_LABELS`` order for an open-loop run and
-    (n, 18) in ``SMALLSIG_STATE_LABELS`` order, the plant states followed by
-    the PR controller states, for a closed-loop run. A closed-loop run of
-    fewer legs holds the same variables of the legs ``phases`` only,
-    variable-major in ``PHASES`` order, (n, 6 L) for L legs.
+    ``states`` is (n, 12) in ``STATE_LABELS`` order for an open-loop run,
+    and (n, 6) for a closed-loop run, the six variables of the leg of
+    ``phases[0]`` in ``SMALLSIG_VARIABLES`` order. The exported three-phase
+    transient (``pipelines.reference_step_run``) is (n, 18) in
+    ``SMALLSIG_STATE_LABELS`` order, the plant states followed by the PR
+    controller states.
     """
 
     dt: float
@@ -175,7 +175,6 @@ def default_initial_state(params: MmcParameters) -> np.ndarray:
 # references that are pure fundamentals, v*(t + T/2) = -v*(t), so a
 # closed-loop run started at H x half a period on is H applied to the run
 # started at x; an open-loop run does the same under the 4 x 4 plant block.
-# On the 6 L variable-major states of L legs, H is kron(H_leg, I_L).
 LEG_HALF_WAVE_OPERATOR = np.array(
     [[sign * (j == image) for j in range(len(LEG_HALF_WAVE))] for image, sign in LEG_HALF_WAVE],
     dtype=float,
@@ -301,25 +300,16 @@ def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, f
     return x.reshape(p, n), multiplier
 
 
-def _leg_references(refs: dict[str, complex]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The phases ``refs`` names, in ``PHASES`` order, and their reference
-    phasors (L,): the legs of a closed-loop run."""
-    phases = tuple(p for p in PHASES if p in refs)
-    return phases, np.array([refs[p] for p in phases], dtype=complex)
+def _closed_loop_floats(params, ctrl, ref, steps_per_period, n_steps, x0, n0) -> np.ndarray:
+    """Closed-loop RK4 states of one phase leg at grid points n0 .. n0 +
+    n_steps from its six real states ``x0``, with its reference phasor
+    ``ref``.
 
-
-def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -> np.ndarray:
-    """Closed-loop RK4 states at grid points n0 .. n0 + n_steps from one
-    real vector ``x0`` of L legs' 6 L states, with the legs' reference
-    phasors ``amps`` (L,).
-
-    The run is on Python floats: the legs share only the constant dc bus,
-    and numpy's cost per call on slices of a few elements would be most of a
-    step. Between the blow-up checks (``_check_blowup``), once per period of steps
-    and at the end, each leg advances on its own, a segment of steps at a
-    time (``_float_segments``); the legs share the cosines and sines at the
-    stage times, so a leg's run is the same doubles whichever legs run with
-    it. A zero di_g denominator raises NumericalBlowupError naming its step.
+    The run is on Python floats: numpy's cost per call on a leg's six
+    states would be most of a step. The state is checked for blow-up
+    (``_check_blowup``) once per period of steps and at the end, and a
+    period's rows are stored together. A zero di_g denominator raises
+    NumericalBlowupError naming its step.
     """
     spp = steps_per_period
     dt = params.period / spp
@@ -329,57 +319,34 @@ def _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0) -
     t0 = n0 * dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    out = np.empty((n_steps + 1, x0.size))
+    re, im = float(ref.real), float(ref.imag)
+    out = np.empty((n_steps + 1, 6))
     out[0] = x0
-    legs = amps.size
-    states = [tuple(leg) for leg in out[0].reshape(-1, legs).T.tolist()]
-    refs = list(zip(amps.real.tolist(), amps.imag.tolist()))
-    for start, stop in _float_segments(n_steps, spp):
-        if start % spp == 0:
-            _check_blowup(out[start][None], scale, n0 + start, dt, spp)
-        cos_sin = []
-        for n in range(start, stop):
-            t = t0 + n * dt
-            cos_sin.append((
-                math.cos(w1 * t), math.sin(w1 * t),
-                math.cos(w1 * (t + half)), math.sin(w1 * (t + half)),
-                math.cos(w1 * (t + dt)), math.sin(w1 * (t + dt)),
-            ))
-        for p, (re, im) in enumerate(refs):
-            rows = []
-            x = states[p]
-            try:
-                for c1, s1, c2, s2, c4, s4 in cos_sin:
-                    x = _phase_rk4_step(
-                        derivatives, x, re * c1 - im * s1, re * c2 - im * s2, re * c4 - im * s4,
-                        half, dt, sixth,
-                    )
-                    rows += x
-            except ZeroDivisionError:
-                step = n0 + start + len(rows) // len(x)
-                raise NumericalBlowupError(
-                    f"the di_g denominator L + 2 L_load - (k_f - K_p) L_load sigma is zero "
-                    f"at step {step} (period {step // spp}, t = {step * dt:.6g} s)"
-                ) from None
-            states[p] = x
-            out[start + 1 : stop + 1, p::legs] = np.array(rows).reshape(-1, len(x))
+    x = tuple(out[0].tolist())
+    for start in range(0, n_steps, spp):
+        _check_blowup(out[start][None], scale, n0 + start, dt, spp)
+        stop = min(start + spp, n_steps)
+        rows = []
+        try:
+            for n in range(start, stop):
+                t = t0 + n * dt
+                x = _phase_rk4_step(
+                    derivatives, x,
+                    re * math.cos(w1 * t) - im * math.sin(w1 * t),
+                    re * math.cos(w1 * (t + half)) - im * math.sin(w1 * (t + half)),
+                    re * math.cos(w1 * (t + dt)) - im * math.sin(w1 * (t + dt)),
+                    half, dt, sixth,
+                )
+                rows += x
+        except ZeroDivisionError:
+            step = n0 + start + len(rows) // 6
+            raise NumericalBlowupError(
+                f"the di_g denominator L + 2 L_load - (k_f - K_p) L_load sigma is zero "
+                f"at step {step} (period {step // spp}, t = {step * dt:.6g} s)"
+            ) from None
+        out[start + 1 : stop + 1] = np.array(rows).reshape(-1, 6)
     _check_blowup(out[n_steps][None], scale, n0 + n_steps, dt, spp)
     return out
-
-
-# A float run advances each leg over at most this many steps before the
-# next leg, which keeps its lists of Python floats small.
-_FLOAT_SEGMENT_STEPS = 250
-
-
-def _float_segments(n_steps: int, spp: int):
-    """(start, stop) of the step segments of a float run: none longer than
-    ``_FLOAT_SEGMENT_STEPS``, and none across a multiple of ``spp``, where
-    the blow-up check comes."""
-    for period_start in range(0, n_steps, spp):
-        period_stop = min(period_start + spp, n_steps)
-        for start in range(period_start, period_stop, _FLOAT_SEGMENT_STEPS):
-            yield start, min(start + _FLOAT_SEGMENT_STEPS, period_stop)
 
 
 def _phase_rk4_step(f, x, v1, v2, v4, half, dt, sixth):
@@ -412,42 +379,35 @@ def _phase_rk4_step(f, x, v1, v2, v4, half, dt, sixth):
 def simulate_closed_loop(
     params: MmcParameters,
     ctrl: ControllerParams,
-    refs: dict[str, complex],
+    phase: str,
+    ref: complex,
     steps_per_period: int,
     n_steps: int,
     x0: np.ndarray | None = None,
     n0: int = 0,
 ) -> Trajectory:
-    """Integrate the closed-loop model with per-phase reference phasors.
+    """Integrate the closed-loop model of the leg of ``phase``.
 
-    ``refs[p]`` is the complex fundamental phasor of phase p's voltage
-    reference, v*(t) = Re(refs[p] * exp(j w1 t)), constant over the run.
-    The run covers the legs of the phases ``refs`` names
-    (``_leg_references``): all three, or one phase's leg alone, whose run is
-    that leg's columns of the three-leg run, bit for bit. It takes
-    ``n_steps`` steps of a ``steps_per_period`` grid from grid point ``n0``
-    on Python floats (``_closed_loop_floats``); the default start is the
-    cold start, the capacitor sums at the dc-bus voltage
-    (``default_initial_state``) and every current and controller state zero.
-    The run stays in the calling process. ``simulate-closed`` instead runs
-    each leg as one call of its own (``pipelines.reference_step_run``), in
-    forked workers on Linux with more than one usable CPU in a
-    single-threaded process, for example with OPENBLAS_NUM_THREADS=1; its
-    trajectory is the same doubles either way.
+    ``ref`` is the complex fundamental phasor of the leg's voltage
+    reference, v*(t) = Re(ref * exp(j w1 t)), constant over the run. The
+    run takes ``n_steps`` steps of a ``steps_per_period`` grid from grid
+    point ``n0`` on Python floats (``_closed_loop_floats``); the default
+    start is the cold start, the capacitor sums at the dc-bus voltage and
+    every current and controller state zero. The three-phase transient that
+    ``simulate-closed`` exports is three such runs
+    (``pipelines.reference_step_run``).
 
-    Raises ValueError when ``x0`` is not one real vector of 6 states per leg.
+    Raises UnknownVariableError for a phase outside ``PHASES``, and
+    ValueError when ``x0`` is not one real vector of the leg's 6 states.
     """
-    phases, amps = _leg_references(refs)
+    check_phase(phase)
     if x0 is None:
-        x0 = np.repeat([0.0, params.V_dc, params.V_dc, 0.0, 0.0, 0.0], len(phases))
+        x0 = [0.0, params.V_dc, params.V_dc, 0.0, 0.0, 0.0]
     x0 = np.asarray(x0)
-    size = 6 * len(phases)
-    if x0.shape != (size,) or np.iscomplexobj(x0):
-        raise ValueError(
-            f"x0 must be one real {size}-state vector, got {x0.dtype} of shape {x0.shape}"
-        )
-    states = _closed_loop_floats(params, ctrl, amps, steps_per_period, n_steps, x0, n0)
-    return Trajectory(params.period / steps_per_period, steps_per_period, n0, states, phases)
+    if x0.shape != (6,) or np.iscomplexobj(x0):
+        raise ValueError(f"x0 must be one real 6-state vector, got {x0.dtype} of shape {x0.shape}")
+    states = _closed_loop_floats(params, ctrl, ref, steps_per_period, n_steps, x0, n0)
+    return Trajectory(params.period / steps_per_period, steps_per_period, n0, states, (phase,))
 
 
 @dataclass(frozen=True)
@@ -480,16 +440,14 @@ def _rk4_step_maps(a1, a2, a3, a4, dt):
     return dt / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
-    """Jacobian of the closed-loop RK4 map from run[0] to run[-1], the
-    states at grid points n0 .. n0 + n of one real run of L legs with
-    reference phasors ``amps`` (L,), as its (L, 6, 6) leg blocks.
+def _tangent_map(params, ctrl, ref, steps_per_period, n0, run) -> np.ndarray:
+    """(6, 6) Jacobian of the closed-loop RK4 map from run[0] to run[-1],
+    the states at grid points n0 .. n0 + n of one real run of a leg with
+    reference phasor ``ref``.
 
-    The legs share only the constant dc bus, so the Jacobian is block
-    diagonal over them, block p over leg p's six variables. The four RK4
-    stage states of every step are recomputed from the run, read as
-    (6, L, n) arrays, and every stage Jacobian is taken by complex step in
-    one call of ``_closed_loop_equations`` on (L legs, 4 stages, n steps)
+    The four RK4 stage states of every step are recomputed from the run,
+    read as (6, n) arrays, and every stage Jacobian is taken by complex step
+    in one call of ``_closed_loop_equations`` on (4 stages, n steps)
     arguments (``complex_step_jacobian``). The step matrices
     (``_rk4_step_maps``) are multiplied in pairs, about log2(n) batched
     products.
@@ -497,88 +455,84 @@ def _tangent_map(params, ctrl, amps, steps_per_period, n0, run) -> np.ndarray:
     dt = params.period / steps_per_period
     half = 0.5 * dt
     f = _closed_loop_equations(params, ctrl)
-    n, legs = run.shape[0] - 1, amps.size
+    n = run.shape[0] - 1
     t = n0 * dt + np.arange(n) * dt
     w1 = params.omega1
-    re, im = amps.real[:, None], amps.imag[:, None]
 
     def v_star(times):
-        return re * np.cos(w1 * times) - im * np.sin(w1 * times)
+        return ref.real * np.cos(w1 * times) - ref.imag * np.sin(w1 * times)
 
     v1, v2, v4 = v_star(t), v_star(t + half), v_star(t + dt)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y1 = run[:-1].T.reshape(-1, legs, n)  # (6 leg variables, L legs, n)
+        y1 = run[:-1].T  # (6 leg variables, n)
         y2 = y1 + half * np.array(f(v1, *y1))
         y3 = y1 + half * np.array(f(v2, *y2))
         y4 = y1 + dt * np.array(f(v2, *y3))
-        y = np.stack([y1, y2, y3, y4], axis=2)  # (6, 3, 4, n)
-        v = np.stack([v1, v2, v2, v4], axis=1)
-        a = complex_step_jacobian(f, (v, *y), range(1, 7))  # (L, 4, n, 6, 6)
-        d = _rk4_step_maps(a[:, 0], a[:, 1], a[:, 2], a[:, 3], dt)  # M - I, (L, n, 6, 6)
-        while d.shape[1] > 1:
-            if d.shape[1] % 2:
-                d = np.concatenate([d, np.zeros((legs, 1, 6, 6))], axis=1)
-            earlier, later = d[:, 0::2], d[:, 1::2]
+        y = np.stack([y1, y2, y3, y4], axis=1)  # (6, 4, n)
+        v = np.stack([v1, v2, v2, v4])
+        a = complex_step_jacobian(f, (v, *y), range(1, 7))  # (4, n, 6, 6)
+        d = _rk4_step_maps(a[0], a[1], a[2], a[3], dt)  # M - I, (n, 6, 6)
+        while d.shape[0] > 1:
+            if d.shape[0] % 2:
+                d = np.concatenate([d, np.zeros((1, 6, 6))])
+            earlier, later = d[0::2], d[1::2]
             d = earlier + later + later @ earlier
-    return np.eye(6) + d[:, 0]
+    return np.eye(6) + d[0]
 
 
 def settled_closed_loop(
     params: MmcParameters,
     ctrl: ControllerParams,
-    refs: dict[str, complex],
+    phase: str,
+    ref: complex,
     steps_per_period: int,
     n0: int,
     x_guess: np.ndarray,
 ) -> PeriodicOrbit:
-    """Periodic steady state of the closed loop by Newton shooting from grid
-    point ``n0`` on the half-wave map G(x) = H F_half(x), F_half the RK4 map
-    over half a period from ``n0`` and H the half-wave operator of the run's
-    L legs, kron(``LEG_HALF_WAVE_OPERATOR``, I_L): the one-period map is
-    G∘G, so a fixed point of G is the state on the attracting orbit. The
-    legs are those of the phases ``refs`` names, as in
-    ``simulate_closed_loop``, and ``x_guess`` holds their 6 L states; one
-    leg shoots its own orbit alone, since the legs share only the constant
-    dc bus. Each iteration is one real run over half a period on floats
-    (``_closed_loop_floats``), which gives G(x), and the exact derivative of
-    its RK4 map (``_tangent_map``), which gives the Jacobian
-    J = H dF_half/dx to rounding. The update solves (I - J) dx = G(x) - x
-    through the same gated solve as ``settled_open_loop``; the monodromy
-    matrix at the fixed point is J², so the largest Floquet multiplier is
-    max|eig(J)|². The relative defect is max_i |G(x)_i - x_i| / RMS_i, with
-    RMS_i the RMS of state i over the period (1 where that is 0); Newton
-    stops when it is at or below ``SHOOTING_DEFECT_TOL``; the period it
-    returns is a ``PeriodicOrbit``.
+    """Periodic steady state of the closed-loop leg of ``phase``, with
+    reference phasor ``ref``, by Newton shooting from grid point ``n0`` on
+    the half-wave map G(x) = H F_half(x), F_half the RK4 map over half a
+    period from ``n0`` and H ``LEG_HALF_WAVE_OPERATOR``: the one-period map
+    is G∘G, so a fixed point of G is the state on the attracting orbit.
+    ``x_guess`` holds the leg's 6 states. Each iteration is one real run
+    over half a period on floats (``_closed_loop_floats``), which gives
+    G(x), and the exact derivative of its RK4 map (``_tangent_map``), which
+    gives the Jacobian J = H dF_half/dx to rounding. The update solves
+    (I - J) dx = G(x) - x through the same gated solve as
+    ``settled_open_loop``; the monodromy matrix at the fixed point is J²,
+    so the largest Floquet multiplier is max|eig(J)|². The relative defect
+    is max_i |G(x)_i - x_i| / RMS_i, with RMS_i the RMS of state i over the
+    period (1 where that is 0); Newton stops when it is at or below
+    ``SHOOTING_DEFECT_TOL``; the period it returns is a ``PeriodicOrbit``.
 
-    Raises ValueError for an odd ``steps_per_period``, which has no grid
-    point at half a period, and for an ``x_guess`` of another size;
-    ShootingError (carrying the iteration count and
-    the defect) when the orbit is not attracting or the defect is still
-    above the tolerance after ``SHOOTING_MAX_ITERATIONS`` updates; and
-    SingularSystemError when the gated solve rejects I - J.
+    Raises UnknownVariableError for a phase outside ``PHASES``; ValueError
+    for an odd ``steps_per_period``, which has no grid point at half a
+    period, and for an ``x_guess`` of another size; ShootingError (carrying
+    the iteration count and the defect) when the orbit is not attracting or
+    the defect is still above the tolerance after
+    ``SHOOTING_MAX_ITERATIONS`` updates; and SingularSystemError when the
+    gated solve rejects I - J.
     """
+    check_phase(phase)
     if steps_per_period % 2:
         raise ValueError(
             f"steps_per_period must be even for half-wave shooting, got {steps_per_period}"
         )
-    phases, amps = _leg_references(refs)
-    legs = len(phases)
-    H = np.kron(LEG_HALF_WAVE_OPERATOR, np.eye(legs))
+    H = LEG_HALF_WAVE_OPERATOR
     x = np.array(x_guess, dtype=float)
-    if x.shape != (6 * legs,):
-        raise ValueError(f"x_guess must be one vector of {6 * legs} states, got shape {x.shape}")
+    if x.shape != (6,):
+        raise ValueError(f"x_guess must be one vector of 6 states, got shape {x.shape}")
     for iteration in range(SHOOTING_MAX_ITERATIONS + 1):
         first_half = _closed_loop_floats(
-            params, ctrl, amps, steps_per_period, steps_per_period // 2, x, n0
+            params, ctrl, ref, steps_per_period, steps_per_period // 2, x, n0
         )
         orbit = np.concatenate([first_half, first_half[1:] @ H.T])
         end = H @ first_half[-1]
         rms = np.sqrt(np.mean(orbit[:-1] ** 2, axis=0))
         defect = float(np.max(np.abs(end - x) / np.where(rms > 0, rms, 1.0)))
-        tangent = _tangent_map(params, ctrl, amps, steps_per_period, n0, first_half)
-        jacobian = LEG_HALF_WAVE_OPERATOR @ tangent  # per leg
+        jacobian = H @ _tangent_map(params, ctrl, ref, steps_per_period, n0, first_half)
         try:
-            dx, multiplier = _shooting_fixed_point(jacobian, (end - x).reshape(-1, legs).T)
+            dx, multiplier = _shooting_fixed_point(jacobian[None], (end - x)[None])
         except NotSettledError as exc:
             raise ShootingError(
                 f"after {iteration} Newton iterations (relative defect {defect:.3e}): {exc}",
@@ -587,9 +541,9 @@ def settled_closed_loop(
             ) from exc
         if defect <= SHOOTING_DEFECT_TOL:
             dt = params.period / steps_per_period
-            trajectory = Trajectory(dt, steps_per_period, n0, orbit, phases)
+            trajectory = Trajectory(dt, steps_per_period, n0, orbit, (phase,))
             return PeriodicOrbit(trajectory, iteration, defect, multiplier)
-        x = x + dx.T.ravel()
+        x = x + dx[0]
     raise ShootingError(
         f"Newton shooting left a relative defect {defect:.3e} above "
         f"{SHOOTING_DEFECT_TOL:.0e} after {SHOOTING_MAX_ITERATIONS} iterations",

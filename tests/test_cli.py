@@ -361,7 +361,7 @@ class TestSimulateScenarios:
         cfg = load_config(cfgp)
         ctx = pipelines.SmallsigContext(cfg)
         stepped = simulate_closed_loop(
-            cfg.params, cfg.ctrl, pipelines.stepped_references(ctx.leg_refs, cfg.step, cfg.step.amplitude),
+            cfg.params, cfg.ctrl, "b", pipelines.stepped_references(ctx.refs, cfg.step, cfg.step.amplitude)["b"],
             ctx.spp, ctx.window_steps, x0=ctx.orbit.trajectory.states[0], n0=ctx.n_step,
         )
 
@@ -558,6 +558,43 @@ class TestVerifyScenarios:
         code = main(argv + ["--out", str(out), "--no-timestamp"])
         assert code in (0, 1), capsys.readouterr().err
         assert (out / "waveform_i_c_a.csv").exists()
+
+    def test_capacitor_content_detail_names_the_harmonic_under_the_floor(self, tmp_path):
+        # At m = 0.05 the capacitor voltages' 4th+ content is below 20 % of
+        # their 3rd harmonic, but the 3rd is under the floor of 1e-6 of
+        # their peak, the 3.2e5 V dc component. The detail prints the
+        # threshold and the floor and names the 3rd as the cause.
+        from importlib import resources
+
+        preset = resources.files("hssmmc") / "presets" / "sec3-simulation.ini"
+        path = tmp_path / "sec3-400.ini"
+        path.write_text(
+            preset.read_text(encoding="utf-8").replace(
+                "steps_per_period = 2000", "steps_per_period = 400"
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        argv = ["verify-steady", "--config", str(path), "--m", "0.05", "--out", str(out), "--no-timestamp"]
+        assert main(argv) == 1
+        lines = [
+            line for line in (out / "report.txt").read_text().splitlines()
+            if line.startswith("[FAIL] capacitor harmonic content ")
+        ]
+        assert len(lines) == 6
+        number = r"([0-9.e+-]+)"
+        for line in lines:
+            found = re.search(
+                rf": 4th\+ max {number} V vs 20% of 3rd = {number} V; "
+                rf"3rd {number} V under the floor {number} V$",
+                line,
+            )
+            assert found, line
+            high, limit, third, floor = map(float, found.groups())
+            assert high < limit
+            assert limit == pytest.approx(0.2 * third, rel=1e-3)
+            assert third < floor
+            assert floor == pytest.approx(0.32, rel=0.01)
 
     def test_smallsig_requires_step_section(self, fast_config, tmp_path):
         out = tmp_path / "out"

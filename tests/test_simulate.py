@@ -58,10 +58,6 @@ from conftest import (
 
 W1 = 314.0
 
-# The half-wave operator on the 18 variable-major closed-loop states of all
-# three legs; its leading 12 x 12 block acts on the plant states.
-HALF_WAVE_OPERATOR = np.kron(LEG_HALF_WAVE_OPERATOR, np.eye(3))
-
 # A composed open-loop run may differ from the step-by-step RK4 run by
 # rounding only: by at most this share of each state's peak. Rounding scales
 # with the whole state, so each peak is floored at SETTLE_FLOOR of the
@@ -93,6 +89,12 @@ def tracking_loop():
 
 def closed_loop_rest(params):
     return np.concatenate([default_initial_state(params), np.zeros(6)])
+
+
+def leg(x, phase):
+    """Phase ``phase``'s leg of the 18 variable-major closed-loop states
+    ``x``, or of each row of a run of them: its six variables."""
+    return x.reshape(x.shape[:-1] + (6, 3))[..., PHASES.index(phase)]
 
 
 def preset_closed_loop(preset, x_over_r, m=None):
@@ -334,10 +336,13 @@ class TestClosedLoop:
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
         refs = {"a": 0.0 + 0.0j, "b": 0.0 + 0.0j, "c": 0.0 + 0.0j}
         cfg = fast_cfg(fast_params)
-        closed = simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps())
         opened = simulate_open_loop(fast_params, 0.0, cfg)
-        assert np.array_equal(closed.states[:, :12], opened.states)
-        assert np.all(closed.states[:, 12:] == 0.0)
+        for p, phase in enumerate(PHASES):
+            closed = simulate_closed_loop(
+                fast_params, ctrl, phase, refs[phase], cfg.steps_per_period, cfg.n_steps()
+            )
+            assert np.array_equal(closed.states[:, :4], opened.states[:, p::3])
+            assert np.all(closed.states[:, 4:] == 0.0)
 
     def test_tracks_reference_fundamental(self, fast_params):
         # A claim about the settled orbit, so it is read from the shooting
@@ -345,7 +350,7 @@ class TestClosedLoop:
         ctrl, refs = tracking_loop()
         spp = 2000
         orbit = settled_closed_loop(
-            fast_params, ctrl, refs, spp, 30 * spp, closed_loop_rest(fast_params)
+            fast_params, ctrl, "a", refs["a"], spp, 30 * spp, leg(closed_loop_rest(fast_params), "a")
         ).trajectory
         i_g = fourier(orbit.series("i_g", "a")[:-1], 3)
         achieved = 2 * abs(i_g[3 + 1]) * fast_params.R_load
@@ -384,14 +389,16 @@ class TestClosedLoop:
         )
         n_step, n_end = step_grid_index(cfg), cfg.sim.n_steps()
         joined = reference_step_run(cfg, refs, n_step, n_end)
-        pre = simulate_closed_loop(fast_params, ctrl, refs, 400, n_step)
         # Phase b's phasor lengthened by the 60 V step along itself.
-        stepped = simulate_closed_loop(
-            fast_params, ctrl, {**refs, "b": 360.0 + 0.0j}, 400, n_end - n_step,
-            x0=pre.states[-1], n0=n_step,
-        )
-        assert np.array_equal(joined.t, np.concatenate([pre.t[:-1], stepped.t]))
-        assert np.array_equal(joined.states, np.concatenate([pre.states[:-1], stepped.states]))
+        stepped = {**refs, "b": 360.0 + 0.0j}
+        for phase in PHASES:
+            pre = simulate_closed_loop(fast_params, ctrl, phase, refs[phase], 400, n_step)
+            after = simulate_closed_loop(
+                fast_params, ctrl, phase, stepped[phase], 400, n_end - n_step,
+                x0=pre.states[-1], n0=n_step,
+            )
+            assert np.array_equal(joined.t, np.concatenate([pre.t[:-1], after.t]))
+            assert np.array_equal(leg(joined.states, phase), np.concatenate([pre.states[:-1], after.states]))
 
     def test_zero_dc_bus_is_a_value_error(self, fast_params):
         # The parameters accept V_dc = 0, where the open loop runs; the
@@ -399,18 +406,16 @@ class TestClosedLoop:
         params = dataclasses.replace(fast_params, V_dc=0.0)
         ctrl, refs = tracking_loop()
         with pytest.raises(ValueError, match="V_dc"):
-            simulate_closed_loop(params, ctrl, refs, 400, 400)
+            simulate_closed_loop(params, ctrl, "a", refs["a"], 400, 400)
         with pytest.raises(ValueError, match="V_dc"):
-            settled_closed_loop(params, ctrl, refs, 400, 0, closed_loop_rest(params))
+            settled_closed_loop(params, ctrl, "a", refs["a"], 400, 0, leg(closed_loop_rest(params), "a"))
 
     def test_blowup_detection(self, fast_params):
         ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
-        refs = {p: 0.0 + 0.0j for p in ("a", "b", "c")}
-        x0 = np.zeros(18)
-        x0[3:9] = 1e16
+        x0 = np.array([0.0, 1e16, 1e16, 0.0, 0.0, 0.0])
         cfg = fast_cfg(fast_params)
         with pytest.raises(NumericalBlowupError):
-            simulate_closed_loop(fast_params, ctrl, refs, cfg.steps_per_period, cfg.n_steps(), x0=x0)
+            simulate_closed_loop(fast_params, ctrl, "a", 0.0j, cfg.steps_per_period, cfg.n_steps(), x0=x0)
 
 
 def block_run(params, ctrl, refs, spp, n_steps, x0, n0):
@@ -429,9 +434,10 @@ def blowup_message(run):
 
 
 class TestClosedLoopFloatPath:
-    """``simulate_closed_loop`` advances one real state on Python floats,
-    phase by phase; a block of columns runs the same equations on arrays in
-    ``conftest.rk4``. The two give the same doubles."""
+    """``simulate_closed_loop`` advances one phase leg's real state on
+    Python floats; a block of 18-state columns runs all three legs' equations
+    on arrays in ``conftest.rk4``. Each leg's run is the same doubles as its
+    columns of the block."""
 
     @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
     @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
@@ -443,8 +449,10 @@ class TestClosedLoopFloatPath:
         x = guess_at(n0)
         x0 = x + 0.01 * np.maximum(np.abs(x), 1.0) * np.random.default_rng(7).standard_normal(18)
         stepped = {**refs, "a": 1.05 * refs["a"]}
-        run = simulate_closed_loop(params, ctrl, stepped, spp, n_steps, x0=x0, n0=n0)
-        assert np.array_equal(run.states, block_run(params, ctrl, stepped, spp, n_steps, x0, n0))
+        block = block_run(params, ctrl, stepped, spp, n_steps, x0, n0)
+        for phase in PHASES:
+            run = simulate_closed_loop(params, ctrl, phase, stepped[phase], spp, n_steps, x0=leg(x0, phase), n0=n0)
+            assert np.array_equal(run.states, leg(block, phase))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -459,15 +467,17 @@ class TestClosedLoopFloatPath:
         ctrl = dataclasses.replace(ctrl, K_p=k_p)
         spp, n_steps = 400, 450
         x0 = guess_at(n0)
-        run = simulate_closed_loop(params, ctrl, refs, spp, n_steps, x0=x0, n0=n0)
-        assert np.array_equal(run.states, block_run(params, ctrl, refs, spp, n_steps, x0, n0))
+        block = block_run(params, ctrl, refs, spp, n_steps, x0, n0)
+        for phase in PHASES:
+            run = simulate_closed_loop(params, ctrl, phase, refs[phase], spp, n_steps, x0=leg(x0, phase), n0=n0)
+            assert np.array_equal(run.states, leg(block, phase))
 
     def test_rejects_a_block_or_a_complex_state(self, fast_params):
         ctrl, refs = tracking_loop()
-        x0 = closed_loop_rest(fast_params)
-        for bad in (x0[:, None], x0 + 0j, x0[:12]):
-            with pytest.raises(ValueError, match="one real 18-state vector"):
-                simulate_closed_loop(fast_params, ctrl, refs, 400, 10, x0=bad)
+        x0 = leg(closed_loop_rest(fast_params), "a")
+        for bad in (x0[:, None], x0 + 0j, x0[:4]):
+            with pytest.raises(ValueError, match="one real 6-state vector"):
+                simulate_closed_loop(fast_params, ctrl, "a", refs["a"], 400, 10, x0=bad)
 
     def test_blowup_names_the_same_step_on_both_paths(self, fast_params):
         # A negative arm resistance makes the closed loop unstable. The
@@ -477,7 +487,8 @@ class TestClosedLoopFloatPath:
         ctrl, refs = tracking_loop()
         spp, n_steps = 400, 40 * 400
         x0 = closed_loop_rest(params)
-        message = blowup_message(lambda: simulate_closed_loop(params, ctrl, refs, spp, n_steps))
+        # The block stops at the first blow-up of any leg; here leg a's.
+        message = blowup_message(lambda: simulate_closed_loop(params, ctrl, "a", refs["a"], spp, n_steps))
         assert message == blowup_message(lambda: block_run(params, ctrl, refs, spp, n_steps, x0, 0))
         step, period = blowup_step(message)
         assert period > 0
@@ -490,7 +501,7 @@ class TestClosedLoopFloatPath:
         params = dataclasses.replace(fast_params, L=0.25, L_load=0.25)
         ctrl = ControllerParams(K_p=0.0, K_r=300.0, k_f=1.5)
         _, refs = tracking_loop()
-        message = blowup_message(lambda: simulate_closed_loop(params, ctrl, refs, 400, 800))
+        message = blowup_message(lambda: simulate_closed_loop(params, ctrl, "a", refs["a"], 400, 800))
         assert "denominator" in message
         assert blowup_step(message) == (0, 0)
 
@@ -505,17 +516,22 @@ def block_jacobian(params, ctrl, refs, spp, n0, x):
 
 
 def tangent_error(params, ctrl, refs, spp, n0, x):
-    """Largest difference of ``_tangent_map`` along the float run from ``x``
-    and ``block_jacobian``, both scaled by the state sizes max(|x|, 1),
-    relative to the largest scaled entry. The block Jacobian's off-phase
-    blocks must be exactly zero."""
+    """Largest difference of ``_tangent_map`` along each leg's float run
+    from ``x`` and that leg's block of ``block_jacobian``, both scaled by
+    the state sizes max(|x|, 1), relative to the largest scaled entry. The
+    block Jacobian's off-leg blocks must be exactly zero: no leg's map
+    depends on another's states, which is why the legs run apart."""
     # (row phase, column phase, row variable, column variable)
     reference = block_jacobian(params, ctrl, refs, spp, n0, x).reshape(6, 3, 6, 3).transpose(1, 3, 0, 2)
     assert np.all(reference[~np.eye(3, dtype=bool)] == 0.0)
     reference = reference[range(3), range(3)]
-    run = simulate_closed_loop(params, ctrl, refs, spp, spp // 2, x0=x, n0=n0).states
-    amps = np.array([refs[p] for p in PHASES])
-    tangent = _tangent_map(params, ctrl, amps, spp, n0, run)
+    tangent = np.array([
+        _tangent_map(
+            params, ctrl, refs[phase], spp, n0,
+            simulate_closed_loop(params, ctrl, phase, refs[phase], spp, spp // 2, x0=leg(x, phase), n0=n0).states,
+        )
+        for phase in PHASES
+    ])
     size = np.maximum(np.abs(x), 1.0).reshape(6, 3).T
     scale = size[:, None, :] / size[:, :, None]
     reference, tangent = reference * scale, tangent * scale
@@ -546,50 +562,58 @@ class TestClosedLoopShooting:
     def test_orbit_is_the_settled_cold_start(self, fast_params):
         ctrl, refs = tracking_loop()
         spp, periods = 400, 20
-        orbit = settled_closed_loop(
-            fast_params, ctrl, refs, spp, periods * spp, closed_loop_rest(fast_params)
-        )
-        assert orbit.defect <= SHOOTING_DEFECT_TOL
-        assert orbit.multiplier < 1.0
+        rest = closed_loop_rest(fast_params)
+        for phase in PHASES:
+            orbit = settled_closed_loop(
+                fast_params, ctrl, phase, refs[phase], spp, periods * spp, leg(rest, phase)
+            )
+            assert orbit.defect <= SHOOTING_DEFECT_TOL
+            assert orbit.multiplier < 1.0
 
-        cold = simulate_closed_loop(fast_params, ctrl, refs, spp, periods * spp)
-        last = cold.states[-spp - 1 :]
-        shot = orbit.trajectory.states
-        assert orbit.trajectory.t[0] == cold.t[-1]
-        deviation = np.sqrt(np.mean((last - shot) ** 2, axis=0))
-        assert np.all(deviation <= SETTLE_RTOL * np.sqrt(np.mean(shot**2, axis=0)))
+            cold = simulate_closed_loop(fast_params, ctrl, phase, refs[phase], spp, periods * spp)
+            last = cold.states[-spp - 1 :]
+            shot = orbit.trajectory.states
+            assert orbit.trajectory.t[0] == cold.t[-1]
+            deviation = np.sqrt(np.mean((last - shot) ** 2, axis=0))
+            assert np.all(deviation <= SETTLE_RTOL * np.sqrt(np.mean(shot**2, axis=0)))
 
     @pytest.mark.parametrize("x_over_r", [0.0, 0.3])
     @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
     def test_orbit_is_a_half_period_run_and_its_half_wave_image(self, preset, x_over_r):
         params, ctrl, refs, guess_at = preset_closed_loop(preset, x_over_r)
         spp, n0 = 400, 15 * 400
-        orbit = settled_closed_loop(params, ctrl, refs, spp, n0, guess_at(n0))
-        shot = orbit.trajectory.states
-        assert shot.shape == (spp + 1, 18)
+        orbits = [
+            settled_closed_loop(params, ctrl, phase, refs[phase], spp, n0, leg(guess_at(n0), phase))
+            for phase in PHASES
+        ]
+        for phase, orbit in zip(PHASES, orbits):
+            shot = orbit.trajectory.states
+            assert shot.shape == (spp + 1, 6)
 
-        # The first half is the RK4 run from the fixed point itself.
-        first = simulate_closed_loop(params, ctrl, refs, spp, spp // 2, x0=shot[0], n0=n0)
-        assert np.array_equal(first.states, shot[: spp // 2 + 1])
+            # The first half is the RK4 run from the fixed point itself.
+            first = simulate_closed_loop(params, ctrl, phase, refs[phase], spp, spp // 2, x0=shot[0], n0=n0)
+            assert np.array_equal(first.states, shot[: spp // 2 + 1])
 
-        # The composed second half follows the sequential run within
-        # rounding of the shooting defect.
-        sequential = simulate_closed_loop(params, ctrl, refs, spp, spp, x0=shot[0], n0=n0)
-        assert np.array_equal(sequential.t, orbit.trajectory.t)
-        peak = np.max(np.abs(sequential.states), axis=0)
-        assert np.all(np.abs(shot - sequential.states) <= 1e-9 * peak)
+            # The composed second half follows the sequential run within
+            # rounding of the shooting defect.
+            sequential = simulate_closed_loop(params, ctrl, phase, refs[phase], spp, spp, x0=shot[0], n0=n0)
+            assert np.array_equal(sequential.t, orbit.trajectory.t)
+            peak = np.max(np.abs(sequential.states), axis=0)
+            assert np.all(np.abs(shot - sequential.states) <= 1e-9 * peak)
 
         # multiplier is the full-period Floquet multiplier: the largest
         # eigenvalue magnitude of a forward-difference monodromy matrix
-        # over one whole period from the fixed point. Its step, 1e-6 of each
-        # state, keeps the reference within 3e-7 of central differences.
-        x = shot[0]
+        # over one whole period from the fixed point, here each leg's block
+        # of the 18-state block run's. Its step, 1e-6 of each state, keeps
+        # the reference within 3e-7 of central differences.
+        x = np.stack([orbit.trajectory.states[0] for orbit in orbits], axis=1).ravel()
         columns = np.hstack([x[:, None], x[:, None] + np.diag(1e-6 * np.maximum(np.abs(x), 1.0))])
         steps = np.diag(columns[:, 1:]) - x
         end = closed_loop_block(params, ctrl, refs, spp, spp, columns, n0)[-1]
-        monodromy = (end[:, 1:] - end[:, :1]) / steps
-        multiplier = np.max(np.abs(np.linalg.eigvals(monodromy)))
-        assert orbit.multiplier == pytest.approx(multiplier, rel=1e-6)
+        monodromy = ((end[:, 1:] - end[:, :1]) / steps).reshape(6, 3, 6, 3)
+        for p, orbit in enumerate(orbits):
+            multiplier = np.max(np.abs(np.linalg.eigvals(monodromy[:, p, :, p])))
+            assert orbit.multiplier == pytest.approx(multiplier, rel=1e-6)
 
     def test_multiplier_matches_central_differences_at_small_modulation(self):
         # At m = 0.05 the circulating currents are far below their typical
@@ -598,18 +622,23 @@ class TestClosedLoopShooting:
         # 5e-6 off. The complex-step Jacobian has no step to choose.
         params, ctrl, refs, guess_at = preset_closed_loop("sec3-simulation", 0.3, m=0.05)
         spp, n0 = 400, 15 * 400
-        orbit = settled_closed_loop(params, ctrl, refs, spp, n0, guess_at(n0))
+        orbits = [
+            settled_closed_loop(params, ctrl, phase, refs[phase], spp, n0, leg(guess_at(n0), phase))
+            for phase in PHASES
+        ]
 
         # Reference: a central-difference monodromy matrix over one whole
-        # period from the fixed point, with the steps as represented.
-        x = orbit.trajectory.states[0]
+        # period from the fixed points, with the steps as represented, and
+        # each leg's block of it.
+        x = np.stack([orbit.trajectory.states[0] for orbit in orbits], axis=1).ravel()
         step = np.diag(1e-5 * np.maximum(np.abs(x), 1.0))
         columns = np.hstack([x[:, None] + step, x[:, None] - step])
         steps = np.diag(columns[:, :18]) - np.diag(columns[:, 18:])
         end = closed_loop_block(params, ctrl, refs, spp, spp, columns, n0)[-1]
-        monodromy = (end[:, :18] - end[:, 18:]) / steps
-        multiplier = np.max(np.abs(np.linalg.eigvals(monodromy)))
-        assert orbit.multiplier == pytest.approx(multiplier, rel=1e-7)
+        monodromy = ((end[:, :18] - end[:, 18:]) / steps).reshape(6, 3, 6, 3)
+        for p, orbit in enumerate(orbits):
+            multiplier = np.max(np.abs(np.linalg.eigvals(monodromy[:, p, :, p])))
+            assert orbit.multiplier == pytest.approx(multiplier, rel=1e-7)
 
     @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
     def test_orbit_repeated_is_the_rk4_continuation(self, preset):
@@ -623,10 +652,11 @@ class TestClosedLoopShooting:
             step=dataclasses.replace(cfg.step, period=15, window_periods=5),
         )
         ctx = SmallsigContext(cfg)
-        assert ctx.orbit.trajectory.phases == (cfg.step.phase,)
+        phase = cfg.step.phase
+        assert ctx.orbit.trajectory.phases == (phase,)
         orbit = ctx.orbit.trajectory.states
         run = simulate_closed_loop(
-            cfg.params, cfg.ctrl, ctx.leg_refs, ctx.spp, ctx.window_steps, x0=orbit[0], n0=ctx.n_step
+            cfg.params, cfg.ctrl, phase, ctx.refs[phase], ctx.spp, ctx.window_steps, x0=orbit[0], n0=ctx.n_step
         )
         repeated = np.resize(orbit[:-1], run.states.shape)
         peak = np.max(np.abs(orbit), axis=0)
@@ -635,14 +665,14 @@ class TestClosedLoopShooting:
     def test_odd_grid_has_no_half_period_point(self, fast_params):
         ctrl, refs = tracking_loop()
         with pytest.raises(ValueError, match="even"):
-            settled_closed_loop(fast_params, ctrl, refs, 401, 0, closed_loop_rest(fast_params))
+            settled_closed_loop(fast_params, ctrl, "a", refs["a"], 401, 0, leg(closed_loop_rest(fast_params), "a"))
 
     def test_non_attracting_orbit_raises(self, fast_params):
         # Feed-forward gain 3 makes the loop unstable on this circuit.
         _, refs = tracking_loop()
         ctrl = ControllerParams(K_p=0.6, K_r=300.0, k_f=3.0)
         with pytest.raises(ShootingError, match="not attracting") as info:
-            settled_closed_loop(fast_params, ctrl, refs, 200, 200, closed_loop_rest(fast_params))
+            settled_closed_loop(fast_params, ctrl, "a", refs["a"], 200, 200, leg(closed_loop_rest(fast_params), "a"))
         assert info.value.iterations == 0
         assert info.value.defect > SHOOTING_DEFECT_TOL
         assert isinstance(info.value, NotSettledError)
@@ -653,93 +683,91 @@ class TestClosedLoopShooting:
         monkeypatch.setattr(simulate, "SHOOTING_MAX_ITERATIONS", 1)
         ctrl, refs = tracking_loop()
         with pytest.raises(ShootingError, match="after 1 iterations") as info:
-            settled_closed_loop(fast_params, ctrl, refs, 200, 200, closed_loop_rest(fast_params))
+            settled_closed_loop(fast_params, ctrl, "a", refs["a"], 200, 200, leg(closed_loop_rest(fast_params), "a"))
         assert info.value.iterations == 1
         assert info.value.defect > SHOOTING_DEFECT_TOL
 
 
 @functools.cache
-def three_leg_orbit(preset):
-    """A preset's closed loop and its three-leg orbit at the benchmark's
-    length: 400 steps per period, from period 15."""
+def leg_orbits(preset):
+    """A preset's closed loop, the operating point's closed-loop state at
+    period 15, and each leg's orbit from there at the benchmark's length:
+    400 steps per period, from period 15."""
     params, ctrl, refs, guess_at = preset_closed_loop(preset, 0.0)
     n0 = 15 * 400
-    orbit = settled_closed_loop(params, ctrl, refs, 400, n0, guess_at(n0))
-    return params, ctrl, refs, guess_at(n0), orbit
+    x = guess_at(n0)
+    orbits = {
+        phase: settled_closed_loop(params, ctrl, phase, refs[phase], 400, n0, leg(x, phase))
+        for phase in PHASES
+    }
+    return params, ctrl, refs, x, orbits
 
 
 class TestLegRuns:
-    """The legs share only the constant dc bus, so one leg's closed-loop run
-    is that leg's columns of the three-leg run."""
+    """A closed-loop run is one phase leg, named by its phase. The legs
+    share only the constant dc bus, so each leg's run is its columns of the
+    18-state block run of all three."""
 
     @pytest.mark.parametrize("phase", PHASES)
     @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
-    def test_window_run_is_the_three_leg_columns(self, preset, phase):
-        # From the orbit state, with the phase's reference stepped, over the
+    def test_window_run_is_the_block_columns(self, preset, phase):
+        # From the orbit states, with the phase's reference stepped, over the
         # benchmark's 5-period window: the same doubles.
-        params, ctrl, refs, _, orbit = three_leg_orbit(preset)
-        p = PHASES.index(phase)
-        x = orbit.trajectory.states[0]
+        params, ctrl, refs, _, orbits = leg_orbits(preset)
+        n0 = orbits[phase].trajectory.n0
+        x = np.stack([orbits[p].trajectory.states[0] for p in PHASES], axis=1).ravel()
         stepped = {**refs, phase: 1.05 * refs[phase]}
-        three = simulate_closed_loop(params, ctrl, stepped, 400, 5 * 400, x0=x, n0=orbit.trajectory.n0)
-        one = simulate_closed_loop(
-            params, ctrl, {phase: stepped[phase]}, 400, 5 * 400,
-            x0=x.reshape(6, 3)[:, p], n0=orbit.trajectory.n0,
-        )
+        block = block_run(params, ctrl, stepped, 400, 5 * 400, x, n0)
+        one = simulate_closed_loop(params, ctrl, phase, stepped[phase], 400, 5 * 400, x0=leg(x, phase), n0=n0)
         assert one.phases == (phase,)
-        assert np.array_equal(one.t, three.t)
-        assert np.array_equal(one.states, three.states.reshape(-1, 6, 3)[:, :, p])
-        for var in STATE_VARIABLES:
-            assert np.array_equal(one.series(var, phase), three.series(var, phase))
+        assert np.array_equal(one.t[: 400 + 1], orbits[phase].trajectory.t)
+        assert np.array_equal(one.states, leg(block, phase))
 
     @pytest.mark.parametrize("phase", PHASES)
     @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
-    def test_leg_orbit_is_the_three_leg_columns(self, preset, phase):
-        params, ctrl, refs, guess, three = three_leg_orbit(preset)
-        p = PHASES.index(phase)
-        one = settled_closed_loop(
-            params, ctrl, {phase: refs[phase]}, 400, three.trajectory.n0, guess.reshape(6, 3)[:, p]
-        )
-        assert one.defect <= SHOOTING_DEFECT_TOL
-        assert np.array_equal(one.trajectory.t, three.trajectory.t)
-        # Each orbit stops at a half-wave defect of at most
-        # SHOOTING_DEFECT_TOL of each state's RMS. Along the half-wave map's
-        # slowest mode, whose eigenvalue is the square root of the Floquet
-        # multiplier mu, that defect leaves the state defect / (1 - sqrt(mu))
-        # from the fixed point, so the two orbits may differ by twice that.
-        columns = three.trajectory.states.reshape(-1, 6, 3)[:, :, p]
-        rms = np.sqrt(np.mean(columns[:-1] ** 2, axis=0))
-        bound = 2.0 * SHOOTING_DEFECT_TOL / (1.0 - np.sqrt(three.multiplier))
-        assert np.all(np.abs(one.trajectory.states - columns) <= bound * rms)
-        # The leg's monodromy is a block of the three legs', and balanced
-        # legs share their multipliers. A defect of 1e-10 moves a multiplier
-        # by about that much relative, so 1e-8 leaves a hundredfold margin.
-        assert one.multiplier == pytest.approx(three.multiplier, rel=1e-8)
+    def test_leg_orbits_share_the_floquet_multiplier(self, preset, phase):
+        # Balanced legs are one another a third of a period on, so they share
+        # their multipliers; the block run's monodromy is block diagonal, and
+        # its largest multiplier is the largest of the legs'. A defect of
+        # 1e-10 moves a multiplier by about that much relative, so 1e-8
+        # leaves a hundredfold margin.
+        orbits = leg_orbits(preset)[-1]
+        assert orbits[phase].defect <= SHOOTING_DEFECT_TOL
+        largest = max(orbit.multiplier for orbit in orbits.values())
+        assert orbits[phase].multiplier == pytest.approx(largest, rel=1e-8)
+
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_cold_start_is_the_block_columns(self, preset):
+        params, ctrl, refs, _, _ = leg_orbits(preset)
+        cold = np.repeat([0.0, params.V_dc, params.V_dc, 0.0, 0.0, 0.0], 3)
+        block = block_run(params, ctrl, refs, 400, 400, cold, 0)
+        for phase in PHASES:
+            one = simulate_closed_loop(params, ctrl, phase, refs[phase], 400, 400)
+            assert np.array_equal(one.states, leg(block, phase))
 
     def test_series_of_a_missing_leg_is_an_unknown_variable_error(self):
-        params, ctrl, refs, guess, three = three_leg_orbit("sec3-simulation")
-        one = simulate_closed_loop(params, ctrl, {"b": refs["b"]}, 400, 10, x0=guess.reshape(6, 3)[:, 1])
+        params, ctrl, refs, guess_at = preset_closed_loop("sec3-simulation", 0.0)
+        one = simulate_closed_loop(params, ctrl, "b", refs["b"], 400, 10, x0=leg(guess_at(0), "b"))
+        assert one.phases == ("b",)
         assert one.series("i_c", "b").shape == (11,)
-        for phase in ("a", "c"):
+        for phase in ("a", "c", "d"):
             with pytest.raises(UnknownVariableError):
                 one.series("i_c", phase)
-        with pytest.raises(UnknownVariableError):
-            three.trajectory.series("i_c", "d")
 
     def test_rejects_a_three_leg_state_for_one_leg(self):
-        params, ctrl, refs, guess, _ = three_leg_orbit("sec3-simulation")
+        params, ctrl, refs, guess_at = preset_closed_loop("sec3-simulation", 0.0)
         with pytest.raises(ValueError, match="one real 6-state vector"):
-            simulate_closed_loop(params, ctrl, {"a": refs["a"]}, 400, 10, x0=guess)
+            simulate_closed_loop(params, ctrl, "a", refs["a"], 400, 10, x0=guess_at(0))
         with pytest.raises(ValueError, match="one vector of 6 states"):
-            settled_closed_loop(params, ctrl, {"a": refs["a"]}, 400, 0, guess)
+            settled_closed_loop(params, ctrl, "a", refs["a"], 400, 0, guess_at(0))
 
-    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
-    def test_cold_start_of_one_leg_is_the_three_leg_columns(self, preset):
-        params, ctrl, refs, _, _ = three_leg_orbit(preset)
-        three = simulate_closed_loop(params, ctrl, refs, 400, 400)
-        for p, phase in enumerate(PHASES):
-            one = simulate_closed_loop(params, ctrl, {phase: refs[phase]}, 400, 400)
-            assert np.array_equal(one.states, three.states.reshape(-1, 6, 3)[:, :, p])
+    def test_unknown_phase_is_an_unknown_variable_error(self):
+        params, ctrl, refs, guess_at = preset_closed_loop("sec3-simulation", 0.0)
+        x = leg(guess_at(0), "a")
+        with pytest.raises(UnknownVariableError, match="'d'"):
+            simulate_closed_loop(params, ctrl, "d", refs["a"], 400, 10, x0=x)
+        with pytest.raises(UnknownVariableError, match="'d'"):
+            settled_closed_loop(params, ctrl, "d", refs["a"], 400, 0, x)
 
 
 @settings(max_examples=20, deadline=None)
@@ -758,16 +786,17 @@ def test_closed_loop_commutes_with_the_half_wave_operator(
     # per-phase amplitude and angle, v*(t + T/2) = -v*(t), so the run from
     # n0 + spp/2 started at H x is H applied to the run from n0 started at x.
     params, ctrl, refs, guess_at = preset_closed_loop(preset, x_over_r, m)
-    refs = {p: refs[p] * g * np.exp(1j * a) for p, g, a in zip(PHASES, gains, turns)}
     spp = 400
-    H = HALF_WAVE_OPERATOR
-    x = guess_at(n0)
-    run = simulate_closed_loop(params, ctrl, refs, spp, spp, x0=x, n0=n0)
-    shifted = simulate_closed_loop(params, ctrl, refs, spp, spp, x0=H @ x, n0=n0 + spp // 2)
-    image = run.states @ H.T
-    peak = np.max(np.abs(image), axis=0)
-    scale = np.maximum(peak, SETTLE_FLOOR * peak.max())
-    assert np.max(np.abs(shifted.states - image) / scale) <= 1e-10
+    H = LEG_HALF_WAVE_OPERATOR
+    for phase, g, a in zip(PHASES, gains, turns):
+        ref = refs[phase] * g * np.exp(1j * a)
+        x = leg(guess_at(n0), phase)
+        run = simulate_closed_loop(params, ctrl, phase, ref, spp, spp, x0=x, n0=n0)
+        shifted = simulate_closed_loop(params, ctrl, phase, ref, spp, spp, x0=H @ x, n0=n0 + spp // 2)
+        image = run.states @ H.T
+        peak = np.max(np.abs(image), axis=0)
+        scale = np.maximum(peak, SETTLE_FLOOR * peak.max())
+        assert np.max(np.abs(shifted.states - image) / scale) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -785,7 +814,7 @@ def test_open_loop_commutes_with_the_half_wave_operator(preset, m, x_over_r, n0)
     params, _, _, guess_at = preset_closed_loop(preset, x_over_r, m)
     spp = 400
     dt = params.period / spp
-    H = HALF_WAVE_OPERATOR[:12, :12]
+    H = np.kron(LEG_HALF_WAVE_OPERATOR[:4, :4], np.eye(3))  # on the 12 variable-major plant states
     rhs = _open_loop_rhs(params, m, params.V_dc)
     x = guess_at(n0)[:12]
     image = rk4(rhs, x, n0, spp, dt, spp, params.V_dc) @ H.T

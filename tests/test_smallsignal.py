@@ -869,8 +869,9 @@ def test_inductive_load_is_stable_and_matches_the_floquet_exponent(preset):
     model = assemble_smallsignal(op, params, cfg.ctrl, 7)
     assert eigenvalues(model)[0].real < 0.0
 
+    # The model is phase a's leg, so its orbit is leg a's.
     refs = references_from_operating_point(op, params)
     guess = operating_state_at(op, params, cfg.ctrl, refs, 0.0)
-    orbit = settled_closed_loop(params, cfg.ctrl, refs, 400, 0, guess)
+    orbit = settled_closed_loop(params, cfg.ctrl, "a", refs["a"], 400, 0, guess.reshape(6, 3)[:, 0])
     rate = np.log(orbit.multiplier) / params.period
     assert abs(centred_abscissa(model) - rate) <= 0.01

@@ -144,6 +144,38 @@ class TestExportsWithWorkers:
         for name in ("trajectory.csv", "report.txt"):
             assert (forked / name).read_bytes() == (inline / name).read_bytes()
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_reference_step_run_is_the_three_phase_block_run(self, monkeypatch, tmp_path, forks, cpus):
+        # The exported transient, stepped on phase b, against the 18-state
+        # block run of all three legs from the cold start, split at the step
+        # as the export is: the same doubles, with legs b and c forked or not.
+        from hssmmc.config import load_config
+        from hssmmc.pipelines import (
+            reference_step_run,
+            solve_operating_point,
+            step_grid_index,
+            stepped_references,
+        )
+        from hssmmc.smallsignal import references_from_operating_point
+
+        from conftest import closed_loop_block
+
+        cfg = load_config(fast_config_with_step(tmp_path, 4, "b"))
+        refs = references_from_operating_point(solve_operating_point(cfg), cfg.params)
+        spp, n_step, n_end = cfg.sim.steps_per_period, step_grid_index(cfg), cfg.sim.n_steps()
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        traj = reference_step_run(cfg, refs, n_step, n_end)
+        assert forks[0] == (2 if cpus > 1 else 0)
+        assert_no_worker_left()
+
+        v = cfg.params.V_dc
+        cold = np.repeat([0.0, v, v, 0.0, 0.0, 0.0], 3)[:, None]
+        pre = closed_loop_block(cfg.params, cfg.ctrl, refs, spp, n_step, cold, 0)[:, :, 0]
+        stepped = stepped_references(refs, cfg.step, cfg.step.amplitude)
+        after = closed_loop_block(cfg.params, cfg.ctrl, stepped, spp, n_end - n_step, pre[-1][:, None], n_step)
+        assert np.array_equal(traj.states, np.concatenate([pre[:-1], after[:, :, 0]]))
+        assert np.array_equal(traj.t, np.arange(n_end + 1) * (cfg.params.period / spp))
+
     def test_simulate_open_writes_the_same_bytes_with_and_without_workers(
         self, monkeypatch, tmp_path, forks
     ):
