@@ -35,7 +35,6 @@ from .plant import (
 from .steady import (
     OperatingPoint,
     assemble_steady,
-    dc_input_vector,
     solve_steady_state,
 )
 from .smallsignal import (

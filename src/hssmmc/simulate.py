@@ -7,7 +7,9 @@ controller, with reference phasors that are constant over a run. The
 equations are written once, elementwise (``plant.plant_phase_equations``
 and ``smallsignal._closed_loop_equations``), and the lifted models are
 derived from the same functions. Settled trajectories feed the spectral
-extraction used to cross-check the lifted models.
+extraction used to cross-check the lifted models, and the one energy
+balance (``power_balance``), which also checks a lifted operating point
+from its samples.
 
 Time lives on one grid: a fundamental period holds ``steps_per_period``
 RK4 steps of dt = period / steps_per_period, and every run length, start
@@ -217,25 +219,26 @@ def _half_period_maps(params: MmcParameters, m: float, spp: int, n0: int) -> np.
 
 
 def _open_loop_periods(
-    params: MmcParameters, m: float, spp: int, n0: int, n_periods: int, x0: np.ndarray | None
+    params: MmcParameters, m: float, spp: int, n0: int, n_periods: int, orbit: bool
 ) -> Trajectory:
     """Open-loop run over grid points n0 .. n0 + n_periods * spp, composed
     from ``_half_period_maps``. The plant commutes with the half-wave
     operator H, per phase, and x_rest = H x_rest: half period q runs from
     x_q as x_rest + H^q (d_q + D_s (d_q, 1)), d_q = H^q x_q - x_rest, and
-    d_{q+1} = Phi d_q + g is H applied to its last row. ``x0`` is the state
-    at n0, or None for the orbit d* = (I - Phi)^-1 g. Each half period is
-    checked for blow-up; from rest at m = 0 every d_q is exactly zero."""
+    d_{q+1} = Phi d_q + g is H applied to its last row. The run starts at
+    rest, d_0 = 0, or with ``orbit`` on the orbit d* = (I - Phi)^-1 g. Each
+    half period is checked for blow-up; from rest at m = 0 every d_q is
+    exactly zero."""
     check_modulation_index(m)
     half, dt = spp // 2, params.period / spp
     x_rest = default_initial_state(params)
     maps = _half_period_maps(params, m, spp, n0)
     H = LEG_HALF_WAVE_OPERATOR[:4, :4]  # the plant's block
-    if x0 is None:
+    if orbit:
         phi = H @ (np.eye(4) + maps[:, -1, :, :4])  # per phase; Phi is block diagonal
         d = _shooting_fixed_point(phi, (H @ maps[:, -1, :, 4:])[..., 0])[0]
     else:
-        d = (x0 - x_rest).reshape(4, 3).T
+        d = np.zeros((3, 4))
     states = np.empty((n_periods * spp + 1, 12))
     with np.errstate(over="ignore", invalid="ignore"):
         for q in range(2 * n_periods):
@@ -248,16 +251,10 @@ def _open_loop_periods(
     return Trajectory(dt, spp, n0, states)
 
 
-def simulate_open_loop(
-    params: MmcParameters,
-    m: float,
-    cfg: SimulationConfig,
-    x0: np.ndarray | None = None,
-) -> Trajectory:
-    """Open-loop transient from ``x0`` (default: rest) over the configured
-    run (``_open_loop_periods``)."""
-    x_init = default_initial_state(params) if x0 is None else np.asarray(x0, dtype=float)
-    return _open_loop_periods(params, m, cfg.steps_per_period, 0, cfg.total_periods, x_init)
+def simulate_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) -> Trajectory:
+    """Open-loop transient from rest (``default_initial_state``) over the
+    configured run (``_open_loop_periods``)."""
+    return _open_loop_periods(params, m, cfg.steps_per_period, 0, cfg.total_periods, False)
 
 
 def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) -> Trajectory:
@@ -272,7 +269,7 @@ def settled_open_loop(params: MmcParameters, m: float, cfg: SimulationConfig) ->
     NotSettledError when the largest Floquet multiplier is not below one.
     """
     spp = cfg.steps_per_period
-    return _open_loop_periods(params, m, spp, cfg.n_steps() - 2 * spp, 2, None)
+    return _open_loop_periods(params, m, spp, cfg.n_steps() - 2 * spp, 2, True)
 
 
 def _shooting_fixed_point(phi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -636,26 +633,27 @@ def compare_spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rel_err, dominant
 
 
-def total_harmonic_distortion(coeffs: np.ndarray, k_max: int | None = None) -> float:
-    """RMS of harmonics 2..k_max relative to the fundamental, from the
+def total_harmonic_distortion(coeffs: np.ndarray) -> float:
+    """RMS of harmonics 2..h relative to the fundamental, from the
     coefficient row ``coeffs`` (k = -h..h)."""
     h = coeffs.size // 2
     if h < 1:
         raise OrderMismatchError("need at least the fundamental to compute distortion")
-    k_max = h if k_max is None else min(k_max, h)
     fund = abs(coeffs[h + 1])
     if fund == 0.0:
         return np.inf
-    num = np.sqrt(sum(abs(coeffs[h + k]) ** 2 for k in range(2, k_max + 1)))
+    num = np.sqrt(sum(abs(coeffs[h + k]) ** 2 for k in range(2, h + 1)))
     return float(num / fund)
 
 
-def power_balance(traj: Trajectory, params: MmcParameters) -> dict[str, float]:
-    """One-period average dc input power, load dissipation, and arm losses."""
-    spp = traj.steps_per_period
-    s = slice(-spp - 1, -1)
-    i_c = traj.states[s, 0:3]
-    i_g = traj.states[s, 9:12]
+def power_balance(states: np.ndarray, params: MmcParameters) -> dict[str, float]:
+    """One-period average dc input power, load dissipation and arm losses
+    from one period of (n, 12) plant states at n uniform instants, in
+    ``STATE_LABELS`` order: the settled orbit's last period, or an operating
+    point's values at ``harmonic.instants(h)`` instants, on which the mean
+    of a product of two order-h signals is exact."""
+    i_c = states[:, 0:3]
+    i_g = states[:, 9:12]
     i_u = i_c + 0.5 * i_g
     i_l = i_c - 0.5 * i_g
     p_in = params.V_dc * float(np.mean(np.sum(i_c, axis=1)))

@@ -9,7 +9,10 @@ periodic coefficients plus the diagonal differentiation terms. Setting the
 lifted derivative to zero yields phase a's periodic operating point from
 one linear solve, and phases b and c are its T/3 rotations. The operating
 point keeps the solution as one (12, 2h+1) coefficient array in
-``STATE_LABELS`` order.
+``STATE_LABELS`` order. Its energy balance is the simulator's
+``simulate.power_balance`` on its values at ``instants(h)`` instants
+(``harmonic.sample``): a period mean of products of order-h rows is exact
+on that many samples.
 """
 
 from __future__ import annotations
@@ -89,13 +92,6 @@ def assemble_steady(
     return lift_phase_samples(plant_samples(params, indices, h), h, params.omega1)
 
 
-def dc_input_vector(v_dc: float, h: int) -> np.ndarray:
-    """Lifted input: v_dc in the dc slot, zeros in every harmonic slot."""
-    u = np.zeros(2 * h + 1, dtype=complex)
-    u[h] = v_dc
-    return u
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """Periodic steady state of the plant.
@@ -134,20 +130,6 @@ class OperatingPoint:
             [synthesize(c, self.omega1, t, floor=floor) for c in self.coeffs]
         )
 
-    def power_balance(self, params: MmcParameters) -> dict[str, float]:
-        """One-period average dc input power, load dissipation and arm
-        losses, by Parseval from the coefficients."""
-        i_c, i_g = self.coeffs[0:3], self.coeffs[9:12]
-
-        def mean_square(c):
-            return float(np.sum(np.abs(c) ** 2))
-
-        return {
-            "dc_input": params.V_dc * float(np.sum(i_c[:, self.h].real)),
-            "load": params.R_load * mean_square(i_g),
-            "arm_loss": params.R * (mean_square(i_c + 0.5 * i_g) + mean_square(i_c - 0.5 * i_g)),
-        }
-
 
 def solve_lifted(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Gated dense solve of A x = b; returns x, the 1-norm condition number
@@ -177,18 +159,21 @@ def solve_lifted(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float
 
 
 def solve_steady_state(
-    model: LiftedModel, u: np.ndarray, indices: tuple[np.ndarray, np.ndarray]
+    model: LiftedModel, v_dc: float, indices: tuple[np.ndarray, np.ndarray]
 ) -> OperatingPoint:
     """Periodic operating point from the algebraic solve of phase a's lifted
-    model assembled at ``indices``, under the lifted constant dc-bus voltage
-    ``u`` (``dc_input_vector``). It drives the three phases alike, so phases
-    b and c are the T/3 rotations of phase a (``phase_rotation``).
+    model assembled at ``indices``, under the constant dc-bus voltage
+    ``v_dc``: the model's one input, lifted, is v_dc at k = 0 and zero at
+    every other harmonic. It drives the three phases alike, so phases b and
+    c are the T/3 rotations of phase a (``phase_rotation``).
 
     Raises SingularSystemError when the gated solve (``solve_lifted``)
     rejects the lifted matrix or its solution, and ResidualImaginaryError
     when a state's coefficients are not conjugate symmetric.
     """
-    x_a, condition, residual = solve_lifted(model.A, -(model.B @ np.asarray(u, dtype=complex)))
+    u = np.zeros(2 * model.h + 1, dtype=complex)
+    u[model.h] = v_dc
+    x_a, condition, residual = solve_lifted(model.A, -(model.B @ u))
     rotations = np.array([phase_rotation(model.h, phase) for phase in PHASES])
     # STATE_LABELS runs over the three phases within each variable.
     coeffs = (x_a.reshape(-1, 1, 2 * model.h + 1) * rotations).reshape(len(STATE_LABELS), -1)

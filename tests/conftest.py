@@ -27,7 +27,7 @@ from hssmmc.smallsignal import (
     _closed_loop_samples,
     _zero_order_hold_step,
 )
-from hssmmc.steady import dc_input_vector, plant_samples
+from hssmmc.steady import plant_samples
 
 
 def phase_columns(n_states):
@@ -317,7 +317,7 @@ def dense_steady_coeffs(params, indices, h):
     """The (12, 2h+1) operating point of the dense reference, by one
     ``numpy.linalg.solve``."""
     model = dense_steady(params, indices, h)
-    x = np.linalg.solve(model.A, -(model.B @ dc_input_vector(params.V_dc, h)))
+    x = np.linalg.solve(model.A, -(model.B[:, h] * params.V_dc))
     return x.reshape(len(STATE_LABELS), 2 * h + 1)
 
 

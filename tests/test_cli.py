@@ -298,6 +298,37 @@ class TestSimulateScenarios:
         )
         assert len([f for f in out.iterdir() if f.name.startswith("spectrum_sim_")]) == 12
 
+    def test_unsettled_open_loop_exits_0_and_claims_no_pass(self, tmp_path, capsys):
+        # Five periods of sec3-simulation at 400 steps per period do not
+        # settle. The run completes, so it exits 0; the report's settled
+        # line fails with the change it read against SETTLE_RTOL, and the
+        # closing line claims no passed check.
+        from importlib import resources
+
+        preset = resources.files("hssmmc") / "presets" / "sec3-simulation.ini"
+        text = preset.read_text(encoding="utf-8")
+        for old, new in (
+            ("steps_per_period = 2000", "steps_per_period = 400"),
+            ("settle_periods = 120", "settle_periods = 2"),
+            ("total_periods = 122", "total_periods = 5"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "sec3-short.ini"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate-open", "--config", str(path), "--out", str(out), "--no-timestamp"]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        assert re.fullmatch(
+            r"\[FAIL\] settled: max last-two-period RMS change (\S+) \(tol 1\.0e-03\); "
+            r"2 settle periods requested",
+            report[1],
+        )
+        assert float(report[1].split("change ")[1].split()[0]) > 1e-3
+        assert report[2] == "result: FAIL"
+        assert not any(f.name.startswith("spectrum_sim_") for f in out.iterdir())
+        assert capsys.readouterr().out == f"simulate-open: done, see {out / 'report.txt'}\n"
+
     def test_closed_loop_trajectory_includes_controller(self, fast_config, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate-closed", "--config", fast_config, "--out", str(out), "--no-timestamp"]) == 0

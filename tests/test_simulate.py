@@ -170,12 +170,6 @@ class TestOpenLoop:
         b = simulate_open_loop(fast_params, 0.6, cfg)
         assert np.array_equal(a.states, b.states)
 
-    def test_blowup_detection(self, fast_params):
-        x0 = default_initial_state(fast_params)
-        x0[0] = 1e16
-        with pytest.raises(NumericalBlowupError):
-            simulate_open_loop(fast_params, 0.5, fast_cfg(fast_params), x0=x0)
-
     def test_blowup_names_its_period(self, fast_params):
         # A negative arm resistance makes the open loop unstable. The
         # parameter check rejects it, so it is set past that check.
@@ -267,7 +261,8 @@ class TestOpenLoop:
         assert np.all(np.diff(worst) > 0)  # most recent first: older periods larger
 
     def test_energy_balance(self, sec3_orbit, sec3_params):
-        balance = power_balance(sec3_orbit, sec3_params)
+        spp = sec3_orbit.steps_per_period
+        balance = power_balance(sec3_orbit.states[-spp - 1 : -1], sec3_params)
         mismatch = abs(balance["dc_input"] - balance["load"] - balance["arm_loss"])
         assert mismatch <= 0.01 * balance["dc_input"]
 
@@ -661,6 +656,30 @@ class TestClosedLoopShooting:
         repeated = np.resize(orbit[:-1], run.states.shape)
         peak = np.max(np.abs(orbit), axis=0)
         assert np.all(np.abs(run.states - repeated) <= 1e-8 * peak)
+
+    @pytest.mark.parametrize("h", [3, 7])
+    @pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+    def test_step_half_a_period_on_reads_the_same_nrmse(self, preset, h):
+        # The orbit and the lifted model commute with the half-wave
+        # operator, so the step half a period on is the same step under H,
+        # and the perturbation NRMSE is the same to rounding. The tolerance
+        # was fixed before measuring. n_step moves before the first compare:
+        # the orbit is shot at n_step on first use.
+        cfg = load_config(preset)
+        cfg = dataclasses.replace(
+            cfg,
+            h=h,
+            sim=dataclasses.replace(cfg.sim, steps_per_period=400),
+            step=dataclasses.replace(cfg.step, period=15, window_periods=5),
+        )
+        readings = []
+        for shift in (0, 400 // 2):
+            ctx = SmallsigContext(cfg)
+            ctx.n_step += shift
+            readings.append(ctx.compare(cfg.step.amplitude).nrmse)
+            assert ctx.orbit.trajectory.n0 == 15 * 400 + shift
+        for var in ("i_c", "i_g"):
+            assert readings[1][var] == pytest.approx(readings[0][var], rel=1e-9, abs=0)
 
     def test_odd_grid_has_no_half_period_point(self, fast_params):
         ctrl, refs = tracking_loop()

@@ -13,7 +13,6 @@ from hssmmc import (
     MmcParameters,
     assemble_smallsignal,
     assemble_steady,
-    dc_input_vector,
     eigenvalues,
     envelope_response,
     frequency_matrix,
@@ -73,7 +72,7 @@ def sec3_like():
 def solve(params, m, h):
     idx = open_loop_insertion_indices(m, h)
     model = assemble_steady(params, idx, h)
-    return solve_steady_state(model, dc_input_vector(params.V_dc, h), idx)
+    return solve_steady_state(model, params.V_dc, idx)
 
 
 def ctrl_default():

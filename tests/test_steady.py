@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hssmmc import (
@@ -11,7 +11,6 @@ from hssmmc import (
     SingularSystemError,
     UnknownVariableError,
     assemble_steady,
-    dc_input_vector,
     frequency_matrix,
     open_loop_insertion_indices,
     solve_steady_state,
@@ -19,7 +18,9 @@ from hssmmc import (
     toeplitz,
 )
 from hssmmc.errors import PhaseImbalanceError
+from hssmmc.harmonic import instants, sample
 from hssmmc.plant import PHASES, STATE_LABELS, STATE_VARIABLES
+from hssmmc.simulate import power_balance
 from hssmmc.smallsignal import LEG_HALF_WAVE
 
 from conftest import (
@@ -43,7 +44,7 @@ def sec3_like():
 def solve(params, m, h):
     idx = open_loop_insertion_indices(m, h)
     model = assemble_steady(params, idx, h)
-    return model, solve_steady_state(model, dc_input_vector(params.V_dc, h), idx)
+    return model, solve_steady_state(model, params.V_dc, idx)
 
 
 class TestAssembly:
@@ -97,19 +98,6 @@ class TestAssembly:
         # load impedance at harmonic k.
         expected = -(p.R + 2 * p.load_impedance(k)) - 1j * k * W1 * p.L
         assert np.allclose((p.L + 2 * p.L_load) * np.diag(blk), expected, atol=1e-12)
-
-
-class TestDcInput:
-    def test_values(self):
-        u = dc_input_vector(320e3, 3)
-        assert u[3] == 320e3
-        assert np.count_nonzero(u) == 1
-
-    def test_zero(self):
-        assert np.count_nonzero(dc_input_vector(0.0, 3)) == 0
-
-    def test_scalar_order(self):
-        assert dc_input_vector(5.0, 0).shape == (1,)
 
 
 class TestSolve:
@@ -185,7 +173,7 @@ class TestSolve:
         model = assemble_steady(p, idx, 3)
         block(model, "i_g", "v_cu")[4, 3] *= 1.01
         with pytest.raises(ResidualImaginaryError, match="conjugate symmetry"):
-            solve_steady_state(model, dc_input_vector(p.V_dc, 3), idx)
+            solve_steady_state(model, p.V_dc, idx)
 
     @pytest.mark.parametrize("arm", [0, 1])
     def test_non_conjugate_indices_raise(self, arm):
@@ -225,7 +213,7 @@ class TestSolve:
         params = load_config(preset).params
         params = dataclasses.replace(params, L_load=x_over_r * params.R_load / params.omega1)
         idx = open_loop_insertion_indices(m, h)
-        op = solve_steady_state(assemble_steady(params, idx, h), dc_input_vector(params.V_dc, h), idx)
+        op = solve_steady_state(assemble_steady(params, idx, h), params.V_dc, idx)
         reference = dense_steady_coeffs(params, idx, h)
         assert np.max(np.abs(op.coeffs - reference)) <= 1e-13 * np.max(np.abs(reference))
 
@@ -236,7 +224,7 @@ class TestSolve:
         model = assemble_steady(p, idx, 2)
         model.A[:] = 0.0
         with pytest.raises(SingularSystemError) as raised:
-            solve_steady_state(model, dc_input_vector(p.V_dc, 2), idx)
+            solve_steady_state(model, p.V_dc, idx)
         assert raised.value.condition == np.inf
 
     @settings(max_examples=25, deadline=None)
@@ -256,7 +244,7 @@ class TestSolve:
         params = load_config(preset).params
         model = assemble_steady(params, open_loop_insertion_indices(m, h), h)
         A = model.A
-        _, condition, _ = solve_lifted(A, -(model.B @ dc_input_vector(params.V_dc, h)))
+        _, condition, _ = solve_lifted(A, -(model.B[:, h] * params.V_dc))
         assert condition == np.linalg.cond(A, 1)
         lu, _ = scipy.linalg.lu_factor(A)
         rcond, info = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(A, 1))
@@ -286,6 +274,44 @@ class TestSolve:
             rms_residual = np.sqrt(np.mean(residual[row] ** 2))
             rms_deriv = np.sqrt(np.mean(deriv[row] ** 2))
             assert rms_residual < 0.01 * rms_deriv
+
+
+class TestEnergyBalance:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        preset=st.sampled_from(["sec3-simulation", "table1-prototype"]),
+        m=st.floats(0.0, 1.0),
+        h=st.integers(1, 30),
+        x_over_r=st.floats(0.0, 0.5),
+    )
+    @example(preset="sec3-simulation", m=0.0, h=1, x_over_r=0.0)
+    def test_sampled_balance_is_the_parseval_sum(self, preset, m, h, x_over_r):
+        # The period mean of a product of two order-h signals is exact on
+        # more than 2h samples, so the simulator's balance on the operating
+        # point's values at instants(h) instants is the Parseval sum over
+        # its coefficients, to rounding; exactly when every power is 0.
+        import dataclasses
+
+        from hssmmc.config import load_config
+
+        params = load_config(preset).params
+        params = dataclasses.replace(params, L_load=x_over_r * params.R_load / params.omega1)
+        _, op = solve(params, m, h)
+        sampled = power_balance(sample(op.coeffs, instants(h)).T, params)
+
+        i_c, i_g = op.coeffs[0:3], op.coeffs[9:12]
+
+        def mean_square(c):
+            return float(np.sum(np.abs(c) ** 2))
+
+        parseval = {
+            "dc_input": params.V_dc * float(np.sum(i_c[:, h].real)),
+            "load": params.R_load * mean_square(i_g),
+            "arm_loss": params.R * (mean_square(i_c + 0.5 * i_g) + mean_square(i_c - 0.5 * i_g)),
+        }
+        largest = max(abs(p) for p in (*sampled.values(), *parseval.values()))
+        for key, power in parseval.items():
+            assert abs(sampled[key] - power) <= 1e-12 * largest, key
 
 
 class TestExtractSpectrum:
