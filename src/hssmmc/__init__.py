@@ -41,6 +41,7 @@ from .smallsignal import (
     ControllerParams,
     EnvelopeResponse,
     assemble_smallsignal,
+    closed_loop_rows,
     eigenvalues,
     envelope_response,
     reconstruct_perturbation,

@@ -36,7 +36,6 @@ from .simulate import (
     settled_closed_loop,
     settled_open_loop,
     settled_spectrum,
-    settling_profile,
     simulate_closed_loop,
     simulate_open_loop,
     total_harmonic_distortion,
@@ -45,6 +44,7 @@ from .smallsignal import (
     SMALLSIG_STATE_LABELS,
     EnvelopeResponse,
     assemble_smallsignal,
+    closed_loop_rows,
     eigenvalues,
     envelope_response,
     lifted_reference_step,
@@ -143,7 +143,8 @@ def _require_reference_phasors(cfg: RunConfig):
 def build_smallsignal_model(cfg: RunConfig) -> tuple[OperatingPoint, LiftedModel]:
     _require_closed_loop(cfg)
     op = solve_operating_point(cfg)
-    return op, assemble_smallsignal(op, cfg.params, cfg.ctrl, cfg.h)
+    rows = closed_loop_rows(op, cfg.params, cfg.ctrl)
+    return op, assemble_smallsignal(rows, cfg.params, cfg.ctrl, cfg.h)
 
 
 def run_smallsig(cfg: RunConfig, out: Path, timestamp: bool) -> int:
@@ -173,7 +174,7 @@ def stability_check(eig: np.ndarray) -> tuple[str, bool, str]:
 def run_simulate_open(cfg: RunConfig, out: Path, timestamp: bool) -> int:
     traj = simulate_open_loop(cfg.params, cfg.m, cfg.sim)
     write_trajectory_csv(out / "trajectory.csv", traj, STATE_LABELS, timestamp)
-    worst = float(np.max(settling_profile(traj, n_periods=1)[0]))
+    worst = traj.settling_change
     settled = worst <= SETTLE_RTOL  # a NaN change fails too
     if settled:
         for var in STATE_VARIABLES:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,6 +147,12 @@ class Trajectory:
         """One plant state over the run; UnknownVariableError for a phase
         the run lacks."""
         return self.states[:, state_position(variable, phase, self.phases)]
+
+    @cached_property
+    def settling_change(self) -> float:
+        """Largest last-two-period RMS change of any state
+        (``settling_profile``), computed on first use: a run's states stay fixed."""
+        return float(np.max(settling_profile(self, n_periods=1)[0]))
 
 
 def _check_blowup(rows: np.ndarray, scale: float, n0: int, dt: float, steps_per_period: int):
@@ -580,11 +587,6 @@ def settling_profile(traj: Trajectory, n_periods: int = 5) -> np.ndarray:
     return out
 
 
-def is_settled(traj: Trajectory) -> bool:
-    """Last-two-period RMS change at most ``SETTLE_RTOL`` for every state."""
-    return bool(np.all(settling_profile(traj, n_periods=1)[0] <= SETTLE_RTOL))
-
-
 def settled_spectrum(
     traj: Trajectory,
     variable: str,
@@ -595,8 +597,8 @@ def settled_spectrum(
     """Coefficients k = -h..h of one state over the final fundamental
     period, referred to t = 0: the ``fourier`` row of the period's samples,
     shifted by its start time t0."""
-    if not is_settled(traj):
-        worst = float(np.max(settling_profile(traj, n_periods=1)[0]))
+    worst = traj.settling_change
+    if not worst <= SETTLE_RTOL:  # a NaN change fails too
         raise NotSettledError(
             f"last-two-period RMS change {worst:.3e} exceeds {SETTLE_RTOL:.1e}"
         )

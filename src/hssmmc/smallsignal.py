@@ -11,13 +11,13 @@ with H_v(s) = K_p + K_r s / (s^2 + w1^2) realized per phase by two states:
 
     dx1/dt = -w1^2 x2 + K_r e,   dx2/dt = x1,   y = x1.
 
-The lifted model derives from the closed-loop equations the simulator
-integrates (``_closed_loop_equations``): their complex-step Jacobian on the
-operating orbit at ``instants(h)`` instants (``_closed_loop_samples``),
-lifted as the steady model is (``lift_phase_samples``) to phase a's 6-block
-``LiftedModel``, block v leg variable v of ``SMALLSIG_VARIABLES``, with
-input blocks v_dc and phase a's voltage reference. Phases b and c are its
-T/3 rotations (``LiftedModel.for_phase``).
+The lifted model, ``assemble_smallsignal(rows, params, ctrl, h)``, is one
+complex-step Jacobian of the closed-loop equations the simulator integrates
+(``_closed_loop_equations``) about the (18, 2h+1) rows ``rows`` at
+``instants(h)`` instants (``_closed_loop_samples``), lifted as the steady
+model is (``lift_phase_samples``) to phase a's 6-block ``LiftedModel``,
+block v leg variable v of ``SMALLSIG_VARIABLES``, with input blocks v_dc and
+phase a's voltage reference; ``LiftedModel.for_phase`` rotates it by T/3.
 
 Eigenvalue screening (``eigenvalues``) splits the model by the half-wave
 operator (``LiftedModel.phase_blocks``, with the image of each leg
@@ -56,7 +56,7 @@ from .plant import (
     lift_phase_samples,
     plant_phase_equations,
 )
-from .steady import OperatingPoint, plant_samples
+from .steady import OperatingPoint
 
 # The closed-loop leg variables, in the argument order of
 # _closed_loop_equations; the 18 states are variable-major like the plant's
@@ -100,9 +100,9 @@ class ControllerParams:
 
 def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
     """The closed-loop equations of one phase leg, as a function
-    (v_star, i_c, v_cu, v_cl, i_g, x1, x2) -> the time derivatives of
-    (i_c, v_cu, v_cl, i_g, x1, x2), with x1, x2 the PR controller states and
-    v_star the voltage reference at that instant.
+    (v_star, i_c, v_cu, v_cl, i_g, x1, x2, v_dc=V_dc) -> the time derivatives
+    of (i_c, v_cu, v_cl, i_g, x1, x2), with x1, x2 the PR controller states,
+    v_star the voltage reference and v_dc the bus the plant rows alone read.
 
     As in ``plant_phase_equations``, which supplies the plant rows, every
     operation is elementwise: the arguments are floats for one phase or
@@ -135,7 +135,7 @@ def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
     R_g = params.R + 2.0 * R_L
     L_g = params.L + 2.0 * L_L
 
-    def derivatives(v_star, i_c, v_cu, v_cl, i_g, x1, x2):
+    def derivatives(v_star, i_c, v_cu, v_cl, i_g, x1, x2, v_dc=v_dc):
         # v_mod is w + kd L_load di_g/dt, and the plant's
         # (L + 2 L_load) di_g/dt = -n_u v_cu + n_l v_cl - (R + 2 R_load) i_g
         # becomes linear in di_g/dt.
@@ -156,49 +156,44 @@ def _closed_loop_equations(params: MmcParameters, ctrl: ControllerParams):
 
 
 def _closed_loop_samples(
-    op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams, t0: float = 0.0
+    rows: np.ndarray, params: MmcParameters, ctrl: ControllerParams, t0: float = 0.0
 ) -> np.ndarray:
-    """Complex-step Jacobian samples (3, 6, 7, N) of
+    """Complex-step Jacobian samples (3, 6, 8, N) of
     ``_closed_loop_equations`` per phase with respect to its six states
-    (``SMALLSIG_VARIABLES`` order) and v*, on the operating orbit at the N =
-    ``instants(op.h)`` instants t0 + j T / N, all 18 rows sampled by one
-    inverse FFT.
-
-    The equations see v* and x1 only through the modulation voltage, so the
-    samples take v* = 0 and the PR states ``operating_controller_states``
-    gives with zero references: no reference phasor is needed, which an
-    order-0 point lacks.
+    (``SMALLSIG_VARIABLES`` order), v_dc and v*, at the N = ``instants(h)``
+    instants t0 + j T / N of the (18, 2h+1) rows ``rows``, variable-major
+    like ``SMALLSIG_STATE_LABELS``, all sampled by one inverse FFT. The
+    equations see v* and x1 only through the modulation voltage, so the
+    rows carry K_p v* in x1, and the samples take v* = 0 and v_dc = V_dc.
     """
-    prs = operating_controller_states(op, params, ctrl, {p: 0.0 for p in PHASES})
-    rows = np.concatenate([op.coeffs, prs])
-    k = np.arange(-op.h, op.h + 1)
-    x = sample(rows * np.exp(1j * k * params.omega1 * t0), instants(op.h))
+    h = rows.shape[-1] // 2
+    k = np.arange(-h, h + 1)
+    x = sample(rows * np.exp(1j * k * params.omega1 * t0), instants(h))
     y = x.reshape(len(SMALLSIG_VARIABLES), len(PHASES), -1)
     jacobian = complex_step_jacobian(
-        _closed_loop_equations(params, ctrl), (np.zeros_like(y[0]), *y), (1, 2, 3, 4, 5, 6, 0)
+        _closed_loop_equations(params, ctrl), (np.zeros_like(y[0]), *y, params.V_dc), (*range(1, 8), 0)
     )
     return np.moveaxis(jacobian, 1, -1)
 
 
 def assemble_smallsignal(
-    op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams, h: int
+    rows: np.ndarray, params: MmcParameters, ctrl: ControllerParams, h: int
 ) -> LiftedModel:
-    """Lifted closed-loop model of phase a about an operating point, derived
-    from the closed-loop equations (``_closed_loop_samples``): six state
-    blocks, input blocks v_dc and phase a's voltage reference. The v_dc
-    input is the plant's own dc-bus term, the steady model's input
-    (``plant_samples``).
-    """
-    if h != op.h:
+    """Lifted closed-loop model of phase a about the (18, 2h+1) rows
+    ``rows`` (``_closed_loop_samples``), else DimensionMismatchError: six
+    state blocks, input blocks v_dc and phase a's voltage reference."""
+    if np.shape(rows) != (len(SMALLSIG_STATE_LABELS), 2 * h + 1):
         raise DimensionMismatchError(
-            f"operating point solved at order {op.h}, model requested {h}"
+            f"linearization point rows of shape {np.shape(rows)}, model requested order {h}"
         )
-    closed = _closed_loop_samples(op, params, ctrl)
-    dc = np.zeros_like(closed[:, :, :1])
-    dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
-    return lift_phase_samples(
-        np.concatenate([closed[:, :, :6], dc, closed[:, :, 6:]], axis=2), h, params.omega1
-    )
+    return lift_phase_samples(_closed_loop_samples(rows, params, ctrl), h, params.omega1)
+
+
+def closed_loop_rows(op: OperatingPoint, params: MmcParameters, ctrl: ControllerParams) -> np.ndarray:
+    """``assemble_smallsignal``'s rows at ``op``: its plant rows, then the
+    PR rows of ``operating_controller_states`` at zero references."""
+    prs = operating_controller_states(op, params, ctrl, {p: 0.0 for p in PHASES})
+    return np.concatenate([op.coeffs, prs])
 
 
 def eigenvalues(model: LiftedModel) -> np.ndarray:

@@ -18,14 +18,24 @@ from hssmmc.plant import (
     STATE_LABELS,
     LiftedModel,
     complex_step_jacobian,
+    phase_rotation,
     plant_phase_equations,
 )
-from hssmmc.simulate import Trajectory, _check_blowup, default_initial_state, settled_open_loop
+from hssmmc.simulate import (
+    Trajectory,
+    _check_blowup,
+    default_initial_state,
+    settled_closed_loop,
+    settled_open_loop,
+)
 from hssmmc.smallsignal import (
     SMALLSIG_VARIABLES,
     _closed_loop_equations,
     _closed_loop_samples,
     _zero_order_hold_step,
+    closed_loop_rows,
+    operating_state_at,
+    references_from_operating_point,
 )
 from hssmmc.steady import plant_samples
 
@@ -322,15 +332,14 @@ def dense_steady_coeffs(params, indices, h):
 
 
 def dense_smallsignal(op, params, ctrl, h):
-    """Three-phase reference of ``assemble_smallsignal``: 18 state blocks,
-    input blocks v_dc and the voltage references of phases a, b and c."""
-    closed = _closed_loop_samples(op, params, ctrl)
-    dc = np.zeros_like(closed[:, :, :1])
-    dc[:, :4] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4:]
-    return dense_lift(
-        np.concatenate([closed, dc], axis=2), phase_columns(18), [[1 + p, 0] for p in range(3)],
-        h, params.omega1,
-    )
+    """Three-phase reference of ``assemble_smallsignal`` about
+    ``closed_loop_rows(op, params, ctrl)``: 18 state blocks, input blocks
+    v_dc and the voltage references of phases a, b and c. Its v_dc column
+    is the plant's own (``plant_samples``), not the closed-loop equations'."""
+    samples = _closed_loop_samples(closed_loop_rows(op, params, ctrl), params, ctrl)
+    samples[:, :, 6] = 0.0
+    samples[:, :4, 6] = plant_samples(params, (op.n_u, op.n_l), h)[:, :, 4]
+    return dense_lift(samples, phase_columns(18), [[0, 1 + p] for p in range(3)], h, params.omega1)
 
 
 def settled_state(model, delta_u):
@@ -357,12 +366,30 @@ def envelope_final_state(model, delta_u, t_end, dt):
 def linearized_A(op, params, ctrl, t):
     """Instantaneous 18x18 closed-loop Jacobian at time t on the operating
     orbit: the complex-step Jacobian the lifted A is the lift of
-    (``_closed_loop_samples``), at one instant."""
-    a = _closed_loop_samples(op, params, ctrl, t)[:, :, :6, 0]
+    (``_closed_loop_samples`` about ``closed_loop_rows``), at one instant."""
+    a = _closed_loop_samples(closed_loop_rows(op, params, ctrl), params, ctrl, t)[:, :, :6, 0]
     out = np.zeros((18, 18))
     for p, c in enumerate(phase_columns(18)):
         out[np.ix_(c, c)] = a[p]
     return out
+
+
+def orbit_rows(op, params, ctrl, h):
+    """The closed-loop RK4 orbit of the operating point's references as a
+    linearization point of ``assemble_smallsignal``, and the orbit: leg a
+    shot by ``settled_closed_loop`` at 400 steps per period from grid point
+    0, its order-h ``fourier`` rows with K_p v* folded into x1 (K_p ref / 2
+    at k = +1, its conjugate at k = -1), rotated to phases b and c by
+    ``phase_rotation`` into (18, 2h+1) variable-major rows."""
+    refs = references_from_operating_point(op, params)
+    guess = operating_state_at(op, params, ctrl, refs, 0.0).reshape(-1, len(PHASES))[:, 0]
+    orbit = settled_closed_loop(params, ctrl, "a", refs["a"], 400, 0, guess)
+    leg = fourier(orbit.trajectory.states[:-1].T, h)
+    x1 = SMALLSIG_VARIABLES.index("pr_1")
+    leg[x1, h + 1] += 0.5 * ctrl.K_p * refs["a"]
+    leg[x1, h - 1] += 0.5 * ctrl.K_p * np.conj(refs["a"])
+    rotations = np.array([phase_rotation(h, p) for p in PHASES])
+    return (leg[:, None, :] * rotations).reshape(-1, 2 * h + 1), orbit
 
 
 def _phase_raised(samples, rows, cols, phase, rel):

@@ -884,6 +884,22 @@ class TestSettledSpectrum:
         traj = simulate_open_loop(sec3_params, 0.5, cfg)
         with pytest.raises(NotSettledError):
             settled_spectrum(traj, "i_c", "a", 3, sec3_params.omega1)
+        with pytest.raises(NotSettledError, match=f"{traj.settling_change:.3e}"):
+            settled_spectrum(traj, "i_g", "b", 3, sec3_params.omega1)
+
+    def test_settled_check_runs_once_per_trajectory(self, fast_params, monkeypatch):
+        # Every spectrum of one run reads the same last two periods.
+        from hssmmc import simulate
+
+        traj = simulate_open_loop(fast_params, 0.5, fast_cfg(fast_params))
+        calls = []
+        monkeypatch.setattr(
+            simulate, "settling_profile", lambda *a, **k: calls.append(a) or settling_profile(*a, **k)
+        )
+        for label in STATE_LABELS:
+            settled_spectrum(traj, label[:-1], label[-1], 3, W1)
+        assert len(calls) == 1
+        assert traj.settling_change == np.max(settling_profile(traj, n_periods=1))
 
     def test_matches_steady_solve(self, sec3_orbit, sec3_op, sec3_params):
         for var in ("i_c", "v_cu", "i_g"):

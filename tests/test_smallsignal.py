@@ -13,6 +13,7 @@ from hssmmc import (
     MmcParameters,
     assemble_smallsignal,
     assemble_steady,
+    closed_loop_rows,
     eigenvalues,
     envelope_response,
     frequency_matrix,
@@ -40,8 +41,10 @@ from hssmmc.smallsignal import (
     load_voltage_spectrum,
     operating_state_at,
     references_from_operating_point,
+    _closed_loop_samples,
     _expm,
 )
+from hssmmc.steady import plant_samples
 from conftest import (
     V_REF,
     block,
@@ -52,6 +55,7 @@ from conftest import (
     envelope_final_state,
     half_wave_broken,
     linearized_A,
+    orbit_rows,
     peak_error,
     phase_b_raised,
     phase_columns,
@@ -77,6 +81,11 @@ def solve(params, m, h):
 
 def ctrl_default():
     return ControllerParams(K_p=0.6, K_r=300.0, k_f=1.0)
+
+
+def lift_about(op, params, ctrl, h):
+    """``assemble_smallsignal`` about the open-loop operating point ``op``."""
+    return assemble_smallsignal(closed_loop_rows(op, params, ctrl), params, ctrl, h)
 
 
 class TestControllerParams:
@@ -124,7 +133,7 @@ class TestFCoefficients:
         p = sec3_like()
         op = solve(p, 0.5, 3)
         ctrl = ControllerParams(K_p=0.7, K_r=100.0, k_f=0.7)
-        model = assemble_smallsignal(op, p, ctrl, 3)
+        model = lift_about(op, p, ctrl, 3)
         for i, ph in enumerate(("a", "b", "c")):
             rotated = model.for_phase(ph)
             assert np.max(np.abs(coefficients(rotated, "i_c", "i_g"))) == 0.0
@@ -134,7 +143,7 @@ class TestFCoefficients:
     def test_zero_modulation_point(self):
         p = sec3_like()
         op = solve(p, 0.0, 3)
-        model = assemble_smallsignal(op, p, ctrl_default(), 3)
+        model = lift_about(op, p, ctrl_default(), 3)
         for ph in ("a", "b", "c"):
             rotated = model.for_phase(ph)
             assert np.max(np.abs(coefficients(rotated, "i_c", "pr_1"))) <= 1e-12 / p.L
@@ -146,7 +155,7 @@ class TestFCoefficients:
         # A dc unit on the controller state drives the circulating current
         # with the capacitor voltage imbalance spectrum.
         p = sec3_like()
-        model = assemble_smallsignal(sec3_op, p, ctrl_default(), 3)
+        model = lift_about(sec3_op, p, ctrl_default(), 3)
         gamma = block(model, "i_c", "pr_1")
         unit = np.zeros(7, dtype=complex)
         unit[3] = 1.0
@@ -159,7 +168,7 @@ class TestFCoefficients:
         p = sec3_like()
         op = solve(p, 0.5, 3)
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
-        model = assemble_smallsignal(op, p, ctrl, 3)
+        model = lift_about(op, p, ctrl, 3)
         expected = (-1.0 / (2 * p.C_arm)) * op.n_l[0]
         assert_coefficients_equal(coefficients(model, "v_cl", "i_g"), expected)
 
@@ -178,7 +187,7 @@ class TestAssembly:
                 assert SMALLSIG_STATE_LABELS[3 * v + p] == label
 
     def test_dimensions_and_phase(self, sec3_op, sec3_params, sec3_cfg):
-        model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
+        model = lift_about(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
         assert model.A.shape == (6 * 7, 6 * 7)
         assert model.B.shape == (6 * 7, 2 * 7)
         assert model.phase == "a"
@@ -187,7 +196,7 @@ class TestAssembly:
     def test_for_phase_rotates_from_the_model_own_phase(self, sec3_op, sec3_params, sec3_cfg):
         # Rotating phase b's model lands on the phase's own model, not on
         # phase a's rotated twice. Tolerance: 1e-12 of max|A|.
-        model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, sec3_cfg.h)
+        model = lift_about(sec3_op, sec3_params, sec3_cfg.ctrl, sec3_cfg.h)
         tol = 1e-12 * np.max(np.abs(model.A))
         b = model.for_phase("b")
         assert np.max(np.abs(b.for_phase("c").A - model.for_phase("c").A)) <= tol
@@ -195,21 +204,21 @@ class TestAssembly:
         assert np.max(np.abs(b.for_phase("b").A - b.A)) <= tol
 
     def test_for_phase_without_a_phase_is_an_unknown_variable_error(self, sec3_op, sec3_params, sec3_cfg):
-        model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
+        model = lift_about(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
         with pytest.raises(UnknownVariableError):
             dataclasses.replace(model, phase=None).for_phase("b")
         with pytest.raises(UnknownVariableError):
             model.for_phase("d")
 
     def test_pr_integrator_chain_blocks(self, sec3_op, sec3_params, sec3_cfg):
-        model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
+        model = lift_about(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
         Q = np.diag(frequency_matrix(3, W1))
         assert np.array_equal(block(model, "pr_2", "pr_1"), np.eye(7))
         assert np.array_equal(block(model, "pr_2", "pr_2"), -Q)
         assert np.array_equal(block(model, "pr_1", "pr_2"), -(W1**2) * np.eye(7))
 
     def test_reference_input_couplings(self, sec3_op, sec3_params, sec3_cfg):
-        model = assemble_smallsignal(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
+        model = lift_about(sec3_op, sec3_params, sec3_cfg.ctrl, 3)
         i3 = coefficients(model, "i_g", V_REF)
         assert np.allclose(block(model, "i_g", V_REF), toeplitz(i3))
         # The plant rows see v* only through K_p v* + x1.
@@ -222,10 +231,50 @@ class TestAssembly:
         p = sec3_like()
         op = solve(p, 0.0, 2)
         ctrl = ControllerParams(K_p=0.0, K_r=0.0, k_f=0.0)
-        model = assemble_smallsignal(op, p, ctrl, 2)
+        model = lift_about(op, p, ctrl, 2)
         steady = assemble_steady(p, open_loop_insertion_indices(0.0, 2), 2)
         n4 = 4 * 5
         assert np.allclose(model.A[:n4, :n4], steady.A, atol=1e-12)
+
+
+    def test_rows_of_another_shape_raise(self, sec3_op, sec3_params, sec3_cfg):
+        # The rows must be the 18 closed-loop states at the model's order.
+        rows = closed_loop_rows(sec3_op, sec3_params, sec3_cfg.ctrl)
+        h = sec3_op.h
+        for bad, order in ((rows, h + 1), (rows[:, 1:-1], h), (rows[:12], h), (rows[..., None], h)):
+            with pytest.raises(DimensionMismatchError, match="linearization point rows"):
+                assemble_smallsignal(bad, sec3_params, sec3_cfg.ctrl, order)
+
+
+@pytest.mark.parametrize("h", [1, 7])
+@pytest.mark.parametrize("x_over_r", [0.0, 0.3])
+@pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+def test_dc_column_is_the_plant_dc_column(preset, x_over_r, h):
+    # The bus argument of the closed-loop equations reaches the plant rows
+    # alone, so the v_dc column of their Jacobian is the steady model's
+    # input column, bit for bit, and zero in the PR rows.
+    cfg = _preset_cfg(preset, h=h, x_over_r=x_over_r)
+    op = solve_operating_point(cfg)
+    rows = closed_loop_rows(op, cfg.params, cfg.ctrl)
+    closed = _closed_loop_samples(rows, cfg.params, cfg.ctrl)
+    assert np.array_equal(closed[:, :4, 6], plant_samples(cfg.params, (op.n_u, op.n_l), h)[:, :, 4])
+    assert np.count_nonzero(closed[:, 4:, 6]) == 0
+
+
+@pytest.mark.parametrize("preset", ["sec3-simulation", "table1-prototype"])
+def test_lift_about_the_rk4_orbit_has_its_floquet_exponent(preset):
+    # About the closed-loop RK4 orbit itself the lift carries the orbit's
+    # decay rate ln(mu)/T, mu the largest Floquet multiplier's modulus, as
+    # the real part of an eigenvalue: to 2.5e-7 1/s on sec3 and 4.9e-8 on
+    # table1, where RK4 at 400 steps per period is within 2e-6 of its limit.
+    # About the open-loop operating point the nearest is 3.3e-3 and 7.1e-3
+    # away.
+    cfg = _preset_cfg(preset, h=7)
+    op = solve_operating_point(cfg)
+    rows, orbit = orbit_rows(op, cfg.params, cfg.ctrl, 7)
+    eig = eigenvalues(assemble_smallsignal(rows, cfg.params, cfg.ctrl, 7))
+    rate = np.log(orbit.multiplier) / cfg.params.period
+    assert np.min(np.abs(eig.real - rate)) <= 1e-5
 
 
 class TestEigenvalues:
@@ -264,9 +313,9 @@ class TestEigenvalues:
 
         cfg2 = dataclasses.replace(sec3_cfg, h=2)
         op2 = solve_operating_point(cfg2)
-        model2 = assemble_smallsignal(op2, sec3_cfg.params, sec3_cfg.ctrl, 2)
+        model2 = lift_about(op2, sec3_cfg.params, sec3_cfg.ctrl, 2)
         op3 = solve_operating_point(sec3_cfg)
-        model3 = assemble_smallsignal(op3, sec3_cfg.params, sec3_cfg.ctrl, 3)
+        model3 = lift_about(op3, sec3_cfg.params, sec3_cfg.ctrl, 3)
         e2 = eigenvalues(model2)
         e3 = eigenvalues(model3)
         strip = e2[np.abs(e2.imag) <= 0.5 * W1]
@@ -399,7 +448,7 @@ def rk4_envelope(A, bu, n_steps, dt):
 @pytest.fixture(scope="module")
 def small_model():
     p = sec3_like()
-    return assemble_smallsignal(solve(p, 0.5, 1), p, ctrl_default(), 1)
+    return lift_about(solve(p, 0.5, 1), p, ctrl_default(), 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -569,7 +618,7 @@ class TestLinearizationPoint:
         cfg = dataclasses.replace(sec3_cfg, h=h)
         params, ctrl = cfg.params, cfg.ctrl
         op = solve_operating_point(cfg)
-        ref = assemble_smallsignal(op, params, ctrl, h).A
+        ref = lift_about(op, params, ctrl, h).A
 
         n_samples = 4 * (2 * h + 1)
         ts = np.arange(n_samples) * params.period / n_samples
@@ -632,7 +681,7 @@ def test_lift_symmetries(preset, m, h, x_over_r):
     assert rotation_defect(dense_steady(cfg.params, idx, h)) <= 1e-13
 
     op = solve_operating_point(cfg)
-    assert conjugate_defect(assemble_smallsignal(op, cfg.params, cfg.ctrl, h)) <= 1e-13
+    assert conjugate_defect(lift_about(op, cfg.params, cfg.ctrl, h)) <= 1e-13
     assert rotation_defect(dense_smallsignal(op, cfg.params, cfg.ctrl, h)) <= 1e-13
 
 
@@ -676,7 +725,7 @@ def assert_same_spectrum(preset, m=None, h=None, x_over_r=0.0):
 
     cfg = _preset_cfg(preset, m, h, x_over_r)
     op = solve_operating_point(cfg)
-    blocks = np.tile(eigenvalues(assemble_smallsignal(op, cfg.params, cfg.ctrl, cfg.h)), len(PHASES))
+    blocks = np.tile(eigenvalues(lift_about(op, cfg.params, cfg.ctrl, cfg.h)), len(PHASES))
     dense = scipy.linalg.eigvals(dense_smallsignal(op, cfg.params, cfg.ctrl, cfg.h).A)
     assert blocks.shape == dense.shape
     rows, cols = linear_sum_assignment(np.abs(blocks[:, None] - dense[None, :]))
@@ -828,7 +877,7 @@ def test_lifted_models_do_not_alias(preset, m, x_over_r, h):
     def assemble():
         return (
             assemble_steady(params, (op.n_u, op.n_l), h).A,
-            assemble_smallsignal(op, params, cfg.ctrl, h).A,
+            lift_about(op, params, cfg.ctrl, h).A,
         )
 
     models = assemble()
@@ -859,18 +908,15 @@ def test_inductive_load_is_stable_and_matches_the_floquet_exponent(preset):
 
     from hssmmc.config import load_config
     from hssmmc.pipelines import solve_operating_point
-    from hssmmc.simulate import settled_closed_loop
 
     cfg = load_config(preset)
     params = dataclasses.replace(cfg.params, L_load=0.3 * cfg.params.R_load / cfg.params.omega1)
     cfg = dataclasses.replace(cfg, params=params, h=7)
     op = solve_operating_point(cfg)
-    model = assemble_smallsignal(op, params, cfg.ctrl, 7)
+    model = lift_about(op, params, cfg.ctrl, 7)
     assert eigenvalues(model)[0].real < 0.0
 
     # The model is phase a's leg, so its orbit is leg a's.
-    refs = references_from_operating_point(op, params)
-    guess = operating_state_at(op, params, cfg.ctrl, refs, 0.0)
-    orbit = settled_closed_loop(params, cfg.ctrl, "a", refs["a"], 400, 0, guess.reshape(6, 3)[:, 0])
+    _, orbit = orbit_rows(op, params, cfg.ctrl, 7)
     rate = np.log(orbit.multiplier) / params.period
     assert abs(centred_abscissa(model) - rate) <= 0.01
